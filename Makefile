@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-des bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke
 
 all: vet test
 
@@ -53,18 +53,6 @@ bench-batch:
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR6.json -threshold 0.10
 	$(GO) test -race -run 'Batch' ./internal/broadcast ./internal/faults ./internal/stats ./internal/experiment
 	$(GO) run ./cmd/figures -fig gossip -quick -batch -seed 7 -workers 4 -format csv
-
-# Event-calendar engine gate: the n=1000 des-vs-scalar points diffed against
-# BENCH_PR7.json, a race pass over the calendar's equivalence suites (wheel,
-# shards, the three engine ports and the figure-level bit-identity sweep),
-# and the -des figure path end to end through cmd/figures (the CSV bytes are
-# identical to the scalar engines by construction; see
-# TestDESFiguresBitIdentical for the in-process version).
-bench-des:
-	$(GO) test -run xxx -bench 'DES(MAC|Wire|Timed)/n=1000$$' -benchtime 10x . \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR7.json -threshold 0.10
-	$(GO) test -race -run 'DES|Wheel|Shards' ./internal/des ./internal/broadcast ./internal/sim ./internal/experiment
-	$(GO) run ./cmd/figures -fig gossip -quick -des -seed 7 -workers 4 -format csv
 
 # Sharded construction-stage gate: the unit-disk sweep, clusterhead
 # election and coverage-digest curves diffed against BENCH_PR8.json
@@ -119,17 +107,14 @@ telemetry-smoke:
 		{ echo "telemetry-smoke: heap high-water gauge missing from /metrics scrape" >&2; exit 1; }
 
 # Traffic-workload gate: a race pass over the multi-source MAC engine,
-# workload, route-discovery and parent-chain equivalence suites; the
-# n=1000 scalar-vs-des throughput points diffed against BENCH_PR10.json;
-# a -traffic manetsim load report; and the traffic/discovery figures end
+# workload, route-discovery and parent-chain equivalence suites; a
+# -traffic manetsim load report; and the traffic/discovery figures end
 # to end under the quick rule (CSV checksums make worker-count
 # nondeterminism visible in CI logs). Artifacts land in artifacts/workload.
 workload-smoke:
 	mkdir -p artifacts/workload
 	$(GO) test -race -run 'Workload|MultiMAC|Discover|ParentChain|RouteLen|ValidateDegenerate' \
 		./internal/broadcast ./internal/workload ./internal/routing ./internal/experiment ./cmd/manetsim
-	$(GO) test -run xxx -bench 'WorkloadThroughput/n=1000$$' -benchtime 10x . \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR10.json -threshold 0.10
 	$(GO) run ./cmd/manetsim -n 80 -d 10 -seed 7 -protocols flooding \
 		-traffic proc=poisson,rate=0.3,flows=24
 	$(GO) run ./cmd/figures -fig traffic,discovery -quick -seed 7 -workers 4 -out artifacts/workload -format csv > /dev/null

@@ -965,15 +965,13 @@ func BenchmarkReplicateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDESMAC compares the scalar slotted-collision engine against the
-// event-calendar port at sizes up to two orders of magnitude past the
-// paper's sweep. The topology is sampled once outside the timer; each
-// iteration replays one full broadcast. The gossip variant thins the
-// forwarder set, so with an 8-slot contention window most calendar slots
-// are sparsely occupied — the regime the bucketed timestamp wheel and the
-// epoch-stamped receiver state pay off in (the scalar engine rebuilds its
-// per-slot maps either way). The des rows report ~0 allocs/op: the event
-// loop runs allocation-free once the workspace is warm.
+// BenchmarkDESMAC measures the slotted-collision engine at sizes up to
+// two orders of magnitude past the paper's sweep. The topology is
+// sampled once outside the timer; each iteration replays one full
+// broadcast on a warm workspace. The gossip variant thins the forwarder
+// set, so with an 8-slot contention window most calendar slots are
+// sparsely occupied. The rows report ~0 allocs/op: the event loop runs
+// allocation-free once the workspace is warm.
 func BenchmarkDESMAC(b *testing.B) {
 	protos := []struct {
 		name string
@@ -985,21 +983,7 @@ func BenchmarkDESMAC(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		for _, pr := range protos {
 			opt := broadcast.MACOptions{Jitter: 8, Seed: 7}
-			b.Run(fmt.Sprintf("n=%d/%s-scalar", n, pr.name), func(b *testing.B) {
-				if testing.Short() && n > 10000 {
-					b.Skip("n=100000 runs take seconds; skipped under -short")
-				}
-				g := sample(b, n, 18, 0).Graph()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := broadcast.RunMAC(g, 0, pr.p, opt)
-					if len(res.Received) < 2 {
-						b.Fatal("broadcast did not spread")
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("n=%d/%s-des", n, pr.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, pr.name), func(b *testing.B) {
 				if testing.Short() && n > 10000 {
 					b.Skip("n=100000 runs take seconds; skipped under -short")
 				}
@@ -1018,62 +1002,45 @@ func BenchmarkDESMAC(b *testing.B) {
 	}
 }
 
-// BenchmarkDESWire compares the construction wire protocol's scalar
-// round-scan simulator (per-node maps, full-n scans every round) against
-// the worklist port at the same scale points.
+// BenchmarkDESWire measures the construction wire protocol (the worklist
+// engine behind sim.Run) at the same scale points.
 func BenchmarkDESWire(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
-		for _, eng := range []string{"scalar", "des"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, eng), func(b *testing.B) {
-				if testing.Short() && n > 10000 {
-					b.Skip("n=100000 runs take seconds; skipped under -short")
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if testing.Short() && n > 10000 {
+				b.Skip("n=100000 runs take seconds; skipped under -short")
+			}
+			g := sample(b, n, 18, 0).Graph()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := sim.Run(g, coverage.Hop25); len(out.Heads) == 0 {
+					b.Fatal("no clusterheads elected")
 				}
-				g := sample(b, n, 18, 0).Graph()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var out *sim.Outcome
-					if eng == "des" {
-						out = sim.RunDES(g, coverage.Hop25)
-					} else {
-						out = sim.Run(g, coverage.Hop25)
-					}
-					if len(out.Heads) == 0 {
-						b.Fatal("no clusterheads elected")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkDESTimed compares the delayed-decision engine (binary heap)
-// against its calendar port (timestamp wheel + epoch-stamped state).
+// BenchmarkDESTimed measures the delayed-decision engine (timestamp wheel
+// + epoch-stamped state) on a warm workspace.
 func BenchmarkDESTimed(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
-		for _, eng := range []string{"scalar", "des"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, eng), func(b *testing.B) {
-				if testing.Short() && n > 10000 {
-					b.Skip("n=100000 runs take seconds; skipped under -short")
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if testing.Short() && n > 10000 {
+				b.Skip("n=100000 runs take seconds; skipped under -short")
+			}
+			g := sample(b, n, 18, 0).Graph()
+			p := broadcast.CounterBased{Threshold: 3, MaxDelay: 8, Seed: 7}
+			tw := broadcast.NewTimedWorkspace()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := tw.Run(g, 0, p, broadcast.TimedOptions{}); len(res.Received) < 2 {
+					b.Fatal("broadcast did not spread")
 				}
-				g := sample(b, n, 18, 0).Graph()
-				p := broadcast.CounterBased{Threshold: 3, MaxDelay: 8, Seed: 7}
-				tw := broadcast.NewTimedWorkspace()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var res *broadcast.Result
-					if eng == "des" {
-						res = tw.Run(g, 0, p, broadcast.TimedOptions{})
-					} else {
-						res = broadcast.RunTimed(g, 0, p)
-					}
-					if len(res.Received) < 2 {
-						b.Fatal("broadcast did not spread")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -1081,18 +1048,10 @@ func BenchmarkDESTimed(b *testing.B) {
 // scaling curve: one Poisson workload of 32 concurrent flooding flows
 // (rate 0.5 arrivals/slot, jitter 4) contending for slots on one fixed
 // unit-disk graph (d=18, the dense paper regime — connected at every
-// size), scalar engine vs calendar port, at n = 1k /
-// 10k / 100k. The n=100000 point is skipped under -short. The measured
-// end-to-end throughput (deliveries per slot of makespan) is reported as
-// a custom metric; BENCH_PR10.json publishes the curve.
+// size), at n = 1k / 10k / 100k. The n=100000 point is skipped under
+// -short. The measured end-to-end throughput (deliveries per slot of
+// makespan) is reported as a custom metric.
 func BenchmarkWorkloadThroughput(b *testing.B) {
-	engines := []struct {
-		name string
-		run  workload.Engine
-	}{
-		{"scalar", broadcast.RunMACMulti},
-		{"des", broadcast.RunMACMultiDES},
-	}
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			if testing.Short() && n > 10000 {
@@ -1106,18 +1065,15 @@ func BenchmarkWorkloadThroughput(b *testing.B) {
 			}
 			proto := func(int) broadcast.Protocol { return broadcast.Flooding{} }
 			opt := broadcast.MACOptions{Jitter: 4}
-			for _, e := range engines {
-				b.Run(e.name, func(b *testing.B) {
-					var last *workload.TrafficResult
-					for i := 0; i < b.N; i++ {
-						last = workload.RunTraffic(nw.Graph(), flows, proto, opt, e.run)
-					}
-					if last.DeliveryRatio == 0 {
-						b.Fatal("workload delivered nothing")
-					}
-					b.ReportMetric(last.Throughput, "deliveries/slot")
-				})
+			b.ResetTimer()
+			var last *workload.TrafficResult
+			for i := 0; i < b.N; i++ {
+				last = workload.RunTraffic(nw.Graph(), flows, proto, opt, broadcast.RunMACMulti)
 			}
+			if last.DeliveryRatio == 0 {
+				b.Fatal("workload delivered nothing")
+			}
+			b.ReportMetric(last.Throughput, "deliveries/slot")
 		})
 	}
 }

@@ -42,7 +42,6 @@ type config struct {
 	workers  int
 	buildW   int
 	batch    bool
-	des      bool
 	cpuProf  string
 	memProf  string
 	manifest string
@@ -164,7 +163,6 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 	experiment.SetParallelism(cfg.workers)
 	experiment.SetBuildWorkers(cfg.buildW)
 	experiment.SetBatchReplication(cfg.batch)
-	experiment.SetDES(cfg.des)
 	rule := stats.PaperRule()
 	if cfg.quick {
 		rule = stats.StopRule{Confidence: 0.95, RelHalfWidth: 0.15, MinReplicates: 10, MaxReplicates: 40}
@@ -277,9 +275,6 @@ func main() {
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+
 			"still bit-identical across -workers values")
-	flag.BoolVar(&cfg.des, "des", false,
-		"run the event-driven calendar engines (pending-event wheel) instead of the scalar "+
-			"round loops; output is bit-identical, only faster on large sparse regimes")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")
 	flag.StringVar(&cfg.manifest, "manifest", "",

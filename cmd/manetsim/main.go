@@ -25,7 +25,6 @@ import (
 	"clustercast/internal/coverage"
 	"clustercast/internal/faults"
 	"clustercast/internal/fwdtree"
-	"clustercast/internal/graph"
 	"clustercast/internal/marking"
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
@@ -47,7 +46,6 @@ type config struct {
 	faults    string
 	traffic   string
 	wire      bool
-	des       bool
 	load      string
 	workers   int
 	buildW    int
@@ -56,31 +54,6 @@ type config struct {
 	trace     string
 	manifest  string
 	tel       live.Flags
-}
-
-// desEngine mirrors the -des flag: route the rows through the calendar
-// engines (bit-identical output, faster slot handling on sparse regimes).
-var desEngine bool
-
-func runEngine(g *graph.Graph, src int, p broadcast.Protocol, opt broadcast.Options) *broadcast.Result {
-	if desEngine {
-		return broadcast.RunDESOpts(g, src, p, opt)
-	}
-	return broadcast.RunOpts(g, src, p, opt)
-}
-
-func runTimedEngine(g *graph.Graph, src int, p broadcast.TimedProtocol, opt broadcast.TimedOptions) *broadcast.Result {
-	if desEngine {
-		return broadcast.RunTimedDES(g, src, p, opt)
-	}
-	return broadcast.RunTimedOpts(g, src, p, opt)
-}
-
-func runWire(g *graph.Graph, mode core.Mode) *sim.Outcome {
-	if desEngine {
-		return sim.RunDES(g, mode)
-	}
-	return sim.Run(g, mode)
 }
 
 // protocolRun is one row of the comparison table.
@@ -101,33 +74,33 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 	topt := broadcast.TimedOptions{Tracer: tr, Faults: fo}
 	static := func(mode core.Mode) (*broadcast.Result, error) {
 		s := nw.StaticBackbone(mode)
-		return ok(runEngine(g, src, broadcast.StaticCDS{Set: s.Nodes, Label: "static-" + s.Mode.String()}, opt))
+		return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: s.Nodes, Label: "static-" + s.Mode.String()}, opt))
 	}
 	dynamic := func(mode core.Mode) (*broadcast.Result, error) {
 		p := nw.DynamicProtocol(mode)
 		p.SetTracer(tr)
 		// Run through the engine options directly so the fault oracle (and
 		// tracer) reach the engine; p.Broadcast would drop the oracle.
-		return ok(runEngine(g, src, p, opt))
+		return ok(broadcast.RunOpts(g, src, p, opt))
 	}
 	return []protocolRun{
-		{"flooding", func() (*broadcast.Result, error) { return ok(runEngine(g, src, broadcast.Flooding{}, opt)) }},
+		{"flooding", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.Flooding{}, opt)) }},
 		{"gossip", func() (*broadcast.Result, error) {
-			return ok(runEngine(g, src, broadcast.Gossip{P: 0.7, Seed: seed}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.Gossip{P: 0.7, Seed: seed}, opt))
 		}},
-		{"mpr", func() (*broadcast.Result, error) { return ok(runEngine(g, src, broadcast.NewMPR(nb), opt)) }},
-		{"dp", func() (*broadcast.Result, error) { return ok(runEngine(g, src, broadcast.NewDP(nb), opt)) }},
-		{"pdp", func() (*broadcast.Result, error) { return ok(runEngine(g, src, broadcast.NewPDP(nb), opt)) }},
+		{"mpr", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewMPR(nb), opt)) }},
+		{"dp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewDP(nb), opt)) }},
+		{"pdp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewPDP(nb), opt)) }},
 		{"static-2.5", func() (*broadcast.Result, error) { return static(core.Hop25) }},
 		{"static-3", func() (*broadcast.Result, error) { return static(core.Hop3) }},
 		{"dynamic-2.5", func() (*broadcast.Result, error) { return dynamic(core.Hop25) }},
 		{"dynamic-3", func() (*broadcast.Result, error) { return dynamic(core.Hop3) }},
 		{"mo-cds", func() (*broadcast.Result, error) {
 			c := nw.MOCDS()
-			return ok(runEngine(g, src, broadcast.StaticCDS{Set: c.Nodes, Label: "mo-cds"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: c.Nodes, Label: "mo-cds"}, opt))
 		}},
 		{"marking", func() (*broadcast.Result, error) {
-			return ok(runEngine(g, src, broadcast.StaticCDS{Set: marking.Build(g), Label: "marking"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: marking.Build(g), Label: "marking"}, opt))
 		}},
 		{"fwd-tree", func() (*broadcast.Result, error) {
 			b := coverage.NewBuilder(g, nw.Clustering, coverage.Hop25)
@@ -135,7 +108,7 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 			if err != nil {
 				return nil, err
 			}
-			return ok(runEngine(g, src, broadcast.StaticCDS{Set: tree.Nodes, Label: "fwd-tree"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: tree.Nodes, Label: "fwd-tree"}, opt))
 		}},
 		{"passive", func() (*broadcast.Result, error) {
 			if tr != nil {
@@ -145,13 +118,13 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 			return ok(series[len(series)-1])
 		}},
 		{"sba", func() (*broadcast.Result, error) {
-			return ok(runTimedEngine(g, src, broadcast.NewSBA(nb, 4, seed), topt))
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.NewSBA(nb, 4, seed), topt))
 		}},
 		{"counter-3", func() (*broadcast.Result, error) {
-			return ok(runTimedEngine(g, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: seed}, topt))
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: seed}, topt))
 		}},
 		{"distance", func() (*broadcast.Result, error) {
-			return ok(runTimedEngine(g, src, broadcast.DistanceBased{
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.DistanceBased{
 				Positions: nw.Topology.Positions, MinDistance: nw.Topology.Radius * 0.4,
 				MaxDelay: 4, Seed: seed,
 			}, topt))
@@ -173,10 +146,6 @@ func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.W
 	flows, err := spec.Generate(nw.N())
 	if err != nil {
 		return fmt.Errorf("-traffic: %w", err)
-	}
-	engine := workload.Engine(broadcast.RunMACMulti)
-	if cfg.des {
-		engine = broadcast.RunMACMultiDES
 	}
 	const jitter = 3
 	g := nw.Graph()
@@ -201,7 +170,7 @@ func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.W
 		fmt.Fprintf(stdout, "%-12s %9s %9s %9s %9s %9s\n",
 			"protocol", "found", "success", "latency", "routelen", "stretch")
 		for _, b := range backbones {
-			dr := workload.RunDiscovery(g, flows, b.proto, opt, engine)
+			dr := workload.RunDiscovery(g, flows, b.proto, opt, broadcast.RunMACMulti)
 			fmt.Fprintf(stdout, "%-12s %4d/%-4d %8.1f%% %9.1f %9.2f %9.2f\n",
 				b.name, dr.Found, dr.Requests, 100*dr.SuccessRatio,
 				dr.MeanLatency, dr.MeanRouteLen, dr.MeanStretch)
@@ -211,7 +180,7 @@ func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.W
 	fmt.Fprintf(stdout, "%-12s %9s %10s %9s %10s %6s\n",
 		"protocol", "delivery", "throughput", "latency", "collisions", "cross")
 	for _, b := range backbones {
-		tr := workload.RunTraffic(g, flows, b.proto, opt, engine)
+		tr := workload.RunTraffic(g, flows, b.proto, opt, broadcast.RunMACMulti)
 		fmt.Fprintf(stdout, "%-12s %8.1f%% %10.2f %9.1f %10d %6d\n",
 			b.name, 100*tr.DeliveryRatio, tr.Throughput, tr.MeanLatency,
 			tr.Collisions, tr.CrossCollisions)
@@ -265,8 +234,6 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 			Param("protocols", cfg.protocols).Param("load", cfg.load).Param("wire", cfg.wire).
 			Param("faults", cfg.faults).Param("traffic", cfg.traffic)
 	}
-
-	desEngine = cfg.des
 
 	nw, err := loadNetwork(&cfg)
 	if err != nil {
@@ -383,7 +350,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 
 	if cfg.wire {
-		out := runWire(nw.Graph(), core.Hop25)
+		out := sim.Run(nw.Graph(), core.Hop25)
 		fmt.Fprintf(stdout, "\nwire protocol (2.5-hop): %s\n", out.Counters.String())
 		fmt.Fprintf(stdout, "distributed backbone size: %d\n", len(out.Backbone))
 	}
@@ -412,8 +379,6 @@ func main() {
 			"(see internal/workload); runs concurrent multi-source broadcasts per backbone and prints a load report")
 	flag.BoolVar(&cfg.wire, "wire", false, "also run the distributed wire-protocol construction and print message counts")
 	flag.StringVar(&cfg.load, "load", "", "load a topology snapshot (JSON, from topogen -save) instead of generating one")
-	flag.BoolVar(&cfg.des, "des", false,
-		"run the event-driven calendar engines instead of the scalar round loops (bit-identical output)")
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"cap the Go scheduler's processor count (0: leave GOMAXPROCS at the default); single runs are sequential either way")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,

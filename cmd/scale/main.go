@@ -54,7 +54,6 @@ type config struct {
 	memProf  string
 	manifest string
 	trace    string
-	des      bool
 	tel      live.Flags
 }
 
@@ -68,8 +67,6 @@ func main() {
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
 		"construction-stage shards: unit-disk sweep, clusterhead election and coverage digest (0 = sequential reference paths; results are bit-identical either way)")
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
-	flag.BoolVar(&cfg.des, "des", false,
-		"run dynamic25 broadcasts on the event-calendar engine (bit-identical results)")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&cfg.manifest, "manifest", "", "write a run manifest (JSON) to this file")
@@ -89,7 +86,7 @@ func main() {
 // without trace support ignore it.
 type stageFunc func(ws *experiment.Workspace, nw *topology.Network, source int, tr *obs.Tracer) float64
 
-func stageSet(workers int, des bool) map[string]stageFunc {
+func stageSet(workers int) map[string]stageFunc {
 	pbb := backbone.NewParallelWorkspace()
 	pmo := mocds.NewParallelWorkspace()
 	return map[string]stageFunc{
@@ -115,7 +112,6 @@ func stageSet(workers int, des bool) map[string]stageFunc {
 			// Set unconditionally: the pooled protocol keeps its tracer
 			// across NewWith, so untraced replicates must clear it.
 			p.SetTracer(tr)
-			p.SetDES(des)
 			return float64(p.BroadcastWS(source).ForwardCount())
 		},
 	}
@@ -128,7 +124,7 @@ const tracedStage = "dynamic25"
 // telemetry shutdown (final heartbeat, self-scrape) surface its error.
 func run(cfg config, out io.Writer) (retErr error) {
 	experiment.SetBuildWorkers(cfg.buildW)
-	stages := stageSet(cfg.workers, cfg.des)
+	stages := stageSet(cfg.workers)
 	var names []string
 	for _, s := range strings.Split(cfg.stages, ",") {
 		s = strings.TrimSpace(s)

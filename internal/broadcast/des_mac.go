@@ -16,35 +16,20 @@ type macTx struct {
 	pkt     Packet
 }
 
-// desMACParallelMin is the slot batch size below which the sharded
-// fan-out is not worth its barrier cost and the sequential path runs
-// instead. A package variable so the equivalence tests can force the
-// parallel path on small graphs.
-var desMACParallelMin = 32
-
-// MACWorkspace owns the dense state of the calendar port of RunMAC. The
-// scalar engine's per-slot transmission table (a map keyed by slot,
-// scanned slot by slot) becomes wheel buckets: empty slots inside a
-// contention window cost one bitmap word scan instead of a map lookup,
-// and the quiescent tail costs nothing at all. Receiver-side collision
-// resolution becomes a fan-out into per-slot epoch-stamped copy
-// counters — only the copy multiset matters at a receiver (≥2 copies
-// collide regardless of order; a single copy's sender is the minimum
-// batch index) — which is what makes the fan-out safe to shard: with
-// Workers > 1 and no fault oracle, transmissions are partitioned over
-// contiguous-ID shards (des.Shards) and delivered via the deterministic
-// mailbox exchange, bit-identical for any worker count. With a fault
-// oracle the fan-out stays sequential: CopyLost answers depend on the
-// per-link query sequence, which is part of the reference semantics.
-//
-// Protocol callbacks, jitter draws, trace stream and counters replay
-// the scalar engine exactly (receivers commit in ascending ID order, as
-// RunMAC sorts them); the scalar engine stays the golden reference.
+// MACWorkspace owns the dense state of the slotted-MAC engine. Scheduled
+// transmissions wait in wheel buckets: empty slots inside a contention
+// window cost one bitmap word scan, and the quiescent tail costs nothing
+// at all. Receiver-side collision resolution is a fan-out into per-slot
+// epoch-stamped copy counters — only the copy multiset matters at a
+// receiver (≥2 copies collide regardless of order; a single copy's
+// sender is the minimum batch index) — and receivers commit in ascending
+// ID order, so protocol callbacks, jitter draws and the trace stream are
+// a pure function of the inputs. A scalar slot-map loop is kept in the
+// tests as the reference (runMACOracle).
 //
 // Not safe for concurrent use; give each worker its own.
 type MACWorkspace struct {
-	wheel  des.Wheel[macTx]
-	shards des.Shards
+	wheel des.Wheel[macTx]
 
 	// Per-run epoch-stamped node state (as in Workspace).
 	epoch     uint32
@@ -57,11 +42,9 @@ type MACWorkspace struct {
 	// Per-slot epoch-stamped receiver state.
 	slotEpoch uint32
 	stamp     []uint32
-	cnt       []int32   // copies heard this slot
-	first     []int32   // minimum batch index heard (the decoded copy)
-	touched   []int32   // receivers touched this slot (commit order after sort)
-	perShard  [][]int32 // parallel path: per-shard touched lists
-	byShard   [][]int32 // parallel path: batch indices grouped by sender shard
+	cnt       []int32 // copies heard this slot
+	first     []int32 // minimum batch index heard (the decoded copy)
+	touched   []int32 // receivers touched this slot (commit order after sort)
 
 	jitter rng.Stream // reseeded per run (the alloc-free NewLabeled path)
 	res    MACWSResult
@@ -70,9 +53,9 @@ type MACWorkspace struct {
 // NewMACWorkspace returns an empty workspace; buffers grow on first use.
 func NewMACWorkspace() *MACWorkspace { return &MACWorkspace{} }
 
-// MACWSResult is the dense, allocation-free result of a calendar MAC
-// broadcast, owned by the workspace and valid until its next Run. Call
-// Materialize for an independent CollisionResult.
+// MACWSResult is the dense, allocation-free result of a MAC broadcast,
+// owned by the workspace and valid until its next Run. Call Materialize
+// for an independent CollisionResult.
 type MACWSResult struct {
 	Source     int
 	Latency    int
@@ -105,8 +88,8 @@ func (r *MACWSResult) DeliveryRatio(n int) float64 {
 	return float64(r.nReceived) / float64(n)
 }
 
-// Materialize converts the dense result into the map-based
-// CollisionResult of the scalar engine.
+// Materialize converts the dense result into a map-based
+// CollisionResult, independent of the workspace.
 func (r *MACWSResult) Materialize() *CollisionResult {
 	res := &CollisionResult{Result: Result{
 		Source:     r.Source,
@@ -223,10 +206,8 @@ func (mw *MACWorkspace) hearCopy(v int, bi int32) bool {
 	return false
 }
 
-// Run simulates one broadcast under the slotted collision model on the
-// event calendar, bit-identical to RunMAC. opt.Workers > 1 enables the
-// sharded fan-out (only taken when opt.Faults is nil; see the type
-// comment).
+// Run simulates one broadcast under the slotted collision model (see
+// RunMAC), reusing the workspace. The result is valid until the next Run.
 func (mw *MACWorkspace) Run(g *graph.Graph, source int, p Protocol, opt MACOptions) *MACWSResult {
 	n := g.N()
 	mw.ensure(n)
@@ -257,14 +238,6 @@ func (mw *MACWorkspace) Run(g *graph.Graph, source int, p Protocol, opt MACOptio
 	w.Push(0, macTx{sender: int32(source), trigger: -1, pkt: start})
 
 	fo := opt.Faults
-	par := opt.Workers > 1 && fo == nil
-	if par {
-		mw.shards.ResetRange(n, opt.Workers)
-		if len(mw.perShard) < opt.Workers {
-			mw.perShard = make([][]int32, opt.Workers)
-			mw.byShard = make([][]int32, opt.Workers)
-		}
-	}
 
 	for w.Len() > 0 {
 		t := w.OpenSlot()
@@ -288,29 +261,23 @@ func (mw *MACWorkspace) Run(g *graph.Graph, source int, p Protocol, opt MACOptio
 		res.Transmissions += len(batch)
 
 		// Receiver-side resolution: count copies per node, remembering
-		// the minimum batch index (= the first copy in the scalar
-		// engine's heardBy order).
+		// the minimum batch index (the first copy heard).
 		mw.bumpSlot()
 		mw.touched = mw.touched[:0]
-		if par && len(batch) >= desMACParallelMin {
-			mw.fanoutSharded(g, batch, opt.Workers)
-		} else {
-			for bi, x := range batch {
-				for _, v := range g.Neighbors(int(x.sender)) {
-					if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
-						fo.CopyLost(int(x.sender), v, t+1)) {
-						continue // the copy faded before reaching v
-					}
-					if mw.hearCopy(v, int32(bi)) {
-						mw.touched = append(mw.touched, int32(v))
-					}
+		for bi, x := range batch {
+			for _, v := range g.Neighbors(int(x.sender)) {
+				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
+					fo.CopyLost(int(x.sender), v, t+1)) {
+					continue // the copy faded before reaching v
+				}
+				if mw.hearCopy(v, int32(bi)) {
+					mw.touched = append(mw.touched, int32(v))
 				}
 			}
-			slices.Sort(mw.touched)
 		}
+		slices.Sort(mw.touched)
 
-		// Commit: receivers in ascending ID order, exactly the scalar
-		// engine's sorted receiver loop.
+		// Commit: receivers in ascending ID order.
 		for _, v32 := range mw.touched {
 			v := int(v32)
 			if mw.cnt[v] > 1 {
@@ -358,9 +325,6 @@ func (mw *MACWorkspace) Run(g *graph.Graph, source int, p Protocol, opt MACOptio
 		w.CloseSlot()
 	}
 	w.FoldStats()
-	if par {
-		mw.shards.FoldStats()
-	}
 	mRuns.Inc()
 	mTransmissions.Add(int64(res.Transmissions))
 	mDeliveries.Add(int64(res.nReceived - 1))
@@ -370,51 +334,10 @@ func (mw *MACWorkspace) Run(g *graph.Graph, source int, p Protocol, opt MACOptio
 	return res
 }
 
-// fanoutSharded distributes one slot's receiver resolution over the
-// shard exchange: senders are grouped by owning shard, each source
-// shard emits (receiver, batch index) mail toward the receiver's shard,
-// and each destination shard folds its mail into the copy counters it
-// owns. Counter updates commute (count increments and a min), mailbox
-// delivery order is deterministic, and per-shard touched lists are
-// sorted and concatenated in shard order (contiguous ID ranges, so the
-// concatenation is globally sorted) — making the result independent of
-// the worker count.
-func (mw *MACWorkspace) fanoutSharded(g *graph.Graph, batch []macTx, workers int) {
-	sh := &mw.shards
-	k := sh.K()
-	for s := 0; s < k; s++ {
-		mw.byShard[s] = mw.byShard[s][:0]
-		mw.perShard[s] = mw.perShard[s][:0]
-	}
-	for bi, x := range batch {
-		s := sh.Owner(int(x.sender))
-		mw.byShard[s] = append(mw.byShard[s], int32(bi))
-	}
-	sh.Fanout(workers,
-		func(src int, emit func(int, des.Mail)) {
-			for _, bi := range mw.byShard[src] {
-				x := batch[bi]
-				for _, v := range g.Neighbors(int(x.sender)) {
-					emit(sh.Owner(v), des.Mail{Node: int32(v), Val: bi})
-				}
-			}
-		},
-		func(dst int, mail []des.Mail) {
-			for _, m := range mail {
-				if mw.hearCopy(int(m.Node), m.Val) {
-					mw.perShard[dst] = append(mw.perShard[dst], m.Node)
-				}
-			}
-			slices.Sort(mw.perShard[dst])
-		})
-	for s := 0; s < k; s++ {
-		mw.touched = append(mw.touched, mw.perShard[s]...)
-	}
-}
-
-// RunMACDES is the package-level calendar drop-in for RunMAC, used by
-// the -des figure paths.
+// RunMACDES is RunMAC.
+//
+// Deprecated: the calendar engine is the only slotted-MAC engine; call
+// RunMAC.
 func RunMACDES(g *graph.Graph, source int, p Protocol, opt MACOptions) *CollisionResult {
-	var mw MACWorkspace
-	return mw.Run(g, source, p, opt).Materialize()
+	return RunMAC(g, source, p, opt)
 }

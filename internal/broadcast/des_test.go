@@ -10,10 +10,10 @@ import (
 	"clustercast/internal/rng"
 )
 
-// Equivalence gates for the internal/des calendar ports: the scalar
-// engines are the golden reference, and every port must replay them
-// bit-identically — results, protocol callbacks (observed through the
-// results), randomness consumption, and the typed trace stream
+// Equivalence gates for the production engines: the scalar loops in the
+// *_oracle_test.go files are the reference, and every engine must replay
+// them bit-identically — results, protocol callbacks (observed through
+// the results), randomness consumption, and the typed trace stream
 // (compared as JSONL bytes).
 
 // traceBytes drains a tracer to its canonical JSONL form.
@@ -49,6 +49,7 @@ func TestDESIdealEquivalence(t *testing.T) {
 		{"lossy-faults", func(n int) Options { return Options{Loss: 0.1, Seed: 3, Faults: burstOracle(t, n, 8)} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ws := NewWorkspace() // reused across every run
 			for trial := 0; trial < 6; trial++ {
 				nw := randomNet(t, 100+uint64(trial), 40+10*trial, 8)
 				n := nw.G.N()
@@ -69,11 +70,10 @@ func TestDESIdealEquivalence(t *testing.T) {
 						optA.Faults = burstOracle(t, n, uint64(7+trial))
 						optB.Faults = burstOracle(t, n, uint64(7+trial))
 					}
-					wsA, wsB := NewWorkspace(), NewWorkspace()
-					a := wsA.RunOpts(nw.G, source, p, optA).Materialize()
-					b := wsB.RunDESOpts(nw.G, source, p, optB).Materialize()
+					a := runIdealOracle(nw.G, source, p, optA)
+					b := ws.RunOpts(nw.G, source, p, optB).Materialize()
 					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("trial %d %s: scalar and DES results differ:\n%+v\n%+v", trial, p.Name(), a, b)
+						t.Fatalf("trial %d %s: oracle and engine results differ:\n%+v\n%+v", trial, p.Name(), a, b)
 					}
 					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
 						t.Fatalf("trial %d %s: trace streams differ", trial, p.Name())
@@ -86,14 +86,15 @@ func TestDESIdealEquivalence(t *testing.T) {
 
 func TestDESIdealMatchesLegacyRun(t *testing.T) {
 	nw := randomNet(t, 5, 60, 9)
-	a := Run(nw.G, 3, Flooding{})
-	b := RunDESIdeal(nw.G, 3, Flooding{})
+	a := runIdealOracle(nw.G, 3, Flooding{}, Options{})
+	b := Run(nw.G, 3, Flooding{})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("package-level RunDESIdeal differs from Run:\n%+v\n%+v", a, b)
+		t.Fatalf("package-level Run differs from the map-based oracle:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestDESTimedEquivalence(t *testing.T) {
+	tw := NewTimedWorkspace() // reused across every run
 	for trial := 0; trial < 6; trial++ {
 		nw := randomNet(t, 200+uint64(trial), 40+10*trial, 8)
 		n := nw.G.N()
@@ -112,11 +113,10 @@ func TestDESTimedEquivalence(t *testing.T) {
 					optA.Faults = burstOracle(t, n, uint64(40+trial))
 					optB.Faults = burstOracle(t, n, uint64(40+trial))
 				}
-				a := RunTimedOpts(nw.G, source, p, optA)
-				tw := NewTimedWorkspace()
+				a := runTimedOracle(nw.G, source, p, optA)
 				b := tw.Run(nw.G, source, p, optB)
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("trial %d %s faults=%v: scalar and DES results differ:\n%+v\n%+v",
+					t.Fatalf("trial %d %s faults=%v: oracle and engine results differ:\n%+v\n%+v",
 						trial, p.Name(), withFaults, a, b)
 				}
 				if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
@@ -128,8 +128,7 @@ func TestDESTimedEquivalence(t *testing.T) {
 }
 
 func TestDESMACEquivalence(t *testing.T) {
-	defer func(old int) { desMACParallelMin = old }(desMACParallelMin)
-	desMACParallelMin = 1 // force the sharded path even on small slot batches
+	mw := NewMACWorkspace() // reused across every run
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 300+uint64(trial), 40+12*trial, 9)
 		n := nw.G.N()
@@ -142,34 +141,25 @@ func TestDESMACEquivalence(t *testing.T) {
 			for _, withFaults := range []bool{false, true} {
 				for _, p := range ps {
 					source := (trial * 5) % n
-					trA := obs.NewTracer(1 << 14)
+					trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
 					optA := MACOptions{Jitter: jit, Seed: uint64(60 + trial), Tracer: trA}
+					optB := optA
+					optB.Tracer = trB
 					if withFaults {
+						// Fresh oracles per engine: the oracle's per-link
+						// query cursors are part of the replayed sequence.
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
+						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := RunMAC(nw.G, source, p, optA)
-					workerSet := []int{0, 2, 5, 8}
-					if withFaults {
-						workerSet = []int{0} // oracle query order pins the sequential path
+					a := runMACOracle(nw.G, source, p, optA)
+					b := mw.Run(nw.G, source, p, optB).Materialize()
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: oracle and engine differ:\n%+v\n%+v",
+							trial, p.Name(), jit, withFaults, a, b)
 					}
-					for _, workers := range workerSet {
-						trB := obs.NewTracer(1 << 14)
-						optB := optA
-						optB.Tracer, optB.Workers = trB, workers
-						if withFaults {
-							optB.Faults = burstOracle(t, n, uint64(70+trial))
-						}
-						mw := NewMACWorkspace()
-						b := mw.Run(nw.G, source, p, optB).Materialize()
-						if !reflect.DeepEqual(&a.Result, &b.Result) ||
-							a.Collisions != b.Collisions || a.LostCopies != b.LostCopies {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: scalar and DES differ:\n%+v\n%+v",
-								trial, p.Name(), jit, withFaults, workers, a, b)
-						}
-						if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: trace streams differ",
-								trial, p.Name(), jit, withFaults, workers)
-						}
+					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
+							trial, p.Name(), jit, withFaults)
 					}
 				}
 			}
@@ -179,7 +169,7 @@ func TestDESMACEquivalence(t *testing.T) {
 
 // TestDESMACScheduleProperty is the randomized slot-schedule property
 // gate: across random topologies, sources, seeds and contention
-// windows, the calendar port reproduces the scalar collision table's
+// windows, the MAC engine reproduces the scalar oracle's
 // (slot, sender, trigger) schedule exactly — including slots assigned
 // through the `slot := t + 1 + draw()` backoff path (Jitter > 0 makes
 // every forward take it).
@@ -207,14 +197,14 @@ func TestDESMACScheduleProperty(t *testing.T) {
 		trA := obs.NewTracer(1 << 14)
 		optA := opt
 		optA.Tracer = trA
-		RunMAC(nw.G, source, p, optA)
+		runMACOracle(nw.G, source, p, optA)
 		trB := obs.NewTracer(1 << 14)
 		optB := opt
 		optB.Tracer = trB
 		NewMACWorkspace().Run(nw.G, source, p, optB)
 		a, b := schedule(trA), schedule(trB)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d (n=%d jitter=%d): (slot, sender, trigger) schedules diverge:\nscalar %v\ndes    %v",
+			t.Fatalf("trial %d (n=%d jitter=%d): (slot, sender, trigger) schedules diverge:\noracle %v\nengine %v",
 				trial, n, opt.Jitter, a, b)
 		}
 		if len(a) == 0 {
@@ -223,8 +213,8 @@ func TestDESMACScheduleProperty(t *testing.T) {
 	}
 }
 
-// FuzzDESMACAgree cross-checks the scalar and calendar MAC engines on
-// fuzzer-chosen (size, degree, jitter, seed, gossip) points.
+// FuzzDESMACAgree cross-checks the MAC engine against the scalar oracle
+// on fuzzer-chosen (size, degree, jitter, seed, gossip) points.
 func FuzzDESMACAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, 3, uint64(9), float64(0.8))
 	f.Add(uint64(7), 25, 6, 0, uint64(2), float64(1.0))
@@ -237,16 +227,16 @@ func FuzzDESMACAgree(f *testing.F) {
 		n = nw.G.N()
 		p := Gossip{P: gp, Seed: seed + 1}
 		opt := MACOptions{Jitter: jitter, Seed: seed}
-		a := RunMAC(nw.G, 0, p, opt)
-		b := NewMACWorkspace().Run(nw.G, 0, p, opt).Materialize()
+		a := runMACOracle(nw.G, 0, p, opt)
+		b := RunMAC(nw.G, 0, p, opt)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("scalar and DES MAC runs differ:\n%+v\n%+v", a, b)
+			t.Fatalf("oracle and engine MAC runs differ:\n%+v\n%+v", a, b)
 		}
 	})
 }
 
-// FuzzDESIdealAgree cross-checks the scalar and calendar ideal engines
-// under fuzzer-chosen loss.
+// FuzzDESIdealAgree cross-checks the ideal-radio engine against the
+// map-based oracle under fuzzer-chosen loss.
 func FuzzDESIdealAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, float64(0.2), uint64(5))
 	f.Add(uint64(3), 70, 6, float64(0.0), uint64(1))
@@ -256,28 +246,29 @@ func FuzzDESIdealAgree(f *testing.F) {
 		}
 		nw := randomNet(t, topoSeed, n, float64(deg))
 		opt := Options{Loss: loss, Seed: seed}
-		a := NewWorkspace().RunOpts(nw.G, 0, Flooding{}, opt).Materialize()
-		b := NewWorkspace().RunDESOpts(nw.G, 0, Flooding{}, opt).Materialize()
+		a := runIdealOracle(nw.G, 0, Flooding{}, opt)
+		b := NewWorkspace().RunOpts(nw.G, 0, Flooding{}, opt).Materialize()
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("scalar and DES ideal runs differ:\n%+v\n%+v", a, b)
+			t.Fatalf("oracle and engine ideal runs differ:\n%+v\n%+v", a, b)
 		}
 	})
 }
 
 // TestDESIdealSteadyStateAllocs pins the zero-allocation contract of
-// the calendar event loop (ideal engine, alloc-free protocol).
+// the ideal engine's event loop on a reused workspace (alloc-free
+// protocol).
 func TestDESIdealSteadyStateAllocs(t *testing.T) {
 	nw := randomNet(t, 9, 80, 8)
 	ws := NewWorkspace()
-	run := func() { ws.RunDESOpts(nw.G, 0, Flooding{}, Options{}) }
+	run := func() { ws.RunOpts(nw.G, 0, Flooding{}, Options{}) }
 	run()
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("DES ideal event loop allocates %.1f/run, want 0", avg)
+		t.Fatalf("ideal event loop allocates %.1f/run, want 0", avg)
 	}
 }
 
 // TestDESMACSteadyStateAllocs pins the same contract for the MAC
-// engine's sequential path (the dense result is not materialized).
+// engine (the dense result is not materialized).
 func TestDESMACSteadyStateAllocs(t *testing.T) {
 	nw := randomNet(t, 10, 80, 8)
 	mw := NewMACWorkspace()
@@ -285,6 +276,6 @@ func TestDESMACSteadyStateAllocs(t *testing.T) {
 	run := func() { mw.Run(nw.G, 0, Flooding{}, opt) }
 	run()
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("DES MAC event loop allocates %.1f/run, want 0", avg)
+		t.Fatalf("MAC event loop allocates %.1f/run, want 0", avg)
 	}
 }

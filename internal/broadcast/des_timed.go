@@ -6,20 +6,17 @@ import (
 )
 
 // tdEvent is a calendar entry of the timed engine: the wheel supplies
-// the time and the (time, push order) discipline, so unlike timedEvent
-// no time/seq fields are carried.
+// the time and the (time, push order) discipline.
 type tdEvent struct {
 	kind uint8 // 0: transmission by node; 1: decision timeout at node
 	node int32
 }
 
-// TimedWorkspace owns the dense per-node state of the calendar port of
-// RunTimed: epoch-stamped reception/decision marks and pooled per-node
-// heard lists replace the scalar engine's maps, and the timestamp wheel
-// replaces its binary heap. Event order, protocol callbacks, trace
-// stream and counters are identical to RunTimedOpts (the wheel dequeues
-// in (time, push order), exactly the heap's (time, seq)); the scalar
-// engine stays the golden reference, gated by the equivalence tests.
+// TimedWorkspace owns the dense per-node state of the back-off engine:
+// epoch-stamped reception/decision marks, pooled per-node heard lists,
+// and a timestamp wheel that dequeues events in (time, push order). A
+// scalar heap-based loop is kept in the tests as the reference
+// (runTimedOracle).
 //
 // Not safe for concurrent use; give each worker its own.
 type TimedWorkspace struct {
@@ -85,8 +82,8 @@ func (tw *TimedWorkspace) hear(v, from int) {
 	tw.heard[v] = append(tw.heard[v], from)
 }
 
-// Run simulates one back-off broadcast on the event calendar,
-// bit-identical to RunTimedOpts.
+// Run simulates one back-off broadcast (see RunTimed), reusing the
+// workspace.
 func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt TimedOptions) *Result {
 	n := g.N()
 	tw.ensure(n)
@@ -181,9 +178,10 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 	return res
 }
 
-// RunTimedDES is the package-level calendar drop-in for RunTimedOpts,
-// used by the -des figure paths.
+// RunTimedDES is RunTimedOpts.
+//
+// Deprecated: the calendar engine is the only back-off engine; call
+// RunTimedOpts.
 func RunTimedDES(g *graph.Graph, source int, p TimedProtocol, opt TimedOptions) *Result {
-	var tw TimedWorkspace
-	return tw.Run(g, source, p, opt)
+	return RunTimedOpts(g, source, p, opt)
 }

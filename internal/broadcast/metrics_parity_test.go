@@ -37,9 +37,9 @@ func counterTotals(t *testing.T, names []string, f func()) map[string]int64 {
 }
 
 // TestMetricsParityScalarDESBatch: one 64-wide batch run folds exactly the
-// broadcast.* totals of its 64 scalar lane replays, and the calendar engine
-// folds the same totals as the scalar engine — for a deterministic protocol,
-// a lane-coin gossip, and a loss-chain fault spec.
+// broadcast.* totals of its 64 workspace lane replays, and the map-based
+// oracle folds the same totals — for a deterministic protocol, a
+// lane-coin gossip, and a loss-chain fault spec.
 func TestMetricsParityScalarDESBatch(t *testing.T) {
 	nw := randomNet(t, 91, 50, 8)
 	g := nw.G
@@ -74,10 +74,9 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 					sw.RunOpts(g, 0, tc.proto.Lane(r), o)
 				}
 			})
-			des := counterTotals(t, parityCounters, func() {
-				var dw Workspace
+			oracle := counterTotals(t, parityCounters, func() {
 				for r, o := range laneOpts() {
-					dw.RunDESOpts(g, 0, tc.proto.Lane(r), o)
+					runIdealOracle(g, 0, tc.proto.Lane(r), o)
 				}
 			})
 			batch := counterTotals(t, parityCounters, func() {
@@ -88,8 +87,8 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 				var bw BatchWorkspace
 				bw.Run(g, 0, tc.proto, opt)
 			})
-			if !reflect.DeepEqual(scalar, des) {
-				t.Fatalf("scalar %v != calendar %v", scalar, des)
+			if !reflect.DeepEqual(scalar, oracle) {
+				t.Fatalf("workspace %v != oracle %v", scalar, oracle)
 			}
 			if !reflect.DeepEqual(scalar, batch) {
 				t.Fatalf("scalar %v != batch %v", scalar, batch)
@@ -104,17 +103,16 @@ func TestMetricsParityScalarDESBatch(t *testing.T) {
 	}
 }
 
-// TestMetricsParityMACWorkers: the sharded MAC calendar engine folds the
-// same mac.* and broadcast.* totals as the sequential scalar MAC engine for
-// every worker count — the shard exchange may reorder work but never
-// invents or loses an event.
+// TestMetricsParityMACWorkers: the MAC engine folds the same mac.* and
+// broadcast.* totals as the scalar oracle, whatever MACOptions.Workers
+// says (the engine ignores the field).
 func TestMetricsParityMACWorkers(t *testing.T) {
 	nw := randomNet(t, 92, 60, 9)
 	g := nw.G
 	macCounters := append([]string{"mac.collisions", "mac.lost_copies"}, parityCounters...)
 	opt := MACOptions{Jitter: 3, Seed: 7}
 	want := counterTotals(t, macCounters, func() {
-		RunMAC(g, 0, Flooding{}, opt)
+		runMACOracle(g, 0, Flooding{}, opt)
 	})
 	if want["mac.collisions"] == 0 && want["mac.lost_copies"] == 0 {
 		t.Fatal("baseline run exercised no MAC contention")
@@ -124,10 +122,10 @@ func TestMetricsParityMACWorkers(t *testing.T) {
 			o := opt
 			o.Workers = w
 			got := counterTotals(t, macCounters, func() {
-				RunMACDES(g, 0, Flooding{}, o)
+				RunMAC(g, 0, Flooding{}, o)
 			})
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d totals %v != scalar %v", w, got, want)
+				t.Fatalf("workers=%d totals %v != oracle %v", w, got, want)
 			}
 		})
 	}

@@ -98,11 +98,12 @@ func TestMultiMACMetricsParitySerialized(t *testing.T) {
 	}
 }
 
-// TestMultiMACScalarDESEquivalence pins the calendar port to the scalar
-// multi-source engine across overlapping flow schedules, jitter windows,
-// fault oracles, and worker counts (the port is sequential; Workers must
-// not change results), including the typed trace stream.
+// TestMultiMACScalarDESEquivalence pins the multi-source engine to the
+// scalar oracle across overlapping flow schedules, jitter windows and
+// fault oracles, including the typed trace stream, on one workspace
+// reused across every run.
 func TestMultiMACScalarDESEquivalence(t *testing.T) {
+	mw := NewMultiMACWorkspace()
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 800+uint64(trial), 40+10*trial, 9)
 		n := nw.G.N()
@@ -116,27 +117,22 @@ func TestMultiMACScalarDESEquivalence(t *testing.T) {
 				for _, p := range ps {
 					// Overlapping starts: gap 1 guarantees heavy contention.
 					flows := multiFlows(n, 6, 1, p)
-					trA := obs.NewTracer(1 << 14)
+					trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
 					optA := MACOptions{Jitter: jit, Tracer: trA}
+					optB := MACOptions{Jitter: jit, Tracer: trB}
 					if withFaults {
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
+						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := RunMACMulti(nw.G, flows, optA)
-					for _, workers := range []int{0, 1, 4, 8} {
-						trB := obs.NewTracer(1 << 14)
-						optB := MACOptions{Jitter: jit, Tracer: trB, Workers: workers}
-						if withFaults {
-							optB.Faults = burstOracle(t, n, uint64(70+trial))
-						}
-						b := NewMultiMACWorkspace().Run(nw.G, flows, optB)
-						if !reflect.DeepEqual(a, b) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: scalar and DES multi-source runs differ:\n%+v\n%+v",
-								trial, p.Name(), jit, withFaults, workers, a, b)
-						}
-						if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
-							t.Fatalf("trial %d %s jit=%d faults=%v workers=%d: trace streams differ",
-								trial, p.Name(), jit, withFaults, workers)
-						}
+					a := runMACMultiOracle(nw.G, flows, optA)
+					b := mw.Run(nw.G, flows, optB)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: oracle and engine multi-source runs differ:\n%+v\n%+v",
+							trial, p.Name(), jit, withFaults, a, b)
+					}
+					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
+						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
+							trial, p.Name(), jit, withFaults)
 					}
 				}
 			}
@@ -228,8 +224,11 @@ func TestMultiMACDstSlot(t *testing.T) {
 	}
 }
 
-// FuzzMultiMACScalarDESAgree cross-checks the scalar and calendar
-// multi-source engines on fuzzer-chosen flow schedules.
+// FuzzMultiMACScalarDESAgree cross-checks the multi-source engine
+// against the scalar oracle on fuzzer-chosen flow schedules. One
+// workspace serves a run at the chosen size, a smaller one, the chosen
+// size again, and a larger one, so its flat per-(flow, node) arrays are
+// resliced down and up between runs.
 func FuzzMultiMACScalarDESAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, 3, 4, 2, uint64(9))
 	f.Add(uint64(7), 25, 6, 0, 2, 0, uint64(2))
@@ -239,24 +238,29 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 			nflows < 1 || nflows > 8 || gap < 0 || gap > 64 {
 			t.Skip()
 		}
-		nw := randomNet(t, topoSeed, n, float64(deg))
-		n = nw.G.N()
-		r := rng.New(seed)
-		flows := make([]MultiFlow, nflows)
-		for i := range flows {
-			flows[i] = MultiFlow{
-				Src:   r.Intn(n),
-				Dst:   r.Intn(n),
-				Start: i * gap,
-				Seed:  r.Uint64(),
-				Proto: Gossip{P: 0.85, Seed: seed + uint64(i)},
+		mw := NewMultiMACWorkspace()
+		sizes := [][2]int{{n, nflows}, {n/2 + 3, nflows/2 + 1}, {n, nflows}, {n + 17, nflows + 3}}
+		for k, sz := range sizes {
+			nw := randomNet(t, topoSeed+uint64(k), sz[0], float64(deg))
+			nn := nw.G.N()
+			r := rng.New(seed + uint64(k))
+			flows := make([]MultiFlow, sz[1])
+			for i := range flows {
+				flows[i] = MultiFlow{
+					Src:   r.Intn(nn),
+					Dst:   r.Intn(nn),
+					Start: i * gap,
+					Seed:  r.Uint64(),
+					Proto: Gossip{P: 0.85, Seed: seed + uint64(i)},
+				}
 			}
-		}
-		opt := MACOptions{Jitter: jitter}
-		a := RunMACMulti(nw.G, flows, opt)
-		b := RunMACMultiDES(nw.G, flows, opt)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("scalar and DES multi-source runs differ:\n%+v\n%+v", a, b)
+			opt := MACOptions{Jitter: jitter}
+			a := runMACMultiOracle(nw.G, flows, opt)
+			b := mw.Run(nw.G, flows, opt)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("run %d (n=%d, %d flows): oracle and engine multi-source runs differ:\n%+v\n%+v",
+					k, nn, len(flows), a, b)
+			}
 		}
 	})
 }
@@ -265,8 +269,8 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 func TestMultiMACEmptyFlows(t *testing.T) {
 	g := pathGraph(3)
 	for name, run := range map[string]func() *MultiResult{
-		"scalar": func() *MultiResult { return RunMACMulti(g, nil, MACOptions{}) },
-		"des":    func() *MultiResult { return RunMACMultiDES(g, nil, MACOptions{}) },
+		"oracle": func() *MultiResult { return runMACMultiOracle(g, nil, MACOptions{}) },
+		"engine": func() *MultiResult { return RunMACMulti(g, nil, MACOptions{}) },
 	} {
 		res := run()
 		if len(res.Flows) != 0 || res.Transmissions != 0 || res.Makespan != 0 {
@@ -287,10 +291,38 @@ func TestMultiMACWorkspaceReuse(t *testing.T) {
 		n := nw.G.N()
 		flows := multiFlows(n, 2+trial%4, 1+trial, Flooding{})
 		got := mw.Run(nw.G, flows, MACOptions{Jitter: trial % 4})
-		want := RunMACMulti(nw.G, flows, MACOptions{Jitter: trial % 4})
+		want := runMACMultiOracle(nw.G, flows, MACOptions{Jitter: trial % 4})
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: reused workspace diverged from scalar run", trial)
+			t.Fatalf("trial %d: reused workspace diverged from the oracle", trial)
 		}
+	}
+}
+
+// TestMultiMACSteadyStateAllocs pins the dense kernel's allocation
+// budget: after a warm-up run on the same inputs, a reused workspace
+// allocates only the returned MultiResult — the result, its flow slices
+// and each flow's three presized maps (69 objects under Go 1.24's map
+// implementation) — never per-node state. The contended flooding run
+// below relays through hundreds of (flow, node) cells, so a per-cell
+// allocation would blow far past the margin.
+func TestMultiMACSteadyStateAllocs(t *testing.T) {
+	nw := randomNet(t, 11, 80, 8)
+	flows := multiFlows(nw.G.N(), 6, 1, Flooding{})
+	mw := NewMultiMACWorkspace()
+	opt := MACOptions{Jitter: 3}
+	var res *MultiResult
+	run := func() { res = mw.Run(nw.G, flows, opt) }
+	run()
+	forwarders := 0
+	for _, fr := range res.Flows {
+		forwarders += len(fr.Forwarders)
+	}
+	if forwarders < 100 {
+		t.Fatalf("only %d forwarding cells; the run exercises too little", forwarders)
+	}
+	const measured, margin = 69, 4
+	if avg := testing.AllocsPerRun(20, run); avg > measured+margin {
+		t.Fatalf("reused workspace allocates %.1f/run, want <= %d", avg, measured+margin)
 	}
 }
 
@@ -298,21 +330,10 @@ func BenchmarkMultiMAC(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		nw := randomNet(b, uint64(n), n, 10)
 		flows := multiFlows(nw.G.N(), 8, 2, Flooding{})
-		for _, eng := range []struct {
-			name string
-			run  func()
-		}{
-			{"scalar", func() { RunMACMulti(nw.G, flows, MACOptions{Jitter: 4}) }},
-			{"des", func() {
-				mw := NewMultiMACWorkspace()
-				mw.Run(nw.G, flows, MACOptions{Jitter: 4})
-			}},
-		} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, eng.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng.run()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RunMACMulti(nw.G, flows, MACOptions{Jitter: 4})
+			}
+		})
 	}
 }

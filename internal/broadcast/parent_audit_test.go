@@ -53,8 +53,9 @@ func auditParentChains(t *testing.T, g *graph.Graph, engine string, res *Result)
 }
 
 // TestParentChainAudit runs the delivery-tree contract against every
-// engine — scalar and calendar, ideal/lossy/faulted/timed/MAC/multi-MAC —
-// over random topologies and protocols.
+// engine — ideal/lossy/faulted/timed/MAC/multi-MAC, and the scalar
+// oracles they are checked against — over random topologies and
+// protocols.
 func TestParentChainAudit(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 1100+uint64(trial), 40+10*trial, 8)
@@ -78,8 +79,7 @@ func TestParentChainAudit(t *testing.T) {
 			lossy := Options{Loss: 0.2, Seed: uint64(trial)}
 			add("RunOpts-lossy/"+p.Name(),
 				NewWorkspace().RunOpts(nw.G, source, p, lossy).Materialize())
-			add("RunDESOpts-lossy/"+p.Name(),
-				NewWorkspace().RunDESOpts(nw.G, source, p, lossy).Materialize())
+			add("oracle-lossy/"+p.Name(), runIdealOracle(nw.G, source, p, lossy))
 
 			faulted := Options{Faults: burstOracle(t, n, uint64(20+trial))}
 			add("RunOpts-faults/"+p.Name(),
@@ -87,7 +87,7 @@ func TestParentChainAudit(t *testing.T) {
 
 			mac := MACOptions{Jitter: 3, Seed: uint64(trial)}
 			add("RunMAC/"+p.Name(), &RunMAC(nw.G, source, p, mac).Result)
-			add("RunMACDES/"+p.Name(), &RunMACDES(nw.G, source, p, mac).Result)
+			add("oracle-MAC/"+p.Name(), &runMACOracle(nw.G, source, p, mac).Result)
 			macF := MACOptions{Jitter: 2, Seed: uint64(trial), Faults: burstOracle(t, n, uint64(30+trial))}
 			add("RunMAC-faults/"+p.Name(), &RunMAC(nw.G, source, p, macF).Result)
 
@@ -98,8 +98,8 @@ func TestParentChainAudit(t *testing.T) {
 				}
 				auditParentChains(t, nw.G, "RunMACMulti/"+p.Name(), &fr.Result)
 			}
-			for _, fr := range RunMACMultiDES(nw.G, flows, MACOptions{Jitter: 2}).Flows {
-				auditParentChains(t, nw.G, "RunMACMultiDES/"+p.Name(), &fr.Result)
+			for _, fr := range runMACMultiOracle(nw.G, flows, MACOptions{Jitter: 2}).Flows {
+				auditParentChains(t, nw.G, "oracle-MACMulti/"+p.Name(), &fr.Result)
 			}
 		}
 
@@ -109,7 +109,7 @@ func TestParentChainAudit(t *testing.T) {
 			CounterBased{Threshold: 3, MaxDelay: 5, Seed: 23},
 		} {
 			add("RunTimed/"+tp.Name(), RunTimedOpts(nw.G, source, tp, TimedOptions{}))
-			add("RunTimedDES/"+tp.Name(), NewTimedWorkspace().Run(nw.G, source, tp, TimedOptions{}))
+			add("oracle-timed/"+tp.Name(), runTimedOracle(nw.G, source, tp, TimedOptions{}))
 			tf := TimedOptions{Faults: burstOracle(t, n, uint64(40+trial))}
 			add("RunTimed-faults/"+tp.Name(), RunTimedOpts(nw.G, source, tp, tf))
 		}
@@ -130,8 +130,8 @@ func TestCollidedDeliveriesRecordNoParent(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
 	for name, res := range map[string]*CollisionResult{
-		"scalar": RunMAC(g, 0, Flooding{}, MACOptions{}),
-		"des":    RunMACDES(g, 0, Flooding{}, MACOptions{}),
+		"oracle": runMACOracle(g, 0, Flooding{}, MACOptions{}),
+		"engine": RunMAC(g, 0, Flooding{}, MACOptions{}),
 	} {
 		if res.Received[3] {
 			t.Fatalf("%s: node 3 decoded through a guaranteed collision", name)
@@ -145,10 +145,11 @@ func TestCollidedDeliveriesRecordNoParent(t *testing.T) {
 	}
 }
 
-// FuzzParentScalarDESAgree pins the scalar and calendar Parent maps
-// bit-identical on fuzzer-chosen points for the ideal, lossy, and MAC
-// engines — the delivery tree, not just the delivery set, is part of the
-// equivalence contract (routes are extracted from it).
+// FuzzParentScalarDESAgree pins the production engines' Parent maps to
+// the scalar oracles' on fuzzer-chosen points for the ideal, lossy, MAC
+// and multi-source MAC engines — the delivery tree, not just the
+// delivery set, is part of the equivalence contract (routes are
+// extracted from it).
 func FuzzParentScalarDESAgree(f *testing.F) {
 	f.Add(uint64(1), 40, 8, 3, uint64(9), float64(0.2))
 	f.Add(uint64(7), 25, 6, 0, uint64(2), float64(0.0))
@@ -162,33 +163,33 @@ func FuzzParentScalarDESAgree(f *testing.F) {
 		p := Gossip{P: 0.85, Seed: seed + 1}
 
 		opt := Options{Loss: loss, Seed: seed}
-		a := NewWorkspace().RunOpts(nw.G, 0, p, opt).Materialize()
-		b := NewWorkspace().RunDESOpts(nw.G, 0, p, opt).Materialize()
+		a := runIdealOracle(nw.G, 0, p, opt)
+		b := NewWorkspace().RunOpts(nw.G, 0, p, opt).Materialize()
 		if !reflect.DeepEqual(a.Parent, b.Parent) {
 			t.Fatalf("ideal/lossy Parent maps differ:\n%v\n%v", a.Parent, b.Parent)
 		}
-		auditParentChains(t, nw.G, "fuzz-ideal", a)
+		auditParentChains(t, nw.G, "fuzz-ideal", b)
 
 		mo := MACOptions{Jitter: jitter, Seed: seed}
-		ma := RunMAC(nw.G, 0, p, mo)
-		mb := RunMACDES(nw.G, 0, p, mo)
+		ma := runMACOracle(nw.G, 0, p, mo)
+		mb := RunMAC(nw.G, 0, p, mo)
 		if !reflect.DeepEqual(ma.Parent, mb.Parent) {
 			t.Fatalf("MAC Parent maps differ:\n%v\n%v", ma.Parent, mb.Parent)
 		}
-		auditParentChains(t, nw.G, "fuzz-mac", &ma.Result)
+		auditParentChains(t, nw.G, "fuzz-mac", &mb.Result)
 
 		flows := []MultiFlow{
 			{Src: 0, Dst: nn - 1, Start: 0, Seed: seed, Proto: p},
 			{Src: nn / 2, Dst: 1 % nn, Start: 1, Seed: seed + 2, Proto: p},
 		}
-		wa := RunMACMulti(nw.G, flows, MACOptions{Jitter: jitter})
-		wb := RunMACMultiDES(nw.G, flows, MACOptions{Jitter: jitter})
+		wa := runMACMultiOracle(nw.G, flows, MACOptions{Jitter: jitter})
+		wb := RunMACMulti(nw.G, flows, MACOptions{Jitter: jitter})
 		for i := range flows {
 			if !reflect.DeepEqual(wa.Flows[i].Parent, wb.Flows[i].Parent) {
 				t.Fatalf("multi flow %d Parent maps differ:\n%v\n%v",
 					i, wa.Flows[i].Parent, wb.Flows[i].Parent)
 			}
-			auditParentChains(t, nw.G, "fuzz-multi", &wa.Flows[i].Result)
+			auditParentChains(t, nw.G, "fuzz-multi", &wb.Flows[i].Result)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"clustercast/internal/des"
 	"clustercast/internal/graph"
 	"clustercast/internal/rng"
 )
@@ -24,7 +23,6 @@ type Workspace struct {
 	parent    []int    // first-delivery sender, valid when received
 	acted     [][]Packet
 	queue     []transmission
-	wheel     des.Wheel[transmission] // RunDESOpts event calendar
 	res       WSResult
 }
 
@@ -269,4 +267,12 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 		mFaultDrops.Add(int64(faultDrops))
 	}
 	return res
+}
+
+// RunDESOpts is RunOpts.
+//
+// Deprecated: the FIFO queue is the only ideal- and lossy-radio engine;
+// call RunOpts.
+func (ws *Workspace) RunDESOpts(g *graph.Graph, source int, p Protocol, opt Options) *WSResult {
+	return ws.RunOpts(g, source, p, opt)
 }

@@ -15,8 +15,8 @@ import (
 // — for any worker count, with Workspace.Elect kept as the golden
 // reference.
 //
-// The worklist is the generalization of the PR7 wire-protocol election
-// (sim.RunDES) from lowest-ID to an arbitrary Priority: cnt[v] holds the
+// The worklist is the generalization of the wire-protocol election
+// (sim.Run) from lowest-ID to an arbitrary Priority: cnt[v] holds the
 // number of still-candidate neighbors with strictly better priority, so
 // v is ready to declare exactly when cnt[v] reaches zero — the same
 // condition as "beats every candidate neighbor" in the per-round scans

@@ -6,12 +6,11 @@
 //
 // The design goals, in order:
 //
-//  1. Bit-identical replay of the scalar reference engines. The wheel
+//  1. Bit-identical replay of the scalar reference loops. The wheel
 //     dequeues events in (slot, push order), exactly the (time, seq)
-//     order of the reference heap in broadcast.RunTimed and the FIFO
-//     order of broadcast.Run; the shard exchange concatenates mailboxes
-//     in a fixed shard order so results do not depend on the worker
-//     count.
+//     order of a binary heap fed the same pushes; the shard exchange
+//     concatenates mailboxes in a fixed shard order so results do not
+//     depend on the worker count.
 //  2. Zero steady-state allocations. Buckets, mailboxes, and scratch are
 //     pooled and reused across runs (epoch-stamped or length-reset, in
 //     the style of the coverage/backbone scratch); the event loop itself
@@ -22,10 +21,11 @@
 //     beyond the wheel's window park in a small overflow heap until the
 //     window reaches them.
 //
-// The engines ported onto this package (broadcast.RunDESOpts,
-// broadcast.TimedDES, broadcast.MACDES, sim.RunDES) each keep their
-// scalar counterpart as the golden reference, gated by equivalence and
-// fuzz tests.
+// The slotted-MAC, multi-source MAC and back-off broadcast engines
+// (broadcast.RunMAC, RunMACMulti, RunTimedOpts) run on the wheel; each
+// keeps its scalar loop as a test oracle, gated by equivalence and fuzz
+// tests. Shards serves the sharded construction stages (cluster,
+// coverage, topology, dynamicb).
 package des
 
 import "clustercast/internal/obs"

@@ -85,7 +85,6 @@ type Protocol struct {
 	// are bump-allocated and rewound once per broadcast (in Start).
 	reuse   bool
 	bws     *broadcast.Workspace
-	des     bool // route broadcasts through the event-calendar engine
 	need    graph.HybridSet
 	hsets   []*graph.HybridSet
 	hcur    int
@@ -372,18 +371,10 @@ func (p *Protocol) OnDuplicate(v, x int, pkt broadcast.Packet) (bool, broadcast.
 	return false, nil
 }
 
-// SetDES routes subsequent Broadcast/BroadcastWS calls through the
-// event-calendar engine (broadcast.RunDESOpts). The result is
-// bit-identical to the default engine; only slot bookkeeping changes.
-func (p *Protocol) SetDES(on bool) { p.des = on }
-
 // Broadcast runs one dynamic-backbone broadcast and returns the engine
 // result. The forward node set of the paper's Figures 7 and 8 is
 // res.ForwardCount().
 func (p *Protocol) Broadcast(source int) *broadcast.Result {
-	if p.des {
-		return broadcast.RunDESOpts(p.g, source, p, broadcast.Options{Tracer: p.tracer})
-	}
 	return broadcast.RunOpts(p.g, source, p, broadcast.Options{Tracer: p.tracer})
 }
 
@@ -393,9 +384,6 @@ func (p *Protocol) Broadcast(source int) *broadcast.Result {
 func (p *Protocol) BroadcastWS(source int) *broadcast.WSResult {
 	if p.bws == nil {
 		p.bws = broadcast.NewWorkspace()
-	}
-	if p.des {
-		return p.bws.RunDESOpts(p.g, source, p, broadcast.Options{Tracer: p.tracer})
 	}
 	return p.bws.RunOpts(p.g, source, p, broadcast.Options{Tracer: p.tracer})
 }

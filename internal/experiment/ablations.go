@@ -11,6 +11,7 @@ import (
 	"clustercast/internal/mcds"
 	"clustercast/internal/mocds"
 	"clustercast/internal/rng"
+	"clustercast/internal/sim"
 	"clustercast/internal/stats"
 	"clustercast/internal/topology"
 )
@@ -67,7 +68,7 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 		if !ok {
 			return 0, false
 		}
-		return float64(runWire(nw.G, coverage.Hop25).Counters.Total()), true
+		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Total()), true
 	}
 	perNode := func(sc Scenario, rep int) (float64, bool) {
 		v, ok := total(sc, rep)
@@ -81,14 +82,14 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 		if !ok {
 			return 0, false
 		}
-		return float64(runWire(nw.G, coverage.Hop25).Counters.Rounds), true
+		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Rounds), true
 	}
 	meanActive := func(sc Scenario, rep int) (float64, bool) {
 		nw, _, ok := sc.Sample("msg", rep)
 		if !ok {
 			return 0, false
 		}
-		return runWire(nw.G, coverage.Hop25).Counters.MeanActive(), true
+		return sim.Run(nw.G, coverage.Hop25).Counters.MeanActive(), true
 	}
 	// idleFraction is the share of per-round node scans a round-synchronous
 	// simulator wastes on silent nodes (1 − active/n, averaged over rounds):
@@ -98,7 +99,7 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 		if !ok {
 			return 0, false
 		}
-		c := runWire(nw.G, coverage.Hop25).Counters
+		c := sim.Run(nw.G, coverage.Hop25).Counters
 		if len(c.ActivePerRound) == 0 {
 			return 0, false
 		}
@@ -132,7 +133,7 @@ func Baselines(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 			if !ok {
 				return 0, false
 			}
-			res := runIdeal(nw.G, r.Intn(nw.N()), build(nw))
+			res := broadcast.Run(nw.G, r.Intn(nw.N()), build(nw))
 			return float64(res.ForwardCount()), true
 		}
 	}
@@ -288,11 +289,11 @@ func Delivery(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 			})),
 			sweep("static-2.5hop", ns, d, seed, rule, ratio("static", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
 				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return runIdeal(nw.G, src, broadcast.StaticCDS{Set: s.Nodes})
+				return broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: s.Nodes})
 			})),
 			sweep("mo-cds", ns, d, seed, rule, ratio("mocds", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
 				c := mocds.Build(nw.G, cl)
-				return runIdeal(nw.G, src, broadcast.StaticCDS{Set: c.Nodes})
+				return broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: c.Nodes})
 			})),
 		},
 	}

@@ -102,18 +102,18 @@ func Lossy(losses []float64, n int, d float64, seed uint64, rule stats.StopRule)
 		XLabel: "loss probability", YLabel: "delivery ratio",
 		Series: []Series{
 			mk("flooding", floodingKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return runOpts(nw.G, src, broadcast.Flooding{}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, opt)
 			}),
 			mk("static-2.5hop", staticCDSKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
 				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return runOpts(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
 			}),
 			mk("dynamic-2.5hop", nil, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return runOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
+				return broadcast.RunOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
 			}),
 			mk("mo-cds", mocdsKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
 				c := mocds.Build(nw.G, cl)
-				return runOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
 			}),
 		},
 	}
@@ -256,7 +256,7 @@ func PassiveConvergence(floods int, n int, d float64, seed uint64, rule stats.St
 		Series: []Series{
 			passiveSeries,
 			flat("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int) float64 {
-				return float64(runIdeal(nw.G, src, broadcast.Flooding{}).ForwardCount())
+				return float64(broadcast.Run(nw.G, src, broadcast.Flooding{}).ForwardCount())
 			}),
 			flat("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int) float64 {
 				return float64(dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src).ForwardCount())
@@ -318,7 +318,7 @@ func Reliable(losses []float64, n int, d float64, seed uint64, rule stats.StopRu
 				return float64(res.Acks), true
 			}),
 			mk("flooding-delivery-pct", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res := runOpts(nw.G, src, broadcast.Flooding{}, broadcast.Options{Loss: loss, Seed: rep})
+				res := broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, broadcast.Options{Loss: loss, Seed: rep})
 				return 100 * res.DeliveryRatio(nw.N()), true
 			}),
 		},

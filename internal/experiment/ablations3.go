@@ -44,7 +44,7 @@ func Pruning(windows []int, n int, d float64, seed uint64, rule stats.StopRule) 
 					return 0, false
 				}
 				nb := broadcast.NewNeighborhood(nw.G)
-				res := runTimed(nw.G, r.Intn(nw.N()),
+				res := broadcast.RunTimed(nw.G, r.Intn(nw.N()),
 					broadcast.NewSBA(nb, window, sc.Seed^uint64(rep)))
 				if len(res.Received) != nw.N() {
 					return 0, false
@@ -173,20 +173,20 @@ func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
 		XLabel: "avg degree", YLabel: "redundant copies per node",
 		Series: []Series{
 			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return runIdeal(nw.G, src, broadcast.Flooding{})
+				return broadcast.Run(nw.G, src, broadcast.Flooding{})
 			}),
 			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
 				return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
 			}),
 			mk("sba-w4", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
 				nb := broadcast.NewNeighborhood(nw.G)
-				return runTimed(nw.G, src, broadcast.NewSBA(nb, 4, 1))
+				return broadcast.RunTimed(nw.G, src, broadcast.NewSBA(nb, 4, 1))
 			}),
 			mk("counter-3", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return runTimed(nw.G, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
+				return broadcast.RunTimed(nw.G, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
 			}),
 			mk("distance-0.4r", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return runTimed(nw.G, src, broadcast.DistanceBased{
+				return broadcast.RunTimed(nw.G, src, broadcast.DistanceBased{
 					Positions: nw.Positions, MinDistance: nw.Radius * 0.4, MaxDelay: 4, Seed: 1,
 				})
 			}),
@@ -263,14 +263,14 @@ func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.S
 		XLabel: "avg degree", YLabel: "delivery ratio",
 		Series: []Series{
 			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return runMAC(nw.G, src, broadcast.Flooding{}, opt)
+				return broadcast.RunMAC(nw.G, src, broadcast.Flooding{}, opt)
 			}),
 			mk("static-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
 				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return runMAC(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
+				return broadcast.RunMAC(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
 			}),
 			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return runMAC(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
+				return broadcast.RunMAC(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
 			}),
 		},
 	}
@@ -379,11 +379,11 @@ func Amortized(ks []int, n int, d float64, seed uint64, rule stats.StopRule) *Fi
 		if !ok {
 			return costs{}, false
 		}
-		out := runWire(nw.G, coverage.Hop25)
+		out := sim.Run(nw.G, coverage.Hop25)
 		gateway := out.Counters.PerType[sim.Gateway]
 		src := r.source(nw.N())
 		st := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-		sres := runIdeal(nw.G, src, broadcast.StaticCDS{Set: st.Nodes})
+		sres := broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: st.Nodes})
 		dres := dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
 		return costs{
 			staticSetup: float64(out.Counters.Total()),

@@ -209,6 +209,11 @@ func SetBuildWorkers(n int) {
 	buildWorkers.Store(int64(n))
 }
 
+// SetDES does nothing. It once selected the event-calendar engines,
+// which are now the only slotted-MAC, back-off and wire-protocol
+// engines; it stays so existing callers compile.
+func SetDES(bool) {}
+
 // effectiveBuildWorkers is the goroutine count construction stages
 // actually use: the configured value clamped to GOMAXPROCS — goroutines
 // beyond the core count cannot help a CPU-bound shard and only add

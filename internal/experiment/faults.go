@@ -134,11 +134,11 @@ func Faults(qs []float64, n int, d float64, seed uint64, rule stats.StopRule) *F
 		XLabel: "downtime fraction", YLabel: "delivery ratio (live nodes)",
 		Series: []Series{
 			mk("flooding", func(s *sample) (*broadcast.Result, bool) {
-				return runOpts(s.nw.G, s.src, broadcast.Flooding{}, opt(s)), true
+				return broadcast.RunOpts(s.nw.G, s.src, broadcast.Flooding{}, opt(s)), true
 			}),
 			mk("static-2.5hop-stale", func(s *sample) (*broadcast.Result, bool) {
 				b := backbone.BuildStatic(s.nw.G, s.cl, coverage.Hop25)
-				return runOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: b.Nodes}, opt(s)), true
+				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: b.Nodes}, opt(s)), true
 			}),
 			mk("static-2.5hop-repaired", func(s *sample) (*broadcast.Result, bool) {
 				base := backbone.BuildStatic(s.nw.G, s.cl, coverage.Hop25)
@@ -147,14 +147,14 @@ func Faults(qs []float64, n int, d float64, seed uint64, rule stats.StopRule) *F
 				if err != nil {
 					return nil, false
 				}
-				return runOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: rep.Nodes}, opt(s)), true
+				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: rep.Nodes}, opt(s)), true
 			}),
 			mk("dynamic-2.5hop", func(s *sample) (*broadcast.Result, bool) {
-				return runOpts(s.nw.G, s.src, dynamicb.New(s.nw.G, s.cl, coverage.Hop25), opt(s)), true
+				return broadcast.RunOpts(s.nw.G, s.src, dynamicb.New(s.nw.G, s.cl, coverage.Hop25), opt(s)), true
 			}),
 			mk("mo-cds", func(s *sample) (*broadcast.Result, bool) {
 				c := mocds.Build(s.nw.G, s.cl)
-				return runOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: c.Nodes}, opt(s)), true
+				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: c.Nodes}, opt(s)), true
 			}),
 		},
 	}
@@ -220,18 +220,18 @@ func Burstiness(burstLens []float64, p float64, n int, d float64, seed uint64, r
 		XLabel: "mean burst length", YLabel: "delivery ratio",
 		Series: []Series{
 			mk("flooding", floodingKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return runOpts(nw.G, src, broadcast.Flooding{}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, opt)
 			}),
 			mk("static-2.5hop", staticCDSKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
 				b := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return runOpts(nw.G, src, broadcast.StaticCDS{Set: b.Nodes}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: b.Nodes}, opt)
 			}),
 			mk("dynamic-2.5hop", nil, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return runOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
+				return broadcast.RunOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
 			}),
 			mk("mo-cds", mocdsKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
 				c := mocds.Build(nw.G, cl)
-				return runOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
+				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
 			}),
 		},
 	}

@@ -76,7 +76,7 @@ func StaticForwardEstimator(mode coverage.Mode) Estimator {
 			return 0, false
 		}
 		s := backbone.BuildStatic(nw.G, cl, mode)
-		res := runIdeal(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: s.Nodes})
+		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: s.Nodes})
 		return float64(res.ForwardCount()), true
 	}
 }
@@ -90,7 +90,7 @@ func MOCDSForwardEstimator() Estimator {
 			return 0, false
 		}
 		c := mocds.Build(nw.G, cl)
-		res := runIdeal(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: c.Nodes})
+		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: c.Nodes})
 		return float64(res.ForwardCount()), true
 	}
 }

@@ -56,7 +56,7 @@ func GossipAblation(ps []float64, losses []float64, n int, d float64, seed uint6
 				}
 				g := broadcast.Gossip{P: p, Seed: batchSeed(sc.Seed^gossipSeedSalt, rep)}
 				opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(rep)}
-				res := runOpts(nw.G, r.source(nw.N()), g, opt)
+				res := broadcast.RunOpts(nw.G, r.source(nw.N()), g, opt)
 				return res.DeliveryRatio(nw.N()), true
 			})
 			if err != nil {

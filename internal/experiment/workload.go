@@ -8,21 +8,11 @@ import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/dynamicb"
-	"clustercast/internal/graph"
 	"clustercast/internal/mocds"
 	"clustercast/internal/stats"
 	"clustercast/internal/topology"
 	"clustercast/internal/workload"
 )
-
-// runMulti dispatches one multi-source MAC scenario to the engine the DES
-// toggle selects (the workload.Engine shape).
-func runMulti(g *graph.Graph, flows []broadcast.MultiFlow, opt broadcast.MACOptions) *broadcast.MultiResult {
-	if DES() {
-		return broadcast.RunMACMultiDES(g, flows, opt)
-	}
-	return broadcast.RunMACMulti(g, flows, opt)
-}
 
 // trafficBackbone names one relay-structure series of the workload
 // figures and builds its per-flow protocol factory over a clustered
@@ -99,7 +89,7 @@ func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, 
 						return 0, false
 					}
 					tr := workload.RunTraffic(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, runMulti)
+						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
 					return m.measure(tr), true
 				})
 				if err != nil {
@@ -163,7 +153,7 @@ func Discovery(rates []float64, n int, d float64, flows, jitter int, seed uint64
 						return 0, false
 					}
 					dr := workload.RunDiscovery(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, runMulti)
+						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
 					return m.measure(dr)
 				})
 				if err != nil {

@@ -17,8 +17,7 @@ var workloadCounters = []string{
 
 // TestWorkloadFiguresBitIdentical is the workload determinism gate: the
 // traffic and discovery figures produce byte-identical CSVs AND identical
-// workload.* / mac.multi* metric totals at any worker count, with the
-// calendar engines on or off. Flow seeds are counter keys and every
+// workload.* / mac.multi* metric totals at any worker count. Flow seeds are counter keys and every
 // replicate's spec seed is a pure function of the replicate index, so no
 // scheduling order can leak into the numbers.
 func TestWorkloadFiguresBitIdentical(t *testing.T) {
@@ -29,11 +28,9 @@ func TestWorkloadFiguresBitIdentical(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	defer SetParallelism(0)
-	defer SetDES(false)
 
-	run := func(workers int, des bool, mk func() *Figure) (string, map[string]int64) {
+	run := func(workers int, mk func() *Figure) (string, map[string]int64) {
 		SetParallelism(workers)
-		SetDES(des)
 		before := map[string]int64{}
 		for _, n := range workloadCounters {
 			before[n] = obs.Default.Counter(n).Value()
@@ -47,20 +44,18 @@ func TestWorkloadFiguresBitIdentical(t *testing.T) {
 	}
 
 	for name, mk := range figs {
-		wantCSV, wantTotals := run(1, false, mk)
+		wantCSV, wantTotals := run(1, mk)
 		if wantTotals["workload.flows"] == 0 && wantTotals["workload.discovery_requests"] == 0 {
 			t.Fatalf("%s: baseline run offered no flows; the gate exercised nothing", name)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			for _, des := range []bool{false, true} {
-				csv, totals := run(workers, des, mk)
-				if csv != wantCSV {
-					t.Errorf("%s: CSV differs at workers=%d des=%v", name, workers, des)
-				}
-				if !reflect.DeepEqual(totals, wantTotals) {
-					t.Errorf("%s: metric totals differ at workers=%d des=%v:\n got %v\nwant %v",
-						name, workers, des, totals, wantTotals)
-				}
+		for _, workers := range []int{4, 8} {
+			csv, totals := run(workers, mk)
+			if csv != wantCSV {
+				t.Errorf("%s: CSV differs at workers=%d", name, workers)
+			}
+			if !reflect.DeepEqual(totals, wantTotals) {
+				t.Errorf("%s: metric totals differ at workers=%d:\n got %v\nwant %v",
+					name, workers, totals, wantTotals)
 			}
 		}
 	}

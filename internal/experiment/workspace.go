@@ -240,7 +240,7 @@ func StaticForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 		}
 		ws.Digest(nw.G, cl, mode)
 		nodes := ws.Backbone.StaticNodes(&ws.Builder, cl, backbone.Options{})
-		res := ws.runBcast(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
+		res := ws.Bcast.Run(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
 		return float64(res.ForwardCount()), true
 	}
 }
@@ -255,7 +255,7 @@ func MOCDSForwardEstimatorWS() WSEstimator {
 		}
 		ws.Digest(nw.G, cl, coverage.Hop3)
 		nodes := ws.MOCDS.NodesFrom(&ws.Builder, cl)
-		res := ws.runBcast(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
+		res := ws.Bcast.Run(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
 		return float64(res.ForwardCount()), true
 	}
 }

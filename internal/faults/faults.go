@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,8 +92,27 @@ func (s *Spec) SetBurst(p, burstLen float64) error {
 	return nil
 }
 
-// Validate checks the spec's parameter ranges.
+// Validate checks the spec's parameter ranges. Every float must be
+// finite: a NaN fails both sides of a range check, so it is rejected
+// before the ranges are.
 func (s *Spec) Validate() error {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MeanUp", s.MeanUp}, {"MeanDown", s.MeanDown},
+		{"LossGood", s.LossGood}, {"LossBad", s.LossBad},
+		{"PGoodBad", s.PGoodBad}, {"PBadGood", s.PBadGood},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("faults: %s = %g, want a finite number", p.name, p.v)
+		}
+	}
+	for _, pt := range s.Partitions {
+		if math.IsNaN(pt.Coord) || math.IsInf(pt.Coord, 0) {
+			return fmt.Errorf("faults: partition coordinate %g, want a finite number", pt.Coord)
+		}
+	}
 	if s.MeanUp > 0 && s.MeanDown <= 0 {
 		return fmt.Errorf("faults: churn needs MeanDown > 0 (got %g)", s.MeanDown)
 	}

@@ -45,10 +45,10 @@ func TestParseSpecDefaultsAndErrors(t *testing.T) {
 	if err != nil || empty.Enabled() {
 		t.Errorf("blank spec: err=%v enabled=%v", err, empty.Enabled())
 	}
-	for _, bad := range []string{
+	for _, bad := range append([]string{
 		"nope=1", "mtbf", "loss=2", "pgb=0.1",
 		"part=1:1:x:5", "part=1:2:z:5", "burst=0.5", "warmup=-3",
-	} {
+	}, nanSpecs...) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}

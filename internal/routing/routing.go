@@ -61,9 +61,6 @@ type Options struct {
 	MAC bool
 	// Jitter is the MAC contention window (MACOptions.Jitter).
 	Jitter int
-	// DES runs the calendar port of the selected engine (bit-identical to
-	// the scalar engine; only the event loop changes).
-	DES bool
 }
 
 // Discover floods a route request from src under the given broadcast
@@ -92,23 +89,12 @@ func DiscoverOpts(g *graph.Graph, src, dst int, p broadcast.Protocol, opt Option
 	var cost int
 	if opt.MAC {
 		mo := broadcast.MACOptions{Jitter: opt.Jitter, Seed: opt.Seed, Faults: fo}
-		var cr *broadcast.CollisionResult
-		if opt.DES {
-			cr = broadcast.RunMACDES(g, src, p, mo)
-		} else {
-			cr = broadcast.RunMAC(g, src, p, mo)
-		}
+		cr := broadcast.RunMAC(g, src, p, mo)
 		res, cost = &cr.Result, cr.ForwardCount()
 	} else {
 		bo := broadcast.Options{Loss: opt.Loss, Seed: opt.Seed, Faults: fo}
-		ws := broadcast.NewWorkspace()
-		var r *broadcast.Result
-		if opt.DES {
-			r = ws.RunDESOpts(g, src, p, bo).Materialize()
-		} else {
-			r = ws.RunOpts(g, src, p, bo).Materialize()
-		}
-		res, cost = r, r.ForwardCount()
+		res = broadcast.RunOpts(g, src, p, bo)
+		cost = res.ForwardCount()
 	}
 	return ExtractRoute(g, src, dst, res, cost)
 }

@@ -11,29 +11,30 @@ import (
 	"clustercast/internal/topology"
 )
 
-// sameOutcome demands bit-identical results from Run and RunDES. All
-// fields compare with DeepEqual except the Coverage sets: HybridSet
-// retains its sparse remnant after dense promotion and the scalar Run's
-// C³ inserts in map-iteration order, so C²/C³ compare semantically
-// (Equal) while the derived Conns layout — which both engines emit fully
-// sorted — still compares structurally.
+// sameOutcome demands bit-identical results from the round-synchronous
+// oracle (a) and the production Run (b). All fields compare with
+// DeepEqual except the Coverage sets: HybridSet retains its sparse
+// remnant after dense promotion and the oracle's C³ inserts in
+// map-iteration order, so C²/C³ compare semantically (Equal) while the
+// derived Conns layout — which both engines emit fully sorted — still
+// compares structurally.
 func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Head, b.Head) {
-		t.Fatalf("%s: Head differs:\n  scalar %v\n  des    %v", label, a.Head, b.Head)
+		t.Fatalf("%s: Head differs:\n  oracle %v\n  engine %v", label, a.Head, b.Head)
 	}
 	if !reflect.DeepEqual(a.Heads, b.Heads) {
-		t.Fatalf("%s: Heads differ: scalar %v, des %v", label, a.Heads, b.Heads)
+		t.Fatalf("%s: Heads differ: oracle %v, engine %v", label, a.Heads, b.Heads)
 	}
 	if !reflect.DeepEqual(a.Backbone, b.Backbone) {
-		t.Fatalf("%s: Backbone differs: scalar %v, des %v",
+		t.Fatalf("%s: Backbone differs: oracle %v, engine %v",
 			label, graph.SortedMembers(a.Backbone), graph.SortedMembers(b.Backbone))
 	}
 	if !reflect.DeepEqual(a.PerHead, b.PerHead) {
-		t.Fatalf("%s: PerHead differs:\n  scalar %v\n  des    %v", label, a.PerHead, b.PerHead)
+		t.Fatalf("%s: PerHead differs:\n  oracle %v\n  engine %v", label, a.PerHead, b.PerHead)
 	}
 	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		t.Fatalf("%s: Counters differ:\n  scalar %v %v\n  des    %v %v",
+		t.Fatalf("%s: Counters differ:\n  oracle %v %v\n  engine %v %v",
 			label, a.Counters.String(), a.Counters.ActivePerRound,
 			b.Counters.String(), b.Counters.ActivePerRound)
 	}
@@ -43,7 +44,7 @@ func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	for h, ca := range a.Coverage {
 		cb := b.Coverage[h]
 		if cb == nil {
-			t.Fatalf("%s: head %d missing from des Coverage", label, h)
+			t.Fatalf("%s: head %d missing from the engine's Coverage", label, h)
 		}
 		if ca.Head != cb.Head || ca.Mode != cb.Mode {
 			t.Fatalf("%s: head %d identity differs", label, h)
@@ -55,7 +56,7 @@ func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 			t.Fatalf("%s: head %d C³ differs: %v vs %v", label, h, ca.C3.Members(), cb.C3.Members())
 		}
 		if !reflect.DeepEqual(ca.Conns, cb.Conns) {
-			t.Fatalf("%s: head %d connectors differ:\n  scalar %v\n  des    %v", label, h, ca.Conns, cb.Conns)
+			t.Fatalf("%s: head %d connectors differ:\n  oracle %v\n  engine %v", label, h, ca.Conns, cb.Conns)
 		}
 	}
 }
@@ -85,7 +86,7 @@ func TestDESSimEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for _, mode := range []coverage.Mode{coverage.Hop25, coverage.Hop3} {
 			label := name + "/" + mode.String()
-			sameOutcome(t, label, Run(g, mode), RunDES(g, mode))
+			sameOutcome(t, label, runOracle(g, mode), Run(g, mode))
 		}
 	}
 }
@@ -95,7 +96,7 @@ func TestDESSimEquivalence(t *testing.T) {
 // of rounds (every counted round has at least one sender).
 func TestActivePerRoundInvariants(t *testing.T) {
 	g := paperGraph()
-	for _, out := range []*Outcome{Run(g, coverage.Hop25), RunDES(g, coverage.Hop25)} {
+	for _, out := range []*Outcome{runOracle(g, coverage.Hop25), Run(g, coverage.Hop25)} {
 		c := out.Counters
 		if len(c.ActivePerRound) != c.Rounds {
 			t.Fatalf("len(ActivePerRound)=%d, Rounds=%d", len(c.ActivePerRound), c.Rounds)
@@ -134,6 +135,6 @@ func FuzzDESSimAgree(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		sameOutcome(t, "fuzz", Run(nw.G, mode), RunDES(nw.G, mode))
+		sameOutcome(t, "fuzz", runOracle(nw.G, mode), Run(nw.G, mode))
 	})
 }

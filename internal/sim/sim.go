@@ -17,7 +17,10 @@
 //     type and rounds so the claim can be reproduced (ABL-MSG).
 //
 // A transmission is a local broadcast: a message sent in round t is
-// received by all neighbors in round t+1.
+// received by all neighbors in round t+1. Run executes the protocol
+// event-driven, touching only nodes with pending work; it produces
+// exactly the message rounds and outcome of the literal round-by-round
+// loop, which the tests keep as the reference.
 package sim
 
 import (
@@ -27,6 +30,7 @@ import (
 	"clustercast/internal/backbone"
 	"clustercast/internal/coverage"
 	"clustercast/internal/graph"
+	"clustercast/internal/obs"
 )
 
 // MsgType enumerates the protocol's message types.
@@ -61,23 +65,6 @@ func (t MsgType) String() string {
 	default:
 		return "UNKNOWN"
 	}
-}
-
-// message is one local broadcast.
-type message struct {
-	typ  MsgType
-	from int
-	// ownHead is the sender's clusterhead (CH_HOP1, NON_CLUSTER_HEAD).
-	ownHead int
-	// heads carries the sender's 1-hop clusterheads (CH_HOP1).
-	heads []int
-	// entries carries the sender's 2-hop clusterhead entries w→relay
-	// (CH_HOP2).
-	entries map[int]int
-	// selected carries the designated gateways (GATEWAY).
-	selected []int
-	// ttl limits GATEWAY forwarding.
-	ttl int
 }
 
 // Counters tallies protocol traffic.
@@ -125,38 +112,6 @@ func (c *Counters) String() string {
 	return s
 }
 
-// nodeState is a node's clustering role.
-type nodeState uint8
-
-const (
-	candidate nodeState = iota
-	head
-	member
-)
-
-// node is the per-node protocol state machine.
-type node struct {
-	id    int
-	state nodeState
-	myID  int // redundant alias kept for clarity in the election logic
-
-	// Learned from HELLO.
-	neighbors []int
-	// Election bookkeeping: what each neighbor last announced.
-	neighborState map[int]nodeState
-	ownHead       int
-
-	// Coverage bookkeeping (the contents a clusterhead accumulates).
-	adjHeads []int       // non-clusterhead: my 1-hop clusterheads
-	hop2     map[int]int // non-clusterhead: my 2-hop clusterhead entries
-	// Clusterhead side: gathered CH_HOP1/CH_HOP2 of my neighbors.
-	gotHop1 map[int][]int
-	gotHop2 map[int]map[int]int
-
-	// Gateway designation.
-	isGateway bool
-}
-
 // Outcome is the result of running the construction protocol.
 type Outcome struct {
 	// Head[v] is v's clusterhead (itself for heads).
@@ -173,23 +128,31 @@ type Outcome struct {
 	Counters Counters
 }
 
+// Worklist-election health counters, folded once per Run (locals in
+// the loop, like the wheel's per-run stats). rounds/worklist together
+// measure the O(messages) claim: worklist_nodes ~ n per run regardless of
+// how many declaration rounds the ID structure forces.
+var (
+	mElectionRounds = obs.NewCounter("sim.des_election_rounds") // declaration/join iterations
+	mWorklistNodes  = obs.NewCounter("sim.des_worklist_nodes")  // ready-worklist entries examined
+)
+
 // Run executes the full construction protocol on g under the given
 // coverage mode and returns the distributed outcome.
+//
+// The protocol runs event-driven: each phase touches only the nodes
+// with pending work instead of scanning all n node state machines every
+// round. The election loop runs on a ready worklist driven by per-node
+// "smaller undecided neighbor" counters (a NON_CLUSTER_HEAD delivery
+// decrements its larger neighbors; hitting zero schedules the
+// declaration), and the coverage and gateway phases walk dense per-node
+// slices instead of maps. The message rounds this generates — contents,
+// per-type counts, round count, and distinct active senders per round —
+// are those of the round-synchronous protocol, which the tests keep as
+// the reference (runOracle): O(messages) worklist updates replace its
+// O(rounds·n) scans.
 func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	n := g.N()
-	nodes := make([]*node, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = &node{
-			id:            v,
-			myID:          v,
-			state:         candidate,
-			neighborState: make(map[int]nodeState),
-			ownHead:       -1,
-			hop2:          make(map[int]int),
-			gotHop1:       make(map[int][]int),
-			gotHop2:       make(map[int]map[int]int),
-		}
-	}
 	out := &Outcome{
 		Head:     make([]int, n),
 		Backbone: make(map[int]bool),
@@ -197,190 +160,222 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 		Coverage: make(map[int]*coverage.Coverage),
 	}
 	var counters Counters
-
-	// deliver sends every queued message to all neighbors of its sender
-	// and advances one round, tallying the round's distinct senders.
-	sentAt := make([]int, n)
-	sentGen := 0
-	deliver := func(queue []message) [][]message {
-		inbox := make([][]message, n)
-		sentGen++
-		active := 0
-		for _, m := range queue {
-			counters.PerType[m.typ]++
-			if sentAt[m.from] != sentGen {
-				sentAt[m.from] = sentGen
-				active++
-			}
-			for _, v := range g.Neighbors(m.from) {
-				inbox[v] = append(inbox[v], m)
-			}
+	// round tallies one delivered round of cnt messages from active
+	// distinct senders (counted only when nonempty).
+	round := func(typ MsgType, cnt, active int) {
+		if cnt == 0 {
+			return
 		}
-		if len(queue) > 0 {
-			counters.Rounds++
-			counters.ActivePerRound = append(counters.ActivePerRound, active)
-		}
-		return inbox
+		counters.PerType[typ] += cnt
+		counters.Rounds++
+		counters.ActivePerRound = append(counters.ActivePerRound, active)
 	}
 
-	// ---- Phase A: HELLO. -------------------------------------------------
-	var queue []message
+	// ---- Phase A: HELLO. All n nodes transmit once; neighbor lists are
+	// the graph's (sorted, as the protocol's inboxes are).
+	round(Hello, n, n)
+
+	// ---- Phase B: election on a ready worklist. ---------------------------
+	const (
+		candidate = uint8(0)
+		headState = uint8(1)
+		memberSt  = uint8(2)
+	)
+	state := make([]uint8, n)
+	ownHead := make([]int32, n)
+	smaller := make([]int32, n) // smaller-ID neighbors not yet known members
+	ready := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
-		queue = append(queue, message{typ: Hello, from: v})
-	}
-	inbox := deliver(queue)
-	for v := 0; v < n; v++ {
-		for _, m := range inbox[v] {
-			nodes[v].neighbors = append(nodes[v].neighbors, m.from)
-			nodes[v].neighborState[m.from] = candidate
-		}
-		sort.Ints(nodes[v].neighbors)
-	}
-
-	// ---- Phase B: lowest-ID clusterhead election. ------------------------
-	// Repeats until every node has decided. Each iteration is one
-	// declaration round followed by one join round (two transmissions
-	// rounds), mirroring the synchronous semantics of cluster.Elect.
-	for {
-		undecided := 0
-		for _, nd := range nodes {
-			if nd.state == candidate {
-				undecided++
+		ownHead[v] = -1
+		c := int32(0)
+		for _, u := range g.Neighbors(v) {
+			if u < v {
+				c++
 			}
 		}
-		if undecided == 0 {
-			break
+		smaller[v] = c
+		if c == 0 {
+			ready = append(ready, int32(v))
 		}
-		// Declaration round: a candidate declares when every smaller-ID
-		// neighbor is known to be a member.
-		queue = queue[:0]
-		for _, nd := range nodes {
-			if nd.state != candidate {
-				continue
+	}
+	undecided := n
+	offerAt := make([]uint32, n) // stamp: bestOffer[v] is current this iteration
+	bestOffer := make([]int32, n)
+	offered := make([]int32, 0, 64)
+	newHeads := make([]int32, 0, 64)
+	newMembers := make([]int32, 0, 64)
+	var iter uint32
+	var worklistSeen int64
+	for undecided > 0 {
+		iter++
+		worklistSeen += int64(len(ready))
+		// Declaration round: every ready candidate wins (its smaller
+		// neighbors are all members). Ready entries that joined in the
+		// meantime are skipped for good.
+		newHeads = newHeads[:0]
+		for _, v32 := range ready {
+			v := int(v32)
+			if state[v] == candidate && smaller[v] == 0 {
+				state[v] = headState
+				ownHead[v] = v32
+				newHeads = append(newHeads, v32)
 			}
-			wins := true
-			for _, u := range nd.neighbors {
-				if u < nd.myID && nd.neighborState[u] != member {
-					wins = false
-					break
+		}
+		ready = ready[:0]
+		round(ClusterHead, len(newHeads), len(newHeads))
+		undecided -= len(newHeads)
+		// Join round: candidates hearing a declaration join the smallest
+		// declaring neighbor and announce NON_CLUSTER_HEAD.
+		offered = offered[:0]
+		for _, h := range newHeads {
+			for _, v := range g.Neighbors(int(h)) {
+				if state[v] != candidate {
+					continue
+				}
+				if offerAt[v] != iter {
+					offerAt[v] = iter
+					bestOffer[v] = h
+					offered = append(offered, int32(v))
+				} else if h < bestOffer[v] {
+					bestOffer[v] = h
 				}
 			}
-			if wins {
-				nd.state = head
-				nd.ownHead = nd.id
-				queue = append(queue, message{typ: ClusterHead, from: nd.id})
-			}
 		}
-		inbox = deliver(queue)
-		// Join round: candidates hearing declarations join the smallest
-		// head and announce NON_CLUSTER_HEAD.
-		queue = queue[:0]
-		for v := 0; v < n; v++ {
-			nd := nodes[v]
-			bestHead := -1
-			for _, m := range inbox[v] {
-				nd.neighborState[m.from] = head
-				if nd.state == candidate && (bestHead == -1 || m.from < bestHead) {
-					bestHead = m.from
+		newMembers = newMembers[:0]
+		for _, v32 := range offered {
+			v := int(v32)
+			state[v] = memberSt
+			ownHead[v] = bestOffer[v]
+			newMembers = append(newMembers, v32)
+		}
+		round(NonClusterHead, len(newMembers), len(newMembers))
+		undecided -= len(newMembers)
+		// NON_CLUSTER_HEAD delivery: larger candidate neighbors strike the
+		// new member off their smaller-undecided count; at zero they are
+		// ready to declare next iteration.
+		for _, m := range newMembers {
+			for _, u := range g.Neighbors(int(m)) {
+				if int32(u) > m && state[u] == candidate {
+					smaller[u]--
+					if smaller[u] == 0 {
+						ready = append(ready, int32(u))
+					}
 				}
-			}
-			if nd.state == candidate && bestHead != -1 {
-				nd.state = member
-				nd.ownHead = bestHead
-				queue = append(queue, message{typ: NonClusterHead, from: v, ownHead: bestHead})
-			}
-		}
-		inbox = deliver(queue)
-		for v := 0; v < n; v++ {
-			for _, m := range inbox[v] {
-				nodes[v].neighborState[m.from] = member
 			}
 		}
 	}
+	mElectionRounds.Add(int64(iter))
+	mWorklistNodes.Add(worklistSeen)
 
-	// ---- Phase C: CH_HOP1 / CH_HOP2 coverage exchange. -------------------
-	// CH_HOP1: every non-clusterhead broadcasts its 1-hop clusterheads.
-	queue = queue[:0]
-	for _, nd := range nodes {
-		if nd.state == head {
+	// ---- Phase C: CH_HOP1 / CH_HOP2 coverage exchange. --------------------
+	// CH_HOP1: every non-head broadcasts its adjacent heads (ascending,
+	// since neighbor lists are sorted).
+	adjHeads := make([][]int32, n)
+	nonHeads := 0
+	for v := 0; v < n; v++ {
+		if state[v] == headState {
 			continue
 		}
-		for _, u := range nd.neighbors {
-			if nodes[u].state == head {
-				nd.adjHeads = append(nd.adjHeads, u)
+		nonHeads++
+		for _, u := range g.Neighbors(v) {
+			if state[u] == headState {
+				adjHeads[v] = append(adjHeads[v], int32(u))
 			}
 		}
-		sort.Ints(nd.adjHeads)
-		queue = append(queue, message{typ: CHHop1, from: nd.id, ownHead: nd.ownHead, heads: nd.adjHeads})
 	}
-	inbox = deliver(queue)
-	// Process CH_HOP1; non-clusterheads build 2-hop entries and broadcast
-	// CH_HOP2; clusterheads stash the reports.
-	queue = queue[:0]
+	round(CHHop1, nonHeads, nonHeads)
+	// CH_HOP1 processing: each non-head v builds its 2-hop entries w →
+	// min relay from its non-head neighbors' reports, skipping heads
+	// adjacent to v itself. Heads stash their neighbors' reports (in DES
+	// form: adjHeads is read directly at assembly).
+	hop2W := make([][]int32, n)
+	hop2R := make([][]int32, n)
+	adjStamp := make([]uint32, n)
+	entryAt := make([]uint32, n)
+	entrySlot := make([]int32, n)
+	var mark uint32
 	for v := 0; v < n; v++ {
-		nd := nodes[v]
-		adjacent := make(map[int]bool, len(nd.adjHeads))
-		for _, w := range nd.adjHeads {
-			adjacent[w] = true
+		if state[v] == headState {
+			continue
 		}
-		for _, m := range inbox[v] {
-			if nd.state == head {
-				nd.gotHop1[m.from] = m.heads
-				continue
+		mark++
+		for _, w := range adjHeads[v] {
+			adjStamp[w] = mark
+		}
+		for _, u := range g.Neighbors(v) {
+			if state[u] == headState {
+				continue // heads do not send CH_HOP1
 			}
 			switch mode {
 			case coverage.Hop25:
 				// Only the sender's own clusterhead generates an entry.
-				w := m.ownHead
-				if w >= 0 && !adjacent[w] {
-					if prev, ok := nd.hop2[w]; !ok || m.from < prev {
-						nd.hop2[w] = m.from
+				w := ownHead[u]
+				if w >= 0 && adjStamp[w] != mark {
+					if entryAt[w] != mark {
+						entryAt[w] = mark
+						entrySlot[w] = int32(len(hop2W[v]))
+						hop2W[v] = append(hop2W[v], w)
+						hop2R[v] = append(hop2R[v], int32(u))
+					} else if int32(u) < hop2R[v][entrySlot[w]] {
+						hop2R[v][entrySlot[w]] = int32(u)
 					}
 				}
 			case coverage.Hop3:
-				for _, w := range m.heads {
-					if !adjacent[w] {
-						if prev, ok := nd.hop2[w]; !ok || m.from < prev {
-							nd.hop2[w] = m.from
-						}
+				for _, w := range adjHeads[u] {
+					if adjStamp[w] == mark {
+						continue
+					}
+					if entryAt[w] != mark {
+						entryAt[w] = mark
+						entrySlot[w] = int32(len(hop2W[v]))
+						hop2W[v] = append(hop2W[v], w)
+						hop2R[v] = append(hop2R[v], int32(u))
+					} else if int32(u) < hop2R[v][entrySlot[w]] {
+						hop2R[v][entrySlot[w]] = int32(u)
 					}
 				}
 			}
 		}
-		if nd.state != head {
-			queue = append(queue, message{typ: CHHop2, from: v, entries: nd.hop2})
-		}
 	}
-	inbox = deliver(queue)
-	for v := 0; v < n; v++ {
-		nd := nodes[v]
-		if nd.state != head {
-			continue
-		}
-		for _, m := range inbox[v] {
-			nd.gotHop2[m.from] = m.entries
-		}
-	}
+	// adjStamp doubles as the entry stamps' universe; separate marks per
+	// node prevented cross-talk. CH_HOP2: every non-head transmits its
+	// entries; heads stash them.
+	round(CHHop2, nonHeads, nonHeads)
 
-	// ---- Phase D: gateway selection and GATEWAY designation. -------------
-	queue = queue[:0]
-	for _, nd := range nodes {
-		if nd.state != head {
+	// ---- Phase D: gateway selection and GATEWAY designation. --------------
+	isGateway := make([]bool, n)
+	type gwMsg struct {
+		from     int32
+		ttl      int32
+		selected []int
+	}
+	var queue []gwMsg
+	for h := 0; h < n; h++ {
+		if state[h] != headState {
 			continue
 		}
-		cov := nd.assembleCoverage(mode, n)
-		out.Coverage[nd.id] = cov
+		cov := assembleCoverage(g, h, mode, n, state, adjHeads, hop2W, hop2R)
+		out.Coverage[h] = cov
 		sel := backbone.SelectGateways(cov, nil, nil)
-		out.PerHead[nd.id] = sel
-		queue = append(queue, message{typ: Gateway, from: nd.id, selected: sel.Gateways, ttl: 2})
+		out.PerHead[h] = sel
+		queue = append(queue, gwMsg{from: int32(h), ttl: 2, selected: sel.Gateways})
 	}
-	// GATEWAY travels up to 2 hops; only selected nodes forward it.
+	sentAt := make([]uint32, n)
+	var sentGen uint32
+	var next []gwMsg
 	for hop := 0; hop < 2 && len(queue) > 0; hop++ {
-		inbox = deliver(queue)
-		queue = queue[:0]
-		for v := 0; v < n; v++ {
-			nd := nodes[v]
-			for _, m := range inbox[v] {
+		sentGen++
+		active := 0
+		for _, m := range queue {
+			if sentAt[m.from] != sentGen {
+				sentAt[m.from] = sentGen
+				active++
+			}
+		}
+		round(Gateway, len(queue), active)
+		next = next[:0]
+		for _, m := range queue {
+			for _, v := range g.Neighbors(int(m.from)) {
 				selected := false
 				for _, s := range m.selected {
 					if s == v {
@@ -391,24 +386,25 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 				if !selected {
 					continue
 				}
-				nd.isGateway = true
+				isGateway[v] = true
 				// A selected gateway forwards each head's GATEWAY message
 				// (a gateway can serve several heads), decrementing TTL.
 				if m.ttl-1 > 0 {
-					queue = append(queue, message{typ: Gateway, from: v, selected: m.selected, ttl: m.ttl - 1})
+					next = append(next, gwMsg{from: int32(v), ttl: m.ttl - 1, selected: m.selected})
 				}
 			}
 		}
+		queue, next = next, queue
 	}
 
 	// ---- Assemble the outcome. -------------------------------------------
 	for v := 0; v < n; v++ {
-		out.Head[v] = nodes[v].ownHead
-		if nodes[v].state == head {
+		out.Head[v] = int(ownHead[v])
+		if state[v] == headState {
 			out.Heads = append(out.Heads, v)
 			out.Backbone[v] = true
 		}
-		if nodes[v].isGateway {
+		if isGateway[v] {
 			out.Backbone[v] = true
 		}
 	}
@@ -416,41 +412,40 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	return out
 }
 
-// assembleCoverage builds the head's coverage.Coverage from the gathered
-// CH_HOP1/CH_HOP2 reports, mirroring coverage.Builder.Of.
-func (nd *node) assembleCoverage(mode coverage.Mode, n int) *coverage.Coverage {
+// assembleCoverage builds the head's coverage.Coverage from its
+// neighbors' CH_HOP1 (adjHeads) and CH_HOP2 (hop2W/hop2R) reports,
+// mirroring coverage.Builder.Of: C², C³ and the connector layout.
+func assembleCoverage(g *graph.Graph, h int, mode coverage.Mode, n int,
+	state []uint8, adjHeads [][]int32, hop2W, hop2R [][]int32) *coverage.Coverage {
 	cov := &coverage.Coverage{
-		Head: nd.id, Mode: mode,
+		Head: h, Mode: mode,
 		C2: graph.NewHybridSet(n), C3: graph.NewHybridSet(n),
 	}
-	// First pass over the (sorted) neighbors fills C² completely, because
-	// the C³ pass below must filter against it. Per-neighbor lists are
-	// collected into the connector layout coverage.Builder.Of produces.
-	direct := make([][]int, len(nd.neighbors))
-	for i, v := range nd.neighbors {
-		heads, ok := nd.gotHop1[v]
-		if !ok {
+	neighbors := g.Neighbors(h)
+	// First pass fills C² completely (the C³ pass filters against it).
+	direct := make([][]int, len(neighbors))
+	for i, v := range neighbors {
+		if state[v] == 1 { // a head neighbor sent no CH_HOP1 (cannot occur: no adjacent heads)
 			continue
 		}
 		var d []int
-		for _, w := range heads {
-			if w == nd.id {
+		for _, w := range adjHeads[v] {
+			if int(w) == h {
 				continue
 			}
-			cov.C2.Add(w)
-			d = append(d, w)
+			cov.C2.Add(int(w))
+			d = append(d, int(w))
 		}
-		sort.Ints(d)
-		direct[i] = d
+		direct[i] = d // adjHeads ascending ⇒ already sorted
 	}
-	for i, v := range nd.neighbors {
+	for i, v := range neighbors {
 		var ind []coverage.Hop2Entry
-		for w, r := range nd.gotHop2[v] {
-			if w == nd.id || cov.C2.Has(w) {
+		for j, w := range hop2W[v] {
+			if int(w) == h || cov.C2.Has(int(w)) {
 				continue
 			}
-			cov.C3.Add(w)
-			ind = append(ind, coverage.Hop2Entry{W: w, R: r})
+			cov.C3.Add(int(w))
+			ind = append(ind, coverage.Hop2Entry{W: int(w), R: int(hop2R[v][j])})
 		}
 		sort.Slice(ind, func(a, b int) bool { return ind[a].W < ind[b].W })
 		if len(direct[i]) == 0 && len(ind) == 0 {
@@ -459,4 +454,12 @@ func (nd *node) assembleCoverage(mode coverage.Mode, n int) *coverage.Coverage {
 		cov.Conns = append(cov.Conns, coverage.Connector{V: v, Direct: direct[i], Indirect: ind})
 	}
 	return cov
+}
+
+// RunDES is Run.
+//
+// Deprecated: the event-driven engine is the only wire-protocol engine;
+// call Run.
+func RunDES(g *graph.Graph, mode coverage.Mode) *Outcome {
+	return Run(g, mode)
 }

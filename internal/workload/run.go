@@ -20,8 +20,8 @@ var (
 	progFlows   = obs.NewProgress("workload.flows")
 )
 
-// Engine runs one multi-source MAC scenario — broadcast.RunMACMulti or
-// its calendar port RunMACMultiDES (or a workspace-bound closure).
+// Engine runs one multi-source MAC scenario — broadcast.RunMACMulti, or
+// a reused workspace's (*broadcast.MultiMACWorkspace).Run.
 type Engine func(g *graph.Graph, flows []broadcast.MultiFlow, opt broadcast.MACOptions) *broadcast.MultiResult
 
 // ProtoFactory returns the protocol instance flow i broadcasts with.

@@ -9,11 +9,12 @@
 // Determinism discipline: each flow's seed is a counter-based key
 // (rng.CoinWord of the flow index), not a draw from a shared stream, so a
 // flow's randomness is independent of how many flows precede it and of
-// which engine — scalar or calendar, any worker count — replays it.
+// which engine and worker count replays it.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -75,8 +76,17 @@ func DefaultSpec(seed uint64) Spec {
 	return Spec{Process: Poisson, Rate: 0.1, Flows: 32, FanOut: 1, Seed: seed}
 }
 
+// MaxStart is the largest arrival slot Generate emits. It keeps every
+// slot the MAC engines derive from an arrival (the start plus at most
+// n·(Jitter+1) relay slots) far from overflowing int; a spec whose
+// arrivals run past it is an error.
+const MaxStart = math.MaxInt32
+
 // Validate checks the spec's parameter ranges.
 func (s *Spec) Validate() error {
+	if math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
+		return fmt.Errorf("workload: Rate = %g, want a finite number", s.Rate)
+	}
 	if s.Flows <= 0 {
 		return fmt.Errorf("workload: Flows = %d, want > 0", s.Flows)
 	}
@@ -133,6 +143,10 @@ func (s *Spec) Generate(n int) ([]Flow, error) {
 	arrivals := rng.NewLabeled(s.Seed, "workload-arrivals")
 	flows := make([]Flow, 0, s.Flows)
 	slot, clock := 0, 0.0
+	tooLate := func(at float64) error {
+		return fmt.Errorf("workload: arrival %d lands at slot %.4g, past the slot clock's limit %d",
+			len(flows), at, MaxStart)
+	}
 	emit := func(at int) bool {
 		for k := 0; k < fan && len(flows) < s.Flows; k++ {
 			id := len(flows)
@@ -158,6 +172,9 @@ func (s *Spec) Generate(n int) ([]Flow, error) {
 	case Poisson:
 		for {
 			clock += arrivals.ExpFloat64() / s.Rate
+			if clock > MaxStart {
+				return nil, tooLate(clock)
+			}
 			if !emit(int(clock)) {
 				break
 			}
@@ -170,6 +187,9 @@ func (s *Spec) Generate(n int) ([]Flow, error) {
 			}
 			if !more {
 				break
+			}
+			if s.Every > MaxStart-slot {
+				return nil, tooLate(float64(slot) + float64(s.Every))
 			}
 			slot += s.Every
 		}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -102,6 +104,9 @@ func TestSpecValidate(t *testing.T) {
 		{Process: Bursty, Burst: 5, Every: 0, Flows: 5},
 		{Process: Process(7), Flows: 5},
 		{Process: Poisson, Rate: 1, Flows: 5, FanOut: -1},
+		{Process: Poisson, Rate: math.NaN(), Flows: 5},
+		{Process: Poisson, Rate: math.Inf(1), Flows: 5},
+		{Process: Bursty, Burst: 2, Every: 5, Flows: 5, Rate: math.NaN()},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -111,6 +116,21 @@ func TestSpecValidate(t *testing.T) {
 	ok := DefaultSpec(1)
 	if _, err := ok.Generate(0); err == nil {
 		t.Fatal("Generate accepted n = 0")
+	}
+	// Arrivals past the slot clock's limit are an error, not flows at
+	// negative (wrapped) slots; arrivals up to the limit are fine.
+	for _, in := range overflowSpecs {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			continue
+		}
+		if flows, err := spec.Generate(10); err == nil {
+			t.Errorf("%q: Generate returned %d flows starting at %d; want an error", in, len(flows), flows[0].Start)
+		}
+	}
+	edge := Spec{Process: Bursty, Burst: 1, Every: MaxStart, Flows: 2}
+	if flows, err := edge.Generate(4); err != nil || flows[1].Start != MaxStart {
+		t.Fatalf("bursty arrivals at the limit: %+v, %v", flows, err)
 	}
 }
 
@@ -132,15 +152,24 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec(""); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	for _, bad := range []string{"nope", "proc=martian", "rate=x", "flows=0"} {
+	for _, bad := range []string{"nope", "proc=martian", "rate=x", "flows=0", "rate=NaN", "rate=+Inf"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec accepted %q", bad)
 		}
 	}
 }
 
-// TestRunTrafficScalarDESIdentical: the traffic runner reports identical
-// aggregates whichever engine drives it.
+// workspaceEngine is the workspace-bound Engine shape: one
+// MultiMACWorkspace reused across every scenario the runner hands it.
+func workspaceEngine() Engine {
+	mw := broadcast.NewMultiMACWorkspace()
+	return mw.Run
+}
+
+// TestRunTrafficScalarDESIdentical: the traffic runner reports the
+// aggregates of the scalar multi-source engine the calendar engine
+// replaced (pinned below), through the package-level engine and through
+// a reused workspace alike.
 func TestRunTrafficScalarDESIdentical(t *testing.T) {
 	nw := testNet(t, 5, 50, 9)
 	spec := Spec{Process: Poisson, Rate: 0.5, Flows: 24, FanOut: 2, Seed: 11}
@@ -150,13 +179,13 @@ func TestRunTrafficScalarDESIdentical(t *testing.T) {
 	}
 	proto := func(int) broadcast.Protocol { return broadcast.Flooding{} }
 	opt := broadcast.MACOptions{Jitter: 3}
-	a := RunTraffic(nw.G, flows, proto, opt, broadcast.RunMACMulti)
-	b := RunTraffic(nw.G, flows, proto, opt, broadcast.RunMACMultiDES)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("scalar and DES traffic aggregates differ:\n%+v\n%+v", a, b)
-	}
-	if a.Flows != len(flows) || a.Transmissions == 0 || a.DeliveryRatio <= 0 {
-		t.Fatalf("traffic run did no work: %+v", a)
+	const scalar = "{Flows:24 DeliveryRatio:0.3333333333333333 Throughput:5.7846153846153845 MeanLatency:12.5 " +
+		"Collisions:758 CrossCollisions:421 Transmissions:400 Makespan:65}"
+	ws := workspaceEngine()
+	for _, engine := range []Engine{broadcast.RunMACMulti, ws, ws} {
+		if got := fmt.Sprintf("%+v", *RunTraffic(nw.G, flows, proto, opt, engine)); got != scalar {
+			t.Fatalf("traffic aggregates differ from the scalar engine's:\n%s\n%s", got, scalar)
+		}
 	}
 }
 
@@ -170,24 +199,18 @@ func TestRunDiscoveryScalarDESIdentical(t *testing.T) {
 	}
 	proto := func(int) broadcast.Protocol { return broadcast.Flooding{} }
 	opt := broadcast.MACOptions{Jitter: 4}
-	a := RunDiscovery(nw.G, flows, proto, opt, broadcast.RunMACMulti)
-	b := RunDiscovery(nw.G, flows, proto, opt, broadcast.RunMACMultiDES)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("scalar and DES discovery aggregates differ:\n%+v\n%+v", a, b)
-	}
-	if a.Requests != len(flows) {
-		t.Fatalf("discovery run offered %d requests, want %d", a.Requests, len(flows))
-	}
-	if a.Found == 0 {
-		t.Fatal("no route found under a light bursty load; the runner exercised nothing")
-	}
-	if a.Found > 0 && (a.MeanRouteLen <= 0 || a.MeanLatency <= 0 || a.MeanStretch < 1) {
-		t.Fatalf("implausible discovery aggregates: %+v", a)
+	const scalar = "{Requests:16 Found:14 SuccessRatio:0.875 MeanLatency:13 MeanRouteLen:4.357142857142857 " +
+		"MeanStretch:1.4107142857142858 RequestCost:670 ReplyCost:61}"
+	ws := workspaceEngine()
+	for _, engine := range []Engine{broadcast.RunMACMulti, ws, ws} {
+		if got := fmt.Sprintf("%+v", *RunDiscovery(nw.G, flows, proto, opt, engine)); got != scalar {
+			t.Fatalf("discovery aggregates differ from the scalar engine's:\n%s\n%s", got, scalar)
+		}
 	}
 }
 
-// TestRunTrafficDefaultEngine: a nil engine falls back to the scalar
-// reference.
+// TestRunTrafficDefaultEngine: a nil engine falls back to
+// broadcast.RunMACMulti.
 func TestRunTrafficDefaultEngine(t *testing.T) {
 	nw := testNet(t, 7, 30, 8)
 	spec := DefaultSpec(3)
@@ -200,6 +223,6 @@ func TestRunTrafficDefaultEngine(t *testing.T) {
 	a := RunTraffic(nw.G, flows, proto, broadcast.MACOptions{Jitter: 2}, nil)
 	b := RunTraffic(nw.G, flows, proto, broadcast.MACOptions{Jitter: 2}, broadcast.RunMACMulti)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("nil engine is not the scalar reference:\n%+v\n%+v", a, b)
+		t.Fatalf("nil engine is not RunMACMulti:\n%+v\n%+v", a, b)
 	}
 }
