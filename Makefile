@@ -54,15 +54,16 @@ bench-batch:
 	$(GO) test -race -run 'Batch' ./internal/broadcast ./internal/faults ./internal/stats ./internal/experiment
 	$(GO) run ./cmd/figures -fig gossip -quick -batch -seed 7 -workers 4 -format csv
 
-# Sharded construction-stage gate: the unit-disk sweep, clusterhead
-# election and coverage-digest curves diffed against BENCH_PR8.json
-# (-short keeps it to n≤10000), a race pass over the parallel-path
-# equivalence suites (digest, election, grid build, per-head coverage
-# assembly, and the experiment-level bit-identity sweep), and a
-# -buildworkers smoke through cmd/scale end to end.
+# Sharded construction-stage gate: the unit-disk sweep and
+# coverage-digest curves diffed against BENCH_PR8.json (-short keeps it
+# to n≤10000), a race pass over the parallel-path equivalence suites
+# (digest, grid build, per-head coverage assembly, and the
+# experiment-level bit-identity sweep; the cluster suite checks the
+# deprecated election forward), and a -buildworkers smoke through
+# cmd/scale end to end.
 bench-build:
-	$(GO) test -short -run xxx -bench 'ShardedCoverage|ParallelCluster|ParallelTopology' -benchtime 10x \
-		./internal/coverage ./internal/cluster ./internal/topology \
+	$(GO) test -short -run xxx -bench 'ShardedCoverage|ParallelTopology' -benchtime 10x \
+		./internal/coverage ./internal/topology \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR8.json -threshold 0.10
 	$(GO) test -race -run 'Parallel|BuildWorkers' \
 		./internal/coverage ./internal/cluster ./internal/topology ./internal/dynamicb ./internal/experiment

@@ -967,11 +967,11 @@ func BenchmarkReplicateBatch(b *testing.B) {
 
 // BenchmarkDESMAC measures the slotted-collision engine at sizes up to
 // two orders of magnitude past the paper's sweep. The topology is
-// sampled once outside the timer; each iteration replays one full
-// broadcast on a warm workspace. The gossip variant thins the forwarder
-// set, so with an 8-slot contention window most calendar slots are
-// sparsely occupied. The rows report ~0 allocs/op: the event loop runs
-// allocation-free once the workspace is warm.
+// sampled once outside the timer; each iteration is one production
+// broadcast.RunMAC call — a fresh workspace and the map-based result,
+// so allocs/op counts the per-node buffers and the result maps. The
+// gossip variant thins the forwarder set, so with an 8-slot contention
+// window most calendar slots are sparsely occupied.
 func BenchmarkDESMAC(b *testing.B) {
 	protos := []struct {
 		name string
@@ -988,12 +988,11 @@ func BenchmarkDESMAC(b *testing.B) {
 					b.Skip("n=100000 runs take seconds; skipped under -short")
 				}
 				g := sample(b, n, 18, 0).Graph()
-				mw := broadcast.NewMACWorkspace()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := mw.Run(g, 0, pr.p, opt)
-					if res.ReceivedCount() < 2 {
+					res := broadcast.RunMAC(g, 0, pr.p, opt)
+					if len(res.Received) < 2 {
 						b.Fatal("broadcast did not spread")
 					}
 				}

@@ -269,8 +269,8 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"replication worker count (0: GOMAXPROCS); results are bit-identical for any value")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"construction-stage shards inside each replicate — unit-disk sweep, clusterhead "+
-			"election, coverage digest (0: sequential reference paths; bit-identical for any value)")
+		"construction-stage shards inside each replicate — unit-disk sweep, coverage digest, "+
+			"dynamic-backbone init (0: sequential reference paths; bit-identical for any value)")
 	flag.BoolVar(&cfg.batch, "batch", false,
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+

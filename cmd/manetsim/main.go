@@ -382,7 +382,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"cap the Go scheduler's processor count (0: leave GOMAXPROCS at the default); single runs are sequential either way")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"shard the unit-disk construction and clusterhead election over this many goroutines "+
+		"shard the unit-disk construction over this many goroutines "+
 			"(0/1: sequential; the network is bit-identical for any value)")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")

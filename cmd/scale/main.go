@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.reps, "reps", 3, "replicates per stage")
 	flag.IntVar(&cfg.workers, "workers", 1, "selection shards for static25/mocds (1 = sequential)")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"construction-stage shards: unit-disk sweep, clusterhead election and coverage digest (0 = sequential reference paths; results are bit-identical either way)")
+		"construction-stage shards: unit-disk sweep, coverage digest and dynamic-backbone init (0 = sequential reference paths; results are bit-identical either way)")
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")

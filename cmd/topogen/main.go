@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"clustercast/internal/core"
@@ -36,6 +37,9 @@ type config struct {
 
 // generate builds the topology per the configuration.
 func generate(cfg config) (*topology.Network, error) {
+	if math.IsNaN(cfg.d) || math.IsInf(cfg.d, 0) {
+		return nil, fmt.Errorf("-d must be finite, got %g", cfg.d)
+	}
 	bounds := geom.Square(cfg.side)
 	r := rng.NewLabeled(cfg.seed, "topogen")
 	radius := geom.RangeForDegree(cfg.n, bounds.Area(), cfg.d)

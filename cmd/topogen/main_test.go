@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,14 @@ func TestRunErrors(t *testing.T) {
 	cfg.format = "png"
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("want format error, got %v", err)
+	}
+	for _, placement := range []string{"uniform", "grid", "clustered"} {
+		cfg = baseCfg()
+		cfg.d = math.NaN()
+		cfg.placement = placement
+		if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-d") {
+			t.Fatalf("-d NaN with %s placement: want a degree error, got %v", placement, err)
+		}
 	}
 }
 

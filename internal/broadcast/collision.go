@@ -54,10 +54,22 @@ type CollisionResult struct {
 // RunMAC simulates one broadcast under the slotted collision model. The
 // forwarding policy is the same Protocol interface as the ideal engine;
 // nodes decide on their first successfully decoded copy (and on decoded
-// duplicates, as in RunOpts). It runs MACWorkspace.Run on a private
-// workspace and materializes the map-based result; hot paths that run
-// many broadcasts hold a MACWorkspace instead.
+// duplicates, as in RunOpts). It is the one-flow case of RunMACMulti —
+// the flow {Src: source, Start: 0, Seed: opt.Seed} on a private
+// MultiMACWorkspace — and folds only the single-source totals
+// (broadcast.* and mac.collisions/lost_copies), not the mac.multi_*
+// counters.
 func RunMAC(g *graph.Graph, source int, p Protocol, opt MACOptions) *CollisionResult {
-	var mw MACWorkspace
-	return mw.Run(g, source, p, opt).Materialize()
+	var mw MultiMACWorkspace
+	res := mw.run(g, []MultiFlow{{Src: source, Dst: -1, Seed: opt.Seed, Proto: p}}, opt)
+	res.foldFlows()
+	return &res.Flows[0].CollisionResult
+}
+
+// RunMACDES is RunMAC.
+//
+// Deprecated: the calendar engine is the only slotted-MAC engine; call
+// RunMAC.
+func RunMACDES(g *graph.Graph, source int, p Protocol, opt MACOptions) *CollisionResult {
+	return RunMAC(g, source, p, opt)
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // runMACOracle is the scalar single-source MAC loop, the reference the
-// production engine (MACWorkspace.Run) is checked against: a slot map
-// plus an occupied-slot heap, map-based node state, and a per-slot
-// heardBy map whose receivers are sorted before commit.
+// production engine (RunMAC, a one-flow MultiMACWorkspace run) is
+// checked against: a slot map plus an occupied-slot heap, map-based node
+// state, and a per-slot heardBy map whose receivers are sorted before
+// commit.
 func runMACOracle(g *graph.Graph, source int, p Protocol, opt MACOptions) *CollisionResult {
 	res := &CollisionResult{Result: Result{
 		Source:     source,

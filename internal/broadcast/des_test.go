@@ -127,8 +127,13 @@ func TestDESTimedEquivalence(t *testing.T) {
 	}
 }
 
+// oneFlow is RunMAC's flow: source at slot 0 with the run's jitter seed.
+func oneFlow(source int, p Protocol, opt MACOptions) []MultiFlow {
+	return []MultiFlow{{Src: source, Dst: -1, Seed: opt.Seed, Proto: p}}
+}
+
 func TestDESMACEquivalence(t *testing.T) {
-	mw := NewMACWorkspace() // reused across every run
+	mw := NewMultiMACWorkspace() // reused across every one-flow run
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 300+uint64(trial), 40+12*trial, 9)
 		n := nw.G.N()
@@ -152,7 +157,7 @@ func TestDESMACEquivalence(t *testing.T) {
 						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
 					a := runMACOracle(nw.G, source, p, optA)
-					b := mw.Run(nw.G, source, p, optB).Materialize()
+					b := &mw.Run(nw.G, oneFlow(source, p, optB), optB).Flows[0].CollisionResult
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("trial %d %s jit=%d faults=%v: oracle and engine differ:\n%+v\n%+v",
 							trial, p.Name(), jit, withFaults, a, b)
@@ -201,7 +206,7 @@ func TestDESMACScheduleProperty(t *testing.T) {
 		trB := obs.NewTracer(1 << 14)
 		optB := opt
 		optB.Tracer = trB
-		NewMACWorkspace().Run(nw.G, source, p, optB)
+		RunMAC(nw.G, source, p, optB)
 		a, b := schedule(trA), schedule(trB)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d (n=%d jitter=%d): (slot, sender, trigger) schedules diverge:\noracle %v\nengine %v",
@@ -267,15 +272,33 @@ func TestDESIdealSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDESMACSteadyStateAllocs pins the same contract for the MAC
-// engine (the dense result is not materialized).
+// TestDESMACSteadyStateAllocs pins the allocation budget of a one-flow
+// MAC run on a reused workspace: only the result's own objects — the
+// MultiResult, its flow slices and the flow's three presized maps —
+// never per-node or per-slot state, so the count is the same constant
+// for every network size and contention window below.
 func TestDESMACSteadyStateAllocs(t *testing.T) {
-	nw := randomNet(t, 10, 80, 8)
-	mw := NewMACWorkspace()
-	opt := MACOptions{Jitter: 6, Seed: 4}
-	run := func() { mw.Run(nw.G, 0, Flooding{}, opt) }
-	run()
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("MAC event loop allocates %.1f/run, want 0", avg)
+	for _, tc := range []struct {
+		n      int
+		jitter int
+	}{{80, 0}, {80, 6}, {300, 0}, {300, 12}} {
+		nw := randomNet(t, 10, tc.n, 8)
+		mw := NewMultiMACWorkspace()
+		opt := MACOptions{Jitter: tc.jitter, Seed: 4}
+		flows := oneFlow(0, Flooding{}, opt)
+		var res *MultiResult
+		run := func() { res = mw.Run(nw.G, flows, opt) }
+		run()
+		if len(res.Flows[0].Received) < 15 {
+			t.Fatalf("n=%d jitter=%d: only %d nodes reached; the run exercises too little",
+				tc.n, tc.jitter, len(res.Flows[0].Received))
+		}
+		// 3 result objects plus 4 per presized map under Go 1.24's map
+		// implementation (the maps stay within one table at these sizes).
+		const measured = 15
+		if avg := testing.AllocsPerRun(20, run); avg > measured {
+			t.Fatalf("n=%d jitter=%d: reused workspace allocates %.1f/run, want <= %d",
+				tc.n, tc.jitter, avg, measured)
+		}
 	}
 }

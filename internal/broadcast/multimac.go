@@ -119,10 +119,9 @@ func RunMACMulti(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult
 	return mw.Run(g, flows, opt)
 }
 
-// fold records the run's totals in the metrics registry: the broadcast.*
-// and mac.* totals a serialized sequence of single-source runs would have
-// folded, plus the multi-source-only counters.
-func (m *MultiResult) fold() {
+// foldFlows records the broadcast.* and mac.* totals a serialized
+// sequence of single-source runs of the flows would have folded.
+func (m *MultiResult) foldFlows() {
 	deliveries, duplicates, collisions, lost := 0, 0, 0, 0
 	for _, f := range m.Flows {
 		deliveries += len(f.Received) - 1
@@ -136,6 +135,12 @@ func (m *MultiResult) fold() {
 	mDuplicates.Add(int64(duplicates))
 	mMACCollisions.Add(int64(collisions))
 	mMACLostCopies.Add(int64(lost))
+}
+
+// fold records the run's totals in the metrics registry: foldFlows plus
+// the multi-source-only counters.
+func (m *MultiResult) fold() {
+	m.foldFlows()
 	mMultiRuns.Inc()
 	mMultiFlows.Add(int64(len(m.Flows)))
 	mCrossCollisions.Add(int64(m.CrossCollisions))

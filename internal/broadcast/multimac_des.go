@@ -14,13 +14,14 @@ import (
 // slot's batch order is push order). Per-(flow, node) state lives in
 // flat arrays indexed by the cell fi*n+v: epoch-stamped reception and
 // forwarding marks, int32 parents, and the acted-payload lists, kept
-// inline in one arena the way MACWorkspace.markActed keeps them per
-// node. Each slot's receivers are marked in a two-level bitmap and
-// committed in ascending ID order by walking it; a receiver keeps its
-// copy count, its first copy, and (only once a second copy arrives) a
-// list of the others in a per-slot arena, because cross-flow collision
-// attribution needs the flow of every destroyed copy. Each flow's
-// map-based Result is filled once, presized, when the run ends.
+// inline in one arena as per-cell linked lists. Each slot's receivers
+// are marked in a two-level bitmap and committed in ascending ID order
+// by walking it; a receiver keeps its copy count, its first copy, and a
+// list of its further copies from other flows in a per-slot arena,
+// because cross-flow collision attribution needs the flow of every
+// destroyed copy (further copies of the first copy's flow are only
+// counted). Each flow's map-based Result is filled once, presized, when
+// the run ends. A one-flow run is the single-source engine (RunMAC).
 //
 // After a warm-up run on the same inputs, a reused workspace allocates
 // only the returned MultiResult and its maps
@@ -51,7 +52,7 @@ type MultiMACWorkspace struct {
 	touchSum []uint64 // nonzero words of touch
 	cnt      []int32  // copies heard this slot
 	first    []int32  // batch index of the first copy heard
-	more     []int32  // 1 + index in extra of the newest further copy (0: none)
+	more     []int32  // 1 + index in extra of the newest listed copy (0: none)
 	extra    []copyLink
 }
 
@@ -61,7 +62,8 @@ type actedPayload struct {
 	next int32 // 1 + arena index of the cell's previous entry (0: end)
 }
 
-// copyLink is one further copy heard by a receiver in the open slot.
+// copyLink is one further copy, of a flow other than the first copy's,
+// heard by a receiver in the open slot.
 type copyLink struct {
 	bi   int32 // batch index of the copy
 	next int32 // 1 + index of the receiver's previous further copy (0: end)
@@ -91,6 +93,11 @@ func (mw *MultiMACWorkspace) ensure(n, nflows int) {
 	mw.actedAt = mw.actedAt[:cells]
 	mw.actedHead = mw.actedHead[:cells]
 	mw.parent = mw.parent[:cells]
+	if cap(mw.acted) < n {
+		// A one-flow flood acts once per node; presizing spares RunMAC's
+		// fresh workspace the arena's growth copies.
+		mw.acted = make([]actedPayload, 0, n)
+	}
 	mw.acted = mw.acted[:0]
 	mw.epoch++
 	if mw.epoch == 0 {
@@ -158,8 +165,10 @@ func (mw *MultiMACWorkspace) actedOn(c int, pkt Packet) bool {
 }
 
 // hear records one copy of batch index bi reaching receiver v this slot.
-// Batch indices arrive in ascending order, so first is the minimum.
-func (mw *MultiMACWorkspace) hear(v int, bi int32) {
+// Batch indices arrive in ascending order, so first is the minimum. A
+// further copy of the first copy's flow is only counted; commit charges
+// every counted but unlisted copy to that flow.
+func (mw *MultiMACWorkspace) hear(batch []multiTx, v int, bi int32) {
 	w, b := v>>6, uint64(1)<<uint(v&63)
 	if mw.touch[w]&b == 0 {
 		if mw.touch[w] == 0 {
@@ -172,6 +181,9 @@ func (mw *MultiMACWorkspace) hear(v int, bi int32) {
 		return
 	}
 	mw.cnt[v]++
+	if batch[bi].flow == batch[mw.first[v]].flow {
+		return
+	}
 	mw.extra = append(mw.extra, copyLink{bi: bi, next: mw.more[v]})
 	mw.more[v] = int32(len(mw.extra))
 }
@@ -180,6 +192,15 @@ func (mw *MultiMACWorkspace) hear(v int, bi int32) {
 // collision model; see RunMACMulti for the semantics. The result is
 // independent of the workspace, which may be reused at once.
 func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
+	res := mw.run(g, flows, opt)
+	if len(flows) > 0 { // an empty workload folds nothing
+		res.fold()
+	}
+	return res
+}
+
+// run is Run without the metrics fold.
+func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptions) *MultiResult {
 	res := &MultiResult{Flows: make([]*FlowResult, len(flows))}
 	if len(flows) == 0 {
 		return res
@@ -244,7 +265,7 @@ func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 					fo.CopyLost(int(x.sender), v, t+1)) {
 					continue // the copy faded before reaching v
 				}
-				mw.hear(v, int32(bi))
+				mw.hear(batch, v, int32(bi))
 			}
 		}
 
@@ -292,8 +313,6 @@ func (mw *MultiMACWorkspace) Run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 	for i := range mw.acted {
 		mw.acted[i].pkt = nil // drop payload references until the next run
 	}
-
-	res.fold()
 	return res
 }
 
@@ -313,19 +332,22 @@ func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch [
 			mw.lostSeq = 1
 		}
 		flowsHit := 0
-		lose := func(bi int32) {
-			fi := batch[bi].flow
-			res.Flows[fi].LostCopies++
+		lose := func(fi, copies int32) {
+			res.Flows[fi].LostCopies += int(copies)
 			if mw.lostMark[fi] != mw.lostSeq {
 				mw.lostMark[fi] = mw.lostSeq
 				res.Flows[fi].Collisions++
 				flowsHit++
 			}
 		}
-		lose(mw.first[v])
+		// Only other flows' copies are listed; the first copy's flow
+		// loses every copy counted but not listed.
+		unlisted := mw.cnt[v]
 		for i := mw.more[v]; i != 0; i = mw.extra[i-1].next {
-			lose(mw.extra[i-1].bi)
+			lose(batch[mw.extra[i-1].bi].flow, 1)
+			unlisted--
 		}
+		lose(batch[mw.first[v]].flow, unlisted)
 		if flowsHit > 1 {
 			res.CrossCollisions++
 		}

@@ -121,6 +121,24 @@ func TestEngineMetricsFold(t *testing.T) {
 	if got := obs.NewCounter("mac.lost_copies").Value(); got != int64(mres.LostCopies) {
 		t.Fatalf("mac.lost_copies = %d, want %d", got, mres.LostCopies)
 	}
+	// RunMAC is a one-flow multi-source run, but it folds like a
+	// single-source engine: the multi-only counters stay put.
+	if got := obs.NewCounter("broadcast.runs").Value(); got != 1 {
+		t.Fatalf("after RunMAC: broadcast.runs = %d, want 1", got)
+	}
+	for _, name := range []string{"mac.multi_runs", "mac.multi_flows", "mac.cross_collisions"} {
+		if got := obs.NewCounter(name).Value(); got != 0 {
+			t.Fatalf("after RunMAC: %s = %d, want 0", name, got)
+		}
+	}
+
+	obs.Default.Reset()
+	RunMACMulti(g, []MultiFlow{{Src: 0, Dst: -1, Proto: Flooding{}}}, MACOptions{})
+	for _, name := range []string{"broadcast.runs", "mac.multi_runs", "mac.multi_flows"} {
+		if got := obs.NewCounter(name).Value(); got != 1 {
+			t.Fatalf("after one-flow RunMACMulti: %s = %d, want 1", name, got)
+		}
+	}
 }
 
 // TestMACConcurrentMetrics drives RunMAC (and the ideal engines) from many

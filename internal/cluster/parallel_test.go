@@ -10,8 +10,8 @@ import (
 	"clustercast/internal/topology"
 )
 
-// requireSameClustering asserts the worklist election reproduced the
-// reference Clustering bit for bit: Head, Heads, Members, Rounds, When.
+// requireSameClustering asserts an election reproduced the reference
+// Clustering bit for bit: Head, Heads, Members, Rounds, When.
 func requireSameClustering(t *testing.T, want, got *Clustering, ctx string) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Head, got.Head) {
@@ -36,8 +36,9 @@ func requireSameClustering(t *testing.T, want, got *Clustering, ctx string) {
 	}
 }
 
-// The worklist election matches Workspace.Elect bit for bit across
-// worker counts, priorities, densities and seeds, with workspace reuse.
+// The deprecated ParallelWorkspace forward matches Workspace.LowestID bit
+// for bit for every workers value, and a reused Workspace matches the
+// package-level Elect under every priority, across densities and seeds.
 func TestParallelElectEquivalence(t *testing.T) {
 	pw := NewParallelWorkspace()
 	ws := NewWorkspace()
@@ -66,25 +67,21 @@ func TestParallelElectEquivalence(t *testing.T) {
 			{"bucketed", func(v int) (int, int) { return v % 7, v }},
 		}
 		for _, pr := range prios {
-			want := ws.Elect(nw.G, pr.p)
-			for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-				var got *Clustering
-				if pr.name == "lowestID" {
-					got = pw.LowestID(nw.G, workers)
-				} else {
-					got = pw.Elect(nw.G, pr.p, workers)
-				}
-				ctx := pr.name
-				requireSameClustering(t, want, got, ctx)
-				if err := got.Validate(nw.G); err != nil {
-					t.Fatalf("n=%d %s workers=%d: %v", tc.n, pr.name, workers, err)
-				}
+			want := Elect(nw.G, pr.p)
+			got := ws.Elect(nw.G, pr.p)
+			requireSameClustering(t, want, got, pr.name)
+			if err := got.Validate(nw.G); err != nil {
+				t.Fatalf("n=%d %s: %v", tc.n, pr.name, err)
 			}
+		}
+		want := ws.LowestID(nw.G)
+		for _, workers := range []int{-1, 0, 1, 2, 3, 4, 8, 16} {
+			requireSameClustering(t, want, pw.LowestID(nw.G, workers), "lowestID")
 		}
 	}
 }
 
-// Property: on random unit-disk graphs the parallel election agrees with
+// Property: on random unit-disk graphs the deprecated forward agrees with
 // the reference for every worker count.
 func TestQuickParallelElectAgrees(t *testing.T) {
 	pw := NewParallelWorkspace()
@@ -112,7 +109,8 @@ func TestQuickParallelElectAgrees(t *testing.T) {
 	}
 }
 
-// Fuzz: parallel election vs reference across (n, density, seed, workers).
+// Fuzz: the deprecated forward and a reused Workspace vs the reference
+// across (n, density, seed, workers).
 func FuzzParallelElectAgree(f *testing.F) {
 	f.Add(uint(50), uint(8), uint64(1), uint(4))
 	f.Add(uint(200), uint(16), uint64(9), uint(16))
@@ -133,13 +131,13 @@ func FuzzParallelElectAgree(f *testing.F) {
 		want := ws.LowestID(nw.G)
 		got := pw.LowestID(nw.G, int(workers))
 		requireSameClustering(t, want, got, "lowestID")
-		want = ws.Elect(nw.G, HighestDegreePriority(nw.G))
-		got = pw.Elect(nw.G, HighestDegreePriority(nw.G), int(workers))
+		want = Elect(nw.G, HighestDegreePriority(nw.G))
+		got = ws.Elect(nw.G, HighestDegreePriority(nw.G))
 		requireSameClustering(t, want, got, "highestDegree")
 	})
 }
 
-func benchmarkElect(b *testing.B, n int, parallel bool, workers int) {
+func benchmarkElect(b *testing.B, n int) {
 	r := rng.New(1)
 	nw, err := topology.Generate(topology.Config{
 		N: n, Bounds: geom.Square(100), AvgDegree: 18, RequireConnected: true,
@@ -148,27 +146,21 @@ func benchmarkElect(b *testing.B, n int, parallel bool, workers int) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	if parallel {
-		pw := NewParallelWorkspace()
-		for i := 0; i < b.N; i++ {
-			_ = pw.LowestID(nw.G, workers)
-		}
-	} else {
-		ws := NewWorkspace()
-		for i := 0; i < b.N; i++ {
-			_ = ws.LowestID(nw.G)
-		}
+	ws := NewWorkspace()
+	for i := 0; i < b.N; i++ {
+		_ = ws.LowestID(nw.G)
 	}
 }
 
+// BenchmarkParallelCluster keeps the reference rows of the former
+// worklist-vs-reference comparison, so the per-n election curve stays
+// comparable with earlier baselines.
 func BenchmarkParallelCluster(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		if n > 10000 && testing.Short() {
 			continue
 		}
-		b.Run("n="+itoa(n)+"/reference", func(b *testing.B) { benchmarkElect(b, n, false, 1) })
-		b.Run("n="+itoa(n)+"/worklist-w1", func(b *testing.B) { benchmarkElect(b, n, true, 1) })
-		b.Run("n="+itoa(n)+"/worklist-w8", func(b *testing.B) { benchmarkElect(b, n, true, 8) })
+		b.Run("n="+itoa(n)+"/reference", func(b *testing.B) { benchmarkElect(b, n) })
 	}
 }
 

@@ -54,10 +54,10 @@ type NetworkSpec struct {
 	Seed uint64
 	// AllowDisconnected keeps disconnected samples instead of resampling.
 	AllowDisconnected bool
-	// BuildWorkers shards the unit-disk construction and the clusterhead
-	// election over this many goroutines when > 1. The sharded paths are
-	// bit-identical to the sequential references for any worker count, so
-	// the resulting network never depends on this.
+	// BuildWorkers shards the unit-disk construction over this many
+	// goroutines when > 1. The sharded build is bit-identical to the
+	// sequential reference for any worker count, so the resulting network
+	// never depends on this.
 	BuildWorkers int
 }
 
@@ -85,19 +85,11 @@ func NewRandomNetwork(spec NetworkSpec) (*Network, error) {
 		Radius:           spec.Radius,
 		RequireConnected: !spec.AllowDisconnected,
 	}
-	if spec.BuildWorkers > 1 {
-		// Single-use workspaces: the returned network keeps their buffers
-		// alive, and nothing re-generates over them.
-		tws := topology.NewWorkspace()
-		tws.BuildWorkers = spec.BuildWorkers
-		nw, err := topology.GenerateWith(cfg, tws, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cl := cluster.NewParallelWorkspace().LowestID(nw.G, spec.BuildWorkers)
-		return &Network{Topology: nw, Clustering: cl}, nil
-	}
-	nw, err := topology.Generate(cfg, r)
+	// A single-use workspace: the returned network keeps its buffers
+	// alive, and nothing re-generates over it.
+	tws := topology.NewWorkspace()
+	tws.BuildWorkers = spec.BuildWorkers
+	nw, err := topology.GenerateWith(cfg, tws, r)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestBuildWorkersBitIdentical pins the -buildworkers contract at the
-// experiment layer: routing every construction stage (unit-disk sweep,
-// clusterhead election, coverage digest) through the sharded paths
+// experiment layer: routing every sharded construction stage (unit-disk
+// sweep, coverage digest, dynamic-backbone init) through the sharded paths
 // changes no estimator's numbers — means, CIs and replicate counts are
 // equal to the sequential reference point for point.
 func TestBuildWorkersBitIdentical(t *testing.T) {

@@ -188,7 +188,7 @@ func SetParallelism(n int) {
 
 // buildWorkers holds the configured construction-stage worker count: how
 // many goroutines the per-replicate pipeline stages (unit-disk sweep,
-// clusterhead election, coverage digest) shard over. 0 — the default —
+// coverage digest, dynamic-backbone init) shard over. 0 — the default —
 // keeps the sequential reference paths. Every sharded path is
 // bit-identical to its reference for any worker count, so this knob only
 // moves wall clock, never results.

@@ -29,7 +29,6 @@ import (
 type Workspace struct {
 	Topo     *topology.Workspace
 	Cluster  *cluster.Workspace
-	PCluster *cluster.ParallelWorkspace
 	Builder  coverage.Builder
 	Backbone *backbone.Workspace
 	MOCDS    *mocds.Workspace
@@ -52,7 +51,6 @@ func NewWorkspace() *Workspace {
 	return &Workspace{
 		Topo:     topology.NewWorkspace(),
 		Cluster:  cluster.NewWorkspace(),
-		PCluster: cluster.NewParallelWorkspace(),
 		Backbone: backbone.NewWorkspace(),
 		MOCDS:    mocds.NewWorkspace(),
 		Dynamic:  dynamicb.NewWorkspace(),
@@ -153,16 +151,11 @@ func sweepWS(name string, ns []int, d float64, seed uint64, rule stats.StopRule,
 	return s
 }
 
-// Elect runs the lowest-ID clusterhead election through the configured
-// construction path: the worklist election sharded over the
-// -buildworkers goroutines when the knob is on and more than one core is
-// available, the reference round-scan Workspace otherwise (the worklist
-// is bit-identical but has no sequential edge, so one effective worker
-// keeps the reference). The returned Clustering is workspace-owned.
+// Elect runs the lowest-ID clusterhead election on the workspace. The
+// election is sequential for any -buildworkers value: a sharded election
+// did not pay at two workers. The returned Clustering is
+// workspace-owned.
 func (ws *Workspace) Elect(g *graph.Graph) *cluster.Clustering {
-	if w := effectiveBuildWorkers(); w > 1 {
-		return ws.PCluster.LowestID(g, w)
-	}
 	return ws.Cluster.LowestID(g)
 }
 

@@ -12,6 +12,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"clustercast/internal/geom"
 	"clustercast/internal/graph"
@@ -63,11 +64,16 @@ func (c Config) validate() error {
 	if c.Bounds.Area() <= 0 {
 		return errors.New("topology: bounds with non-positive area")
 	}
+	if !finite(c.AvgDegree) || !finite(c.Radius) {
+		return fmt.Errorf("topology: non-finite AvgDegree %g or Radius %g", c.AvgDegree, c.Radius)
+	}
 	if c.Radius <= 0 && c.AvgDegree <= 0 {
 		return errors.New("topology: need Radius or AvgDegree")
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Generate draws one random network according to the config. With
 // RequireConnected it resamples until connected (up to MaxAttempts). Each

@@ -42,6 +42,23 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{N: 10, Bounds: geom.Square(100)}, r); err == nil {
 		t.Fatal("missing radius and degree must fail")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Generate(Config{N: 10, Bounds: geom.Square(100), AvgDegree: x}, r); err == nil {
+			t.Fatalf("AvgDegree %g must fail", x)
+		}
+		if _, err := Generate(Config{N: 10, Bounds: geom.Square(100), AvgDegree: 6, Radius: x}, r); err == nil {
+			t.Fatalf("Radius %g must fail", x)
+		}
+	}
+	// A huge but finite degree sizes the edge buffer by the complete
+	// graph, not by the Poisson estimate (about 6.5e10 edges here).
+	nw, err := Generate(Config{N: 100, Bounds: geom.Square(100), AvgDegree: 1e9, RequireConnected: true}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := nw.G.M(); m != 100*99/2 {
+		t.Fatalf("AvgDegree 1e9 at n=100: %d edges, want the complete graph's %d", m, 100*99/2)
+	}
 }
 
 func TestGenerateDisconnectedBudget(t *testing.T) {

@@ -146,8 +146,10 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 	// One half-neighborhood sweep distance-tests every candidate pair once;
 	// edges are packed into one slice sized from the Poisson degree
 	// estimate, then the adjacency lists are assembled count-then-fill into
-	// a single backing array.
-	capHint := int(float64(n)*geom.ExpectedDegree(n, bounds.Area(), radius)*0.65) + 2*n
+	// a single backing array. The estimate grows with the range squared,
+	// so it is clamped to the n(n−1)/2 edges a simple graph can have.
+	capHint := int(min(float64(n)*geom.ExpectedDegree(n, bounds.Area(), radius)*0.65+2*float64(n),
+		float64(n)*float64(n-1)/2))
 	if cap(ws.edges) < capHint {
 		ws.edges = make([]uint64, 0, capHint)
 	}
