@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -23,6 +23,17 @@ test: build
 # packages exercise the parallel paths directly.
 test-race:
 	$(GO) test -race ./...
+
+# Fuzz smoke: ten seconds of coverage-guided fuzzing for each of the
+# input-facing targets — the topology snapshot loader, the banded
+# unit-disk build, and the fault and traffic spec grammars. Plain test
+# runs only replay their seed corpora. -fuzz takes one target in one
+# package, hence one go test per target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildParallelAgree$$' -fuzztime 10s ./internal/topology
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/workload
 
 # Quick benchmark smoke: the end-to-end sweep point plus the hot kernels it
 # is built from. Compare against BENCH_PR1.json for regressions.

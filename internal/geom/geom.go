@@ -85,68 +85,95 @@ func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 }
 
-// Grid is a uniform spatial hash over a rectangle. With cell size equal to
-// the radio range, all neighbors of a point lie in its own cell or one of the
-// 8 adjacent cells, making range queries O(neighbors).
+// Cells is the cell layout of a uniform grid over a rectangle: the cell
+// size, the column and row counts, and the map from a point to its cell.
+// With cell size at least the radio range, all neighbors of a point lie
+// in its own cell or one of the 8 adjacent cells.
+type Cells struct {
+	minX, minY float64
+	size       float64
+	cols, rows int
+}
+
+// NewCells lays out cells of the given size over bounds for a grid that
+// will hold n points. The cell count is O(n) whatever the bounds: when
+// the size would need more than 4n+64 cells (a tiny range in huge
+// bounds), it doubles until the count fits. A larger cell only adds
+// candidate pairs, so range queries find the same points. The paper's
+// scenarios need about n·π/d cells and never reach the cap.
+func NewCells(bounds Rect, size float64, n int) Cells {
+	if size <= 0 {
+		panic("geom: non-positive grid cell size")
+	}
+	limit := float64(4*n + 64)
+	for {
+		cols := math.Max(1, math.Ceil(bounds.Width()/size)+1)
+		rows := math.Max(1, math.Ceil(bounds.Height()/size)+1)
+		if cols*rows <= limit {
+			return Cells{minX: bounds.MinX, minY: bounds.MinY, size: size, cols: int(cols), rows: int(rows)}
+		}
+		if !(size <= math.MaxFloat64) {
+			// The size overflowed, or the bounds are not finite: one cell.
+			return Cells{minX: bounds.MinX, minY: bounds.MinY, size: size, cols: 1, rows: 1}
+		}
+		size *= 2
+	}
+}
+
+// Cols returns the number of cell columns.
+func (c Cells) Cols() int { return c.cols }
+
+// Rows returns the number of cell rows.
+func (c Cells) Rows() int { return c.rows }
+
+// Cell returns the column and row of p's cell, clamping points on or
+// outside the boundary into the edge cells.
+func (c Cells) Cell(p Point) (cx, cy int) {
+	return clampCell((p.X-c.minX)/c.size, c.cols), clampCell((p.Y-c.minY)/c.size, c.rows)
+}
+
+// clampCell truncates a fractional cell coordinate into [0, n); negative
+// and NaN coordinates land in cell 0.
+func clampCell(f float64, n int) int {
+	if f >= float64(n) {
+		return n - 1
+	}
+	if f >= 0 {
+		return int(f)
+	}
+	return 0
+}
+
+// Grid is a uniform spatial hash over a rectangle: Cells plus one bucket
+// of point ids per cell, making range queries O(neighbors).
 type Grid struct {
-	bounds Rect
-	cell   float64
-	cols   int
-	rows   int
+	layout Cells
 	cells  [][]int // flattened cell index -> ids stored there
 	points []Point // id -> position (ids are dense, assigned by Insert order)
 }
 
-// NewGrid builds an empty grid over bounds with the given cell size. The
-// cell size should normally be the radio transmission range.
-func NewGrid(bounds Rect, cellSize float64) *Grid {
-	if cellSize <= 0 {
-		panic("geom: non-positive grid cell size")
-	}
-	cols := int(math.Ceil(bounds.Width()/cellSize)) + 1
-	rows := int(math.Ceil(bounds.Height()/cellSize)) + 1
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	// Cell buckets live in a dense slice: with cell = radio range the cell
-	// count is O(area/r²) = O(n·π/d), so the direct index is both smaller
-	// and far cheaper than a hash map in the insert/query hot loops.
-	return &Grid{
-		bounds: bounds,
-		cell:   cellSize,
-		cols:   cols,
-		rows:   rows,
-		cells:  make([][]int, cols*rows),
-	}
+// NewGrid builds an empty grid over bounds with the given cell size for
+// about n points (see NewCells). The cell size should normally be the
+// radio transmission range.
+func NewGrid(bounds Rect, cellSize float64, n int) *Grid {
+	g := &Grid{}
+	g.Reset(bounds, cellSize, n)
+	return g
 }
 
-// Reset re-shapes g over new bounds and cell size and removes all points,
-// reusing the cell buckets and point storage. A grid owned by a per-worker
-// workspace is Reset once per replicate instead of rebuilt with NewGrid, so
-// steady-state topology sampling allocates nothing.
-func (g *Grid) Reset(bounds Rect, cellSize float64) {
-	if cellSize <= 0 {
-		panic("geom: non-positive grid cell size")
-	}
-	cols := int(math.Ceil(bounds.Width()/cellSize)) + 1
-	rows := int(math.Ceil(bounds.Height()/cellSize)) + 1
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	g.bounds = bounds
-	g.cell = cellSize
-	g.cols = cols
-	g.rows = rows
-	if cap(g.cells) < cols*rows {
-		g.cells = make([][]int, cols*rows)
+// Reset re-shapes g over new bounds and cell size for about n points and
+// removes all points, reusing the cell buckets and point storage. A grid
+// owned by a long-lived updater is Reset instead of rebuilt with NewGrid.
+func (g *Grid) Reset(bounds Rect, cellSize float64, n int) {
+	g.layout = NewCells(bounds, cellSize, n)
+	// Cell buckets live in a dense slice: the cell count is O(n), so the
+	// direct index is both smaller and far cheaper than a hash map in the
+	// insert/query hot loops.
+	nc := g.layout.cols * g.layout.rows
+	if cap(g.cells) < nc {
+		g.cells = make([][]int, nc)
 	} else {
-		g.cells = g.cells[:cols*rows]
+		g.cells = g.cells[:nc]
 		for i := range g.cells {
 			g.cells[i] = g.cells[i][:0]
 		}
@@ -154,24 +181,10 @@ func (g *Grid) Reset(bounds Rect, cellSize float64) {
 	g.points = g.points[:0]
 }
 
-// cellIndex maps a point to its flattened cell index, clamping points on or
-// outside the boundary into the edge cells.
+// cellIndex maps a point to its flattened cell index.
 func (g *Grid) cellIndex(p Point) int {
-	cx := int((p.X - g.bounds.MinX) / g.cell)
-	cy := int((p.Y - g.bounds.MinY) / g.cell)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cy*g.cols + cx
+	cx, cy := g.layout.Cell(p)
+	return cy*g.layout.cols + cx
 }
 
 // Insert adds p and returns its id (dense, starting at 0).
@@ -194,34 +207,22 @@ func (g *Grid) Point(id int) Point { return g.points[id] }
 // not exceed the grid cell size (callers construct the grid with cell =
 // radio range, so this always holds in practice).
 func (g *Grid) Within(id int, radius float64, dst []int) []int {
-	if radius > g.cell+1e-9 {
+	if radius > g.layout.size+1e-9 {
 		panic("geom: query radius exceeds grid cell size")
 	}
 	p := g.points[id]
 	r2 := radius * radius
-	// Clamp exactly like cellIndex so queries from points on or outside the
-	// boundary scan the same edge cells those points were stored in.
-	cx := int((p.X - g.bounds.MinX) / g.cell)
-	cy := int((p.Y - g.bounds.MinY) / g.cell)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
+	// Queries from points on or outside the boundary scan the same edge
+	// cells those points were stored in.
+	cx, cy := g.layout.Cell(p)
+	cols, rows := g.layout.cols, g.layout.rows
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			x, y := cx+dx, cy+dy
-			if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
+			if x < 0 || x >= cols || y < 0 || y >= rows {
 				continue
 			}
-			for _, other := range g.cells[y*g.cols+x] {
+			for _, other := range g.cells[y*cols+x] {
 				if other == id {
 					continue
 				}
@@ -232,70 +233,6 @@ func (g *Grid) Within(id int, radius float64, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Rows returns the number of grid cell rows.
-func (g *Grid) Rows() int { return g.rows }
-
-// Pairs calls fn(u, v) exactly once for every unordered pair of distinct
-// stored points within radius of each other. It sweeps cell pairs over the
-// half neighborhood (E, SW, S, SE), so each candidate pair is distance-
-// tested once — half the work of querying Within for every point. Like
-// Within, radius must not exceed the grid cell size.
-func (g *Grid) Pairs(radius float64, fn func(u, v int)) {
-	g.PairsRows(radius, 0, g.rows, fn)
-}
-
-// PairsRows is Pairs restricted to pairs whose sweep origin lies in cell
-// rows [fromRow, toRow): the same half-neighborhood sweep, anchored at
-// those rows' cells. Every unordered pair is reported by exactly one row —
-// the one holding its first cell in sweep order — so a union of PairsRows
-// calls over a partition of the rows reports exactly the pairs Pairs does.
-// Disjoint row bands only read shared state, which is how the parallel
-// unit-disk construction shards the sweep without locking.
-func (g *Grid) PairsRows(radius float64, fromRow, toRow int, fn func(u, v int)) {
-	if radius > g.cell+1e-9 {
-		panic("geom: query radius exceeds grid cell size")
-	}
-	if fromRow < 0 {
-		fromRow = 0
-	}
-	if toRow > g.rows {
-		toRow = g.rows
-	}
-	r2 := radius * radius
-	half := [4][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
-	for cy := fromRow; cy < toRow; cy++ {
-		for cx := 0; cx < g.cols; cx++ {
-			a := g.cells[cy*g.cols+cx]
-			if len(a) == 0 {
-				continue
-			}
-			for i := 0; i < len(a); i++ {
-				pi := g.points[a[i]]
-				for j := i + 1; j < len(a); j++ {
-					if pi.Dist2(g.points[a[j]]) <= r2 {
-						fn(a[i], a[j])
-					}
-				}
-			}
-			for _, d := range half {
-				x, y := cx+d[0], cy+d[1]
-				if x < 0 || x >= g.cols || y >= g.rows {
-					continue
-				}
-				b := g.cells[y*g.cols+x]
-				for _, u := range a {
-					pu := g.points[u]
-					for _, v := range b {
-						if pu.Dist2(g.points[v]) <= r2 {
-							fn(u, v)
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // Move updates the position of id, rebucketing it if it crossed a cell

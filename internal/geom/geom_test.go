@@ -90,7 +90,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	r := rng.New(7)
 	bounds := Square(100)
 	const radius = 18.0
-	g := NewGrid(bounds, radius)
+	g := NewGrid(bounds, radius, 300)
 	var pts []Point
 	for i := 0; i < 300; i++ {
 		p := Point{r.Range(0, 100), r.Range(0, 100)}
@@ -114,7 +114,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridQueryRadiusGuard(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := NewGrid(Square(100), 10, 100)
 	g.Insert(Point{5, 5})
 	defer func() {
 		if recover() == nil {
@@ -130,11 +130,11 @@ func TestGridZeroCellPanics(t *testing.T) {
 			t.Fatal("NewGrid with cell 0 must panic")
 		}
 	}()
-	NewGrid(Square(1), 0)
+	NewGrid(Square(1), 0, 1)
 }
 
 func TestGridMove(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := NewGrid(Square(100), 10, 2)
 	a := g.Insert(Point{5, 5})
 	b := g.Insert(Point{8, 5})
 	if n := g.Within(a, 10, nil); len(n) != 1 || n[0] != b {
@@ -156,7 +156,7 @@ func TestGridMove(t *testing.T) {
 func TestGridMoveMatchesBruteForce(t *testing.T) {
 	r := rng.New(13)
 	const radius = 15.0
-	g := NewGrid(Square(100), radius)
+	g := NewGrid(Square(100), radius, 120)
 	var pts []Point
 	for i := 0; i < 120; i++ {
 		p := Point{r.Range(0, 100), r.Range(0, 100)}
@@ -235,7 +235,7 @@ func TestQuickDistSymmetryAndTriangle(t *testing.T) {
 func BenchmarkGridWithin(b *testing.B) {
 	r := rng.New(1)
 	const radius = 15.0
-	g := NewGrid(Square(100), radius)
+	g := NewGrid(Square(100), radius, 1000)
 	for i := 0; i < 1000; i++ {
 		g.Insert(Point{r.Range(0, 100), r.Range(0, 100)})
 	}
@@ -256,10 +256,37 @@ func TestPointStringAndNorm(t *testing.T) {
 	}
 }
 
+// A tiny cell in huge bounds would need about 10¹⁶ cells; the layout
+// grows the cell instead, keeping the count O(n) and queries exact.
+func TestGridWideBoundsCapsCells(t *testing.T) {
+	bounds := Square(1e6)
+	if c := NewCells(bounds, 0.01, 2); c.Cols()*c.Rows() > 4*2+64 {
+		t.Fatalf("layout of %dx%d cells for 2 points", c.Cols(), c.Rows())
+	}
+	// The paper's scenarios keep cells the size of the range: n=20..1000
+	// at d=6, the sparser of its two densities.
+	for _, n := range []int{20, 100, 1000} {
+		r := RangeForDegree(n, 1e4, 6)
+		if c, want := NewCells(Square(100), r, n), int(math.Ceil(100/r))+1; c.Cols() != want || c.Rows() != want {
+			t.Fatalf("n=%d: %dx%d cells, want %dx%d cells of the range", n, c.Cols(), c.Rows(), want, want)
+		}
+	}
+	g := NewGrid(bounds, 0.01, 2)
+	a := g.Insert(Point{X: 5e5, Y: 5e5})
+	b := g.Insert(Point{X: 5e5 + 0.005, Y: 5e5})
+	if found := g.Within(a, 0.01, nil); len(found) != 1 || found[0] != b {
+		t.Fatalf("near pair not found: %v", found)
+	}
+	g.Move(b, Point{X: 1e6, Y: 1e6})
+	if found := g.Within(a, 0.01, nil); len(found) != 0 {
+		t.Fatalf("far pair found: %v", found)
+	}
+}
+
 func TestGridClampsOutOfBoundsPoints(t *testing.T) {
 	// Points on or slightly outside the boundary must land in edge cells
 	// and still be discoverable by range queries.
-	g := NewGrid(Square(10), 5)
+	g := NewGrid(Square(10), 5, 4)
 	a := g.Insert(Point{X: 10, Y: 10})   // on the far corner
 	b := g.Insert(Point{X: 9.5, Y: 9.5}) // inside, close to a
 	found := g.Within(b, 5, nil)

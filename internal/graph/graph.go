@@ -479,7 +479,7 @@ func (g *Graph) Renew(adj [][]int) {
 	degSum := 0
 	for u := range adj {
 		l := adj[u]
-		sortShort(l)
+		SortNeighbors(l)
 		for i, v := range l {
 			if v < 0 || v >= n {
 				panic(fmt.Sprintf("graph: neighbor %d out of range [0,%d)", v, n))
@@ -539,10 +539,11 @@ func (g *Graph) RenewCSR(off, flat []int) {
 	g.edges = len(flat) / 2
 }
 
-// sortShort sorts an adjacency list, with a straight insertion sort for
-// the short lists typical of bounded-degree radio graphs (the generic sort
-// machinery costs more than it saves below a few dozen elements).
-func sortShort(l []int) {
+// SortNeighbors sorts an adjacency list in place, with a straight
+// insertion sort for the short lists typical of bounded-degree radio
+// graphs (the generic sort machinery costs more than it saves below a few
+// dozen elements).
+func SortNeighbors(l []int) {
 	if len(l) > 32 {
 		sort.Ints(l)
 		return
@@ -557,10 +558,6 @@ func sortShort(l []int) {
 		l[j+1] = v
 	}
 }
-
-// SortNeighborSegment sorts one CSR neighbor segment in place. It is
-// exported for the topology workspace's trusted CSR construction.
-func SortNeighborSegment(l []int) { sortShort(l) }
 
 // NeighborBitset fills dst (capacity ≥ n) with the neighbors of u and
 // returns it; with dst == nil a fresh set is allocated.

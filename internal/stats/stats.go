@@ -274,7 +274,17 @@ func (r StopRule) Done(s *Summary) bool {
 		// the relative criterion is vacuously met.
 		return s.CI(r.Confidence) == 0
 	}
-	return s.CI(r.Confidence) <= r.RelHalfWidth*mean
+	// The t quantile exceeds the normal quantile z for every finite df,
+	// and zLo sits z·1e-6 below z, far outside TQuantile's 1e-12
+	// tolerance. Rounded multiplication is monotone, so zLo·se above the
+	// target means t·se is too: the rule cannot be met, and the bisection
+	// behind CI is skipped with the decision unchanged.
+	zLo := math.Sqrt2 * math.Erfinv(r.Confidence) * (1 - 1e-6)
+	target := r.RelHalfWidth * mean
+	if zLo*s.StdErr() > target {
+		return false
+	}
+	return s.CI(r.Confidence) <= target
 }
 
 // ErrNoObservations is returned by Replicate when the estimator never

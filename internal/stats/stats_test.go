@@ -286,6 +286,65 @@ func TestQuickQuantileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStopRuleEarlyOutExact checks that Done, which skips the t quantile
+// when the normal bound already fails, decides exactly like the plain
+// predicate CI(c) <= rel·|mean| — on random summaries, on summaries within
+// 1e-9 of the t threshold and of the early-out's own threshold, and on
+// NaN and zero-mean samples.
+func TestStopRuleEarlyOutExact(t *testing.T) {
+	plain := func(r StopRule, s *Summary) bool {
+		mean := math.Abs(s.Mean())
+		if mean == 0 {
+			return s.CI(r.Confidence) == 0
+		}
+		return s.CI(r.Confidence) <= r.RelHalfWidth*mean
+	}
+	r := rng.New(2003)
+	checked := [2]int{}
+	for i := 0; i < 4000; i++ {
+		conf := []float64{0.9, 0.95, 0.99, 0.999}[i%4]
+		rule := StopRule{Confidence: conf, RelHalfWidth: r.Range(0.001, 0.3), MinReplicates: 2, MaxReplicates: 1 << 30}
+		n := 2 + r.Intn(9999)
+		mean := r.Range(-100, 100)
+		// The standard error that puts the half-width exactly on the target
+		// under the t quantile (k=0) or under the early-out's bound (k=1).
+		z := math.Sqrt2 * math.Erfinv(conf)
+		q := []float64{TQuantile(1-(1-conf)/2, n-1), z * (1 - 1e-6)}[i/4%2]
+		se := rule.RelHalfWidth * math.Abs(mean) / q
+		switch i / 8 % 5 {
+		case 0: // anywhere: a tenth to ten times the threshold
+			se *= math.Exp(r.Range(-2.3, 2.3))
+		case 1: // within 1e-9 of the threshold
+			se *= 1 + r.Range(-1e-9, 1e-9)
+		case 2: // a NaN in the sample
+			if r.Bool(0.5) {
+				mean = math.NaN()
+			} else {
+				se = math.NaN()
+			}
+		case 3: // zero mean, with and without spread
+			mean = 0
+			if r.Bool(0.5) {
+				se = 0
+			}
+		}
+		s := &Summary{n: n, mean: mean, m2: se * se * float64(n) * float64(n-1)}
+		got, want := rule.Done(s), plain(rule, s)
+		if got != want {
+			t.Fatalf("conf=%g rel=%g n=%d mean=%g m2=%g: Done=%v, plain predicate %v",
+				conf, rule.RelHalfWidth, n, s.mean, s.m2, got, want)
+		}
+		if got {
+			checked[1]++
+		} else {
+			checked[0]++
+		}
+	}
+	if checked[0] == 0 || checked[1] == 0 {
+		t.Fatalf("decisions not mixed: %d not done, %d done", checked[0], checked[1])
+	}
+}
+
 func BenchmarkTQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = TQuantile(0.995, 30+i%100)

@@ -51,7 +51,7 @@ func NewDynamic(nw *Network) *Dynamic {
 		movedMark: make([]uint32, n),
 		affMark:   make([]uint32, n),
 	}
-	d.grid.Reset(nw.Bounds, nw.Radius)
+	d.grid.Reset(nw.Bounds, nw.Radius, n)
 	for _, p := range d.positions {
 		d.grid.Insert(p)
 	}
@@ -103,7 +103,7 @@ func (d *Dynamic) rebuildAll(pos []geom.Point) {
 	}
 	for u := range d.nbrs {
 		l := d.grid.Within(u, d.radius, d.nbrs[u][:0])
-		sortShortPos(l)
+		graph.SortNeighbors(l)
 		d.nbrs[u] = l
 	}
 	d.g.RenewSorted(d.nbrs)
@@ -144,7 +144,7 @@ func (d *Dynamic) repair(pos []geom.Point) {
 	adds := d.adds[:0]
 	for _, t := range d.moved {
 		l := d.grid.Within(t, d.radius, d.nbrs[t][:0])
-		sortShortPos(l)
+		graph.SortNeighbors(l)
 		d.nbrs[t] = l
 		for _, w := range l {
 			if d.movedMark[w] == ep {

@@ -14,6 +14,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(``)
 	f.Add(`{"version":1,"bounds":{"MinX":0,"MinY":0,"MaxX":1,"MaxY":1},"radius":1e308,"positions":[{"X":0.5,"Y":0.5}]}`)
+	f.Add(`{"version":1,"bounds":{"MinX":0,"MinY":0,"MaxX":1e6,"MaxY":1e6},"radius":0.01,"positions":[{"X":1,"Y":1},{"X":2,"Y":2}]}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		nw, err := Load(strings.NewReader(in))
 		if err != nil {

@@ -46,6 +46,12 @@ func Load(r io.Reader) (*Network, error) {
 	if s.Radius <= 0 {
 		return nil, fmt.Errorf("topology: snapshot radius %g must be positive", s.Radius)
 	}
+	// Edges are decided on squared distances: outside this range the
+	// radius squared overflows or underflows, and pairs farther apart than
+	// the radius would become edges.
+	if s.Radius < 1e-150 || s.Radius > 1e150 {
+		return nil, fmt.Errorf("topology: snapshot radius %g outside [1e-150, 1e150]", s.Radius)
+	}
 	if s.Bounds.Area() <= 0 {
 		return nil, fmt.Errorf("topology: snapshot bounds have non-positive area")
 	}

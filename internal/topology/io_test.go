@@ -49,10 +49,44 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		"zero radius":     `{"version": 1, "bounds": {"MinX":0,"MinY":0,"MaxX":10,"MaxY":10}, "radius": 0, "positions": []}`,
 		"empty bounds":    `{"version": 1, "bounds": {"MinX":0,"MinY":0,"MaxX":0,"MaxY":0}, "radius": 1, "positions": []}`,
 		"node off bounds": `{"version": 1, "bounds": {"MinX":0,"MinY":0,"MaxX":10,"MaxY":10}, "radius": 1, "positions": [{"X": 50, "Y": 5}]}`,
+		// Radii whose square overflows or underflows: 2e200 and 1e-165 apart
+		// would pass the squared-distance test.
+		"radius overflows":  `{"version": 1, "bounds": {"MinX":-1e300,"MinY":-1,"MaxX":1e300,"MaxY":1}, "radius": 1e160, "positions": [{"X": -1e200, "Y": 0}, {"X": 1e200, "Y": 0}]}`,
+		"radius underflows": `{"version": 1, "bounds": {"MinX":0,"MinY":0,"MaxX":1,"MaxY":1}, "radius": 1e-170, "positions": [{"X": 0, "Y": 0}, {"X": 1e-165, "Y": 0}]}`,
 	}
 	for name, in := range cases {
 		if _, err := Load(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: Load should have failed", name)
+		}
+	}
+}
+
+// A snapshot with a tiny radius in huge bounds once sized the grid by
+// bounds/radius (about 10¹⁶ cells) and panicked; it must load into the
+// same unit disk graph as the pairwise construction.
+func TestLoadWideBounds(t *testing.T) {
+	const wide = `"bounds":{"MinX":0,"MinY":0,"MaxX":1e6,"MaxY":1e6},"radius":0.01`
+	for name, tc := range map[string]struct {
+		positions string
+		edges     int
+	}{
+		"two far apart":    {`{"X":1,"Y":1},{"X":2,"Y":2}`, 0},
+		"two in range":     {`{"X":5e5,"Y":5e5},{"X":500000.005,"Y":5e5}`, 1},
+		"opposite corners": {`{"X":0,"Y":0},{"X":1e6,"Y":1e6},{"X":999999.995,"Y":1e6}`, 1},
+	} {
+		nw, err := Load(strings.NewReader(`{"version":1,` + wide + `,"positions":[` + tc.positions + `]}`))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := bruteForceUDG(nw.Positions, nw.Radius)
+		if nw.G.N() != nw.N() || nw.G.M() != tc.edges || want.M() != tc.edges {
+			t.Fatalf("%s: %d nodes, %d edges (pairwise %d), want %d edges",
+				name, nw.G.N(), nw.G.M(), want.M(), tc.edges)
+		}
+		for _, e := range nw.G.Edges() {
+			if nw.Positions[e[0]].Dist(nw.Positions[e[1]]) > nw.Radius || !want.HasEdge(e[0], e[1]) {
+				t.Fatalf("%s: edge %v is not a unit-disk edge", name, e)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	refl "reflect"
 	"testing"
 
@@ -8,9 +12,9 @@ import (
 	"clustercast/internal/rng"
 )
 
-// The banded parallel unit-disk build produces the same graph as the
-// sequential sweep, bit for bit, across worker counts, densities and
-// seeds — same RNG consumption, same positions, same CSR.
+// Sharding the unit-disk build over k grid-row bands produces the same
+// graph as one band of the same code, bit for bit, across worker counts,
+// densities and seeds — same RNG consumption, same positions, same CSR.
 func TestBuildParallelEquivalence(t *testing.T) {
 	seq := NewWorkspace()
 	par := NewWorkspace()
@@ -49,7 +53,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 	}
 }
 
-// Fuzz: parallel build vs sequential across (n, density, seed, workers).
+// Fuzz: k bands vs one band across (n, density, seed, workers), for the
+// graph and for connected rejection sampling — the same connectivity
+// verdict on every draw, so the same accepted draw or the same error.
 func FuzzBuildParallelAgree(f *testing.F) {
 	f.Add(uint(50), uint(8), uint64(1), uint(4))
 	f.Add(uint(200), uint(16), uint64(9), uint(16))
@@ -73,6 +79,16 @@ func FuzzBuildParallelAgree(f *testing.F) {
 			if !refl.DeepEqual(want.G.Neighbors(v), got.G.Neighbors(v)) {
 				t.Fatalf("workers=%d: neighbors of %d differ", workers, v)
 			}
+		}
+		cfg.RequireConnected, cfg.MaxAttempts = true, 4
+		rs, rp := rng.New(seed), rng.New(seed)
+		want, errSeq := GenerateWith(cfg, seq, rs)
+		got, errPar := GenerateWith(cfg, par, rp)
+		if (errSeq == nil) != (errPar == nil) {
+			t.Fatalf("workers=%d: connected sampling errors differ: %v vs %v", workers, errSeq, errPar)
+		}
+		if errSeq == nil && sampleDigest(want, rs) != sampleDigest(got, rp) {
+			t.Fatalf("workers=%d: connected samples differ", workers)
 		}
 	})
 }
@@ -111,4 +127,78 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// sampleDigest hashes a sampled network — positions, then every CSR row
+// with its length — together with the next draw of the stream, which pins
+// how many values the sampler consumed.
+func sampleDigest(nw *Network, r *rng.Stream) string {
+	var buf []byte
+	for _, p := range nw.Positions {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
+	}
+	for u := 0; u < nw.G.N(); u++ {
+		nb := nw.G.Neighbors(u)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(nb)))
+		for _, v := range nb {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, r.Uint64())
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestGenerateWithPinnedDigests pins connected rejection sampling to
+// recorded bytes for every build worker count. The d=6 rows reject several
+// draws before accepting one (thousands at n=1000), so a change to the
+// randomness consumed per draw, or to which draw is accepted, changes the
+// digest. Under the race detector the n=1000, d=6 rows run the sequential
+// build only: their 3,700–8,900 rejected draws per seed add no concurrency
+// the other rows do not already exercise, and would take over a minute.
+func TestGenerateWithPinnedDigests(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		d    float64
+		seed uint64
+		want string
+	}{
+		{20, 6, 2003, "2101a80e8a5f218e"},
+		{20, 6, 4242, "695f1e0484c6d5d2"},
+		{20, 6, 7, "e3d85785863390c2"},
+		{20, 18, 2003, "9c4560143c742b9d"},
+		{20, 18, 4242, "97891cccc555c56d"},
+		{20, 18, 7, "d1e4a2d5f2529513"},
+		{100, 6, 2003, "d4d71745df327ad2"},
+		{100, 6, 4242, "25cc2dd124593bcd"},
+		{100, 6, 7, "2a0ff7dc0e7670a6"},
+		{100, 18, 2003, "c071e0651c0df8d6"},
+		{100, 18, 4242, "e2990aedc73b776a"},
+		{100, 18, 7, "1596e6c40e3851ff"},
+		{1000, 6, 2003, "7ea8eb5f422a1e2e"},
+		{1000, 6, 4242, "3ebf226019752017"},
+		{1000, 6, 7, "bb40ac77676edf60"},
+		{1000, 18, 2003, "af5e1861037d914b"},
+		{1000, 18, 4242, "59993afdc227b6f8"},
+		{1000, 18, 7, "d82814d1cc9c17b2"},
+	} {
+		cfg := Config{N: tc.n, Bounds: geom.Square(100), AvgDegree: tc.d, RequireConnected: true}
+		for _, workers := range []int{0, 1, 2, 8} {
+			if raceDetector && tc.n == 1000 && tc.d == 6 && workers > 0 {
+				continue
+			}
+			ws := NewWorkspace()
+			ws.BuildWorkers = workers
+			r := rng.New(tc.seed)
+			nw, err := GenerateWith(cfg, ws, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sampleDigest(nw, r); got != tc.want {
+				t.Errorf("n=%d d=%g seed=%d workers=%d: digest %s, want %s",
+					tc.n, tc.d, tc.seed, workers, got, tc.want)
+			}
+		}
+	}
 }

@@ -84,43 +84,43 @@ func Generate(c Config, r *rng.Stream) (*Network, error) {
 }
 
 // buildUnitDiskGraph builds the unit disk graph over the positions with a
-// spatial hash grid: each node's full neighbor list comes straight from one
-// range query into a shared flat buffer, which then becomes the backing
-// array of the adjacency lists (one sort per list) — O(n·deg) time and a
-// constant number of allocations. The throwaway workspace keeps the result
-// independently allocated (see Workspace.build for the implementation).
-func buildUnitDiskGraph(positions []geom.Point, bounds geom.Rect, radius float64) *graph.Graph {
-	return (&Workspace{}).build(positions, bounds, radius)
+// cell-sorted grid — O(n·deg) time and a constant number of allocations.
+// With connected set, ok reports whether the graph is connected, and a
+// disconnected graph is not assembled (nil). The throwaway workspace keeps
+// the result independently allocated (see Workspace.build).
+func buildUnitDiskGraph(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (g *graph.Graph, ok bool) {
+	// Positions outside the nominal bounds (hand-crafted scenarios) would
+	// defeat the grid's cell clamping; grow the indexing rectangle to cover
+	// them.
+	for _, p := range positions {
+		if p.X < bounds.MinX {
+			bounds.MinX = p.X
+		}
+		if p.X > bounds.MaxX {
+			bounds.MaxX = p.X
+		}
+		if p.Y < bounds.MinY {
+			bounds.MinY = p.Y
+		}
+		if p.Y > bounds.MaxY {
+			bounds.MaxY = p.Y
+		}
+	}
+	return (&Workspace{}).build(positions, bounds, radius, connected)
 }
 
 // FromPositions builds the unit disk graph induced by explicit positions
 // and range. Used by mobility models and hand-crafted scenarios; it runs
 // through the same spatial-grid path as random placement, so stepping a
-// mobility model costs O(n·deg) per step instead of O(n²).
+// mobility model costs O(n·deg) per step instead of O(n²). The Network
+// keeps the caller's bounds.
 func FromPositions(positions []geom.Point, bounds geom.Rect, radius float64) *Network {
-	// Positions outside the nominal bounds (hand-crafted scenarios) would
-	// defeat the grid's cell clamping; grow the indexing rectangle to cover
-	// them. The Network keeps the caller's bounds.
-	gridBounds := bounds
-	for _, p := range positions {
-		if p.X < gridBounds.MinX {
-			gridBounds.MinX = p.X
-		}
-		if p.X > gridBounds.MaxX {
-			gridBounds.MaxX = p.X
-		}
-		if p.Y < gridBounds.MinY {
-			gridBounds.MinY = p.Y
-		}
-		if p.Y > gridBounds.MaxY {
-			gridBounds.MaxY = p.Y
-		}
-	}
+	g, _ := buildUnitDiskGraph(positions, bounds, radius, false)
 	return &Network{
 		Positions: append([]geom.Point(nil), positions...),
 		Radius:    radius,
 		Bounds:    bounds,
-		G:         buildUnitDiskGraph(positions, gridBounds, radius),
+		G:         g,
 	}
 }
 

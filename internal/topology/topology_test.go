@@ -385,7 +385,9 @@ func bruteForceUDG(positions []geom.Point, radius float64) *graph.Graph {
 
 // TestFromPositionsMatchesBruteForce pins the grid-built unit disk graph to
 // the O(n²) pairwise construction on random inputs, including positions on
-// the boundary and outside the nominal bounds.
+// the boundary and outside the nominal bounds, and the build's union-find
+// connectivity verdict to a BFS over that construction, including inputs
+// split by a gap wider than the range.
 func TestFromPositionsMatchesBruteForce(t *testing.T) {
 	r := rng.New(99)
 	bounds := geom.Square(100)
@@ -404,8 +406,28 @@ func TestFromPositionsMatchesBruteForce(t *testing.T) {
 			positions[0] = geom.Point{X: bounds.MaxX, Y: bounds.MaxY}
 			positions[n-1] = geom.Point{X: bounds.MaxX + 17, Y: bounds.MinY - 4}
 		}
+		// Others squeeze the nodes into two strips 50 apart, more than any
+		// radius drawn here, with a node in each: surely disconnected.
+		if trial%4 == 1 {
+			for i := range positions {
+				if x := positions[i].X; x < 50 {
+					positions[i].X = x / 2
+				} else {
+					positions[i].X = 75 + (x-50)/2
+				}
+			}
+			positions[0].X, positions[1].X = 10, 90
+		}
 		got := FromPositions(positions, bounds, radius).G
 		want := bruteForceUDG(positions, radius)
+		_, connected := buildUnitDiskGraph(positions, bounds, radius, true)
+		if wantConnected := want.ConnectedWith(graph.NewScratch(n)); connected != wantConnected {
+			t.Fatalf("trial %d (n=%d r=%.2f): union-find says connected=%v, BFS %v",
+				trial, n, radius, connected, wantConnected)
+		}
+		if trial%4 == 1 && connected {
+			t.Fatalf("trial %d: nodes split by a gap wider than the range reported connected", trial)
+		}
 		if got.N() != want.N() || got.M() != want.M() {
 			t.Fatalf("trial %d (n=%d r=%.2f): got %d nodes %d edges, want %d/%d",
 				trial, n, radius, got.N(), got.M(), want.N(), want.M())
