@@ -67,18 +67,25 @@ bench-batch:
 
 # Sharded construction-stage gate: the unit-disk sweep and
 # coverage-digest curves diffed against BENCH_PR8.json (-short keeps it
-# to n≤10000), a race pass over the parallel-path equivalence suites
-# (digest, grid build, per-head coverage assembly, and the
-# experiment-level bit-identity sweep; the cluster suite checks the
-# deprecated election forward), and a -buildworkers smoke through
-# cmd/scale end to end.
+# to n≤10000), a race pass over the strip-count equivalence suites
+# (digest, grid build, gateway and MO_CDS selection, dynamic-backbone
+# init, and the experiment-level bit-identity sweep; the cluster suite
+# checks the deprecated election forward), and cmd/scale end to end at
+# -buildworkers 1 and 8, which must print the same result= values.
 bench-build:
 	$(GO) test -short -run xxx -bench 'ShardedCoverage|ParallelTopology' -benchtime 10x \
 		./internal/coverage ./internal/topology \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR8.json -threshold 0.10
 	$(GO) test -race -run 'Parallel|BuildWorkers' \
-		./internal/coverage ./internal/cluster ./internal/topology ./internal/dynamicb ./internal/experiment
-	$(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 8
+		./internal/coverage ./internal/cluster ./internal/topology ./internal/backbone \
+		./internal/mocds ./internal/dynamicb ./internal/experiment
+	w1=$$($(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 1) || exit 1; \
+	w8=$$($(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 8) || exit 1; \
+	echo "$$w1"; echo "$$w8"; \
+	r1=$$(echo "$$w1" | grep -o 'result=.*'); r8=$$(echo "$$w8" | grep -o 'result=.*'); \
+	if [ -z "$$r1" ] || [ "$$r1" != "$$r8" ]; then \
+		echo "bench-build: cmd/scale result= values differ between -buildworkers 1 and 8" >&2; exit 1; \
+	fi
 
 # Full benchmark suite (several minutes).
 bench:

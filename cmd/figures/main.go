@@ -269,8 +269,9 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"replication worker count (0: GOMAXPROCS); results are bit-identical for any value")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"construction-stage shards inside each replicate — unit-disk sweep, coverage digest, "+
-			"dynamic-backbone init (0: sequential reference paths; bit-identical for any value)")
+		"strips per construction layer inside each replicate — unit-disk sweep, coverage digest, "+
+			"gateway and MO_CDS selection, dynamic-backbone init — run on as many goroutines "+
+			"(0 or 1: one strip; bit-identical for any value)")
 	flag.BoolVar(&cfg.batch, "batch", false,
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"clustercast/internal/backbone"
@@ -47,7 +46,6 @@ type config struct {
 	traffic   string
 	wire      bool
 	load      string
-	workers   int
 	buildW    int
 	cpuProf   string
 	memProf   string
@@ -229,10 +227,9 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	if cfg.manifest != "" {
 		manifest = obs.NewManifest("manetsim")
 		manifest.Seed = cfg.seed
-		manifest.Workers = cfg.workers
 		manifest.Param("n", cfg.n).Param("d", cfg.d).Param("source", cfg.source).
 			Param("protocols", cfg.protocols).Param("load", cfg.load).Param("wire", cfg.wire).
-			Param("faults", cfg.faults).Param("traffic", cfg.traffic)
+			Param("faults", cfg.faults).Param("traffic", cfg.traffic).Param("buildworkers", cfg.buildW)
 	}
 
 	nw, err := loadNetwork(&cfg)
@@ -379,11 +376,9 @@ func main() {
 			"(see internal/workload); runs concurrent multi-source broadcasts per backbone and prints a load report")
 	flag.BoolVar(&cfg.wire, "wire", false, "also run the distributed wire-protocol construction and print message counts")
 	flag.StringVar(&cfg.load, "load", "", "load a topology snapshot (JSON, from topogen -save) instead of generating one")
-	flag.IntVar(&cfg.workers, "workers", 0,
-		"cap the Go scheduler's processor count (0: leave GOMAXPROCS at the default); single runs are sequential either way")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"shard the unit-disk construction over this many goroutines "+
-			"(0/1: sequential; the network is bit-identical for any value)")
+		"strips the unit-disk construction is cut into, run on as many goroutines "+
+			"(0 or 1: one strip; the network is bit-identical for any value)")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")
 	flag.StringVar(&cfg.trace, "trace", "",
@@ -391,10 +386,6 @@ func main() {
 	flag.StringVar(&cfg.manifest, "manifest", "", "write a run manifest (JSON) to this file")
 	cfg.tel.Register(flag.CommandLine)
 	flag.Parse()
-
-	if cfg.workers > 0 {
-		runtime.GOMAXPROCS(cfg.workers)
-	}
 
 	stopProf, err := prof.Start(cfg.cpuProf, cfg.memProf)
 	if err != nil {

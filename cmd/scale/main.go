@@ -7,17 +7,17 @@
 // Each replicate samples a connected unit-disk topology through the
 // workspace path, then runs the requested stages: static25 (2.5-hop static
 // backbone size), mocds (MO_CDS baseline size), dynamic25 (one dynamic-
-// backbone broadcast, forward-node count). With -workers > 1 the static25
-// and mocds constructions shard their per-clusterhead selections across
-// that many goroutines (bit-identical to the sequential path; see
-// backbone.ParallelWorkspace).
+// backbone broadcast, forward-node count). -buildworkers cuts every
+// construction layer — unit-disk sweep, coverage digest, gateway and
+// MO_CDS selection, dynamic-backbone init — into that many strips run on
+// as many goroutines; the results are bit-identical for any value.
 //
 // With -manifest the run records a reproducibility manifest (invocation,
 // environment, per-stage wall/alloc from the obs registry); with -trace the
 // first dynamic25 replicate records its broadcast event stream as JSONL
 // for cmd/trace.
 //
-//	scale -n 50000 -d 18 -seed 2003 -reps 3 -workers 4
+//	scale -n 50000 -d 18 -seed 2003 -reps 3 -buildworkers 4
 //	scale -n 10000 -stages dynamic25 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	scale -n 2000 -stages dynamic25 -trace trace.jsonl -manifest manifest.json
 package main
@@ -35,7 +35,6 @@ import (
 	"clustercast/internal/backbone"
 	"clustercast/internal/coverage"
 	"clustercast/internal/experiment"
-	"clustercast/internal/mocds"
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
 	"clustercast/internal/prof"
@@ -47,7 +46,6 @@ type config struct {
 	d        float64
 	seed     uint64
 	reps     int
-	workers  int
 	buildW   int
 	stages   string
 	cpuProf  string
@@ -63,9 +61,9 @@ func main() {
 	flag.Float64Var(&cfg.d, "d", 18, "target average degree")
 	flag.Uint64Var(&cfg.seed, "seed", 2003, "base RNG seed")
 	flag.IntVar(&cfg.reps, "reps", 3, "replicates per stage")
-	flag.IntVar(&cfg.workers, "workers", 1, "selection shards for static25/mocds (1 = sequential)")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
-		"construction-stage shards: unit-disk sweep, coverage digest and dynamic-backbone init (0 = sequential reference paths; results are bit-identical either way)")
+		"strips per construction layer — unit-disk sweep, coverage digest, gateway and MO_CDS selection, dynamic-backbone init — "+
+			"run on as many goroutines (0 or 1: one strip; results are bit-identical for any value)")
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
 	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
@@ -86,35 +84,26 @@ func main() {
 // without trace support ignore it.
 type stageFunc func(ws *experiment.Workspace, nw *topology.Network, source int, tr *obs.Tracer) float64
 
-func stageSet(workers int) map[string]stageFunc {
-	pbb := backbone.NewParallelWorkspace()
-	pmo := mocds.NewParallelWorkspace()
-	return map[string]stageFunc{
-		"static25": func(ws *experiment.Workspace, nw *topology.Network, _ int, _ *obs.Tracer) float64 {
-			cl := ws.Elect(nw.G)
-			ws.Digest(nw.G, cl, coverage.Hop25)
-			if workers > 1 {
-				return float64(pbb.StaticSize(&ws.Builder, cl, backbone.Options{}, workers))
-			}
-			return float64(ws.Backbone.StaticSize(&ws.Builder, cl, backbone.Options{}))
-		},
-		"mocds": func(ws *experiment.Workspace, nw *topology.Network, _ int, _ *obs.Tracer) float64 {
-			cl := ws.Elect(nw.G)
-			ws.Digest(nw.G, cl, coverage.Hop3)
-			if workers > 1 {
-				return float64(pmo.SizeFrom(&ws.Builder, cl, workers))
-			}
-			return float64(ws.MOCDS.SizeFrom(&ws.Builder, cl))
-		},
-		"dynamic25": func(ws *experiment.Workspace, nw *topology.Network, source int, tr *obs.Tracer) float64 {
-			cl := ws.Elect(nw.G)
-			p := ws.Dynamic.NewWith(nw.G, cl, coverage.Hop25)
-			// Set unconditionally: the pooled protocol keeps its tracer
-			// across NewWith, so untraced replicates must clear it.
-			p.SetTracer(tr)
-			return float64(p.BroadcastWS(source).ForwardCount())
-		},
-	}
+// stages are the kernels -stages picks from, by name.
+var stages = map[string]stageFunc{
+	"static25": func(ws *experiment.Workspace, nw *topology.Network, _ int, _ *obs.Tracer) float64 {
+		cl := ws.Elect(nw.G)
+		ws.Digest(nw.G, cl, coverage.Hop25)
+		return float64(ws.Backbone.StaticSize(&ws.Builder, cl, backbone.Options{}))
+	},
+	"mocds": func(ws *experiment.Workspace, nw *topology.Network, _ int, _ *obs.Tracer) float64 {
+		cl := ws.Elect(nw.G)
+		ws.Digest(nw.G, cl, coverage.Hop3)
+		return float64(ws.MOCDS.SizeFrom(&ws.Builder, cl))
+	},
+	"dynamic25": func(ws *experiment.Workspace, nw *topology.Network, source int, tr *obs.Tracer) float64 {
+		cl := ws.Elect(nw.G)
+		p := ws.Dynamic.NewWith(nw.G, cl, coverage.Hop25)
+		// Set unconditionally: the pooled protocol keeps its tracer
+		// across NewWith, so untraced replicates must clear it.
+		p.SetTracer(tr)
+		return float64(p.BroadcastWS(source).ForwardCount())
+	},
 }
 
 // tracedStage is the stage whose event stream -trace records.
@@ -124,7 +113,6 @@ const tracedStage = "dynamic25"
 // telemetry shutdown (final heartbeat, self-scrape) surface its error.
 func run(cfg config, out io.Writer) (retErr error) {
 	experiment.SetBuildWorkers(cfg.buildW)
-	stages := stageSet(cfg.workers)
 	var names []string
 	for _, s := range strings.Split(cfg.stages, ",") {
 		s = strings.TrimSpace(s)
@@ -174,7 +162,6 @@ func run(cfg config, out io.Writer) (retErr error) {
 	if cfg.manifest != "" {
 		manifest = obs.NewManifest("scale")
 		manifest.Seed = cfg.seed
-		manifest.Workers = cfg.workers
 		manifest.Param("n", cfg.n).Param("d", cfg.d).Param("reps", cfg.reps).Param("stages", strings.Join(names, ",")).Param("buildworkers", cfg.buildW)
 	}
 
@@ -183,8 +170,8 @@ func run(cfg config, out io.Writer) (retErr error) {
 		return err
 	}
 
-	fmt.Fprintf(out, "scale: n=%d d=%g seed=%d reps=%d workers=%d buildworkers=%d (GOMAXPROCS=%d)\n",
-		cfg.n, cfg.d, cfg.seed, cfg.reps, cfg.workers, cfg.buildW, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(out, "scale: n=%d d=%g seed=%d reps=%d buildworkers=%d (GOMAXPROCS=%d)\n",
+		cfg.n, cfg.d, cfg.seed, cfg.reps, cfg.buildW, runtime.GOMAXPROCS(0))
 	ws := experiment.NewWorkspace()
 	sc := experiment.DefaultScenario(cfg.n, cfg.d, cfg.seed)
 	var clk obs.StageClock

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestRunAllStages(t *testing.T) {
 	var out bytes.Buffer
-	cfg := config{n: 300, d: 12, seed: 11, reps: 2, workers: 1, stages: "static25,mocds,dynamic25"}
+	cfg := config{n: 300, d: 12, seed: 11, reps: 2, stages: "static25,mocds,dynamic25"}
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +26,48 @@ func TestRunAllStages(t *testing.T) {
 	}
 }
 
+// resultLines returns the stage, rep and result= fields of every replicate
+// line of a run's output, the part of it that must not depend on
+// -buildworkers.
+func resultLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 0 && strings.HasPrefix(f[len(f)-1], "result=") {
+			lines = append(lines, f[0]+" "+f[1]+" "+f[len(f)-1])
+		}
+	}
+	return lines
+}
+
+// TestRunBuildWorkersResultsIdentical: every stage prints the same result=
+// values whether its construction layers run as one strip or as many.
+func TestRunBuildWorkersResultsIdentical(t *testing.T) {
+	// The strip count is clamped to GOMAXPROCS; lift it so that -buildworkers
+	// 8 runs eight strips on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var want []string
+	for _, bw := range []int{0, 1, 2, 8} {
+		var out bytes.Buffer
+		cfg := config{n: 600, d: 12, seed: 5, reps: 2, buildW: bw, stages: "static25,mocds,dynamic25"}
+		if err := run(cfg, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := resultLines(out.String())
+		if len(got) != 6 {
+			t.Fatalf("-buildworkers %d: %d result lines, want 6:\n%s", bw, len(got), out.String())
+		}
+		if want == nil {
+			want = got
+		} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("-buildworkers %d results differ from -buildworkers 0:\n%s\nwant\n%s",
+				bw, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 func TestRunUnknownStage(t *testing.T) {
-	cfg := config{n: 100, d: 12, seed: 1, reps: 1, workers: 1, stages: "warp"}
+	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "warp"}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown stage") {
 		t.Fatalf("want unknown-stage error, got %v", err)
 	}
@@ -35,7 +76,7 @@ func TestRunUnknownStage(t *testing.T) {
 // TestRunSampleErrorPropagates: an unsatisfiable topology spec must surface
 // the generator's diagnosis (the attempt cap), not a generic shrug.
 func TestRunSampleErrorPropagates(t *testing.T) {
-	cfg := config{n: 400, d: 2, seed: 1, reps: 1, workers: 1, stages: "static25"}
+	cfg := config{n: 400, d: 2, seed: 1, reps: 1, stages: "static25"}
 	err := run(cfg, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("sparse spec unexpectedly sampled a connected topology")
@@ -49,7 +90,7 @@ func TestRunSampleErrorPropagates(t *testing.T) {
 }
 
 func TestRunTraceNeedsDynamicStage(t *testing.T) {
-	cfg := config{n: 100, d: 12, seed: 1, reps: 1, workers: 1, stages: "static25",
+	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "static25",
 		trace: filepath.Join(t.TempDir(), "t.jsonl")}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "dynamic25") {
 		t.Fatalf("want dynamic25-required error, got %v", err)
@@ -63,7 +104,7 @@ func TestRunManifestAndTrace(t *testing.T) {
 	mpath := filepath.Join(dir, "manifest.json")
 	tpath := filepath.Join(dir, "trace.jsonl")
 	var out bytes.Buffer
-	cfg := config{n: 300, d: 12, seed: 11, reps: 2, workers: 2, stages: "dynamic25",
+	cfg := config{n: 300, d: 12, seed: 11, reps: 2, buildW: 2, stages: "dynamic25",
 		manifest: mpath, trace: tpath}
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
@@ -76,7 +117,7 @@ func TestRunManifestAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Tool != "scale" || m.Seed != 11 || m.Workers != 2 || m.Params["stages"] != "dynamic25" {
+	if m.Tool != "scale" || m.Seed != 11 || m.Workers != 0 || m.Params["buildworkers"] != "2" || m.Params["stages"] != "dynamic25" {
 		t.Fatalf("manifest identity wrong: %+v", m)
 	}
 	stages := map[string]obs.StageStat{}

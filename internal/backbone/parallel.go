@@ -1,91 +1,34 @@
 package backbone
 
 import (
-	"sync"
-
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/graph"
 )
 
-// ParallelWorkspace owns the per-worker scratch of a sharded static-backbone
-// construction: each worker assembles coverage sets and runs gateway
-// selections for its share of the clusterheads with private scratch, so the
-// shards proceed without synchronization. Reuse one ParallelWorkspace across
-// replicates; steady-state runs allocate nothing beyond goroutine startup.
+// ParallelWorkspace is a Workspace that takes its worker count per call.
+//
+// Deprecated: set Workspace.BuildWorkers instead.
 type ParallelWorkspace struct {
-	workers []parWorker
-	nodes   graph.Bitset
+	ws Workspace
 }
 
-// parWorker is one shard's private state: coverage assembly scratch, the
-// coverage value it refills per head, the selection scratch, and the bitset
-// accumulating its selections.
-type parWorker struct {
-	asm   coverage.AsmScratch
-	cov   coverage.Coverage
-	scr   selScratch
-	nodes graph.Bitset
-}
-
-// NewParallelWorkspace returns an empty workspace; per-worker buffers grow
-// on first use.
+// NewParallelWorkspace returns an empty workspace.
+//
+// Deprecated: use NewWorkspace.
 func NewParallelWorkspace() *ParallelWorkspace { return &ParallelWorkspace{} }
 
 // StaticSize is StaticNodes(...).Count().
+//
+// Deprecated: use Workspace.StaticSize.
 func (pw *ParallelWorkspace) StaticSize(b *coverage.Builder, cl *cluster.Clustering, opts Options, workers int) int {
 	return pw.StaticNodes(b, cl, opts, workers).Count()
 }
 
-// StaticNodes computes exactly Workspace.StaticNodes(b, cl, opts) — the
-// static backbone membership — sharding the per-clusterhead gateway
-// selections across the given number of goroutines.
+// StaticNodes runs Workspace.StaticNodes with BuildWorkers = workers.
 //
-// Heads are assigned round-robin (worker k takes cl.Heads[k], [k+W], ...);
-// each worker accumulates its heads and their selections into a private
-// bitset, and the shards are OR-merged in worker order after all complete.
-// Each per-head selection depends only on the head's own coverage set (the
-// builder's digests are read-only after Reset, and every worker assembles
-// through its own coverage.AsmScratch), so the shard partition cannot change
-// any selection, and the merged union is the same set of nodes regardless of
-// worker count or completion order: the result is bit-identical to the
-// sequential path.
-//
-// The returned bitset is owned by the workspace and valid until the next
-// call.
+// Deprecated: use Workspace.StaticNodes.
 func (pw *ParallelWorkspace) StaticNodes(b *coverage.Builder, cl *cluster.Clustering, opts Options, workers int) *graph.Bitset {
-	n := b.N()
-	heads := cl.Heads
-	if workers > len(heads) {
-		workers = len(heads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(pw.workers) < workers {
-		pw.workers = append(pw.workers, parWorker{})
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		w := &pw.workers[k]
-		w.nodes.Reset(n)
-		wg.Add(1)
-		go func(k int, w *parWorker) {
-			defer wg.Done()
-			for i := k; i < len(heads); i += workers {
-				h := heads[i]
-				w.nodes.Add(h)
-				cov := b.OfScratch(h, &w.cov, &w.asm)
-				for _, v := range selectCore(cov, nil, nil, opts, &w.scr) {
-					w.nodes.Add(v)
-				}
-			}
-		}(k, w)
-	}
-	wg.Wait()
-	pw.nodes.Reset(n)
-	for k := 0; k < workers; k++ {
-		pw.nodes.Or(&pw.workers[k].nodes)
-	}
-	return &pw.nodes
+	pw.ws.BuildWorkers = workers
+	return pw.ws.StaticNodes(b, cl, opts)
 }

@@ -6,19 +6,19 @@ import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/geom"
+	"clustercast/internal/graph"
 	"clustercast/internal/rng"
 	"clustercast/internal/topology"
 )
 
-// TestStaticNodesParallelBitIdentical proves the sharded selection returns
-// the same backbone membership as the sequential workspace path, for every
+// TestStaticNodesParallelBitIdentical proves the workspace selection
+// returns the backbone membership BuildStaticOpt materializes, for every
 // worker count, coverage mode and option setting, across reuse of a single
-// parallel workspace. Run with -race to exercise the shard isolation: each
-// worker assembles coverage through its own AsmScratch while sharing the
+// workspace. Run with -race to exercise the strip isolation: each strip
+// assembles coverage through its own AsmScratch while sharing the
 // read-only builder digests.
 func TestStaticNodesParallelBitIdentical(t *testing.T) {
 	ws := NewWorkspace()
-	pw := NewParallelWorkspace()
 	for rep := 0; rep < 8; rep++ {
 		nw, err := topology.Generate(topology.Config{
 			N: 150, Bounds: geom.Square(100), AvgDegree: 9,
@@ -31,12 +31,19 @@ func TestStaticNodesParallelBitIdentical(t *testing.T) {
 		for _, mode := range []coverage.Mode{coverage.Hop25, coverage.Hop3} {
 			b := coverage.NewBuilder(nw.G, cl, mode)
 			for _, opts := range []Options{{}, {NoIndirectTieBreak: true}} {
-				want := ws.StaticNodes(b, cl, opts)
-				for _, workers := range []int{1, 2, 3, 7, 64} {
-					got := pw.StaticNodes(b, cl, opts, workers)
-					if !got.Equal(want) {
-						t.Fatalf("rep %d mode %v opts %+v workers %d: parallel membership diverges: got %v want %v",
-							rep, mode, opts, workers, got.Members(), want.Members())
+				want := BuildStaticOpt(b, cl, opts).Nodes
+				for _, workers := range []int{0, 1, 2, 3, 7, 64} {
+					ws.BuildWorkers = workers
+					got := ws.StaticNodes(b, cl, opts)
+					if got.Count() != graph.SetSize(want) {
+						t.Fatalf("rep %d mode %v opts %+v workers %d: size %d, want %d",
+							rep, mode, opts, workers, got.Count(), graph.SetSize(want))
+					}
+					for v := 0; v < nw.N(); v++ {
+						if got.Has(v) != want[v] {
+							t.Fatalf("rep %d mode %v opts %+v workers %d: node %d membership: workspace %v, build %v",
+								rep, mode, opts, workers, v, got.Has(v), want[v])
+						}
 					}
 				}
 			}

@@ -23,8 +23,8 @@ import (
 
 // Selection metrics, folded once per per-head greedy selection (both the
 // static pipeline and the dynamic backbone's per-broadcast selections run
-// through selectCore). Counters are atomic, so the sharded parallel
-// selection paths fold in safely.
+// through selectCore). Counters are atomic, so selections running in
+// several head strips at once fold in safely.
 var (
 	mSelections  = obs.NewCounter("backbone.selections")
 	mGatewaysSel = obs.NewCounter("backbone.gateways_selected")

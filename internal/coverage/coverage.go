@@ -106,7 +106,7 @@ type Coverage struct {
 	// slice walk is both faster and deterministic.
 	Conns []Connector
 
-	// Construction backing, kept on the value so OfReuse can refill a
+	// Construction backing, kept on the value so OfScratch can refill a
 	// Coverage without allocating: the Conns slices above are views into
 	// direct/indirect, addressed during assembly by the offset arrays.
 	dirOff   []int
@@ -170,24 +170,19 @@ type Builder struct {
 	// rule and w not adjacent to v).
 	ch2 [][]Hop2Entry
 
-	// Digest backing and scratch, reused across Reset calls so a builder
-	// owned by a per-worker workspace re-digests without allocating.
-	ch1backing []int
-	ch2backing []Hop2Entry
-	// asm is the builder-owned assembly scratch used by Reset's CH_HOP2
-	// pass and by OfReuse/OfShared. Parallel callers assemble through
-	// OfScratch with their own AsmScratch instead.
-	asm       AsmScratch
-	cnt       []int
-	scratch   []Hop2Entry
-	sharedCov Coverage
+	// asm is the builder-owned assembly scratch of Of. Workspaces
+	// assemble through OfScratch with their own AsmScratch instead.
+	asm AsmScratch
 
-	// Sharded digest state (ResetParallel): the strip partitioner, the
-	// per-worker arenas/scratch, and the int32 digest shadow. Untouched by
-	// Reset.
-	sh     des.Shards
-	shards []buildShard
-	d32    digest32
+	// Digest state, reused across Reset calls so a builder owned by a
+	// per-worker workspace re-digests without allocating: the CH_HOP1
+	// backing and counts, the strip partitioner, the per-strip arenas and
+	// scratch, and the int32 digest shadow.
+	ch1backing []int
+	cnt        []int
+	sh         des.Shards
+	shards     []buildShard
+	d32        digest32
 }
 
 // AsmScratch is the epoch-stamped mark array one coverage assembly uses:
@@ -195,8 +190,8 @@ type Builder struct {
 // between assemblies is a counter bump instead of an O(n/64) bitset clear —
 // the difference between an O(m) and an O(n²) digest pass at 10k+ nodes.
 //
-// The builder embeds one for its serial paths; workers sharding per-head
-// assembly across goroutines own one each (see OfScratch).
+// The builder embeds one for Of; every head strip of a workspace owns one
+// (see OfScratch).
 type AsmScratch struct {
 	mark  []uint32
 	epoch uint32
@@ -234,139 +229,6 @@ func NewBuilder(g *graph.Graph, cl *cluster.Clustering, mode Mode) *Builder {
 	return b
 }
 
-// Reset re-digests the builder for a new clustered network, reusing every
-// internal buffer. All slices and coverage sets previously served by the
-// builder are invalidated.
-func (b *Builder) Reset(g *graph.Graph, cl *cluster.Clustering, mode Mode) {
-	n := g.N()
-	b.g, b.cl, b.mode = g, cl, mode
-	if cap(b.ch1) < n {
-		b.ch1 = make([][]int, n)
-		b.ch2 = make([][]Hop2Entry, n)
-	}
-	b.ch1 = b.ch1[:n]
-	b.ch2 = b.ch2[:n]
-	for v := range b.ch2 {
-		b.ch2[v] = nil
-	}
-
-	// CH_HOP1 digests: ch1[v] is exactly the head-neighbors of v, so the
-	// pass iterates the heads and scatters each head into its neighbors'
-	// lists (count, prefix-sum, cursor fill) instead of testing IsHead on
-	// all 2m neighbor entries — only edges incident to a clusterhead are
-	// touched, a ~(k/n)·2m fraction of the graph. Heads come ascending in
-	// cl.Heads and each head appears once, so every ch1[v] is sorted and
-	// duplicate-free by construction.
-	if cap(b.cnt) < n+1 {
-		b.cnt = make([]int, n+1)
-	}
-	cnt := b.cnt[:n+1]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	total := 0
-	for _, h := range cl.Heads {
-		for _, v := range g.Neighbors(h) {
-			cnt[v]++
-			total++
-		}
-	}
-	if cap(b.ch1backing) < total {
-		b.ch1backing = make([]int, total)
-	}
-	backing := b.ch1backing[:total]
-	// Prefix-sum the counts into start offsets, publish the (still empty)
-	// per-node views, then fill with per-node cursors.
-	off := 0
-	for v := 0; v < n; v++ {
-		c := cnt[v]
-		b.ch1[v] = backing[off : off+c : off+c]
-		cnt[v] = off
-		off += c
-	}
-	for _, h := range cl.Heads {
-		for _, v := range g.Neighbors(h) {
-			backing[cnt[v]] = h
-			cnt[v]++
-		}
-	}
-	b.ch1backing = backing
-
-	// CH_HOP2 digests: collect candidate (w, r) entries into a reusable
-	// scratch, sort by (w, r) and keep the lowest-ID relay per w. The
-	// deduplicated entries are packed into one growing backing array —
-	// earlier slices stay valid across reallocation, and the per-node
-	// allocation disappears from this hot constructor.
-	b.asm.ensure(n)
-	if b.scratch == nil {
-		b.scratch = make([]Hop2Entry, 0, 64)
-	}
-	scratch := b.scratch[:0]
-	if cap(b.ch2backing) < n {
-		b.ch2backing = make([]Hop2Entry, 0, n)
-	}
-	ch2backing := b.ch2backing[:0]
-	for v := 0; v < n; v++ {
-		if cl.IsHead(v) {
-			continue
-		}
-		epoch := b.asm.stamps(1)
-		mark := b.asm.mark
-		for _, w := range b.ch1[v] {
-			mark[w] = epoch
-		}
-		scratch = scratch[:0]
-		for _, r := range g.Neighbors(v) {
-			if cl.IsHead(r) {
-				continue // CH_HOP1 messages come from non-clusterheads only
-			}
-			switch mode {
-			case Hop25:
-				// Only r's own clusterhead generates an entry.
-				if w := cl.Head[r]; mark[w] != epoch {
-					scratch = append(scratch, Hop2Entry{W: w, R: r})
-				}
-			case Hop3:
-				// Every clusterhead r hears directly generates an entry.
-				for _, w := range b.ch1[r] {
-					if mark[w] != epoch {
-						scratch = append(scratch, Hop2Entry{W: w, R: r})
-					}
-				}
-			}
-		}
-		if len(scratch) == 0 {
-			continue
-		}
-		sortEntries(scratch)
-		start := len(ch2backing)
-		for _, e := range scratch {
-			if len(ch2backing) > start && ch2backing[len(ch2backing)-1].W == e.W {
-				continue // keep the lowest-ID relay ("first entry wins")
-			}
-			ch2backing = append(ch2backing, e)
-		}
-		b.ch2[v] = ch2backing[start:len(ch2backing):len(ch2backing)]
-	}
-	b.scratch = scratch
-	b.ch2backing = ch2backing
-}
-
-// sortEntries orders CH_HOP2 entries by (W, R). The lists are tiny (one
-// entry per 2-hop clusterhead sighting), so a straight insertion sort beats
-// the generic sort machinery in the builder's hot loop.
-func sortEntries(es []Hop2Entry) {
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i - 1
-		for j >= 0 && (es[j].W > e.W || (es[j].W == e.W && es[j].R > e.R)) {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = e
-	}
-}
-
 // N returns the number of nodes of the underlying graph (the bitset
 // universe of every coverage set the builder serves).
 func (b *Builder) N() int { return b.g.N() }
@@ -396,28 +258,15 @@ func (b *Builder) CH2(v int) map[int]int {
 // Of computes the coverage set of clusterhead u into a fresh Coverage. It
 // panics when u is not a clusterhead of the clustering.
 func (b *Builder) Of(u int) *Coverage {
-	return b.OfReuse(u, &Coverage{})
+	return b.OfScratch(u, &Coverage{}, &b.asm)
 }
 
-// OfShared computes the coverage set of u into a Coverage owned by the
-// builder — the allocation-free path for callers that need one coverage
-// set at a time. The result is valid only until the next OfShared or
-// Reset call.
-func (b *Builder) OfShared(u int) *Coverage {
-	return b.OfReuse(u, &b.sharedCov)
-}
-
-// OfReuse computes the coverage set of clusterhead u into c, reusing c's
-// bitsets and backing arrays. It panics when u is not a clusterhead of the
-// clustering.
-func (b *Builder) OfReuse(u int, c *Coverage) *Coverage {
-	return b.OfScratch(u, c, &b.asm)
-}
-
-// OfScratch is OfReuse with caller-provided assembly scratch. After Reset
-// the builder's digests are read-only, so OfScratch is safe to call from
+// OfScratch computes the coverage set of clusterhead u into c, reusing
+// c's bitsets and backing arrays, with caller-provided assembly scratch.
+// It panics when u is not a clusterhead of the clustering. After Reset the
+// builder's digests are read-only, so OfScratch is safe to call from
 // multiple goroutines concurrently as long as each caller passes its own
-// c and scr — the sharded per-clusterhead selection path relies on this.
+// c and scr — the per-clusterhead loops of the workspaces rely on this.
 func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 	if !b.cl.IsHead(u) {
 		panic("coverage: Of called on a non-clusterhead")

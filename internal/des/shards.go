@@ -1,206 +1,49 @@
 package des
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Mail is one cross-shard message: a value addressed to a node owned by
-// another shard. It is deliberately flat (no pointers) so mailboxes can
-// be reused without clearing.
-type Mail struct {
-	Node int32 // destination node
-	Val  int32 // engine-defined payload (e.g. an index into the slot's batch)
-}
-
-// Shards partitions the node ID space for the parallel fan-out phases of
-// the event engines. Each (src, dst) shard pair gets a single-writer
-// mailbox: during the produce phase, shard src alone appends to
-// boxes[src][dst]; after a barrier, each destination shard consumes the
-// concatenation of its mailboxes in ascending src order. Because every
-// mailbox has exactly one writer and the concatenation order is fixed,
-// the delivered mail streams are bit-identical for any worker count —
-// the same discipline as the PR3 sharded clusterhead selection.
+// Shards cuts the index space 0..n−1 of a per-node or per-head loop into
+// contiguous strips for the sharded construction stages. Each strip writes
+// only state it owns, so a loop's result does not depend on the strip
+// count; the strip count only decides how many goroutines share the work.
 //
-// Two partitioners are provided: ResetRange (contiguous ID ranges, the
-// default — node IDs of the generated topologies are spatially
-// uncorrelated, so ranges balance well) and ResetStrips (x-quantile
-// spatial strips over node positions, keyed by the same geometry as the
-// topology grid, for workloads where spatial locality of the event
-// stream matters more than ID locality).
-//
-// The zero value is ready for ResetRange/ResetStrips. Mailboxes and
-// scratch are pooled across calls; the only steady-state allocations are
-// the goroutines of a parallel Fanout (workers > 1).
+// The zero value is ready for ResetRange.
 type Shards struct {
-	k     int
-	owner []int32
-	boxes [][][]Mail // [src][dst] single-writer mailboxes
-	emits []func(dst int, m Mail)
-	cat   [][]Mail // per-dst concatenation buffer
-	idx   []int    // strip partitioner scratch: node ids sorted by x
-	next  atomic.Int64
-
-	// localN[d] is the self-mail count (boxes[d][d]) of the latest deliver
-	// round. deliver(d) is the slot's single writer, so the parallel
-	// consume phase can fill it race-free; the cross-shard tally happens
-	// after the barrier, on the caller's goroutine, like sMail.
-	localN                  []int
-	sFanouts, sMail, sCross int64
+	n, k int
+	next atomic.Int64
 }
 
-// K returns the shard count.
+// K returns the strip count.
 func (sh *Shards) K() int { return sh.k }
 
-// Owner returns the shard owning node v.
-func (sh *Shards) Owner(v int) int { return int(sh.owner[v]) }
-
-// ResetRange partitions nodes 0..n−1 into k contiguous, balanced ID
-// ranges (shard of v = v·k/n, so shard boundaries are ascending).
+// ResetRange cuts 0..n−1 into k contiguous, ascending strips whose sizes
+// differ by at most one, clamping k to [1, max(n, 1)].
 func (sh *Shards) ResetRange(n, k int) {
-	sh.setup(n, k)
-	k = sh.k
-	for v := 0; v < n; v++ {
-		sh.owner[v] = int32(v * k / n)
+	if k > n {
+		k = n
 	}
-}
-
-// ResetStrips partitions nodes into k equal-population vertical strips
-// by their x coordinate (ties broken by ID), mirroring the spatial-grid
-// column layout of internal/topology. xs[v] is node v's x position.
-func (sh *Shards) ResetStrips(xs []float64, k int) {
-	n := len(xs)
-	sh.setup(n, k)
-	k = sh.k
-	if cap(sh.idx) < n {
-		sh.idx = make([]int, n)
-	}
-	sh.idx = sh.idx[:n]
-	for v := range sh.idx {
-		sh.idx[v] = v
-	}
-	sort.Slice(sh.idx, func(a, b int) bool {
-		va, vb := sh.idx[a], sh.idx[b]
-		if xs[va] != xs[vb] {
-			return xs[va] < xs[vb]
-		}
-		return va < vb
-	})
-	for r, v := range sh.idx {
-		sh.owner[v] = int32(r * k / n)
-	}
-}
-
-// setup sizes the shard structures for n nodes and k shards, clamping k
-// to [1, n] and reusing prior storage.
-func (sh *Shards) setup(n, k int) {
 	if k < 1 {
 		k = 1
 	}
-	if n > 0 && k > n {
-		k = n
-	}
-	if cap(sh.owner) < n {
-		sh.owner = make([]int32, n)
-	}
-	sh.owner = sh.owner[:n]
-	if k != sh.k || sh.boxes == nil {
-		sh.boxes = make([][][]Mail, k)
-		for s := range sh.boxes {
-			sh.boxes[s] = make([][]Mail, k)
-		}
-		sh.cat = make([][]Mail, k)
-		sh.localN = make([]int, k)
-		sh.emits = make([]func(int, Mail), k)
-		for s := range sh.emits {
-			box := sh.boxes[s]
-			sh.emits[s] = func(dst int, m Mail) {
-				box[dst] = append(box[dst], m)
-			}
-		}
-		sh.k = k
-	}
+	sh.n, sh.k = n, k
 }
 
-// Fanout runs one produce/exchange/consume round. produce(src, emit) is
-// called once per source shard and emits mail toward destination shards;
-// consume(dst, mail) is called once per destination shard with the
-// concatenation of its mailboxes in ascending src order. With workers ≤
-// 1 both phases run on the caller's goroutine (and allocate nothing);
-// otherwise each phase fans out over worker goroutines with a barrier
-// between them. produce must only read shared state and emit; consume
-// must only write state owned by its destination shard. The delivered
-// mail slices are valid until the next Fanout.
-func (sh *Shards) Fanout(workers int, produce func(src int, emit func(dst int, m Mail)), consume func(dst int, mail []Mail)) {
-	k := sh.k
-	if workers > k {
-		workers = k
-	}
-	sh.sFanouts++
-	if workers <= 1 || k <= 1 {
-		// Sequential path, written without closure creation so a warm
-		// Fanout round allocates nothing.
-		for s := 0; s < k; s++ {
-			produce(s, sh.emits[s])
-		}
-		for d := 0; d < k; d++ {
-			consume(d, sh.deliver(d))
-		}
-	} else {
-		sh.each(workers, func(s int) { produce(s, sh.emits[s]) })
-		sh.each(workers, func(d int) { consume(d, sh.deliver(d)) })
-	}
-	for d := 0; d < k; d++ {
-		sh.sMail += int64(len(sh.cat[d]))
-		sh.sCross += int64(len(sh.cat[d]) - sh.localN[d])
-	}
-}
-
-// Each runs f(0..K−1) with the worker-pool/barrier semantics of a single
-// Fanout phase — sequentially on the caller's goroutine when workers ≤ 1
-// — for callers that need a plain sharded pass without a mail exchange
-// (e.g. per-strip initialization between two Fanout rounds).
-func (sh *Shards) Each(workers int, f func(s int)) {
-	k := sh.k
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 || k <= 1 {
-		for s := 0; s < k; s++ {
-			f(s)
-		}
-		return
-	}
-	sh.each(workers, f)
-}
-
-// Range returns the contiguous node interval [lo, hi) owned by shard s
-// under the ResetRange partition (shard of v = v·k/n). It is meaningless
-// after ResetStrips, whose shards are not ID-contiguous.
+// Range returns the interval [lo, hi) of strip s.
 func (sh *Shards) Range(s int) (lo, hi int) {
-	n := len(sh.owner)
-	k := sh.k
+	n, k := sh.n, sh.k
 	return (s*n + k - 1) / k, ((s+1)*n + k - 1) / k
 }
 
-// deliver concatenates destination shard d's mailboxes in ascending src
-// order into the pooled buffer, emptying them for the next round.
-func (sh *Shards) deliver(d int) []Mail {
-	buf := sh.cat[d][:0]
-	sh.localN[d] = len(sh.boxes[d][d])
-	for s := 0; s < sh.k; s++ {
-		buf = append(buf, sh.boxes[s][d]...)
-		sh.boxes[s][d] = sh.boxes[s][d][:0]
-	}
-	sh.cat[d] = buf
-	return buf
-}
-
-// each runs f(0..k−1) on workers goroutines claiming shards from a
-// shared counter (a barrier: returns when all shards are done).
-func (sh *Shards) each(workers int, f func(s int)) {
+// Each runs f(0..K−1) on min(workers, K) goroutines (at least one)
+// claiming strips from a shared counter, and returns when every strip is
+// done. A caller with a single strip calls its strip function directly
+// instead, on its own goroutine and without building a closure for it.
+func (sh *Shards) Each(workers int, f func(s int)) {
 	k := sh.k
+	workers = max(1, min(workers, k))
 	sh.next.Store(0)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -217,13 +60,4 @@ func (sh *Shards) each(workers int, f func(s int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// FoldStats folds the accumulated fan-out statistics into the des.*
-// counters and zeroes them.
-func (sh *Shards) FoldStats() {
-	mFanouts.Add(sh.sFanouts)
-	mMail.Add(sh.sMail)
-	mCross.Add(sh.sCross)
-	sh.sFanouts, sh.sMail, sh.sCross = 0, 0, 0
 }

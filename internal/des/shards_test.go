@@ -1,135 +1,46 @@
 package des
 
 import (
-	"reflect"
+	"sync/atomic"
 	"testing"
-
-	"clustercast/internal/rng"
 )
 
-// fanoutRun pushes a deterministic pseudo-random mail pattern through a
-// Fanout round and returns the per-destination delivered streams.
-func fanoutRun(sh *Shards, n, workers int, seed uint64) [][]Mail {
-	out := make([][]Mail, sh.K())
-	sh.Fanout(workers,
-		func(src int, emit func(int, Mail)) {
-			r := rng.New(seed + uint64(src))
-			for v := 0; v < n; v++ {
-				if sh.Owner(v) != src {
-					continue
-				}
-				for j := 0; j < 1+r.Intn(4); j++ {
-					dst := r.Intn(n)
-					emit(sh.Owner(dst), Mail{Node: int32(dst), Val: int32(v)})
-				}
-			}
-		},
-		func(dst int, mail []Mail) {
-			out[dst] = append([]Mail(nil), mail...)
-		})
-	return out
-}
-
-// TestFanoutWorkerInvariant pins the determinism contract: the delivered
-// mail streams are bit-identical for any worker count, for both
-// partitioners.
-func TestFanoutWorkerInvariant(t *testing.T) {
-	const n = 257
-	xs := make([]float64, n)
-	r := rng.New(42)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	for _, part := range []string{"range", "strips"} {
-		for _, k := range []int{1, 3, 8} {
-			var sh Shards
-			if part == "range" {
-				sh.ResetRange(n, k)
-			} else {
-				sh.ResetStrips(xs, k)
-			}
-			want := fanoutRun(&sh, n, 1, 7)
-			for _, workers := range []int{2, 3, 4, 8} {
-				got := fanoutRun(&sh, n, workers, 7)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s k=%d: workers=%d delivered different mail than workers=1", part, k, workers)
-				}
-			}
-			sh.FoldStats()
-		}
-	}
-}
-
-// TestShardPartitions sanity-checks both partitioners: every node owned,
-// range shards contiguous and ascending, strip shards ascending in x
-// rank and balanced within one node.
+// TestShardPartitions pins the strip partition: for every (n, k) the
+// strips are contiguous and ascending, cover 0..n−1, and differ in size by
+// at most one; Each visits every strip exactly once for any worker count.
 func TestShardPartitions(t *testing.T) {
-	const n, k = 100, 7
 	var sh Shards
-	sh.ResetRange(n, k)
-	prev := 0
-	counts := make([]int, k)
-	for v := 0; v < n; v++ {
-		o := sh.Owner(v)
-		if o < prev || o >= k {
-			t.Fatalf("range owner(%d) = %d, prev %d", v, o, prev)
-		}
-		prev = o
-		counts[o]++
-	}
-	for s, c := range counts {
-		if c < n/k || c > n/k+1 {
-			t.Fatalf("range shard %d holds %d nodes, want %d..%d", s, c, n/k, n/k+1)
-		}
-	}
-
-	xs := make([]float64, n)
-	r := rng.New(3)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	sh.ResetStrips(xs, k)
-	counts = make([]int, k)
-	for v := 0; v < n; v++ {
-		counts[sh.Owner(v)]++
-	}
-	for s, c := range counts {
-		if c < n/k || c > n/k+1 {
-			t.Fatalf("strip shard %d holds %d nodes, want %d..%d", s, c, n/k, n/k+1)
-		}
-	}
-	// Strips respect x order: max x of shard s ≤ min x of shard s+1
-	// (ties broken by ID make strict violation impossible).
-	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if xs[v] < xs[u] && sh.Owner(v) > sh.Owner(u) {
-				t.Fatalf("strip order violated: x[%d]=%g in shard %d, x[%d]=%g in shard %d",
-					v, xs[v], sh.Owner(v), u, xs[u], sh.Owner(u))
+	for _, n := range []int{0, 1, 7, 100, 257} {
+		for _, k := range []int{-1, 0, 1, 3, 7, 8, 300} {
+			sh.ResetRange(n, k)
+			want := min(max(k, 1), max(n, 1))
+			if sh.K() != want {
+				t.Fatalf("n=%d k=%d: K() = %d, want %d", n, k, sh.K(), want)
+			}
+			next, small, large := 0, n, 0
+			for s := 0; s < sh.K(); s++ {
+				lo, hi := sh.Range(s)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d k=%d: strip %d = [%d, %d), want to start at %d", n, k, s, lo, hi, next)
+				}
+				next = hi
+				small, large = min(small, hi-lo), max(large, hi-lo)
+			}
+			if next != n {
+				t.Fatalf("n=%d k=%d: strips end at %d, want %d", n, k, next, n)
+			}
+			if large-small > 1 {
+				t.Fatalf("n=%d k=%d: strip sizes range %d..%d", n, k, small, large)
+			}
+			for _, workers := range []int{0, 1, 3, 8} {
+				visits := make([]atomic.Int32, sh.K())
+				sh.Each(workers, func(s int) { visits[s].Add(1) })
+				for s := range visits {
+					if c := visits[s].Load(); c != 1 {
+						t.Fatalf("n=%d k=%d workers=%d: strip %d ran %d times", n, k, workers, s, c)
+					}
+				}
 			}
 		}
 	}
-}
-
-// TestFanoutSequentialAllocs pins that the workers≤1 path allocates
-// nothing once mailboxes are warm (the event engines' sequential
-// sharded path must stay on the zero-alloc budget).
-func TestFanoutSequentialAllocs(t *testing.T) {
-	const n, k = 64, 4
-	var sh Shards
-	sh.ResetRange(n, k)
-	produce := func(src int, emit func(int, Mail)) {
-		for v := src; v < n; v += k {
-			emit(sh.Owner((v*7)%n), Mail{Node: int32((v * 7) % n), Val: int32(v)})
-		}
-	}
-	consume := func(dst int, mail []Mail) {
-		for range mail {
-		}
-	}
-	round := func() { sh.Fanout(1, produce, consume) }
-	round()
-	if avg := testing.AllocsPerRun(50, round); avg != 0 {
-		t.Fatalf("sequential Fanout allocates %.1f/round, want 0", avg)
-	}
-	sh.FoldStats()
 }

@@ -91,14 +91,11 @@ type Protocol struct {
 	packets []*packet
 	pcur    int
 
-	// Parallel per-clusterhead coverage assembly (initWorkers > 1): the
-	// head-strip partitioner and one assembly scratch per worker. Each
-	// head's Coverage is assembled into its own covArena slot by exactly
-	// one worker, so the arena contents are identical to the sequential
-	// loop's for any worker count.
-	initWorkers int
-	sh          des.Shards
-	scrs        []coverage.AsmScratch
+	// The head strips of init, with one assembly scratch each. Each head's
+	// Coverage is assembled into its own covArena slot by exactly one
+	// strip, so the arena contents do not depend on the strip count.
+	sh   des.Shards
+	scrs []coverage.AsmScratch
 }
 
 var _ broadcast.Protocol = (*Protocol)(nil)
@@ -112,13 +109,14 @@ func New(g *graph.Graph, cl *cluster.Clustering, mode coverage.Mode) *Protocol {
 // NewFrom builds the protocol reusing an existing coverage builder.
 func NewFrom(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering) *Protocol {
 	p := &Protocol{sel: backbone.NewWorkspace()}
-	p.init(b, g, cl)
+	p.init(b, g, cl, 1)
 	return p
 }
 
 // init (re)points the protocol at a clustered network, computing the
-// per-head coverage sets into the reused arena.
-func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering) {
+// per-head coverage sets into the reused arena over the given number of
+// head strips (one when ≤ 1).
+func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering, workers int) {
 	p.g, p.cl, p.b = g, cl, b
 	n := g.N()
 	if cap(p.covArena) < len(cl.Heads) {
@@ -132,30 +130,26 @@ func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Cluster
 	for i := range p.covByNode {
 		p.covByNode[i] = nil
 	}
-	if p.initWorkers > 1 {
-		p.sh.ResetRange(len(cl.Heads), p.initWorkers)
-		k := p.sh.K()
-		if cap(p.scrs) < k {
-			p.scrs = make([]coverage.AsmScratch, k)
-		}
-		p.scrs = p.scrs[:k]
-		sh := &p.sh
-		sh.Each(p.initWorkers, func(s int) {
-			scr := &p.scrs[s]
-			lo, hi := sh.Range(s)
-			for i := lo; i < hi; i++ {
-				h := cl.Heads[i]
-				c := &p.covArena[i]
-				b.OfScratch(h, c, scr)
-				p.covByNode[h] = c // distinct h per head index: single writer
-			}
-		})
-		return
+	p.sh.ResetRange(len(cl.Heads), workers)
+	for len(p.scrs) < p.sh.K() {
+		p.scrs = append(p.scrs, coverage.AsmScratch{})
 	}
-	for i, h := range cl.Heads {
+	if p.sh.K() == 1 {
+		p.initStrip(0)
+	} else {
+		p.sh.Each(workers, p.initStrip)
+	}
+}
+
+// initStrip assembles the full coverage sets of head strip s.
+func (p *Protocol) initStrip(s int) {
+	lo, hi := p.sh.Range(s)
+	scr := &p.scrs[s]
+	for i := lo; i < hi; i++ {
+		h := p.cl.Heads[i]
 		c := &p.covArena[i]
-		b.OfReuse(h, c)
-		p.covByNode[h] = c
+		p.b.OfScratch(h, c, scr)
+		p.covByNode[h] = c // distinct h per head index: single writer
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // arenas, so a worker can rebuild the dynamic-backbone protocol for a new
 // network every replicate without allocating in steady state.
 type Workspace struct {
-	// BuildWorkers shards the coverage digest inside NewWith over this many
-	// goroutines when > 0 (through coverage.Builder.ResetParallel, which is
-	// bit-identical to Reset for any worker count). Zero keeps the
-	// reference sequential digest.
+	// BuildWorkers cuts NewWith's coverage digest and per-clusterhead
+	// coverage assembly into this many strips, run on as many goroutines
+	// (one strip, on the caller's goroutine, when ≤ 1). The protocol is
+	// bit-identical for any value.
 	BuildWorkers int
 
 	builder coverage.Builder
@@ -34,12 +34,7 @@ func NewWorkspace() *Workspace {
 // returned protocol — and any result derived from a prior one — is valid
 // only until the next NewWith call on the same workspace.
 func (ws *Workspace) NewWith(g *graph.Graph, cl *cluster.Clustering, mode coverage.Mode) *Protocol {
-	if ws.BuildWorkers > 0 {
-		ws.builder.ResetParallel(g, cl, mode, ws.BuildWorkers)
-	} else {
-		ws.builder.Reset(g, cl, mode)
-	}
-	ws.proto.initWorkers = ws.BuildWorkers
-	ws.proto.init(&ws.builder, g, cl)
+	ws.builder.ResetParallel(g, cl, mode, ws.BuildWorkers)
+	ws.proto.init(&ws.builder, g, cl, ws.BuildWorkers)
 	return &ws.proto
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // TestBuildWorkersBitIdentical pins the -buildworkers contract at the
-// experiment layer: routing every sharded construction stage (unit-disk
-// sweep, coverage digest, dynamic-backbone init) through the sharded paths
-// changes no estimator's numbers — means, CIs and replicate counts are
-// equal to the sequential reference point for point.
+// experiment layer: cutting every construction layer (unit-disk sweep,
+// coverage digest, gateway and MO_CDS selection, dynamic-backbone init)
+// into more strips changes no estimator's numbers — means, CIs and
+// replicate counts are equal to the default one-strip run point for
+// point.
 func TestBuildWorkersBitIdentical(t *testing.T) {
 	ests := []struct {
 		name string

@@ -187,21 +187,22 @@ func SetParallelism(n int) {
 }
 
 // buildWorkers holds the configured construction-stage worker count: how
-// many goroutines the per-replicate pipeline stages (unit-disk sweep,
-// coverage digest, dynamic-backbone init) shard over. 0 — the default —
-// keeps the sequential reference paths. Every sharded path is
-// bit-identical to its reference for any worker count, so this knob only
-// moves wall clock, never results.
+// many strips, run on as many goroutines, each per-replicate construction
+// layer (unit-disk sweep, coverage digest, gateway selection, MO_CDS
+// selection, dynamic-backbone init) is cut into. Every layer has one
+// implementation whose result is bit-identical for any strip count, so
+// this knob only moves wall clock, never results.
 var buildWorkers atomic.Int64
 
 // BuildWorkers returns the configured construction-stage worker count
-// (0 = sequential reference paths).
+// (0 when unset).
 func BuildWorkers() int { return int(buildWorkers.Load()) }
 
-// SetBuildWorkers configures how many goroutines the construction stages
-// shard over; n <= 0 restores the sequential default. Like
-// SetParallelism, runs snapshot the value when they touch it, so
-// concurrent changes never tear a replicate.
+// SetBuildWorkers configures how many strips the construction layers are
+// cut into; 0 and 1 both mean one strip on the replicate's own goroutine,
+// and n < 0 restores the default 0. Like SetParallelism, runs snapshot
+// the value when they touch it, so concurrent changes never tear a
+// replicate.
 func SetBuildWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -214,20 +215,13 @@ func SetBuildWorkers(n int) {
 // engines; it stays so existing callers compile.
 func SetDES(bool) {}
 
-// effectiveBuildWorkers is the goroutine count construction stages
-// actually use: the configured value clamped to GOMAXPROCS — goroutines
-// beyond the core count cannot help a CPU-bound shard and only add
-// handoff overhead, and bit-identity makes the clamp invisible in the
-// results. 0 means the knob is off.
+// effectiveBuildWorkers is the strip count construction layers actually
+// use: the configured value clamped to GOMAXPROCS — goroutines beyond the
+// core count cannot help a CPU-bound strip and only add handoff overhead,
+// and bit-identity makes the clamp invisible in the results. 0 (unset)
+// means one strip, like 1.
 func effectiveBuildWorkers() int {
-	w := int(buildWorkers.Load())
-	if w <= 0 {
-		return 0
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	return w
+	return min(int(buildWorkers.Load()), runtime.GOMAXPROCS(0))
 }
 
 // ForEachPoint runs fn(0..n-1) across the worker pool and waits for all

@@ -70,11 +70,14 @@ func (sc Scenario) SampleWS(ws *Workspace, label string, rep int) (*topology.Net
 		defer ws.Clock.Observe("sample", time.Now())
 	}
 	ws.rng.SeedLabeled(sc.Seed^uint64(rep)*0x9E3779B97F4A7C15, label)
-	// Propagate the construction knob to the stages with their own builders.
-	// Every sharded path is bit-identical to its sequential reference, so
-	// the sample (and everything derived from it) does not depend on this.
+	// Hand the strip count to the layers with their own workspaces (Digest
+	// reads it itself). Every layer's result is bit-identical for any strip
+	// count, so the sample and everything derived from it do not depend
+	// on this.
 	bw := effectiveBuildWorkers()
 	ws.Topo.BuildWorkers = bw
+	ws.Backbone.BuildWorkers = bw
+	ws.MOCDS.BuildWorkers = bw
 	ws.Dynamic.BuildWorkers = bw
 	nw, err := topology.GenerateWith(topology.Config{
 		N: sc.N, Bounds: sc.Bounds, AvgDegree: sc.AvgDegree,
@@ -159,18 +162,11 @@ func (ws *Workspace) Elect(g *graph.Graph) *cluster.Clustering {
 	return ws.Cluster.LowestID(g)
 }
 
-// Digest re-digests the workspace coverage builder through the configured
-// construction path. With the knob on it always takes ResetParallel —
-// its restructured CH_HOP2 pass (dedupe-before-sort, dense-index probes)
-// is faster than Reset even at one worker — and shards it across the
-// effective worker count; knob off keeps the golden-reference Reset.
-// Either way the published digests are bit-identical.
+// Digest re-digests the workspace coverage builder, cut into the
+// -buildworkers strip count (one strip for 0 or 1). The digest is
+// bit-identical for any strip count.
 func (ws *Workspace) Digest(g *graph.Graph, cl *cluster.Clustering, mode coverage.Mode) {
-	if w := effectiveBuildWorkers(); w > 0 {
-		ws.Builder.ResetParallel(g, cl, mode, w)
-		return
-	}
-	ws.Builder.Reset(g, cl, mode)
+	ws.Builder.ResetParallel(g, cl, mode, effectiveBuildWorkers())
 }
 
 // clusteredSampleWS draws a topology and its lowest-ID clustering over the

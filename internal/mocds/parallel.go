@@ -1,116 +1,34 @@
 package mocds
 
 import (
-	"sync"
-
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/graph"
 )
 
-// ParallelWorkspace owns the per-worker scratch of a sharded MO_CDS
-// construction, mirroring backbone.ParallelWorkspace: each worker folds the
-// connector selections of its share of the clusterheads with private
-// scratch, and the shards are OR-merged afterwards.
+// ParallelWorkspace is a Workspace that takes its worker count per call.
+//
+// Deprecated: set Workspace.BuildWorkers instead.
 type ParallelWorkspace struct {
-	workers []parWorker
-	nodes   graph.Bitset
+	ws Workspace
 }
 
-// parWorker is one shard's private state: coverage assembly scratch, the
-// coverage value refilled per head, the epoch-stamped seen arrays of the
-// first-sighting fold, and the bitset accumulating its selections.
-type parWorker struct {
-	asm   coverage.AsmScratch
-	cov   coverage.Coverage
-	seen2 []uint32
-	seen3 []uint32
-	epoch uint32
-	nodes graph.Bitset
-}
-
-// NewParallelWorkspace returns an empty workspace; per-worker buffers grow
-// on first use.
+// NewParallelWorkspace returns an empty workspace.
+//
+// Deprecated: use NewWorkspace.
 func NewParallelWorkspace() *ParallelWorkspace { return &ParallelWorkspace{} }
 
 // SizeFrom is NodesFrom(...).Count().
+//
+// Deprecated: use Workspace.SizeFrom.
 func (pw *ParallelWorkspace) SizeFrom(b *coverage.Builder, cl *cluster.Clustering, workers int) int {
 	return pw.NodesFrom(b, cl, workers).Count()
 }
 
-// NodesFrom computes exactly Workspace.NodesFrom(b, cl) — the MO_CDS
-// membership — sharding the per-clusterhead connector folds across the
-// given number of goroutines. Heads are assigned round-robin; each head's
-// fold depends only on its own coverage set (first sighting per clusterhead
-// within one head's ascending connector scan), so the shard partition cannot
-// change any selection and the OR-merged union is bit-identical to the
-// sequential path for any worker count.
+// NodesFrom runs Workspace.NodesFrom with BuildWorkers = workers.
 //
-// The returned bitset is owned by the workspace and valid until the next
-// call.
+// Deprecated: use Workspace.NodesFrom.
 func (pw *ParallelWorkspace) NodesFrom(b *coverage.Builder, cl *cluster.Clustering, workers int) *graph.Bitset {
-	if b.Mode() != coverage.Hop3 {
-		panic("mocds: MO_CDS requires a 3-hop coverage builder")
-	}
-	n := b.N()
-	heads := cl.Heads
-	if workers > len(heads) {
-		workers = len(heads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(pw.workers) < workers {
-		pw.workers = append(pw.workers, parWorker{})
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		w := &pw.workers[k]
-		w.nodes.Reset(n)
-		if cap(w.seen2) < n {
-			w.seen2 = make([]uint32, n)
-			w.seen3 = make([]uint32, n)
-			w.epoch = 0
-		}
-		w.seen2 = w.seen2[:n]
-		w.seen3 = w.seen3[:n]
-		wg.Add(1)
-		go func(k int, w *parWorker) {
-			defer wg.Done()
-			for i := k; i < len(heads); i += workers {
-				h := heads[i]
-				w.nodes.Add(h)
-				w.epoch++
-				if w.epoch == 0 { // wrapped: stale marks could collide, start over
-					clear(w.seen2)
-					clear(w.seen3)
-					w.epoch = 1
-				}
-				ep := w.epoch
-				cov := b.OfScratch(h, &w.cov, &w.asm)
-				for ci := range cov.Conns {
-					cn := &cov.Conns[ci]
-					for _, x := range cn.Direct {
-						if w.seen2[x] != ep {
-							w.seen2[x] = ep
-							w.nodes.Add(cn.V)
-						}
-					}
-					for _, e := range cn.Indirect {
-						if w.seen3[e.W] != ep {
-							w.seen3[e.W] = ep
-							w.nodes.Add(cn.V)
-							w.nodes.Add(e.R)
-						}
-					}
-				}
-			}
-		}(k, w)
-	}
-	wg.Wait()
-	pw.nodes.Reset(n)
-	for k := 0; k < workers; k++ {
-		pw.nodes.Or(&pw.workers[k].nodes)
-	}
-	return &pw.nodes
+	pw.ws.BuildWorkers = workers
+	return pw.ws.NodesFrom(b, cl)
 }

@@ -3,6 +3,7 @@ package mocds
 import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
+	"clustercast/internal/des"
 	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 )
@@ -16,10 +17,33 @@ var (
 // Workspace owns the scratch one MO_CDS size computation needs, so a
 // worker can evaluate the baseline across replicates without allocating.
 type Workspace struct {
-	nodes graph.Bitset
+	// BuildWorkers cuts NodesFrom's per-clusterhead connector folds into
+	// this many contiguous head strips, run on as many goroutines (one
+	// strip, on the caller's goroutine, when ≤ 1). Each head's fold
+	// depends only on its own coverage set, so the CDS is bit-identical
+	// for any value.
+	BuildWorkers int
+
+	sh     des.Shards
+	strips []foldStrip
+	nodes  graph.Bitset
+
+	// The inputs of the NodesFrom call in progress, read by its strips.
+	b  *coverage.Builder
+	cl *cluster.Clustering
+}
+
+// foldStrip is one head strip's private state: coverage assembly scratch,
+// the coverage value refilled per head, the epoch-stamped seen arrays of
+// the first-sighting fold, and the bitset accumulating its selections
+// (strip 0 accumulates into the workspace's own).
+type foldStrip struct {
+	asm   coverage.AsmScratch
+	cov   coverage.Coverage
 	seen2 []uint32 // epoch-stamped: 2-hop clusterhead already connected
 	seen3 []uint32 // epoch-stamped: 3-hop clusterhead already connected
 	epoch uint32
+	nodes graph.Bitset
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -43,45 +67,68 @@ func (ws *Workspace) NodesFrom(b *coverage.Builder, cl *cluster.Clustering) *gra
 	if b.Mode() != coverage.Hop3 {
 		panic("mocds: MO_CDS requires a 3-hop coverage builder")
 	}
-	n := b.N()
-	ws.nodes.Reset(n)
-	if cap(ws.seen2) < n {
-		ws.seen2 = make([]uint32, n)
-		ws.seen3 = make([]uint32, n)
-		ws.epoch = 0
+	ws.b, ws.cl = b, cl
+	ws.sh.ResetRange(len(cl.Heads), ws.BuildWorkers)
+	k := ws.sh.K()
+	for len(ws.strips) < k {
+		ws.strips = append(ws.strips, foldStrip{})
 	}
-	ws.seen2 = ws.seen2[:n]
-	ws.seen3 = ws.seen3[:n]
-	for _, h := range cl.Heads {
-		ws.nodes.Add(h)
-		ws.epoch++
-		if ws.epoch == 0 { // wrapped: stale marks could collide, start over
-			clear(ws.seen2)
-			clear(ws.seen3)
-			ws.epoch = 1
-		}
-		ep := ws.epoch
-		cov := b.OfShared(h)
-		for ci := range cov.Conns {
-			cn := &cov.Conns[ci]
-			for _, w := range cn.Direct {
-				if ws.seen2[w] != ep {
-					ws.seen2[w] = ep
-					ws.nodes.Add(cn.V)
-				}
-			}
-			for _, e := range cn.Indirect {
-				if ws.seen3[e.W] != ep {
-					ws.seen3[e.W] = ep
-					ws.nodes.Add(cn.V)
-					ws.nodes.Add(e.R)
-				}
-			}
-		}
+	if k == 1 {
+		ws.foldStrip(0)
+	} else {
+		ws.sh.Each(ws.BuildWorkers, ws.foldStrip)
+	}
+	for s := 1; s < k; s++ {
+		ws.nodes.Or(&ws.strips[s].nodes)
 	}
 	if obs.Enabled() {
 		mBuilds.Inc()
 		mNodes.Add(int64(ws.nodes.Count()))
 	}
 	return &ws.nodes
+}
+
+// foldStrip folds the connector selections of head strip s.
+func (ws *Workspace) foldStrip(s int) {
+	st := &ws.strips[s]
+	nodes := &st.nodes
+	if s == 0 {
+		nodes = &ws.nodes
+	}
+	n := ws.b.N()
+	nodes.Reset(n)
+	if cap(st.seen2) < n {
+		st.seen2 = make([]uint32, n)
+		st.seen3 = make([]uint32, n)
+		st.epoch = 0
+	}
+	seen2, seen3 := st.seen2[:n], st.seen3[:n]
+	lo, hi := ws.sh.Range(s)
+	for _, h := range ws.cl.Heads[lo:hi] {
+		nodes.Add(h)
+		st.epoch++
+		if st.epoch == 0 { // wrapped: stale marks could collide, start over
+			clear(st.seen2[:cap(st.seen2)])
+			clear(st.seen3[:cap(st.seen3)])
+			st.epoch = 1
+		}
+		ep := st.epoch
+		cov := ws.b.OfScratch(h, &st.cov, &st.asm)
+		for ci := range cov.Conns {
+			cn := &cov.Conns[ci]
+			for _, w := range cn.Direct {
+				if seen2[w] != ep {
+					seen2[w] = ep
+					nodes.Add(cn.V)
+				}
+			}
+			for _, e := range cn.Indirect {
+				if seen3[e.W] != ep {
+					seen3[e.W] = ep
+					nodes.Add(cn.V)
+					nodes.Add(e.R)
+				}
+			}
+		}
+	}
 }
