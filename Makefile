@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -94,6 +94,23 @@ bench:
 # Regenerate the paper's figures (CSV + markdown under figures/).
 figures:
 	$(GO) run ./cmd/figures
+
+# Group-sweep worker invariance at the CLI: the paper's figures plus the
+# msg and collision ablations, whose same-label series share one replicate
+# loop, under the quick rule at -workers 1 and -workers 4. Every CSV must
+# be byte-identical between the two runs. Output lands in
+# artifacts/figures-smoke.
+FIGURES_SMOKE := fig6a fig6b fig7a fig7b fig8a fig8b msg collision
+figures-smoke:
+	rm -rf artifacts/figures-smoke
+	for w in 1 4; do \
+		$(GO) run ./cmd/figures -fig 6a,6b,7a,7b,8a,8b,msg,collision -quick -format csv \
+			-workers $$w -out artifacts/figures-smoke/w$$w > /dev/null || exit 1; \
+	done
+	for id in $(FIGURES_SMOKE); do \
+		cmp artifacts/figures-smoke/w1/$$id.csv artifacts/figures-smoke/w4/$$id.csv || \
+			{ echo "figures-smoke: $$id.csv differs between -workers 1 and 4" >&2; exit 1; }; \
+	done
 
 # Observability smoke: record a traced dynamic-backbone broadcast with its
 # run manifest, then replay the trace through the inspector (which

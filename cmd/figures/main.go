@@ -123,10 +123,35 @@ func runners(cfg config, rule stats.StopRule, ns []int) map[string]func() *exper
 	}
 }
 
+// renderers print one figure to stdout in each -format.
+var renderers = map[string]func(w io.Writer, f *experiment.Figure) error{
+	"csv": func(w io.Writer, f *experiment.Figure) error {
+		_, err := fmt.Fprintf(w, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
+		return err
+	},
+	"md": func(w io.Writer, f *experiment.Figure) error {
+		_, err := fmt.Fprintln(w, f.Markdown())
+		return err
+	},
+	"chart": func(w io.Writer, f *experiment.Figure) error {
+		_, err := fmt.Fprintln(w, f.ASCIIChart(16))
+		return err
+	},
+	"json": func(w io.Writer, f *experiment.Figure) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(f)
+	},
+}
+
 // run executes the command against the given writers; exit-worthy problems
 // come back as errors, diagnostics (missing-point causes) go to stderr. The
 // named return lets the deferred telemetry shutdown surface its error.
 func run(cfg config, stdout, stderr io.Writer) (retErr error) {
+	render, ok := renderers[cfg.format]
+	if !ok {
+		return fmt.Errorf("unknown format %q", cfg.format)
+	}
 	if cfg.outDir != "" {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
 			return err
@@ -209,21 +234,8 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 				manifest.AddOutput(path)
 			}
 		}
-		switch cfg.format {
-		case "csv":
-			fmt.Fprintf(stdout, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
-		case "md":
-			fmt.Fprintln(stdout, f.Markdown())
-		case "chart":
-			fmt.Fprintln(stdout, f.ASCIIChart(16))
-		case "json":
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", " ")
-			if err := enc.Encode(f); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown format %q", cfg.format)
+		if err := render(stdout, f); err != nil {
+			return err
 		}
 	}
 	if manifest != nil {

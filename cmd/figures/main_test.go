@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,11 +62,25 @@ func TestRunUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFormat: a bad -format is rejected before any figure runs,
+// so an -out directory is left without CSVs or a manifest.
 func TestRunUnknownFormat(t *testing.T) {
+	dir := t.TempDir()
 	cfg := quickCfg()
 	cfg.format = "yaml"
+	cfg.outDir = dir
 	if err := run(cfg, &bytes.Buffer{}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("want unknown-format error, got %v", err)
+	}
+	csvs, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(csvs) != 0 {
+		t.Errorf("rejected run wrote CSVs: %v", csvs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("rejected run left a manifest (stat: %v)", err)
 	}
 }
 

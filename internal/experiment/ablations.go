@@ -61,45 +61,33 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 
 // MessageComplexity reproduces the §4 message-optimality claim: total
 // construction messages of the distributed protocol versus network size
-// (ABL-MSG). Linearity shows as a flat messages-per-node curve.
+// (ABL-MSG). Linearity shows as a flat messages-per-node curve. Every
+// series reads the same replicate's wire-protocol run, so the five run as
+// one group and the protocol runs once per replicate.
 func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	total := func(sc Scenario, rep int) (float64, bool) {
+	wire := func(_ *Workspace, sc Scenario, rep int) (*sim.Counters, bool) {
 		nw, _, ok := sc.Sample("msg", rep)
 		if !ok {
-			return 0, false
+			return nil, false
 		}
-		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Total()), true
+		return &sim.Run(nw.G, coverage.Hop25).Counters, true
 	}
-	perNode := func(sc Scenario, rep int) (float64, bool) {
-		v, ok := total(sc, rep)
-		if !ok {
-			return 0, false
-		}
-		return v / float64(sc.N), true
+	total := func(_ *Workspace, _ Scenario, c *sim.Counters) (float64, bool) {
+		return float64(c.Total()), true
 	}
-	rounds := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		return float64(sim.Run(nw.G, coverage.Hop25).Counters.Rounds), true
+	perNode := func(_ *Workspace, sc Scenario, c *sim.Counters) (float64, bool) {
+		return float64(c.Total()) / float64(sc.N), true
 	}
-	meanActive := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		return sim.Run(nw.G, coverage.Hop25).Counters.MeanActive(), true
+	rounds := func(_ *Workspace, _ Scenario, c *sim.Counters) (float64, bool) {
+		return float64(c.Rounds), true
+	}
+	meanActive := func(_ *Workspace, _ Scenario, c *sim.Counters) (float64, bool) {
+		return c.MeanActive(), true
 	}
 	// idleFraction is the share of per-round node scans a round-synchronous
 	// simulator wastes on silent nodes (1 − active/n, averaged over rounds):
 	// the measured quantity behind the event-driven core's savings.
-	idleFraction := func(sc Scenario, rep int) (float64, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
-		if !ok {
-			return 0, false
-		}
-		c := sim.Run(nw.G, coverage.Hop25).Counters
+	idleFraction := func(_ *Workspace, sc Scenario, c *sim.Counters) (float64, bool) {
 		if len(c.ActivePerRound) == 0 {
 			return 0, false
 		}
@@ -113,13 +101,10 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 		ID:     "msg",
 		Title:  fmt.Sprintf("Distributed construction cost (d=%g)", d),
 		XLabel: "n", YLabel: "messages",
-		Series: []Series{
-			sweep("total-messages", ns, d, seed, rule, total),
-			sweep("messages-per-node", ns, d, seed, rule, perNode),
-			sweep("rounds", ns, d, seed, rule, rounds),
-			sweep("mean-active-per-round", ns, d, seed, rule, meanActive),
-			sweep("idle-fraction", ns, d, seed, rule, idleFraction),
-		},
+		Series: sweepGroup(
+			[]string{"total-messages", "messages-per-node", "rounds", "mean-active-per-round", "idle-fraction"},
+			sizes(ns, d, seed, rule),
+			shared(wire, total, perNode, rounds, meanActive, idleFraction)),
 	}
 }
 

@@ -232,47 +232,40 @@ func Hierarchy(ns []int, d float64, levels int, seed uint64, rule stats.StopRule
 // the slotted collision model (simultaneous transmissions destroy each
 // other at common receivers; forwarders jitter within a contention
 // window). Delivery ratio versus density shows the storm collapse of
-// flooding and the backbones' resilience. ABL-COLLISION.
+// flooding and the backbones' resilience. ABL-COLLISION. The three
+// protocols broadcast from the same replicate's network, clustering and
+// source, so they run as one group.
 func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, run func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult) Series {
-		s := Series{Name: name, Points: make([]Point, len(degrees))}
-		ForEachPoint(len(degrees), func(i int) {
-			deg := degrees[i]
-			sc := DefaultScenario(n, deg, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("collision-%g", deg), rep)
-				if !ok {
-					return 0, false
-				}
-				opt := broadcast.MACOptions{Jitter: jitterWindow, Seed: sc.Seed ^ uint64(rep)}
-				res := run(nw, cl, r.source(nw.N()), opt)
-				return res.DeliveryRatio(nw.N()), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: deg}
-				return
-			}
-			s.Points[i] = Point{X: deg, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+	pts := make([]point, len(degrees))
+	for i, deg := range degrees {
+		sc := DefaultScenario(n, deg, seed)
+		sc.Rule = rule
+		pts[i] = point{sc, deg}
+	}
+	sample := func(_ *Workspace, sc Scenario, rep int) (draw, bool) {
+		nw, r, ok := sc.Sample(fmt.Sprintf("collision-%g", sc.AvgDegree), rep)
+		if !ok {
+			return draw{}, false
+		}
+		return draw{nw: nw, cl: cluster.LowestID(nw.G), src: r.Intn(nw.N()), rep: rep}, true
+	}
+	mac := func(proto func(d draw) broadcast.Protocol) func(*Workspace, Scenario, draw) (float64, bool) {
+		return func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+			opt := broadcast.MACOptions{Jitter: jitterWindow, Seed: sc.Seed ^ uint64(d.rep)}
+			return broadcast.RunMAC(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
+		}
 	}
 	return &Figure{
 		ID:     "collision",
 		Title:  fmt.Sprintf("Delivery under MAC collisions (n=%d, jitter window %d)", n, jitterWindow),
 		XLabel: "avg degree", YLabel: "delivery ratio",
-		Series: []Series{
-			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return broadcast.RunMAC(nw.G, src, broadcast.Flooding{}, opt)
+		Series: sweepGroup([]string{"flooding", "static-2.5hop", "dynamic-2.5hop"}, pts, shared(sample,
+			mac(func(draw) broadcast.Protocol { return broadcast.Flooding{} }),
+			mac(func(d draw) broadcast.Protocol {
+				return broadcast.StaticCDS{Set: backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Nodes}
 			}),
-			mk("static-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return broadcast.RunMAC(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
-			}),
-			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.MACOptions) *broadcast.CollisionResult {
-				return broadcast.RunMAC(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
-			}),
-		},
+			mac(func(d draw) broadcast.Protocol { return dynamicb.New(d.nw.G, d.cl, coverage.Hop25) }),
+		)),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"clustercast/internal/coverage"
 	"clustercast/internal/graph"
+	"clustercast/internal/stats"
 )
 
 // TestScratchConcurrentForEachPoint exercises graph.Scratch growth and the
@@ -90,6 +91,14 @@ func allocsSteadyState(t *testing.T, est WSEstimator, sc Scenario) float64 {
 // deliberately tight — they are the point of PR 2.
 func TestReplicateHotPathAllocs(t *testing.T) {
 	sc := DefaultScenario(60, 6, 77)
+	// Figure 6's static pair as one group: one sample, two digests and
+	// selections per replicate.
+	group := shared(sampledWS("fig6-static"), staticSize(coverage.Hop25), staticSize(coverage.Hop3))
+	active, out := []bool{true, true}, make([]stats.Obs, 2)
+	staticGroup := func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
+		group(ws, sc, rep, active, out)
+		return out[0].X + out[1].X, out[0].OK && out[1].OK
+	}
 	cases := []struct {
 		name string
 		est  WSEstimator
@@ -98,6 +107,7 @@ func TestReplicateHotPathAllocs(t *testing.T) {
 		{"static-size-2.5hop", StaticSizeEstimatorWS(coverage.Hop25), 0},
 		{"static-size-3hop", StaticSizeEstimatorWS(coverage.Hop3), 0},
 		{"mocds-size", MOCDSSizeEstimatorWS(), 0},
+		{"static-size-group", staticGroup, 0},
 		// The broadcast estimators still build a per-run Result whose maps
 		// scale with n (~2.2 objects/node at n=60). Bound them at 3n: loose
 		// enough for map-resize noise, tight enough that falling back to the

@@ -62,6 +62,7 @@ func BatchSweepPoint(sc Scenario, workers int, x float64, label string, spec fun
 		slots = 1
 	}
 	wss := make([]*Workspace, slots)
+	sample := sampledWS(label)
 	sum, err := stats.ReplicateBatch(sc.Rule, workers, func(worker, batch int) stats.BatchObs {
 		var o stats.BatchObs
 		ws := wss[worker]
@@ -69,12 +70,11 @@ func BatchSweepPoint(sc Scenario, workers int, x float64, label string, spec fun
 			ws = wsPool.Get().(*Workspace)
 			wss[worker] = ws
 		}
-		nw, cl, r, ok := clusteredSampleWS(ws, sc, label, batch)
+		d, ok := sample(ws, sc, batch)
 		if !ok {
 			return o // every lane of the batch shares the discarded sample
 		}
-		src := r.Intn(nw.N())
-		k := kernel(ws, nw, cl, src, batch)
+		k := kernel(ws, d.nw, d.cl, d.src, batch)
 		if k == nil {
 			return o
 		}
@@ -82,8 +82,8 @@ func BatchSweepPoint(sc Scenario, workers int, x float64, label string, spec fun
 		if sp := spec(batch); sp.Enabled() {
 			opt.Chains = faults.NewChainBatch(sp)
 		}
-		res := ws.Batch.Run(nw.G, src, k, opt)
-		n := nw.N()
+		res := ws.Batch.Run(d.nw.G, d.src, k, opt)
+		n := d.nw.N()
 		for l := range o.X {
 			o.X[l] = res.DeliveryRatio(l, n)
 			o.OK[l] = true

@@ -84,18 +84,17 @@ func TestBatchSweepPointMatchesScalarLanes(t *testing.T) {
 				ws := NewWorkspace()
 				want, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
 					batch, lane := rep/64, rep%64
-					nw, cl, r, ok := clusteredSampleWS(ws, sc, label, batch)
+					d, ok := sampledWS(label)(ws, sc, batch)
 					if !ok {
 						return 0, false
 					}
-					src := r.Intn(nw.N())
-					proto := k.kernel(ws, nw, cl, src, batch).Lane(lane)
+					proto := k.kernel(ws, d.nw, d.cl, d.src, batch).Lane(lane)
 					var opt broadcast.Options
 					if s := spec(batch); s.Enabled() {
 						opt.Faults = faults.LaneModel{Batch: faults.NewChainBatch(s), Lane: lane}
 					}
-					res := broadcast.RunOpts(nw.G, src, proto, opt)
-					return res.DeliveryRatio(nw.N()), true
+					res := broadcast.RunOpts(d.nw.G, d.src, proto, opt)
+					return res.DeliveryRatio(d.nw.N()), true
 				})
 				if err != nil {
 					t.Fatal(err)

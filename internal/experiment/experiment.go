@@ -132,35 +132,12 @@ type Figure struct {
 // skips the replicate (discarded topology).
 type Estimator func(sc Scenario, rep int) (float64, bool)
 
-// sweep runs one series over the network sizes. Each point's adaptive
-// replication loop runs as deterministic speculative batches
-// (stats.ReplicateN) across the configured worker count; points themselves
-// run concurrently across a worker pool. Results are bit-identical
-// regardless of scheduling because every replicate's randomness derives
-// only from (seed, n, rep) and observations are folded in replicate order.
+// sweep runs one series over the network sizes: the one-member group of
+// an estimator that needs no workspace.
 func sweep(name string, ns []int, d float64, seed uint64, rule stats.StopRule, est Estimator) Series {
-	workers := Parallelism() // read once per run; race-safe snapshot
-	s := Series{Name: name, Points: make([]Point, len(ns))}
-	forEachPoint(len(ns), workers, func(i int) {
-		n := ns[i]
-		sc := DefaultScenario(n, d, seed)
-		sc.Rule = rule
-		sum, err := stats.ReplicateN(sc.Rule, workers, func(rep int) (float64, bool) {
-			return est(sc, rep)
-		})
-		if err != nil {
-			// Record an empty point; callers render it as missing.
-			s.Points[i] = Point{X: float64(n)}
-			return
-		}
-		s.Points[i] = Point{
-			X:    float64(n),
-			Mean: sum.Mean(),
-			CI:   sum.CI(0.99),
-			Reps: sum.N(),
-		}
+	return sweepWS(name, ns, d, seed, rule, func(_ *Workspace, sc Scenario, rep int) (float64, bool) {
+		return est(sc, rep)
 	})
-	return s
 }
 
 // parallelism holds the configured worker count (0 = GOMAXPROCS), behind

@@ -263,15 +263,27 @@ func TestMobilitySmall(t *testing.T) {
 func TestParallelDeterminism(t *testing.T) {
 	// The same figure computed serially and with the worker pool must be
 	// bit-identical: all randomness derives from (seed, n, rep), and the
-	// batched replication folds observations in replicate order.
+	// batched replication folds observations in replicate order — for
+	// single series and for the groups that share one replicate stream.
 	defer SetParallelism(0)
-	SetParallelism(1)
-	serial := Fig6(6, smallNs(), 17, fastRule()).CSV()
-	for _, workers := range []int{2, 8} {
-		SetParallelism(workers)
-		parallel := Fig6(6, smallNs(), 17, fastRule()).CSV()
-		if serial != parallel {
-			t.Fatalf("workers=%d changed results:\nserial:\n%s\nparallel:\n%s", workers, serial, parallel)
+	figs := []struct {
+		name string
+		run  func() *Figure
+	}{
+		{"fig6", func() *Figure { return Fig6(6, smallNs(), 17, fastRule()) }},
+		{"fig7", func() *Figure { return Fig7(6, smallNs(), 17, fastRule()) }},
+		{"fig8", func() *Figure { return Fig8(18, smallNs(), 17, fastRule()) }},
+		{"msg", func() *Figure { return MessageComplexity(smallNs(), 6, 17, fastRule()) }},
+		{"collision", func() *Figure { return Collision([]float64{6, 14}, 30, 0, 17, fastRule()) }},
+	}
+	for _, f := range figs {
+		SetParallelism(1)
+		serial := f.run().CSV()
+		for _, workers := range []int{2, 8} {
+			SetParallelism(workers)
+			if parallel := f.run().CSV(); serial != parallel {
+				t.Fatalf("%s: workers=%d changed results:\nserial:\n%s\nparallel:\n%s", f.name, workers, serial, parallel)
+			}
 		}
 	}
 }

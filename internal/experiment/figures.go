@@ -96,17 +96,17 @@ func MOCDSForwardEstimator() Estimator {
 }
 
 // Fig6 reproduces Figure 6: average size of the CDS — static backbone
-// (2.5-hop and 3-hop) vs MO_CDS — for the given average degree d.
+// (2.5-hop and 3-hop) vs MO_CDS — for the given average degree d. The two
+// static series share each replicate's network and clustering, so they
+// run as one group.
 func Fig6(d float64, ns []int, seed uint64, rule stats.StopRule) *Figure {
+	static := sweepGroup([]string{"static-2.5hop", "static-3hop"}, sizes(ns, d, seed, rule),
+		shared(sampledWS("fig6-static"), staticSize(coverage.Hop25), staticSize(coverage.Hop3)))
 	return &Figure{
 		ID:     figID("fig6", d),
 		Title:  fmt.Sprintf("Average size of the CDS (d=%g)", d),
 		XLabel: "n", YLabel: "CDS size",
-		Series: []Series{
-			sweepWS("static-2.5hop", ns, d, seed, rule, StaticSizeEstimatorWS(coverage.Hop25)),
-			sweepWS("static-3hop", ns, d, seed, rule, StaticSizeEstimatorWS(coverage.Hop3)),
-			sweepWS("mo-cds", ns, d, seed, rule, MOCDSSizeEstimatorWS()),
-		},
+		Series: append(static, sweepWS("mo-cds", ns, d, seed, rule, MOCDSSizeEstimatorWS())),
 	}
 }
 
@@ -117,28 +117,30 @@ func Fig7(d float64, ns []int, seed uint64, rule stats.StopRule) *Figure {
 		ID:     figID("fig7", d),
 		Title:  fmt.Sprintf("Average size of the forward node set (d=%g)", d),
 		XLabel: "n", YLabel: "forward nodes",
-		Series: []Series{
-			sweepWS("dynamic-2.5hop", ns, d, seed, rule, DynamicForwardEstimatorWS(coverage.Hop25)),
-			sweepWS("dynamic-3hop", ns, d, seed, rule, DynamicForwardEstimatorWS(coverage.Hop3)),
-			sweepWS("mo-cds", ns, d, seed, rule, MOCDSForwardEstimatorWS()),
-		},
+		Series: append(dynamicForwards(sizes(ns, d, seed, rule)),
+			sweepWS("mo-cds", ns, d, seed, rule, MOCDSForwardEstimatorWS())),
 	}
 }
 
 // Fig8 reproduces Figure 8: forward node sets of the static vs the dynamic
 // backbone.
 func Fig8(d float64, ns []int, seed uint64, rule stats.StopRule) *Figure {
+	pts := sizes(ns, d, seed, rule)
+	static := sweepGroup([]string{"static-2.5hop", "static-3hop"}, pts,
+		shared(sampledWS("fig8-static"), staticForward(coverage.Hop25), staticForward(coverage.Hop3)))
 	return &Figure{
 		ID:     figID("fig8", d),
 		Title:  fmt.Sprintf("Forward node set, static vs dynamic backbone (d=%g)", d),
 		XLabel: "n", YLabel: "forward nodes",
-		Series: []Series{
-			sweepWS("static-2.5hop", ns, d, seed, rule, StaticForwardEstimatorWS(coverage.Hop25)),
-			sweepWS("static-3hop", ns, d, seed, rule, StaticForwardEstimatorWS(coverage.Hop3)),
-			sweepWS("dynamic-2.5hop", ns, d, seed, rule, DynamicForwardEstimatorWS(coverage.Hop25)),
-			sweepWS("dynamic-3hop", ns, d, seed, rule, DynamicForwardEstimatorWS(coverage.Hop3)),
-		},
+		Series: append(static, dynamicForwards(pts)...),
 	}
+}
+
+// dynamicForwards is the dynamic-backbone pair of Figures 7 and 8: the
+// 2.5-hop and 3-hop broadcasts from each replicate's source, as one group.
+func dynamicForwards(pts []point) []Series {
+	return sweepGroup([]string{"dynamic-2.5hop", "dynamic-3hop"}, pts,
+		shared(sampledWS("fig7-dynamic"), dynamicForward(coverage.Hop25), dynamicForward(coverage.Hop3)))
 }
 
 // figID builds the canonical figure identifier: the paper shows (a) d=6

@@ -37,9 +37,9 @@ type Workspace struct {
 	Batch    broadcast.BatchWorkspace
 
 	// Clock accumulates per-stage wall time for this worker when
-	// observability is enabled. SweepPoint merges worker clocks into the
-	// process-wide stage table in worker-index order, so the aggregate is
-	// deterministic for any scheduling.
+	// observability is enabled. Each sweep point merges worker clocks into
+	// the process-wide stage table in worker-index order, so the aggregate
+	// is deterministic for any scheduling.
 	Clock obs.StageClock
 
 	rng rng.Stream // per-replicate stream, reseeded by SampleWS
@@ -95,18 +95,68 @@ func (sc Scenario) SampleWS(ws *Workspace, label string, rep int) (*topology.Net
 // buffers. ok=false skips the replicate (discarded topology).
 type WSEstimator func(ws *Workspace, sc Scenario, rep int) (float64, bool)
 
+// groupEstimator measures one replicate of every member of a group sweep:
+// it fills out[j] for each member j still replicating (active[j]).
+type groupEstimator func(ws *Workspace, sc Scenario, rep int, active []bool, out []stats.Obs)
+
+// alone is the one-member group of a standalone estimator.
+func alone(est WSEstimator) groupEstimator {
+	return func(ws *Workspace, sc Scenario, rep int, _ []bool, out []stats.Obs) {
+		out[0].X, out[0].OK = est(ws, sc, rep)
+	}
+}
+
+// shared composes a group from the replicate prefix its members share and
+// their per-series work: prefix runs once per replicate, then each active
+// member measures its series from the prefix's result. A failed prefix
+// skips the replicate for every member, as each member's own draw would
+// have. Members run one after another on the same workspace: they may
+// reuse its per-series layers (Builder, Backbone, MOCDS, Dynamic, Bcast),
+// which each call resets, but must not modify what the prefix returned.
+func shared[D any](prefix func(*Workspace, Scenario, int) (D, bool), members ...func(*Workspace, Scenario, D) (float64, bool)) groupEstimator {
+	return func(ws *Workspace, sc Scenario, rep int, active []bool, out []stats.Obs) {
+		d, ok := prefix(ws, sc, rep)
+		for j, m := range members {
+			if active[j] {
+				out[j] = stats.Obs{}
+				if ok {
+					out[j].X, out[j].OK = m(ws, sc, d)
+				}
+			}
+		}
+	}
+}
+
+// single is the standalone estimator of one group member: the same prefix
+// and per-series work, for one series.
+func single[D any](prefix func(*Workspace, Scenario, int) (D, bool), member func(*Workspace, Scenario, D) (float64, bool)) WSEstimator {
+	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
+		d, ok := prefix(ws, sc, rep)
+		if !ok {
+			return 0, false
+		}
+		return member(ws, sc, d)
+	}
+}
+
 // SweepPoint measures one data point of a series: the scenario's adaptive
 // replication loop over the given worker count, with one pooled workspace
 // per worker. The Point is bit-identical for every worker count (see
 // stats.ReplicateNWorker).
 func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
-	slots := workers
-	if slots < 1 {
-		slots = 1
-	}
+	return groupPoint(sc, float64(sc.N), workers, 1, alone(est))[0]
+}
+
+// groupPoint measures one data point of every member of a group: one
+// adaptive replication loop (stats.ReplicateGroup) over the given worker
+// count, with one pooled workspace per worker, running the group
+// estimator once per replicate. Member j's Point, plotted at x, is
+// bit-identical to its standalone SweepPoint's for every worker count.
+func groupPoint(sc Scenario, x float64, workers, k int, est groupEstimator) []Point {
+	slots := max(workers, 1)
 	wss := make([]*Workspace, slots)
 	timed := obs.Enabled() // snapshot once: a mid-point toggle must not skew stage sums
-	sum, err := stats.ReplicateNWorker(sc.Rule, workers, func(worker, rep int) (float64, bool) {
+	sums, errs := stats.ReplicateGroup(sc.Rule, workers, k, func(worker, rep int, active []bool, out []stats.Obs) {
 		ws := wss[worker]
 		if ws == nil {
 			ws = wsPool.Get().(*Workspace)
@@ -115,7 +165,7 @@ func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
 		if timed {
 			defer ws.Clock.Observe("replicate", time.Now())
 		}
-		return est(ws, sc, rep)
+		est(ws, sc, rep, active, out)
 	})
 	if timed {
 		// Fold worker clocks into the global stage table in worker-index
@@ -135,23 +185,60 @@ func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
 			wsPool.Put(ws)
 		}
 	}
-	if err != nil {
-		// Record an empty point; renderers show it as missing (Reps == 0).
-		return Point{X: float64(sc.N)}
+	pts := make([]Point, k)
+	for j := range pts {
+		// A failed member records an empty point; renderers show it as
+		// missing (Reps == 0).
+		pts[j] = Point{X: x}
+		if errs[j] == nil {
+			pts[j] = Point{X: x, Mean: sums[j].Mean(), CI: sums[j].CI(0.99), Reps: sums[j].N()}
+		}
 	}
-	return Point{X: float64(sc.N), Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+	return pts
+}
+
+// point is one data point of a sweep: the scenario it replicates and the
+// x value it is plotted at.
+type point struct {
+	sc Scenario
+	x  float64
+}
+
+// sizes is the network-size axis of the paper's sweeps: one point per n,
+// at average degree d under the given stopping rule.
+func sizes(ns []int, d float64, seed uint64, rule stats.StopRule) []point {
+	pts := make([]point, len(ns))
+	for i, n := range ns {
+		sc := DefaultScenario(n, d, seed)
+		sc.Rule = rule
+		pts[i] = point{sc, float64(n)}
+	}
+	return pts
+}
+
+// sweepGroup runs the members of a group, named in order, over a sweep's
+// points and returns one series per member. Points run concurrently
+// across the worker pool, each with as many replicate workers. Results
+// are bit-identical regardless of scheduling because every replicate's
+// randomness derives only from (seed, label, rep) and each member folds
+// its observations in replicate order.
+func sweepGroup(names []string, pts []point, est groupEstimator) []Series {
+	workers := Parallelism() // read once per run; race-safe snapshot
+	series := make([]Series, len(names))
+	for j, name := range names {
+		series[j] = Series{Name: name, Points: make([]Point, len(pts))}
+	}
+	forEachPoint(len(pts), workers, func(i int) {
+		for j, p := range groupPoint(pts[i].sc, pts[i].x, workers, len(names), est) {
+			series[j].Points[i] = p
+		}
+	})
+	return series
 }
 
 // sweepWS is sweep for workspace-threaded estimators.
 func sweepWS(name string, ns []int, d float64, seed uint64, rule stats.StopRule, est WSEstimator) Series {
-	workers := Parallelism() // read once per run; race-safe snapshot
-	s := Series{Name: name, Points: make([]Point, len(ns))}
-	forEachPoint(len(ns), workers, func(i int) {
-		sc := DefaultScenario(ns[i], d, seed)
-		sc.Rule = rule
-		s.Points[i] = SweepPoint(sc, workers, est)
-	})
-	return s
+	return sweepGroup([]string{name}, sizes(ns, d, seed, rule), alone(est))[0]
 }
 
 // Elect runs the lowest-ID clusterhead election on the workspace. The
@@ -169,82 +256,97 @@ func (ws *Workspace) Digest(g *graph.Graph, cl *cluster.Clustering, mode coverag
 	ws.Builder.ResetParallel(g, cl, mode, effectiveBuildWorkers())
 }
 
-// clusteredSampleWS draws a topology and its lowest-ID clustering over the
-// workspace.
-func clusteredSampleWS(ws *Workspace, sc Scenario, label string, rep int) (*topology.Network, *cluster.Clustering, *rng.Stream, bool) {
-	nw, r, ok := sc.SampleWS(ws, label, rep)
-	if !ok {
-		return nil, nil, nil, false
+// draw is the prefix of one replicate that the series of a group share:
+// the sampled network, its lowest-ID clustering and the broadcast source.
+type draw struct {
+	nw  *topology.Network
+	cl  *cluster.Clustering
+	src int
+	rep int
+}
+
+// sampledWS is the replicate prefix of the paper's figures, drawn over the
+// workspace: the topology sampled under label, its clustering, and the
+// source as the first draw of the replicate's split stream. Series that
+// share a label therefore share every replicate's network, clustering and
+// source, whether they run as one group or one at a time.
+func sampledWS(label string) func(*Workspace, Scenario, int) (draw, bool) {
+	return func(ws *Workspace, sc Scenario, rep int) (draw, bool) {
+		nw, r, ok := sc.SampleWS(ws, label, rep)
+		if !ok {
+			return draw{}, false
+		}
+		return draw{nw: nw, cl: ws.Elect(nw.G), src: r.Intn(nw.N()), rep: rep}, true
 	}
-	return nw, ws.Elect(nw.G), r, true
+}
+
+// staticSize is |static backbone| under a coverage mode.
+func staticSize(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+		ws.Digest(d.nw.G, d.cl, mode)
+		return float64(ws.Backbone.StaticSize(&ws.Builder, d.cl, backbone.Options{})), true
+	}
+}
+
+// mocdsSize is |MO_CDS|.
+func mocdsSize(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+	ws.Digest(d.nw.G, d.cl, coverage.Hop3)
+	return float64(ws.MOCDS.SizeFrom(&ws.Builder, d.cl)), true
+}
+
+// dynamicForward is the forward-node count of one dynamic-backbone
+// broadcast from the replicate's source.
+func dynamicForward(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+		p := ws.Dynamic.NewWith(d.nw.G, d.cl, mode)
+		return float64(p.BroadcastWS(d.src).ForwardCount()), true
+	}
+}
+
+// staticForward is the forward-node count of a broadcast over the static
+// backbone from the replicate's source.
+func staticForward(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+		ws.Digest(d.nw.G, d.cl, mode)
+		nodes := ws.Backbone.StaticNodes(&ws.Builder, d.cl, backbone.Options{})
+		return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDSBits{Set: nodes}).ForwardCount()), true
+	}
+}
+
+// mocdsForward is the forward-node count of a broadcast over the MO_CDS
+// from the replicate's source.
+func mocdsForward(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+	ws.Digest(d.nw.G, d.cl, coverage.Hop3)
+	nodes := ws.MOCDS.NodesFrom(&ws.Builder, d.cl)
+	return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDSBits{Set: nodes}).ForwardCount()), true
 }
 
 // StaticSizeEstimatorWS is StaticSizeEstimator over a reusable workspace:
 // same labels, same replicate randomness, same statistic — near-zero
 // allocations.
 func StaticSizeEstimatorWS(mode coverage.Mode) WSEstimator {
-	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		nw, cl, _, ok := clusteredSampleWS(ws, sc, "fig6-static", rep)
-		if !ok {
-			return 0, false
-		}
-		ws.Digest(nw.G, cl, mode)
-		return float64(ws.Backbone.StaticSize(&ws.Builder, cl, backbone.Options{})), true
-	}
+	return single(sampledWS("fig6-static"), staticSize(mode))
 }
 
 // MOCDSSizeEstimatorWS is MOCDSSizeEstimator over a reusable workspace.
 func MOCDSSizeEstimatorWS() WSEstimator {
-	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		nw, cl, _, ok := clusteredSampleWS(ws, sc, "fig6-mocds", rep)
-		if !ok {
-			return 0, false
-		}
-		ws.Digest(nw.G, cl, coverage.Hop3)
-		return float64(ws.MOCDS.SizeFrom(&ws.Builder, cl)), true
-	}
+	return single(sampledWS("fig6-mocds"), mocdsSize)
 }
 
 // DynamicForwardEstimatorWS is DynamicForwardEstimator over a reusable
 // workspace.
 func DynamicForwardEstimatorWS(mode coverage.Mode) WSEstimator {
-	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig7-dynamic", rep)
-		if !ok {
-			return 0, false
-		}
-		p := ws.Dynamic.NewWith(nw.G, cl, mode)
-		res := p.BroadcastWS(r.Intn(nw.N()))
-		return float64(res.ForwardCount()), true
-	}
+	return single(sampledWS("fig7-dynamic"), dynamicForward(mode))
 }
 
 // StaticForwardEstimatorWS is StaticForwardEstimator over a reusable
 // workspace.
 func StaticForwardEstimatorWS(mode coverage.Mode) WSEstimator {
-	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig8-static", rep)
-		if !ok {
-			return 0, false
-		}
-		ws.Digest(nw.G, cl, mode)
-		nodes := ws.Backbone.StaticNodes(&ws.Builder, cl, backbone.Options{})
-		res := ws.Bcast.Run(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
-		return float64(res.ForwardCount()), true
-	}
+	return single(sampledWS("fig8-static"), staticForward(mode))
 }
 
 // MOCDSForwardEstimatorWS is MOCDSForwardEstimator over a reusable
 // workspace.
 func MOCDSForwardEstimatorWS() WSEstimator {
-	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSampleWS(ws, sc, "fig7-mocds", rep)
-		if !ok {
-			return 0, false
-		}
-		ws.Digest(nw.G, cl, coverage.Hop3)
-		nodes := ws.MOCDS.NodesFrom(&ws.Builder, cl)
-		res := ws.Bcast.Run(nw.G, r.Intn(nw.N()), broadcast.StaticCDSBits{Set: nodes})
-		return float64(res.ForwardCount()), true
-	}
+	return single(sampledWS("fig7-mocds"), mocdsForward)
 }

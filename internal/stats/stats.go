@@ -296,30 +296,11 @@ var ErrNoObservations = errors.New("stats: estimator produced no observations")
 // ok=false to skip (e.g. a discarded disconnected topology — skips do not
 // count toward the replicate budget beyond a 10× safety factor).
 func Replicate(rule StopRule, estimator func(rep int) (float64, bool)) (*Summary, error) {
-	rule = rule.normalized()
-	s := &Summary{}
-	skips := 0
-	for rep := 0; ; rep++ {
-		if rule.Done(s) {
-			return s, nil
-		}
-		x, ok := estimator(rep)
-		if !ok {
-			skips++
-			mSkips.Inc()
-			if done, err := skip(rule, s, &skips); done {
-				return s, err
-			}
-			continue
-		}
-		s.Add(x)
-		mObservations.Inc()
-		progReplicates.Step()
-	}
+	return ReplicateN(rule, 1, estimator)
 }
 
-// skip applies the skip-budget bookkeeping shared by Replicate and
-// ReplicateN: too many skipped replicates end the run, with
+// skip applies the skip-budget bookkeeping shared by ReplicateGroup and
+// ReplicateBatch: too many skipped replicates end the run, with
 // ErrNoObservations when nothing was ever observed.
 func skip(rule StopRule, s *Summary, skips *int) (bool, error) {
 	if *skips > 10*rule.MaxReplicates {
@@ -351,68 +332,109 @@ func ReplicateN(rule StopRule, workers int, estimator func(rep int) (float64, bo
 // state: the estimator additionally receives a stable worker index in
 // [0, workers) — replicate rep always runs on worker rep % workers — so
 // each worker can keep one workspace and the schedule stays deterministic.
-// The sequential path (workers <= 1) always passes worker 0.
-//
-// The workers are a persistent pool for the life of the call: spawned
-// once, fed one replicate index per round over per-worker channels, and
-// released on return. A round therefore costs one channel round-trip per
-// worker instead of a goroutine spawn, and the steady-state loop does not
-// allocate (see TestReplicateNWorkerPooledAllocs).
+// The sequential path (workers <= 1) always passes worker 0. It is the
+// one-series case of ReplicateGroup.
 func ReplicateNWorker(rule StopRule, workers int, estimator func(worker, rep int) (float64, bool)) (*Summary, error) {
-	if workers <= 1 {
-		return Replicate(rule, func(rep int) (float64, bool) {
-			return estimator(0, rep)
-		})
-	}
+	sums, errs := ReplicateGroup(rule, workers, 1, func(worker, rep int, _ []bool, out []Obs) {
+		out[0].X, out[0].OK = estimator(worker, rep)
+	})
+	return &sums[0], errs[0]
+}
+
+// Obs is one series' outcome of one replicate: the observation X, or a
+// skip (a discarded replicate) when OK is false.
+type Obs struct {
+	X  float64
+	OK bool
+}
+
+// ReplicateGroup drives k series over one shared replicate stream, each
+// until it meets the stopping rule. Replicates run in rounds of
+// max(workers, 1) consecutive indices, replicate rep on worker
+// rep % workers. The estimator is called once per replicate with the
+// series still replicating when its round started (active[j]) and must
+// fill out[j] for every active j. Each series then folds the round's
+// outcomes in replicate order, re-checking the rule before each, with its
+// own skip budget. So series j is asked for exactly the replicates, and
+// folds exactly the observations, of a standalone ReplicateNWorker over
+// it alone at the same worker count: sums[j] and errs[j] are
+// bit-identical to that run's, and errs[j] is ErrNoObservations when the
+// series skipped past its budget without observing.
+//
+// With workers > 1 the rounds run on a persistent pool, spawned once,
+// fed one replicate index per round over per-worker channels and released
+// on return, so the steady-state loop does not allocate (see
+// TestReplicateNWorkerPooledAllocs). Workers read active, and write only
+// their own stripe of the outcome buffer, while the loop waits.
+func ReplicateGroup(rule StopRule, workers, k int, estimator func(worker, rep int, active []bool, out []Obs)) ([]Summary, []error) {
 	rule = rule.normalized()
-	s := &Summary{}
-	skips := 0
-	type spec struct {
-		x  float64
-		ok bool
+	workers = max(workers, 1)
+	sums := make([]Summary, k)
+	errs := make([]error, k)
+	skips := make([]int, k)
+	active := make([]bool, k)
+	for j := range active {
+		active[j] = true
 	}
-	batch := make([]spec, workers)
-	feed := make([]chan int, workers)
-	var wg sync.WaitGroup
-	for i := range feed {
-		feed[i] = make(chan int, 1)
-		go func(i int) {
-			for rep := range feed[i] {
-				x, ok := estimator(i, rep)
-				batch[i] = spec{x, ok}
-				wg.Done()
-			}
-		}(i)
-	}
-	defer func() {
-		for _, ch := range feed {
-			close(ch)
-		}
-	}()
-	for next := 0; ; next += workers {
-		if rule.Done(s) {
-			return s, nil
-		}
-		wg.Add(workers)
-		for i, ch := range feed {
-			ch <- next + i
-		}
-		wg.Wait()
-		for i := 0; i < workers; i++ {
-			if rule.Done(s) {
-				return s, nil
-			}
-			if !batch[i].ok {
-				skips++
-				mSkips.Inc()
-				if done, err := skip(rule, s, &skips); done {
-					return s, err
+	out := make([]Obs, workers*k)
+	// round computes the outcomes of replicates [next, next+workers).
+	round := func(next int) { estimator(0, next, active, out) }
+	if workers > 1 {
+		feed := make([]chan int, workers)
+		var wg sync.WaitGroup
+		for i := range feed {
+			feed[i] = make(chan int, 1)
+			go func(i int) {
+				for rep := range feed[i] {
+					estimator(i, rep, active, out[i*k:(i+1)*k])
+					wg.Done()
 				}
-				continue
+			}(i)
+		}
+		defer func() {
+			for _, ch := range feed {
+				close(ch)
 			}
-			s.Add(batch[i].x)
-			mObservations.Inc()
-			progReplicates.Step()
+		}()
+		round = func(next int) {
+			wg.Add(workers)
+			for i, ch := range feed {
+				ch <- next + i
+			}
+			wg.Wait()
+		}
+	}
+	for next := 0; ; next += workers {
+		live := false
+		for j := range active {
+			if active[j] && rule.Done(&sums[j]) {
+				active[j] = false
+			}
+			live = live || active[j]
+		}
+		if !live {
+			return sums, errs
+		}
+		round(next)
+		for i := 0; i < workers; i++ {
+			for j := range active {
+				// Fold 0 sees the summary the round start just checked.
+				if !active[j] || i > 0 && rule.Done(&sums[j]) {
+					active[j] = false
+					continue
+				}
+				if o := out[i*k+j]; o.OK {
+					sums[j].Add(o.X)
+					mObservations.Inc()
+					progReplicates.Step()
+					continue
+				}
+				skips[j]++
+				mSkips.Inc()
+				if stop, err := skip(rule, &sums[j], &skips[j]); stop {
+					active[j], errs[j] = false, err
+				}
+			}
 		}
 	}
 }
