@@ -95,21 +95,22 @@ bench:
 figures:
 	$(GO) run ./cmd/figures
 
-# Group-sweep worker invariance at the CLI: the paper's figures plus the
-# msg and collision ablations, whose same-label series share one replicate
-# loop, under the quick rule at -workers 1 and -workers 4. Every CSV must
-# be byte-identical between the two runs. Output lands in
-# artifacts/figures-smoke.
-FIGURES_SMOKE := fig6a fig6b fig7a fig7b fig8a fig8b msg collision
+# Group-sweep worker invariance at the CLI: every figure under the quick
+# rule at -workers 1 and -workers 4, once on the scalar path and once with
+# -batch (a different Monte-Carlo sample, equally worker-invariant). Every
+# CSV must be byte-identical between the two worker counts of a pair.
+# Output lands in artifacts/figures-smoke.
 figures-smoke:
 	rm -rf artifacts/figures-smoke
-	for w in 1 4; do \
-		$(GO) run ./cmd/figures -fig 6a,6b,7a,7b,8a,8b,msg,collision -quick -format csv \
-			-workers $$w -out artifacts/figures-smoke/w$$w > /dev/null || exit 1; \
-	done
-	for id in $(FIGURES_SMOKE); do \
-		cmp artifacts/figures-smoke/w1/$$id.csv artifacts/figures-smoke/w4/$$id.csv || \
-			{ echo "figures-smoke: $$id.csv differs between -workers 1 and 4" >&2; exit 1; }; \
+	$(GO) build -o artifacts/figures-smoke/figures ./cmd/figures
+	for mode in scalar batch; do \
+		flags=; [ $$mode = batch ] && flags=-batch; \
+		for w in 1 4; do \
+			artifacts/figures-smoke/figures -fig all -quick -format csv $$flags \
+				-workers $$w -out artifacts/figures-smoke/$$mode-w$$w > /dev/null || exit 1; \
+		done; \
+		diff -rq -x manifest.json artifacts/figures-smoke/$$mode-w1 artifacts/figures-smoke/$$mode-w4 || \
+			{ echo "figures-smoke: $$mode CSVs differ between -workers 1 and 4" >&2; exit 1; }; \
 	done
 
 # Observability smoke: record a traced dynamic-backbone broadcast with its

@@ -183,7 +183,8 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 		manifest.Seed = cfg.seed
 		manifest.Workers = cfg.workers
 		manifest.Param("fig", cfg.fig).Param("format", cfg.format).
-			Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW)
+			Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW).
+			Param("batch", cfg.batch)
 	}
 	experiment.SetParallelism(cfg.workers)
 	experiment.SetBuildWorkers(cfg.buildW)

@@ -7,7 +7,6 @@ import (
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/dynamicb"
 	"clustercast/internal/mcds"
 	"clustercast/internal/mocds"
 	"clustercast/internal/rng"
@@ -20,42 +19,33 @@ import (
 // empirically: on small networks (where the exact MCDS is computable) it
 // measures |CDS| / |MCDS| for the static backbone, the dynamic backbone's
 // forwarder set, and the MO_CDS, sweeping the network size (ABL-RATIO).
+// The four series divide by the same replicate's exact MCDS, so they run
+// as one group and mcds.Exact runs once per replicate.
 func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	ratio := func(build func(*topology.Network, *cluster.Clustering, *rngSplit) int) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "ratio", rep)
-			if !ok {
-				return 0, false
-			}
-			opt := mcds.Exact(nw.G)
-			if opt == nil || len(opt) == 0 {
-				return 0, false
-			}
-			return float64(build(nw, cl, r)) / float64(len(opt)), true
+	type optimum struct {
+		draw
+		opt int // |MCDS|
+	}
+	exact := derived("ratio", func(_ *Workspace, _ Scenario, d draw) (optimum, bool) {
+		o := optimum{d, len(mcds.Exact(d.nw.G))}
+		return o, o.opt > 0
+	})
+	ratio := func(size func(d draw) int) member[optimum] {
+		return func(_ *Workspace, _ Scenario, o optimum) (float64, bool) {
+			return float64(size(o.draw)) / float64(o.opt), true
 		}
 	}
 	return &Figure{
 		ID:     "ratio",
 		Title:  fmt.Sprintf("Empirical approximation ratio to the MCDS (d=%g)", d),
 		XLabel: "n", YLabel: "|CDS| / |MCDS|",
-		Series: []Series{
-			sweep("static-2.5hop", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, _ *rngSplit) int {
-					return backbone.BuildStatic(nw.G, cl, coverage.Hop25).Size()
-				})),
-			sweep("dynamic-2.5hop", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, r *rngSplit) int {
-					return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(r.source(nw.N())).ForwardCount()
-				})),
-			sweep("mo-cds", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, cl *cluster.Clustering, _ *rngSplit) int {
-					return mocds.Build(nw.G, cl).Size()
-				})),
-			sweep("greedy-gk", ns, d, seed, rule, ratio(
-				func(nw *topology.Network, _ *cluster.Clustering, _ *rngSplit) int {
-					return len(mcds.Greedy(nw.G))
-				})),
-		},
+		Series: sweepGroup([]string{"static-2.5hop", "dynamic-2.5hop", "mo-cds", "greedy-gk"}, sizes(ns, d, seed, rule),
+			shared(exact,
+				ratio(func(d draw) int { return backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Size() }),
+				ratio(func(d draw) int { return broadcast.Run(d.nw.G, d.src, dynamicProto(d)).ForwardCount() }),
+				ratio(func(d draw) int { return mocds.Build(d.nw.G, d.cl).Size() }),
+				ratio(func(d draw) int { return len(mcds.Greedy(d.nw.G)) }),
+			)),
 	}
 }
 
@@ -65,8 +55,8 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 // series reads the same replicate's wire-protocol run, so the five run as
 // one group and the protocol runs once per replicate.
 func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	wire := func(_ *Workspace, sc Scenario, rep int) (*sim.Counters, bool) {
-		nw, _, ok := sc.Sample("msg", rep)
+	wire := func(ws *Workspace, sc Scenario, rep int) (*sim.Counters, bool) {
+		nw, _, ok := sc.SampleWS(ws, "msg", rep)
 		if !ok {
 			return nil, false
 		}
@@ -110,63 +100,44 @@ func MessageComplexity(ns []int, d float64, seed uint64, rule stats.StopRule) *F
 
 // Baselines compares the dynamic backbone's forward-node count against the
 // related-work protocols of §2: blind flooding, MPR, dominant pruning and
-// partial dominant pruning (ABL-BASELINES).
+// partial dominant pruning (ABL-BASELINES). The five broadcast from the
+// same replicate's network and source, as one group.
 func Baselines(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	run := func(build func(nw *topology.Network) broadcast.Protocol) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, r, ok := sc.Sample("baselines", rep)
-			if !ok {
-				return 0, false
-			}
-			res := broadcast.Run(nw.G, r.Intn(nw.N()), build(nw))
-			return float64(res.ForwardCount()), true
+	run := func(proto func(d draw) broadcast.Protocol) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			return float64(broadcast.Run(d.nw.G, d.src, proto(d)).ForwardCount()), true
 		}
 	}
 	return &Figure{
 		ID:     "baselines",
 		Title:  fmt.Sprintf("Forward nodes across broadcast protocols (d=%g)", d),
 		XLabel: "n", YLabel: "forward nodes",
-		Series: []Series{
-			sweep("flooding", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.Flooding{}
-			})),
-			sweep("mpr", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewMPR(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("dp", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewDP(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("pdp", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return broadcast.NewPDP(broadcast.NewNeighborhood(nw.G))
-			})),
-			sweep("dynamic-2.5hop", ns, d, seed, rule, run(func(nw *topology.Network) broadcast.Protocol {
-				return dynamicb.New(nw.G, cluster.LowestID(nw.G), coverage.Hop25)
-			})),
-		},
+		Series: sweepGroup([]string{"flooding", "mpr", "dp", "pdp", "dynamic-2.5hop"}, sizes(ns, d, seed, rule),
+			shared(sampledWS("baselines"),
+				run(floodingProto),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewMPR(broadcast.NewNeighborhood(d.nw.G)) }),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewDP(broadcast.NewNeighborhood(d.nw.G)) }),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewPDP(broadcast.NewNeighborhood(d.nw.G)) }),
+				run(dynamicProto),
+			)),
 	}
 }
 
 // TieBreak measures the effect of the paper's indirect-coverage
 // tie-breaking rule on the static backbone size (ABL-TIE).
 func TieBreak(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	size := func(opts backbone.Options) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "tiebreak", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-			return float64(backbone.BuildStaticOpt(b, cl, opts).Size()), true
+	size := func(opts backbone.Options) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			b := coverage.NewBuilder(d.nw.G, d.cl, coverage.Hop25)
+			return float64(backbone.BuildStaticOpt(b, d.cl, opts).Size()), true
 		}
 	}
 	return &Figure{
 		ID:     "tiebreak",
 		Title:  fmt.Sprintf("Static backbone size with/without the indirect tie-break (d=%g)", d),
 		XLabel: "n", YLabel: "CDS size",
-		Series: []Series{
-			sweep("with-tiebreak", ns, d, seed, rule, size(backbone.Options{})),
-			sweep("without-tiebreak", ns, d, seed, rule, size(backbone.Options{NoIndirectTieBreak: true})),
-		},
+		Series: sweepGroup([]string{"with-tiebreak", "without-tiebreak"}, sizes(ns, d, seed, rule),
+			shared(sampledWS("tiebreak"), size(backbone.Options{}), size(backbone.Options{NoIndirectTieBreak: true}))),
 	}
 }
 
@@ -174,112 +145,70 @@ func TieBreak(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // backbones: under random-waypoint motion it measures, per time step, how
 // many nodes change cluster affiliation and how many static-backbone
 // memberships change — the maintenance churn a proactive SI-CDS would have
-// to repair (ABL-MOBILITY). The sweep is over the maximum node speed.
+// to repair (ABL-MOBILITY). The sweep is over the maximum node speed; one
+// waypoint run per replicate yields both counts.
 func Mobility(speeds []float64, n int, d float64, steps int, seed uint64, rule stats.StopRule) *Figure {
-	churn := func(measure func(prev, cur map[int]bool, prevHead, curHead []int, n int) float64) func(speed float64) Estimator {
-		return func(speed float64) Estimator {
-			return func(sc Scenario, rep int) (float64, bool) {
-				nw, _, ok := sc.Sample(fmt.Sprintf("mobility-%g", speed), rep)
-				if !ok {
-					return 0, false
+	churn := func(speed float64) prefix[[2]float64] {
+		return derived(fmt.Sprintf("mobility-%g", speed), func(_ *Workspace, sc Scenario, d draw) ([2]float64, bool) {
+			mob := topology.NewRandomWaypoint(d.nw.Positions, sc.Bounds, speed/2, speed, 0,
+				rng.NewLabeled(sc.Seed^uint64(d.rep), "waypoint"))
+			prevCl := d.cl
+			prevBB := backbone.BuildStatic(d.nw.G, prevCl, coverage.Hop25)
+			// Incremental edge maintenance: each step re-tests only the
+			// grid cells the moved nodes touched instead of rebuilding
+			// the whole unit disk graph.
+			dyn := topology.NewDynamic(d.nw)
+			var total [2]float64 // head changes, backbone-membership changes
+			for step := 0; step < steps; step++ {
+				cur := dyn.Step(mob.Step(1))
+				curCl := cluster.LowestID(cur.G)
+				curBB := backbone.BuildStatic(cur.G, curCl, coverage.Hop25)
+				var c [2]int
+				for v := 0; v < n; v++ {
+					if prevCl.Head[v] != curCl.Head[v] {
+						c[0]++
+					}
+					if prevBB.Nodes[v] != curBB.Nodes[v] {
+						c[1]++
+					}
 				}
-				mob := topology.NewRandomWaypoint(nw.Positions, sc.Bounds, speed/2, speed, 0,
-					rng.NewLabeled(sc.Seed^uint64(rep), "waypoint"))
-				prevNet := nw
-				prevCl := cluster.LowestID(prevNet.G)
-				prevBB := backbone.BuildStatic(prevNet.G, prevCl, coverage.Hop25)
-				// Incremental edge maintenance: each step re-tests only the
-				// grid cells the moved nodes touched instead of rebuilding
-				// the whole unit disk graph.
-				dyn := topology.NewDynamic(nw)
-				total := 0.0
-				for step := 0; step < steps; step++ {
-					pos := mob.Step(1)
-					cur := dyn.Step(pos)
-					curCl := cluster.LowestID(cur.G)
-					curBB := backbone.BuildStatic(cur.G, curCl, coverage.Hop25)
-					total += measure(prevBB.Nodes, curBB.Nodes, prevCl.Head, curCl.Head, sc.N)
-					prevCl, prevBB = curCl, curBB
-				}
-				return total / float64(steps), true
+				total[0] += float64(c[0])
+				total[1] += float64(c[1])
+				prevCl, prevBB = curCl, curBB
 			}
-		}
-	}
-	headChanges := func(_, _ map[int]bool, prevHead, curHead []int, n int) float64 {
-		c := 0
-		for v := 0; v < n; v++ {
-			if prevHead[v] != curHead[v] {
-				c++
-			}
-		}
-		return float64(c)
-	}
-	backboneChanges := func(prev, cur map[int]bool, _, _ []int, n int) float64 {
-		c := 0
-		for v := 0; v < n; v++ {
-			if prev[v] != cur[v] {
-				c++
-			}
-		}
-		return float64(c)
-	}
-	mkSeries := func(name string, est func(speed float64) Estimator) Series {
-		s := Series{Name: name, Points: make([]Point, len(speeds))}
-		ForEachPoint(len(speeds), func(i int) {
-			speed := speeds[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				return est(speed)(sc, rep)
-			})
-			if err != nil {
-				s.Points[i] = Point{X: speed}
-				return
-			}
-			s.Points[i] = Point{X: speed, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+			return [2]float64{total[0] / float64(steps), total[1] / float64(steps)}, true
 		})
-		return s
+	}
+	nth := func(i int) member[[2]float64] {
+		return func(_ *Workspace, _ Scenario, c [2]float64) (float64, bool) { return c[i], true }
 	}
 	return &Figure{
 		ID:     "mobility",
 		Title:  fmt.Sprintf("Backbone maintenance churn per step (n=%d, d=%g)", n, d),
 		XLabel: "max speed", YLabel: "changes per step",
-		Series: []Series{
-			mkSeries("cluster-affiliation-changes", churn(headChanges)),
-			mkSeries("static-backbone-membership-changes", churn(backboneChanges)),
-		},
+		Series: sweepAxis([]string{"cluster-affiliation-changes", "static-backbone-membership-changes"},
+			along(speeds, n, d, seed, rule), 1, func(speed float64) groupEstimator {
+				return shared(churn(speed), nth(0), nth(1))
+			}),
 	}
 }
 
 // Delivery confirms the correctness side of every protocol: delivery ratio
 // over connected networks must be 1.0 for all CDS-based schemes.
 func Delivery(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	ratio := func(label string, runOne func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "delivery-"+label, rep)
-			if !ok {
-				return 0, false
-			}
-			res := runOne(nw, cl, r.source(nw.N()))
-			return res.DeliveryRatio(nw.N()), true
-		}
+	ratio := func(label string, proto func(d draw) broadcast.Protocol) WSEstimator {
+		return single(sampledWS("delivery-"+label), func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			return broadcast.Run(d.nw.G, d.src, proto(d)).DeliveryRatio(d.nw.N()), true
+		})
 	}
 	return &Figure{
 		ID:     "delivery",
 		Title:  fmt.Sprintf("Delivery ratio (d=%g)", d),
 		XLabel: "n", YLabel: "delivery ratio",
 		Series: []Series{
-			sweep("dynamic-2.5hop", ns, d, seed, rule, ratio("dyn", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
-			})),
-			sweep("static-2.5hop", ns, d, seed, rule, ratio("static", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: s.Nodes})
-			})),
-			sweep("mo-cds", ns, d, seed, rule, ratio("mocds", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				c := mocds.Build(nw.G, cl)
-				return broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: c.Nodes})
-			})),
+			sweepWS("dynamic-2.5hop", ns, d, seed, rule, ratio("dyn", dynamicProto)),
+			sweepWS("static-2.5hop", ns, d, seed, rule, ratio("static", staticProto)),
+			sweepWS("mo-cds", ns, d, seed, rule, ratio("mocds", mocdsProto)),
 		},
 	}
 }

@@ -3,15 +3,12 @@ package experiment
 import (
 	"fmt"
 
-	"clustercast/internal/backbone"
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/dynamicb"
 	"clustercast/internal/faults"
 	"clustercast/internal/fwdtree"
 	"clustercast/internal/marking"
-	"clustercast/internal/mocds"
 	"clustercast/internal/passive"
 	"clustercast/internal/reliable"
 	"clustercast/internal/rng"
@@ -31,27 +28,31 @@ func SICDS(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 		Series: []Series{
 			sweepWS("static-2.5hop", ns, d, seed, rule, StaticSizeEstimatorWS(coverage.Hop25)),
 			sweepWS("mo-cds", ns, d, seed, rule, MOCDSSizeEstimatorWS()),
-			sweep("marking-rules12", ns, d, seed, rule, func(sc Scenario, rep int) (float64, bool) {
-				nw, _, ok := sc.Sample("sicds-marking", rep)
-				if !ok {
-					return 0, false
-				}
-				return float64(len(marking.Build(nw.G))), true
-			}),
-			sweep("fwd-tree", ns, d, seed, rule, func(sc Scenario, rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, "sicds-tree", rep)
-				if !ok {
-					return 0, false
-				}
-				b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-				tree, err := fwdtree.Build(b, cl, r.source(nw.N()))
-				if err != nil {
-					return 0, false
-				}
-				return float64(tree.Size()), true
-			}),
+			sweepWS("marking-rules12", ns, d, seed, rule, single(sampledWS("sicds-marking"),
+				func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+					return float64(len(marking.Build(d.nw.G))), true
+				})),
+			sweepWS("fwd-tree", ns, d, seed, rule, single(forwardingTree("sicds-tree"),
+				func(_ *Workspace, _ Scenario, t tree) (float64, bool) { return float64(t.Size()), true })),
 		},
 	}
+}
+
+// tree is a replicate's draw plus the Pagani–Rossi forwarding tree rooted
+// at its source.
+type tree struct {
+	draw
+	*fwdtree.Tree
+}
+
+// forwardingTree is the prefix of the tree-based series: the draw sampled
+// under label and the forwarding tree from its source over the 2.5-hop
+// coverage sets. A replicate whose tree cannot be built is skipped.
+func forwardingTree(label string) prefix[tree] {
+	return derived(label, func(_ *Workspace, _ Scenario, d draw) (tree, bool) {
+		t, err := fwdtree.Build(coverage.NewBuilder(d.nw.G, d.cl, coverage.Hop25), d.cl, d.src)
+		return tree{d, t}, err == nil
+	})
 }
 
 // Lossy measures the redundancy/reliability trade-off the paper's ideal
@@ -64,57 +65,26 @@ func SICDS(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // a transition-free Gilbert–Elliott spec, lane-indexed coins); the
 // dynamic backbone has no batch kernel and always takes the scalar path.
 func Lossy(losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	workers := Parallelism()
-	mk := func(name string, kernel BatchKernel, runOne func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result) Series {
-		s := Series{Name: name, Points: make([]Point, len(losses))}
-		forEachPoint(len(losses), workers, func(i int) {
-			loss := losses[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			iid := faults.Spec{LossGood: loss}
-			if kernel != nil && useBatch(iid) {
-				spec := func(batch int) faults.Spec {
-					return faults.Spec{LossGood: loss, Seed: batchSeed(sc.Seed, batch)}
-				}
-				s.Points[i] = BatchSweepPoint(sc, workers, loss, fmt.Sprintf("lossy-%s-%g", name, loss), spec, kernel)
-				return
-			}
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("lossy-%s-%g", name, loss), rep)
-				if !ok {
-					return 0, false
-				}
-				opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(rep)}
-				res := runOne(nw, cl, r.source(nw.N()), opt)
-				return res.DeliveryRatio(nw.N()), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: loss}
-				return
-			}
-			s.Points[i] = Point{X: loss, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+	pts := along(losses, n, d, seed, rule)
+	mk := func(name string, kernel BatchKernel, proto func(d draw) broadcast.Protocol) Series {
+		return lossSweep(name, pts, 1, func(loss float64) lossPoint {
+			label := fmt.Sprintf("lossy-%s-%g", name, loss)
+			return lossPoint{label, faults.Spec{LossGood: loss}, kernel,
+				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+					opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(d.rep)}
+					return broadcast.RunOpts(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
+				})}
 		})
-		return s
 	}
 	return &Figure{
 		ID:     "lossy",
 		Title:  fmt.Sprintf("Delivery ratio under per-link loss (n=%d, d=%g)", n, d),
 		XLabel: "loss probability", YLabel: "delivery ratio",
 		Series: []Series{
-			mk("flooding", floodingKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, opt)
-			}),
-			mk("static-2.5hop", staticCDSKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				s := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: s.Nodes}, opt)
-			}),
-			mk("dynamic-2.5hop", nil, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return broadcast.RunOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
-			}),
-			mk("mo-cds", mocdsKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				c := mocds.Build(nw.G, cl)
-				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
-			}),
+			mk("flooding", floodingKernel, floodingProto),
+			mk("static-2.5hop", staticCDSKernel, staticProto),
+			mk("dynamic-2.5hop", nil, dynamicProto),
+			mk("mo-cds", mocdsKernel, mocdsProto),
 		},
 	}
 }
@@ -123,64 +93,43 @@ func Lossy(losses []float64, n int, d float64, seed uint64, rule stats.StopRule)
 // under random-waypoint motion: full re-election every step versus
 // least-cluster-change incremental repair. ABL-MAINT. The sweep is over
 // the maximum node speed; the metric is head-assignment changes per step.
+// Both strategies start from the same replicate's network, each under its
+// own motion run (their clusterings diverge from the first step).
 func Maintenance(speeds []float64, n int, d float64, steps int, seed uint64, rule stats.StopRule) *Figure {
-	churn := func(useLCC bool) func(speed float64) Estimator {
-		return func(speed float64) Estimator {
-			return func(sc Scenario, rep int) (float64, bool) {
-				nw, _, ok := sc.Sample(fmt.Sprintf("maint-%g", speed), rep)
-				if !ok {
-					return 0, false
+	churn := func(speed float64, useLCC bool) member[draw] {
+		return func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+			mob := topology.NewRandomWaypoint(d.nw.Positions, sc.Bounds, speed/2, speed, 0,
+				rng.NewLabeled(sc.Seed^uint64(d.rep), "maint-waypoint"))
+			prev := cluster.LowestID(d.nw.G)
+			// Incremental edge maintenance (see ablations.go Mobility).
+			dyn := topology.NewDynamic(d.nw)
+			total := 0
+			for step := 0; step < steps; step++ {
+				cur := dyn.Step(mob.Step(1))
+				var next *cluster.Clustering
+				if useLCC {
+					next, _ = cluster.Maintain(cur.G, prev)
+				} else {
+					next = cluster.LowestID(cur.G)
 				}
-				mob := topology.NewRandomWaypoint(nw.Positions, sc.Bounds, speed/2, speed, 0,
-					rng.NewLabeled(sc.Seed^uint64(rep), "maint-waypoint"))
-				prev := cluster.LowestID(nw.G)
-				// Incremental edge maintenance (see ablations.go Mobility).
-				dyn := topology.NewDynamic(nw)
-				total := 0
-				for step := 0; step < steps; step++ {
-					cur := dyn.Step(mob.Step(1))
-					var next *cluster.Clustering
-					if useLCC {
-						next, _ = cluster.Maintain(cur.G, prev)
-					} else {
-						next = cluster.LowestID(cur.G)
+				for v := 0; v < sc.N; v++ {
+					if next.Head[v] != prev.Head[v] {
+						total++
 					}
-					for v := 0; v < sc.N; v++ {
-						if next.Head[v] != prev.Head[v] {
-							total++
-						}
-					}
-					prev = next
 				}
-				return float64(total) / float64(steps), true
+				prev = next
 			}
+			return float64(total) / float64(steps), true
 		}
-	}
-	mk := func(name string, est func(speed float64) Estimator) Series {
-		s := Series{Name: name, Points: make([]Point, len(speeds))}
-		ForEachPoint(len(speeds), func(i int) {
-			speed := speeds[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				return est(speed)(sc, rep)
-			})
-			if err != nil {
-				s.Points[i] = Point{X: speed}
-				return
-			}
-			s.Points[i] = Point{X: speed, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
 	}
 	return &Figure{
 		ID:     "maint",
 		Title:  fmt.Sprintf("Cluster maintenance churn: re-election vs LCC (n=%d, d=%g)", n, d),
 		XLabel: "max speed", YLabel: "head changes per step",
-		Series: []Series{
-			mk("full-reelection", churn(false)),
-			mk("lcc-incremental", churn(true)),
-		},
+		Series: sweepAxis([]string{"full-reelection", "lcc-incremental"}, along(speeds, n, d, seed, rule), 1,
+			func(speed float64) groupEstimator {
+				return shared(sampledWS(fmt.Sprintf("maint-%g", speed)), churn(speed, false), churn(speed, true))
+			}),
 	}
 }
 
@@ -189,19 +138,18 @@ func Maintenance(speeds []float64, n int, d float64, steps int, seed uint64, rul
 // dynamic-backbone baselines. ABL-PASSIVE. The sweep is over the flood
 // index (1-based).
 func PassiveConvergence(floods int, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	idx := make([]int, floods)
+	idx := make([]float64, floods)
 	for i := range idx {
-		idx[i] = i + 1
-	}
-	passiveSeries := Series{Name: "passive-clustering", Points: make([]Point, floods)}
-	sums := make([]*stats.Summary, floods)
-	for i := range sums {
-		sums[i] = &stats.Summary{}
+		idx[i] = float64(i + 1)
 	}
 	sc := DefaultScenario(n, d, seed)
 	sc.Rule = rule
 	// Replicate whole series (all floods share protocol state), so the
-	// stopping rule is evaluated on the last flood's forward count.
+	// stopping rule is evaluated on the last flood's forward count. This
+	// loop stays outside the group sweep: its rule reads only the last
+	// flood while every flood folds each replicate, which no group member
+	// can express (a member folds exactly what its own rule asks for).
+	sums := make([]stats.Summary, floods)
 	_, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
 		nw, r, ok := sc.Sample("passive", rep)
 		if !ok {
@@ -217,51 +165,23 @@ func PassiveConvergence(floods int, n int, d float64, seed uint64, rule stats.St
 		}
 		return float64(series[floods-1].ForwardCount()), true
 	})
+	passiveSeries := Series{Name: "passive-clustering", Points: make([]Point, floods)}
 	for i := range sums {
-		p := Point{X: float64(idx[i])}
-		if err == nil && sums[i].N() > 0 {
-			p.Mean = sums[i].Mean()
-			p.CI = sums[i].CI(0.99)
-			p.Reps = sums[i].N()
-		}
-		passiveSeries.Points[i] = p
+		passiveSeries.Points[i] = measured(idx[i], &sums[i], err)
 	}
 
-	flat := func(name string, measure func(nw *topology.Network, cl *cluster.Clustering, src int) float64) Series {
-		sc := DefaultScenario(n, d, seed)
-		sc.Rule = rule
-		sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "passive-base-"+name, rep)
-			if !ok {
-				return 0, false
-			}
-			return measure(nw, cl, r.source(n)), true
-		})
-		s := Series{Name: name, Points: make([]Point, floods)}
-		for i := range s.Points {
-			p := Point{X: float64(idx[i])}
-			if err == nil {
-				p.Mean = sum.Mean()
-				p.CI = sum.CI(0.99)
-				p.Reps = sum.N()
-			}
-			s.Points[i] = p
-		}
-		return s
+	// The baselines do not depend on the flood index: flat reference lines.
+	base := func(name string, proto func(d draw) broadcast.Protocol) Series {
+		return flat([]string{name}, idx, sc, shared(sampledWS("passive-base-"+name),
+			func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+				return float64(broadcast.Run(d.nw.G, d.src, proto(d)).ForwardCount()), true
+			}))[0]
 	}
 	return &Figure{
 		ID:     "passive",
 		Title:  fmt.Sprintf("Passive clustering convergence across floods (n=%d, d=%g)", n, d),
 		XLabel: "flood #", YLabel: "forward nodes",
-		Series: []Series{
-			passiveSeries,
-			flat("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int) float64 {
-				return float64(broadcast.Run(nw.G, src, broadcast.Flooding{}).ForwardCount())
-			}),
-			flat("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int) float64 {
-				return float64(dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src).ForwardCount())
-			}),
-		},
+		Series: []Series{passiveSeries, base("flooding", floodingProto), base("dynamic-2.5hop", dynamicProto)},
 	}
 }
 
@@ -269,58 +189,31 @@ func PassiveConvergence(floods int, n int, d float64, seed uint64, rule stats.St
 // Pagani–Rossi forwarding tree as the radio gets lossier: data
 // transmissions and acknowledgements per fully-delivered broadcast,
 // against the (non-guaranteed) delivery ratio flooding achieves at the
-// same loss rate. ABL-RELIABLE. The sweep is over the loss probability.
+// same loss rate. ABL-RELIABLE. The sweep is over the loss probability;
+// the three series read the same replicate's forwarding tree.
 func Reliable(losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, measure func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool)) Series {
-		s := Series{Name: name, Points: make([]Point, len(losses))}
-		ForEachPoint(len(losses), func(i int) {
-			loss := losses[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("reliable-%g", loss), rep)
-				if !ok {
-					return 0, false
-				}
-				src := r.source(nw.N())
-				b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-				tree, err := fwdtree.Build(b, cl, src)
-				if err != nil {
-					return 0, false
-				}
-				return measure(nw, tree, src, loss, sc.Seed^uint64(rep))
-			})
-			if err != nil {
-				s.Points[i] = Point{X: loss}
-				return
+	deliver := func(loss float64, cost func(res *reliable.Result) int) member[tree] {
+		return func(_ *Workspace, sc Scenario, t tree) (float64, bool) {
+			res, err := reliable.Run(t.nw.G, t.Tree, t.src, reliable.Config{Loss: loss, Seed: sc.Seed ^ uint64(t.rep)})
+			if err != nil || !res.Delivered {
+				return 0, false
 			}
-			s.Points[i] = Point{X: loss, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+			return float64(cost(res)), true
+		}
 	}
 	return &Figure{
 		ID:     "reliable",
 		Title:  fmt.Sprintf("Reliable tree broadcast cost under loss (n=%d, d=%g)", n, d),
 		XLabel: "loss probability", YLabel: "messages per broadcast",
-		Series: []Series{
-			mk("tree-data-transmissions", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res, err := reliable.Run(nw.G, tree, src, reliable.Config{Loss: loss, Seed: rep})
-				if err != nil || !res.Delivered {
-					return 0, false
-				}
-				return float64(res.Transmissions), true
+		Series: sweepAxis([]string{"tree-data-transmissions", "tree-acks", "flooding-delivery-pct"},
+			along(losses, n, d, seed, rule), 1, func(loss float64) groupEstimator {
+				return shared(forwardingTree(fmt.Sprintf("reliable-%g", loss)),
+					deliver(loss, func(res *reliable.Result) int { return res.Transmissions }),
+					deliver(loss, func(res *reliable.Result) int { return res.Acks }),
+					func(_ *Workspace, sc Scenario, t tree) (float64, bool) {
+						opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(t.rep)}
+						return 100 * broadcast.RunOpts(t.nw.G, t.src, broadcast.Flooding{}, opt).DeliveryRatio(t.nw.N()), true
+					})
 			}),
-			mk("tree-acks", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res, err := reliable.Run(nw.G, tree, src, reliable.Config{Loss: loss, Seed: rep})
-				if err != nil || !res.Delivered {
-					return 0, false
-				}
-				return float64(res.Acks), true
-			}),
-			mk("flooding-delivery-pct", func(nw *topology.Network, tree *fwdtree.Tree, src int, loss float64, rep uint64) (float64, bool) {
-				res := broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, broadcast.Options{Loss: loss, Seed: rep})
-				return 100 * res.DeliveryRatio(nw.N()), true
-			}),
-		},
 	}
 }

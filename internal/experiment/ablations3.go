@@ -7,12 +7,11 @@ import (
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/dynamicb"
+	"clustercast/internal/graph"
 	"clustercast/internal/hier"
 	"clustercast/internal/routing"
 	"clustercast/internal/sim"
 	"clustercast/internal/stats"
-	"clustercast/internal/topology"
 )
 
 // Pruning reproduces the §3 trade-off between the two redundancy-pruning
@@ -20,211 +19,148 @@ import (
 // time") versus piggybacked coverage pruning ("increase the message
 // length", the dynamic backbone's choice). The sweep is over the back-off
 // window; the piggyback series is flat since it takes no extra delay.
-// Two series pairs are reported: forward nodes and latency. ABL-PRUNING.
+// Two series pairs are reported: forward nodes and latency, each pair
+// read off one broadcast per replicate. ABL-PRUNING.
 func Pruning(windows []int, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	type metric struct {
-		name    string
-		measure func(res *broadcast.Result) float64
+	forwards := func(_ *Workspace, _ Scenario, r *broadcast.Result) (float64, bool) {
+		return float64(r.ForwardCount()), true
 	}
-	metrics := []metric{
-		{"sba-forwards", func(r *broadcast.Result) float64 { return float64(r.ForwardCount()) }},
-		{"sba-latency", func(r *broadcast.Result) float64 { return float64(r.Latency) }},
+	latency := func(_ *Workspace, _ Scenario, r *broadcast.Result) (float64, bool) {
+		return float64(r.Latency), true
 	}
-	var series []Series
-	for _, m := range metrics {
-		m := m
-		s := Series{Name: m.name, Points: make([]Point, len(windows))}
-		ForEachPoint(len(windows), func(i int) {
-			window := windows[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, r, ok := sc.Sample(fmt.Sprintf("pruning-%d", window), rep)
-				if !ok {
-					return 0, false
-				}
-				nb := broadcast.NewNeighborhood(nw.G)
-				res := broadcast.RunTimed(nw.G, r.Intn(nw.N()),
-					broadcast.NewSBA(nb, window, sc.Seed^uint64(rep)))
-				if len(res.Received) != nw.N() {
-					return 0, false
-				}
-				return m.measure(res), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: float64(window)}
-				return
-			}
-			s.Points[i] = Point{X: float64(window), Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+	// sba is one back-off broadcast; a replicate that misses a node is
+	// skipped.
+	sba := func(window int) prefix[*broadcast.Result] {
+		return derived(fmt.Sprintf("pruning-%d", window), func(_ *Workspace, sc Scenario, d draw) (*broadcast.Result, bool) {
+			nb := broadcast.NewNeighborhood(d.nw.G)
+			res := broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(nb, window, sc.Seed^uint64(d.rep)))
+			return res, len(res.Received) == d.nw.N()
 		})
-		series = append(series, s)
 	}
-
-	// Piggyback pruning (the dynamic backbone) as flat reference lines.
-	flat := func(name string, measure func(res *broadcast.Result) float64) Series {
-		sc := DefaultScenario(n, d, seed)
-		sc.Rule = rule
-		sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "pruning-dyn", rep)
-			if !ok {
-				return 0, false
-			}
-			res := dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(r.source(nw.N()))
-			return measure(res), true
-		})
-		s := Series{Name: name, Points: make([]Point, len(windows))}
-		for i := range s.Points {
-			p := Point{X: float64(windows[i])}
-			if err == nil {
-				p.Mean = sum.Mean()
-				p.CI = sum.CI(0.99)
-				p.Reps = sum.N()
-			}
-			s.Points[i] = p
-		}
-		return s
-	}
-	series = append(series,
-		flat("piggyback-forwards", func(r *broadcast.Result) float64 { return float64(r.ForwardCount()) }),
-		flat("piggyback-latency", func(r *broadcast.Result) float64 { return float64(r.Latency) }),
-	)
-
+	piggyback := derived("pruning-dyn", func(_ *Workspace, _ Scenario, d draw) (*broadcast.Result, bool) {
+		return broadcast.Run(d.nw.G, d.src, dynamicProto(d)), true
+	})
+	xs := floats(windows)
+	sc := DefaultScenario(n, d, seed)
+	sc.Rule = rule
 	return &Figure{
 		ID:     "pruning",
 		Title:  fmt.Sprintf("Back-off vs piggyback pruning (n=%d, d=%g)", n, d),
 		XLabel: "back-off window", YLabel: "forward nodes / latency",
-		Series: series,
+		Series: append(
+			sweepAxis([]string{"sba-forwards", "sba-latency"}, along(xs, n, d, seed, rule), 1, func(w float64) groupEstimator {
+				return shared(sba(int(w)), forwards, latency)
+			}),
+			flat([]string{"piggyback-forwards", "piggyback-latency"}, xs, sc,
+				shared(piggyback, forwards, latency))...),
 	}
 }
 
 // Routing measures route discovery over the broadcast service (the
 // application the paper's introduction motivates): RREQ transmissions and
 // route stretch when the request is flooded blindly versus over the
-// dynamic backbone. ABL-ROUTING.
+// dynamic backbone. ABL-ROUTING. The four series discover routes between
+// the same replicate's source and destination.
 func Routing(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	est := func(useBackbone bool, metric string) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, r, ok := clusteredSample(sc, "routing", rep)
-			if !ok {
-				return 0, false
-			}
-			src := r.source(nw.N())
-			dst := r.source(nw.N())
-			if src == dst {
-				return 0, false
-			}
-			var p broadcast.Protocol
-			if useBackbone {
-				p = dynamicb.New(nw.G, cl, coverage.Hop25)
-			} else {
-				p = broadcast.Flooding{}
-			}
-			route, err := routing.Discover(nw.G, src, dst, p)
+	type pair struct {
+		draw
+		dst int
+	}
+	// ends draws the source, then the destination, from the replicate's
+	// split stream; a replicate whose two ends coincide is skipped.
+	ends := func(ws *Workspace, sc Scenario, rep int) (pair, bool) {
+		nw, r, ok := sc.SampleWS(ws, "routing", rep)
+		if !ok {
+			return pair{}, false
+		}
+		p := pair{draw{nw: nw, cl: ws.Elect(nw.G), src: r.Intn(nw.N()), rep: rep}, r.Intn(nw.N())}
+		return p, p.src != p.dst
+	}
+	discover := func(proto func(d draw) broadcast.Protocol, metric func(*routing.Route, *graph.Graph) float64) member[pair] {
+		return func(_ *Workspace, _ Scenario, p pair) (float64, bool) {
+			route, err := routing.Discover(p.nw.G, p.src, p.dst, proto(p.draw))
 			if err != nil {
 				return 0, false
 			}
-			if metric == "cost" {
-				return float64(route.RequestCost), true
-			}
-			return route.Stretch(nw.G), true
+			return metric(route, p.nw.G), true
 		}
 	}
+	cost := func(r *routing.Route, _ *graph.Graph) float64 { return float64(r.RequestCost) }
+	stretch := (*routing.Route).Stretch
 	return &Figure{
 		ID:     "routing",
 		Title:  fmt.Sprintf("Route discovery over the broadcast service (d=%g)", d),
 		XLabel: "n", YLabel: "RREQ transmissions / stretch",
-		Series: []Series{
-			sweep("flooding-cost", ns, d, seed, rule, est(false, "cost")),
-			sweep("backbone-cost", ns, d, seed, rule, est(true, "cost")),
-			sweep("flooding-stretch", ns, d, seed, rule, est(false, "stretch")),
-			sweep("backbone-stretch", ns, d, seed, rule, est(true, "stretch")),
-		},
+		Series: sweepGroup([]string{"flooding-cost", "backbone-cost", "flooding-stretch", "backbone-stretch"},
+			sizes(ns, d, seed, rule), shared(ends,
+				discover(floodingProto, cost), discover(dynamicProto, cost),
+				discover(floodingProto, stretch), discover(dynamicProto, stretch))),
 	}
 }
 
 // Storm reproduces the broadcast storm analysis (Ni et al., the paper's
 // [9]): redundant receptions per node versus density, for flooding and the
-// backbones. ABL-STORM. The sweep is over the average degree at n=80.
+// backbones. ABL-STORM. The sweep is over the average degree at n=80; the
+// five protocols broadcast from the same replicate's network and source.
 func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
-	mk := func(name string, runOne func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result) Series {
-		s := Series{Name: name, Points: make([]Point, len(degrees))}
-		ForEachPoint(len(degrees), func(i int) {
-			deg := degrees[i]
-			sc := DefaultScenario(n, deg, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("storm-%g", deg), rep)
-				if !ok {
-					return 0, false
-				}
-				return runOne(nw, cl, r.source(nw.N())).Redundancy(), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: deg}
-				return
-			}
-			s.Points[i] = Point{X: deg, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+	redundancy := func(runOne func(d draw) *broadcast.Result) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) { return runOne(d).Redundancy(), true }
 	}
 	return &Figure{
 		ID:     "storm",
 		Title:  fmt.Sprintf("Redundant receptions per node vs density (n=%d)", n),
 		XLabel: "avg degree", YLabel: "redundant copies per node",
-		Series: []Series{
-			mk("flooding", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.Run(nw.G, src, broadcast.Flooding{})
+		Series: sweepAxis([]string{"flooding", "dynamic-2.5hop", "sba-w4", "counter-3", "distance-0.4r"},
+			axis(degrees, rule, func(deg float64) Scenario { return DefaultScenario(n, deg, seed) }), 1,
+			func(deg float64) groupEstimator {
+				return shared(sampledWS(fmt.Sprintf("storm-%g", deg)),
+					redundancy(func(d draw) *broadcast.Result { return broadcast.Run(d.nw.G, d.src, floodingProto(d)) }),
+					redundancy(func(d draw) *broadcast.Result { return broadcast.Run(d.nw.G, d.src, dynamicProto(d)) }),
+					redundancy(func(d draw) *broadcast.Result {
+						return broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(broadcast.NewNeighborhood(d.nw.G), 4, 1))
+					}),
+					redundancy(func(d draw) *broadcast.Result {
+						return broadcast.RunTimed(d.nw.G, d.src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
+					}),
+					redundancy(func(d draw) *broadcast.Result {
+						return broadcast.RunTimed(d.nw.G, d.src, broadcast.DistanceBased{
+							Positions: d.nw.Positions, MinDistance: d.nw.Radius * 0.4, MaxDelay: 4, Seed: 1,
+						})
+					}))
 			}),
-			mk("dynamic-2.5hop", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
-			}),
-			mk("sba-w4", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				nb := broadcast.NewNeighborhood(nw.G)
-				return broadcast.RunTimed(nw.G, src, broadcast.NewSBA(nb, 4, 1))
-			}),
-			mk("counter-3", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.RunTimed(nw.G, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})
-			}),
-			mk("distance-0.4r", func(nw *topology.Network, cl *cluster.Clustering, src int) *broadcast.Result {
-				return broadcast.RunTimed(nw.G, src, broadcast.DistanceBased{
-					Positions: nw.Positions, MinDistance: nw.Radius * 0.4, MaxDelay: 4, Seed: 1,
-				})
-			}),
-		},
 	}
 }
 
 // Hierarchy measures the repository's future-work extension: how many
 // clusterheads survive at each level of the multi-level hierarchy as the
 // network grows — geometric shrinkage is what makes hierarchical
-// addressing scale. ABL-HIER.
+// addressing scale. ABL-HIER. Every level reads the same replicate's
+// hierarchy.
 func Hierarchy(ns []int, d float64, levels int, seed uint64, rule stats.StopRule) *Figure {
-	headsAt := func(level int) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, _, ok := sc.Sample("hier", rep)
-			if !ok {
-				return 0, false
-			}
-			h, err := hier.Build(nw.G, levels+1)
-			if err != nil {
-				return 0, false
-			}
-			if level >= h.Depth() {
+	build := func(ws *Workspace, sc Scenario, rep int) (*hier.Hierarchy, bool) {
+		nw, _, ok := sc.SampleWS(ws, "hier", rep)
+		if !ok {
+			return nil, false
+		}
+		h, err := hier.Build(nw.G, levels+1)
+		return h, err == nil
+	}
+	var names []string
+	var members []member[*hier.Hierarchy]
+	for lvl := 0; lvl <= levels; lvl++ {
+		names = append(names, fmt.Sprintf("level-%d-heads", lvl))
+		members = append(members, func(_ *Workspace, _ Scenario, h *hier.Hierarchy) (float64, bool) {
+			if lvl >= h.Depth() {
 				return 1, true // fully collapsed: one head remains
 			}
-			return float64(len(h.HeadsAt(level))), true
-		}
-	}
-	var series []Series
-	for lvl := 0; lvl <= levels; lvl++ {
-		series = append(series,
-			sweep(fmt.Sprintf("level-%d-heads", lvl), ns, d, seed, rule, headsAt(lvl)))
+			return float64(len(h.HeadsAt(lvl))), true
+		})
 	}
 	return &Figure{
 		ID:     "hier",
 		Title:  fmt.Sprintf("Clusterheads per hierarchy level (d=%g)", d),
 		XLabel: "n", YLabel: "heads",
-		Series: series,
+		Series: sweepGroup(names, sizes(ns, d, seed, rule), shared(build, members...)),
 	}
 }
 
@@ -236,20 +172,7 @@ func Hierarchy(ns []int, d float64, levels int, seed uint64, rule stats.StopRule
 // protocols broadcast from the same replicate's network, clustering and
 // source, so they run as one group.
 func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.StopRule) *Figure {
-	pts := make([]point, len(degrees))
-	for i, deg := range degrees {
-		sc := DefaultScenario(n, deg, seed)
-		sc.Rule = rule
-		pts[i] = point{sc, deg}
-	}
-	sample := func(_ *Workspace, sc Scenario, rep int) (draw, bool) {
-		nw, r, ok := sc.Sample(fmt.Sprintf("collision-%g", sc.AvgDegree), rep)
-		if !ok {
-			return draw{}, false
-		}
-		return draw{nw: nw, cl: cluster.LowestID(nw.G), src: r.Intn(nw.N()), rep: rep}, true
-	}
-	mac := func(proto func(d draw) broadcast.Protocol) func(*Workspace, Scenario, draw) (float64, bool) {
+	mac := func(proto func(d draw) broadcast.Protocol) member[draw] {
 		return func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
 			opt := broadcast.MACOptions{Jitter: jitterWindow, Seed: sc.Seed ^ uint64(d.rep)}
 			return broadcast.RunMAC(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
@@ -259,13 +182,11 @@ func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.S
 		ID:     "collision",
 		Title:  fmt.Sprintf("Delivery under MAC collisions (n=%d, jitter window %d)", n, jitterWindow),
 		XLabel: "avg degree", YLabel: "delivery ratio",
-		Series: sweepGroup([]string{"flooding", "static-2.5hop", "dynamic-2.5hop"}, pts, shared(sample,
-			mac(func(draw) broadcast.Protocol { return broadcast.Flooding{} }),
-			mac(func(d draw) broadcast.Protocol {
-				return broadcast.StaticCDS{Set: backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Nodes}
+		Series: sweepAxis([]string{"flooding", "static-2.5hop", "dynamic-2.5hop"},
+			axis(degrees, rule, func(deg float64) Scenario { return DefaultScenario(n, deg, seed) }), 0,
+			func(deg float64) groupEstimator {
+				return shared(sampledWS(fmt.Sprintf("collision-%g", deg)), mac(floodingProto), mac(staticProto), mac(dynamicProto))
 			}),
-			mac(func(d draw) broadcast.Protocol { return dynamicb.New(d.nw.G, d.cl, coverage.Hop25) }),
-		)),
 	}
 }
 
@@ -274,32 +195,23 @@ func Collision(degrees []float64, n, jitterWindow int, seed uint64, rule stats.S
 // clustering. Fewer, larger clusters shrink the backbone but concentrate
 // load and churn under mobility. ABL-ELECTION.
 func Election(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	size := func(elect func(*topology.Network) *cluster.Clustering, what string) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, _, ok := sc.Sample("election", rep)
-			if !ok {
-				return 0, false
-			}
-			cl := elect(nw)
-			if what == "heads" {
-				return float64(cl.NumClusters()), true
-			}
-			b := coverage.NewBuilder(nw.G, cl, coverage.Hop25)
-			return float64(backbone.BuildStaticFrom(b, cl).Size()), true
+	lowest := func(d draw) *cluster.Clustering { return d.cl }
+	degree := func(d draw) *cluster.Clustering { return cluster.HighestDegree(d.nw.G) }
+	heads := func(elect func(draw) *cluster.Clustering) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) { return float64(elect(d).NumClusters()), true }
+	}
+	size := func(elect func(draw) *cluster.Clustering) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			cl := elect(d)
+			return float64(backbone.BuildStaticFrom(coverage.NewBuilder(d.nw.G, cl, coverage.Hop25), cl).Size()), true
 		}
 	}
-	lowest := func(nw *topology.Network) *cluster.Clustering { return cluster.LowestID(nw.G) }
-	degree := func(nw *topology.Network) *cluster.Clustering { return cluster.HighestDegree(nw.G) }
 	return &Figure{
 		ID:     "election",
 		Title:  fmt.Sprintf("Lowest-ID vs highest-degree clusterhead election (d=%g)", d),
 		XLabel: "n", YLabel: "count",
-		Series: []Series{
-			sweep("lowestid-heads", ns, d, seed, rule, size(lowest, "heads")),
-			sweep("highestdeg-heads", ns, d, seed, rule, size(degree, "heads")),
-			sweep("lowestid-backbone", ns, d, seed, rule, size(lowest, "backbone")),
-			sweep("highestdeg-backbone", ns, d, seed, rule, size(degree, "backbone")),
-		},
+		Series: sweepGroup([]string{"lowestid-heads", "highestdeg-heads", "lowestid-backbone", "highestdeg-backbone"},
+			sizes(ns, d, seed, rule), shared(sampledWS("election"), heads(lowest), heads(degree), size(lowest), size(degree))),
 	}
 }
 
@@ -310,46 +222,35 @@ func Election(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // keep fresh: total 2-hop clusterhead entries across all non-clusterheads,
 // plus the average coverage-set size per clusterhead. ABL-COVERAGE.
 func CoverageCost(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	entries := func(mode coverage.Mode) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "covcost", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, mode)
+	entries := func(mode coverage.Mode) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			b := coverage.NewBuilder(d.nw.G, d.cl, mode)
 			total := 0
-			for v := 0; v < nw.N(); v++ {
-				if !cl.IsHead(v) {
+			for v := 0; v < d.nw.N(); v++ {
+				if !d.cl.IsHead(v) {
 					total += len(b.CH2(v))
 				}
 			}
 			return float64(total), true
 		}
 	}
-	covSize := func(mode coverage.Mode) Estimator {
-		return func(sc Scenario, rep int) (float64, bool) {
-			nw, cl, _, ok := clusteredSample(sc, "covcost", rep)
-			if !ok {
-				return 0, false
-			}
-			b := coverage.NewBuilder(nw.G, cl, mode)
+	covSize := func(mode coverage.Mode) member[draw] {
+		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
+			b := coverage.NewBuilder(d.nw.G, d.cl, mode)
 			total := 0
-			for _, h := range cl.Heads {
+			for _, h := range d.cl.Heads {
 				total += b.Of(h).Size()
 			}
-			return float64(total) / float64(len(cl.Heads)), true
+			return float64(total) / float64(len(d.cl.Heads)), true
 		}
 	}
 	return &Figure{
 		ID:     "covcost",
 		Title:  fmt.Sprintf("Coverage-set maintenance cost, 2.5-hop vs 3-hop (d=%g)", d),
 		XLabel: "n", YLabel: "CH_HOP2 entries / avg |C(u)|",
-		Series: []Series{
-			sweep("ch2-entries-2.5hop", ns, d, seed, rule, entries(coverage.Hop25)),
-			sweep("ch2-entries-3hop", ns, d, seed, rule, entries(coverage.Hop3)),
-			sweep("coverage-size-2.5hop", ns, d, seed, rule, covSize(coverage.Hop25)),
-			sweep("coverage-size-3hop", ns, d, seed, rule, covSize(coverage.Hop3)),
-		},
+		Series: sweepGroup([]string{"ch2-entries-2.5hop", "ch2-entries-3hop", "coverage-size-2.5hop", "coverage-size-3hop"},
+			sizes(ns, d, seed, rule), shared(sampledWS("covcost"),
+				entries(coverage.Hop25), entries(coverage.Hop3), covSize(coverage.Hop25), covSize(coverage.Hop3))),
 	}
 }
 
@@ -361,60 +262,39 @@ func CoverageCost(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure
 // static backbone pays GATEWAY designation traffic up front for a larger
 // forward set; the dynamic backbone skips GATEWAY messages and forwards
 // less per broadcast — so it wins at every k, and the gap widens.
-// Flooding pays nothing up front and n per broadcast. ABL-AMORT.
+// Flooding pays nothing up front and n per broadcast. ABL-AMORT. The three
+// totals read one cost measurement per replicate.
 func Amortized(ks []int, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
 	type costs struct {
 		staticSetup, dynSetup   float64
 		staticFwd, dynFwd, nAll float64
 	}
-	measure := func(sc Scenario, rep int) (costs, bool) {
-		nw, cl, r, ok := clusteredSample(sc, "amort", rep)
-		if !ok {
-			return costs{}, false
-		}
-		out := sim.Run(nw.G, coverage.Hop25)
+	measure := derived("amort", func(_ *Workspace, _ Scenario, d draw) (costs, bool) {
+		out := sim.Run(d.nw.G, coverage.Hop25)
 		gateway := out.Counters.PerType[sim.Gateway]
-		src := r.source(nw.N())
-		st := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-		sres := broadcast.Run(nw.G, src, broadcast.StaticCDS{Set: st.Nodes})
-		dres := dynamicb.New(nw.G, cl, coverage.Hop25).Broadcast(src)
+		sres := broadcast.Run(d.nw.G, d.src, staticProto(d))
+		dres := broadcast.Run(d.nw.G, d.src, dynamicProto(d))
 		return costs{
 			staticSetup: float64(out.Counters.Total()),
 			dynSetup:    float64(out.Counters.Total() - gateway),
 			staticFwd:   float64(sres.ForwardCount()),
 			dynFwd:      float64(dres.ForwardCount()),
-			nAll:        float64(nw.N()),
+			nAll:        float64(d.nw.N()),
 		}, true
-	}
-	mk := func(name string, total func(c costs, k int) float64) Series {
-		s := Series{Name: name, Points: make([]Point, len(ks))}
-		ForEachPoint(len(ks), func(i int) {
-			k := ks[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				c, ok := measure(sc, rep)
-				if !ok {
-					return 0, false
-				}
-				return total(c, k), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: float64(k)}
-				return
-			}
-			s.Points[i] = Point{X: float64(k), Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
+	})
+	total := func(k float64, f func(c costs, k float64) float64) member[costs] {
+		return func(_ *Workspace, _ Scenario, c costs) (float64, bool) { return f(c, k), true }
 	}
 	return &Figure{
 		ID:     "amort",
 		Title:  fmt.Sprintf("Total messages for k broadcasts (n=%d, d=%g)", n, d),
 		XLabel: "broadcasts k", YLabel: "messages (setup + forwarding)",
-		Series: []Series{
-			mk("flooding", func(c costs, k int) float64 { return float64(k) * c.nAll }),
-			mk("static-backbone", func(c costs, k int) float64 { return c.staticSetup + float64(k)*c.staticFwd }),
-			mk("dynamic-backbone", func(c costs, k int) float64 { return c.dynSetup + float64(k)*c.dynFwd }),
-		},
+		Series: sweepAxis([]string{"flooding", "static-backbone", "dynamic-backbone"}, along(floats(ks), n, d, seed, rule), 1,
+			func(k float64) groupEstimator {
+				return shared(measure,
+					total(k, func(c costs, k float64) float64 { return k * c.nAll }),
+					total(k, func(c costs, k float64) float64 { return c.staticSetup + k*c.staticFwd }),
+					total(k, func(c costs, k float64) float64 { return c.dynSetup + k*c.dynFwd }))
+			}),
 	}
 }

@@ -36,7 +36,7 @@ func TestScratchConcurrentForEachPoint(t *testing.T) {
 
 	const iters = 64
 	bad := make([]bool, iters)
-	ForEachPoint(iters, func(i int) {
+	forEachPoint(iters, Parallelism(), func(i int) {
 		// Pooled path: the convenience methods borrow from the shared pool,
 		// so concurrent iterations continually exchange scratches of
 		// different sizes.

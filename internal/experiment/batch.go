@@ -57,19 +57,12 @@ type BatchKernel func(ws *Workspace, nw *topology.Network, cl *cluster.Clusterin
 // each advance independent batches on pooled per-worker workspaces; the
 // Point is bit-identical for every worker count.
 func BatchSweepPoint(sc Scenario, workers int, x float64, label string, spec func(batch int) faults.Spec, kernel BatchKernel) Point {
-	slots := workers
-	if slots < 1 {
-		slots = 1
-	}
-	wss := make([]*Workspace, slots)
+	wss := make(workerSpaces, max(workers, 1))
+	defer wss.release()
 	sample := sampledWS(label)
 	sum, err := stats.ReplicateBatch(sc.Rule, workers, func(worker, batch int) stats.BatchObs {
 		var o stats.BatchObs
-		ws := wss[worker]
-		if ws == nil {
-			ws = wsPool.Get().(*Workspace)
-			wss[worker] = ws
-		}
+		ws := wss.get(worker)
 		d, ok := sample(ws, sc, batch)
 		if !ok {
 			return o // every lane of the batch shares the discarded sample
@@ -90,16 +83,43 @@ func BatchSweepPoint(sc Scenario, workers int, x float64, label string, spec fun
 		}
 		return o
 	})
-	for _, ws := range wss {
-		if ws != nil {
-			ws.Clock.Reset()
-			wsPool.Put(ws)
+	return measured(x, sum, err)
+}
+
+// lossPoint is one point of a link-loss series: the label its replicates
+// sample under, the link model, the series' 64-wide kernel (nil: scalar
+// only), and its scalar estimator (nil: no valid link model at this x).
+type lossPoint struct {
+	label  string
+	link   faults.Spec
+	kernel BatchKernel
+	est    WSEstimator
+}
+
+// lossSweep sweeps one series of a link-loss figure: at(x) describes the
+// point plotted at x. A point runs on the 64-wide engine — batch b's link
+// model seeded batchSeed(seed, b) — when it has a kernel and the opt-in
+// covers its link model, and otherwise replicates its scalar estimator on
+// reps workers, or on as many as the pool has when reps is 0.
+func lossSweep(name string, pts []point, reps int, at func(x float64) lossPoint) Series {
+	return sweepPoints([]string{name}, pts, func(p point, workers int) []Point {
+		lp := at(p.x)
+		if lp.est == nil {
+			return []Point{{X: p.x}} // no valid link model: a missing point
 		}
-	}
-	if err != nil {
-		return Point{X: x}
-	}
-	return Point{X: x, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+		if lp.kernel != nil && useBatch(lp.link) {
+			spec := func(batch int) faults.Spec {
+				sp := lp.link
+				sp.Seed = batchSeed(p.sc.Seed, batch)
+				return sp
+			}
+			return []Point{BatchSweepPoint(p.sc, workers, p.x, lp.label, spec, lp.kernel)}
+		}
+		if reps > 0 {
+			workers = reps
+		}
+		return groupPoint(p.sc, p.x, workers, 1, alone(lp.est))
+	})[0]
 }
 
 // The batch kernels of the figure series that claim batch support. Each

@@ -6,6 +6,7 @@ import (
 
 	"clustercast/internal/broadcast"
 	"clustercast/internal/faults"
+	"clustercast/internal/obs"
 	"clustercast/internal/stats"
 )
 
@@ -108,6 +109,33 @@ func TestBatchSweepPointMatchesScalarLanes(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBatchSweepPointRecordsStages: the batch path folds its workers'
+// stage clocks into the global stage table like the group path does, so a
+// -batch run's manifest carries the sample time of its batched points.
+func TestBatchSweepPointRecordsStages(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.ResetStages()
+	sc := DefaultScenario(30, 8, 21)
+	sc.Rule = batchRule
+	ideal := func(int) faults.Spec { return faults.Spec{} }
+	for _, workers := range []int{1, 2} {
+		obs.ResetStages()
+		if p := BatchSweepPoint(sc, workers, 1, "batch-stages", ideal, floodingKernel); p.Missing() {
+			t.Fatalf("workers=%d: batch point missing", workers)
+		}
+		var sample obs.StageStat
+		for _, st := range obs.StageSnapshot() {
+			if st.Name == "sample" {
+				sample = st
+			}
+		}
+		if sample.Count < 1 {
+			t.Errorf("workers=%d: no sample stage recorded: %v", workers, obs.StageSnapshot())
 		}
 	}
 }

@@ -128,18 +128,6 @@ type Figure struct {
 	Series []Series
 }
 
-// Estimator measures one replicate of a metric under a scenario. ok=false
-// skips the replicate (discarded topology).
-type Estimator func(sc Scenario, rep int) (float64, bool)
-
-// sweep runs one series over the network sizes: the one-member group of
-// an estimator that needs no workspace.
-func sweep(name string, ns []int, d float64, seed uint64, rule stats.StopRule, est Estimator) Series {
-	return sweepWS(name, ns, d, seed, rule, func(_ *Workspace, sc Scenario, rep int) (float64, bool) {
-		return est(sc, rep)
-	})
-}
-
 // parallelism holds the configured worker count (0 = GOMAXPROCS), behind
 // an atomic so runners and flag parsing never race.
 var parallelism atomic.Int64
@@ -201,13 +189,9 @@ func effectiveBuildWorkers() int {
 	return min(int(buildWorkers.Load()), runtime.GOMAXPROCS(0))
 }
 
-// ForEachPoint runs fn(0..n-1) across the worker pool and waits for all
-// of them. fn must write only to its own slot of any shared slice.
-func ForEachPoint(n int, fn func(i int)) {
-	forEachPoint(n, Parallelism(), fn)
-}
-
-// forEachPoint is ForEachPoint with an explicit worker count.
+// forEachPoint runs fn(0..n-1) across a pool of the given worker count and
+// waits for all of them. fn must write only to its own slot of any shared
+// slice.
 func forEachPoint(n, workers int, fn func(i int)) {
 	progPoints.AddTotal(int64(n))
 	if workers < 1 {

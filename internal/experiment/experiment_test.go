@@ -293,7 +293,7 @@ func TestForEachPointCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		SetParallelism(workers)
 		hits := make([]int, 20)
-		ForEachPoint(len(hits), func(i int) { hits[i]++ })
+		forEachPoint(len(hits), Parallelism(), func(i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
@@ -303,7 +303,7 @@ func TestForEachPointCoversAll(t *testing.T) {
 }
 
 func TestForEachPointEmpty(t *testing.T) {
-	ForEachPoint(0, func(i int) { t.Fatal("must not be called") })
+	forEachPoint(0, Parallelism(), func(i int) { t.Fatal("must not be called") })
 }
 
 func TestSICDSSmall(t *testing.T) {

@@ -5,13 +5,9 @@ import (
 
 	"clustercast/internal/backbone"
 	"clustercast/internal/broadcast"
-	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/dynamicb"
 	"clustercast/internal/faults"
-	"clustercast/internal/mocds"
 	"clustercast/internal/stats"
-	"clustercast/internal/topology"
 )
 
 // faultsMeanDown is the mean outage length (slots) used by the churn sweep;
@@ -78,84 +74,58 @@ func liveDelivery(res *broadcast.Result, n int, alive func(int) bool) (float64, 
 // curves. Flooding, the dynamic (source-dependent) backbone and the MO_CDS
 // complete the comparison.
 func Faults(qs []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	workers := Parallelism()
-	type sample struct {
-		nw    *topology.Network
-		cl    *cluster.Clustering
+	type churned struct {
+		draw
 		o     *faults.Oracle
 		alive func(int) bool
-		src   int
 	}
-	// draw builds the replicate's common state: topology, clustering, fault
+	// sample builds the replicate's common state: topology, clustering, fault
 	// oracle (seeded per replicate), and a live source.
-	draw := func(sc Scenario, q float64, name string, rep int) (*sample, bool) {
-		nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("faults-%s-%g", name, q), rep)
-		if !ok {
-			return nil, false
-		}
-		o := faults.New(churnSpec(q, sc.Seed^uint64(rep)), nw.N())
-		o.SetPositions(nw.Positions)
-		alive := o.Alive(0)
-		src, ok := liveSource(r.source(nw.N()), nw.N(), alive)
-		if !ok {
-			return nil, false
-		}
-		return &sample{nw: nw, cl: cl, o: o, alive: alive, src: src}, true
-	}
-	mk := func(name string, runOne func(s *sample) (*broadcast.Result, bool)) Series {
-		ser := Series{Name: name, Points: make([]Point, len(qs))}
-		forEachPoint(len(qs), workers, func(i int) {
-			q := qs[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
-			sum, err := stats.ReplicateN(sc.Rule, workers, func(rep int) (float64, bool) {
-				s, ok := draw(sc, q, name, rep)
-				if !ok {
-					return 0, false
-				}
-				res, ok := runOne(s)
-				if !ok {
-					return 0, false
-				}
-				return liveDelivery(res, s.nw.N(), s.alive)
-			})
-			if err != nil {
-				ser.Points[i] = Point{X: q}
-				return
-			}
-			ser.Points[i] = Point{X: q, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+	sample := func(label string, q float64) prefix[churned] {
+		return derived(label, func(_ *Workspace, sc Scenario, d draw) (churned, bool) {
+			o := faults.New(churnSpec(q, sc.Seed^uint64(d.rep)), d.nw.N())
+			o.SetPositions(d.nw.Positions)
+			alive := o.Alive(0)
+			src, ok := liveSource(d.src, d.nw.N(), alive)
+			d.src = src
+			return churned{d, o, alive}, ok
 		})
-		return ser
 	}
-	opt := func(s *sample) broadcast.Options { return broadcast.Options{Faults: s.o} }
+	pts := along(qs, n, d, seed, rule)
+	// mk sweeps one protocol; a nil protocol skips the replicate.
+	mk := func(name string, proto func(c churned) broadcast.Protocol) Series {
+		return sweepAxis([]string{name}, pts, 0, func(q float64) groupEstimator {
+			return shared(sample(fmt.Sprintf("faults-%s-%g", name, q), q),
+				func(_ *Workspace, _ Scenario, c churned) (float64, bool) {
+					p := proto(c)
+					if p == nil {
+						return 0, false
+					}
+					return liveDelivery(broadcast.RunOpts(c.nw.G, c.src, p, broadcast.Options{Faults: c.o}), c.nw.N(), c.alive)
+				})
+		})[0]
+	}
+	of := func(proto func(draw) broadcast.Protocol) func(churned) broadcast.Protocol {
+		return func(c churned) broadcast.Protocol { return proto(c.draw) }
+	}
 	return &Figure{
 		ID:     "faults",
 		Title:  fmt.Sprintf("Delivery to live nodes under crash/recovery churn (n=%d, d=%g, MTTR=%d)", n, d, faultsMeanDown),
 		XLabel: "downtime fraction", YLabel: "delivery ratio (live nodes)",
 		Series: []Series{
-			mk("flooding", func(s *sample) (*broadcast.Result, bool) {
-				return broadcast.RunOpts(s.nw.G, s.src, broadcast.Flooding{}, opt(s)), true
-			}),
-			mk("static-2.5hop-stale", func(s *sample) (*broadcast.Result, bool) {
-				b := backbone.BuildStatic(s.nw.G, s.cl, coverage.Hop25)
-				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: b.Nodes}, opt(s)), true
-			}),
-			mk("static-2.5hop-repaired", func(s *sample) (*broadcast.Result, bool) {
-				base := backbone.BuildStatic(s.nw.G, s.cl, coverage.Hop25)
+			mk("flooding", of(floodingProto)),
+			mk("static-2.5hop-stale", of(staticProto)),
+			mk("static-2.5hop-repaired", func(c churned) broadcast.Protocol {
+				base := backbone.BuildStatic(c.nw.G, c.cl, coverage.Hop25)
 				allUp := func(int) bool { return true }
-				_, rep, _, err := backbone.Repair(s.nw.G, s.cl, base, allUp, s.alive, backbone.Options{}, nil)
+				_, rep, _, err := backbone.Repair(c.nw.G, c.cl, base, allUp, c.alive, backbone.Options{}, nil)
 				if err != nil {
-					return nil, false
+					return nil
 				}
-				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: rep.Nodes}, opt(s)), true
+				return broadcast.StaticCDS{Set: rep.Nodes}
 			}),
-			mk("dynamic-2.5hop", func(s *sample) (*broadcast.Result, bool) {
-				return broadcast.RunOpts(s.nw.G, s.src, dynamicb.New(s.nw.G, s.cl, coverage.Hop25), opt(s)), true
-			}),
-			mk("mo-cds", func(s *sample) (*broadcast.Result, bool) {
-				c := mocds.Build(s.nw.G, s.cl)
-				return broadcast.RunOpts(s.nw.G, s.src, broadcast.StaticCDS{Set: c.Nodes}, opt(s)), true
-			}),
+			mk("dynamic-2.5hop", of(dynamicProto)),
+			mk("mo-cds", of(mocdsProto)),
 		},
 	}
 }
@@ -174,65 +144,32 @@ func Faults(qs []float64, n int, d float64, seed uint64, rule stats.StopRule) *F
 // NOT batchable (faults.BatchSupported excludes node churn) and always
 // stays scalar — it is the opt-in's documented fallback.
 func Burstiness(burstLens []float64, p float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	workers := Parallelism()
-	mk := func(name string, kernel BatchKernel, runOne func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result) Series {
-		s := Series{Name: name, Points: make([]Point, len(burstLens))}
-		forEachPoint(len(burstLens), workers, func(i int) {
-			L := burstLens[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
+	pts := along(burstLens, n, d, seed, rule)
+	mk := func(name string, kernel BatchKernel, proto func(d draw) broadcast.Protocol) Series {
+		return lossSweep(name, pts, 0, func(L float64) lossPoint {
 			var burst faults.Spec
 			if err := burst.SetBurst(p, L); err != nil {
-				s.Points[i] = Point{X: L}
-				return
+				return lossPoint{}
 			}
-			if kernel != nil && useBatch(burst) {
-				spec := func(batch int) faults.Spec {
-					sp := burst
-					sp.Seed = batchSeed(sc.Seed, batch)
-					return sp
-				}
-				s.Points[i] = BatchSweepPoint(sc, workers, L, fmt.Sprintf("burst-%s-%g", name, L), spec, kernel)
-				return
-			}
-			sum, err := stats.ReplicateN(sc.Rule, workers, func(rep int) (float64, bool) {
-				nw, cl, r, ok := clusteredSample(sc, fmt.Sprintf("burst-%s-%g", name, L), rep)
-				if !ok {
-					return 0, false
-				}
-				spec := burst
-				spec.Seed = sc.Seed ^ uint64(rep)
-				o := faults.New(spec, nw.N())
-				res := runOne(nw, cl, r.source(nw.N()), broadcast.Options{Faults: o})
-				return res.DeliveryRatio(nw.N()), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: L}
-				return
-			}
-			s.Points[i] = Point{X: L, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
+			label := fmt.Sprintf("burst-%s-%g", name, L)
+			return lossPoint{label, burst, kernel,
+				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+					spec := burst
+					spec.Seed = sc.Seed ^ uint64(d.rep)
+					opt := broadcast.Options{Faults: faults.New(spec, d.nw.N())}
+					return broadcast.RunOpts(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
+				})}
 		})
-		return s
 	}
 	return &Figure{
 		ID:     "burst",
 		Title:  fmt.Sprintf("Delivery under bursty link loss, fixed rate p=%g (n=%d, d=%g)", p, n, d),
 		XLabel: "mean burst length", YLabel: "delivery ratio",
 		Series: []Series{
-			mk("flooding", floodingKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return broadcast.RunOpts(nw.G, src, broadcast.Flooding{}, opt)
-			}),
-			mk("static-2.5hop", staticCDSKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				b := backbone.BuildStatic(nw.G, cl, coverage.Hop25)
-				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: b.Nodes}, opt)
-			}),
-			mk("dynamic-2.5hop", nil, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				return broadcast.RunOpts(nw.G, src, dynamicb.New(nw.G, cl, coverage.Hop25), opt)
-			}),
-			mk("mo-cds", mocdsKernel, func(nw *topology.Network, cl *cluster.Clustering, src int, opt broadcast.Options) *broadcast.Result {
-				c := mocds.Build(nw.G, cl)
-				return broadcast.RunOpts(nw.G, src, broadcast.StaticCDS{Set: c.Nodes}, opt)
-			}),
+			mk("flooding", floodingKernel, floodingProto),
+			mk("static-2.5hop", staticCDSKernel, staticProto),
+			mk("dynamic-2.5hop", nil, dynamicProto),
+			mk("mo-cds", mocdsKernel, mocdsProto),
 		},
 	}
 }

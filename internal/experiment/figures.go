@@ -3,97 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"clustercast/internal/backbone"
-	"clustercast/internal/broadcast"
-	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/dynamicb"
-	"clustercast/internal/mocds"
 	"clustercast/internal/stats"
-	"clustercast/internal/topology"
 )
-
-// clusteredSample draws a topology and its lowest-ID clustering.
-func clusteredSample(sc Scenario, label string, rep int) (*topology.Network, *cluster.Clustering, *rngSplit, bool) {
-	nw, r, ok := sc.Sample(label, rep)
-	if !ok {
-		return nil, nil, nil, false
-	}
-	return nw, cluster.LowestID(nw.G), &rngSplit{r}, true
-}
-
-// rngSplit wraps the per-replicate stream with the one operation the
-// estimators need.
-type rngSplit struct{ r interface{ Intn(int) int } }
-
-func (s *rngSplit) source(n int) int { return s.r.Intn(n) }
-
-// StaticSizeEstimator measures |static backbone| under a coverage mode
-// (Figure 6 series "static backbone").
-func StaticSizeEstimator(mode coverage.Mode) Estimator {
-	return func(sc Scenario, rep int) (float64, bool) {
-		nw, cl, _, ok := clusteredSample(sc, "fig6-static", rep)
-		if !ok {
-			return 0, false
-		}
-		return float64(backbone.BuildStatic(nw.G, cl, mode).Size()), true
-	}
-}
-
-// MOCDSSizeEstimator measures |MO_CDS| (Figure 6 series "MO_CDS").
-func MOCDSSizeEstimator() Estimator {
-	return func(sc Scenario, rep int) (float64, bool) {
-		nw, cl, _, ok := clusteredSample(sc, "fig6-mocds", rep)
-		if !ok {
-			return 0, false
-		}
-		return float64(mocds.Build(nw.G, cl).Size()), true
-	}
-}
-
-// DynamicForwardEstimator measures the forward-node-set size of one
-// dynamic-backbone broadcast from a random source (Figure 7/8 series
-// "dynamic backbone").
-func DynamicForwardEstimator(mode coverage.Mode) Estimator {
-	return func(sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSample(sc, "fig7-dynamic", rep)
-		if !ok {
-			return 0, false
-		}
-		p := dynamicb.New(nw.G, cl, mode)
-		res := p.Broadcast(r.source(nw.N()))
-		return float64(res.ForwardCount()), true
-	}
-}
-
-// StaticForwardEstimator measures the forward-node-set size of a broadcast
-// over the static backbone from a random source (Figure 8 series "static
-// backbone").
-func StaticForwardEstimator(mode coverage.Mode) Estimator {
-	return func(sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSample(sc, "fig8-static", rep)
-		if !ok {
-			return 0, false
-		}
-		s := backbone.BuildStatic(nw.G, cl, mode)
-		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: s.Nodes})
-		return float64(res.ForwardCount()), true
-	}
-}
-
-// MOCDSForwardEstimator measures the forward-node-set size of a broadcast
-// over the MO_CDS from a random source (Figure 7 series "MO_CDS").
-func MOCDSForwardEstimator() Estimator {
-	return func(sc Scenario, rep int) (float64, bool) {
-		nw, cl, r, ok := clusteredSample(sc, "fig7-mocds", rep)
-		if !ok {
-			return 0, false
-		}
-		c := mocds.Build(nw.G, cl)
-		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: c.Nodes})
-		return float64(res.ForwardCount()), true
-	}
-}
 
 // Fig6 reproduces Figure 6: average size of the CDS — static backbone
 // (2.5-hop and 3-hop) vs MO_CDS — for the given average degree d. The two

@@ -26,50 +26,22 @@ const gossipSeedSalt = 0xA24BAED4963EE407
 // forward coins, transition-free Gilbert–Elliott loss), making this the
 // cheapest dense sweep in the suite.
 func GossipAblation(ps []float64, losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
-	workers := Parallelism()
-	mk := func(loss float64) Series {
+	pts := along(ps, n, d, seed, rule)
+	series := make([]Series, 0, len(losses))
+	for _, loss := range losses {
 		name := "gossip-ideal"
 		if loss > 0 {
 			name = fmt.Sprintf("gossip-loss-%g", loss)
 		}
-		s := Series{Name: name, Points: make([]Point, len(ps))}
-		forEachPoint(len(ps), workers, func(i int) {
-			p := ps[i]
-			sc := DefaultScenario(n, d, seed)
-			sc.Rule = rule
+		series = append(series, lossSweep(name, pts, 1, func(p float64) lossPoint {
 			label := fmt.Sprintf("gossip-%g-%g", loss, p)
-			iid := faults.Spec{LossGood: loss}
-			if useBatch(iid) {
-				spec := func(batch int) faults.Spec {
-					if loss == 0 {
-						return faults.Spec{}
-					}
-					return faults.Spec{LossGood: loss, Seed: batchSeed(sc.Seed, batch)}
-				}
-				s.Points[i] = BatchSweepPoint(sc, workers, p, label, spec, gossipKernel(p, sc.Seed^gossipSeedSalt))
-				return
-			}
-			sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-				nw, _, r, ok := clusteredSample(sc, label, rep)
-				if !ok {
-					return 0, false
-				}
-				g := broadcast.Gossip{P: p, Seed: batchSeed(sc.Seed^gossipSeedSalt, rep)}
-				opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(rep)}
-				res := broadcast.RunOpts(nw.G, r.source(nw.N()), g, opt)
-				return res.DeliveryRatio(nw.N()), true
-			})
-			if err != nil {
-				s.Points[i] = Point{X: p}
-				return
-			}
-			s.Points[i] = Point{X: p, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-		})
-		return s
-	}
-	series := make([]Series, 0, len(losses))
-	for _, loss := range losses {
-		series = append(series, mk(loss))
+			return lossPoint{label, faults.Spec{LossGood: loss}, gossipKernel(p, seed^gossipSeedSalt),
+				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+					g := broadcast.Gossip{P: p, Seed: batchSeed(sc.Seed^gossipSeedSalt, d.rep)}
+					opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(d.rep)}
+					return broadcast.RunOpts(d.nw.G, d.src, g, opt).DeliveryRatio(d.nw.N()), true
+				})}
+		}))
 	}
 	return &Figure{
 		ID:     "gossip",

@@ -50,6 +50,39 @@ func trafficBackbones() []trafficBackbone {
 	}
 }
 
+// flowsDrawn is a replicate's draw plus the broadcast flows generated
+// over it.
+type flowsDrawn struct {
+	draw
+	flows []workload.Flow
+}
+
+// loadSweep runs a workload figure over the offered load: every replicate
+// at a rate samples under label-rate and generates its flows from spec
+// (seeded per replicate) once, and each backbone × metric member runs its
+// own workload over them, on one replicate worker per point.
+func loadSweep(label string, rates []float64, n int, d float64, seed uint64, rule stats.StopRule, spec workload.Spec,
+	metrics []string, run func(f flowsDrawn, proto workload.ProtoFactory, metric int) (float64, bool)) []Series {
+	var names []string
+	var members []member[flowsDrawn]
+	for _, bk := range trafficBackbones() {
+		for m, metric := range metrics {
+			names = append(names, bk.name+"-"+metric)
+			members = append(members, func(_ *Workspace, _ Scenario, f flowsDrawn) (float64, bool) {
+				return run(f, bk.proto(f.nw, f.cl), m)
+			})
+		}
+	}
+	return sweepAxis(names, along(rates, n, d, seed, rule), 1, func(rate float64) groupEstimator {
+		return shared(derived(fmt.Sprintf("%s-%g", label, rate), func(_ *Workspace, sc Scenario, d draw) (flowsDrawn, bool) {
+			sp := spec
+			sp.Rate, sp.Seed = rate, sc.Seed^uint64(d.rep)
+			fl, err := sp.Generate(d.nw.N())
+			return flowsDrawn{d, fl}, err == nil
+		}), members...)
+	})
+}
+
 // Traffic is the heavy-load ablation the single-shot figures never
 // produced: concurrent Poisson broadcast flows contend for MAC slots, and
 // delivery ratio plus end-to-end throughput are swept over the offered
@@ -57,55 +90,19 @@ func trafficBackbones() []trafficBackbone {
 // keep the medium usable as load grows — flooding's delivery collapses
 // first. ABL-TRAFFIC.
 func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, rule stats.StopRule) *Figure {
-	type metric struct {
-		name    string
-		measure func(tr *workload.TrafficResult) float64
-	}
-	metrics := []metric{
-		{"delivery", func(tr *workload.TrafficResult) float64 { return tr.DeliveryRatio }},
-		{"throughput", func(tr *workload.TrafficResult) float64 { return tr.Throughput }},
-	}
-	var series []Series
-	for _, bk := range trafficBackbones() {
-		bk := bk
-		for _, m := range metrics {
-			m := m
-			s := Series{Name: bk.name + "-" + m.name, Points: make([]Point, len(rates))}
-			ForEachPoint(len(rates), func(i int) {
-				rate := rates[i]
-				sc := DefaultScenario(n, d, seed)
-				sc.Rule = rule
-				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("traffic-%g", rate), rep)
-					if !ok {
-						return 0, false
-					}
-					spec := workload.Spec{
-						Process: workload.Poisson, Rate: rate, Flows: flows,
-						FanOut: 1, Seed: sc.Seed ^ uint64(rep),
-					}
-					fl, err := spec.Generate(nw.N())
-					if err != nil {
-						return 0, false
-					}
-					tr := workload.RunTraffic(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
-					return m.measure(tr), true
-				})
-				if err != nil {
-					s.Points[i] = Point{X: rate}
-					return
-				}
-				s.Points[i] = Point{X: rate, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-			})
-			series = append(series, s)
-		}
-	}
+	spec := workload.Spec{Process: workload.Poisson, Flows: flows, FanOut: 1}
 	return &Figure{
 		ID:     "traffic",
 		Title:  fmt.Sprintf("Concurrent broadcast load (n=%d, d=%g, %d flows, jitter %d)", n, d, flows, jitter),
 		XLabel: "offered load (arrivals/slot)", YLabel: "delivery ratio / throughput",
-		Series: series,
+		Series: loadSweep("traffic", rates, n, d, seed, rule, spec, []string{"delivery", "throughput"},
+			func(f flowsDrawn, proto workload.ProtoFactory, metric int) (float64, bool) {
+				tr := workload.RunTraffic(f.nw.G, f.flows, proto, broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
+				if metric == 0 {
+					return tr.DeliveryRatio, true
+				}
+				return tr.Throughput, true
+			}),
 	}
 }
 
@@ -115,60 +112,21 @@ func Traffic(rates []float64, n int, d float64, flows, jitter int, seed uint64, 
 // it. Success ratio and end-to-end discovery latency are swept over the
 // offered load per backbone. ABL-DISCOVERY.
 func Discovery(rates []float64, n int, d float64, flows, jitter int, seed uint64, rule stats.StopRule) *Figure {
-	type metric struct {
-		name    string
-		measure func(dr *workload.DiscoveryResult) (float64, bool)
-	}
-	metrics := []metric{
-		{"success", func(dr *workload.DiscoveryResult) (float64, bool) {
-			return dr.SuccessRatio, dr.Requests > 0
-		}},
-		// Latency is conditional on success: a replicate where every flood
-		// failed contributes no sample rather than a spurious zero.
-		{"latency", func(dr *workload.DiscoveryResult) (float64, bool) {
-			return dr.MeanLatency, dr.Found > 0
-		}},
-	}
-	var series []Series
-	for _, bk := range trafficBackbones() {
-		bk := bk
-		for _, m := range metrics {
-			m := m
-			s := Series{Name: bk.name + "-" + m.name, Points: make([]Point, len(rates))}
-			ForEachPoint(len(rates), func(i int) {
-				rate := rates[i]
-				sc := DefaultScenario(n, d, seed)
-				sc.Rule = rule
-				sum, err := stats.Replicate(sc.Rule, func(rep int) (float64, bool) {
-					nw, cl, _, ok := clusteredSample(sc, fmt.Sprintf("discovery-%g", rate), rep)
-					if !ok {
-						return 0, false
-					}
-					spec := workload.Spec{
-						Process: workload.Poisson, Rate: rate, Flows: flows,
-						FanOut: 1, Discovery: true, Seed: sc.Seed ^ uint64(rep),
-					}
-					fl, err := spec.Generate(nw.N())
-					if err != nil {
-						return 0, false
-					}
-					dr := workload.RunDiscovery(nw.G, fl, bk.proto(nw, cl),
-						broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
-					return m.measure(dr)
-				})
-				if err != nil {
-					s.Points[i] = Point{X: rate}
-					return
-				}
-				s.Points[i] = Point{X: rate, Mean: sum.Mean(), CI: sum.CI(0.99), Reps: sum.N()}
-			})
-			series = append(series, s)
-		}
-	}
+	spec := workload.Spec{Process: workload.Poisson, Flows: flows, FanOut: 1, Discovery: true}
 	return &Figure{
 		ID:     "discovery",
 		Title:  fmt.Sprintf("Route discovery under load (n=%d, d=%g, %d floods, jitter %d)", n, d, flows, jitter),
 		XLabel: "offered load (arrivals/slot)", YLabel: "success ratio / latency (slots)",
-		Series: series,
+		Series: loadSweep("discovery", rates, n, d, seed, rule, spec, []string{"success", "latency"},
+			func(f flowsDrawn, proto workload.ProtoFactory, metric int) (float64, bool) {
+				dr := workload.RunDiscovery(f.nw.G, f.flows, proto, broadcast.MACOptions{Jitter: jitter}, broadcast.RunMACMulti)
+				if metric == 0 {
+					return dr.SuccessRatio, dr.Requests > 0
+				}
+				// Latency is conditional on success: a replicate where every
+				// flood failed contributes no sample rather than a spurious
+				// zero.
+				return dr.MeanLatency, dr.Found > 0
+			}),
 	}
 }

@@ -106,6 +106,15 @@ func alone(est WSEstimator) groupEstimator {
 	}
 }
 
+// prefix is the part of a replicate that the members of a group share —
+// typically the sampled network, its clustering and the source — drawn
+// once per replicate. ok=false skips the replicate for every member.
+type prefix[D any] func(ws *Workspace, sc Scenario, rep int) (d D, ok bool)
+
+// member is one series' per-replicate work in a group: its observation
+// from the prefix's result d. ok=false skips the replicate for this series.
+type member[D any] func(ws *Workspace, sc Scenario, d D) (x float64, ok bool)
+
 // shared composes a group from the replicate prefix its members share and
 // their per-series work: prefix runs once per replicate, then each active
 // member measures its series from the prefix's result. A failed prefix
@@ -113,9 +122,9 @@ func alone(est WSEstimator) groupEstimator {
 // have. Members run one after another on the same workspace: they may
 // reuse its per-series layers (Builder, Backbone, MOCDS, Dynamic, Bcast),
 // which each call resets, but must not modify what the prefix returned.
-func shared[D any](prefix func(*Workspace, Scenario, int) (D, bool), members ...func(*Workspace, Scenario, D) (float64, bool)) groupEstimator {
+func shared[D any](pre prefix[D], members ...member[D]) groupEstimator {
 	return func(ws *Workspace, sc Scenario, rep int, active []bool, out []stats.Obs) {
-		d, ok := prefix(ws, sc, rep)
+		d, ok := pre(ws, sc, rep)
 		for j, m := range members {
 			if active[j] {
 				out[j] = stats.Obs{}
@@ -129,13 +138,13 @@ func shared[D any](prefix func(*Workspace, Scenario, int) (D, bool), members ...
 
 // single is the standalone estimator of one group member: the same prefix
 // and per-series work, for one series.
-func single[D any](prefix func(*Workspace, Scenario, int) (D, bool), member func(*Workspace, Scenario, D) (float64, bool)) WSEstimator {
+func single[D any](pre prefix[D], m member[D]) WSEstimator {
 	return func(ws *Workspace, sc Scenario, rep int) (float64, bool) {
-		d, ok := prefix(ws, sc, rep)
+		d, ok := pre(ws, sc, rep)
 		if !ok {
 			return 0, false
 		}
-		return member(ws, sc, d)
+		return m(ws, sc, d)
 	}
 }
 
@@ -147,54 +156,63 @@ func SweepPoint(sc Scenario, workers int, est WSEstimator) Point {
 	return groupPoint(sc, float64(sc.N), workers, 1, alone(est))[0]
 }
 
+// workerSpaces holds one sweep point's per-worker workspaces, each taken
+// from the pool on its worker's first replicate.
+type workerSpaces []*Workspace
+
+func (w workerSpaces) get(worker int) *Workspace {
+	if w[worker] == nil {
+		w[worker] = wsPool.Get().(*Workspace)
+	}
+	return w[worker]
+}
+
+// release folds the workers' stage clocks into the global stage table in
+// worker-index order — replicate rep always runs on worker rep%workers, so
+// the aggregate is identical for any scheduling of the same run — then
+// resets them, so pooled workspaces never leak stage time across points,
+// and returns the workspaces to the pool.
+func (w workerSpaces) release() {
+	for _, ws := range w {
+		if ws != nil {
+			obs.MergeStages(&ws.Clock)
+			ws.Clock.Reset()
+			wsPool.Put(ws)
+		}
+	}
+}
+
 // groupPoint measures one data point of every member of a group: one
 // adaptive replication loop (stats.ReplicateGroup) over the given worker
 // count, with one pooled workspace per worker, running the group
 // estimator once per replicate. Member j's Point, plotted at x, is
 // bit-identical to its standalone SweepPoint's for every worker count.
 func groupPoint(sc Scenario, x float64, workers, k int, est groupEstimator) []Point {
-	slots := max(workers, 1)
-	wss := make([]*Workspace, slots)
+	wss := make(workerSpaces, max(workers, 1))
+	defer wss.release()
 	timed := obs.Enabled() // snapshot once: a mid-point toggle must not skew stage sums
 	sums, errs := stats.ReplicateGroup(sc.Rule, workers, k, func(worker, rep int, active []bool, out []stats.Obs) {
-		ws := wss[worker]
-		if ws == nil {
-			ws = wsPool.Get().(*Workspace)
-			wss[worker] = ws
-		}
+		ws := wss.get(worker)
 		if timed {
 			defer ws.Clock.Observe("replicate", time.Now())
 		}
 		est(ws, sc, rep, active, out)
 	})
-	if timed {
-		// Fold worker clocks into the global stage table in worker-index
-		// order: replicate rep always runs on worker rep%workers, so the
-		// aggregate is identical for any scheduling of the same run.
-		clocks := make([]*obs.StageClock, 0, slots)
-		for _, ws := range wss {
-			if ws != nil {
-				clocks = append(clocks, &ws.Clock)
-			}
-		}
-		obs.MergeStages(clocks...)
-	}
-	for _, ws := range wss {
-		if ws != nil {
-			ws.Clock.Reset() // pooled workspaces must not leak stage time across points
-			wsPool.Put(ws)
-		}
-	}
 	pts := make([]Point, k)
 	for j := range pts {
-		// A failed member records an empty point; renderers show it as
-		// missing (Reps == 0).
-		pts[j] = Point{X: x}
-		if errs[j] == nil {
-			pts[j] = Point{X: x, Mean: sums[j].Mean(), CI: sums[j].CI(0.99), Reps: sums[j].N()}
-		}
+		pts[j] = measured(x, &sums[j], errs[j])
 	}
 	return pts
+}
+
+// measured is the Point, plotted at x, of one series' replication. A
+// failed series records an empty point; renderers show it as missing
+// (Reps == 0).
+func measured(x float64, s *stats.Summary, err error) Point {
+	if err != nil {
+		return Point{X: x}
+	}
+	return Point{X: x, Mean: s.Mean(), CI: s.CI(0.99), Reps: s.N()}
 }
 
 // point is one data point of a sweep: the scenario it replicates and the
@@ -204,41 +222,98 @@ type point struct {
 	x  float64
 }
 
-// sizes is the network-size axis of the paper's sweeps: one point per n,
-// at average degree d under the given stopping rule.
-func sizes(ns []int, d float64, seed uint64, rule stats.StopRule) []point {
-	pts := make([]point, len(ns))
-	for i, n := range ns {
-		sc := DefaultScenario(n, d, seed)
-		sc.Rule = rule
-		pts[i] = point{sc, float64(n)}
+// axis is the points of a sweep over xs: at each x, the scenario at(x)
+// under the stopping rule.
+func axis(xs []float64, rule stats.StopRule, at func(x float64) Scenario) []point {
+	pts := make([]point, len(xs))
+	for i, x := range xs {
+		pts[i] = point{at(x), x}
+		pts[i].sc.Rule = rule
 	}
 	return pts
 }
 
-// sweepGroup runs the members of a group, named in order, over a sweep's
-// points and returns one series per member. Points run concurrently
-// across the worker pool, each with as many replicate workers. Results
-// are bit-identical regardless of scheduling because every replicate's
+// sizes is the network-size axis of the paper's sweeps: one point per n,
+// at average degree d.
+func sizes(ns []int, d float64, seed uint64, rule stats.StopRule) []point {
+	return axis(floats(ns), rule, func(n float64) Scenario { return DefaultScenario(int(n), d, seed) })
+}
+
+// along is a sweep over a parameter other than the network size (speed,
+// loss, window, k, rate, downtime, burst length): every point replicates
+// n nodes at average degree d.
+func along(xs []float64, n int, d float64, seed uint64, rule stats.StopRule) []point {
+	return axis(xs, rule, func(float64) Scenario { return DefaultScenario(n, d, seed) })
+}
+
+// floats is an integer axis as plot coordinates.
+func floats(xs []int) []float64 {
+	fs := make([]float64, len(xs))
+	for i, x := range xs {
+		fs[i] = float64(x)
+	}
+	return fs
+}
+
+// sweepPoints is the one point loop of every figure: measure(p, workers)
+// measures point p for each member, named in order, and the result is one
+// series per member. Points run concurrently across the -workers pool,
+// whose size measure gets for its replication loop. Results are
+// bit-identical regardless of scheduling because every replicate's
 // randomness derives only from (seed, label, rep) and each member folds
 // its observations in replicate order.
-func sweepGroup(names []string, pts []point, est groupEstimator) []Series {
+func sweepPoints(names []string, pts []point, measure func(p point, workers int) []Point) []Series {
 	workers := Parallelism() // read once per run; race-safe snapshot
 	series := make([]Series, len(names))
 	for j, name := range names {
 		series[j] = Series{Name: name, Points: make([]Point, len(pts))}
 	}
 	forEachPoint(len(pts), workers, func(i int) {
-		for j, p := range groupPoint(pts[i].sc, pts[i].x, workers, len(names), est) {
+		for j, p := range measure(pts[i], workers) {
 			series[j].Points[i] = p
 		}
 	})
 	return series
 }
 
-// sweepWS is sweep for workspace-threaded estimators.
+// sweepAxis runs the members of a group, named in order, over a sweep's
+// points: at(x) is the group estimator of the point plotted at x, which
+// replicates on reps workers, or on as many as the pool has when reps is
+// 0.
+func sweepAxis(names []string, pts []point, reps int, at func(x float64) groupEstimator) []Series {
+	return sweepPoints(names, pts, func(p point, workers int) []Point {
+		if reps > 0 {
+			workers = reps
+		}
+		return groupPoint(p.sc, p.x, workers, len(names), at(p.x))
+	})
+}
+
+// sweepGroup is sweepAxis for a group whose estimator is the same at every
+// point, replicated on the pool's worker count.
+func sweepGroup(names []string, pts []point, est groupEstimator) []Series {
+	return sweepAxis(names, pts, 0, func(float64) groupEstimator { return est })
+}
+
+// sweepWS is the one-member group of a workspace estimator over the
+// network sizes.
 func sweepWS(name string, ns []int, d float64, seed uint64, rule stats.StopRule, est WSEstimator) Series {
 	return sweepGroup([]string{name}, sizes(ns, d, seed, rule), alone(est))[0]
+}
+
+// flat measures a group once, at scenario sc on one replicate worker, and
+// plots each member as a reference line: the same point at every x.
+func flat(names []string, xs []float64, sc Scenario, est groupEstimator) []Series {
+	ref := groupPoint(sc, 0, 1, len(names), est)
+	series := make([]Series, len(names))
+	for j, name := range names {
+		series[j] = Series{Name: name, Points: make([]Point, len(xs))}
+		for i, x := range xs {
+			series[j].Points[i] = ref[j]
+			series[j].Points[i].X = x
+		}
+	}
+	return series
 }
 
 // Elect runs the lowest-ID clusterhead election on the workspace. The
@@ -270,7 +345,7 @@ type draw struct {
 // source as the first draw of the replicate's split stream. Series that
 // share a label therefore share every replicate's network, clustering and
 // source, whether they run as one group or one at a time.
-func sampledWS(label string) func(*Workspace, Scenario, int) (draw, bool) {
+func sampledWS(label string) prefix[draw] {
 	return func(ws *Workspace, sc Scenario, rep int) (draw, bool) {
 		nw, r, ok := sc.SampleWS(ws, label, rep)
 		if !ok {
@@ -280,8 +355,37 @@ func sampledWS(label string) func(*Workspace, Scenario, int) (draw, bool) {
 	}
 }
 
+// derived is the prefix that draws a replicate under label (sampledWS) and
+// derives the members' shared input from the draw.
+func derived[D any](label string, derive func(ws *Workspace, sc Scenario, d draw) (D, bool)) prefix[D] {
+	sample := sampledWS(label)
+	return func(ws *Workspace, sc Scenario, rep int) (D, bool) {
+		d, ok := sample(ws, sc, rep)
+		if !ok {
+			var none D
+			return none, false
+		}
+		return derive(ws, sc, d)
+	}
+}
+
+// The broadcast protocols the ablations compare, each built afresh over a
+// replicate's draw.
+
+func floodingProto(draw) broadcast.Protocol { return broadcast.Flooding{} }
+
+func staticProto(d draw) broadcast.Protocol {
+	return broadcast.StaticCDS{Set: backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Nodes}
+}
+
+func dynamicProto(d draw) broadcast.Protocol { return dynamicb.New(d.nw.G, d.cl, coverage.Hop25) }
+
+func mocdsProto(d draw) broadcast.Protocol {
+	return broadcast.StaticCDS{Set: mocds.Build(d.nw.G, d.cl).Nodes}
+}
+
 // staticSize is |static backbone| under a coverage mode.
-func staticSize(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+func staticSize(mode coverage.Mode) member[draw] {
 	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 		ws.Digest(d.nw.G, d.cl, mode)
 		return float64(ws.Backbone.StaticSize(&ws.Builder, d.cl, backbone.Options{})), true
@@ -296,7 +400,7 @@ func mocdsSize(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 
 // dynamicForward is the forward-node count of one dynamic-backbone
 // broadcast from the replicate's source.
-func dynamicForward(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+func dynamicForward(mode coverage.Mode) member[draw] {
 	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 		p := ws.Dynamic.NewWith(d.nw.G, d.cl, mode)
 		return float64(p.BroadcastWS(d.src).ForwardCount()), true
@@ -305,7 +409,7 @@ func dynamicForward(mode coverage.Mode) func(*Workspace, Scenario, draw) (float6
 
 // staticForward is the forward-node count of a broadcast over the static
 // backbone from the replicate's source.
-func staticForward(mode coverage.Mode) func(*Workspace, Scenario, draw) (float64, bool) {
+func staticForward(mode coverage.Mode) member[draw] {
 	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 		ws.Digest(d.nw.G, d.cl, mode)
 		nodes := ws.Backbone.StaticNodes(&ws.Builder, d.cl, backbone.Options{})
@@ -321,32 +425,35 @@ func mocdsForward(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 	return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDSBits{Set: nodes}).ForwardCount()), true
 }
 
-// StaticSizeEstimatorWS is StaticSizeEstimator over a reusable workspace:
-// same labels, same replicate randomness, same statistic — near-zero
-// allocations.
+// StaticSizeEstimatorWS measures |static backbone| under a coverage mode
+// (Figure 6 series "static backbone") over a reusable workspace, with
+// near-zero allocations.
 func StaticSizeEstimatorWS(mode coverage.Mode) WSEstimator {
 	return single(sampledWS("fig6-static"), staticSize(mode))
 }
 
-// MOCDSSizeEstimatorWS is MOCDSSizeEstimator over a reusable workspace.
+// MOCDSSizeEstimatorWS measures |MO_CDS| (Figure 6 series "MO_CDS").
 func MOCDSSizeEstimatorWS() WSEstimator {
 	return single(sampledWS("fig6-mocds"), mocdsSize)
 }
 
-// DynamicForwardEstimatorWS is DynamicForwardEstimator over a reusable
-// workspace.
+// DynamicForwardEstimatorWS measures the forward-node-set size of one
+// dynamic-backbone broadcast from a random source (Figure 7/8 series
+// "dynamic backbone").
 func DynamicForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	return single(sampledWS("fig7-dynamic"), dynamicForward(mode))
 }
 
-// StaticForwardEstimatorWS is StaticForwardEstimator over a reusable
-// workspace.
+// StaticForwardEstimatorWS measures the forward-node-set size of a
+// broadcast over the static backbone from a random source (Figure 8 series
+// "static backbone").
 func StaticForwardEstimatorWS(mode coverage.Mode) WSEstimator {
 	return single(sampledWS("fig8-static"), staticForward(mode))
 }
 
-// MOCDSForwardEstimatorWS is MOCDSForwardEstimator over a reusable
-// workspace.
+// MOCDSForwardEstimatorWS measures the forward-node-set size of a
+// broadcast over the MO_CDS from a random source (Figure 7 series
+// "MO_CDS").
 func MOCDSForwardEstimatorWS() WSEstimator {
 	return single(sampledWS("fig7-mocds"), mocdsForward)
 }
