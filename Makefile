@@ -3,12 +3,13 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race bench-smoke bench bench-compare bench-scale bench-batch bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench bench-compare bench-scale bench-batch bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
-# Full CI gate: vet, tests, and the race-detector pass.
-ci: vet test test-race
+# Full CI gate: vet, tests, the race-detector pass, and pipebench's own
+# vet and tests.
+ci: vet test test-race test-pipebench
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,12 @@ test: build
 # packages exercise the parallel paths directly.
 test-race:
 	$(GO) test -race ./...
+
+# pipebench is a module of its own, so the root ./... never compiles it: a
+# deleted or renamed name it calls would otherwise pass CI and only break
+# when the benchmark runs.
+test-pipebench:
+	cd pipebench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing for each of the
 # input-facing targets — the topology snapshot loader, the banded

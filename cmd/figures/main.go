@@ -27,25 +27,21 @@ import (
 	"clustercast/internal/experiment"
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
-	"clustercast/internal/prof"
 	"clustercast/internal/stats"
 )
 
 // config holds the parsed command line.
 type config struct {
-	fig      string
-	format   string
-	seed     uint64
-	quick    bool
-	maxN     int
-	outDir   string
-	workers  int
-	buildW   int
-	batch    bool
-	cpuProf  string
-	memProf  string
-	manifest string
-	tel      live.Flags
+	fig     string
+	format  string
+	seed    uint64
+	quick   bool
+	maxN    int
+	outDir  string
+	workers int
+	buildW  int
+	batch   bool
+	run     live.Flags
 }
 
 // figureOrder is the canonical listing: the paper's figures first, then
@@ -146,8 +142,22 @@ var renderers = map[string]func(w io.Writer, f *experiment.Figure) error{
 
 // run executes the command against the given writers; exit-worthy problems
 // come back as errors, diagnostics (missing-point causes) go to stderr. The
-// named return lets the deferred telemetry shutdown surface its error.
+// named return lets the deferred session close surface its error.
 func run(cfg config, stdout, stderr io.Writer) (retErr error) {
+	// A figure directory gets a manifest next to its CSVs by default.
+	if cfg.outDir != "" && cfg.run.Manifest == "" {
+		cfg.run.Manifest = filepath.Join(cfg.outDir, "manifest.json")
+	}
+	sess, err := cfg.run.Start("figures", stderr)
+	if err != nil {
+		return err
+	}
+	defer sess.Close(&retErr)
+	sess.Manifest.Seed = cfg.seed
+	sess.Manifest.Workers = cfg.workers
+	sess.Manifest.Param("fig", cfg.fig).Param("format", cfg.format).
+		Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW).
+		Param("batch", cfg.batch)
 	render, ok := renderers[cfg.format]
 	if !ok {
 		return fmt.Errorf("unknown format %q", cfg.format)
@@ -156,35 +166,6 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
 			return err
 		}
-		// A figure directory gets a manifest next to its CSVs by default.
-		if cfg.manifest == "" {
-			cfg.manifest = filepath.Join(cfg.outDir, "manifest.json")
-		}
-	}
-	var manifest *obs.Manifest
-	if cfg.manifest != "" || cfg.tel.Active() {
-		obs.Enable()
-		defer obs.Disable()
-		obs.Default.Reset()
-		obs.ResetStages()
-	}
-	// Telemetry status goes to stderr: stdout carries the figure data.
-	sess, err := cfg.tel.Start(stderr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := sess.Close(); retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if cfg.manifest != "" {
-		manifest = obs.NewManifest("figures")
-		manifest.Seed = cfg.seed
-		manifest.Workers = cfg.workers
-		manifest.Param("fig", cfg.fig).Param("format", cfg.format).
-			Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW).
-			Param("batch", cfg.batch)
 	}
 	experiment.SetParallelism(cfg.workers)
 	experiment.SetBuildWorkers(cfg.buildW)
@@ -231,18 +212,10 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
 				return err
 			}
-			if manifest != nil {
-				manifest.AddOutput(path)
-			}
+			sess.Manifest.AddOutput(path)
 		}
 		if err := render(stdout, f); err != nil {
 			return err
-		}
-	}
-	if manifest != nil {
-		manifest.AddOutput(cfg.manifest)
-		if err := manifest.WriteFile(cfg.manifest); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
 		}
 	}
 	return nil
@@ -278,7 +251,8 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 2003, "root random seed")
 	flag.BoolVar(&cfg.quick, "quick", false, "use a light replication rule instead of the paper's 99% CI ±5%")
 	flag.IntVar(&cfg.maxN, "maxn", 100, "largest network size in the sweep")
-	flag.StringVar(&cfg.outDir, "out", "", "also write each figure as <dir>/<id>.csv")
+	flag.StringVar(&cfg.outDir, "out", "",
+		"also write each figure as <dir>/<id>.csv, and the run manifest as <dir>/manifest.json unless -manifest is set")
 	flag.IntVar(&cfg.workers, "workers", 0,
 		"replication worker count (0: GOMAXPROCS); results are bit-identical for any value")
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
@@ -289,25 +263,11 @@ func main() {
 		"advance 64 replicates per machine word where the protocol and fault model allow it "+
 			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+
 			"still bit-identical across -workers values")
-	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")
-	flag.StringVar(&cfg.manifest, "manifest", "",
-		"write a run manifest (JSON) to this file (default <out>/manifest.json when -out is set)")
-	cfg.tel.Register(flag.CommandLine)
+	cfg.run.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := prof.Start(cfg.cpuProf, cfg.memProf)
-	if err != nil {
+	if err := run(cfg, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(1)
-	}
-	runErr := run(cfg, os.Stdout, os.Stderr)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(1)
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", runErr)
 		os.Exit(1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"clustercast/internal/obs"
+	"clustercast/internal/obs/live"
 	"clustercast/internal/stats"
 )
 
@@ -89,6 +90,24 @@ func TestRunBadMaxN(t *testing.T) {
 	cfg.maxN = 5
 	if err := run(cfg, &bytes.Buffer{}, io.Discard); err == nil {
 		t.Fatal("maxn below the smallest sweep size must error")
+	}
+}
+
+// TestFailedRunKeepsProfiles: a run that fails after it started still
+// leaves a complete CPU profile and a heap profile.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickCfg()
+	cfg.fig = "delivery,nope"
+	cfg.run = live.Flags{CPUProfile: filepath.Join(dir, "cpu.pprof"), MemProfile: filepath.Join(dir, "mem.pprof")}
+	if err := run(cfg, &bytes.Buffer{}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown figure") {
+		t.Fatalf("want unknown-figure error, got %v", err)
+	}
+	for _, p := range []string{cfg.run.CPUProfile, cfg.run.MemProfile} {
+		data, err := os.ReadFile(p)
+		if err != nil || len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("profile %s is not a complete gzip profile (%d bytes, err %v)", p, len(data), err)
+		}
 	}
 }
 

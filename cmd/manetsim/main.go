@@ -28,7 +28,6 @@ import (
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
 	"clustercast/internal/passive"
-	"clustercast/internal/prof"
 	"clustercast/internal/rng"
 	"clustercast/internal/sim"
 	"clustercast/internal/topology"
@@ -47,11 +46,8 @@ type config struct {
 	wire      bool
 	load      string
 	buildW    int
-	cpuProf   string
-	memProf   string
 	trace     string
-	manifest  string
-	tel       live.Flags
+	run       live.Flags
 }
 
 // protocolRun is one row of the comparison table.
@@ -206,36 +202,25 @@ func loadNetwork(cfg *config) (*core.Network, error) {
 }
 
 // run executes the command against the given writer. The named return lets
-// the deferred telemetry shutdown surface its error.
+// the deferred session close surface its error; telemetry status goes to
+// stderr, stdout carries the report.
 func run(cfg config, stdout io.Writer) (retErr error) {
-	var manifest *obs.Manifest
-	if cfg.manifest != "" || cfg.tel.Active() {
-		obs.Enable()
-		defer obs.Disable()
-		obs.Default.Reset()
-		obs.ResetStages()
-	}
-	sess, err := cfg.tel.Start(stdout)
+	sess, err := cfg.run.Start("manetsim", os.Stderr)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if cfg.manifest != "" {
-		manifest = obs.NewManifest("manetsim")
-		manifest.Seed = cfg.seed
-		manifest.Param("n", cfg.n).Param("d", cfg.d).Param("source", cfg.source).
-			Param("protocols", cfg.protocols).Param("load", cfg.load).Param("wire", cfg.wire).
-			Param("faults", cfg.faults).Param("traffic", cfg.traffic).Param("buildworkers", cfg.buildW)
-	}
+	defer sess.Close(&retErr)
+	sess.Manifest.Seed = cfg.seed
+	sess.Manifest.Param("d", cfg.d).Param("protocols", cfg.protocols).Param("load", cfg.load).
+		Param("wire", cfg.wire).Param("faults", cfg.faults).Param("traffic", cfg.traffic).
+		Param("buildworkers", cfg.buildW)
 
 	nw, err := loadNetwork(&cfg)
 	if err != nil {
 		return err
 	}
+	// The simulated network's size, which -load takes from the snapshot.
+	sess.Manifest.Param("n", cfg.n)
 	fmt.Fprintln(stdout, "network:", nw.Summarize())
 
 	var oracle *faults.Oracle
@@ -260,6 +245,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	if src >= cfg.n {
 		return fmt.Errorf("source %d out of range (n=%d)", src, cfg.n)
 	}
+	sess.Manifest.Param("source", src)
 	if oracle != nil && !oracle.NodeUp(src, 0) {
 		fmt.Fprintf(stdout, "note: source %d is down at t=0 under this fault schedule; nothing will spread\n", src)
 	}
@@ -311,21 +297,10 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 
 	if tracer != nil {
-		f, err := os.Create(cfg.trace)
-		if err != nil {
+		if err := sess.WriteTrace(cfg.trace, tracer); err != nil {
 			return err
 		}
-		werr := tracer.WriteJSONL(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing trace: %w", werr)
-		}
 		fmt.Fprintf(stdout, "\ntrace: %s (%d events, %d dropped)\n", cfg.trace, tracer.Len(), tracer.Dropped())
-		if manifest != nil {
-			manifest.AddOutput(cfg.trace)
-		}
 	}
 
 	if oracle != nil {
@@ -351,13 +326,6 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		fmt.Fprintf(stdout, "\nwire protocol (2.5-hop): %s\n", out.Counters.String())
 		fmt.Fprintf(stdout, "distributed backbone size: %d\n", len(out.Backbone))
 	}
-
-	if manifest != nil {
-		manifest.AddOutput(cfg.manifest)
-		if err := manifest.WriteFile(cfg.manifest); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -379,26 +347,13 @@ func main() {
 	flag.IntVar(&cfg.buildW, "buildworkers", 0,
 		"strips the unit-disk construction is cut into, run on as many goroutines "+
 			"(0 or 1: one strip; the network is bit-identical for any value)")
-	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file after the run")
 	flag.StringVar(&cfg.trace, "trace", "",
 		"record the broadcast's event stream (JSONL) to this file; requires exactly one -protocols entry")
-	flag.StringVar(&cfg.manifest, "manifest", "", "write a run manifest (JSON) to this file")
-	cfg.tel.Register(flag.CommandLine)
+	cfg.run.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := prof.Start(cfg.cpuProf, cfg.memProf)
-	if err != nil {
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "manetsim: %v\n", err)
-		os.Exit(1)
-	}
-	runErr := run(cfg, os.Stdout)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "manetsim: %v\n", err)
-		os.Exit(1)
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "manetsim: %v\n", runErr)
 		os.Exit(1)
 	}
 }

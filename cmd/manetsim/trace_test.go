@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
+	"clustercast/internal/core"
 	"clustercast/internal/obs"
+	"clustercast/internal/obs/live"
 )
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
@@ -92,7 +96,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "manifest.json")
 	tpath := filepath.Join(dir, "trace.jsonl")
-	cfg := config{n: 40, d: 10, seed: 3, source: 0, protocols: "dynamic-2.5", trace: tpath, manifest: mpath}
+	cfg := config{n: 40, d: 10, seed: 3, source: 0, protocols: "dynamic-2.5", trace: tpath, run: live.Flags{Manifest: mpath}}
 	if err := run(cfg, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,5 +153,58 @@ func TestManifestRoundTrip(t *testing.T) {
 		counters["dynamicb.prune.second_hop_adjacent"]
 	if prunes != total {
 		t.Fatalf("trace prunes %d != manifest per-rule total %d", prunes, total)
+	}
+
+	// A -load run with a random source records the network and source it
+	// simulated, not the -n and -source flag values.
+	nw, err := core.NewRandomNetwork(core.NetworkSpec{N: 37, AvgDegree: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	npath := filepath.Join(dir, "net.json")
+	nf, err := os.Create(npath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Topology.Save(nf); err != nil {
+		t.Fatal(err)
+	}
+	nf.Close()
+	var out bytes.Buffer
+	cfg = config{n: 100, d: 6, seed: 1, source: -1, protocols: "flooding", load: npath,
+		run: live.Flags{Manifest: mpath}}
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = obs.ReadManifest(mpath); err != nil {
+		t.Fatal(err)
+	}
+	var src int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "broadcast source: %d", &src); err == nil {
+			break
+		}
+	}
+	if m.Params["n"] != "37" || m.Params["source"] != strconv.Itoa(src) || m.Params["load"] != npath {
+		t.Fatalf("-load manifest params n=%q source=%q load=%q, want 37, %d (the drawn source), %s",
+			m.Params["n"], m.Params["source"], m.Params["load"], src, npath)
+	}
+}
+
+// TestFailedRunKeepsProfiles: a run that fails after it started still
+// leaves a complete CPU profile and a heap profile.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	cfg := config{n: 20, d: 8, seed: 1, source: 99, protocols: "flooding",
+		run: live.Flags{CPUProfile: cpu, MemProfile: mem}}
+	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("want out-of-range error, got %v", err)
+	}
+	for _, p := range []string{cpu, mem} {
+		data, err := os.ReadFile(p)
+		if err != nil || len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("profile %s is not a complete gzip profile (%d bytes, err %v)", p, len(data), err)
+		}
 	}
 }

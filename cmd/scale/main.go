@@ -37,22 +37,18 @@ import (
 	"clustercast/internal/experiment"
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
-	"clustercast/internal/prof"
 	"clustercast/internal/topology"
 )
 
 type config struct {
-	n        int
-	d        float64
-	seed     uint64
-	reps     int
-	buildW   int
-	stages   string
-	cpuProf  string
-	memProf  string
-	manifest string
-	trace    string
-	tel      live.Flags
+	n      int
+	d      float64
+	seed   uint64
+	reps   int
+	buildW int
+	stages string
+	trace  string
+	run    live.Flags
 }
 
 func main() {
@@ -65,11 +61,8 @@ func main() {
 		"strips per construction layer — unit-disk sweep, coverage digest, gateway and MO_CDS selection, dynamic-backbone init — "+
 			"run on as many goroutines (0 or 1: one strip; results are bit-identical for any value)")
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
-	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
-	flag.StringVar(&cfg.manifest, "manifest", "", "write a run manifest (JSON) to this file")
 	flag.StringVar(&cfg.trace, "trace", "", "record the first dynamic25 replicate's event stream (JSONL) to this file")
-	cfg.tel.Register(flag.CommandLine)
+	cfg.run.Register(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout); err != nil {
@@ -110,8 +103,14 @@ var stages = map[string]stageFunc{
 const tracedStage = "dynamic25"
 
 // run executes the configured stages. The named return lets the deferred
-// telemetry shutdown (final heartbeat, self-scrape) surface its error.
+// session close (manifest, final heartbeat, self-scrape, profiles) surface
+// its error; telemetry status goes to stderr, out carries the report.
 func run(cfg config, out io.Writer) (retErr error) {
+	sess, err := cfg.run.Start("scale", os.Stderr)
+	if err != nil {
+		return err
+	}
+	defer sess.Close(&retErr)
 	experiment.SetBuildWorkers(cfg.buildW)
 	var names []string
 	for _, s := range strings.Split(cfg.stages, ",") {
@@ -143,32 +142,8 @@ func run(cfg config, out io.Writer) (retErr error) {
 		tracer = obs.NewTracer(16 * cfg.n)
 	}
 
-	var manifest *obs.Manifest
-	if cfg.manifest != "" || cfg.trace != "" || cfg.tel.Active() {
-		obs.Enable()
-		defer obs.Disable()
-		obs.Default.Reset()
-		obs.ResetStages()
-	}
-	sess, err := cfg.tel.Start(out)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := sess.Close(); retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if cfg.manifest != "" {
-		manifest = obs.NewManifest("scale")
-		manifest.Seed = cfg.seed
-		manifest.Param("n", cfg.n).Param("d", cfg.d).Param("reps", cfg.reps).Param("stages", strings.Join(names, ",")).Param("buildworkers", cfg.buildW)
-	}
-
-	stopProf, err := prof.Start(cfg.cpuProf, cfg.memProf)
-	if err != nil {
-		return err
-	}
+	sess.Manifest.Seed = cfg.seed
+	sess.Manifest.Param("n", cfg.n).Param("d", cfg.d).Param("reps", cfg.reps).Param("stages", strings.Join(names, ",")).Param("buildworkers", cfg.buildW)
 
 	fmt.Fprintf(out, "scale: n=%d d=%g seed=%d reps=%d buildworkers=%d (GOMAXPROCS=%d)\n",
 		cfg.n, cfg.d, cfg.seed, cfg.reps, cfg.buildW, runtime.GOMAXPROCS(0))
@@ -234,21 +209,10 @@ func run(cfg config, out io.Writer) (retErr error) {
 	obs.MergeStages(&clk)
 
 	if tracer != nil {
-		f, err := os.Create(cfg.trace)
-		if err != nil {
+		if err := sess.WriteTrace(cfg.trace, tracer); err != nil {
 			return err
 		}
-		werr := tracer.WriteJSONL(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing trace: %w", werr)
-		}
 		fmt.Fprintf(out, "trace: %s (%d events, %d dropped)\n", cfg.trace, tracer.Len(), tracer.Dropped())
-		if manifest != nil {
-			manifest.AddOutput(cfg.trace)
-		}
 	}
 
 	var ms runtime.MemStats
@@ -256,13 +220,9 @@ func run(cfg config, out io.Writer) (retErr error) {
 	fmt.Fprintf(out, "memory: heap-in-use=%.1f MiB  total-alloc=%.1f MiB  sys=%.1f MiB\n",
 		float64(ms.HeapInuse)/(1<<20), float64(ms.TotalAlloc)/(1<<20), float64(ms.Sys)/(1<<20))
 
-	if manifest != nil {
-		manifest.AddOutput(cfg.manifest)
-		if err := manifest.WriteFile(cfg.manifest); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-		fmt.Fprintf(out, "manifest: %s\n", cfg.manifest)
+	if cfg.run.Manifest != "" {
+		// Written by the deferred sess.Close, as the run has succeeded.
+		fmt.Fprintf(out, "manifest: %s\n", cfg.run.Manifest)
 	}
-
-	return stopProf()
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"clustercast/internal/obs"
+	"clustercast/internal/obs/live"
 )
 
 func TestRunAllStages(t *testing.T) {
@@ -89,6 +90,24 @@ func TestRunSampleErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestFailedRunKeepsProfiles: a run that fails after it started still
+// leaves a complete CPU profile and a heap profile.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	cfg := config{n: 400, d: 2, seed: 1, reps: 1, stages: "static25",
+		run: live.Flags{CPUProfile: cpu, MemProfile: mem}}
+	if err := run(cfg, &bytes.Buffer{}); err == nil {
+		t.Fatal("sparse spec unexpectedly sampled a connected topology")
+	}
+	for _, p := range []string{cpu, mem} {
+		data, err := os.ReadFile(p)
+		if err != nil || len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("profile %s is not a complete gzip profile (%d bytes, err %v)", p, len(data), err)
+		}
+	}
+}
+
 func TestRunTraceNeedsDynamicStage(t *testing.T) {
 	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "static25",
 		trace: filepath.Join(t.TempDir(), "t.jsonl")}
@@ -105,7 +124,7 @@ func TestRunManifestAndTrace(t *testing.T) {
 	tpath := filepath.Join(dir, "trace.jsonl")
 	var out bytes.Buffer
 	cfg := config{n: 300, d: 12, seed: 11, reps: 2, buildW: 2, stages: "dynamic25",
-		manifest: mpath, trace: tpath}
+		trace: tpath, run: live.Flags{Manifest: mpath}}
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -70,16 +70,6 @@ type MultiResult struct {
 	Makespan int
 }
 
-// DeliveredTotal sums the nodes reached across all flows (sources
-// included), the numerator of the workload's aggregate delivery ratio.
-func (m *MultiResult) DeliveredTotal() int {
-	total := 0
-	for _, f := range m.Flows {
-		total += len(f.Received)
-	}
-	return total
-}
-
 // DeliveryRatio returns the mean per-flow delivery ratio over n nodes.
 func (m *MultiResult) DeliveryRatio(n int) float64 {
 	if len(m.Flows) == 0 || n == 0 {

@@ -186,12 +186,6 @@ func (p *Protocol) allocPacket() *packet {
 // yields the full interleaved event stream.
 func (p *Protocol) SetTracer(tr *obs.Tracer) { p.tracer = tr }
 
-// Tracer returns the attached trace recorder (nil when untraced).
-func (p *Protocol) Tracer() *obs.Tracer { return p.tracer }
-
-// Mode returns the coverage-set variant in use.
-func (p *Protocol) Mode() coverage.Mode { return p.b.Mode() }
-
 // Name implements broadcast.Protocol.
 func (p *Protocol) Name() string {
 	return "dynamic-" + p.b.Mode().String()

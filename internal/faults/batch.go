@@ -78,9 +78,6 @@ func NewChainBatch(spec Spec) *ChainBatch {
 	}
 }
 
-// Spec returns the schedule the batch was built from.
-func (b *ChainBatch) Spec() Spec { return b.spec }
-
 // chainWord returns the 64-lane bad-state word of the (u, v) link at the
 // absolute slot (warmup already applied by the caller).
 func (b *ChainBatch) chainWord(key uint64, slot int) uint64 {

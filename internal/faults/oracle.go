@@ -71,12 +71,6 @@ func New(spec Spec, n int) *Oracle {
 // ignored until positions are set.
 func (o *Oracle) SetPositions(pos []geom.Point) { o.pos = pos }
 
-// Spec returns the schedule the oracle was built from.
-func (o *Oracle) Spec() Spec { return o.spec }
-
-// N returns the node count the oracle serves.
-func (o *Oracle) N() int { return o.n }
-
 // mix64 is the splitmix64/murmur finalizer used to hash coin identities.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30

@@ -196,9 +196,6 @@ func (g *Grid) Insert(p Point) int {
 	return id
 }
 
-// Len returns the number of stored points.
-func (g *Grid) Len() int { return len(g.points) }
-
 // Point returns the position of id.
 func (g *Grid) Point(id int) Point { return g.points[id] }
 

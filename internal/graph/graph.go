@@ -48,10 +48,6 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of edges.
 func (g *Graph) M() int { return g.edges }
 
-// CSR reports whether the graph currently uses the compressed-sparse-row
-// layout.
-func (g *Graph) CSR() bool { return g.off != nil }
-
 // AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate
 // edges are rejected with a panic: the unit-disk model never produces them,
 // so their appearance indicates a bug in the caller. On a CSR-mode graph
@@ -557,20 +553,6 @@ func SortNeighbors(l []int) {
 		}
 		l[j+1] = v
 	}
-}
-
-// NeighborBitset fills dst (capacity ≥ n) with the neighbors of u and
-// returns it; with dst == nil a fresh set is allocated.
-func (g *Graph) NeighborBitset(u int, dst *Bitset) *Bitset {
-	if dst == nil {
-		dst = NewBitset(g.n)
-	} else {
-		dst.Clear()
-	}
-	for _, v := range g.Neighbors(u) {
-		dst.Add(v)
-	}
-	return dst
 }
 
 // SetOf returns a membership map for the given node IDs.

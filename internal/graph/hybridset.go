@@ -366,15 +366,6 @@ func (h *HybridSet) Members() []int {
 	return h.sp.Members()
 }
 
-// AppendMembers appends the members in ascending order to dst and returns
-// the extended slice.
-func (h *HybridSet) AppendMembers(dst []int) []int {
-	if h.dense {
-		return h.bits.AppendMembers(dst)
-	}
-	return h.sp.AppendMembers(dst)
-}
-
 // AddTo adds every member of h to the dense set dst (same capacity
 // required): the bridge from the hybrid pipeline sets to the dense
 // accumulators (backbone membership, broadcast node sets) that stay

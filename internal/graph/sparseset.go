@@ -37,9 +37,6 @@ func SparseSetOf(n int, ids ...int) *SparseSet {
 	return s
 }
 
-// Cap returns the capacity of the universe (n in NewSparseSet).
-func (s *SparseSet) Cap() int { return s.n }
-
 // Reset re-capacities s to the universe 0..n−1 and empties it, keeping the
 // member storage for reuse. Always O(1).
 func (s *SparseSet) Reset(n int) {
@@ -260,12 +257,6 @@ func (s *SparseSet) ForEach(fn func(i int)) {
 // Members returns the members in ascending order as a fresh slice.
 func (s *SparseSet) Members() []int {
 	return append([]int(nil), s.ids...)
-}
-
-// AppendMembers appends the members in ascending order to dst and returns
-// the extended slice.
-func (s *SparseSet) AppendMembers(dst []int) []int {
-	return append(dst, s.ids...)
 }
 
 // sorted is a debug helper: it verifies the strictly-ascending invariant.

@@ -7,30 +7,46 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
+
+	"clustercast/internal/obs"
 )
 
-// Flags is the telemetry flag bundle every driver wires identically:
+// Flags is the run-harness flag bundle every CLI registers identically:
 //
+//	-cpuprofile file       write a CPU profile of the run to file
+//	-memprofile file       write a heap profile to file after the run
+//	-manifest file         write a run manifest (JSON) to file
 //	-telemetry addr        serve /metrics, /progress, /stages, pprof
 //	-heartbeat file        stream heartbeat JSONL records to file
 //	-hb-every duration     heartbeat sampling interval
 //	-telemetry-scrape dir  self-scrape /metrics + /progress into dir on exit
 //
+// Start turns them into the Session that runs one invocation's lifecycle,
+// so a flag means the same thing in every CLI.
+//
 // The scrape flag exists for CI smoke tests: instead of racing an external
-// curl against the process lifetime, the driver scrapes its own endpoints
+// curl against the process lifetime, the CLI scrapes its own endpoints
 // right before shutdown, so `make telemetry-smoke` gets deterministic
 // artifacts.
 type Flags struct {
-	Addr      string
-	Heartbeat string
-	Every     time.Duration
-	ScrapeDir string
+	CPUProfile string
+	MemProfile string
+	Manifest   string
+	Addr       string
+	Heartbeat  string
+	Every      time.Duration
+	ScrapeDir  string
 }
 
-// Register installs the telemetry flags on fs (the drivers pass
+// Register installs the harness flags on fs (the CLIs pass
 // flag.CommandLine).
 func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file after the run")
+	fs.StringVar(&f.Manifest, "manifest", "", "write a run manifest (JSON) to this file")
 	fs.StringVar(&f.Addr, "telemetry", "",
 		"serve live telemetry (/metrics, /progress, /stages, /debug/pprof) on this address (e.g. 127.0.0.1:9090; empty = off)")
 	fs.StringVar(&f.Heartbeat, "heartbeat", "",
@@ -40,62 +56,154 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"scrape this run's own /metrics and /progress into this directory before exit (requires -telemetry)")
 }
 
-// Active reports whether any telemetry output was requested — drivers use
-// it to decide whether to flip obs.Enable alongside -manifest/-trace.
-func (f *Flags) Active() bool {
-	return f.Addr != "" || f.Heartbeat != "" || f.ScrapeDir != ""
-}
-
-// Session is the running telemetry for one driver invocation. A nil
-// session (telemetry off) is safe to Close.
+// Session is one CLI invocation, from Flags.Start to Close.
+//
+// Manifest is never nil: the CLI fills in Seed, Workers and Params and
+// records its outputs unconditionally, and Close writes it only when
+// -manifest was set and the run succeeded.
 type Session struct {
-	Sampler   *Sampler
-	Server    *Server
-	scrapeDir string
-	out       io.Writer
+	Manifest *obs.Manifest
+	flags    Flags
+	status   io.Writer
+	metered  bool // Start enabled obs; Close disables it
+	cpu      *os.File
+	server   *Server
+	sampler  *Sampler
 }
 
-// Start brings up whatever the flags asked for. The caller is responsible
-// for having obs.Enable()d first (the drivers do this in the same block
-// that handles -manifest). Progress lines go to out (the driver's status
-// stream); pass nil to silence them.
-func (f *Flags) Start(out io.Writer) (*Session, error) {
-	if !f.Active() {
-		return nil, nil
+// Start begins the run: it starts the CPU profile and, when a manifest or
+// any telemetry output was requested, enables the obs layer with a fresh
+// registry and stage table, serves the telemetry endpoint and starts the
+// heartbeat stream. Status lines go to status (the CLIs pass stderr:
+// stdout carries their report); nil silences them. On error, whatever had
+// started is already torn down, heap profile included.
+func (f *Flags) Start(tool string, status io.Writer) (s *Session, err error) {
+	s = &Session{Manifest: obs.NewManifest(tool), flags: *f, status: status}
+	defer func() {
+		if err != nil {
+			s.Close(&err)
+			s = nil
+		}
+	}()
+	if f.CPUProfile != "" {
+		if s.cpu, err = os.Create(f.CPUProfile); err != nil {
+			return s, err
+		}
+		if err = pprof.StartCPUProfile(s.cpu); err != nil {
+			s.cpu.Close()
+			s.cpu = nil
+			return s, fmt.Errorf("starting CPU profile: %w", err)
+		}
 	}
 	if f.ScrapeDir != "" && f.Addr == "" {
-		return nil, fmt.Errorf("live: -telemetry-scrape requires -telemetry")
+		return s, fmt.Errorf("live: -telemetry-scrape requires -telemetry")
 	}
-	s := &Session{scrapeDir: f.ScrapeDir, out: out}
+	if f.Manifest == "" && f.Addr == "" && f.Heartbeat == "" {
+		return s, nil
+	}
+	obs.Enable()
+	s.metered = true
+	obs.Default.Reset()
+	obs.ResetStages()
 	if f.Addr != "" {
-		srv, err := Serve(f.Addr, nil)
-		if err != nil {
-			return nil, err
+		if s.server, err = Serve(f.Addr, nil); err != nil {
+			return s, err
 		}
-		s.Server = srv
-		if out != nil {
-			fmt.Fprintf(out, "telemetry: serving http://%s/metrics\n", srv.Addr())
-		}
+		s.statusf("telemetry: serving http://%s/metrics\n", s.server.Addr())
 	}
 	if f.Heartbeat != "" {
-		smp, err := StartFile(f.Heartbeat, Options{Interval: f.Every})
-		if err != nil {
-			if s.Server != nil {
-				s.Server.Close()
-			}
-			return nil, err
+		if s.sampler, err = StartFile(f.Heartbeat, Options{Interval: f.Every}); err != nil {
+			return s, err
 		}
-		s.Sampler = smp
-		if out != nil {
-			fmt.Fprintf(out, "telemetry: heartbeats -> %s (every %v)\n", f.Heartbeat, f.Every)
-		}
+		s.statusf("telemetry: heartbeats -> %s (every %v)\n", f.Heartbeat, f.Every)
 	}
 	return s, nil
 }
 
-// scrape GETs one of the session's own endpoints into dir/name.
-func (s *Session) scrape(path, name string) error {
-	url := "http://" + s.Server.Addr() + path
+func (s *Session) statusf(format string, args ...any) {
+	if s.status != nil {
+		fmt.Fprintf(s.status, format, args...)
+	}
+}
+
+// WriteTrace writes tr's event stream as JSONL to path and records the
+// file among the manifest's outputs.
+func (s *Session) WriteTrace(path string, tr *obs.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := tr.WriteJSONL(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("writing trace: %w", werr)
+	}
+	s.Manifest.AddOutput(path)
+	return nil
+}
+
+// Close ends the run; CLIs defer it with their named error return. In
+// order, it writes the manifest (only if *errp is nil), self-scrapes the
+// telemetry endpoints, stops the server and the heartbeat stream (which
+// writes the final heartbeat), turns obs back off, stops the CPU profile
+// and writes the heap profile. Every step runs even when an earlier one
+// failed, so a failed run still leaves complete profiles; *errp keeps the
+// first error.
+func (s *Session) Close(errp *error) {
+	keep := func(err error) {
+		if *errp == nil {
+			*errp = err
+		}
+	}
+	if *errp == nil && s.flags.Manifest != "" {
+		s.Manifest.AddOutput(s.flags.Manifest)
+		if err := s.Manifest.WriteFile(s.flags.Manifest); err != nil {
+			keep(fmt.Errorf("writing manifest: %w", err))
+		}
+	}
+	if s.server != nil {
+		if s.flags.ScrapeDir != "" {
+			keep(s.scrapeAll())
+		}
+		keep(s.server.Close())
+	}
+	if s.sampler != nil {
+		keep(s.sampler.Stop())
+	}
+	if s.metered {
+		obs.Disable()
+	}
+	if s.cpu != nil {
+		pprof.StopCPUProfile()
+		keep(s.cpu.Close())
+	}
+	if s.flags.MemProfile != "" {
+		keep(writeHeapProfile(s.flags.MemProfile))
+	}
+}
+
+// scrapeAll saves the session's own /metrics and /progress into the
+// scrape directory.
+func (s *Session) scrapeAll() error {
+	dir := s.flags.ScrapeDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := s.scrape("/metrics", filepath.Join(dir, "metrics.prom")); err != nil {
+		return err
+	}
+	if err := s.scrape("/progress", filepath.Join(dir, "progress.json")); err != nil {
+		return err
+	}
+	s.statusf("telemetry: scraped /metrics and /progress into %s\n", dir)
+	return nil
+}
+
+// scrape GETs one of the session's own endpoints into the file at path.
+func (s *Session) scrape(endpoint, path string) error {
+	url := "http://" + s.server.Addr() + endpoint
 	resp, err := http.Get(url)
 	if err != nil {
 		return fmt.Errorf("live: scraping %s: %w", url, err)
@@ -108,37 +216,22 @@ func (s *Session) scrape(path, name string) error {
 	if err != nil {
 		return fmt.Errorf("live: scraping %s: %w", url, err)
 	}
-	return os.WriteFile(filepath.Join(s.scrapeDir, name), body, 0o644)
+	return os.WriteFile(path, body, 0o644)
 }
 
-// Close runs the end-of-run sequence: self-scrape the HTTP endpoints if
-// requested, stop the server, then stop the sampler (which writes the
-// final heartbeat). Nil-safe.
-func (s *Session) Close() error {
-	if s == nil {
-		return nil
+// writeHeapProfile snapshots the live heap, settled by a GC, into path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	var err error
-	if s.scrapeDir != "" && s.Server != nil {
-		if mkerr := os.MkdirAll(s.scrapeDir, 0o755); mkerr != nil {
-			err = mkerr
-		} else if serr := s.scrape("/metrics", "metrics.prom"); serr != nil {
-			err = serr
-		} else if perr := s.scrape("/progress", "progress.json"); perr != nil {
-			err = perr
-		} else if s.out != nil {
-			fmt.Fprintf(s.out, "telemetry: scraped /metrics and /progress into %s\n", s.scrapeDir)
-		}
+	runtime.GC()
+	werr := pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	if s.Server != nil {
-		if cerr := s.Server.Close(); err == nil {
-			err = cerr
-		}
+	if werr != nil {
+		return fmt.Errorf("writing heap profile: %w", werr)
 	}
-	if s.Sampler != nil {
-		if serr := s.Sampler.Stop(); err == nil {
-			err = serr
-		}
-	}
-	return err
+	return nil
 }

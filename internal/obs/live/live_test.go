@@ -211,7 +211,6 @@ func TestServerEndpoints(t *testing.T) {
 	withEnabled(t, func() {
 		reg.Counter("mac.collisions").Add(4)
 		reg.Gauge("des.wheel_high_water").SetMax(17)
-		reg.Histogram("lat", []int64{1, 10}).Observe(5)
 		reg.Progress("sweep").AddTotal(8)
 		reg.Progress("sweep").Add(2)
 	})
@@ -242,9 +241,6 @@ func TestServerEndpoints(t *testing.T) {
 		"# TYPE clustercast_mac_collisions counter",
 		"clustercast_mac_collisions 4",
 		"clustercast_des_wheel_high_water 17",
-		`clustercast_lat_bucket{le="10"} 1`,
-		`clustercast_lat_bucket{le="+Inf"} 1`,
-		"clustercast_lat_count 1",
 		`clustercast_progress_done{task="sweep"} 2`,
 		"clustercast_goroutines",
 		"clustercast_heap_alloc_bytes",

@@ -41,20 +41,6 @@ func writeMetrics(w *bufio.Writer, reg *obs.Registry, start time.Time) {
 		n := promName(g.Name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, g.Value)
 	}
-	for _, h := range snap.Histograms {
-		n := promName(h.Name)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", n)
-		cum := int64(0)
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := "+Inf"
-			if b.Le >= 0 {
-				le = fmt.Sprintf("%d", b.Le)
-			}
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, le, cum)
-		}
-		fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, h.Sum, n, h.Count)
-	}
 	now := time.Now()
 	for _, p := range reg.ProgressSnapshot(now) {
 		fmt.Fprintf(w, "clustercast_progress_done{task=%q} %d\n", p.Name, p.Done)

@@ -11,12 +11,8 @@ import (
 // allocation-free hot path. The zero-cost contract: Add on a disabled
 // package (or a nil counter) is one predictable branch.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -39,12 +35,8 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a point-in-time metric (last value wins).
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set records the current value. No-op when disabled or g is nil.
 func (g *Gauge) Set(v int64) {
@@ -85,60 +77,13 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket histogram: bucket bounds are frozen at
-// registration, so Observe is a short linear scan plus three atomic adds —
-// no locks, no allocation. Observation i lands in the first bucket whose
-// upper bound is >= v; values past the last bound land in the implicit
-// overflow bucket.
-type Histogram struct {
-	name   string
-	bounds []int64        // ascending upper bounds
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	sum    atomic.Int64
-	n      atomic.Int64
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Observe records one value. No-op when disabled or h is nil.
-func (h *Histogram) Observe(v int64) {
-	if h == nil || !enabled.Load() {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Registry holds named metrics. Registration (Counter/Gauge/Histogram) is
+// Registry holds named metrics. Registration (Counter/Gauge/Progress) is
 // idempotent and mutex-protected — it happens at package init or CLI
 // startup, never on a hot path; the metrics themselves are lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	progress map[string]*Progress
 }
 
@@ -147,7 +92,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		progress: make(map[string]*Progress),
 	}
 }
@@ -162,11 +106,6 @@ func NewCounter(name string) *Counter { return Default.Counter(name) }
 // NewGauge registers (or returns the existing) gauge in Default.
 func NewGauge(name string) *Gauge { return Default.Gauge(name) }
 
-// NewHistogram registers (or returns the existing) histogram in Default.
-func NewHistogram(name string, bounds []int64) *Histogram {
-	return Default.Histogram(name, bounds)
-}
-
 // NewProgress registers (or returns the existing) progress meter in Default.
 func NewProgress(name string) *Progress { return Default.Progress(name) }
 
@@ -176,7 +115,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -188,26 +127,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// ascending upper bounds on first use (bounds of later calls are ignored —
-// buckets are fixed for the registry's lifetime).
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		b := append([]int64(nil), bounds...)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		h = &Histogram{name: name, bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Progress returns the named progress meter, creating it on first use.
@@ -234,13 +157,6 @@ func (r *Registry) Reset() {
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, h := range r.hists {
-		h.sum.Store(0)
-		h.n.Store(0)
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-	}
 	for _, p := range r.progress {
 		p.reset()
 	}
@@ -252,28 +168,12 @@ type MetricValue struct {
 	Value int64  `json:"value"`
 }
 
-// HistogramBucket is one exported histogram bucket. Le is the inclusive
-// upper bound; the overflow bucket reports Le = -1 (read: +Inf).
-type HistogramBucket struct {
-	Le    int64 `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// HistogramValue is one exported histogram reading.
-type HistogramValue struct {
-	Name    string            `json:"name"`
-	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	Buckets []HistogramBucket `json:"buckets"`
-}
-
 // Snapshot is a deterministic export of a registry: every section sorted
 // by metric name, zero-valued metrics omitted so manifests only carry the
 // signals the run actually produced.
 type Snapshot struct {
-	Counters   []MetricValue    `json:"counters,omitempty"`
-	Gauges     []MetricValue    `json:"gauges,omitempty"`
-	Histograms []HistogramValue `json:"histograms,omitempty"`
+	Counters []MetricValue `json:"counters,omitempty"`
+	Gauges   []MetricValue `json:"gauges,omitempty"`
 }
 
 // Snapshot exports the registry's current readings.
@@ -291,23 +191,8 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges = append(s.Gauges, MetricValue{Name: name, Value: v})
 		}
 	}
-	for name, h := range r.hists {
-		if h.n.Load() == 0 {
-			continue
-		}
-		hv := HistogramValue{Name: name, Count: h.n.Load(), Sum: h.sum.Load()}
-		for i := range h.counts {
-			le := int64(-1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
-			}
-			hv.Buckets = append(hv.Buckets, HistogramBucket{Le: le, Count: h.counts[i].Load()})
-		}
-		s.Histograms = append(s.Histograms, hv)
-	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
 

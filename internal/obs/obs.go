@@ -1,11 +1,11 @@
 // Package obs is the repo's zero-overhead observability layer: a metrics
-// registry (counters, gauges, fixed-bucket histograms), a broadcast trace
+// registry (counters, gauges, progress meters), a broadcast trace
 // recorder, per-stage wall/alloc clocks, and run manifests.
 //
 // The design goal is that instrumented kernels cost nothing when
 // observability is off, which is the default:
 //
-//   - Metric mutation methods (Counter.Add, Gauge.Set, Histogram.Observe)
+//   - Metric mutation methods (Counter.Add, Gauge.Set, Progress.Add)
 //     first check the package-level enabled flag — one relaxed atomic bool
 //     load, no allocation, no lock — and return immediately when it is off.
 //     Hot paths therefore call them unconditionally; cold paths that would
@@ -17,8 +17,8 @@
 //     protocol-side hooks never run their per-element bookkeeping unless a
 //     tracer is attached.
 //
-// Enable() is flipped by the CLIs when the user asks for a manifest or
-// metrics; simulations never flip it themselves.
+// Enable() is flipped by the CLIs' run harness (live.Flags) when the user
+// asks for a manifest or telemetry; simulations never flip it themselves.
 package obs
 
 import "sync/atomic"

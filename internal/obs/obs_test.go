@@ -59,29 +59,6 @@ func TestGauge(t *testing.T) {
 	nilG.Add(1)
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []int64{10, 100})
-	withEnabled(t, func() {
-		for _, v := range []int64{1, 10, 11, 1000} {
-			h.Observe(v)
-		}
-	})
-	if h.Count() != 4 || h.Sum() != 1022 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
-	}
-	s := r.Snapshot()
-	if len(s.Histograms) != 1 {
-		t.Fatalf("snapshot histograms = %d", len(s.Histograms))
-	}
-	want := []HistogramBucket{{Le: 10, Count: 2}, {Le: 100, Count: 1}, {Le: -1, Count: 1}}
-	if !reflect.DeepEqual(s.Histograms[0].Buckets, want) {
-		t.Fatalf("buckets = %+v, want %+v", s.Histograms[0].Buckets, want)
-	}
-	var nilH *Histogram
-	nilH.Observe(1)
-}
-
 func TestRegistryIdempotentAndReset(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("x") != r.Counter("x") {

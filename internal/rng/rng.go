@@ -119,9 +119,6 @@ func (r *Stream) next64() uint64 {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Stream) Uint64() uint64 { return r.next64() }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Stream) Uint32() uint32 { return r.next32() }
-
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0. Lemire's nearly-divisionless rejection method keeps the result
 // unbiased.

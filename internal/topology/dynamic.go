@@ -63,10 +63,6 @@ func NewDynamic(nw *Network) *Dynamic {
 	return d
 }
 
-// Network returns the current snapshot. It aliases internal state and is
-// valid only until the next Step.
-func (d *Dynamic) Network() *Network { return &d.nw }
-
 // Step updates the graph to the new positions (one entry per node, same
 // order as at construction) and returns the refreshed snapshot. Nodes are
 // considered moved when their position differs bit-for-bit from the stored

@@ -7,16 +7,6 @@ import (
 	"clustercast/internal/rng"
 )
 
-// MobilityModel advances node positions by one time step and reports the
-// new positions. Implementations own their node state.
-type MobilityModel interface {
-	// Step advances the model by dt time units and returns the positions
-	// after the step. The returned slice is owned by the model.
-	Step(dt float64) []geom.Point
-	// Positions returns the current positions without advancing.
-	Positions() []geom.Point
-}
-
 // RandomWaypoint implements the classic random waypoint mobility model:
 // each node picks a uniform destination in the area and a uniform speed in
 // [MinSpeed, MaxSpeed], travels there in a straight line, pauses for
@@ -67,10 +57,11 @@ func (m *RandomWaypoint) retarget(i int) {
 	m.speeds[i] = m.rng.Range(m.MinSpeed, m.MaxSpeed)
 }
 
-// Positions implements MobilityModel.
+// Positions returns the current positions without advancing.
 func (m *RandomWaypoint) Positions() []geom.Point { return m.positions }
 
-// Step implements MobilityModel.
+// Step advances the model by dt time units and returns the positions after
+// the step. The returned slice is owned by the model.
 func (m *RandomWaypoint) Step(dt float64) []geom.Point {
 	for i := range m.positions {
 		remaining := dt
@@ -136,10 +127,11 @@ func NewRandomWalk(start []geom.Point, bounds geom.Rect, stepSize float64, r *rn
 	}
 }
 
-// Positions implements MobilityModel.
+// Positions returns the current positions without advancing.
 func (m *RandomWalk) Positions() []geom.Point { return m.positions }
 
-// Step implements MobilityModel.
+// Step advances the model by dt time units and returns the positions after
+// the step. The returned slice is owned by the model.
 func (m *RandomWalk) Step(dt float64) []geom.Point {
 	for i, p := range m.positions {
 		q := geom.Point{
