@@ -33,10 +33,12 @@ test-pipebench:
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing for each of the
 # input-facing targets — the topology snapshot loader, the banded
-# unit-disk build, and the fault and traffic spec grammars. Plain test
-# runs only replay their seed corpora. -fuzz takes one target in one
-# package, hence one go test per target.
+# unit-disk build, and the fault and traffic spec grammars — and for the
+# two CSR graph constructors, AddEdge and FromEdges, against each other.
+# Plain test runs only replay their seed corpora. -fuzz takes one target
+# in one package, hence one go test per target.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphInvariants$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildParallelAgree$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/faults

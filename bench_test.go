@@ -782,11 +782,10 @@ func BenchmarkSweepPoint(b *testing.B) {
 }
 
 // BenchmarkMobilityStep measures one mobility time step of unit-disk-graph
-// maintenance at n=100, d=18: full FromPositions reconstruction vs the
-// incremental topology.Dynamic repair that re-tests only the grid cells the
-// moved nodes touched. "sparse-10pct" moves 10 nodes per step (the regime
-// mobility ablations run in); "all-nodes" re-places every node (worst case,
-// where the incremental path falls back to a grid-reusing rebuild).
+// maintenance at n=100, d=18: a full FromPositions reconstruction, the
+// build the mobility ablations run every step. "sparse-10pct" moves 10
+// nodes per step; "all-nodes" moves every node, as random waypoint with
+// zero pause does.
 func BenchmarkMobilityStep(b *testing.B) {
 	const n = 100
 	for _, w := range []struct {
@@ -796,36 +795,26 @@ func BenchmarkMobilityStep(b *testing.B) {
 		{"sparse-10pct", n / 10},
 		{"all-nodes", n},
 	} {
-		for _, mode := range []string{"full-rebuild", "incremental"} {
-			b.Run(w.name+"/"+mode, func(b *testing.B) {
-				nw := sample(b, n, 18, 1).Topology
-				bounds, radius := nw.Bounds, nw.Radius
-				pos := append([]geom.Point(nil), nw.Positions...)
-				r := rng.NewLabeled(3, "bench-mobility")
-				var dyn *topology.Dynamic
-				if mode == "incremental" {
-					dyn = topology.NewDynamic(nw)
+		b.Run(w.name+"/full-rebuild", func(b *testing.B) {
+			nw := sample(b, n, 18, 1).Topology
+			bounds, radius := nw.Bounds, nw.Radius
+			pos := append([]geom.Point(nil), nw.Positions...)
+			r := rng.NewLabeled(3, "bench-mobility")
+			b.ReportAllocs()
+			b.ResetTimer()
+			edges := 0
+			for i := 0; i < b.N; i++ {
+				for m := 0; m < w.movers; m++ {
+					v := r.Intn(n)
+					pos[v] = bounds.Clamp(geom.Point{
+						X: pos[v].X + (r.Float64()-0.5)*2,
+						Y: pos[v].Y + (r.Float64()-0.5)*2,
+					})
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				edges := 0
-				for i := 0; i < b.N; i++ {
-					for m := 0; m < w.movers; m++ {
-						v := r.Intn(n)
-						pos[v] = bounds.Clamp(geom.Point{
-							X: pos[v].X + (r.Float64()-0.5)*2,
-							Y: pos[v].Y + (r.Float64()-0.5)*2,
-						})
-					}
-					if dyn != nil {
-						edges += dyn.Step(pos).G.M()
-					} else {
-						edges += topology.FromPositions(pos, bounds, radius).G.M()
-					}
-				}
-				_ = edges
-			})
-		}
+				edges += topology.FromPositions(pos, bounds, radius).G.M()
+			}
+			_ = edges
+		})
 	}
 }
 

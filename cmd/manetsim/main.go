@@ -126,21 +126,27 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 	}
 }
 
-// runTraffic drives the -traffic workload over each relay structure:
-// concurrent multi-source broadcasts (or RREQ floods when the spec says
-// discovery=1) contending for MAC slots, one comparison row per backbone.
-func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.Writer) error {
+// trafficFlows parses the -traffic spec and draws its flows over n nodes,
+// so that a bad spec fails the run before any protocol runs.
+func trafficFlows(cfg config, n int) (workload.Spec, []workload.Flow, error) {
 	spec, err := workload.ParseSpec(cfg.traffic)
 	if err != nil {
-		return fmt.Errorf("-traffic: %w", err)
+		return spec, nil, fmt.Errorf("-traffic: %w", err)
 	}
 	if spec.Seed == 0 {
 		spec.Seed = cfg.seed
 	}
-	flows, err := spec.Generate(nw.N())
+	flows, err := spec.Generate(n)
 	if err != nil {
-		return fmt.Errorf("-traffic: %w", err)
+		return spec, nil, fmt.Errorf("-traffic: %w", err)
 	}
+	return spec, flows, nil
+}
+
+// runTraffic drives the -traffic workload over each relay structure:
+// concurrent multi-source broadcasts (or RREQ floods when the spec says
+// discovery=1) contending for MAC slots, one comparison row per backbone.
+func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, oracle *faults.Oracle, stdout io.Writer) {
 	const jitter = 3
 	g := nw.Graph()
 	opt := broadcast.MACOptions{Jitter: jitter, Faults: oracle}
@@ -169,7 +175,7 @@ func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.W
 				b.name, dr.Found, dr.Requests, 100*dr.SuccessRatio,
 				dr.MeanLatency, dr.MeanRouteLen, dr.MeanStretch)
 		}
-		return nil
+		return
 	}
 	fmt.Fprintf(stdout, "%-12s %9s %10s %9s %10s %6s\n",
 		"protocol", "delivery", "throughput", "latency", "collisions", "cross")
@@ -179,7 +185,6 @@ func runTraffic(cfg config, nw *core.Network, oracle *faults.Oracle, stdout io.W
 			b.name, 100*tr.DeliveryRatio, tr.Throughput, tr.MeanLatency,
 			tr.Collisions, tr.CrossCollisions)
 	}
-	return nil
 }
 
 // loadNetwork resolves the scenario network from the configuration.
@@ -195,7 +200,7 @@ func loadNetwork(cfg *config) (*core.Network, error) {
 			return nil, err
 		}
 		nw := core.FromTopology(tn)
-		cfg.n = nw.N()
+		cfg.n, cfg.d = nw.N(), nw.Graph().AvgDegree()
 		return nw, nil
 	}
 	return core.NewRandomNetwork(core.NetworkSpec{N: cfg.n, AvgDegree: cfg.d, Seed: cfg.seed, BuildWorkers: cfg.buildW})
@@ -211,7 +216,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 	defer sess.Close(&retErr)
 	sess.Manifest.Seed = cfg.seed
-	sess.Manifest.Param("d", cfg.d).Param("protocols", cfg.protocols).Param("load", cfg.load).
+	sess.Manifest.Param("protocols", cfg.protocols).Param("load", cfg.load).
 		Param("wire", cfg.wire).Param("faults", cfg.faults).Param("traffic", cfg.traffic).
 		Param("buildworkers", cfg.buildW)
 
@@ -219,8 +224,9 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	// The simulated network's size, which -load takes from the snapshot.
-	sess.Manifest.Param("n", cfg.n)
+	// The simulated network's size and degree, which -load takes from the
+	// snapshot.
+	sess.Manifest.Param("n", cfg.n).Param("d", cfg.d)
 	fmt.Fprintln(stdout, "network:", nw.Summarize())
 
 	var oracle *faults.Oracle
@@ -236,6 +242,13 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		oracle.SetPositions(nw.Topology.Positions)
 		fmt.Fprintf(stdout, "faults: %s (alive at t=0: %d/%d)\n",
 			spec.String(), oracle.AliveCount(0), nw.N())
+	}
+	var traffic workload.Spec
+	var flows []workload.Flow
+	if cfg.traffic != "" {
+		if traffic, flows, err = trafficFlows(cfg, nw.N()); err != nil {
+			return err
+		}
 	}
 
 	src := cfg.source
@@ -258,13 +271,14 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		}
 	}
 	var tracer *obs.Tracer
+	traceCap := 16 * cfg.n
 	if cfg.trace != "" {
 		// A trace file holds exactly one broadcast, so the protocol must be
 		// unambiguous.
 		if cfg.protocols == "all" || len(want) != 1 {
 			return fmt.Errorf("-trace needs exactly one protocol selected (e.g. -protocols dynamic-2.5)")
 		}
-		tracer = obs.NewTracer(16 * cfg.n)
+		tracer = obs.NewTracer(traceCap)
 	}
 	runs := buildRuns(nw, src, cfg.seed, tracer, oracle)
 	known := map[string]bool{}
@@ -291,12 +305,25 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 
 	if cfg.traffic != "" {
-		if err := runTraffic(cfg, nw, oracle, stdout); err != nil {
-			return err
-		}
+		runTraffic(nw, traffic, flows, oracle, stdout)
 	}
 
 	if tracer != nil {
+		// The churn the traced broadcast ran through: every crash and
+		// recovery in the slots up to its last event. It goes into the
+		// ring only when it fits beside the whole broadcast, which it
+		// would otherwise overwrite.
+		span := 0
+		for _, ev := range tracer.Events() {
+			span = max(span, ev.T+1)
+		}
+		probe := obs.NewTracer(1)
+		oracle.TraceTransitions(probe, 0, span)
+		if churn := probe.Len() + int(probe.Dropped()); tracer.Dropped() == 0 && tracer.Len()+churn <= traceCap {
+			oracle.TraceTransitions(tracer, 0, span)
+		} else if churn > 0 {
+			fmt.Fprintf(stdout, "\nnote: %d crash/recover events left out of the trace; with the broadcast they overflow its %d-event ring\n", churn, traceCap)
+		}
 		if err := sess.WriteTrace(cfg.trace, tracer); err != nil {
 			return err
 		}

@@ -169,10 +169,17 @@ func TestRunTrafficDiscovery(t *testing.T) {
 	}
 }
 
-// TestRunTrafficBadSpec: a malformed spec is a user error, not a panic.
+// TestRunTrafficBadSpec: a malformed spec is a user error, not a panic,
+// and it fails the run before any protocol runs.
 func TestRunTrafficBadSpec(t *testing.T) {
-	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "flooding", traffic: "proc=warp"}
-	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-traffic") {
-		t.Fatalf("want -traffic parse error, got %v", err)
+	for _, spec := range []string{"proc=warp", "foo=1"} {
+		var out bytes.Buffer
+		cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "all", traffic: spec}
+		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-traffic") {
+			t.Fatalf("-traffic %s: want a parse error, got %v", spec, err)
+		}
+		if strings.Contains(out.String(), "forwards") || strings.Contains(out.String(), "flooding") {
+			t.Fatalf("-traffic %s: protocols ran before the spec was rejected:\n%s", spec, out.String())
+		}
 	}
 }

@@ -189,6 +189,65 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("-load manifest params n=%q source=%q load=%q, want 37, %d (the drawn source), %s",
 			m.Params["n"], m.Params["source"], m.Params["load"], src, npath)
 	}
+	if want := fmt.Sprint(nw.Graph().AvgDegree()); m.Params["d"] != want {
+		t.Fatalf("-load manifest param d=%q, want the snapshot's average degree %s", m.Params["d"], want)
+	}
+}
+
+// TestTraceRecordsChurn: a traced run under a churn schedule carries the
+// node-crash and node-recover events of the slots its broadcast spanned,
+// after the broadcast's own events, and the broadcast part is unchanged.
+func TestTraceRecordsChurn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	cfg := config{n: 60, d: 8, seed: 7, source: 0, protocols: "flooding", faults: "mtbf=50,mttr=20", trace: path}
+	if err := run(cfg, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[obs.EventKind]int{}
+	span, churnFrom := 0, -1
+	for i, ev := range events {
+		kinds[ev.Kind]++
+		switch ev.Kind {
+		case obs.EvNodeCrash, obs.EvNodeRecover:
+			if churnFrom < 0 {
+				churnFrom = i
+			}
+			if ev.T < 0 || ev.T >= span {
+				t.Fatalf("event %d: %s at t=%d outside the broadcast's slots [0,%d)", i, ev.Kind, ev.T, span)
+			}
+		default:
+			if churnFrom >= 0 {
+				t.Fatalf("event %d: %s after the churn events", i, ev.Kind)
+			}
+			span = max(span, ev.T+1)
+		}
+	}
+	if kinds[obs.EvNodeCrash] == 0 || kinds[obs.EvNodeRecover] == 0 {
+		t.Fatalf("churned trace has %d node-crash and %d node-recover events", kinds[obs.EvNodeCrash], kinds[obs.EvNodeRecover])
+	}
+	if kinds[obs.EvSend] != 57 || kinds[obs.EvDeliver] != 56 {
+		t.Fatalf("broadcast part changed: %d sends, %d delivers, want 57 and 56", kinds[obs.EvSend], kinds[obs.EvDeliver])
+	}
+
+	// Sub-slot churn has more transitions than the ring holds beside the
+	// broadcast: they are left out, and the broadcast stays whole.
+	cfg.faults = "mtbf=0.2,mttr=0.2"
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), " events, 0 dropped)") || !strings.Contains(out.String(), "crash/recover events left out") {
+		t.Fatalf("overflowing churn was not left out of the trace:\n%s", out.String())
+	}
 }
 
 // TestFailedRunKeepsProfiles: a run that fails after it started still

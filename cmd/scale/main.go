@@ -126,6 +126,9 @@ func run(cfg config, out io.Writer) (retErr error) {
 	if len(names) == 0 {
 		return fmt.Errorf("no stages selected")
 	}
+	if cfg.reps < 1 {
+		return fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)
+	}
 
 	var tracer *obs.Tracer
 	if cfg.trace != "" {

@@ -74,6 +74,21 @@ func TestRunUnknownStage(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNoReps: a run without replicates has no median to report,
+// so it fails before the header or any stage, with nothing on stdout.
+func TestRunRejectsNoReps(t *testing.T) {
+	for _, reps := range []int{0, -1} {
+		var out bytes.Buffer
+		cfg := config{n: 100, d: 12, seed: 1, reps: reps, stages: "static25"}
+		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-reps") {
+			t.Fatalf("-reps %d: want a -reps error, got %v", reps, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-reps %d: rejected run printed %q", reps, out.String())
+		}
+	}
+}
+
 // TestRunSampleErrorPropagates: an unsatisfiable topology spec must surface
 // the generator's diagnosis (the attempt cap), not a generic shrug.
 func TestRunSampleErrorPropagates(t *testing.T) {

@@ -37,6 +37,12 @@ type config struct {
 
 // generate builds the topology per the configuration.
 func generate(cfg config) (*topology.Network, error) {
+	if cfg.n < 1 {
+		return nil, fmt.Errorf("-n must be at least 1, got %d", cfg.n)
+	}
+	if !(cfg.side > 0) || math.IsInf(cfg.side, 0) {
+		return nil, fmt.Errorf("-side must be finite and positive, got %g", cfg.side)
+	}
 	if math.IsNaN(cfg.d) || math.IsInf(cfg.d, 0) {
 		return nil, fmt.Errorf("-d must be finite, got %g", cfg.d)
 	}

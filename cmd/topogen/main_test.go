@@ -75,12 +75,35 @@ func TestRunErrors(t *testing.T) {
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("want format error, got %v", err)
 	}
+	snapshot := filepath.Join(t.TempDir(), "net.json")
 	for _, placement := range []string{"uniform", "grid", "clustered"} {
 		cfg = baseCfg()
 		cfg.d = math.NaN()
 		cfg.placement = placement
 		if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-d") {
 			t.Fatalf("-d NaN with %s placement: want a degree error, got %v", placement, err)
+		}
+		for _, n := range []int{0, -5} {
+			cfg = baseCfg()
+			cfg.n = n
+			cfg.placement = placement
+			var out bytes.Buffer
+			if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-n") || out.Len() != 0 {
+				t.Fatalf("-n %d with %s placement: want a node-count error and no output, got %v, %q", n, placement, err, out.String())
+			}
+		}
+		for _, side := range []float64{-5, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg = baseCfg()
+			cfg.side = side
+			cfg.placement = placement
+			cfg.save = snapshot
+			var out bytes.Buffer
+			if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-side") || out.Len() != 0 {
+				t.Fatalf("-side %g with %s placement: want a side error and no output, got %v, %q", side, placement, err, out.String())
+			}
+			if _, err := os.Stat(cfg.save); !os.IsNotExist(err) {
+				t.Fatalf("-side %g with %s placement: snapshot written (%v)", side, placement, err)
+			}
 		}
 	}
 }

@@ -147,6 +147,9 @@ func run(path string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "sends=%d delivers=%d duplicates=%d collisions=%d gateway-selects=%d prunes=%d\n",
 		a.kinds[obs.EvSend], a.kinds[obs.EvDeliver], a.kinds[obs.EvDuplicate],
 		a.kinds[obs.EvCollision], a.kinds[obs.EvGatewaySelect], a.kinds[obs.EvCoveragePrune])
+	if crashes, recovers := a.kinds[obs.EvNodeCrash], a.kinds[obs.EvNodeRecover]; crashes+recovers > 0 {
+		fmt.Fprintf(stdout, "node-crashes=%d node-recovers=%d\n", crashes, recovers)
+	}
 
 	if a.kinds[obs.EvCoveragePrune] > 0 {
 		fmt.Fprintln(stdout, "\ncoverage prunes by rule:")

@@ -81,6 +81,31 @@ func TestRunCompleteTrace(t *testing.T) {
 	}
 }
 
+// TestRunChurnCounts: a trace with fault-schedule churn reports its crash
+// and recovery counts; one without prints no churn line.
+func TestRunChurnCounts(t *testing.T) {
+	path := writeTrace(t, func(tr *obs.Tracer) {
+		completeBroadcast(tr)
+		tr.NodeCrash(0, 4)
+		tr.NodeCrash(1, 5)
+		tr.NodeRecover(2, 4)
+	})
+	var out bytes.Buffer
+	if err := run(path, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "node-crashes=2 node-recovers=1") || !strings.Contains(s, "reconciliation: ok") {
+		t.Fatalf("churn counts or reconciliation missing:\n%s", s)
+	}
+	out.Reset()
+	if err := run(writeTrace(t, completeBroadcast), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "node-crashes") {
+		t.Fatalf("churn line printed for a trace without churn:\n%s", out.String())
+	}
+}
+
 func TestRunInconsistentTrace(t *testing.T) {
 	// A relay that never received the packet must be flagged.
 	path := writeTrace(t, func(tr *obs.Tracer) {

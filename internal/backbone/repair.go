@@ -332,18 +332,23 @@ func hopBall(g *graph.Graph, seeds []int, depth int, isUp func(int) bool) *graph
 }
 
 // liveGraph builds the surviving graph: g with every down node isolated.
+// Filtering g's sorted, symmetric rows keeps them sorted and symmetric, so
+// they go to RenewCSR as they are.
 func liveGraph(g *graph.Graph, isUp func(int) bool) *graph.Graph {
 	n := g.N()
-	adj := make([][]int, n)
+	off := make([]int, n+1)
+	flat := make([]int, 0, 2*g.M())
 	for v := 0; v < n; v++ {
-		if !isUp(v) {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if isUp(u) {
-				adj[v] = append(adj[v], u)
+		if isUp(v) {
+			for _, u := range g.Neighbors(v) {
+				if isUp(u) {
+					flat = append(flat, u)
+				}
 			}
 		}
+		off[v+1] = len(flat)
 	}
-	return graph.FromAdjacency(n, adj)
+	live := new(graph.Graph)
+	live.RenewCSR(off, flat)
+	return live
 }

@@ -154,13 +154,9 @@ func Mobility(speeds []float64, n int, d float64, steps int, seed uint64, rule s
 				rng.NewLabeled(sc.Seed^uint64(d.rep), "waypoint"))
 			prevCl := d.cl
 			prevBB := backbone.BuildStatic(d.nw.G, prevCl, coverage.Hop25)
-			// Incremental edge maintenance: each step re-tests only the
-			// grid cells the moved nodes touched instead of rebuilding
-			// the whole unit disk graph.
-			dyn := topology.NewDynamic(d.nw)
 			var total [2]float64 // head changes, backbone-membership changes
 			for step := 0; step < steps; step++ {
-				cur := dyn.Step(mob.Step(1))
+				cur := topology.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
 				curCl := cluster.LowestID(cur.G)
 				curBB := backbone.BuildStatic(cur.G, curCl, coverage.Hop25)
 				var c [2]int

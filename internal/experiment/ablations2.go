@@ -101,11 +101,9 @@ func Maintenance(speeds []float64, n int, d float64, steps int, seed uint64, rul
 			mob := topology.NewRandomWaypoint(d.nw.Positions, sc.Bounds, speed/2, speed, 0,
 				rng.NewLabeled(sc.Seed^uint64(d.rep), "maint-waypoint"))
 			prev := cluster.LowestID(d.nw.G)
-			// Incremental edge maintenance (see ablations.go Mobility).
-			dyn := topology.NewDynamic(d.nw)
 			total := 0
 			for step := 0; step < steps; step++ {
-				cur := dyn.Step(mob.Step(1))
+				cur := topology.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
 				var next *cluster.Clustering
 				if useLCC {
 					next, _ = cluster.Maintain(cur.G, prev)

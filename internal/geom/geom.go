@@ -1,7 +1,8 @@
 // Package geom provides the planar geometry primitives underlying the
 // unit-disk-graph model of a MANET: points, rectangles (the confined working
-// space of the paper, 100×100 by default) and a spatial hash grid that makes
-// neighbor discovery O(1) per node instead of O(n).
+// space of the paper, 100×100 by default) and the cell layout of a uniform
+// grid, which lets the unit-disk build test each node against the nodes of
+// its own and adjacent cells only, O(deg) per node instead of O(n).
 package geom
 
 import (
@@ -29,14 +30,6 @@ func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
-// Dist2 returns the squared Euclidean distance between p and q. Comparing
-// squared distances avoids the square root in the inner loop of neighbor
-// discovery.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
 }
 
 // Norm returns the Euclidean length of p viewed as a vector.
@@ -142,115 +135,6 @@ func clampCell(f float64, n int) int {
 		return int(f)
 	}
 	return 0
-}
-
-// Grid is a uniform spatial hash over a rectangle: Cells plus one bucket
-// of point ids per cell, making range queries O(neighbors).
-type Grid struct {
-	layout Cells
-	cells  [][]int // flattened cell index -> ids stored there
-	points []Point // id -> position (ids are dense, assigned by Insert order)
-}
-
-// NewGrid builds an empty grid over bounds with the given cell size for
-// about n points (see NewCells). The cell size should normally be the
-// radio transmission range.
-func NewGrid(bounds Rect, cellSize float64, n int) *Grid {
-	g := &Grid{}
-	g.Reset(bounds, cellSize, n)
-	return g
-}
-
-// Reset re-shapes g over new bounds and cell size for about n points and
-// removes all points, reusing the cell buckets and point storage. A grid
-// owned by a long-lived updater is Reset instead of rebuilt with NewGrid.
-func (g *Grid) Reset(bounds Rect, cellSize float64, n int) {
-	g.layout = NewCells(bounds, cellSize, n)
-	// Cell buckets live in a dense slice: the cell count is O(n), so the
-	// direct index is both smaller and far cheaper than a hash map in the
-	// insert/query hot loops.
-	nc := g.layout.cols * g.layout.rows
-	if cap(g.cells) < nc {
-		g.cells = make([][]int, nc)
-	} else {
-		g.cells = g.cells[:nc]
-		for i := range g.cells {
-			g.cells[i] = g.cells[i][:0]
-		}
-	}
-	g.points = g.points[:0]
-}
-
-// cellIndex maps a point to its flattened cell index.
-func (g *Grid) cellIndex(p Point) int {
-	cx, cy := g.layout.Cell(p)
-	return cy*g.layout.cols + cx
-}
-
-// Insert adds p and returns its id (dense, starting at 0).
-func (g *Grid) Insert(p Point) int {
-	id := len(g.points)
-	g.points = append(g.points, p)
-	ci := g.cellIndex(p)
-	g.cells[ci] = append(g.cells[ci], id)
-	return id
-}
-
-// Point returns the position of id.
-func (g *Grid) Point(id int) Point { return g.points[id] }
-
-// Within appends to dst the ids of all stored points q ≠ id with
-// dist(point(id), q) <= radius, and returns the extended slice. radius must
-// not exceed the grid cell size (callers construct the grid with cell =
-// radio range, so this always holds in practice).
-func (g *Grid) Within(id int, radius float64, dst []int) []int {
-	if radius > g.layout.size+1e-9 {
-		panic("geom: query radius exceeds grid cell size")
-	}
-	p := g.points[id]
-	r2 := radius * radius
-	// Queries from points on or outside the boundary scan the same edge
-	// cells those points were stored in.
-	cx, cy := g.layout.Cell(p)
-	cols, rows := g.layout.cols, g.layout.rows
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := cx+dx, cy+dy
-			if x < 0 || x >= cols || y < 0 || y >= rows {
-				continue
-			}
-			for _, other := range g.cells[y*cols+x] {
-				if other == id {
-					continue
-				}
-				if p.Dist2(g.points[other]) <= r2 {
-					dst = append(dst, other)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Move updates the position of id, rebucketing it if it crossed a cell
-// boundary. Used by mobility models.
-func (g *Grid) Move(id int, to Point) {
-	from := g.points[id]
-	oldCell := g.cellIndex(from)
-	newCell := g.cellIndex(to)
-	g.points[id] = to
-	if oldCell == newCell {
-		return
-	}
-	bucket := g.cells[oldCell]
-	for i, v := range bucket {
-		if v == id {
-			bucket[i] = bucket[len(bucket)-1]
-			g.cells[oldCell] = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	g.cells[newCell] = append(g.cells[newCell], id)
 }
 
 // ExpectedDegree returns the average node degree predicted by the Poisson

@@ -2,11 +2,8 @@ package geom
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"clustercast/internal/rng"
 )
 
 func TestPointDist(t *testing.T) {
@@ -14,9 +11,6 @@ func TestPointDist(t *testing.T) {
 	b := Point{3, 4}
 	if d := a.Dist(b); math.Abs(d-5) > 1e-12 {
 		t.Fatalf("Dist = %g, want 5", d)
-	}
-	if d2 := a.Dist2(b); math.Abs(d2-25) > 1e-12 {
-		t.Fatalf("Dist2 = %g, want 25", d2)
 	}
 }
 
@@ -75,108 +69,13 @@ func TestRectClamp(t *testing.T) {
 	}
 }
 
-// bruteWithin is the O(n²) oracle for grid range queries.
-func bruteWithin(pts []Point, id int, radius float64) []int {
-	var out []int
-	for j, q := range pts {
-		if j != id && pts[id].Dist(q) <= radius {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-func TestGridMatchesBruteForce(t *testing.T) {
-	r := rng.New(7)
-	bounds := Square(100)
-	const radius = 18.0
-	g := NewGrid(bounds, radius, 300)
-	var pts []Point
-	for i := 0; i < 300; i++ {
-		p := Point{r.Range(0, 100), r.Range(0, 100)}
-		pts = append(pts, p)
-		g.Insert(p)
-	}
-	for id := 0; id < len(pts); id++ {
-		got := g.Within(id, radius, nil)
-		want := bruteWithin(pts, id, radius)
-		sort.Ints(got)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			t.Fatalf("node %d: grid found %d neighbors, brute force %d", id, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("node %d: neighbor mismatch %v vs %v", id, got, want)
-			}
-		}
-	}
-}
-
-func TestGridQueryRadiusGuard(t *testing.T) {
-	g := NewGrid(Square(100), 10, 100)
-	g.Insert(Point{5, 5})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Within with radius > cell must panic")
-		}
-	}()
-	g.Within(0, 20, nil)
-}
-
 func TestGridZeroCellPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewGrid with cell 0 must panic")
+			t.Fatal("NewCells with cell 0 must panic")
 		}
 	}()
-	NewGrid(Square(1), 0, 1)
-}
-
-func TestGridMove(t *testing.T) {
-	g := NewGrid(Square(100), 10, 2)
-	a := g.Insert(Point{5, 5})
-	b := g.Insert(Point{8, 5})
-	if n := g.Within(a, 10, nil); len(n) != 1 || n[0] != b {
-		t.Fatalf("before move: neighbors of a = %v", n)
-	}
-	g.Move(b, Point{95, 95})
-	if n := g.Within(a, 10, nil); len(n) != 0 {
-		t.Fatalf("after move away: neighbors of a = %v", n)
-	}
-	g.Move(b, Point{6, 6})
-	if n := g.Within(a, 10, nil); len(n) != 1 || n[0] != b {
-		t.Fatalf("after move back: neighbors of a = %v", n)
-	}
-	if got := g.Point(b); got != (Point{6, 6}) {
-		t.Fatalf("Point(b) = %v after move", got)
-	}
-}
-
-func TestGridMoveMatchesBruteForce(t *testing.T) {
-	r := rng.New(13)
-	const radius = 15.0
-	g := NewGrid(Square(100), radius, 120)
-	var pts []Point
-	for i := 0; i < 120; i++ {
-		p := Point{r.Range(0, 100), r.Range(0, 100)}
-		pts = append(pts, p)
-		g.Insert(p)
-	}
-	// Random walks, re-verifying against the oracle each step.
-	for step := 0; step < 20; step++ {
-		id := r.Intn(len(pts))
-		to := Point{r.Range(0, 100), r.Range(0, 100)}
-		pts[id] = to
-		g.Move(id, to)
-		got := g.Within(id, radius, nil)
-		want := bruteWithin(pts, id, radius)
-		sort.Ints(got)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: grid %d vs brute %d neighbors", step, len(got), len(want))
-		}
-	}
+	NewCells(Square(1), 0, 1)
 }
 
 func TestExpectedDegreeRoundTrip(t *testing.T) {
@@ -232,20 +131,6 @@ func TestQuickDistSymmetryAndTriangle(t *testing.T) {
 	}
 }
 
-func BenchmarkGridWithin(b *testing.B) {
-	r := rng.New(1)
-	const radius = 15.0
-	g := NewGrid(Square(100), radius, 1000)
-	for i := 0; i < 1000; i++ {
-		g.Insert(Point{r.Range(0, 100), r.Range(0, 100)})
-	}
-	buf := make([]int, 0, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.Within(i%1000, radius, buf[:0])
-	}
-}
-
 func TestPointStringAndNorm(t *testing.T) {
 	p := Point{X: 3, Y: 4}
 	if got := p.String(); got != "(3.000, 4.000)" {
@@ -257,7 +142,8 @@ func TestPointStringAndNorm(t *testing.T) {
 }
 
 // A tiny cell in huge bounds would need about 10¹⁶ cells; the layout
-// grows the cell instead, keeping the count O(n) and queries exact.
+// grows the cell instead, keeping the count O(n) and the cell neighborhood
+// of a point a superset of its range.
 func TestGridWideBoundsCapsCells(t *testing.T) {
 	bounds := Square(1e6)
 	if c := NewCells(bounds, 0.01, 2); c.Cols()*c.Rows() > 4*2+64 {
@@ -271,39 +157,43 @@ func TestGridWideBoundsCapsCells(t *testing.T) {
 			t.Fatalf("n=%d: %dx%d cells, want %dx%d cells of the range", n, c.Cols(), c.Rows(), want, want)
 		}
 	}
-	g := NewGrid(bounds, 0.01, 2)
-	a := g.Insert(Point{X: 5e5, Y: 5e5})
-	b := g.Insert(Point{X: 5e5 + 0.005, Y: 5e5})
-	if found := g.Within(a, 0.01, nil); len(found) != 1 || found[0] != b {
-		t.Fatalf("near pair not found: %v", found)
+	c := NewCells(bounds, 0.01, 2)
+	ax, ay := c.Cell(Point{X: 5e5, Y: 5e5})
+	if bx, by := c.Cell(Point{X: 5e5 + 0.005, Y: 5e5}); !adjacentCells(ax, ay, bx, by) {
+		t.Fatalf("near pair in cells (%d,%d) and (%d,%d)", ax, ay, bx, by)
 	}
-	g.Move(b, Point{X: 1e6, Y: 1e6})
-	if found := g.Within(a, 0.01, nil); len(found) != 0 {
-		t.Fatalf("far pair found: %v", found)
+	if fx, fy := c.Cell(Point{X: 1e6, Y: 1e6}); adjacentCells(ax, ay, fx, fy) {
+		t.Fatalf("far pair in adjacent cells (%d,%d) and (%d,%d)", ax, ay, fx, fy)
 	}
 }
 
+// adjacentCells reports whether two cells are equal or 8-neighbors.
+func adjacentCells(ax, ay, bx, by int) bool {
+	return max(ax-bx, bx-ax) <= 1 && max(ay-by, by-ay) <= 1
+}
+
 func TestGridClampsOutOfBoundsPoints(t *testing.T) {
-	// Points on or slightly outside the boundary must land in edge cells
-	// and still be discoverable by range queries.
-	g := NewGrid(Square(10), 5, 4)
-	a := g.Insert(Point{X: 10, Y: 10})   // on the far corner
-	b := g.Insert(Point{X: 9.5, Y: 9.5}) // inside, close to a
-	found := g.Within(b, 5, nil)
-	if len(found) != 1 || found[0] != a {
-		t.Fatalf("corner point not found: %v", found)
-	}
-	// Negative coordinates (outside bounds) clamp to cell 0 without panic.
-	c := g.Insert(Point{X: -1, Y: -1})
-	d := g.Insert(Point{X: 0.5, Y: 0.5})
-	found = g.Within(d, 5, nil)
-	ok := false
-	for _, id := range found {
-		if id == c {
-			ok = true
+	// Points on or outside the boundary must land in the edge cells, next
+	// to the cells of the points near them inside.
+	c := NewCells(Square(10), 5, 4)
+	last := [2]int{c.Cols() - 1, c.Rows() - 1}
+	for _, tc := range []struct {
+		p    Point
+		want [2]int
+	}{
+		{Point{X: 10, Y: 10}, last},  // on the far corner
+		{Point{X: 12, Y: 1e9}, last}, // beyond it
+		{Point{X: -1, Y: -1}, [2]int{0, 0}},
+		{Point{X: math.NaN(), Y: math.Inf(-1)}, [2]int{0, 0}},
+	} {
+		if x, y := c.Cell(tc.p); [2]int{x, y} != tc.want {
+			t.Fatalf("Cell(%v) = (%d,%d), want %v", tc.p, x, y, tc.want)
 		}
 	}
-	if !ok {
-		t.Fatalf("clamped outside point not found from origin cell: %v", found)
+	if x, y := c.Cell(Point{X: 9.5, Y: 9.5}); !adjacentCells(x, y, last[0], last[1]) {
+		t.Fatalf("point near the corner in cell (%d,%d), not next to %v", x, y, last)
+	}
+	if x, y := c.Cell(Point{X: 0.5, Y: 0.5}); !adjacentCells(x, y, 0, 0) {
+		t.Fatalf("point near the origin in cell (%d,%d), not next to (0,0)", x, y)
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -136,21 +137,35 @@ func FuzzSetRepsAgree(f *testing.F) {
 }
 
 // FuzzGraphInvariants drives graph construction from arbitrary byte
-// strings interpreted as edge lists and checks structural invariants. Run
-// with `go test -fuzz=FuzzGraphInvariants` for open-ended fuzzing; the
-// seed corpus runs as a normal test.
+// strings interpreted as edge lists and checks structural invariants. The
+// deduplicated edge list inserted one AddEdge at a time also goes through
+// the batch FromEdges, and the two CSR constructors must agree row for
+// row. Run with `go test -fuzz=FuzzGraphInvariants` for open-ended
+// fuzzing; the seed corpus runs as a normal test.
 func FuzzGraphInvariants(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1})
 	f.Add([]byte{0, 1})
 	f.Add([]byte{})
 	f.Add([]byte{9, 9, 1, 0, 0, 1})
+	f.Add([]byte{15, 0, 0, 15, 7, 3, 3, 15, 0, 7, 15, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 16
 		g := New(n)
+		var edges [][2]int
 		for i := 0; i+1 < len(data); i += 2 {
 			u, v := int(data[i])%n, int(data[i+1])%n
 			if u != v && !g.HasEdge(u, v) {
 				g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		batch := FromEdges(n, edges)
+		if batch.M() != g.M() {
+			t.Fatalf("FromEdges has %d edges, AddEdge %d", batch.M(), g.M())
+		}
+		for u := 0; u < n; u++ {
+			if got, want := batch.Neighbors(u), g.Neighbors(u); !slices.Equal(got, want) {
+				t.Fatalf("node %d: FromEdges row %v, AddEdge row %v", u, got, want)
 			}
 		}
 		// Symmetry.

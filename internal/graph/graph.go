@@ -10,36 +10,33 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Graph is an undirected simple graph over nodes 0..n−1 stored as sorted
-// adjacency lists, in one of two layouts:
+// Graph is an undirected simple graph over nodes 0..n−1 in
+// compressed-sparse-row form: the sorted neighbors of u are the segment
+// flat[off[u]:off[u+1]] of one flat array. The topology hot path fills
+// both arrays in two counting passes with no per-node allocation;
+// FromEdges and AddEdge build hand-made graphs in the same layout.
 //
-//   - list mode: one []int per node (adj), the incremental-construction
-//     layout used by AddEdge and the mobility maintenance path;
-//   - CSR mode: one flat neighbor array indexed by an offset array
-//     (off/flat), the compressed-sparse-row layout the topology hot path
-//     fills in two passes with zero per-node allocations.
-//
-// Neighbors(u) is a zero-copy slice view in both modes, so traversal code
-// is layout-agnostic. The zero value is an empty graph with no nodes; use
-// New to create a graph with a fixed node count.
+// Neighbors(u) is a zero-copy slice view of u's segment. The zero value is
+// an empty graph with no nodes; use New to create a graph with a fixed
+// node count.
 type Graph struct {
-	adj   [][]int // list mode; nil when off is set
-	off   []int   // CSR mode: neighbors of u are flat[off[u]:off[u+1]]
+	off   []int // n+1 ascending offsets, off[0] == 0, off[n] == len(flat)
 	flat  []int
 	n     int
 	edges int
 }
 
-// New returns a graph with n isolated nodes (list mode).
+// New returns a graph with n isolated nodes.
 func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{adj: make([][]int, n), n: n}
+	return &Graph{off: make([]int, n+1), n: n}
 }
 
 // N returns the number of nodes.
@@ -50,9 +47,9 @@ func (g *Graph) M() int { return g.edges }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate
 // edges are rejected with a panic: the unit-disk model never produces them,
-// so their appearance indicates a bug in the caller. On a CSR-mode graph
-// the adjacency is first materialized back into per-node lists — edge
-// insertion is a construction-time operation, not a hot-path one.
+// so their appearance indicates a bug in the caller. Each call shifts the
+// flat array and the offsets after u, O(n + m): edge insertion builds
+// hand-made and small virtual graphs, never a sampled network.
 func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
@@ -60,32 +57,21 @@ func (g *Graph) AddEdge(u, v int) {
 	if g.HasEdge(u, v) {
 		panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
 	}
-	if g.off != nil {
-		g.materializeLists()
+	if u > v {
+		u, v = v, u
 	}
-	g.insertSorted(u, v)
-	g.insertSorted(v, u)
+	pu := g.off[u] + sort.SearchInts(g.Neighbors(u), v)
+	pv := g.off[v] + sort.SearchInts(g.Neighbors(v), u)
+	// pu <= pv, so inserting at pv first leaves pu in place.
+	g.flat = slices.Insert(g.flat, pv, u)
+	g.flat = slices.Insert(g.flat, pu, v)
+	for w := u + 1; w <= v; w++ {
+		g.off[w]++
+	}
+	for w := v + 1; w <= g.n; w++ {
+		g.off[w] += 2
+	}
 	g.edges++
-}
-
-// materializeLists converts a CSR-mode graph back to list mode, copying
-// each neighbor segment into its own growable slice.
-func (g *Graph) materializeLists() {
-	adj := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		adj[u] = append([]int(nil), g.flat[g.off[u]:g.off[u+1]]...)
-	}
-	g.adj = adj
-	g.off, g.flat = nil, nil
-}
-
-func (g *Graph) insertSorted(u, v int) {
-	list := g.adj[u]
-	i := sort.SearchInts(list, v)
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = v
-	g.adj[u] = list
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -101,18 +87,12 @@ func (g *Graph) HasEdge(u, v int) bool {
 // Neighbors returns the sorted adjacency list of u. The returned slice is
 // owned by the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []int {
-	if g.off != nil {
-		return g.flat[g.off[u]:g.off[u+1]:g.off[u+1]]
-	}
-	return g.adj[u]
+	return g.flat[g.off[u]:g.off[u+1]:g.off[u+1]]
 }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int {
-	if g.off != nil {
-		return g.off[u+1] - g.off[u]
-	}
-	return len(g.adj[u])
+	return g.off[u+1] - g.off[u]
 }
 
 // MaxDegree returns Δ(G), the maximum node degree (0 for an empty graph).
@@ -134,19 +114,9 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.edges) / float64(g.n)
 }
 
-// Clone returns a deep copy of g, preserving the storage layout.
+// Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, edges: g.edges}
-	if g.off != nil {
-		c.off = append([]int(nil), g.off...)
-		c.flat = append([]int(nil), g.flat...)
-		return c
-	}
-	c.adj = make([][]int, len(g.adj))
-	for i, l := range g.adj {
-		c.adj[i] = append([]int(nil), l...)
-	}
-	return c
+	return &Graph{off: slices.Clone(g.off), flat: slices.Clone(g.flat), n: g.n, edges: g.edges}
 }
 
 // Edges returns all edges as ordered pairs (u < v), sorted.
@@ -412,38 +382,37 @@ func (g *Graph) DOT(name string, highlight map[int]bool) string {
 }
 
 // FromEdges builds a graph with n nodes and the given edge list in one
-// batch: degrees are counted first, adjacency arrays are filled, and each
-// list is sorted once — O(m·log(deg)) total instead of the O(m·deg)
-// memmove cost of repeated sorted insertion. Self-loops and duplicate
-// edges panic, as with AddEdge.
+// batch: degrees are counted into the offsets, the flat array is filled
+// with per-node cursors, and each segment is sorted once — O(m·log(deg))
+// total instead of the O(n + m) shift of every AddEdge. Self-loops and
+// duplicate edges panic, as with AddEdge.
 func FromEdges(n int, edges [][2]int) *Graph {
 	g := New(n)
-	deg := make([]int, n)
+	off := g.off
+	for _, e := range edges {
+		if e[0] == e[1] {
+			panic(fmt.Sprintf("graph: self-loop at %d", e[0]))
+		}
+		off[e[0]+1]++
+		off[e[1]+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	g.flat = make([]int, off[n])
+	cur := slices.Clone(off[:n])
 	for _, e := range edges {
 		u, v := e[0], e[1]
-		if u == v {
-			panic(fmt.Sprintf("graph: self-loop at %d", u))
-		}
-		deg[u]++
-		deg[v]++
+		g.flat[cur[u]], g.flat[cur[v]] = v, u
+		cur[u]++
+		cur[v]++
 	}
-	// One backing array for all adjacency lists keeps the graph compact and
-	// the build allocation count flat in n.
-	backing := make([]int, 2*len(edges))
-	offset := 0
-	for u, d := range deg {
-		g.adj[u] = backing[offset : offset : offset+d]
-		offset += d
-	}
-	for _, e := range edges {
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.adj[e[1]] = append(g.adj[e[1]], e[0])
-	}
-	for u := range g.adj {
-		sort.Ints(g.adj[u])
-		for i := 1; i < len(g.adj[u]); i++ {
-			if g.adj[u][i] == g.adj[u][i-1] {
-				panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, g.adj[u][i]))
+	for u := 0; u < n; u++ {
+		l := g.Neighbors(u)
+		SortNeighbors(l)
+		for i := 1; i < len(l); i++ {
+			if l[i] == l[i-1] {
+				panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, l[i]))
 			}
 		}
 	}
@@ -451,85 +420,20 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	return g
 }
 
-// FromAdjacency builds a graph directly from per-node neighbor lists,
-// taking ownership of adj and its backing arrays. Each list is sorted in
-// place; self-loops and duplicate neighbors panic. The lists must already
-// be symmetric (v ∈ adj[u] ⇔ u ∈ adj[v]) — callers like the unit-disk
-// builder produce them from a symmetric distance predicate, and the edge
-// count is derived from the degree sum.
-func FromAdjacency(n int, adj [][]int) *Graph {
-	if len(adj) != n {
-		panic(fmt.Sprintf("graph: adjacency for %d nodes, want %d", len(adj), n))
-	}
-	g := &Graph{}
-	g.Renew(adj)
-	return g
-}
-
-// Renew re-initializes g in place around per-node neighbor lists, taking
-// ownership of adj and its backing arrays and applying the same in-place
-// sort and validation as FromAdjacency. It lets a reusable topology
-// workspace rebuild the graph every replicate without allocating.
-func (g *Graph) Renew(adj [][]int) {
-	n := len(adj)
-	degSum := 0
-	for u := range adj {
-		l := adj[u]
-		SortNeighbors(l)
-		for i, v := range l {
-			if v < 0 || v >= n {
-				panic(fmt.Sprintf("graph: neighbor %d out of range [0,%d)", v, n))
-			}
-			if v == u {
-				panic(fmt.Sprintf("graph: self-loop at %d", u))
-			}
-			if i > 0 && v == l[i-1] {
-				panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
-			}
-		}
-		degSum += len(l)
-	}
-	if degSum%2 != 0 {
-		panic("graph: asymmetric adjacency lists")
-	}
-	g.adj = adj
-	g.off, g.flat = nil, nil
-	g.n = n
-	g.edges = degSum / 2
-}
-
-// RenewSorted re-initializes g in place around adjacency lists the caller
-// guarantees are already strictly ascending, symmetric, self-loop-free and
-// in range — the invariant maintained by the incremental unit-disk edge
-// updater. It skips the per-list sort and validation of FromAdjacency
-// entirely, so an incremental mobility step costs O(changed edges), not
-// O(n·deg). Callers that cannot prove the invariant use Renew instead; the
-// equivalence tests in the topology package check both against the full
-// rebuild.
-func (g *Graph) RenewSorted(adj [][]int) {
-	degSum := 0
-	for u := range adj {
-		degSum += len(adj[u])
-	}
-	g.adj = adj
-	g.off, g.flat = nil, nil
-	g.n = len(adj)
-	g.edges = degSum / 2
-}
-
 // RenewCSR re-initializes g in place around a compressed-sparse-row
 // adjacency the caller guarantees is well-formed: off has n+1 ascending
 // offsets with off[0] == 0 and off[n] == len(flat), and each segment
 // flat[off[u]:off[u+1]] is strictly ascending, symmetric, self-loop-free
-// and in range. Like RenewSorted it performs no validation — it is the
-// trusted zero-allocation handoff from the topology workspace, which
-// builds the CSR in two counting passes and sorts each segment in place.
-// The graph takes ownership of both slices.
+// and in range. It performs no validation — it is the trusted handoff
+// from builders that guarantee that form: the topology workspace, which
+// builds the CSR in two counting passes and sorts each segment in place
+// without allocating, and filters of an existing graph's rows, such as
+// the backbone repair's surviving graph. The graph takes ownership of
+// both slices.
 func (g *Graph) RenewCSR(off, flat []int) {
 	if len(off) == 0 {
 		panic("graph: RenewCSR needs at least the terminating offset")
 	}
-	g.adj = nil
 	g.off, g.flat = off, flat
 	g.n = len(off) - 1
 	g.edges = len(flat) / 2

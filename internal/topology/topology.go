@@ -61,8 +61,8 @@ func (c Config) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("topology: invalid node count %d", c.N)
 	}
-	if c.Bounds.Area() <= 0 {
-		return errors.New("topology: bounds with non-positive area")
+	if w, h := c.Bounds.Width(), c.Bounds.Height(); !(w > 0 && h > 0 && finite(w*h)) {
+		return fmt.Errorf("topology: bounds %gx%g need a finite positive width and height", w, h)
 	}
 	if !finite(c.AvgDegree) || !finite(c.Radius) {
 		return fmt.Errorf("topology: non-finite AvgDegree %g or Radius %g", c.AvgDegree, c.Radius)

@@ -39,6 +39,20 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{N: 10, AvgDegree: 6}, r); err == nil {
 		t.Fatal("zero-area bounds must fail")
 	}
+	// An inverted square has a positive area; NaN and infinite bounds
+	// would send the sampler through its whole attempt budget.
+	for _, b := range []geom.Rect{
+		geom.Square(-5),
+		geom.Square(math.NaN()),
+		geom.Square(math.Inf(1)),
+		{MinX: math.Inf(-1), MinY: 0, MaxX: 100, MaxY: 100},
+		{MinX: 0, MinY: 0, MaxX: 100, MaxY: math.NaN()},
+		{MinX: 0, MinY: 0, MaxX: 1e200, MaxY: 1e200},
+	} {
+		if _, err := Generate(Config{N: 10, Bounds: b, AvgDegree: 6}, r); err == nil || !strings.Contains(err.Error(), "bounds") {
+			t.Fatalf("bounds %+v: want a bounds error, got %v", b, err)
+		}
+	}
 	if _, err := Generate(Config{N: 10, Bounds: geom.Square(100)}, r); err == nil {
 		t.Fatal("missing radius and degree must fail")
 	}

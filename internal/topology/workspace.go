@@ -329,8 +329,8 @@ func find(parent []int32, x int32) int32 {
 // strips across workers goroutines when workers > 1 (disjoint backing
 // ranges, so the strips share nothing). The handoff to the graph is the
 // trusted RenewCSR: the sweep visits every unordered pair exactly once and
-// never pairs a node with itself, so the symmetric/duplicate-free/in-range
-// validation Renew would re-run is guaranteed by construction.
+// never pairs a node with itself, so the segments are symmetric,
+// duplicate-free and in range by construction.
 func (ws *Workspace) assemble(bands [][]uint64, workers int) *graph.Graph {
 	deg, off := ws.deg, ws.off
 	n := len(deg)
