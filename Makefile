@@ -33,16 +33,20 @@ test-pipebench:
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing for each of the
 # input-facing targets — the topology snapshot loader, the banded
-# unit-disk build, and the fault and traffic spec grammars — and for the
-# two CSR graph constructors, AddEdge and FromEdges, against each other.
-# Plain test runs only replay their seed corpora. -fuzz takes one target
-# in one package, hence one go test per target.
+# unit-disk build, and the fault and traffic spec grammars — for the
+# two CSR graph constructors, AddEdge and FromEdges, against each other,
+# and for the slotted-MAC kernel against its scalar oracles, multi-flow
+# and one-flow, over declining and duplicate-acting protocols. Plain test
+# runs only replay their seed corpora. -fuzz takes one target in one
+# package, hence one go test per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphInvariants$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildParallelAgree$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzMultiMACScalarDESAgree$$' -fuzztime 10s ./internal/broadcast
+	$(GO) test -run '^$$' -fuzz '^FuzzDESMACAgree$$' -fuzztime 10s ./internal/broadcast
 
 # Quick benchmark smoke: the end-to-end sweep point plus the hot kernels it
 # is built from. Compare against BENCH_PR1.json for regressions.

@@ -785,7 +785,9 @@ func BenchmarkSweepPoint(b *testing.B) {
 // maintenance at n=100, d=18: a full FromPositions reconstruction, the
 // build the mobility ablations run every step. "sparse-10pct" moves 10
 // nodes per step; "all-nodes" moves every node, as random waypoint with
-// zero pause does.
+// zero pause does. The "full-rebuild" rows build through the package
+// function's fresh workspace; the "reused-workspace" rows through one
+// topology.Workspace, as the mobility and maint figures do per replicate.
 func BenchmarkMobilityStep(b *testing.B) {
 	const n = 100
 	for _, w := range []struct {
@@ -795,26 +797,36 @@ func BenchmarkMobilityStep(b *testing.B) {
 		{"sparse-10pct", n / 10},
 		{"all-nodes", n},
 	} {
-		b.Run(w.name+"/full-rebuild", func(b *testing.B) {
-			nw := sample(b, n, 18, 1).Topology
-			bounds, radius := nw.Bounds, nw.Radius
-			pos := append([]geom.Point(nil), nw.Positions...)
-			r := rng.NewLabeled(3, "bench-mobility")
-			b.ReportAllocs()
-			b.ResetTimer()
-			edges := 0
-			for i := 0; i < b.N; i++ {
-				for m := 0; m < w.movers; m++ {
-					v := r.Intn(n)
-					pos[v] = bounds.Clamp(geom.Point{
-						X: pos[v].X + (r.Float64()-0.5)*2,
-						Y: pos[v].Y + (r.Float64()-0.5)*2,
-					})
-				}
-				edges += topology.FromPositions(pos, bounds, radius).G.M()
+		for _, reuse := range []bool{false, true} {
+			row := "full-rebuild"
+			if reuse {
+				row = "reused-workspace"
 			}
-			_ = edges
-		})
+			b.Run(w.name+"/"+row, func(b *testing.B) {
+				nw := sample(b, n, 18, 1).Topology
+				bounds, radius := nw.Bounds, nw.Radius
+				pos := append([]geom.Point(nil), nw.Positions...)
+				r := rng.NewLabeled(3, "bench-mobility")
+				build := topology.FromPositions
+				if reuse {
+					build = topology.NewWorkspace().FromPositions
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				edges := 0
+				for i := 0; i < b.N; i++ {
+					for m := 0; m < w.movers; m++ {
+						v := r.Intn(n)
+						pos[v] = bounds.Clamp(geom.Point{
+							X: pos[v].X + (r.Float64()-0.5)*2,
+							Y: pos[v].Y + (r.Float64()-0.5)*2,
+						})
+					}
+					edges += build(pos, bounds, radius).G.M()
+				}
+				_ = edges
+			})
+		}
 	}
 }
 

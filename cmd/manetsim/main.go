@@ -143,6 +143,33 @@ func trafficFlows(cfg config, n int) (workload.Spec, []workload.Flow, error) {
 	return spec, flows, nil
 }
 
+// traceCapacity sizes the -trace ring for one broadcast of the named
+// protocol over nw. Every transmission is recorded once and reaches each
+// neighbor of its sender at most once (a delivery or a duplicate), so a
+// broadcast in which each node relays at most once records at most
+// n + 2m radio events: an ideal-radio flood records exactly n sends,
+// n−1 deliveries and 2m−(n−1) duplicates. A dynamic-backbone
+// clusterhead adds one gateway-select event per gateway it designates
+// (at most its degree) and one coverage-prune event per clusterhead it
+// drops from its coverage set (at most the set's size). The ring never
+// holds fewer than 16n events, which leaves a faulted broadcast room for
+// the crash and recover events of its slots. What can still overflow:
+// the repeat relays of the designating protocols (mpr, dp, pdp and
+// dynamic-*), whose nodes relay again on each new designating payload,
+// with the copies those relays deliver, and churn beyond the headroom
+// (left out with a note; see run).
+func traceCapacity(nw *core.Network, protocol string) int {
+	g := nw.Graph()
+	c := g.N() + 2*g.M()
+	if mode, ok := map[string]core.Mode{"dynamic-2.5": core.Hop25, "dynamic-3": core.Hop3}[protocol]; ok {
+		b := coverage.NewBuilder(g, nw.Clustering, mode)
+		for _, h := range nw.Heads() {
+			c += g.Degree(h) + b.Of(h).Size()
+		}
+	}
+	return max(c, 16*g.N())
+}
+
 // runTraffic drives the -traffic workload over each relay structure:
 // concurrent multi-source broadcasts (or RREQ floods when the spec says
 // discovery=1) contending for MAC slots, one comparison row per backbone.
@@ -271,13 +298,14 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		}
 	}
 	var tracer *obs.Tracer
-	traceCap := 16 * cfg.n
+	traceCap := 0
 	if cfg.trace != "" {
 		// A trace file holds exactly one broadcast, so the protocol must be
 		// unambiguous.
 		if cfg.protocols == "all" || len(want) != 1 {
 			return fmt.Errorf("-trace needs exactly one protocol selected (e.g. -protocols dynamic-2.5)")
 		}
+		traceCap = traceCapacity(nw, cfg.protocols)
 		tracer = obs.NewTracer(traceCap)
 	}
 	runs := buildRuns(nw, src, cfg.seed, tracer, oracle)

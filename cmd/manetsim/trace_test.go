@@ -250,6 +250,28 @@ func TestTraceRecordsChurn(t *testing.T) {
 	}
 }
 
+// TestTraceRingHoldsDenseBroadcast: at the paper's density (d=18) the
+// trace ring holds a whole flooding broadcast, n sends plus one delivery
+// or duplicate per edge end (1,798 events here), and a whole
+// dynamic-backbone broadcast with its gateway-select and coverage-prune
+// events.
+func TestTraceRingHoldsDenseBroadcast(t *testing.T) {
+	for _, tc := range []struct {
+		protocol string
+		events   int
+	}{{"flooding", 1798}, {"dynamic-2.5", 694}} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		cfg := config{n: 100, d: 18, seed: 3, source: 0, protocols: tc.protocol, trace: path}
+		var out bytes.Buffer
+		if err := run(cfg, &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("(%d events, 0 dropped)", tc.events); !strings.Contains(out.String(), want) {
+			t.Fatalf("%s: trace summary is not %q:\n%s", tc.protocol, want, out.String())
+		}
+	}
+}
+
 // TestFailedRunKeepsProfiles: a run that fails after it started still
 // leaves a complete CPU profile and a heap profile.
 func TestFailedRunKeepsProfiles(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clustercast/internal/faults"
+	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 	"clustercast/internal/rng"
 )
@@ -132,19 +133,48 @@ func oneFlow(source int, p Protocol, opt MACOptions) []MultiFlow {
 	return []MultiFlow{{Src: source, Dst: -1, Seed: opt.Seed, Proto: p}}
 }
 
+// macProtos returns factories for the MAC equivalence suites: the
+// declining protocols (Flooding, Gossip, StaticCDS embed NoDuplicates)
+// and the designating ones whose OnDuplicate can upgrade a node (DP,
+// PDP, MPR), which exercise the engine's acted-payload lists. Each call
+// of a factory returns a private instance, because the designating
+// protocols cache per-broadcast payloads.
+func macProtos(g *graph.Graph) []func() Protocol {
+	return []func() Protocol{
+		func() Protocol { return Flooding{} },
+		func() Protocol { return Gossip{P: 0.8, Seed: 31} },
+		func() Protocol {
+			return StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"}
+		},
+		func() Protocol { return NewDP(NewNeighborhood(g)) },
+		func() Protocol { return NewPDP(NewNeighborhood(g)) },
+		func() Protocol { return NewMPR(NewNeighborhood(g)) },
+	}
+}
+
+// macFuzzProto returns a private instance of a MAC fuzz target's
+// protocol choice: DP, PDP or MPR for kinds 1–3, else the given gossip.
+func macFuzzProto(g *graph.Graph, kind int, gossip Gossip) Protocol {
+	switch kind {
+	case 1:
+		return NewDP(NewNeighborhood(g))
+	case 2:
+		return NewPDP(NewNeighborhood(g))
+	case 3:
+		return NewMPR(NewNeighborhood(g))
+	}
+	return gossip
+}
+
 func TestDESMACEquivalence(t *testing.T) {
 	mw := NewMultiMACWorkspace() // reused across every one-flow run
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 300+uint64(trial), 40+12*trial, 9)
 		n := nw.G.N()
-		ps := []Protocol{
-			Flooding{},
-			Gossip{P: 0.8, Seed: 31},
-			StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"},
-		}
 		for _, jit := range []int{0, 3, 8} {
 			for _, withFaults := range []bool{false, true} {
-				for _, p := range ps {
+				for _, mk := range macProtos(nw.G) {
+					pa, pb := mk(), mk()
 					source := (trial * 5) % n
 					trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
 					optA := MACOptions{Jitter: jit, Seed: uint64(60 + trial), Tracer: trA}
@@ -156,15 +186,15 @@ func TestDESMACEquivalence(t *testing.T) {
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
 						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := runMACOracle(nw.G, source, p, optA)
-					b := &mw.Run(nw.G, oneFlow(source, p, optB), optB).Flows[0].CollisionResult
+					a := runMACOracle(nw.G, source, pa, optA)
+					b := &mw.Run(nw.G, oneFlow(source, pb, optB), optB).Flows[0].CollisionResult
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("trial %d %s jit=%d faults=%v: oracle and engine differ:\n%+v\n%+v",
-							trial, p.Name(), jit, withFaults, a, b)
+							trial, pa.Name(), jit, withFaults, a, b)
 					}
 					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
 						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
-							trial, p.Name(), jit, withFaults)
+							trial, pa.Name(), jit, withFaults)
 					}
 				}
 			}
@@ -219,21 +249,25 @@ func TestDESMACScheduleProperty(t *testing.T) {
 }
 
 // FuzzDESMACAgree cross-checks the MAC engine against the scalar oracle
-// on fuzzer-chosen (size, degree, jitter, seed, gossip) points.
+// on fuzzer-chosen (size, degree, jitter, seed, protocol) points: proto
+// picks gossip (with forwarding probability gp) or one of the
+// designating protocols DP, PDP and MPR, a private instance per side.
 func FuzzDESMACAgree(f *testing.F) {
-	f.Add(uint64(1), 40, 8, 3, uint64(9), float64(0.8))
-	f.Add(uint64(7), 25, 6, 0, uint64(2), float64(1.0))
-	f.Add(uint64(42), 60, 10, 12, uint64(77), float64(0.5))
-	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg, jitter int, seed uint64, gp float64) {
+	f.Add(uint64(1), 40, 8, 3, uint64(9), float64(0.8), uint8(0))
+	f.Add(uint64(7), 25, 6, 0, uint64(2), float64(1.0), uint8(0))
+	f.Add(uint64(42), 60, 10, 12, uint64(77), float64(0.5), uint8(0))
+	f.Add(uint64(3), 50, 9, 0, uint64(5), float64(0), uint8(1))
+	f.Add(uint64(11), 70, 12, 4, uint64(6), float64(0), uint8(2))
+	f.Add(uint64(19), 45, 8, 2, uint64(8), float64(0), uint8(3))
+	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg, jitter int, seed uint64, gp float64, proto uint8) {
 		if n < 5 || n > 120 || deg < 3 || deg > 14 || jitter < 0 || jitter > 20 || gp < 0 || gp > 1 {
 			t.Skip()
 		}
 		nw := randomNet(t, topoSeed, n, float64(deg))
-		n = nw.G.N()
-		p := Gossip{P: gp, Seed: seed + 1}
+		mk := func() Protocol { return macFuzzProto(nw.G, int(proto%4), Gossip{P: gp, Seed: seed + 1}) }
 		opt := MACOptions{Jitter: jitter, Seed: seed}
-		a := runMACOracle(nw.G, 0, p, opt)
-		b := RunMAC(nw.G, 0, p, opt)
+		a := runMACOracle(nw.G, 0, mk(), opt)
+		b := RunMAC(nw.G, 0, mk(), opt)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("oracle and engine MAC runs differ:\n%+v\n%+v", a, b)
 		}

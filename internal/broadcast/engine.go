@@ -169,11 +169,25 @@ func RunOpts(g *graph.Graph, source int, p Protocol, opt Options) *Result {
 }
 
 // NoDuplicates is a mixin for protocols that never act on duplicate
-// copies.
+// copies. The slotted-MAC engine trusts it: for a protocol that embeds
+// it, the engine never calls OnDuplicate and keeps no acted-payload
+// lists. A type that embeds NoDuplicates must therefore not declare its
+// own OnDuplicate (TestNoDuplicatesEmbeddersInheritOnDuplicate guards the
+// module).
 type NoDuplicates struct{}
 
 // OnDuplicate implements Protocol by always declining.
 func (NoDuplicates) OnDuplicate(v, x int, pkt Packet) (bool, Packet) { return false, nil }
+
+// declinesDuplicates marks the embedders of NoDuplicates.
+func (NoDuplicates) declinesDuplicates() {}
+
+// actsOnDuplicates reports whether p's OnDuplicate can ever forward,
+// i.e. whether p does not embed NoDuplicates.
+func actsOnDuplicates(p Protocol) bool {
+	_, declines := p.(interface{ declinesDuplicates() })
+	return !declines
+}
 
 // DeliveryTreeDOT renders the broadcast's delivery tree (first-reception
 // parent pointers) in Graphviz DOT format, with forwarders filled. Output

@@ -11,17 +11,22 @@ import (
 // MultiMACWorkspace owns the dense state of the multi-source MAC engine.
 // Transmissions wait in wheel buckets (flow starts beyond the jitter
 // window park in the wheel's far heap and promote in push order, so a
-// slot's batch order is push order). Per-(flow, node) state lives in
-// flat arrays indexed by the cell fi*n+v: epoch-stamped reception and
-// forwarding marks, int32 parents, and the acted-payload lists, kept
-// inline in one arena as per-cell linked lists. Each slot's receivers
-// are marked in a two-level bitmap and committed in ascending ID order
-// by walking it; a receiver keeps its copy count, its first copy, and a
-// list of its further copies from other flows in a per-slot arena,
-// because cross-flow collision attribution needs the flow of every
-// destroyed copy (further copies of the first copy's flow are only
-// counted). Each flow's map-based Result is filled once, presized, when
-// the run ends. A one-flow run is the single-source engine (RunMAC).
+// slot's batch order is push order). Per-(flow, node) state is indexed
+// by the cell fi*n+v: the reception and forwarding marks are two bitsets
+// over the n·flows cells, reset once per run (20 KB each at 32 flows of
+// 5,000 nodes, so the hot loop's lookups stay in cache), beside int32
+// parents. Only flows whose protocol can act on a duplicate (it does not
+// embed NoDuplicates) keep acted-payload lists, inline in one arena as
+// per-cell linked lists whose heads are current where the cell's
+// forwarding bit is set; a run without such a flow allocates neither.
+// Each slot's receivers are marked in a two-level bitmap and committed
+// in ascending ID order by walking it; a receiver keeps its copy count,
+// its first copy, and a list of its further copies from other flows in a
+// per-slot arena, because cross-flow collision attribution needs the
+// flow of every destroyed copy (further copies of the first copy's flow
+// are only counted). Each flow's map-based Result is filled once,
+// presized, when the run ends. A one-flow run is the single-source
+// engine (RunMAC).
 //
 // After a warm-up run on the same inputs, a reused workspace allocates
 // only the returned MultiResult and its maps
@@ -31,16 +36,15 @@ type MultiMACWorkspace struct {
 	wheel des.Wheel[multiTx]
 	n     int // nodes of the current run
 
-	// Per-run epoch-stamped (flow, node) cells, indexed fi*n + v.
-	epoch     uint32
-	received  []uint32 // epoch stamp: the flow reached the node
-	forwarded []uint32 // epoch stamp: the node relayed the flow (or is its source)
-	actedAt   []uint32 // epoch stamp: actedHead is current
-	actedHead []int32  // 1 + arena index of the cell's newest acted payload (0: none)
-	parent    []int32  // first-delivery sender, valid when received
+	// Per-run (flow, node) cells, indexed fi*n + v.
+	received  graph.Bitset // the flow reached the node
+	forwarded graph.Bitset // the node relayed the flow (or is its source)
+	parent    []int32      // first-delivery sender, valid when received
+	actedHead []int32      // 1 + arena index of the cell's newest acted payload (0: none), valid when forwarded
 	acted     []actedPayload
 
 	// Per-flow state.
+	acts      []bool // the flow's protocol can act on a duplicate
 	jitters   []rng.Stream
 	nReceived []int32
 	nForward  []int32
@@ -73,39 +77,43 @@ type copyLink struct {
 // use.
 func NewMultiMACWorkspace() *MultiMACWorkspace { return &MultiMACWorkspace{} }
 
-// ensure sizes the arrays for n nodes and nflows flows and bumps the run
-// epoch (wrap-flushing stale stamps). Cells exposed by reslicing carry
-// stamps from strictly older epochs, so no clearing is needed outside
-// the wrap path.
-func (mw *MultiMACWorkspace) ensure(n, nflows int) {
+// ensure sizes the arrays for n nodes and the flows' protocols, empties
+// the cell bitsets, and records which flows act on duplicates, sizing
+// the acted-payload state only when one does. Parents and acted heads
+// are read only where a bit set this run says they are current, so they
+// are never cleared.
+func (mw *MultiMACWorkspace) ensure(n int, flows []MultiFlow) {
+	nflows := len(flows)
 	mw.n = n
 	cells := n * nflows
-	if cap(mw.received) < cells {
-		mw.received = make([]uint32, cells)
-		mw.forwarded = make([]uint32, cells)
-		mw.actedAt = make([]uint32, cells)
-		mw.actedHead = make([]int32, cells)
+	mw.received.Reset(cells)
+	mw.forwarded.Reset(cells)
+	if cap(mw.parent) < cells {
 		mw.parent = make([]int32, cells)
-		mw.epoch = 0
 	}
-	mw.received = mw.received[:cells]
-	mw.forwarded = mw.forwarded[:cells]
-	mw.actedAt = mw.actedAt[:cells]
-	mw.actedHead = mw.actedHead[:cells]
 	mw.parent = mw.parent[:cells]
-	if cap(mw.acted) < n {
-		// A one-flow flood acts once per node; presizing spares RunMAC's
-		// fresh workspace the arena's growth copies.
-		mw.acted = make([]actedPayload, 0, n)
+
+	if cap(mw.acts) < nflows {
+		mw.acts = make([]bool, nflows)
+	}
+	mw.acts = mw.acts[:nflows]
+	acting := false
+	for i := range flows {
+		mw.acts[i] = actsOnDuplicates(flows[i].Proto)
+		acting = acting || mw.acts[i]
+	}
+	if acting {
+		if cap(mw.actedHead) < cells {
+			mw.actedHead = make([]int32, cells)
+		}
+		mw.actedHead = mw.actedHead[:cells]
+		if cap(mw.acted) < n {
+			// Presizing spares RunMAC's fresh workspace the arena's first
+			// growth copies.
+			mw.acted = make([]actedPayload, 0, n)
+		}
 	}
 	mw.acted = mw.acted[:0]
-	mw.epoch++
-	if mw.epoch == 0 {
-		for _, s := range [][]uint32{mw.received[:cap(mw.received)], mw.forwarded[:cap(mw.forwarded)], mw.actedAt[:cap(mw.actedAt)]} {
-			clear(s)
-		}
-		mw.epoch = 1
-	}
 
 	if cap(mw.jitters) < nflows {
 		mw.jitters = make([]rng.Stream, nflows)
@@ -138,22 +146,20 @@ func (mw *MultiMACWorkspace) ensure(n, nflows int) {
 	mw.touchSum = mw.touchSum[:(words+63)>>6]
 }
 
-// markActed records that cell c acted on pkt this run (deduplicated).
+// markActed records that forwarding cell c acted on pkt this run
+// (deduplicated).
 func (mw *MultiMACWorkspace) markActed(c int, pkt Packet) {
 	if mw.actedOn(c, pkt) {
 		return
-	}
-	if mw.actedAt[c] != mw.epoch {
-		mw.actedAt[c] = mw.epoch
-		mw.actedHead[c] = 0
 	}
 	mw.acted = append(mw.acted, actedPayload{pkt: pkt, next: mw.actedHead[c]})
 	mw.actedHead[c] = int32(len(mw.acted))
 }
 
-// actedOn reports whether cell c already acted on pkt this run.
+// actedOn reports whether cell c already acted on pkt this run. A cell
+// acts only when it forwards, so only a forwarding cell has a list.
 func (mw *MultiMACWorkspace) actedOn(c int, pkt Packet) bool {
-	if mw.actedAt[c] != mw.epoch {
+	if !mw.forwarded.Has(c) {
 		return false
 	}
 	for i := mw.actedHead[c]; i != 0; i = mw.acted[i-1].next {
@@ -206,8 +212,7 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		return res
 	}
 	n := g.N()
-	mw.ensure(n, len(flows))
-	epoch := mw.epoch
+	mw.ensure(n, flows)
 	frs := make([]FlowResult, len(flows))
 
 	tr := opt.Tracer
@@ -226,11 +231,14 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		res.Flows[i] = fr
 		mw.jitters[i].SeedLabeled(f.Seed, "mac-jitter")
 		c := i*n + f.Src
-		mw.received[c] = epoch
-		mw.forwarded[c] = epoch
+		mw.received.Add(c)
+		mw.forwarded.Add(c)
 		mw.nReceived[i], mw.nForward[i] = 1, 1
 		start := f.Proto.Start(f.Src)
-		mw.markActed(c, start)
+		if mw.acts[i] {
+			mw.actedHead[c] = 0
+			mw.markActed(c, start)
+		}
 		w.Push(f.Start, multiTx{flow: int32(i), sender: int32(f.Src), trigger: -1, pkt: start})
 	}
 
@@ -297,16 +305,17 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		fr.Forwarders = make(map[int]bool, mw.nForward[i])
 		fr.Parent = make(map[int]int, nr-1)
 		base := i * n
-		for v, stamp := range mw.received[base : base+n] {
-			if stamp != epoch {
+		for v := 0; v < n; v++ {
+			c := base + v
+			if !mw.received.Has(c) {
 				continue
 			}
 			fr.Received[v] = true
-			if mw.forwarded[base+v] == epoch {
+			if mw.forwarded.Has(c) {
 				fr.Forwarders[v] = true
 			}
 			if v != fr.Source {
-				fr.Parent[v] = int(mw.parent[base+v])
+				fr.Parent[v] = int(mw.parent[c])
 			}
 		}
 	}
@@ -363,8 +372,8 @@ func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch [
 	c := fi*mw.n + v
 	var forward bool
 	var out Packet
-	if mw.received[c] != mw.epoch {
-		mw.received[c] = mw.epoch
+	if !mw.received.Has(c) {
+		mw.received.Add(c)
 		mw.parent[c] = x.sender
 		mw.nReceived[fi]++
 		if rel := t + 1 - f.Start; rel > fr.Latency {
@@ -385,18 +394,25 @@ func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch [
 		if tr != nil {
 			tr.Duplicate(t+1, v, int(x.sender))
 		}
-		if mw.actedOn(c, x.pkt) {
+		// A NoDuplicates protocol would decline, and only acting flows
+		// keep acted payloads.
+		if !mw.acts[fi] || mw.actedOn(c, x.pkt) {
 			return
 		}
 		forward, out = f.Proto.OnDuplicate(v, int(x.sender), x.pkt)
 	}
 	if forward {
-		if mw.forwarded[c] != mw.epoch {
-			mw.forwarded[c] = mw.epoch
+		if !mw.forwarded.Has(c) {
+			mw.forwarded.Add(c)
 			mw.nForward[fi]++
+			if mw.acts[fi] {
+				mw.actedHead[c] = 0 // the cell's list starts with its first forward
+			}
 		}
-		mw.markActed(c, x.pkt)
-		mw.markActed(c, out)
+		if mw.acts[fi] {
+			mw.markActed(c, x.pkt)
+			mw.markActed(c, out)
+		}
 		delay := 0
 		if opt.Jitter > 0 {
 			delay = mw.jitters[fi].Intn(opt.Jitter + 1)

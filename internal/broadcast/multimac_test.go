@@ -15,6 +15,11 @@ import (
 // through the graph, starts follow the given gap, seeds derive from the
 // flow index.
 func multiFlows(n, count, gap int, p Protocol) []MultiFlow {
+	return multiFlowsBy(n, count, gap, func(int) Protocol { return p })
+}
+
+// multiFlowsBy is multiFlows with flow i relaying through proto(i).
+func multiFlowsBy(n, count, gap int, proto func(i int) Protocol) []MultiFlow {
 	flows := make([]MultiFlow, count)
 	for i := range flows {
 		flows[i] = MultiFlow{
@@ -22,7 +27,7 @@ func multiFlows(n, count, gap int, p Protocol) []MultiFlow {
 			Dst:   (i*7 + n/2) % n,
 			Start: i * gap,
 			Seed:  uint64(1000 + i),
-			Proto: p,
+			Proto: proto(i),
 		}
 	}
 	return flows
@@ -107,16 +112,15 @@ func TestMultiMACScalarDESEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 800+uint64(trial), 40+10*trial, 9)
 		n := nw.G.N()
-		ps := []Protocol{
-			Flooding{},
-			Gossip{P: 0.8, Seed: 31},
-			StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"},
-		}
 		for _, jit := range []int{0, 3, 8} {
 			for _, withFaults := range []bool{false, true} {
-				for _, p := range ps {
+				for _, mk := range macProtos(nw.G) {
 					// Overlapping starts: gap 1 guarantees heavy contention.
-					flows := multiFlows(n, 6, 1, p)
+					// Every flow of either side relays through its own
+					// instance.
+					flowsA := multiFlowsBy(n, 6, 1, func(int) Protocol { return mk() })
+					flowsB := multiFlowsBy(n, 6, 1, func(int) Protocol { return mk() })
+					name := flowsA[0].Proto.Name()
 					trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
 					optA := MACOptions{Jitter: jit, Tracer: trA}
 					optB := MACOptions{Jitter: jit, Tracer: trB}
@@ -124,19 +128,91 @@ func TestMultiMACScalarDESEquivalence(t *testing.T) {
 						optA.Faults = burstOracle(t, n, uint64(70+trial))
 						optB.Faults = burstOracle(t, n, uint64(70+trial))
 					}
-					a := runMACMultiOracle(nw.G, flows, optA)
-					b := mw.Run(nw.G, flows, optB)
+					a := runMACMultiOracle(nw.G, flowsA, optA)
+					b := mw.Run(nw.G, flowsB, optB)
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("trial %d %s jit=%d faults=%v: oracle and engine multi-source runs differ:\n%+v\n%+v",
-							trial, p.Name(), jit, withFaults, a, b)
+							trial, name, jit, withFaults, a, b)
 					}
 					if !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
 						t.Fatalf("trial %d %s jit=%d faults=%v: trace streams differ",
-							trial, p.Name(), jit, withFaults)
+							trial, name, jit, withFaults)
 					}
 				}
 			}
 		}
+	}
+}
+
+// upgradeCounter wraps a designating protocol and counts the duplicate
+// copies that upgraded a node to a forwarder.
+type upgradeCounter struct {
+	Protocol
+	upgrades *int
+}
+
+// OnDuplicate implements Protocol.
+func (u upgradeCounter) OnDuplicate(v, x int, pkt Packet) (bool, Packet) {
+	forward, out := u.Protocol.OnDuplicate(v, x, pkt)
+	if forward {
+		*u.upgrades++
+	}
+	return forward, out
+}
+
+// TestMultiMACMixedDuplicateActors runs declining flows (Flooding, Gossip,
+// StaticCDS) and acting flows (DP, PDP, MPR) on one medium, so only some
+// flows keep acted-payload lists, with faults and the tracer on. The
+// result and the trace bytes must equal the oracle's, and some duplicate
+// must have upgraded a node, or the acted-payload path ran unexercised.
+func TestMultiMACMixedDuplicateActors(t *testing.T) {
+	mw := NewMultiMACWorkspace()
+	upgrades := 0
+	for trial := 0; trial < 4; trial++ {
+		nw := randomNet(t, 850+uint64(trial), 50+10*trial, 10)
+		n := nw.G.N()
+		mks := macProtos(nw.G)
+		for _, jit := range []int{0, 3} {
+			flowsA := multiFlowsBy(n, 12, 1, func(i int) Protocol { return mks[i%len(mks)]() })
+			flowsB := multiFlowsBy(n, 12, 1, func(i int) Protocol {
+				p := mks[i%len(mks)]()
+				if actsOnDuplicates(p) {
+					return upgradeCounter{Protocol: p, upgrades: &upgrades}
+				}
+				return p
+			})
+			trA, trB := obs.NewTracer(1<<15), obs.NewTracer(1<<15)
+			optA := MACOptions{Jitter: jit, Tracer: trA, Faults: burstOracle(t, n, uint64(90+trial))}
+			optB := MACOptions{Jitter: jit, Tracer: trB, Faults: burstOracle(t, n, uint64(90+trial))}
+			a := runMACMultiOracle(nw.G, flowsA, optA)
+			b := mw.Run(nw.G, flowsB, optB)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("trial %d jit=%d: oracle and engine mixed runs differ:\n%+v\n%+v", trial, jit, a, b)
+			}
+			if trA.Dropped() != 0 || !bytes.Equal(traceBytes(t, trA), traceBytes(t, trB)) {
+				t.Fatalf("trial %d jit=%d: trace streams differ (or the ring dropped events)", trial, jit)
+			}
+		}
+	}
+	if upgrades == 0 {
+		t.Fatal("no duplicate upgraded a node; the acted-payload path was not exercised")
+	}
+}
+
+// TestMultiMACDecliningRunKeepsNoActedState: a run whose flows all embed
+// NoDuplicates sizes no acted-payload state; one acting flow does.
+func TestMultiMACDecliningRunKeepsNoActedState(t *testing.T) {
+	nw := randomNet(t, 860, 60, 9)
+	n := nw.G.N()
+	mw := NewMultiMACWorkspace()
+	mks := macProtos(nw.G)
+	mw.Run(nw.G, multiFlowsBy(n, 3, 1, func(i int) Protocol { return mks[i]() }), MACOptions{Jitter: 2})
+	if mw.actedHead != nil || cap(mw.acted) != 0 {
+		t.Fatalf("declining flows sized acted state: %d heads, arena cap %d", len(mw.actedHead), cap(mw.acted))
+	}
+	mw.Run(nw.G, multiFlowsBy(n, 4, 1, func(i int) Protocol { return mks[i]() }), MACOptions{Jitter: 2})
+	if len(mw.actedHead) != 4*n || len(mw.acted) == 0 {
+		t.Fatalf("a DP flow kept no acted payloads: %d heads, %d entries", len(mw.actedHead), len(mw.acted))
 	}
 }
 
@@ -225,15 +301,21 @@ func TestMultiMACDstSlot(t *testing.T) {
 }
 
 // FuzzMultiMACScalarDESAgree cross-checks the multi-source engine
-// against the scalar oracle on fuzzer-chosen flow schedules. One
-// workspace serves a run at the chosen size, a smaller one, the chosen
-// size again, and a larger one, so its flat per-(flow, node) arrays are
-// resliced down and up between runs.
+// against the scalar oracle on fuzzer-chosen flow schedules. proto picks
+// the flows' protocol: gossip, DP, PDP or MPR for every flow, or a
+// rotation through all four on one medium, each flow of either side
+// with its own instance. One workspace serves a run at the chosen size,
+// a smaller one, the chosen size again, and a larger one, so its
+// per-(flow, node) state is resliced down and up between runs.
 func FuzzMultiMACScalarDESAgree(f *testing.F) {
-	f.Add(uint64(1), 40, 8, 3, 4, 2, uint64(9))
-	f.Add(uint64(7), 25, 6, 0, 2, 0, uint64(2))
-	f.Add(uint64(42), 60, 10, 12, 6, 5, uint64(77))
-	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg, jitter, nflows, gap int, seed uint64) {
+	f.Add(uint64(1), 40, 8, 3, 4, 2, uint64(9), uint8(0))
+	f.Add(uint64(7), 25, 6, 0, 2, 0, uint64(2), uint8(0))
+	f.Add(uint64(42), 60, 10, 12, 6, 5, uint64(77), uint8(0))
+	f.Add(uint64(3), 50, 9, 0, 5, 1, uint64(4), uint8(1))
+	f.Add(uint64(5), 45, 8, 2, 3, 0, uint64(6), uint8(2))
+	f.Add(uint64(8), 55, 10, 1, 4, 3, uint64(7), uint8(3))
+	f.Add(uint64(13), 60, 9, 3, 8, 1, uint64(12), uint8(4))
+	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg, jitter, nflows, gap int, seed uint64, proto uint8) {
 		if n < 5 || n > 100 || deg < 3 || deg > 14 || jitter < 0 || jitter > 16 ||
 			nflows < 1 || nflows > 8 || gap < 0 || gap > 64 {
 			t.Skip()
@@ -243,23 +325,33 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 		for k, sz := range sizes {
 			nw := randomNet(t, topoSeed+uint64(k), sz[0], float64(deg))
 			nn := nw.G.N()
+			mk := func(i int) Protocol {
+				kind := int(proto % 5)
+				if kind == 4 {
+					kind = i % 4
+				}
+				return macFuzzProto(nw.G, kind, Gossip{P: 0.85, Seed: seed + uint64(i)})
+			}
 			r := rng.New(seed + uint64(k))
-			flows := make([]MultiFlow, sz[1])
-			for i := range flows {
-				flows[i] = MultiFlow{
+			flowsA := make([]MultiFlow, sz[1])
+			flowsB := make([]MultiFlow, sz[1])
+			for i := range flowsA {
+				flowsA[i] = MultiFlow{
 					Src:   r.Intn(nn),
 					Dst:   r.Intn(nn),
 					Start: i * gap,
 					Seed:  r.Uint64(),
-					Proto: Gossip{P: 0.85, Seed: seed + uint64(i)},
+					Proto: mk(i),
 				}
+				flowsB[i] = flowsA[i]
+				flowsB[i].Proto = mk(i)
 			}
 			opt := MACOptions{Jitter: jitter}
-			a := runMACMultiOracle(nw.G, flows, opt)
-			b := mw.Run(nw.G, flows, opt)
+			a := runMACMultiOracle(nw.G, flowsA, opt)
+			b := mw.Run(nw.G, flowsB, opt)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("run %d (n=%d, %d flows): oracle and engine multi-source runs differ:\n%+v\n%+v",
-					k, nn, len(flows), a, b)
+					k, nn, len(flowsA), a, b)
 			}
 		}
 	})
@@ -326,13 +418,28 @@ func TestMultiMACSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkMultiMAC times one call of the multi-source MAC kernel in the
+// traffic-5k shape: n=5,000 at d=18, 32 overlapping flows, contention
+// window 3. The flooding row relays through a protocol that embeds
+// NoDuplicates; the DP row through designating instances, one per flow,
+// whose duplicates can upgrade a node, so its flows keep acted-payload
+// lists. The DP instances' payload caches warm in the first call.
 func BenchmarkMultiMAC(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		nw := randomNet(b, uint64(n), n, 10)
-		flows := multiFlows(nw.G.N(), 8, 2, Flooding{})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	nw := randomNet(b, 5000, 5000, 18)
+	n := nw.G.N()
+	nb := NewNeighborhood(nw.G)
+	for _, row := range []struct {
+		name  string
+		proto func(int) Protocol
+	}{
+		{"flooding", func(int) Protocol { return Flooding{} }},
+		{"dp", func(int) Protocol { return NewDP(nb) }},
+	} {
+		flows := multiFlowsBy(n, 32, 1, row.proto)
+		b.Run(fmt.Sprintf("n=%d/flows=32/%s", n, row.name), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RunMACMulti(nw.G, flows, MACOptions{Jitter: 4})
+				RunMACMulti(nw.G, flows, MACOptions{Jitter: 3})
 			}
 		})
 	}

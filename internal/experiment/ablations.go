@@ -155,8 +155,11 @@ func Mobility(speeds []float64, n int, d float64, steps int, seed uint64, rule s
 			prevCl := d.cl
 			prevBB := backbone.BuildStatic(d.nw.G, prevCl, coverage.Hop25)
 			var total [2]float64 // head changes, backbone-membership changes
+			// Every step rebuilds into one workspace of the replicate's own:
+			// the draw's workspace holds d.nw, which the group shares.
+			var tw topology.Workspace
 			for step := 0; step < steps; step++ {
-				cur := topology.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
+				cur := tw.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
 				curCl := cluster.LowestID(cur.G)
 				curBB := backbone.BuildStatic(cur.G, curCl, coverage.Hop25)
 				var c [2]int

@@ -102,8 +102,11 @@ func Maintenance(speeds []float64, n int, d float64, steps int, seed uint64, rul
 				rng.NewLabeled(sc.Seed^uint64(d.rep), "maint-waypoint"))
 			prev := cluster.LowestID(d.nw.G)
 			total := 0
+			// Every step rebuilds into one workspace of the replicate's own:
+			// the draw's workspace holds d.nw, which the group shares.
+			var tw topology.Workspace
 			for step := 0; step < steps; step++ {
-				cur := topology.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
+				cur := tw.FromPositions(mob.Step(1), sc.Bounds, d.nw.Radius)
 				var next *cluster.Clustering
 				if useLCC {
 					next, _ = cluster.Maintain(cur.G, prev)

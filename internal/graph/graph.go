@@ -154,6 +154,36 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
+// HopDist returns the hop distance from src to dst, −1 when dst is
+// unreachable: BFS(src)[dst] without the n-sized distance slice. The
+// search borrows a pooled traversal scratch and stops when it reaches
+// dst, so a steady-state caller allocates nothing.
+func (g *Graph) HopDist(src, dst int) int {
+	if src == dst {
+		return 0
+	}
+	s := getScratch()
+	epoch := s.begin(g.n)
+	s.visit(src, epoch)
+	s.dist[src] = 0
+	d := -1
+search:
+	for qi := 0; qi < len(s.queue); qi++ {
+		u := s.queue[qi]
+		for _, v := range g.Neighbors(u) {
+			if v == dst {
+				d = s.dist[u] + 1
+				break search
+			}
+			if s.visit(v, epoch) {
+				s.dist[v] = s.dist[u] + 1
+			}
+		}
+	}
+	putScratch(s)
+	return d
+}
+
 // KHop returns N^k(v): the set of nodes within k hops of v, including v
 // itself, as a sorted slice. K must be >= 0.
 func (g *Graph) KHop(v, k int) []int {

@@ -406,6 +406,36 @@ func TestQuickKHopMatchesBFS(t *testing.T) {
 	}
 }
 
+// TestHopDistMatchesBFS: HopDist(src, dst) is BFS(src)[dst] for every
+// pair of random graphs, sparse ones included, whose unreachable pairs
+// read −1; a steady-state call allocates nothing (the race detector makes
+// sync.Pool drop entries, so the count is checked only without it).
+func TestHopDistMatchesBFS(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + r.Intn(40)
+		g := New(n)
+		for k := r.Intn(2 * n); k > 0; k-- { // often disconnected
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v && !g.HasEdge(u, v) {
+				g.AddEdge(u, v)
+			}
+		}
+		for src := 0; src < n; src++ {
+			dist := g.BFS(src)
+			for dst := 0; dst < n; dst++ {
+				if got := g.HopDist(src, dst); got != dist[dst] {
+					t.Fatalf("trial %d (n=%d): HopDist(%d, %d) = %d, BFS says %d", trial, n, src, dst, got, dist[dst])
+				}
+			}
+		}
+	}
+	g := randomConnectedGraph(r, 300, 600)
+	if avg := testing.AllocsPerRun(50, func() { g.HopDist(0, 299) }); avg != 0 && !raceDetector {
+		t.Fatalf("HopDist allocates %.1f/call, want 0", avg)
+	}
+}
+
 func BenchmarkBFS(b *testing.B) {
 	r := rng.New(1)
 	g := randomConnectedGraph(r, 1000, 3000)

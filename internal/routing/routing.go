@@ -177,8 +177,7 @@ func (r *Route) Stretch(g *graph.Graph) float64 {
 	if len(r.Hops) < 2 {
 		return 0
 	}
-	dist := g.BFS(r.Hops[0])
-	d := dist[r.Hops[len(r.Hops)-1]]
+	d := g.HopDist(r.Hops[0], r.Hops[len(r.Hops)-1])
 	if d <= 0 {
 		return 0
 	}

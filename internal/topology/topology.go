@@ -83,45 +83,15 @@ func Generate(c Config, r *rng.Stream) (*Network, error) {
 	return GenerateWith(c, NewWorkspace(), r)
 }
 
-// buildUnitDiskGraph builds the unit disk graph over the positions with a
-// cell-sorted grid — O(n·deg) time and a constant number of allocations.
-// With connected set, ok reports whether the graph is connected, and a
-// disconnected graph is not assembled (nil). The throwaway workspace keeps
-// the result independently allocated (see Workspace.build).
-func buildUnitDiskGraph(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (g *graph.Graph, ok bool) {
-	// Positions outside the nominal bounds (hand-crafted scenarios) would
-	// defeat the grid's cell clamping; grow the indexing rectangle to cover
-	// them.
-	for _, p := range positions {
-		if p.X < bounds.MinX {
-			bounds.MinX = p.X
-		}
-		if p.X > bounds.MaxX {
-			bounds.MaxX = p.X
-		}
-		if p.Y < bounds.MinY {
-			bounds.MinY = p.Y
-		}
-		if p.Y > bounds.MaxY {
-			bounds.MaxY = p.Y
-		}
-	}
-	return (&Workspace{}).build(positions, bounds, radius, connected)
-}
-
 // FromPositions builds the unit disk graph induced by explicit positions
 // and range. Used by mobility models and hand-crafted scenarios; it runs
 // through the same spatial-grid path as random placement, so stepping a
 // mobility model costs O(n·deg) per step instead of O(n²). The Network
-// keeps the caller's bounds.
+// keeps the caller's bounds. Each call builds through a fresh Workspace,
+// so the result is independently allocated; a loop that rebuilds every
+// step holds one Workspace and calls its FromPositions instead.
 func FromPositions(positions []geom.Point, bounds geom.Rect, radius float64) *Network {
-	g, _ := buildUnitDiskGraph(positions, bounds, radius, false)
-	return &Network{
-		Positions: append([]geom.Point(nil), positions...),
-		Radius:    radius,
-		Bounds:    bounds,
-		G:         g,
-	}
+	return NewWorkspace().FromPositions(positions, bounds, radius)
 }
 
 // GridPlacement places nodes on a jittered √n×√n lattice — a deterministic,

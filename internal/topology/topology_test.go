@@ -434,7 +434,7 @@ func TestFromPositionsMatchesBruteForce(t *testing.T) {
 		}
 		got := FromPositions(positions, bounds, radius).G
 		want := bruteForceUDG(positions, radius)
-		_, connected := buildUnitDiskGraph(positions, bounds, radius, true)
+		_, connected := NewWorkspace().buildUnitDisk(positions, bounds, radius, true)
 		if wantConnected := want.ConnectedWith(graph.NewScratch(n)); connected != wantConnected {
 			t.Fatalf("trial %d (n=%d r=%.2f): union-find says connected=%v, BFS %v",
 				trial, n, radius, connected, wantConnected)

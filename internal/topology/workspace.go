@@ -90,6 +90,40 @@ func defaultMaxAttempts(n int) int {
 	return a
 }
 
+// FromPositions is the package-level FromPositions on the workspace's
+// buffers: it copies the positions in and builds the same graph, but the
+// Network is owned by the workspace and valid only until its next
+// FromPositions or GenerateWith call. A mobility loop that rebuilds every
+// step through one workspace allocates nothing once its buffers have
+// grown.
+func (ws *Workspace) FromPositions(positions []geom.Point, bounds geom.Rect, radius float64) *Network {
+	ws.positions = append(ws.positions[:0], positions...)
+	g, _ := ws.buildUnitDisk(ws.positions, bounds, radius, false)
+	ws.nw = Network{Positions: ws.positions, Radius: radius, Bounds: bounds, G: g}
+	return &ws.nw
+}
+
+// buildUnitDisk is build over explicit positions: positions outside the
+// nominal bounds (hand-crafted scenarios) would defeat the grid's cell
+// clamping, so the indexing rectangle grows to cover them.
+func (ws *Workspace) buildUnitDisk(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, bool) {
+	for _, p := range positions {
+		if p.X < bounds.MinX {
+			bounds.MinX = p.X
+		}
+		if p.X > bounds.MaxX {
+			bounds.MaxX = p.X
+		}
+		if p.Y < bounds.MinY {
+			bounds.MinY = p.Y
+		}
+		if p.Y > bounds.MaxY {
+			bounds.MaxY = p.Y
+		}
+	}
+	return ws.build(positions, bounds, radius, connected)
+}
+
 // place positions n nodes uniformly into the workspace buffers and builds
 // the unit disk graph. Every attempt draws exactly 2n values. With
 // connected set, a disconnected draw returns ok=false before any
@@ -119,9 +153,8 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 }
 
 // build constructs the unit disk graph over the positions into the
-// workspace graph. It is the single implementation behind
-// buildUnitDiskGraph and the zero-allocation replicate path, for every
-// worker count.
+// workspace graph. It is the single implementation behind FromPositions
+// and the zero-allocation replicate path, for every worker count.
 //
 //  1. layout counting-sorts the nodes into the cell-sorted grid.
 //  2. The half-neighborhood sweep distance-tests every candidate pair

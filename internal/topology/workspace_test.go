@@ -58,3 +58,38 @@ func TestGenerateWithMatchesGenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceFromPositionsMatchesFromPositions: rebuilding random
+// waypoint steps through one reused workspace gives the graphs the
+// allocating FromPositions gives, copies its input, and allocates nothing
+// once its buffers have grown to the largest network.
+func TestWorkspaceFromPositionsMatchesFromPositions(t *testing.T) {
+	bounds := geom.Square(100)
+	ws := NewWorkspace()
+	for _, n := range []int{90, 40, 120} {
+		nw, err := Generate(Config{N: n, Bounds: bounds, AvgDegree: 12}, rng.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mob := NewRandomWaypoint(nw.Positions, bounds, 2, 6, 0, rng.New(uint64(n)+1))
+		for step := 0; step < 8; step++ {
+			pos := mob.Step(1)
+			want := FromPositions(pos, bounds, nw.Radius)
+			got := ws.FromPositions(pos, bounds, nw.Radius)
+			graphsEqual(t, step, got.G, want.G)
+			if got.Radius != want.Radius || got.Bounds != want.Bounds || len(got.Positions) != n {
+				t.Fatalf("n=%d step %d: network fields differ", n, step)
+			}
+			saved := pos[0]
+			pos[0] = geom.Point{X: -1, Y: -1}
+			if got.Positions[0] != saved {
+				t.Fatalf("n=%d step %d: the workspace network aliases its input", n, step)
+			}
+			pos[0] = saved
+		}
+	}
+	pos := append([]geom.Point(nil), ws.nw.Positions...)
+	if avg := testing.AllocsPerRun(20, func() { ws.FromPositions(pos, bounds, 10) }); avg != 0 {
+		t.Fatalf("reused workspace allocates %.1f/step, want 0", avg)
+	}
+}
