@@ -3,7 +3,7 @@ GO ?= go
 # Baseline the bench-compare target diffs against.
 BENCH_BASELINE ?= BENCH_PR3.json
 
-.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench bench-compare bench-scale bench-batch bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench bench-compare bench-scale bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -67,17 +67,6 @@ bench-scale:
 	$(GO) test -run xxx -bench 'ScaleReplicate|ScaleKernels' -benchtime 10x . \
 		| $(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -threshold 0.10
 
-# Bit-parallel replication gate: the n=1000 batch-vs-scalar point diffed
-# against BENCH_PR6.json, a race pass over the 64-wide engine's equivalence
-# suites, and the batched figure path end to end through the cmd/figures
-# -batch flag (the CSV bytes must not depend on -workers; see
-# TestBatchFiguresWorkerInvariant for the in-process version).
-bench-batch:
-	$(GO) test -run xxx -bench 'ReplicateBatch/n=1000$$' -benchtime 10x . \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR6.json -threshold 0.10
-	$(GO) test -race -run 'Batch' ./internal/broadcast ./internal/faults ./internal/stats ./internal/experiment
-	$(GO) run ./cmd/figures -fig gossip -quick -batch -seed 7 -workers 4 -format csv
-
 # Sharded construction-stage gate: the unit-disk sweep and
 # coverage-digest curves diffed against BENCH_PR8.json (-short keeps it
 # to n≤10000), a race pass over the strip-count equivalence suites
@@ -109,22 +98,17 @@ figures:
 	$(GO) run ./cmd/figures
 
 # Group-sweep worker invariance at the CLI: every figure under the quick
-# rule at -workers 1 and -workers 4, once on the scalar path and once with
-# -batch (a different Monte-Carlo sample, equally worker-invariant). Every
-# CSV must be byte-identical between the two worker counts of a pair.
-# Output lands in artifacts/figures-smoke.
+# rule at -workers 1 and -workers 4. Every CSV must be byte-identical
+# between the two worker counts. Output lands in artifacts/figures-smoke.
 figures-smoke:
 	rm -rf artifacts/figures-smoke
 	$(GO) build -o artifacts/figures-smoke/figures ./cmd/figures
-	for mode in scalar batch; do \
-		flags=; [ $$mode = batch ] && flags=-batch; \
-		for w in 1 4; do \
-			artifacts/figures-smoke/figures -fig all -quick -format csv $$flags \
-				-workers $$w -out artifacts/figures-smoke/$$mode-w$$w > /dev/null || exit 1; \
-		done; \
-		diff -rq -x manifest.json artifacts/figures-smoke/$$mode-w1 artifacts/figures-smoke/$$mode-w4 || \
-			{ echo "figures-smoke: $$mode CSVs differ between -workers 1 and 4" >&2; exit 1; }; \
+	for w in 1 4; do \
+		artifacts/figures-smoke/figures -fig all -quick -format csv \
+			-workers $$w -out artifacts/figures-smoke/w$$w > /dev/null || exit 1; \
 	done
+	diff -rq -x manifest.json artifacts/figures-smoke/w1 artifacts/figures-smoke/w4 || \
+		{ echo "figures-smoke: CSVs differ between -workers 1 and 4" >&2; exit 1; }
 
 # Observability smoke: record a traced dynamic-backbone broadcast with its
 # run manifest, then replay the trace through the inspector (which

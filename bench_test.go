@@ -24,7 +24,6 @@ import (
 	"clustercast/internal/core"
 	"clustercast/internal/coverage"
 	"clustercast/internal/experiment"
-	"clustercast/internal/faults"
 	"clustercast/internal/fwdtree"
 	"clustercast/internal/geom"
 	"clustercast/internal/graph"
@@ -890,79 +889,6 @@ func BenchmarkBitsetReset(b *testing.B) {
 				x.Reset(n)
 			}
 		})
-	}
-}
-
-// BenchmarkReplicateBatch is the bit-parallel replication scaling curve
-// (BENCH_PR6.json): the cost of advancing 64 loss/gossip replicates, batch
-// engine vs the scalar engine the legacy sweep path runs. Both variants do
-// the same statistical work per iteration — 64 Monte-Carlo replicates of
-// one broadcast over one sampled topology at i.i.d. per-link loss 0.2 —
-// so ns/op is directly comparable and the replicates/s metric is the
-// sweep-throughput headline. The topology is sampled once outside the
-// timer (shared per batch in the production path too); fault-chain
-// construction is inside the timer on the batch side, since the batch
-// path pays it per 64 lanes. n=100000 is skipped under -short.
-func BenchmarkReplicateBatch(b *testing.B) {
-	const loss = 0.2
-	protos := []struct {
-		name   string
-		batch  broadcast.BatchProtocol
-		scalar broadcast.Protocol
-	}{
-		{"flooding", broadcast.BatchFlooding{}, broadcast.Flooding{}},
-		{"gossip65", broadcast.BatchGossip{P: 0.65, Seed: 99}, broadcast.Gossip{P: 0.65, Seed: 99}},
-	}
-	for _, n := range []int{1000, 10000, 100000} {
-		for _, pr := range protos {
-			ws := experiment.NewWorkspace()
-			sc := experiment.DefaultScenario(n, 18, 2003)
-			setup := func(b *testing.B) (*topology.Network, int) {
-				if testing.Short() && n > 10000 {
-					b.Skip("n=100000 batches take seconds; skipped under -short")
-				}
-				nw, _, ok := sc.SampleWS(ws, "replicate-batch", 0)
-				if !ok {
-					b.Fatal("no connected topology sampled")
-				}
-				return nw, n / 2
-			}
-			b.Run(fmt.Sprintf("n=%d/%s-batch64", n, pr.name), func(b *testing.B) {
-				nw, src := setup(b)
-				b.ReportAllocs()
-				b.ResetTimer()
-				got := 0
-				for i := 0; i < b.N; i++ {
-					spec := faults.Spec{LossGood: loss, Seed: uint64(i)*0x9E3779B97F4A7C15 + 4242}
-					res := ws.Batch.Run(nw.G, src, pr.batch, broadcast.BatchOptions{
-						Chains: faults.NewChainBatch(spec),
-					})
-					got += res.Received[0]
-				}
-				if got <= 0 {
-					b.Fatal("no lane delivered anything")
-				}
-				b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "replicates/s")
-			})
-			b.Run(fmt.Sprintf("n=%d/%s-scalar", n, pr.name), func(b *testing.B) {
-				nw, src := setup(b)
-				b.ReportAllocs()
-				b.ResetTimer()
-				got := 0
-				for i := 0; i < b.N; i++ {
-					for lane := 0; lane < 64; lane++ {
-						rep := uint64(i)*64 + uint64(lane)
-						res := ws.Bcast.RunOpts(nw.G, src, pr.scalar,
-							broadcast.Options{Loss: loss, Seed: rep*0x9E3779B97F4A7C15 + 4242})
-						got += res.ReceivedCount()
-					}
-				}
-				if got <= 0 {
-					b.Fatal("no replicate delivered anything")
-				}
-				b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "replicates/s")
-			})
-		}
 	}
 }
 

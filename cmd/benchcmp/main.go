@@ -131,13 +131,12 @@ func compare(w io.Writer, baseline []baselineEntry, got map[string]measurement, 
 
 // scaleName matches the scaling benchmarks' "Benchmark<Family>/n=<N>/<stage>"
 // naming, capturing family, network size, and stage. The families are the
-// PR1–PR3 Scale* kernels, the PR6 bit-parallel replication curve
-// (BenchmarkReplicateBatch), the PR7 event-calendar engines
-// (BenchmarkDESMAC/DESWire/DESTimed), and the PR8 sharded construction
+// PR1–PR3 Scale* kernels, the PR7 event-calendar engines
+// (BenchmarkDESMAC/DESWire/DESTimed), the PR8 sharded construction
 // stages (BenchmarkShardedCoverage/ParallelCluster/ParallelTopology), and
 // the PR10 multi-source traffic curve (BenchmarkWorkloadThroughput) — all
 // share the /n=<N>/<variant> shape.
-var scaleName = regexp.MustCompile(`^Benchmark(Scale\w+|ReplicateBatch\w*|DES\w*|ShardedCoverage\w*|ParallelCluster\w*|ParallelTopology\w*|Workload\w*)/n=(\d+)/(.+)$`)
+var scaleName = regexp.MustCompile(`^Benchmark(Scale\w+|DES\w*|ShardedCoverage\w*|ParallelCluster\w*|ParallelTopology\w*|Workload\w*)/n=(\d+)/(.+)$`)
 
 // scaleCurves prints, for every Scale* benchmark family and stage seen in
 // the baseline or the current run, the ns/op scaling curve by network size

@@ -100,33 +100,6 @@ PASS
 	}
 }
 
-// TestScaleCurvesIncludeReplicateBatch: the PR6 bit-parallel replication
-// benchmark renders as a scaling curve next to the Scale* kernel families.
-func TestScaleCurvesIncludeReplicateBatch(t *testing.T) {
-	baseline := []baselineEntry{
-		{Name: "BenchmarkReplicateBatch/n=10000/flooding-batch64", AfterNsOp: f(32000000)},
-		{Name: "BenchmarkReplicateBatch/n=10000/flooding-scalar", AfterNsOp: f(254000000)},
-	}
-	run := `BenchmarkReplicateBatch/n=10000/flooding-batch64    10   16000000 ns/op
-BenchmarkReplicateBatch/n=10000/flooding-scalar     10  254000000 ns/op
-PASS
-`
-	got, err := parseBench(strings.NewReader(run))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	scaleCurves(&out, baseline, got)
-	text := out.String()
-	if !strings.Contains(text, "ReplicateBatch/flooding-batch64:") ||
-		!strings.Contains(text, "ReplicateBatch/flooding-scalar:") {
-		t.Fatalf("ReplicateBatch curves missing:\n%s", text)
-	}
-	if !strings.Contains(text, "(2.00x)") {
-		t.Fatalf("batch-vs-baseline speedup not reported:\n%s", text)
-	}
-}
-
 func TestCompareWithinNoise(t *testing.T) {
 	baseline := []baselineEntry{
 		{Name: "BenchmarkSweepPoint", AfterNsOp: f(2767097), AfterAllocs: f(3)},

@@ -40,7 +40,6 @@ type config struct {
 	outDir  string
 	workers int
 	buildW  int
-	batch   bool
 	run     live.Flags
 }
 
@@ -156,8 +155,7 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 	sess.Manifest.Seed = cfg.seed
 	sess.Manifest.Workers = cfg.workers
 	sess.Manifest.Param("fig", cfg.fig).Param("format", cfg.format).
-		Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW).
-		Param("batch", cfg.batch)
+		Param("quick", cfg.quick).Param("maxn", cfg.maxN).Param("buildworkers", cfg.buildW)
 	render, ok := renderers[cfg.format]
 	if !ok {
 		return fmt.Errorf("unknown format %q", cfg.format)
@@ -169,7 +167,6 @@ func run(cfg config, stdout, stderr io.Writer) (retErr error) {
 	}
 	experiment.SetParallelism(cfg.workers)
 	experiment.SetBuildWorkers(cfg.buildW)
-	experiment.SetBatchReplication(cfg.batch)
 	rule := stats.PaperRule()
 	if cfg.quick {
 		rule = stats.StopRule{Confidence: 0.95, RelHalfWidth: 0.15, MinReplicates: 10, MaxReplicates: 40}
@@ -259,10 +256,6 @@ func main() {
 		"strips per construction layer inside each replicate — unit-disk sweep, coverage digest, "+
 			"gateway and MO_CDS selection, dynamic-backbone init — run on as many goroutines "+
 			"(0 or 1: one strip; bit-identical for any value)")
-	flag.BoolVar(&cfg.batch, "batch", false,
-		"advance 64 replicates per machine word where the protocol and fault model allow it "+
-			"(loss/gossip sweeps); a different Monte-Carlo sample than the scalar default, "+
-			"still bit-identical across -workers values")
 	cfg.run.Register(flag.CommandLine)
 	flag.Parse()
 

@@ -161,10 +161,6 @@ func TestRunOutDirManifest(t *testing.T) {
 	if m.Tool != "figures" || m.Seed != 7 || m.Params["fig"] != "6a" {
 		t.Fatalf("manifest identity wrong: %+v", m)
 	}
-	// -batch changes the Monte-Carlo sample, so the manifest records it.
-	if m.Params["batch"] != "false" {
-		t.Fatalf("manifest batch param = %q, want \"false\"", m.Params["batch"])
-	}
 	stages := map[string]obs.StageStat{}
 	for _, st := range m.Stages {
 		stages[st.Name] = st
@@ -185,20 +181,6 @@ func TestRunOutDirManifest(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("manifest outputs missing fig6a.csv: %v", m.Outputs)
-	}
-
-	dir := t.TempDir()
-	cfg := quickCfg()
-	cfg.fig, cfg.outDir, cfg.batch = "6a", dir, true
-	if err := run(cfg, &bytes.Buffer{}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	bm, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm.Params["batch"] != "true" {
-		t.Fatalf("-batch manifest batch param = %q, want \"true\"", bm.Params["batch"])
 	}
 }
 

@@ -283,3 +283,28 @@ func BenchmarkPDP100(b *testing.B) {
 		_ = Run(nw.G, i%100, p)
 	}
 }
+
+// TestWorkspaceDecliningRunKeepsNoActedState: an ideal-radio run of a
+// protocol that embeds NoDuplicates sizes no acted-payload state; a DP run
+// does, and keeps a list exactly for the nodes that transmitted.
+func TestWorkspaceDecliningRunKeepsNoActedState(t *testing.T) {
+	nw := randomNet(t, 860, 60, 9)
+	var ws Workspace
+	ws.Run(nw.G, 0, Flooding{})
+	if ws.acted != nil || ws.actedAt != nil {
+		t.Fatalf("a flooding run sized acted state: %d lists, %d stamps", len(ws.acted), len(ws.actedAt))
+	}
+	res := ws.Run(nw.G, 0, NewDP(NewNeighborhood(nw.G)))
+	if len(ws.acted) != nw.G.N() {
+		t.Fatalf("a DP run sized %d acted lists for %d nodes", len(ws.acted), nw.G.N())
+	}
+	lists := 0
+	for v := range ws.acted {
+		if ws.actedAt[v] == ws.epoch && len(ws.acted[v]) > 0 {
+			lists++
+		}
+	}
+	if lists != res.ForwardCount() {
+		t.Fatalf("a DP run kept %d acted lists for %d forwarders", lists, res.ForwardCount())
+	}
+}

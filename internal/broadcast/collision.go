@@ -35,7 +35,7 @@ type MACOptions struct {
 	// down, partition, loss burst) never reach the receiver — so they do
 	// not take part in collision resolution either (fading happens before
 	// decoding).
-	Faults faults.Model
+	Faults *faults.Oracle
 	// Workers is ignored: the MAC engines are sequential. The field
 	// stays so existing callers compile.
 	Workers int

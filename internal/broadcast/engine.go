@@ -138,10 +138,8 @@ type Options struct {
 	// link's Gilbert–Elliott loss chain eats it. Independent of Loss (both
 	// can be active). nil — the default — adds one predicted branch per
 	// transmission and zero allocations. A down source yields a broadcast
-	// that never leaves the source. Usually a *faults.Oracle (whose methods
-	// tolerate a typed nil); the equivalence suite plugs in a
-	// faults.LaneModel to replay one lane of a 64-wide batch.
-	Faults faults.Model
+	// that never leaves the source.
+	Faults *faults.Oracle
 }
 
 // Run simulates one broadcast from source over g under the protocol with
@@ -169,11 +167,11 @@ func RunOpts(g *graph.Graph, source int, p Protocol, opt Options) *Result {
 }
 
 // NoDuplicates is a mixin for protocols that never act on duplicate
-// copies. The slotted-MAC engine trusts it: for a protocol that embeds
-// it, the engine never calls OnDuplicate and keeps no acted-payload
-// lists. A type that embeds NoDuplicates must therefore not declare its
-// own OnDuplicate (TestNoDuplicatesEmbeddersInheritOnDuplicate guards the
-// module).
+// copies. The ideal-radio and slotted-MAC engines trust it: for a
+// protocol that embeds it, they never call OnDuplicate and keep no
+// acted-payload lists. A type that embeds NoDuplicates must therefore not
+// declare its own OnDuplicate (TestNoDuplicatesEmbeddersInheritOnDuplicate
+// guards the module).
 type NoDuplicates struct{}
 
 // OnDuplicate implements Protocol by always declining.

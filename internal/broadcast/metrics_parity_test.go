@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"clustercast/internal/faults"
-	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 )
 
 // parityCounters are the whole-run totals every broadcast engine folds; an
-// engine swap (scalar ↔ calendar ↔ 64-wide batch) must leave them invariant.
+// engine swap (workspace ↔ map-based oracle) must leave them invariant.
 var parityCounters = []string{
 	"broadcast.runs", "broadcast.transmissions", "broadcast.deliveries",
 	"broadcast.duplicates", "broadcast.fault_dropped_copies",
@@ -36,68 +35,57 @@ func counterTotals(t *testing.T, names []string, f func()) map[string]int64 {
 	return out
 }
 
-// TestMetricsParityScalarDESBatch: one 64-wide batch run folds exactly the
-// broadcast.* totals of its 64 workspace lane replays, and the map-based
-// oracle folds the same totals — for a deterministic protocol, a
-// lane-coin gossip, and a loss-chain fault spec.
-func TestMetricsParityScalarDESBatch(t *testing.T) {
+// TestMetricsParityWorkspaceOracle: over the same runs, the workspace
+// engine folds exactly the broadcast.* totals of the map-based oracle —
+// for a deterministic protocol, a gossip, and a Gilbert–Elliott loss-chain
+// fault spec.
+func TestMetricsParityWorkspaceOracle(t *testing.T) {
 	nw := randomNet(t, 91, 50, 8)
 	g := nw.G
-	spec := &faults.Spec{Seed: 13}
-	if err := spec.SetBurst(0.2, 1); err != nil { // burstLen 1 = i.i.d. loss
+	const runs = 64
+	var burst faults.Spec
+	if err := burst.SetBurst(0.2, 4); err != nil {
 		t.Fatal(err)
 	}
+	flooding := func(int) Protocol { return Flooding{} }
+	ideal := func(int) Options { return Options{} }
 	cases := []struct {
 		name  string
-		proto BatchProtocol
-		spec  *faults.Spec
+		proto func(r int) Protocol
+		opts  func(r int) Options // called once per run and engine: an oracle is per-run state
 	}{
-		{"flooding-ideal", BatchFlooding{}, nil},
-		{"gossip-ideal", BatchGossip{P: 0.6, Seed: 9}, nil},
-		{"flooding-loss", BatchFlooding{}, spec},
+		{"flooding-ideal", flooding, ideal},
+		{"gossip-ideal", func(r int) Protocol { return Gossip{P: 0.6, Seed: 9 + uint64(r)} }, ideal},
+		{"flooding-loss", flooding, func(r int) Options {
+			spec := burst
+			spec.Seed = 13 + uint64(r)
+			return Options{Faults: faults.New(spec, g.N())}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			laneOpts := func() []Options {
-				opts := make([]Options, graph.LaneCount)
-				if tc.spec != nil {
-					ref := faults.NewChainBatch(*tc.spec)
-					for r := range opts {
-						opts[r].Faults = faults.LaneModel{Batch: ref, Lane: r}
-					}
-				}
-				return opts
-			}
-			scalar := counterTotals(t, parityCounters, func() {
-				var sw Workspace
-				for r, o := range laneOpts() {
-					sw.RunOpts(g, 0, tc.proto.Lane(r), o)
+			workspace := counterTotals(t, parityCounters, func() {
+				var ws Workspace
+				for r := 0; r < runs; r++ {
+					ws.RunOpts(g, 0, tc.proto(r), tc.opts(r))
 				}
 			})
 			oracle := counterTotals(t, parityCounters, func() {
-				for r, o := range laneOpts() {
-					runIdealOracle(g, 0, tc.proto.Lane(r), o)
+				for r := 0; r < runs; r++ {
+					runIdealOracle(g, 0, tc.proto(r), tc.opts(r))
 				}
 			})
-			batch := counterTotals(t, parityCounters, func() {
-				var opt BatchOptions
-				if tc.spec != nil {
-					opt.Chains = faults.NewChainBatch(*tc.spec)
-				}
-				var bw BatchWorkspace
-				bw.Run(g, 0, tc.proto, opt)
-			})
-			if !reflect.DeepEqual(scalar, oracle) {
-				t.Fatalf("workspace %v != oracle %v", scalar, oracle)
+			if !reflect.DeepEqual(workspace, oracle) {
+				t.Fatalf("workspace %v != oracle %v", workspace, oracle)
 			}
-			if !reflect.DeepEqual(scalar, batch) {
-				t.Fatalf("scalar %v != batch %v", scalar, batch)
+			if workspace["broadcast.runs"] != runs {
+				t.Fatalf("runs = %d, want %d", workspace["broadcast.runs"], runs)
 			}
-			if scalar["broadcast.runs"] != graph.LaneCount {
-				t.Fatalf("runs = %d, want %d", scalar["broadcast.runs"], graph.LaneCount)
-			}
-			if scalar["broadcast.deliveries"] == 0 {
+			if workspace["broadcast.deliveries"] == 0 {
 				t.Fatal("parity on all-zero totals proves nothing")
+			}
+			if tc.opts(0).Faults != nil && workspace["broadcast.fault_dropped_copies"] == 0 {
+				t.Fatal("the loss chain dropped no copy")
 			}
 		})
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // TestNoDuplicatesEmbeddersInheritOnDuplicate guards the rule the
-// slotted-MAC engine relies on when it skips OnDuplicate for protocols
-// that embed NoDuplicates: no such type may declare its own OnDuplicate.
-// It parses every non-test Go file of the module and follows embedding
+// ideal-radio and slotted-MAC engines rely on when they skip OnDuplicate
+// for protocols that embed NoDuplicates: no such type may declare its own
+// OnDuplicate. It parses every non-test Go file of the module and follows embedding
 // chains across its packages, so a type that embeds NoDuplicates through
 // another type (say, Flooding) is held to the rule as well, and so is
 // every type on the chain between it and NoDuplicates.
@@ -153,14 +153,14 @@ func TestNoDuplicatesEmbeddersInheritOnDuplicate(t *testing.T) {
 		for _, on := range c[:len(c)-1] {
 			if pos, ok := declares[on]; ok {
 				t.Errorf("%s.%s embeds NoDuplicates, but %s.%s on its embedding chain declares OnDuplicate "+
-					"at %s, which the MAC engine never calls", filepath.Base(k.dir), k.name,
+					"at %s, which the engines never call", filepath.Base(k.dir), k.name,
 					filepath.Base(on.dir), on.name, pos)
 			}
 		}
 	}
-	// Flooding, Gossip, StaticCDS, StaticCDSBits and the batch gossip lane
-	// embed the mixin; DP, PDP and MPR declare their own OnDuplicate.
-	if embedders < 5 || len(declares) < 4 {
+	// Flooding, Gossip, StaticCDS and StaticCDSBits embed the mixin; DP,
+	// PDP and MPR declare their own OnDuplicate.
+	if embedders < 4 || len(declares) < 4 {
 		t.Fatalf("the scan found %d NoDuplicates embedders and %d OnDuplicate methods; it missed the protocols",
 			embedders, len(declares))
 	}

@@ -37,7 +37,7 @@ type TimedOptions struct {
 	// when its transmission or back-off decision is due stays silent (a
 	// crashed node misses its decision window for good), and copies are
 	// dropped per the oracle's link and receiver state.
-	Faults faults.Model
+	Faults *faults.Oracle
 }
 
 // RunTimed simulates one broadcast under a back-off protocol. Transmission

@@ -7,7 +7,8 @@ import (
 
 // Workspace owns the dense per-node state of the broadcast engine:
 // epoch-stamped reception/forwarding marks, parent pointers, the per-node
-// acted-payload lists and the FIFO transmission queue. One workspace run
+// acted-payload lists (sized only once a protocol that can act on a
+// duplicate runs) and the FIFO transmission queue. One workspace run
 // replaces the four maps of the legacy engine — at 10k+ nodes the map
 // operations (hashing, bucket probing, incremental growth) dominate the
 // whole broadcast simulation, while the dense engine touches each node's
@@ -111,23 +112,29 @@ func (r *WSResult) Materialize() *Result {
 	return res
 }
 
-// ensure sizes the per-node arrays for n nodes. Stamps exposed by growth
-// are from strictly older epochs (the epoch is bumped after ensure), so no
-// clearing is needed outside the wrap path.
-func (ws *Workspace) ensure(n int) {
+// ensure sizes the per-node arrays for n nodes, and the acted-payload
+// state too when acts is set. Stamps exposed by growth are from strictly
+// older epochs (the epoch is bumped after ensure), so no clearing is
+// needed outside the wrap path.
+func (ws *Workspace) ensure(n int, acts bool) {
 	if cap(ws.received) < n {
 		ws.received = make([]uint32, n)
 		ws.forwarded = make([]uint32, n)
-		ws.actedAt = make([]uint32, n)
 		ws.parent = make([]int, n)
-		ws.acted = make([][]Packet, n)
+		ws.actedAt, ws.acted = nil, nil
 		ws.epoch = 0
 	}
 	ws.received = ws.received[:n]
 	ws.forwarded = ws.forwarded[:n]
-	ws.actedAt = ws.actedAt[:n]
 	ws.parent = ws.parent[:n]
-	ws.acted = ws.acted[:n]
+	if acts {
+		if cap(ws.actedAt) < n {
+			ws.actedAt = make([]uint32, n)
+			ws.acted = make([][]Packet, n)
+		}
+		ws.actedAt = ws.actedAt[:n]
+		ws.acted = ws.acted[:n]
+	}
 }
 
 // markActed records that v acted on pkt this broadcast (deduplicated, like
@@ -167,10 +174,13 @@ func (ws *Workspace) Run(g *graph.Graph, source int, p Protocol) *WSResult {
 
 // RunOpts is Run with an explicit radio model. Event order, protocol
 // callbacks and randomness consumption are identical to the package-level
-// RunOpts, so results are bit-identical.
+// RunOpts, so results are bit-identical. For a protocol that embeds
+// NoDuplicates the engine keeps no acted-payload lists and never calls
+// OnDuplicate, which always declines.
 func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options) *WSResult {
 	n := g.N()
-	ws.ensure(n)
+	acts := actsOnDuplicates(p)
+	ws.ensure(n, acts)
 	ws.epoch++
 	if ws.epoch == 0 { // wrapped: flush stale stamps over the full capacity
 		for _, s := range [][]uint32{ws.received[:cap(ws.received)], ws.forwarded[:cap(ws.forwarded)], ws.actedAt[:cap(ws.actedAt)]} {
@@ -200,7 +210,9 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 	if tr != nil {
 		tr.Send(0, source, -1)
 	}
-	ws.markActed(source, start)
+	if acts {
+		ws.markActed(source, start)
+	}
 	queue := append(ws.queue[:0], transmission{sender: source, pkt: start, time: 0})
 	for qi := 0; qi < len(queue); qi++ {
 		tx := queue[qi]
@@ -238,7 +250,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 				if tr != nil {
 					tr.Duplicate(tx.time+1, v, tx.sender)
 				}
-				if ws.actedOn(v, tx.pkt) {
+				if !acts || ws.actedOn(v, tx.pkt) {
 					continue
 				}
 				forward, out = p.OnDuplicate(v, tx.sender, tx.pkt)
@@ -248,8 +260,10 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 					ws.forwarded[v] = epoch
 					res.nForward++
 				}
-				ws.markActed(v, tx.pkt)
-				ws.markActed(v, out)
+				if acts {
+					ws.markActed(v, tx.pkt)
+					ws.markActed(v, out)
+				}
 				if tr != nil {
 					tr.Send(tx.time+1, v, tx.sender)
 				}

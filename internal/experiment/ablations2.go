@@ -6,7 +6,6 @@ import (
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
-	"clustercast/internal/faults"
 	"clustercast/internal/fwdtree"
 	"clustercast/internal/marking"
 	"clustercast/internal/passive"
@@ -59,32 +58,26 @@ func forwardingTree(label string) prefix[tree] {
 // MAC assumption hides: delivery ratio under per-link loss for flooding
 // (maximal redundancy), the static backbone, the dynamic backbone and the
 // MO_CDS. ABL-LOSSY. The sweep is over the loss probability.
-//
-// With SetBatchReplication on, the flooding, static-backbone and MO_CDS
-// series run on the 64-wide bit-parallel engine (i.i.d. loss expressed as
-// a transition-free Gilbert–Elliott spec, lane-indexed coins); the
-// dynamic backbone has no batch kernel and always takes the scalar path.
 func Lossy(losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
 	pts := along(losses, n, d, seed, rule)
-	mk := func(name string, kernel BatchKernel, proto func(d draw) broadcast.Protocol) Series {
-		return lossSweep(name, pts, 1, func(loss float64) lossPoint {
-			label := fmt.Sprintf("lossy-%s-%g", name, loss)
-			return lossPoint{label, faults.Spec{LossGood: loss}, kernel,
-				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+	mk := func(name string, proto func(d draw) broadcast.Protocol) Series {
+		return sweepAxis([]string{name}, pts, 1, func(loss float64) groupEstimator {
+			return shared(sampledWS(fmt.Sprintf("lossy-%s-%g", name, loss)),
+				func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
 					opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(d.rep)}
 					return broadcast.RunOpts(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
-				})}
-		})
+				})
+		})[0]
 	}
 	return &Figure{
 		ID:     "lossy",
 		Title:  fmt.Sprintf("Delivery ratio under per-link loss (n=%d, d=%g)", n, d),
 		XLabel: "loss probability", YLabel: "delivery ratio",
 		Series: []Series{
-			mk("flooding", floodingKernel, floodingProto),
-			mk("static-2.5hop", staticCDSKernel, staticProto),
-			mk("dynamic-2.5hop", nil, dynamicProto),
-			mk("mo-cds", mocdsKernel, mocdsProto),
+			mk("flooding", floodingProto),
+			mk("static-2.5hop", staticProto),
+			mk("dynamic-2.5hop", dynamicProto),
+			mk("mo-cds", mocdsProto),
 		},
 	}
 }

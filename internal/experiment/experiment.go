@@ -180,6 +180,12 @@ func SetBuildWorkers(n int) {
 // engines; it stays so existing callers compile.
 func SetDES(bool) {}
 
+// SetBatchReplication does nothing. It once opted the loss figures into
+// a 64-wide bit-parallel replication path, which drew a different
+// Monte-Carlo sample and did not pay; it stays so existing callers
+// compile.
+func SetBatchReplication(bool) {}
+
 // effectiveBuildWorkers is the strip count construction layers actually
 // use: the configured value clamped to GOMAXPROCS — goroutines beyond the
 // core count cannot help a CPU-bound strip and only add handoff overhead,

@@ -136,40 +136,34 @@ func Faults(qs []float64, n int, d float64, seed uint64, rule stats.StopRule) *F
 // copies into correlated runs. ABL-BURST. Burstiness hurts sparse backbones
 // more than flooding because a burst takes out every retransmission
 // opportunity a single relay had, while flooding's redundancy rides across
-// independent links.
-// With SetBatchReplication on, every series but the dynamic backbone runs
-// on the 64-wide engine: SetBurst specs are transition-batchable (the
-// 64-chain Gilbert–Elliott state word in internal/faults), so a whole
-// batch's loss bursts advance per machine word. The churn figure above is
-// NOT batchable (faults.BatchSupported excludes node churn) and always
-// stays scalar — it is the opt-in's documented fallback.
+// independent links. A burst length SetBurst rejects plots a missing
+// point.
 func Burstiness(burstLens []float64, p float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
 	pts := along(burstLens, n, d, seed, rule)
-	mk := func(name string, kernel BatchKernel, proto func(d draw) broadcast.Protocol) Series {
-		return lossSweep(name, pts, 0, func(L float64) lossPoint {
+	mk := func(name string, proto func(d draw) broadcast.Protocol) Series {
+		return sweepAxis([]string{name}, pts, 0, func(L float64) groupEstimator {
 			var burst faults.Spec
 			if err := burst.SetBurst(p, L); err != nil {
-				return lossPoint{}
+				return nil
 			}
-			label := fmt.Sprintf("burst-%s-%g", name, L)
-			return lossPoint{label, burst, kernel,
-				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+			return shared(sampledWS(fmt.Sprintf("burst-%s-%g", name, L)),
+				func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
 					spec := burst
 					spec.Seed = sc.Seed ^ uint64(d.rep)
 					opt := broadcast.Options{Faults: faults.New(spec, d.nw.N())}
 					return broadcast.RunOpts(d.nw.G, d.src, proto(d), opt).DeliveryRatio(d.nw.N()), true
-				})}
-		})
+				})
+		})[0]
 	}
 	return &Figure{
 		ID:     "burst",
 		Title:  fmt.Sprintf("Delivery under bursty link loss, fixed rate p=%g (n=%d, d=%g)", p, n, d),
 		XLabel: "mean burst length", YLabel: "delivery ratio",
 		Series: []Series{
-			mk("flooding", floodingKernel, floodingProto),
-			mk("static-2.5hop", staticCDSKernel, staticProto),
-			mk("dynamic-2.5hop", nil, dynamicProto),
-			mk("mo-cds", mocdsKernel, mocdsProto),
+			mk("flooding", floodingProto),
+			mk("static-2.5hop", staticProto),
+			mk("dynamic-2.5hop", dynamicProto),
+			mk("mo-cds", mocdsProto),
 		},
 	}
 }

@@ -37,6 +37,21 @@ func TestBurstinessFigureDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestBurstinessRejectedLengthPlotsMissing: a burst length SetBurst
+// rejects (below 1) has no link model, so every series plots a missing
+// point there and still measures the valid lengths.
+func TestBurstinessRejectedLengthPlotsMissing(t *testing.T) {
+	f := Burstiness([]float64{0.5, 2}, 0.2, 25, 8, 19, detRule)
+	for _, s := range f.Series {
+		if p := s.Points[0]; !p.Missing() || p.X != 0.5 {
+			t.Errorf("%s: rejected length plotted %+v, want a missing point at 0.5", s.Name, p)
+		}
+		if s.Points[1].Missing() {
+			t.Errorf("%s: valid length 2 is missing", s.Name)
+		}
+	}
+}
+
 // TestBurstinessLengthOneMatchesIIDLossy pins the strict-generalization
 // claim: a Gilbert–Elliott chain with mean burst length 1 and stationary
 // rate p is an i.i.d. loss process, so the delivery ratios must land in the

@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"clustercast/internal/broadcast"
-	"clustercast/internal/faults"
 	"clustercast/internal/stats"
 )
 
-// gossipSeedSalt separates the gossip forward-coin stream from the fault
-// coins and the topology stream: the batch kernel's coin words are a pure
-// function of (seed, node), so without a salt the protocol would reuse the
-// scenario's entropy verbatim.
+// gossipSeedSalt keeps a replicate's gossip forward coins apart from its
+// topology stream, which is seeded with the same multiplicative replicate
+// mix of the scenario seed (Scenario.SampleWS).
 const gossipSeedSalt = 0xA24BAED4963EE407
 
 // GossipAblation sweeps the gossip forward probability and reads off the
@@ -20,11 +18,6 @@ const gossipSeedSalt = 0xA24BAED4963EE407
 // near-one over a narrow band of P — is the classic gossip result; loss
 // shifts the critical probability right, which is exactly the margin a
 // backbone does not have to pay.
-//
-// Every series is batchable: with SetBatchReplication on, each replicate
-// batch advances 64 gossip replicates per machine word (lane-indexed
-// forward coins, transition-free Gilbert–Elliott loss), making this the
-// cheapest dense sweep in the suite.
 func GossipAblation(ps []float64, losses []float64, n int, d float64, seed uint64, rule stats.StopRule) *Figure {
 	pts := along(ps, n, d, seed, rule)
 	series := make([]Series, 0, len(losses))
@@ -33,15 +26,14 @@ func GossipAblation(ps []float64, losses []float64, n int, d float64, seed uint6
 		if loss > 0 {
 			name = fmt.Sprintf("gossip-loss-%g", loss)
 		}
-		series = append(series, lossSweep(name, pts, 1, func(p float64) lossPoint {
-			label := fmt.Sprintf("gossip-%g-%g", loss, p)
-			return lossPoint{label, faults.Spec{LossGood: loss}, gossipKernel(p, seed^gossipSeedSalt),
-				single(sampledWS(label), func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
-					g := broadcast.Gossip{P: p, Seed: batchSeed(sc.Seed^gossipSeedSalt, d.rep)}
+		series = append(series, sweepAxis([]string{name}, pts, 1, func(p float64) groupEstimator {
+			return shared(sampledWS(fmt.Sprintf("gossip-%g-%g", loss, p)),
+				func(_ *Workspace, sc Scenario, d draw) (float64, bool) {
+					g := broadcast.Gossip{P: p, Seed: sc.Seed ^ gossipSeedSalt ^ uint64(d.rep)*0x9E3779B97F4A7C15}
 					opt := broadcast.Options{Loss: loss, Seed: sc.Seed ^ uint64(d.rep)}
 					return broadcast.RunOpts(d.nw.G, d.src, g, opt).DeliveryRatio(d.nw.N()), true
-				})}
-		}))
+				})
+		})[0])
 	}
 	return &Figure{
 		ID:     "gossip",

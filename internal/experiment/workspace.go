@@ -34,7 +34,6 @@ type Workspace struct {
 	MOCDS    *mocds.Workspace
 	Dynamic  *dynamicb.Workspace
 	Bcast    *broadcast.Workspace
-	Batch    broadcast.BatchWorkspace
 
 	// Clock accumulates per-stage wall time for this worker when
 	// observability is enabled. Each sweep point merges worker clocks into
@@ -255,38 +254,38 @@ func floats(xs []int) []float64 {
 	return fs
 }
 
-// sweepPoints is the one point loop of every figure: measure(p, workers)
-// measures point p for each member, named in order, and the result is one
-// series per member. Points run concurrently across the -workers pool,
-// whose size measure gets for its replication loop. Results are
+// sweepAxis is the one point loop of every figure: it runs the members of
+// a group, named in order, over a sweep's points, and the result is one
+// series per member. at(x) is the group estimator of the point plotted at
+// x, which replicates on reps workers, or on as many as the pool has when
+// reps is 0; a nil estimator (no valid model at x) plots missing points.
+// Points run concurrently across the -workers pool. Results are
 // bit-identical regardless of scheduling because every replicate's
 // randomness derives only from (seed, label, rep) and each member folds
 // its observations in replicate order.
-func sweepPoints(names []string, pts []point, measure func(p point, workers int) []Point) []Series {
+func sweepAxis(names []string, pts []point, reps int, at func(x float64) groupEstimator) []Series {
 	workers := Parallelism() // read once per run; race-safe snapshot
+	if reps <= 0 {
+		reps = workers
+	}
 	series := make([]Series, len(names))
 	for j, name := range names {
 		series[j] = Series{Name: name, Points: make([]Point, len(pts))}
 	}
 	forEachPoint(len(pts), workers, func(i int) {
-		for j, p := range measure(pts[i], workers) {
-			series[j].Points[i] = p
+		p := pts[i]
+		est := at(p.x)
+		if est == nil {
+			for j := range series {
+				series[j].Points[i].X = p.x
+			}
+			return
+		}
+		for j, pt := range groupPoint(p.sc, p.x, reps, len(names), est) {
+			series[j].Points[i] = pt
 		}
 	})
 	return series
-}
-
-// sweepAxis runs the members of a group, named in order, over a sweep's
-// points: at(x) is the group estimator of the point plotted at x, which
-// replicates on reps workers, or on as many as the pool has when reps is
-// 0.
-func sweepAxis(names []string, pts []point, reps int, at func(x float64) groupEstimator) []Series {
-	return sweepPoints(names, pts, func(p point, workers int) []Point {
-		if reps > 0 {
-			workers = reps
-		}
-		return groupPoint(p.sc, p.x, workers, len(names), at(p.x))
-	})
 }
 
 // sweepGroup is sweepAxis for a group whose estimator is the same at every

@@ -275,3 +275,57 @@ func TestTransitionsAreConsistentWithNodeUp(t *testing.T) {
 		}
 	}
 }
+
+// geStats folds a loss sequence into (loss rate, mean burst length).
+type geStats struct {
+	slots, lost, runs, runLen int
+}
+
+func (g *geStats) observe(lost bool) {
+	g.slots++
+	if lost {
+		g.lost++
+		if g.runLen == 0 {
+			g.runs++
+		}
+		g.runLen++
+	} else {
+		g.runLen = 0
+	}
+}
+
+func (g *geStats) rate() float64 { return float64(g.lost) / float64(g.slots) }
+func (g *geStats) meanBurst() float64 {
+	if g.runs == 0 {
+		return 0
+	}
+	return float64(g.lost) / float64(g.runs)
+}
+
+// TestOracleGilbertElliottStationary is the statistical validation of the
+// scalar chain: under SetBurst(p, L) the long-run empirical loss rate must
+// converge to p and the mean length of consecutive-loss runs to L (the bad
+// state always loses and sojourns are geometric with mean L).
+func TestOracleGilbertElliottStationary(t *testing.T) {
+	const slots = 200000
+	for _, tc := range []struct{ p, L float64 }{
+		{0.1, 4}, {0.3, 8}, {0.2, 1},
+	} {
+		var spec Spec
+		if err := spec.SetBurst(tc.p, tc.L); err != nil {
+			t.Fatal(err)
+		}
+		spec.Seed = 20260808
+		o := New(spec, 2)
+		var g geStats
+		for s := 0; s < slots; s++ {
+			g.observe(o.CopyLost(0, 1, s))
+		}
+		if math.Abs(g.rate()-tc.p) > 0.05*tc.p+0.01 {
+			t.Errorf("(p=%g, L=%g): loss rate %g", tc.p, tc.L, g.rate())
+		}
+		if math.Abs(g.meanBurst()-tc.L) > 0.15*tc.L+0.1 {
+			t.Errorf("(p=%g, L=%g): mean burst %g", tc.p, tc.L, g.meanBurst())
+		}
+	}
+}

@@ -263,7 +263,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestPromName(t *testing.T) {
-	if got := promName("broadcast.batch_runs"); got != "clustercast_broadcast_batch_runs" {
+	if got := promName("broadcast.fault_dropped_copies"); got != "clustercast_broadcast_fault_dropped_copies" {
 		t.Fatalf("promName = %s", got)
 	}
 	if got := promName("scale.dynamic25.heap-high"); got != "clustercast_scale_dynamic25_heap_high" {

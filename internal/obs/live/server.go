@@ -14,7 +14,7 @@ import (
 	"clustercast/internal/obs"
 )
 
-// promName mangles a registry metric name ("broadcast.batch_runs",
+// promName mangles a registry metric name ("broadcast.fault_dropped_copies",
 // "scale.dynamic25.heap_high_water") into a Prometheus-legal identifier
 // under the module-wide clustercast_ prefix.
 func promName(name string) string {

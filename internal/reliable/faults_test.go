@@ -31,6 +31,29 @@ func TestFaultsZeroSpecMatchesClassic(t *testing.T) {
 	}
 }
 
+// TestNilOracleMatchesClassic: a nil *faults.Oracle in Config.Faults is no
+// fault schedule at all, so the run is the classic one round for round —
+// no backoff, no stall exit, no Degraded — over seeds whose lossy runs
+// need retransmissions.
+func TestNilOracleMatchesClassic(t *testing.T) {
+	g := paperGraph()
+	tree, _ := buildTree(t, g, 0)
+	var none *faults.Oracle
+	for seed := uint64(1); seed <= 20; seed++ {
+		classic, err := Run(g, tree, 0, Config{Loss: 0.4, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(g, tree, 0, Config{Loss: 0.4, Seed: seed, Faults: none})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *classic {
+			t.Errorf("seed %d: nil oracle %+v, classic %+v", seed, *got, *classic)
+		}
+	}
+}
+
 func TestFaultsSeveredTreeReturnsDegradedNotError(t *testing.T) {
 	g := paperGraph()
 	tree, _ := buildTree(t, g, 0)

@@ -74,13 +74,12 @@ type Config struct {
 	// retries) instead of retransmitting every round, and a run that makes
 	// no progress for a long stretch returns Degraded instead of burning
 	// rounds to the cutoff. nil leaves the classic behavior bit-identical.
-	Faults faults.Model
+	Faults *faults.Oracle
 	// NoFastForward disables the idle-window fast-forward (the jump over
 	// rounds in which every outstanding sender is crashed or backing off,
-	// available when Faults is a *faults.Oracle) and polls round by round
-	// instead. Results are bit-identical either way — the flag exists as
-	// the golden reference for the equivalence test and for timing the
-	// savings.
+	// available under Faults) and polls round by round instead. Results
+	// are bit-identical either way — the flag exists as the golden
+	// reference for the equivalence test and for timing the savings.
 	NoFastForward bool
 	// Tracer, when non-nil, records retransmit events (one per re-send,
 	// with the sender's outstanding-peer count) and a stall event if the
@@ -224,8 +223,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 		}
 		return c
 	}
-	ora, _ := fo.(*faults.Oracle)
-	fastForward := ora != nil && !cfg.NoFastForward
+	fastForward := fo != nil && !cfg.NoFastForward
 	// stallRounds bounds how long a faulted run keeps retrying without a
 	// single new delivery or acknowledgement before conceding degradation.
 	// It comfortably exceeds the backoff cap (8) plus any realistic outage
@@ -285,7 +283,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 				if nextTry[v] > r {
 					r = nextTry[v]
 				}
-				if r = ora.NextUp(v, r); r < next {
+				if r = fo.NextUp(v, r); r < next {
 					next = r
 				}
 			}

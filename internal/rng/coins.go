@@ -1,27 +1,11 @@
 package rng
 
-// Counter-based lane coins: the randomness discipline of the bit-parallel
-// replication engine. One call produces a 64-bit *coin word* whose bit r is
-// an independent Bernoulli draw for replicate lane r, as a pure function of
-// (seed, a, b, c) — no stream state, no consumption order. The batch
-// kernels consume whole words; a scalar reference run of lane r extracts
-// bit r of the very same word, which is what makes the batched and scalar
-// paths bit-identical by construction.
-//
-// The (a, b, c) identity triple names the coin: the broadcast kernels use
-// (link, slot, domain) for radio loss, (link, slot, domain) for the
-// Gilbert–Elliott transition chains and (node, 0, domain) for gossip
-// forwarding coins, with a distinct domain constant per purpose so the
-// spaces never collide (see faults and broadcast for the assignments).
-
-// coinBase mixes the coin identity into one well-distributed 64-bit value.
-// Word i of the coin's bit-slice expansion is then a single finalizer away,
-// keeping the per-word cost of BernoulliWord at one mix.
-func coinBase(seed, a, b, c uint64) uint64 {
-	h := mixCoin(seed ^ a*0x9E3779B97F4A7C15)
-	h = mixCoin(h ^ b*0xFF51AFD7ED558CCD)
-	return mixCoin(h ^ c*0xC2B2AE3D27D4EB4F)
-}
+// Counter-based coins: one call produces a 64-bit coin word as a pure
+// function of (seed, a, b, c) — no stream state, no consumption order — so
+// a caller can key its randomness by identity instead of by draw order.
+// The traffic workload derives each flow's seed this way (workload.Spec's
+// FlowSeed), which keeps a flow's randomness independent of how many flows
+// precede it.
 
 // mixCoin is the splitmix64/murmur finalizer (the same mixer the fault
 // oracle's scalar coins use).
@@ -35,62 +19,10 @@ func mixCoin(h uint64) uint64 {
 }
 
 // CoinWord returns 64 independent uniform bits for the coin identity
-// (seed, a, b, c): bit r is lane r's fair-coin flip.
+// (seed, a, b, c).
 func CoinWord(seed, a, b, c uint64) uint64 {
-	return mixCoin(coinBase(seed, a, b, c) ^ 0xD6E8FEB86659FD93)
+	h := mixCoin(seed ^ a*0x9E3779B97F4A7C15)
+	h = mixCoin(h ^ b*0xFF51AFD7ED558CCD)
+	h = mixCoin(h ^ c*0xC2B2AE3D27D4EB4F)
+	return mixCoin(h ^ 0xD6E8FEB86659FD93)
 }
-
-// bernoulliBits is the fixed-point precision of BernoulliWord thresholds:
-// probabilities are quantized to multiples of 2^-53 (float64 mantissa
-// precision, matching Stream.Float64's 53-bit uniforms).
-const bernoulliBits = 53
-
-// BernoulliWord returns 64 independent Bernoulli(p) draws for the coin
-// identity (seed, a, b, c): bit r is set iff lane r's coin came up true.
-//
-// Each lane's draw is conceptually "uniform 53-bit fixed-point < p",
-// evaluated for all 64 lanes at once by a bit-sliced comparison: word i of
-// the expansion carries bit (52−i) of every lane's uniform, and the
-// comparison against the threshold walks from the most significant bit,
-// retiring lanes as soon as their order against the threshold is decided.
-// Lanes retire geometrically, so the expected cost is ~8 words for a full
-// 64-lane word regardless of p, with a hard cap of 53.
-//
-// The result is a pure function of (p, seed, a, b, c): any caller — the
-// 64-wide kernels or a scalar lane-r reference — observes the same word.
-func BernoulliWord(p float64, seed, a, b, c uint64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return ^uint64(0)
-	}
-	t := uint64(p * (1 << bernoulliBits)) // threshold, MSB-first below
-	base := coinBase(seed, a, b, c)
-	lt := uint64(0)         // lanes decided "uniform < threshold"
-	undecided := ^uint64(0) // lanes whose uniform equals the threshold prefix
-	for i := 0; i < bernoulliBits; i++ {
-		bit := uint(bernoulliBits - 1 - i)
-		if t&(1<<(bit+1)-1) == 0 {
-			// No 1-bits remain in the threshold's unvisited suffix: every
-			// still-undecided lane's uniform is >= the threshold. Done.
-			break
-		}
-		w := mixCoin(base ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
-		if t&(1<<bit) != 0 {
-			// Threshold bit 1: lanes with uniform bit 0 are smaller.
-			lt |= undecided &^ w
-			undecided &= w
-		} else {
-			// Threshold bit 0: lanes with uniform bit 1 are larger.
-			undecided &^= w
-		}
-		if undecided == 0 {
-			break
-		}
-	}
-	return lt
-}
-
-// Lane extracts lane r's boolean from a coin word.
-func Lane(word uint64, r int) bool { return word>>(uint(r)&63)&1 != 0 }

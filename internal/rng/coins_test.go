@@ -6,91 +6,6 @@ import (
 	"testing"
 )
 
-// TestBernoulliWordDeterministic: same identity, same word; different
-// identities, different words.
-func TestBernoulliWordDeterministic(t *testing.T) {
-	w1 := BernoulliWord(0.3, 7, 1, 2, 3)
-	w2 := BernoulliWord(0.3, 7, 1, 2, 3)
-	if w1 != w2 {
-		t.Fatalf("same identity produced different words: %#x vs %#x", w1, w2)
-	}
-	for _, other := range []uint64{
-		BernoulliWord(0.3, 8, 1, 2, 3),
-		BernoulliWord(0.3, 7, 2, 2, 3),
-		BernoulliWord(0.3, 7, 1, 3, 3),
-		BernoulliWord(0.3, 7, 1, 2, 4),
-	} {
-		if other == w1 {
-			t.Fatalf("distinct identities collided on %#x", w1)
-		}
-	}
-}
-
-// TestBernoulliWordEdges: p <= 0 yields no lanes, p >= 1 all lanes.
-func TestBernoulliWordEdges(t *testing.T) {
-	if w := BernoulliWord(0, 1, 2, 3, 4); w != 0 {
-		t.Fatalf("p=0 word = %#x, want 0", w)
-	}
-	if w := BernoulliWord(-0.5, 1, 2, 3, 4); w != 0 {
-		t.Fatalf("p<0 word = %#x, want 0", w)
-	}
-	if w := BernoulliWord(1, 1, 2, 3, 4); w != ^uint64(0) {
-		t.Fatalf("p=1 word = %#x, want all ones", w)
-	}
-}
-
-// TestBernoulliWordBias: across many identities, each lane's hit rate and
-// the aggregate hit rate converge to p.
-func TestBernoulliWordBias(t *testing.T) {
-	for _, p := range []float64{0.05, 0.25, 0.5, 0.9} {
-		const trials = 20000
-		var laneHits [64]int
-		total := 0
-		for i := 0; i < trials; i++ {
-			w := BernoulliWord(p, 42, uint64(i), 0, 0)
-			total += bits.OnesCount64(w)
-			for r := 0; r < 64; r++ {
-				if Lane(w, r) {
-					laneHits[r]++
-				}
-			}
-		}
-		got := float64(total) / (64 * trials)
-		if math.Abs(got-p) > 0.01 {
-			t.Errorf("p=%g: aggregate rate %g", p, got)
-		}
-		// Per-lane tolerance is wider: 20000 trials per lane.
-		for r := 0; r < 64; r++ {
-			lr := float64(laneHits[r]) / trials
-			if math.Abs(lr-p) > 0.03 {
-				t.Errorf("p=%g lane %d: rate %g", p, r, lr)
-			}
-		}
-	}
-}
-
-// TestBernoulliWordLaneIndependence: adjacent lanes of the same word are
-// uncorrelated (joint hit rate of lanes r and r+1 factorizes).
-func TestBernoulliWordLaneIndependence(t *testing.T) {
-	const trials = 40000
-	p := 0.5
-	both, first := 0, 0
-	for i := 0; i < trials; i++ {
-		w := BernoulliWord(p, 99, uint64(i), 1, 2)
-		if Lane(w, 10) {
-			first++
-			if Lane(w, 11) {
-				both++
-			}
-		}
-	}
-	// P(lane11 | lane10) should be ~p.
-	cond := float64(both) / float64(first)
-	if math.Abs(cond-p) > 0.02 {
-		t.Errorf("P(lane11|lane10) = %g, want ~%g", cond, p)
-	}
-}
-
 // TestCoinWordFair: CoinWord bits are fair coins.
 func TestCoinWordFair(t *testing.T) {
 	const trials = 20000
@@ -103,28 +18,3 @@ func TestCoinWordFair(t *testing.T) {
 		t.Errorf("fair-coin rate %g", got)
 	}
 }
-
-// TestBernoulliWordMatchesScalarExtraction is the discipline's contract:
-// extracting lane r from the word is the scalar path's coin, and it must
-// agree with the word for every lane (trivially true by construction, but
-// this is the property the batch/scalar equivalence rests on, so pin it).
-func TestBernoulliWordMatchesScalarExtraction(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		w := BernoulliWord(0.37, 11, uint64(i), 3, 5)
-		for r := 0; r < 64; r++ {
-			if Lane(w, r) != (w>>uint(r)&1 != 0) {
-				t.Fatalf("lane %d extraction mismatch", r)
-			}
-		}
-	}
-}
-
-func BenchmarkBernoulliWord(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= BernoulliWord(0.2, 7, uint64(i), 3, 1)
-	}
-	benchSink = sink
-}
-
-var benchSink uint64

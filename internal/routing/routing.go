@@ -81,7 +81,7 @@ func Discover(g *graph.Graph, src, dst int, p broadcast.Protocol) (*Route, error
 // (receiver up, link up, copy kept), so the returned parent chain never
 // traverses a node the oracle had down at its delivery time; the
 // partition regression test in routing_test.go pins that property.
-func DiscoverOpts(g *graph.Graph, src, dst int, p broadcast.Protocol, opt Options, fo faults.Model) (*Route, error) {
+func DiscoverOpts(g *graph.Graph, src, dst int, p broadcast.Protocol, opt Options, fo *faults.Oracle) (*Route, error) {
 	if src == dst {
 		return &Route{Hops: []int{src}, RequestCost: 0, ReplyCost: 0}, nil
 	}

@@ -299,9 +299,9 @@ func Replicate(rule StopRule, estimator func(rep int) (float64, bool)) (*Summary
 	return ReplicateN(rule, 1, estimator)
 }
 
-// skip applies the skip-budget bookkeeping shared by ReplicateGroup and
-// ReplicateBatch: too many skipped replicates end the run, with
-// ErrNoObservations when nothing was ever observed.
+// skip applies ReplicateGroup's skip-budget bookkeeping: too many skipped
+// replicates end the run, with ErrNoObservations when nothing was ever
+// observed.
 func skip(rule StopRule, s *Summary, skips *int) (bool, error) {
 	if *skips > 10*rule.MaxReplicates {
 		if s.N() == 0 {

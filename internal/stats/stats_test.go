@@ -457,3 +457,78 @@ func TestReplicateNSpeculationBound(t *testing.T) {
 			maxPar, maxSeq, limit)
 	}
 }
+
+// repValue is a deterministic pseudo-observation for replicate rep: a
+// fixed-point hash in [0.5, 1.5) so means stay away from zero and the rule
+// terminates.
+func repValue(rep int) float64 {
+	h := uint64(rep+1) * 0x9E3779B97F4A7C15
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 32
+	return 0.5 + float64(h>>11)/(1<<53)
+}
+
+// repOK skips roughly one replicate in seven.
+func repOK(rep int) bool {
+	return (uint64(rep+1)*0xFF51AFD7ED558CCD>>33)%7 != 0
+}
+
+// summariesEqual compares every exported moment exactly: bit-identity is
+// the contract.
+func summariesEqual(a, b *Summary) bool {
+	if a.N() != b.N() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
+		return false
+	}
+	if a.N() == 0 {
+		return true
+	}
+	return a.Min() == b.Min() && a.Max() == b.Max()
+}
+
+// TestReplicateNWorkerPooledAllocs is the worker-pool regression gate: the
+// per-round goroutine spawn is gone, so allocations are a constant of the
+// pool, not of the round count. The old implementation allocated at least
+// one goroutine per worker per round (hundreds of allocations across the
+// extra rounds measured here).
+func TestReplicateNWorkerPooledAllocs(t *testing.T) {
+	const workers = 4
+	est := func(worker, rep int) (float64, bool) { return repValue(rep), true }
+	run := func(reps int) func() {
+		rule := StopRule{MinReplicates: reps, MaxReplicates: reps}
+		return func() {
+			if _, err := ReplicateNWorker(rule, workers, est); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	short := testing.AllocsPerRun(10, run(8*workers))
+	long := testing.AllocsPerRun(10, run(200*workers))
+	// 192 extra rounds; the old spawn-per-round loop cost ≥ workers allocs
+	// per round. Allow a little scheduler noise, nothing near that.
+	if long > short+24 {
+		t.Errorf("allocs grow with round count: %v for %d rounds vs %v for %d rounds",
+			long, 200, short, 8)
+	}
+}
+
+// TestReplicateNWorkerPoolStillExact: the pooled rewrite keeps the
+// bit-identical-to-sequential contract.
+func TestReplicateNWorkerPoolStillExact(t *testing.T) {
+	rule := StopRule{MinReplicates: 50, MaxReplicates: 500}
+	want, err := Replicate(rule, func(rep int) (float64, bool) { return repValue(rep), repOK(rep) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for workers := 2; workers <= 8; workers++ {
+		got, err := ReplicateNWorker(rule, workers, func(_, rep int) (float64, bool) {
+			return repValue(rep), repOK(rep)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !summariesEqual(got, want) {
+			t.Errorf("workers=%d: pooled summary differs from sequential", workers)
+		}
+	}
+}

@@ -40,9 +40,8 @@ func (p Process) String() string {
 	return "poisson"
 }
 
-// flowSeedDomain separates the per-flow seed space from every other
-// counter-based coin domain in the repository (see faults and broadcast
-// for the other assignments).
+// flowSeedDomain names the per-flow seed space among the rng.CoinWord
+// identities, so another counter-based key can take a domain of its own.
 const flowSeedDomain = 0x770A_D00D
 
 // Spec declares a traffic workload. The zero value is invalid (no
