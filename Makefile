@@ -154,7 +154,9 @@ workload-smoke:
 	$(GO) run ./cmd/figures -fig traffic,discovery -quick -seed 7 -workers 4 -out artifacts/workload -format csv > /dev/null
 	cksum artifacts/workload/*.csv
 
-# Fault-injection smoke: a churn-and-repair manetsim run plus the two
+# Fault-injection smoke: a churn-and-repair manetsim run, a lossy run
+# whose mo-cds row must read the same in the full table as run alone (each
+# row draws its loss coins from its own fault oracle), plus the two
 # failure-sweep figures under the quick replication rule. The CSV checksums
 # make worker-count nondeterminism visible in CI logs (the figure bytes must
 # not depend on parallelism).
@@ -162,5 +164,11 @@ faults-smoke:
 	mkdir -p artifacts/faults
 	$(GO) run ./cmd/manetsim -n 80 -d 10 -seed 7 \
 		-faults mtbf=100,mttr=40,burst=0.1:4,warmup=500
+	full=$$($(GO) run ./cmd/manetsim -n 80 -d 10 -seed 7 -source 0 -faults loss=0.3 | grep '^mo-cds ') || exit 1; \
+	alone=$$($(GO) run ./cmd/manetsim -n 80 -d 10 -seed 7 -source 0 -faults loss=0.3 -protocols mo-cds | grep '^mo-cds ') || exit 1; \
+	echo "full table: $$full"; echo "run alone:  $$alone"; \
+	if [ "$$full" != "$$alone" ]; then \
+		echo "faults-smoke: the mo-cds row under loss=0.3 depends on the rows run before it" >&2; exit 1; \
+	fi
 	$(GO) run ./cmd/figures -fig faults,burst -quick -seed 7 -out artifacts/faults
 	cksum artifacts/faults/*.csv

@@ -59,42 +59,54 @@ type protocolRun struct {
 // buildRuns assembles the protocol table for a network and source. A
 // non-nil tr threads the trace recorder through whichever engine the row
 // uses; run() guarantees at most one traced row executes, so the trace
-// holds exactly one broadcast.
-func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *faults.Oracle) []protocolRun {
+// holds exactly one broadcast. Each row draws its own fault oracle from
+// newOracle: an oracle numbers the loss coins of a link's slot in query
+// order, so a shared one would hand a row the coins an earlier row left
+// off at, and the row's outcome would depend on the rows run before it.
+func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle func() *faults.Oracle) []protocolRun {
 	g := nw.Graph()
-	nb := broadcast.NewNeighborhood(g)
+	// The neighborhood cache holds per-node 1- and 2-hop maps, most of a
+	// large network's run time; only the mpr, dp, pdp and sba rows read
+	// it, so the first of them builds it.
+	var cache *broadcast.Neighborhood
+	nb := func() *broadcast.Neighborhood {
+		if cache == nil {
+			cache = broadcast.NewNeighborhood(g)
+		}
+		return cache
+	}
 	ok := func(r *broadcast.Result) (*broadcast.Result, error) { return r, nil }
-	opt := broadcast.Options{Tracer: tr, Faults: fo}
-	topt := broadcast.TimedOptions{Tracer: tr, Faults: fo}
+	opt := func() broadcast.Options { return broadcast.Options{Tracer: tr, Faults: newOracle()} }
+	topt := func() broadcast.TimedOptions { return broadcast.TimedOptions{Tracer: tr, Faults: newOracle()} }
 	static := func(mode core.Mode) (*broadcast.Result, error) {
 		s := nw.StaticBackbone(mode)
-		return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: s.Nodes, Label: "static-" + s.Mode.String()}, opt))
+		return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: s.Nodes, Label: "static-" + s.Mode.String()}, opt()))
 	}
 	dynamic := func(mode core.Mode) (*broadcast.Result, error) {
 		p := nw.DynamicProtocol(mode)
 		p.SetTracer(tr)
 		// Run through the engine options directly so the fault oracle (and
 		// tracer) reach the engine; p.Broadcast would drop the oracle.
-		return ok(broadcast.RunOpts(g, src, p, opt))
+		return ok(broadcast.RunOpts(g, src, p, opt()))
 	}
 	return []protocolRun{
-		{"flooding", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.Flooding{}, opt)) }},
+		{"flooding", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.Flooding{}, opt())) }},
 		{"gossip", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunOpts(g, src, broadcast.Gossip{P: 0.7, Seed: seed}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.Gossip{P: 0.7, Seed: seed}, opt()))
 		}},
-		{"mpr", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewMPR(nb), opt)) }},
-		{"dp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewDP(nb), opt)) }},
-		{"pdp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewPDP(nb), opt)) }},
+		{"mpr", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewMPR(nb()), opt())) }},
+		{"dp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewDP(nb()), opt())) }},
+		{"pdp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewPDP(nb()), opt())) }},
 		{"static-2.5", func() (*broadcast.Result, error) { return static(core.Hop25) }},
 		{"static-3", func() (*broadcast.Result, error) { return static(core.Hop3) }},
 		{"dynamic-2.5", func() (*broadcast.Result, error) { return dynamic(core.Hop25) }},
 		{"dynamic-3", func() (*broadcast.Result, error) { return dynamic(core.Hop3) }},
 		{"mo-cds", func() (*broadcast.Result, error) {
 			c := nw.MOCDS()
-			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: c.Nodes, Label: "mo-cds"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: c.Nodes, Label: "mo-cds"}, opt()))
 		}},
 		{"marking", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: marking.Build(g), Label: "marking"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: marking.Build(g), Label: "marking"}, opt()))
 		}},
 		{"fwd-tree", func() (*broadcast.Result, error) {
 			b := coverage.NewBuilder(g, nw.Clustering, coverage.Hop25)
@@ -102,7 +114,7 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 			if err != nil {
 				return nil, err
 			}
-			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: tree.Nodes, Label: "fwd-tree"}, opt))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: tree.Nodes, Label: "fwd-tree"}, opt()))
 		}},
 		{"passive", func() (*broadcast.Result, error) {
 			if tr != nil {
@@ -112,16 +124,16 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, fo *fault
 			return ok(series[len(series)-1])
 		}},
 		{"sba", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunTimedOpts(g, src, broadcast.NewSBA(nb, 4, seed), topt))
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.NewSBA(nb(), 4, seed), topt()))
 		}},
 		{"counter-3", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunTimedOpts(g, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: seed}, topt))
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: seed}, topt()))
 		}},
 		{"distance", func() (*broadcast.Result, error) {
 			return ok(broadcast.RunTimedOpts(g, src, broadcast.DistanceBased{
 				Positions: nw.Topology.Positions, MinDistance: nw.Topology.Radius * 0.4,
 				MaxDelay: 4, Seed: seed,
-			}, topt))
+			}, topt()))
 		}},
 	}
 }
@@ -173,10 +185,11 @@ func traceCapacity(nw *core.Network, protocol string) int {
 // runTraffic drives the -traffic workload over each relay structure:
 // concurrent multi-source broadcasts (or RREQ floods when the spec says
 // discovery=1) contending for MAC slots, one comparison row per backbone.
-func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, oracle *faults.Oracle, stdout io.Writer) {
+// Like the protocol rows, each backbone row gets its own fault oracle.
+func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, newOracle func() *faults.Oracle, stdout io.Writer) {
 	const jitter = 3
 	g := nw.Graph()
-	opt := broadcast.MACOptions{Jitter: jitter, Faults: oracle}
+	opt := func() broadcast.MACOptions { return broadcast.MACOptions{Jitter: jitter, Faults: newOracle()} }
 	shared := func(p broadcast.Protocol) workload.ProtoFactory {
 		return func(int) broadcast.Protocol { return p }
 	}
@@ -197,7 +210,7 @@ func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, ora
 		fmt.Fprintf(stdout, "%-12s %9s %9s %9s %9s %9s\n",
 			"protocol", "found", "success", "latency", "routelen", "stretch")
 		for _, b := range backbones {
-			dr := workload.RunDiscovery(g, flows, b.proto, opt, broadcast.RunMACMulti)
+			dr := workload.RunDiscovery(g, flows, b.proto, opt(), broadcast.RunMACMulti)
 			fmt.Fprintf(stdout, "%-12s %4d/%-4d %8.1f%% %9.1f %9.2f %9.2f\n",
 				b.name, dr.Found, dr.Requests, 100*dr.SuccessRatio,
 				dr.MeanLatency, dr.MeanRouteLen, dr.MeanStretch)
@@ -207,7 +220,7 @@ func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, ora
 	fmt.Fprintf(stdout, "%-12s %9s %10s %9s %10s %6s\n",
 		"protocol", "delivery", "throughput", "latency", "collisions", "cross")
 	for _, b := range backbones {
-		tr := workload.RunTraffic(g, flows, b.proto, opt, broadcast.RunMACMulti)
+		tr := workload.RunTraffic(g, flows, b.proto, opt(), broadcast.RunMACMulti)
 		fmt.Fprintf(stdout, "%-12s %8.1f%% %10.2f %9.1f %10d %6d\n",
 			b.name, 100*tr.DeliveryRatio, tr.Throughput, tr.MeanLatency,
 			tr.Collisions, tr.CrossCollisions)
@@ -256,6 +269,11 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	sess.Manifest.Param("n", cfg.n).Param("d", cfg.d)
 	fmt.Fprintln(stdout, "network:", nw.Summarize())
 
+	// newOracle gives every table row a fresh oracle of the fault schedule
+	// (nil without -faults). oracle serves the header, the churn trace and
+	// the repair report, which ask only node liveness: a pure function of
+	// the schedule, whichever oracle answers.
+	newOracle := func() *faults.Oracle { return nil }
 	var oracle *faults.Oracle
 	if cfg.faults != "" {
 		spec, err := faults.ParseSpec(cfg.faults)
@@ -265,8 +283,12 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		if spec.Seed == 0 {
 			spec.Seed = cfg.seed
 		}
-		oracle = faults.New(spec, nw.N())
-		oracle.SetPositions(nw.Topology.Positions)
+		newOracle = func() *faults.Oracle {
+			o := faults.New(spec, nw.N())
+			o.SetPositions(nw.Topology.Positions)
+			return o
+		}
+		oracle = newOracle()
 		fmt.Fprintf(stdout, "faults: %s (alive at t=0: %d/%d)\n",
 			spec.String(), oracle.AliveCount(0), nw.N())
 	}
@@ -308,7 +330,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		traceCap = traceCapacity(nw, cfg.protocols)
 		tracer = obs.NewTracer(traceCap)
 	}
-	runs := buildRuns(nw, src, cfg.seed, tracer, oracle)
+	runs := buildRuns(nw, src, cfg.seed, tracer, newOracle)
 	known := map[string]bool{}
 	for _, r := range runs {
 		known[r.name] = true
@@ -333,7 +355,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 
 	if cfg.traffic != "" {
-		runTraffic(nw, traffic, flows, oracle, stdout)
+		runTraffic(nw, traffic, flows, newOracle, stdout)
 	}
 
 	if tracer != nil {

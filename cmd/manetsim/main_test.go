@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"clustercast/internal/broadcast"
 	"clustercast/internal/core"
+	"clustercast/internal/faults"
+	"clustercast/internal/workload"
 )
 
 func TestRunAllProtocols(t *testing.T) {
@@ -151,6 +154,87 @@ func TestRunTrafficReport(t *testing.T) {
 	const digest = "736ceaf00e7a88fd2ac4b304be3d7defca9a209d177b53dff230e2cc04d60263"
 	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != digest {
 		t.Fatalf("traffic report digest %s, want the scalar engine's %s", got, digest)
+	}
+}
+
+// tableRows returns the rows, keyed by protocol, of the table in a run's
+// output whose header names the column: "forwards" for the protocol
+// table, "throughput" for the traffic table.
+func tableRows(out, column string) map[string]string {
+	rows := map[string]string{}
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case !in && strings.HasPrefix(line, "protocol ") && strings.Contains(line, column):
+			in = true
+		case in && line == "":
+			return rows
+		case in:
+			rows[strings.Fields(line)[0]] = line
+		}
+	}
+	return rows
+}
+
+// TestRunRowsIndependentUnderLoss: under a lossy fault schedule every
+// row of the full table equals the same row run alone. Each row draws
+// its loss coins from its own oracle, so no row starts where an earlier
+// row left a link's per-slot copy count.
+func TestRunRowsIndependentUnderLoss(t *testing.T) {
+	cfg := config{n: 80, d: 10, seed: 7, source: 0, protocols: "all", faults: "loss=0.3"}
+	var full bytes.Buffer
+	if err := run(cfg, &full); err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(full.String(), "forwards")
+	if len(rows) != 16 {
+		t.Fatalf("full table has %d rows, want 16:\n%s", len(rows), full.String())
+	}
+	for name, row := range rows {
+		alone := cfg
+		alone.protocols = name
+		var out bytes.Buffer
+		if err := run(alone, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := tableRows(out.String(), "forwards")[name]; got != row {
+			t.Errorf("%s: full table row\n  %q\nrun alone\n  %q", name, row, got)
+		}
+	}
+}
+
+// TestRunTrafficRowsOwnOracle: under a lossy fault schedule the last
+// traffic row, mo-cds, equals a multi-source run of the MO_CDS on a fresh
+// oracle, as though no backbone had run before it.
+func TestRunTrafficRowsOwnOracle(t *testing.T) {
+	cfg := config{n: 80, d: 10, seed: 7, source: 0, protocols: "flooding",
+		faults: "loss=0.3", traffic: "proc=poisson,rate=0.3,flows=24"}
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	nw, err := loadNetwork(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flows, err := trafficFlows(cfg, nw.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := faults.ParseSpec(cfg.faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = cfg.seed
+	o := faults.New(spec, nw.N())
+	o.SetPositions(nw.Topology.Positions)
+	mo := broadcast.StaticCDS{Set: nw.MOCDS().Nodes, Label: "mo-cds"}
+	tr := workload.RunTraffic(nw.Graph(), flows, func(int) broadcast.Protocol { return mo },
+		broadcast.MACOptions{Jitter: 3, Faults: o}, broadcast.RunMACMulti)
+	want := fmt.Sprintf("%-12s %8.1f%% %10.2f %9.1f %10d %6d", "mo-cds", 100*tr.DeliveryRatio, tr.Throughput,
+		tr.MeanLatency, tr.Collisions, tr.CrossCollisions)
+	if got := tableRows(out.String(), "throughput")["mo-cds"]; got != want {
+		t.Fatalf("traffic row\n  %q\nfresh-oracle run\n  %q\n%s", got, want, out.String())
 	}
 }
 

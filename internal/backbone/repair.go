@@ -115,9 +115,10 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 
 	gLive := liveGraph(g, isUp)
 	var b *coverage.Builder
+	var loop selStrip // reselections refill one coverage value and scratch
 	static := &Static{
 		Mode:    base.Mode,
-		Nodes:   make(map[int]bool),
+		Nodes:   make(map[int]bool, len(base.Nodes)),
 		PerHead: make(map[int]Selection, len(heads)),
 	}
 	for _, h := range heads {
@@ -131,7 +132,7 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 			if b == nil {
 				b = coverage.NewBuilder(gLive, repaired, base.Mode)
 			}
-			sel = SelectGatewaysOpt(b.Of(h), nil, nil, opts)
+			sel = loop.scr.selection(b.OfScratch(h, &loop.cov, &loop.asm), nil, nil, opts)
 			st.Reselected++
 			tr.Repair(h, len(sel.Gateways))
 		}

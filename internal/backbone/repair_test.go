@@ -67,13 +67,14 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 	if !reflect.DeepEqual(static.Heads, liveHeads) {
 		t.Fatalf("repaired static heads = %v, fresh live heads = %v", static.Heads, liveHeads)
 	}
+	freshCov := coverage.NewBuilder(gLive, fresh, mode)
 	for _, h := range liveHeads {
 		got, want := static.PerHead[h], freshStatic.PerHead[h]
 		if !reflect.DeepEqual(got.Gateways, want.Gateways) {
 			t.Fatalf("head %d gateways diverge: got %v want %v", h, got.Gateways, want.Gateways)
 		}
-		if !got.Covered.Equal(want.Covered) {
-			t.Fatalf("head %d covered set diverges: got %v want %v", h, got.Covered.Members(), want.Covered.Members())
+		if missed := unconnected(gLive, freshCov.Of(h), got.Gateways); len(missed) > 0 {
+			t.Fatalf("head %d leaves targets %v of the surviving graph unconnected", h, missed)
 		}
 	}
 	for v := range freshStatic.Nodes {

@@ -31,15 +31,15 @@ var (
 )
 
 // Selection is the outcome of one clusterhead's gateway selection: the
-// non-clusterhead nodes it appoints to connect its coverage set.
+// non-clusterhead nodes it appoints to connect its coverage set. Both
+// phases of the greedy run until their targets drain, so the selection
+// connects the head to every clusterhead of the targeted C² ∪ C³.
 type Selection struct {
 	// Head is the selecting clusterhead.
 	Head int
 	// Gateways lists the selected nodes (first-hop gateways and second-hop
-	// relays), ascending.
+	// relays), ascending; nil when the head selects none.
 	Gateways []int
-	// Covered holds the clusterheads the selection connects to.
-	Covered *graph.Bitset
 }
 
 // Options tunes the gateway selection for ablation experiments. The zero
@@ -65,10 +65,11 @@ func SelectGateways(cov *coverage.Coverage, need2, need3 *graph.Bitset) Selectio
 	return SelectGatewaysOpt(cov, need2, need3, Options{})
 }
 
-// SelectGatewaysOpt is SelectGateways with explicit Options.
+// SelectGatewaysOpt is SelectGateways with explicit Options. Each call
+// sizes a fresh n-entry mark array; a loop over many clusterheads holds
+// one Workspace and calls Select instead.
 func SelectGatewaysOpt(cov *coverage.Coverage, need2, need3 *graph.Bitset, opts Options) Selection {
 	n := cov.C2.Cap()
-	var scr selScratch
 	var hn2, hn3 *graph.HybridSet
 	if need2 != nil {
 		hn2 = graph.NewHybridSet(n)
@@ -78,42 +79,37 @@ func SelectGatewaysOpt(cov *coverage.Coverage, need2, need3 *graph.Bitset, opts 
 		hn3 = graph.NewHybridSet(n)
 		hn3.CopyBitset(need3)
 	}
-	sel := selectCore(cov, hn2, hn3, opts, &scr)
-	gws := append([]int(nil), sel...)
+	var scr selScratch
+	return scr.selection(cov, hn2, hn3, opts)
+}
+
+// selection runs the greedy selection over scr and returns it as a
+// Selection that owns its sorted gateway list.
+func (scr *selScratch) selection(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Options) Selection {
+	gws := append([]int(nil), selectCore(cov, need2, need3, opts, scr)...)
 	sort.Ints(gws)
-	// Every target is connected by the time both phases drain, so the
-	// covered set is exactly the initial target lists.
-	covered := graph.NewBitset(n)
-	for _, w := range scr.c2buf {
-		covered.Add(w)
-	}
-	for _, w := range scr.c3buf {
-		covered.Add(w)
-	}
-	return Selection{Head: cov.Head, Covered: covered, Gateways: gws}
+	return Selection{Head: cov.Head, Gateways: gws}
 }
 
 // selScratch is the bookkeeping of one greedy selection: an epoch-stamped
 // mark array (mark[w] == e2 ⇒ w is an uncovered C² target, == e3 ⇒
 // uncovered C³ target, == esel ⇒ already-selected gateway/relay; targets
 // are clusterheads and selections are non-clusterheads, so one array
-// serves all three) plus the initial target lists in ascending order and
-// the selection output list. Marks give the gain loops and the phase-2
+// serves all three) plus the initial C³ target list in ascending order
+// and the selection output list. Marks give the gain loops and the phase-2
 // cost probes O(1) lookups — the selection's inner loops — while the epoch
-// bump makes per-head clearing free: nothing here is Θ(n) per head.
+// bump makes per-head clearing free. Only sizing the mark array is Θ(n),
+// so every head loop holds one scratch across its heads.
 type selScratch struct {
 	mark   []uint32
 	epoch  uint32
-	c2buf  []int
 	c3buf  []int
 	selbuf []int
 }
 
 // selectCore is the greedy selection over caller-provided scratch. It
 // returns the selected gateway/relay nodes in selection order (owned by
-// scr, valid until its next use); after it returns, scr.c2buf/scr.c3buf
-// hold the targets the selection connects (all of them — both phases run
-// until their remainder drains).
+// scr, valid until its next use).
 func selectCore(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Options, scr *selScratch) []int {
 	n := cov.C2.Cap()
 	if cap(scr.mark) < n {
@@ -132,14 +128,12 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Opti
 	scr.epoch += 3
 	mark := scr.mark
 	rem2, rem3 := 0, 0
-	c2buf := scr.c2buf[:0]
 	cov.C2.ForEach(func(w int) {
 		if need2 != nil && !need2.Has(w) {
 			return
 		}
 		mark[w] = e2
 		rem2++
-		c2buf = append(c2buf, w)
 	})
 	c3buf := scr.c3buf[:0]
 	cov.C3.ForEach(func(w int) {
@@ -150,7 +144,7 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Opti
 		rem3++
 		c3buf = append(c3buf, w)
 	})
-	scr.c2buf, scr.c3buf = c2buf, c3buf
+	scr.c3buf = c3buf
 	sel := scr.selbuf[:0]
 	add := func(v int) {
 		if mark[v] != esel {
@@ -221,11 +215,11 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Opti
 			// Unreachable on a valid coverage set: every w ∈ C² is in some
 			// neighbor's Direct list by construction.
 			left := make([]int, 0, rem2)
-			for _, w := range c2buf {
+			cov.C2.ForEach(func(w int) {
 				if mark[w] == e2 {
 					left = append(left, w)
 				}
-			}
+			})
 			panic(fmt.Sprintf("backbone: head %d cannot cover %v", cov.Head, left))
 		}
 		take(best)
@@ -305,17 +299,20 @@ func BuildStaticFrom(b *coverage.Builder, cl *cluster.Clustering) *Static {
 	return BuildStaticOpt(b, cl, Options{})
 }
 
-// BuildStaticOpt is BuildStaticFrom with explicit selection Options.
+// BuildStaticOpt is BuildStaticFrom with explicit selection Options. The
+// head loop refills one coverage value and one selection scratch, so the
+// build costs O(n) plus the heads' coverage sizes.
 func BuildStaticOpt(b *coverage.Builder, cl *cluster.Clustering, opts Options) *Static {
 	s := &Static{
 		Mode:    b.Mode(),
-		Nodes:   make(map[int]bool),
+		Nodes:   make(map[int]bool, len(cl.Heads)), // at least the heads
 		Heads:   append([]int(nil), cl.Heads...),
 		PerHead: make(map[int]Selection, len(cl.Heads)),
 	}
+	var loop selStrip
 	for _, h := range cl.Heads {
 		s.Nodes[h] = true
-		sel := SelectGatewaysOpt(b.Of(h), nil, nil, opts)
+		sel := loop.scr.selection(b.OfScratch(h, &loop.cov, &loop.asm), nil, nil, opts)
 		s.PerHead[h] = sel
 		for _, v := range sel.Gateways {
 			s.Nodes[v] = true

@@ -2,6 +2,7 @@ package backbone
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -88,9 +89,55 @@ func TestSelectGatewaysIndirectTieBreak(t *testing.T) {
 	if !reflect.DeepEqual(sel.Gateways, []int{4, 8}) {
 		t.Fatalf("head 4 gateways = %v, want [4 8] (paper {5,9})", sel.Gateways)
 	}
-	if !sel.Covered.Has(0) || !sel.Covered.Has(2) {
-		t.Fatalf("head 4 must cover clusterheads 1 and 3: %v", sel.Covered.Members())
+	two, three := reach(g, 3, sel.Gateways)
+	if !two.Has(2) || !three.Has(0) {
+		t.Fatalf("head 4 must connect clusterhead 3 in two hops and 1 in three: %v, %v", two.Members(), three.Members())
 	}
+	if missed := unconnected(g, b.Of(3), sel.Gateways); len(missed) > 0 {
+		t.Fatalf("head 4 leaves targets %v unconnected", missed)
+	}
+}
+
+// reach returns the nodes that gateways gws connect head h to: two holds
+// the neighbors of a selected neighbor of h, three the neighbors of a
+// selected node adjacent to a selected neighbor of h.
+func reach(g *graph.Graph, h int, gws []int) (two, three *graph.Bitset) {
+	sel := graph.BitsetOf(g.N(), gws...)
+	two, three = graph.NewBitset(g.N()), graph.NewBitset(g.N())
+	for _, v := range g.Neighbors(h) {
+		if !sel.Has(v) {
+			continue
+		}
+		for _, r := range g.Neighbors(v) {
+			two.Add(r)
+			if !sel.Has(r) {
+				continue
+			}
+			for _, w := range g.Neighbors(r) {
+				three.Add(w)
+			}
+		}
+	}
+	return two, three
+}
+
+// unconnected returns the targets of cov that gateways gws leave
+// unconnected: each w ∈ C² needs a selected gateway adjacent to both the
+// head and w, each w ∈ C³ a selected gateway or (gateway, relay) pair.
+func unconnected(g *graph.Graph, cov *coverage.Coverage, gws []int) []int {
+	two, three := reach(g, cov.Head, gws)
+	var missed []int
+	cov.C2.ForEach(func(w int) {
+		if !two.Has(w) {
+			missed = append(missed, w)
+		}
+	})
+	cov.C3.ForEach(func(w int) {
+		if !two.Has(w) && !three.Has(w) {
+			missed = append(missed, w)
+		}
+	})
+	return missed
 }
 
 func TestSelectGatewaysRestrictedNeed(t *testing.T) {
@@ -117,7 +164,7 @@ func TestSelectGatewaysNeedOutsideCoverageIgnored(t *testing.T) {
 	b := coverage.NewBuilder(g, cl, coverage.Hop25)
 	// Node 9 is neither a clusterhead nor in C(1); it must be ignored.
 	sel := SelectGateways(b.Of(0), graph.BitsetOf(10, 9), graph.BitsetOf(10, 9))
-	if len(sel.Gateways) != 0 || sel.Covered.Any() {
+	if len(sel.Gateways) != 0 {
 		t.Fatalf("targets outside the coverage set must be ignored: %+v", sel)
 	}
 }
@@ -193,15 +240,8 @@ func TestQuickSelectionsCoverEverything(t *testing.T) {
 		for _, h := range cl.Heads {
 			cov := b.Of(h)
 			sel := SelectGateways(cov, nil, nil)
-			for _, w := range cov.C2.Members() {
-				if !sel.Covered.Has(w) {
-					return false
-				}
-			}
-			for _, w := range cov.C3.Members() {
-				if !sel.Covered.Has(w) {
-					return false
-				}
+			if len(unconnected(nw.G, cov, sel.Gateways)) > 0 {
+				return false
 			}
 			dist := nw.G.BFS(h)
 			for _, v := range sel.Gateways {
@@ -286,5 +326,37 @@ func BenchmarkBuildStatic100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BuildStatic(nw.G, cl, coverage.Hop25)
+	}
+}
+
+// allocPerNode returns the bytes one warm call of build allocates, per
+// node of an n-node, degree-18 unit-disk network (seed 5) and its
+// lowest-ID clustering.
+func allocPerNode(t *testing.T, n int, build func(*graph.Graph, *cluster.Clustering)) float64 {
+	t.Helper()
+	nw, err := topology.Generate(topology.Config{
+		N: n, Bounds: geom.Square(100), AvgDegree: 18, RequireConnected: true, MaxAttempts: 50,
+	}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.LowestID(nw.G)
+	build(nw.G, cl)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build(nw.G, cl)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestBuildStaticAllocLinear: the static backbone allocates O(n) bytes,
+// not Θ(n) per clusterhead. Its head loop holds one selection scratch,
+// so the bytes per node stay flat as n grows fourfold.
+func TestBuildStaticAllocLinear(t *testing.T) {
+	build := func(g *graph.Graph, cl *cluster.Clustering) { BuildStatic(g, cl, coverage.Hop25) }
+	small, large := allocPerNode(t, 2000, build), allocPerNode(t, 8000, build)
+	if large > 1.5*small {
+		t.Fatalf("BuildStatic allocates %.0f B/node at n=8000 but %.0f B/node at n=2000 (%.1fx, want <= 1.5x)",
+			large, small, large/small)
 	}
 }

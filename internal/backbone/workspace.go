@@ -32,7 +32,8 @@ type Workspace struct {
 // selStrip is one head strip's private state: coverage assembly scratch,
 // the coverage value it refills per head, the selection scratch, and the
 // bitset accumulating its heads and gateways (strip 0 accumulates into
-// the workspace's own).
+// the workspace's own). BuildStaticOpt and Repair hold one across their
+// head loops and leave the bitset unused.
 type selStrip struct {
 	asm   coverage.AsmScratch
 	cov   coverage.Coverage
@@ -48,6 +49,14 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // per-head Selection, no allocations beyond workspace growth.
 func (ws *Workspace) StaticSize(b *coverage.Builder, cl *cluster.Clustering, opts Options) int {
 	return ws.StaticNodes(b, cl, opts).Count()
+}
+
+// Select runs SelectGatewaysOpt's selection for the full coverage set on
+// the workspace's scratch, so a loop over many clusterheads sizes the
+// n-entry mark array once instead of per head. The returned Selection
+// owns its gateway list.
+func (ws *Workspace) Select(cov *coverage.Coverage, opts Options) Selection {
+	return ws.scr.selection(cov, nil, nil, opts)
 }
 
 // SelectInto runs the greedy gateway selection of SelectGatewaysOpt and

@@ -336,3 +336,40 @@ func TestDESMACSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTimedSteadyStateAllocs pins the allocation budget of a back-off run
+// on a reused workspace: only the Result and its three maps, presized and
+// filled after the event loop, never per-node heard lists or map growth
+// inside the loop. The count is the same constant for both network sizes
+// and every source below, and a warm run matches a fresh one.
+func TestTimedSteadyStateAllocs(t *testing.T) {
+	for _, n := range []int{80, 300} {
+		nw := randomNet(t, 11, n, 8)
+		tw := NewTimedWorkspace()
+		ps := []TimedProtocol{
+			CounterBased{Threshold: 3, MaxDelay: 4, Seed: 5},
+			DistanceBased{Positions: nw.Positions, MinDistance: 0.4 * nw.Radius, MaxDelay: 4, Seed: 7},
+		}
+		for _, p := range ps {
+			for _, src := range []int{0, n / 2, n - 1} {
+				var res *Result
+				run := func() { res = tw.Run(nw.G, src, p, TimedOptions{}) }
+				run()
+				if len(res.Received) < n/2 {
+					t.Fatalf("n=%d %s from %d: only %d nodes reached; the run exercises too little",
+						n, p.Name(), src, len(res.Received))
+				}
+				if fresh := RunTimed(nw.G, src, p); !reflect.DeepEqual(res, fresh) {
+					t.Fatalf("n=%d %s from %d: warm run differs from a fresh one:\n%+v\n%+v", n, p.Name(), src, res, fresh)
+				}
+				// The Result plus 4 per presized map under Go 1.24's map
+				// implementation (the maps stay within one table here).
+				const measured = 13
+				if avg := testing.AllocsPerRun(20, run); avg > measured {
+					t.Fatalf("n=%d %s from %d: reused workspace allocates %.1f/run, want <= %d",
+						n, p.Name(), src, avg, measured)
+				}
+			}
+		}
+	}
+}

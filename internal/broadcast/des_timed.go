@@ -13,10 +13,11 @@ type tdEvent struct {
 }
 
 // TimedWorkspace owns the dense per-node state of the back-off engine:
-// epoch-stamped reception/decision marks, pooled per-node heard lists,
-// and a timestamp wheel that dequeues events in (time, push order). A
-// scalar heap-based loop is kept in the tests as the reference
-// (runTimedOracle).
+// epoch-stamped reception/decision marks, parent pointers, one heard-list
+// arena, and a timestamp wheel that dequeues events in (time, push
+// order). A run fills its result maps once, after the event loop, from
+// this state. A scalar heap-based loop is kept in the tests as the
+// reference (runTimedOracle).
 //
 // Not safe for concurrent use; give each worker its own.
 type TimedWorkspace struct {
@@ -25,37 +26,49 @@ type TimedWorkspace struct {
 	received  []uint32 // epoch stamp: v has the packet
 	forwarded []uint32 // epoch stamp: v transmitted (or is the source)
 	decided   []uint32 // epoch stamp: v's back-off already fired
-	heardAt   []uint32 // epoch stamp: heard[v] is current
 	parent    []int32
-	heard     [][]int // transmitters heard by v, in receive order
+	reached   []int32 // the nodes with the packet, in delivery order
+	// Every node transmits at most once, so v hears each neighbor at most
+	// once: its heard list is a degree-sized segment of one arena,
+	// heard[heardOff[v] : heardOff[v]+heardLen[v]], reserved the first
+	// time v hears a copy. The arena therefore holds at most 2m entries.
+	heardOff []int
+	heardLen []int32
+	heard    []int
 }
 
 // NewTimedWorkspace returns an empty workspace; buffers grow on first
 // use.
 func NewTimedWorkspace() *TimedWorkspace { return &TimedWorkspace{} }
 
-// ensure sizes the per-node arrays and bumps the epoch (with the usual
-// wrap flush).
-func (tw *TimedWorkspace) ensure(n int) {
+// ensure sizes the per-node arrays and the heard arena for g and bumps
+// the epoch (with the usual wrap flush).
+func (tw *TimedWorkspace) ensure(g *graph.Graph) {
+	n := g.N()
 	if cap(tw.received) < n {
 		tw.received = make([]uint32, n)
 		tw.forwarded = make([]uint32, n)
 		tw.decided = make([]uint32, n)
-		tw.heardAt = make([]uint32, n)
 		tw.parent = make([]int32, n)
-		tw.heard = make([][]int, n)
+		tw.heardOff = make([]int, n)
+		tw.heardLen = make([]int32, n)
 		tw.epoch = 0
 	}
 	tw.received = tw.received[:n]
 	tw.forwarded = tw.forwarded[:n]
 	tw.decided = tw.decided[:n]
-	tw.heardAt = tw.heardAt[:n]
 	tw.parent = tw.parent[:n]
-	tw.heard = tw.heard[:n]
+	tw.heardOff = tw.heardOff[:n]
+	tw.heardLen = tw.heardLen[:n]
+	if cap(tw.heard) < 2*g.M() {
+		tw.heard = make([]int, 0, 2*g.M())
+	}
+	tw.heard = tw.heard[:0]
+	tw.reached = tw.reached[:0]
 	tw.epoch++
 	if tw.epoch == 0 {
 		for _, s := range [][]uint32{tw.received[:cap(tw.received)], tw.forwarded[:cap(tw.forwarded)],
-			tw.decided[:cap(tw.decided)], tw.heardAt[:cap(tw.heardAt)]} {
+			tw.decided[:cap(tw.decided)]} {
 			for i := range s {
 				s[i] = 0
 			}
@@ -64,42 +77,37 @@ func (tw *TimedWorkspace) ensure(n int) {
 	}
 }
 
-// heardBy returns v's current heard list, resetting it on first touch
-// this run.
-func (tw *TimedWorkspace) heardBy(v int) []int {
-	if tw.heardAt[v] != tw.epoch {
-		return nil
+// hear appends a transmitter to v's heard list, reserving v's arena
+// segment on its first copy (which is also when v receives the packet).
+// Copies that reach v after its decision are not recorded, since no
+// Decide reads them; the source counts as decided from the start.
+func (tw *TimedWorkspace) hear(g *graph.Graph, v, from int) {
+	if tw.decided[v] == tw.epoch {
+		return
 	}
-	return tw.heard[v]
-}
-
-// hear appends a transmitter to v's heard list.
-func (tw *TimedWorkspace) hear(v, from int) {
-	if tw.heardAt[v] != tw.epoch {
-		tw.heardAt[v] = tw.epoch
-		tw.heard[v] = tw.heard[v][:0]
+	if tw.received[v] != tw.epoch {
+		tw.heardOff[v] = len(tw.heard)
+		tw.heardLen[v] = 0
+		tw.heard = tw.heard[:len(tw.heard)+g.Degree(v)]
 	}
-	tw.heard[v] = append(tw.heard[v], from)
+	tw.heard[tw.heardOff[v]+int(tw.heardLen[v])] = from
+	tw.heardLen[v]++
 }
 
 // Run simulates one back-off broadcast (see RunTimed), reusing the
 // workspace.
 func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt TimedOptions) *Result {
-	n := g.N()
-	tw.ensure(n)
+	tw.ensure(g)
 	epoch := tw.epoch
 	tr := opt.Tracer
 	fo := opt.Faults
 
-	res := &Result{
-		Source:     source,
-		Forwarders: map[int]bool{source: true},
-		Received:   map[int]bool{source: true},
-		Parent:     make(map[int]int),
-	}
+	res := &Result{Source: source}
 	tw.received[source] = epoch
 	tw.forwarded[source] = epoch
 	tw.decided[source] = epoch
+	tw.reached = append(tw.reached, int32(source))
+	forwarders := 1
 
 	w := &tw.wheel
 	w.Reset(64) // typical back-off windows; longer delays overflow to the far heap
@@ -128,7 +136,7 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 						fo.CopyLost(sender, v, t+1)) {
 						continue // receiver down, partitioned away, or a loss burst
 					}
-					tw.hear(v, sender)
+					tw.hear(g, v, sender)
 					if tw.received[v] == epoch {
 						res.Duplicates++
 						if tr != nil {
@@ -137,8 +145,7 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 					} else {
 						tw.received[v] = epoch
 						tw.parent[v] = int32(sender)
-						res.Received[v] = true
-						res.Parent[v] = sender
+						tw.reached = append(tw.reached, int32(v))
 						if t+1 > res.Latency {
 							res.Latency = t + 1
 						}
@@ -158,9 +165,10 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 				if fo != nil && !fo.NodeUp(v, t) {
 					continue // crashed nodes miss their decision window
 				}
-				if p.Decide(v, tw.heardBy(v)) {
+				off := tw.heardOff[v]
+				if p.Decide(v, tw.heard[off:off+int(tw.heardLen[v])]) {
 					tw.forwarded[v] = epoch
-					res.Forwarders[v] = true
+					forwarders++
 					if tr != nil {
 						tr.Send(t, v, int(tw.parent[v]))
 					}
@@ -171,9 +179,24 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 		w.CloseSlot()
 	}
 	w.FoldStats()
+
+	// Fill the maps once, presized from the run's counts.
+	res.Received = make(map[int]bool, len(tw.reached))
+	res.Forwarders = make(map[int]bool, forwarders)
+	res.Parent = make(map[int]int, len(tw.reached)-1)
+	for _, v32 := range tw.reached {
+		v := int(v32)
+		res.Received[v] = true
+		if tw.forwarded[v] == epoch {
+			res.Forwarders[v] = true
+		}
+		if v != source {
+			res.Parent[v] = int(tw.parent[v])
+		}
+	}
 	mRuns.Inc()
 	mTransmissions.Add(int64(transmissions))
-	mDeliveries.Add(int64(len(res.Received) - 1))
+	mDeliveries.Add(int64(len(tw.reached) - 1))
 	mDuplicates.Add(int64(res.Duplicates))
 	return res
 }

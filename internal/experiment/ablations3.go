@@ -102,6 +102,8 @@ func Routing(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // [9]): redundant receptions per node versus density, for flooding and the
 // backbones. ABL-STORM. The sweep is over the average degree at n=80; the
 // five protocols broadcast from the same replicate's network and source.
+// Every member builds its protocol from the draw alone, so the replicates
+// run on the pool's workers.
 func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
 	redundancy := func(runOne func(d draw) *broadcast.Result) member[draw] {
 		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) { return runOne(d).Redundancy(), true }
@@ -111,7 +113,7 @@ func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
 		Title:  fmt.Sprintf("Redundant receptions per node vs density (n=%d)", n),
 		XLabel: "avg degree", YLabel: "redundant copies per node",
 		Series: sweepAxis([]string{"flooding", "dynamic-2.5hop", "sba-w4", "counter-3", "distance-0.4r"},
-			axis(degrees, rule, func(deg float64) Scenario { return DefaultScenario(n, deg, seed) }), 1,
+			axis(degrees, rule, func(deg float64) Scenario { return DefaultScenario(n, deg, seed) }), 0,
 			func(deg float64) groupEstimator {
 				return shared(sampledWS(fmt.Sprintf("storm-%g", deg)),
 					redundancy(func(d draw) *broadcast.Result { return broadcast.Run(d.nw.G, d.src, floodingProto(d)) }),

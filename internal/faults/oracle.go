@@ -17,11 +17,16 @@ var (
 
 // Oracle answers per-slot node and link state queries for one fault
 // schedule. It memoizes lazily: churn timelines extend on demand per node,
-// and each link's loss chain advances slot by slot as it is queried. All
-// state is a pure function of (Spec, node/link, slot) — the per-slot
-// transition coins are hashed, not streamed — so query order never changes
-// an answer. An oracle is single-goroutine state, like the engine
-// workspaces it rides along with; replication gives each replicate its own.
+// and each link's loss chain advances slot by slot as it is queried. Node,
+// link and channel state is a pure function of (Spec, node/link, slot) —
+// the per-slot transition coins are hashed, not streamed — so query order
+// never changes those answers. The per-copy loss coins of CopyLost are
+// the exception: they are numbered in query order within a link's slot,
+// and a later engine run that queries the slot the memo sits at continues
+// that count. So an oracle serves one engine run, or one sequence of runs
+// whose outcomes are read together; independent runs each take their own.
+// An oracle is single-goroutine state, like the engine workspaces it rides
+// along with; replication gives each replicate its own.
 type Oracle struct {
 	spec Spec
 	n    int

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -327,32 +328,98 @@ func (g *Graph) IsIndependentSetBits(set *Bitset) bool {
 // Eccentricity returns the greatest hop distance from v to any reachable
 // node, or −1 if some node is unreachable.
 func (g *Graph) Eccentricity(v int) int {
-	dist := g.BFS(v)
-	ecc := 0
-	for _, d := range dist {
-		if d == -1 {
-			return -1
-		}
-		if d > ecc {
-			ecc = d
-		}
+	s := getScratch()
+	defer putScratch(s)
+	return g.eccentricity(s, v)
+}
+
+// eccentricity is Eccentricity over s; afterwards s.dist holds the hop
+// distance from v of every node.
+func (g *Graph) eccentricity(s *Scratch, v int) int {
+	ecc, seen := 0, 0
+	g.BFSWith(s, v, func(_, d int) { ecc, seen = d, seen+1 }) // BFS visits in distance order
+	if seen < g.n {
+		return -1
 	}
 	return ecc
 }
 
 // Diameter returns the hop diameter of g, or −1 when g is disconnected.
+//
+// It is exact but runs far fewer than n BFS passes: the BoundingDiameters
+// algorithm of Takes & Kosters (2011). A BFS from v bounds the
+// eccentricity of every node w by max(ecc(v)−d, d) ≤ ecc(w) ≤ ecc(v)+d,
+// with d = d(v, w). The largest lower bound and the largest upper bound
+// (or 2·ecc(v), whichever is smaller) bracket the diameter, and a node
+// stops being a BFS candidate once its eccentricity is known or its
+// bounds can move neither end of the bracket. Sources alternate between
+// the candidate with the largest upper bound and the one with the
+// smallest lower bound. All passes share one pooled traversal scratch.
 func (g *Graph) Diameter() int {
-	diam := 0
-	for v := 0; v < g.n; v++ {
-		e := g.Eccentricity(v)
-		if e == -1 {
+	n := g.n
+	if n == 0 {
+		return 0
+	}
+	s := getScratch()
+	defer putScratch(s)
+	lo := make([]int32, n) // eccentricity bounds
+	hi := make([]int32, n)
+	cand := make([]int32, n)
+	for v := range cand {
+		hi[v] = math.MaxInt32
+		cand[v] = int32(v)
+	}
+	dLo, dHi := int32(0), int32(math.MaxInt32)
+	var doneHi int32 // the largest upper bound of the nodes no longer candidates
+	for high := true; dLo < dHi && len(cand) > 0; high = !high {
+		v := g.diameterSource(cand, lo, hi, high)
+		e := g.eccentricity(s, v)
+		if e < 0 {
 			return -1
 		}
-		if e > diam {
-			diam = e
+		ecc := int32(e)
+		dLo, dHi = max(dLo, ecc), min(dHi, 2*ecc)
+		maxHi := doneHi
+		for _, w := range cand {
+			d := int32(s.dist[w])
+			lo[w] = max(lo[w], d, ecc-d)
+			hi[w] = min(hi[w], ecc+d)
+			dLo, maxHi = max(dLo, lo[w]), max(maxHi, hi[w])
+		}
+		dHi = min(dHi, maxHi)
+		keep := cand[:0]
+		for _, w := range cand {
+			if lo[w] == hi[w] || (hi[w] <= dLo && 2*lo[w] >= dHi) {
+				doneHi = max(doneHi, hi[w])
+				continue
+			}
+			keep = append(keep, w)
+		}
+		cand = keep
+	}
+	// Every node left the candidates with its upper bound at most dLo, or
+	// the bracket closed: either way dLo is the diameter.
+	return int(dLo)
+}
+
+// diameterSource picks Diameter's next BFS source among the candidates:
+// the largest upper bound when high is set, else the smallest lower
+// bound, ties going to the higher degree and then the lower ID.
+func (g *Graph) diameterSource(cand, lo, hi []int32, high bool) int {
+	best := int(cand[0])
+	for _, w32 := range cand[1:] {
+		w := int(w32)
+		var better, tie bool
+		if high {
+			better, tie = hi[w] > hi[best], hi[w] == hi[best]
+		} else {
+			better, tie = lo[w] < lo[best], lo[w] == lo[best]
+		}
+		if better || (tie && g.Degree(w) > g.Degree(best)) {
+			best = w
 		}
 	}
-	return diam
+	return best
 }
 
 // ShortestPath returns one shortest path from src to dst as a node sequence

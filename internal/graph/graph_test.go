@@ -269,6 +269,77 @@ func TestEccentricityAndDiameter(t *testing.T) {
 	}
 }
 
+// bruteDiameter is the diameter by definition: the largest eccentricity
+// over every node, each from its own BFS, and −1 when some node is
+// unreachable.
+func bruteDiameter(g *Graph) int {
+	diam := 0
+	for v := 0; v < g.N(); v++ {
+		for _, d := range g.BFS(v) {
+			if d == -1 {
+				return -1
+			}
+			diam = max(diam, d)
+		}
+	}
+	return diam
+}
+
+// The bounding-diameters search agrees with the definition on paths,
+// stars, cycles, trees, sparse and dense random graphs, and disconnected
+// graphs, at every size from the empty graph up.
+func TestDiameterMatchesBruteForce(t *testing.T) {
+	r := rng.New(41)
+	var gs []*Graph
+	for n := 0; n <= 40; n++ {
+		gs = append(gs, New(n), pathGraph(n))
+		if n >= 1 {
+			gs = append(gs, starGraph(n), randomConnectedGraph(r, n, 0), randomConnectedGraph(r, n, n/3),
+				randomConnectedGraph(r, n, 3*n))
+		}
+		if n >= 3 {
+			gs = append(gs, cycleGraph(n))
+		}
+		if n >= 2 {
+			// Two components: a random connected part and a path.
+			k := 1 + r.Intn(n-1)
+			g := New(n)
+			for _, e := range randomConnectedGraph(r, k, k).Edges() {
+				g.AddEdge(e[0], e[1])
+			}
+			for v := k; v+1 < n; v++ {
+				g.AddEdge(v, v+1)
+			}
+			gs = append(gs, g)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		gs = append(gs, randomConnectedGraph(r, 50+r.Intn(150), r.Intn(400)))
+	}
+	// Unit-disk graphs, the simulator's topologies, connected or not.
+	for i := 0; i < 60; i++ {
+		n, rad := 30+r.Intn(120), 0.1+0.2*r.Float64()
+		xs, ys := make([]float64, n), make([]float64, n)
+		for v := range xs {
+			xs[v], ys[v] = r.Float64(), r.Float64()
+		}
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if dx, dy := xs[u]-xs[v], ys[u]-ys[v]; dx*dx+dy*dy < rad*rad {
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		gs = append(gs, g)
+	}
+	for i, g := range gs {
+		if got, want := g.Diameter(), bruteDiameter(g); got != want {
+			t.Fatalf("graph %d (n=%d m=%d): Diameter = %d, by definition %d", i, g.N(), g.M(), got, want)
+		}
+	}
+}
+
 func TestShortestPath(t *testing.T) {
 	p := pathGraph(5)
 	if got := p.ShortestPath(0, 4); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {

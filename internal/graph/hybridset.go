@@ -72,6 +72,18 @@ func (h *HybridSet) Reset(n int) {
 	h.sp.Reset(n)
 }
 
+// ResetSorted re-capacities h to the universe 0..n−1 and makes ids, which
+// must be strictly ascending and within range, its members. A sparse h
+// adopts ids as its member storage instead of copying it, so a caller can
+// carve many sets from one arena; cap ids at its length (a three-index
+// slice) so that a later Add cannot write past it. Past the density
+// threshold h promotes, as Add would.
+func (h *HybridSet) ResetSorted(n int, ids []int) {
+	h.Reset(n)
+	h.sp.ids = ids
+	h.maybePromote()
+}
+
 // promote switches h to the dense representation, carrying the members
 // over. The sparse storage is kept for reuse after the next Reset.
 func (h *HybridSet) promote() {

@@ -136,6 +136,36 @@ func TestHybridSetPromotion(t *testing.T) {
 	}
 }
 
+// ResetSorted gives the members Add would, promotes at the same count,
+// and leaves the arena regions beside the adopted carve untouched.
+func TestHybridSetResetSorted(t *testing.T) {
+	n := 256
+	thr := hybridThreshold(n)
+	arena := []int{3, 7, 9, 250, -1}
+	h := HybridSetOf(n, 1, 2)
+	h.ResetSorted(n, arena[0:4:4])
+	if h.Dense() || !h.Equal(HybridSetOf(n, 3, 7, 9, 250)) {
+		t.Fatalf("members %v, want [3 7 9 250]", h.Members())
+	}
+	h.Add(8)
+	h.Add(251)
+	if got, want := h.Members(), []int{3, 7, 8, 9, 250, 251}; !equalInts(got, want) || arena[4] != -1 {
+		t.Fatalf("after adds: %v (arena tail %d), want %v", got, arena[4], want)
+	}
+	ids := make([]int, thr+1)
+	for i := range ids {
+		ids[i] = i
+	}
+	h.ResetSorted(n, ids[:thr])
+	if h.Dense() || h.Count() != thr {
+		t.Fatalf("%d members: dense=%v count=%d, want sparse %d", thr, h.Dense(), h.Count(), thr)
+	}
+	h.ResetSorted(n, ids)
+	if !h.Dense() || h.Count() != thr+1 || !h.Has(thr) {
+		t.Fatalf("%d members: dense=%v count=%d, want dense %d", thr+1, h.Dense(), h.Count(), thr+1)
+	}
+}
+
 func TestHybridSetMixedRepOps(t *testing.T) {
 	n := 512
 	mk := func(dense bool, ids ...int) *HybridSet {

@@ -24,8 +24,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clustercast/internal/backbone"
 	"clustercast/internal/coverage"
@@ -146,19 +147,17 @@ var (
 // "smaller undecided neighbor" counters (a NON_CLUSTER_HEAD delivery
 // decrements its larger neighbors; hitting zero schedules the
 // declaration), and the coverage and gateway phases walk dense per-node
-// slices instead of maps. The message rounds this generates — contents,
+// slices instead of maps. The CH_HOP1/CH_HOP2 reports, every head's
+// assembled coverage and its connector lists are carved from run-wide
+// arenas, and one selection workspace serves every head, so a run
+// allocates O(n + m) bytes. The message rounds this generates — contents,
 // per-type counts, round count, and distinct active senders per round —
 // are those of the round-synchronous protocol, which the tests keep as
 // the reference (runOracle): O(messages) worklist updates replace its
 // O(rounds·n) scans.
 func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	n := g.N()
-	out := &Outcome{
-		Head:     make([]int, n),
-		Backbone: make(map[int]bool),
-		PerHead:  make(map[int]backbone.Selection),
-		Coverage: make(map[int]*coverage.Coverage),
-	}
+	out := &Outcome{Head: make([]int, n)} // the rest is presized once its sizes are known
 	var counters Counters
 	// round tallies one delivered round of cnt messages from active
 	// distinct senders (counted only when nonempty).
@@ -269,100 +268,113 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 
 	// ---- Phase C: CH_HOP1 / CH_HOP2 coverage exchange. --------------------
 	// CH_HOP1: every non-head broadcasts its adjacent heads (ascending,
-	// since neighbor lists are sorted).
-	adjHeads := make([][]int32, n)
-	nonHeads := 0
+	// since neighbor lists are sorted). The reports share one CSR arena,
+	// v's being hop1[hop1Off[v]:hop1Off[v+1]]; every neighbor of a head is
+	// a non-head, so the arena holds exactly the heads' degree sum.
+	hop1Off := make([]int, n+1)
+	heads, headDeg := 0, 0
 	for v := 0; v < n; v++ {
 		if state[v] == headState {
-			continue
+			heads++
+			headDeg += g.Degree(v)
 		}
-		nonHeads++
-		for _, u := range g.Neighbors(v) {
-			if state[u] == headState {
-				adjHeads[v] = append(adjHeads[v], int32(u))
+	}
+	nonHeads := n - heads
+	hop1 := make([]int32, 0, headDeg)
+	for v := 0; v < n; v++ {
+		if state[v] != headState {
+			for _, u := range g.Neighbors(v) {
+				if state[u] == headState {
+					hop1 = append(hop1, int32(u))
+				}
 			}
 		}
+		hop1Off[v+1] = len(hop1)
 	}
 	round(CHHop1, nonHeads, nonHeads)
 	// CH_HOP1 processing: each non-head v builds its 2-hop entries w →
 	// min relay from its non-head neighbors' reports, skipping heads
-	// adjacent to v itself. Heads stash their neighbors' reports (in DES
-	// form: adjHeads is read directly at assembly).
-	hop2W := make([][]int32, n)
-	hop2R := make([][]int32, n)
+	// adjacent to v itself, and sorts them by w once for every head that
+	// reads them. The entries share a second CSR arena, hop2/hop2Off.
+	// Heads stash their neighbors' reports (in DES form: the arenas are
+	// read directly at assembly).
+	hop2Off := make([]int, n+1)
+	hop2 := make([]hop2Entry, 0, n)
 	adjStamp := make([]uint32, n)
 	entryAt := make([]uint32, n)
-	entrySlot := make([]int32, n)
+	entrySlot := make([]int, n) // index of w's entry in hop2, valid when entryAt[w] is current
 	var mark uint32
-	for v := 0; v < n; v++ {
-		if state[v] == headState {
-			continue
-		}
-		mark++
-		for _, w := range adjHeads[v] {
-			adjStamp[w] = mark
-		}
-		for _, u := range g.Neighbors(v) {
-			if state[u] == headState {
-				continue // heads do not send CH_HOP1
-			}
-			switch mode {
-			case coverage.Hop25:
-				// Only the sender's own clusterhead generates an entry.
-				w := ownHead[u]
-				if w >= 0 && adjStamp[w] != mark {
-					if entryAt[w] != mark {
-						entryAt[w] = mark
-						entrySlot[w] = int32(len(hop2W[v]))
-						hop2W[v] = append(hop2W[v], w)
-						hop2R[v] = append(hop2R[v], int32(u))
-					} else if int32(u) < hop2R[v][entrySlot[w]] {
-						hop2R[v][entrySlot[w]] = int32(u)
-					}
-				}
-			case coverage.Hop3:
-				for _, w := range adjHeads[u] {
-					if adjStamp[w] == mark {
-						continue
-					}
-					if entryAt[w] != mark {
-						entryAt[w] = mark
-						entrySlot[w] = int32(len(hop2W[v]))
-						hop2W[v] = append(hop2W[v], w)
-						hop2R[v] = append(hop2R[v], int32(u))
-					} else if int32(u) < hop2R[v][entrySlot[w]] {
-						hop2R[v][entrySlot[w]] = int32(u)
-					}
-				}
-			}
+	// entry records w reachable through relay u in the current node's
+	// list, keeping the lowest relay.
+	entry := func(w, u int32) {
+		if entryAt[w] != mark {
+			entryAt[w] = mark
+			entrySlot[w] = len(hop2)
+			hop2 = append(hop2, hop2Entry{w: w, r: u})
+		} else if e := &hop2[entrySlot[w]]; u < e.r {
+			e.r = u
 		}
 	}
-	// adjStamp doubles as the entry stamps' universe; separate marks per
-	// node prevented cross-talk. CH_HOP2: every non-head transmits its
-	// entries; heads stash them.
+	for v := 0; v < n; v++ {
+		if state[v] != headState {
+			mark++
+			for _, w := range hop1[hop1Off[v]:hop1Off[v+1]] {
+				adjStamp[w] = mark
+			}
+			first := len(hop2)
+			for _, u := range g.Neighbors(v) {
+				if state[u] == headState {
+					continue // heads do not send CH_HOP1
+				}
+				switch mode {
+				case coverage.Hop25:
+					// Only the sender's own clusterhead generates an entry.
+					if w := ownHead[u]; w >= 0 && adjStamp[w] != mark {
+						entry(w, int32(u))
+					}
+				case coverage.Hop3:
+					for _, w := range hop1[hop1Off[u]:hop1Off[u+1]] {
+						if adjStamp[w] != mark {
+							entry(w, int32(u))
+						}
+					}
+				}
+			}
+			slices.SortFunc(hop2[first:], func(a, b hop2Entry) int { return cmp.Compare(a.w, b.w) })
+		}
+		hop2Off[v+1] = len(hop2)
+	}
+	// CH_HOP2: every non-head transmits its entries; heads stash them.
 	round(CHHop2, nonHeads, nonHeads)
 
 	// ---- Phase D: gateway selection and GATEWAY designation. --------------
+	// One selection workspace and one coverage arena serve every head.
 	isGateway := make([]bool, n)
 	type gwMsg struct {
 		from     int32
 		ttl      int32
 		selected []int
 	}
-	var queue []gwMsg
+	arena := newCovArena(n, heads, hop1, hop1Off, hop2, hop2Off)
+	var sel backbone.Workspace
+	queue := make([]gwMsg, 0, heads)
+	forwards := 0
+	out.Coverage = make(map[int]*coverage.Coverage, heads)
+	out.PerHead = make(map[int]backbone.Selection, heads)
 	for h := 0; h < n; h++ {
 		if state[h] != headState {
 			continue
 		}
-		cov := assembleCoverage(g, h, mode, n, state, adjHeads, hop2W, hop2R)
+		cov := arena.assemble(g, h, mode)
 		out.Coverage[h] = cov
-		sel := backbone.SelectGateways(cov, nil, nil)
-		out.PerHead[h] = sel
-		queue = append(queue, gwMsg{from: int32(h), ttl: 2, selected: sel.Gateways})
+		s := sel.Select(cov, backbone.Options{})
+		out.PerHead[h] = s
+		queue = append(queue, gwMsg{from: int32(h), ttl: 2, selected: s.Gateways})
+		forwards += len(s.Gateways)
 	}
 	sentAt := make([]uint32, n)
 	var sentGen uint32
-	var next []gwMsg
+	next := make([]gwMsg, 0, forwards) // a selected gateway forwards its head's message once
 	for hop := 0; hop < 2 && len(queue) > 0; hop++ {
 		sentGen++
 		active := 0
@@ -375,15 +387,17 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 		round(Gateway, len(queue), active)
 		next = next[:0]
 		for _, m := range queue {
+			// Neighbors and the selection are both ascending: one merge
+			// walk finds the selected receivers.
+			rest := m.selected
 			for _, v := range g.Neighbors(int(m.from)) {
-				selected := false
-				for _, s := range m.selected {
-					if s == v {
-						selected = true
-						break
-					}
+				for len(rest) > 0 && rest[0] < v {
+					rest = rest[1:]
 				}
-				if !selected {
+				if len(rest) == 0 {
+					break
+				}
+				if rest[0] != v {
 					continue
 				}
 				isGateway[v] = true
@@ -398,6 +412,13 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	}
 
 	// ---- Assemble the outcome. -------------------------------------------
+	members := 0
+	for v := 0; v < n; v++ {
+		if state[v] == headState || isGateway[v] {
+			members++
+		}
+	}
+	out.Backbone = make(map[int]bool, members)
 	for v := 0; v < n; v++ {
 		out.Head[v] = int(ownHead[v])
 		if state[v] == headState {
@@ -412,47 +433,134 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	return out
 }
 
-// assembleCoverage builds the head's coverage.Coverage from its
-// neighbors' CH_HOP1 (adjHeads) and CH_HOP2 (hop2W/hop2R) reports,
-// mirroring coverage.Builder.Of: C², C³ and the connector layout.
-func assembleCoverage(g *graph.Graph, h int, mode coverage.Mode, n int,
-	state []uint8, adjHeads [][]int32, hop2W, hop2R [][]int32) *coverage.Coverage {
-	cov := &coverage.Coverage{
-		Head: h, Mode: mode,
-		C2: graph.NewHybridSet(n), C3: graph.NewHybridSet(n),
+// hop2Entry is one CH_HOP2 report line in the run's arena: clusterhead w
+// reachable through relay r.
+type hop2Entry struct{ w, r int32 }
+
+// covArena assembles every head's coverage.Coverage from its neighbors'
+// CH_HOP1 (hop1) and CH_HOP2 (hop2) reports, mirroring
+// coverage.Builder.Of: C², C³ and the connector layout. The Coverage
+// values, their member lists and their connector lists are carved from
+// run-wide slices instead of allocated per head and per neighbor, each
+// carve capped at its length. A carve must never move, so every slice is
+// presized to what the run can carve: with a(v) the heads adjacent to
+// non-head v, at most Σ a(v)·(a(v)−1) direct entries, Σ a(v)·|hop2(v)|
+// indirect entries and Σ a(v) connectors. The member lists have no tight
+// bound; they fill chunks, and a list that does not fit in the current
+// chunk starts a new one.
+type covArena struct {
+	hop1    []int32
+	hop1Off []int
+	hop2    []hop2Entry
+	hop2Off []int
+
+	covs    []coverage.Coverage
+	sets    []graph.HybridSet // C² and C³ of the i-th head at 2i and 2i+1
+	members []int             // the current chunk of the sets' member lists
+	conns   []coverage.Connector
+	direct  []int
+	ind     []coverage.Hop2Entry
+	ids     []int    // the member list in progress
+	dirOff  []int    // direct offsets per neighbor of the head in progress
+	mark    []uint32 // epoch stamps: w ∈ C² or C³ of the head in progress
+	epoch   uint32
+}
+
+func newCovArena(n, heads int, hop1 []int32, hop1Off []int, hop2 []hop2Entry, hop2Off []int) *covArena {
+	direct, ind := 0, 0
+	for v := 0; v < n; v++ {
+		a := hop1Off[v+1] - hop1Off[v]
+		direct += a * (a - 1)
+		ind += a * (hop2Off[v+1] - hop2Off[v])
 	}
+	return &covArena{
+		hop1: hop1, hop1Off: hop1Off, hop2: hop2, hop2Off: hop2Off,
+		covs:   make([]coverage.Coverage, 0, heads),
+		sets:   make([]graph.HybridSet, 2*heads),
+		conns:  make([]coverage.Connector, 0, len(hop1)),
+		direct: make([]int, 0, direct),
+		ind:    make([]coverage.Hop2Entry, 0, ind),
+		mark:   make([]uint32, n),
+	}
+}
+
+// carve returns s[lo:hi] capped at its length, or nil when empty: an
+// empty list is nil, as in the round-synchronous reference.
+func carve[T any](s []T, lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	return s[lo:hi:hi]
+}
+
+// keep sorts the member list in progress and returns it carved from the
+// member chunks.
+func (a *covArena) keep() []int {
+	ids := a.ids
+	a.ids = a.ids[:0]
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	if cap(a.members)-len(a.members) < len(ids) {
+		a.members = make([]int, 0, max(len(ids), len(a.hop1)))
+	}
+	from := len(a.members)
+	a.members = append(a.members, ids...)
+	return carve(a.members, from, len(a.members))
+}
+
+// assemble builds head h's coverage, the next one the arena holds.
+func (a *covArena) assemble(g *graph.Graph, h int, mode coverage.Mode) *coverage.Coverage {
+	n := len(a.mark)
+	i := len(a.covs)
+	a.covs = append(a.covs, coverage.Coverage{Head: h, Mode: mode, C2: &a.sets[2*i], C3: &a.sets[2*i+1]})
+	cov := &a.covs[i]
+	ep2, ep3 := a.epoch+1, a.epoch+2
+	a.epoch += 2
 	neighbors := g.Neighbors(h)
 	// First pass fills C² completely (the C³ pass filters against it).
-	direct := make([][]int, len(neighbors))
-	for i, v := range neighbors {
-		if state[v] == 1 { // a head neighbor sent no CH_HOP1 (cannot occur: no adjacent heads)
-			continue
-		}
-		var d []int
-		for _, w := range adjHeads[v] {
+	// CH_HOP1 lists are ascending, so each connector's slice is sorted.
+	a.dirOff = a.dirOff[:0]
+	for _, v := range neighbors {
+		a.dirOff = append(a.dirOff, len(a.direct))
+		for _, w := range a.hop1[a.hop1Off[v]:a.hop1Off[v+1]] {
 			if int(w) == h {
 				continue
 			}
-			cov.C2.Add(int(w))
-			d = append(d, int(w))
+			a.direct = append(a.direct, int(w))
+			if a.mark[w] != ep2 {
+				a.mark[w] = ep2
+				a.ids = append(a.ids, int(w))
+			}
 		}
-		direct[i] = d // adjHeads ascending ⇒ already sorted
 	}
-	for i, v := range neighbors {
-		var ind []coverage.Hop2Entry
-		for j, w := range hop2W[v] {
-			if int(w) == h || cov.C2.Has(int(w)) {
+	a.dirOff = append(a.dirOff, len(a.direct))
+	cov.C2.ResetSorted(n, a.keep())
+	conns := len(a.conns)
+	for j, v := range neighbors {
+		first := len(a.ind)
+		// CH_HOP2 lists are sorted by clusterhead, and so is every
+		// connector's filtered slice.
+		for _, e := range a.hop2[a.hop2Off[v]:a.hop2Off[v+1]] {
+			if int(e.w) == h || a.mark[e.w] == ep2 {
 				continue
 			}
-			cov.C3.Add(int(w))
-			ind = append(ind, coverage.Hop2Entry{W: int(w), R: int(hop2R[v][j])})
+			a.ind = append(a.ind, coverage.Hop2Entry{W: int(e.w), R: int(e.r)})
+			if a.mark[e.w] != ep3 {
+				a.mark[e.w] = ep3
+				a.ids = append(a.ids, int(e.w))
+			}
 		}
-		sort.Slice(ind, func(a, b int) bool { return ind[a].W < ind[b].W })
-		if len(direct[i]) == 0 && len(ind) == 0 {
+		d := carve(a.direct, a.dirOff[j], a.dirOff[j+1])
+		in := carve(a.ind, first, len(a.ind))
+		if d == nil && in == nil {
 			continue
 		}
-		cov.Conns = append(cov.Conns, coverage.Connector{V: v, Direct: direct[i], Indirect: ind})
+		a.conns = append(a.conns, coverage.Connector{V: v, Direct: d, Indirect: in})
 	}
+	cov.C3.ResetSorted(n, a.keep())
+	cov.Conns = carve(a.conns, conns, len(a.conns))
 	return cov
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +252,35 @@ func BenchmarkDistributedRun100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Run(nw.G, coverage.Hop25)
+	}
+}
+
+// allocPerNode returns the bytes one warm Run allocates, per node, on an
+// n-node, degree-18 unit-disk network (seed 5).
+func allocPerNode(t *testing.T, n int) float64 {
+	t.Helper()
+	nw, err := topology.Generate(topology.Config{
+		N: n, Bounds: geom.Square(100), AvgDegree: 18, RequireConnected: true, MaxAttempts: 50,
+	}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Run(nw.G, coverage.Hop25)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Run(nw.G, coverage.Hop25)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestRunAllocLinear: the wire protocol allocates O(n) bytes, not Θ(n)
+// per clusterhead. Coverage and reports come from run-wide arenas and the
+// selections share one scratch, so the bytes per node stay flat as n grows
+// fourfold.
+func TestRunAllocLinear(t *testing.T) {
+	small, large := allocPerNode(t, 2000), allocPerNode(t, 8000)
+	if large > 1.5*small {
+		t.Fatalf("Run allocates %.0f B/node at n=8000 but %.0f B/node at n=2000 (%.1fx, want <= 1.5x)",
+			large, small, large/small)
 	}
 }
