@@ -622,7 +622,7 @@ func BenchmarkScaleReplicate(b *testing.B) {
 }
 
 // BenchmarkScaleKernels isolates the backbone-construction kernels the
-// sparse/hybrid set representations target: the topology is sampled ONCE
+// sparse set representation targets: the topology is sampled ONCE
 // outside the timer, and each iteration re-runs clusterhead election,
 // coverage digestion and the stage's selection (or broadcast) over the
 // workspace path. This is the apples-to-apples "dense-kernel baseline"

@@ -143,6 +143,12 @@ var renderers = map[string]func(w io.Writer, f *experiment.Figure) error{
 // come back as errors, diagnostics (missing-point causes) go to stderr. The
 // named return lets the deferred session close surface its error.
 func run(cfg config, stdout, stderr io.Writer) (retErr error) {
+	if cfg.workers < 0 {
+		return fmt.Errorf("-workers %d: must not be negative", cfg.workers)
+	}
+	if cfg.buildW < 0 {
+		return fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	}
 	// A figure directory gets a manifest next to its CSVs by default.
 	if cfg.outDir != "" && cfg.run.Manifest == "" {
 		cfg.run.Manifest = filepath.Join(cfg.outDir, "manifest.json")

@@ -85,6 +85,25 @@ func TestRunUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeWorkers: a negative worker count is an error that
+// names its flag, raised before any figure runs.
+func TestRunRejectsNegativeWorkers(t *testing.T) {
+	for flag, set := range map[string]func(*config){
+		"-workers":      func(c *config) { c.workers = -3 },
+		"-buildworkers": func(c *config) { c.buildW = -2 },
+	} {
+		var out bytes.Buffer
+		cfg := quickCfg()
+		set(&cfg)
+		if err := run(cfg, &out, io.Discard); err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+			t.Fatalf("%s: want an error naming the flag, got %v", flag, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s: rejected run printed %q", flag, out.String())
+		}
+	}
+}
+
 func TestRunBadMaxN(t *testing.T) {
 	cfg := quickCfg()
 	cfg.maxN = 5

@@ -250,6 +250,9 @@ func loadNetwork(cfg *config) (*core.Network, error) {
 // the deferred session close surface its error; telemetry status goes to
 // stderr, stdout carries the report.
 func run(cfg config, stdout io.Writer) (retErr error) {
+	if cfg.buildW < 0 {
+		return fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	}
 	sess, err := cfg.run.Start("manetsim", os.Stderr)
 	if err != nil {
 		return err

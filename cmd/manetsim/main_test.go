@@ -55,6 +55,17 @@ func TestRunUnknownProtocol(t *testing.T) {
 	}
 }
 
+func TestRunRejectsNegativeBuildWorkers(t *testing.T) {
+	var out bytes.Buffer
+	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "flooding", buildW: -4}
+	if err := run(cfg, &out); err == nil || !strings.HasPrefix(err.Error(), "-buildworkers ") {
+		t.Fatalf("want a -buildworkers error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected run printed %q", out.String())
+	}
+}
+
 func TestRunSourceOutOfRange(t *testing.T) {
 	cfg := config{n: 20, d: 8, seed: 1, source: 99, protocols: "flooding"}
 	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "out of range") {

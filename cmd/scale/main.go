@@ -106,6 +106,9 @@ const tracedStage = "dynamic25"
 // session close (manifest, final heartbeat, self-scrape, profiles) surface
 // its error; telemetry status goes to stderr, out carries the report.
 func run(cfg config, out io.Writer) (retErr error) {
+	if cfg.buildW < 0 {
+		return fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	}
 	sess, err := cfg.run.Start("scale", os.Stderr)
 	if err != nil {
 		return err
@@ -115,16 +118,10 @@ func run(cfg config, out io.Writer) (retErr error) {
 	var names []string
 	for _, s := range strings.Split(cfg.stages, ",") {
 		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
 		if _, ok := stages[s]; !ok {
 			return fmt.Errorf("unknown stage %q (have static25, mocds, dynamic25)", s)
 		}
 		names = append(names, s)
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("no stages selected")
 	}
 	if cfg.reps < 1 {
 		return fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)

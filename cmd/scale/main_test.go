@@ -67,10 +67,25 @@ func TestRunBuildWorkersResultsIdentical(t *testing.T) {
 	}
 }
 
+// TestRunUnknownStage: every -stages entry must name a stage, the empty
+// entries of a stray comma included.
 func TestRunUnknownStage(t *testing.T) {
-	cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: "warp"}
-	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown stage") {
-		t.Fatalf("want unknown-stage error, got %v", err)
+	for _, stages := range []string{"warp", "static25,", ",mocds", ""} {
+		cfg := config{n: 100, d: 12, seed: 1, reps: 1, stages: stages}
+		if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown stage") {
+			t.Fatalf("-stages %q: want unknown-stage error, got %v", stages, err)
+		}
+	}
+}
+
+func TestRunRejectsNegativeBuildWorkers(t *testing.T) {
+	var out bytes.Buffer
+	cfg := config{n: 100, d: 12, seed: 1, reps: 1, buildW: -2, stages: "static25"}
+	if err := run(cfg, &out); err == nil || !strings.HasPrefix(err.Error(), "-buildworkers ") {
+		t.Fatalf("want a -buildworkers error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected run printed %q", out.String())
 	}
 }
 

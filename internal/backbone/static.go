@@ -61,31 +61,21 @@ type Options struct {
 // clusterhead in need2 ∪ need3: each target in need2 is adjacent to a
 // selected gateway adjacent to the head, and each target in need3 is
 // reached through a selected (gateway, relay) pair.
-func SelectGateways(cov *coverage.Coverage, need2, need3 *graph.Bitset) Selection {
+func SelectGateways(cov *coverage.Coverage, need2, need3 *graph.SparseSet) Selection {
 	return SelectGatewaysOpt(cov, need2, need3, Options{})
 }
 
 // SelectGatewaysOpt is SelectGateways with explicit Options. Each call
 // sizes a fresh n-entry mark array; a loop over many clusterheads holds
 // one Workspace and calls Select instead.
-func SelectGatewaysOpt(cov *coverage.Coverage, need2, need3 *graph.Bitset, opts Options) Selection {
-	n := cov.C2.Cap()
-	var hn2, hn3 *graph.HybridSet
-	if need2 != nil {
-		hn2 = graph.NewHybridSet(n)
-		hn2.CopyBitset(need2)
-	}
-	if need3 != nil {
-		hn3 = graph.NewHybridSet(n)
-		hn3.CopyBitset(need3)
-	}
+func SelectGatewaysOpt(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options) Selection {
 	var scr selScratch
-	return scr.selection(cov, hn2, hn3, opts)
+	return scr.selection(cov, need2, need3, opts)
 }
 
 // selection runs the greedy selection over scr and returns it as a
 // Selection that owns its sorted gateway list.
-func (scr *selScratch) selection(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Options) Selection {
+func (scr *selScratch) selection(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options) Selection {
 	gws := append([]int(nil), selectCore(cov, need2, need3, opts, scr)...)
 	sort.Ints(gws)
 	return Selection{Head: cov.Head, Gateways: gws}
@@ -110,7 +100,7 @@ type selScratch struct {
 // selectCore is the greedy selection over caller-provided scratch. It
 // returns the selected gateway/relay nodes in selection order (owned by
 // scr, valid until its next use).
-func selectCore(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Options, scr *selScratch) []int {
+func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options, scr *selScratch) []int {
 	n := cov.C2.Cap()
 	if cap(scr.mark) < n {
 		scr.mark = make([]uint32, n)

@@ -146,16 +146,25 @@ func TestSelectGatewaysRestrictedNeed(t *testing.T) {
 	g := paperGraph()
 	cl := cluster.LowestID(g)
 	b := coverage.NewBuilder(g, cl, coverage.Hop25)
-	sel := SelectGateways(b.Of(2), graph.NewBitset(10), graph.NewBitset(10))
+	sel := SelectGateways(b.Of(2), graph.NewSparseSet(10), graph.NewSparseSet(10))
 	if len(sel.Gateways) != 0 {
 		t.Fatalf("empty need must select nothing, got %v", sel.Gateways)
 	}
 	// Restricting head 3's need to clusterhead 4 only: select node 9
 	// (lowest ID covering 4; paper example for the dynamic broadcast).
-	sel = SelectGateways(b.Of(2), graph.BitsetOf(10, 3), nil)
+	sel = SelectGateways(b.Of(2), sparseOf(10, 3), nil)
 	if !reflect.DeepEqual(sel.Gateways, []int{8}) {
 		t.Fatalf("restricted selection = %v, want [8] (paper node 9)", sel.Gateways)
 	}
+}
+
+// sparseOf returns a set over 0..n−1 holding the given ids.
+func sparseOf(n int, ids ...int) *graph.SparseSet {
+	s := graph.NewSparseSet(n)
+	for _, id := range ids {
+		s.Add(id)
+	}
+	return s
 }
 
 func TestSelectGatewaysNeedOutsideCoverageIgnored(t *testing.T) {
@@ -163,7 +172,7 @@ func TestSelectGatewaysNeedOutsideCoverageIgnored(t *testing.T) {
 	cl := cluster.LowestID(g)
 	b := coverage.NewBuilder(g, cl, coverage.Hop25)
 	// Node 9 is neither a clusterhead nor in C(1); it must be ignored.
-	sel := SelectGateways(b.Of(0), graph.BitsetOf(10, 9), graph.BitsetOf(10, 9))
+	sel := SelectGateways(b.Of(0), sparseOf(10, 9), sparseOf(10, 9))
 	if len(sel.Gateways) != 0 {
 		t.Fatalf("targets outside the coverage set must be ignored: %+v", sel)
 	}

@@ -62,7 +62,7 @@ func (ws *Workspace) Select(cov *coverage.Coverage, opts Options) Selection {
 // SelectInto runs the greedy gateway selection of SelectGatewaysOpt and
 // fills dst with the selected nodes, using workspace scratch instead of
 // allocating a Selection. dst is reset.
-func (ws *Workspace) SelectInto(cov *coverage.Coverage, need2, need3 *graph.HybridSet, opts Options, dst *graph.HybridSet) {
+func (ws *Workspace) SelectInto(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options, dst *graph.SparseSet) {
 	sel := selectCore(cov, need2, need3, opts, &ws.scr)
 	dst.Reset(cov.C2.Cap())
 	for _, v := range sel {

@@ -62,12 +62,17 @@ type NetworkSpec struct {
 }
 
 // Network is a clustered MANET snapshot: positions, unit disk graph, and
-// the lowest-ID clustering all algorithms share.
+// the lowest-ID clustering all algorithms share. Its static backbones and
+// MO_CDS are built on first request and cached, so a Network is not safe
+// for concurrent use.
 type Network struct {
 	// Topology holds positions, radius, bounds and the unit disk graph.
 	Topology *topology.Network
 	// Clustering is the lowest-ID clustering of the graph.
 	Clustering *cluster.Clustering
+
+	static [Hop3 + 1]*backbone.Static // by coverage mode
+	mo     *mocds.CDS
 }
 
 // NewRandomNetwork draws a random connected network per the spec and
@@ -119,15 +124,23 @@ func (nw *Network) Graph() *graph.Graph { return nw.Topology.G }
 // Heads returns the clusterheads, ascending.
 func (nw *Network) Heads() []int { return nw.Clustering.Heads }
 
-// StaticBackbone builds the paper's static backbone (cluster-based
-// SI-CDS) under the given coverage mode.
+// StaticBackbone returns the paper's static backbone (cluster-based
+// SI-CDS) under the given coverage mode. The first call builds it and
+// every later call returns the same value, so callers share it read-only.
 func (nw *Network) StaticBackbone(mode Mode) *backbone.Static {
-	return backbone.BuildStatic(nw.Topology.G, nw.Clustering, mode)
+	if nw.static[mode] == nil {
+		nw.static[mode] = backbone.BuildStatic(nw.Topology.G, nw.Clustering, mode)
+	}
+	return nw.static[mode]
 }
 
-// MOCDS builds the message-optimal CDS baseline of Alzoubi et al.
+// MOCDS returns the message-optimal CDS baseline of Alzoubi et al., built
+// on the first call and shared read-only, like StaticBackbone's.
 func (nw *Network) MOCDS() *mocds.CDS {
-	return mocds.Build(nw.Topology.G, nw.Clustering)
+	if nw.mo == nil {
+		nw.mo = mocds.Build(nw.Topology.G, nw.Clustering)
+	}
+	return nw.mo
 }
 
 // DynamicProtocol returns the reusable dynamic-backbone (SD-CDS) broadcast

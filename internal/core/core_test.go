@@ -72,6 +72,21 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBackbonesBuiltOnce: a network builds each static backbone and its
+// MO_CDS once; Summarize and every later request share that value.
+func TestBackbonesBuiltOnce(t *testing.T) {
+	nw := FromGraph(paperGraph())
+	nw.Summarize()
+	s25, s3, mo := nw.StaticBackbone(Hop25), nw.StaticBackbone(Hop3), nw.MOCDS()
+	if s25.Mode != Hop25 || s3.Mode != Hop3 {
+		t.Fatalf("backbone modes %v and %v, want %v and %v", s25.Mode, s3.Mode, Hop25, Hop3)
+	}
+	nw.Summarize()
+	if nw.StaticBackbone(Hop25) != s25 || nw.StaticBackbone(Hop3) != s3 || nw.MOCDS() != mo {
+		t.Fatal("a backbone was built again")
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	nw := FromGraph(paperGraph())
 	s := nw.Summarize()

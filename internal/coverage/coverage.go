@@ -21,12 +21,11 @@
 // covers which 2-hop clusterheads (w ∈ CH_HOP1(v)) and which (v, r) pair
 // reaches which 3-hop clusterhead (w[r] ∈ CH_HOP2(v)).
 //
-// Membership sets (C², C³) are graph.HybridSet values over the node-ID
+// Membership sets (C², C³) are graph.SparseSet values over the node-ID
 // universe: coverage construction and the downstream greedy set-cover are
-// the simulator's hottest kernels, and neighborhood-sized sorted-slice
-// operations (promoting to word-parallel bitsets only past the density
-// threshold) are what keep them O(coverage size) instead of Θ(n) at
-// 10k–100k nodes.
+// the simulator's hottest kernels, and sorted-slice operations over sets
+// of at most 48 clusterheads on a unit-disk graph are what keep them
+// O(coverage size) instead of Θ(n) at 10k–100k nodes.
 package coverage
 
 import (
@@ -94,11 +93,10 @@ type Coverage struct {
 	Mode Mode
 
 	// C2 and C3 are the 2-hop and 3-hop components of the coverage set, as
-	// adaptive hybrid sets over node IDs (sorted-slice while neighborhood-
-	// sized, dense bitset past the density threshold). They are disjoint: a
-	// clusterhead in both is kept only in C2.
-	C2 *graph.HybridSet
-	C3 *graph.HybridSet
+	// sparse sets over node IDs. They are disjoint: a clusterhead in both
+	// is kept only in C2.
+	C2 *graph.SparseSet
+	C3 *graph.SparseSet
 
 	// Conns lists, ascending by neighbor ID, the neighbors of the head
 	// that contribute coverage, with what each covers. Plain sorted slices
@@ -141,13 +139,6 @@ func (c *Coverage) RelayFor(v, w int) (int, bool) {
 		return cn.Relay(w)
 	}
 	return 0, false
-}
-
-// Set returns C(u) = C² ∪ C³ as a fresh bitset.
-func (c *Coverage) Set() *graph.Bitset {
-	m := c.C2.ToBitset()
-	c.C3.AddTo(m)
-	return m
 }
 
 // Size returns |C(u)|.
@@ -275,7 +266,7 @@ func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 	scr.ensure(n)
 	c.Head, c.Mode = u, b.mode
 	if c.C2 == nil {
-		c.C2, c.C3 = graph.NewHybridSet(n), graph.NewHybridSet(n)
+		c.C2, c.C3 = graph.NewSparseSet(n), graph.NewSparseSet(n)
 	} else {
 		c.C2.Reset(n)
 		c.C3.Reset(n)

@@ -37,8 +37,8 @@ func paperSetup(t *testing.T, mode Mode) (*graph.Graph, *cluster.Clustering, *Bu
 }
 
 // keys returns the sorted members of a set (nil when empty, for easy
-// reflect.DeepEqual comparisons). It accepts any of the graph set
-// representations (Bitset, SparseSet, HybridSet).
+// reflect.DeepEqual comparisons). It accepts both graph set
+// representations (Bitset, SparseSet).
 func keys(b interface{ Members() []int }) []int {
 	out := b.Members()
 	if len(out) == 0 {
@@ -190,8 +190,8 @@ func TestCoverageSetAndSize(t *testing.T) {
 	if cov.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", cov.Size())
 	}
-	if got := keys(cov.Set()); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("Set = %v, want [0 2]", got)
+	if c2, c3 := keys(cov.C2), keys(cov.C3); !reflect.DeepEqual(c2, []int{2}) || !reflect.DeepEqual(c3, []int{0}) {
+		t.Fatalf("C2 = %v, C3 = %v, want [2] and [0]", c2, c3)
 	}
 }
 
@@ -391,6 +391,38 @@ func TestQuickModeContainment(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCoverageWithinPackingBound: lowest-ID clusterheads are pairwise
+// non-adjacent and C(u) holds only clusterheads within three hops of u.
+// On a unit-disk graph of range r those heads lie within 3r of u, and
+// their r/2-disks, u's own included, are disjoint inside the disk of
+// radius 3.5r around u: |C²(u)| + |C³(u)| ≤ (3.5r)²/(r/2)² − 1 = 48 at
+// any n and density. graph.SparseSet holds these sets on that bound.
+func TestCoverageWithinPackingBound(t *testing.T) {
+	const packing = 48
+	largest := 0
+	for _, d := range []float64{4, 18, 60} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			nw, err := topology.Generate(topology.Config{N: 2000, Bounds: geom.Square(100), AvgDegree: d}, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := cluster.LowestID(nw.G)
+			for _, mode := range []Mode{Hop25, Hop3} {
+				b := NewBuilder(nw.G, cl, mode)
+				for _, h := range cl.Heads {
+					size := b.Of(h).Size()
+					if size > packing {
+						t.Fatalf("d=%g seed %d %v: head %d covers %d clusterheads, over the packing bound %d",
+							d, seed, mode, h, size, packing)
+					}
+					largest = max(largest, size)
+				}
+			}
+		}
+	}
+	t.Logf("largest coverage set: %d clusterheads", largest)
 }
 
 func TestModeString(t *testing.T) {

@@ -53,12 +53,12 @@ type packet struct {
 	// the packet is fresh from a non-clusterhead source).
 	fromCH int
 	// cov holds C(u) ∪ {u} of that clusterhead: every clusterhead known to
-	// be covered by its transmission. Hybrid because coverage sets are
+	// be covered by its transmission. Sparse because coverage sets are
 	// neighborhood-sized, not Θ(n).
-	cov *graph.HybridSet
-	// forward is F(u): the non-clusterhead nodes asked to relay. Hybrid for
+	cov *graph.SparseSet
+	// forward is F(u): the non-clusterhead nodes asked to relay. Sparse for
 	// the same reason as cov: a handful of gateways, not Θ(n).
-	forward *graph.HybridSet
+	forward *graph.SparseSet
 }
 
 // Protocol is the broadcast.Protocol implementation of the dynamic
@@ -85,9 +85,9 @@ type Protocol struct {
 	// are bump-allocated and rewound once per broadcast (in Start).
 	reuse   bool
 	bws     *broadcast.Workspace
-	need    graph.HybridSet
-	hsets   []*graph.HybridSet
-	hcur    int
+	need    graph.SparseSet
+	sets    []*graph.SparseSet
+	scur    int
 	packets []*packet
 	pcur    int
 
@@ -153,22 +153,22 @@ func (p *Protocol) initStrip(s int) {
 	}
 }
 
-// allocHybrid returns a cleared n-hybrid-set: fresh for plain protocols,
+// allocSet returns a cleared set over 0..n−1: fresh for plain protocols,
 // from the bump arena for workspace-backed ones.
-func (p *Protocol) allocHybrid(n int) *graph.HybridSet {
+func (p *Protocol) allocSet(n int) *graph.SparseSet {
 	if !p.reuse {
-		return graph.NewHybridSet(n)
+		return graph.NewSparseSet(n)
 	}
-	if p.hcur == len(p.hsets) {
-		p.hsets = append(p.hsets, graph.NewHybridSet(n))
+	if p.scur == len(p.sets) {
+		p.sets = append(p.sets, graph.NewSparseSet(n))
 	}
-	h := p.hsets[p.hcur]
-	p.hcur++
-	h.Reset(n)
-	return h
+	s := p.sets[p.scur]
+	p.scur++
+	s.Reset(n)
+	return s
 }
 
-// allocPacket returns a packet to fill, analogous to allocHybrid.
+// allocPacket returns a packet to fill, analogous to allocSet.
 func (p *Protocol) allocPacket() *packet {
 	if !p.reuse {
 		return &packet{}
@@ -192,11 +192,11 @@ func (p *Protocol) Name() string {
 }
 
 // Start implements broadcast.Protocol. For workspace-backed protocols the
-// packet/bitset arenas rewind here — the engine retains nothing across
+// packet/set arenas rewind here — the engine retains nothing across
 // broadcasts, so everything handed out during the previous broadcast is
 // dead by the next Start.
 func (p *Protocol) Start(source int) broadcast.Packet {
-	p.hcur, p.pcur = 0, 0
+	p.scur, p.pcur = 0, 0
 	if p.cl.IsHead(source) {
 		return p.headPacket(source, nil, -1)
 	}
@@ -249,7 +249,7 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 			}
 		}
 	}
-	fwd := p.allocHybrid(n)
+	fwd := p.allocSet(n)
 	p.sel.SelectInto(cov, need, need, backbone.Options{}, fwd)
 	if obs.Enabled() {
 		mHeadPackets.Inc()
@@ -261,7 +261,7 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 	// Piggyback the FULL coverage set (paper: "F(3)={9} and C(3)={1,2,4}
 	// are piggybacked"): everything in C(v) either receives via F(v) or
 	// was excluded precisely because it already received.
-	full := p.allocHybrid(n)
+	full := p.allocSet(n)
 	full.CopyFrom(cov.C2)
 	full.Or(cov.C3)
 	full.Add(v)
@@ -276,7 +276,7 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 // paper's formula: the upstream sender u first, then the piggybacked set
 // C(u), then the second-hop-adjacent heads CH(N(r)) — a head excluded by
 // several terms is attributed to the first.
-func (p *Protocol) pruneTraced(need *graph.HybridSet, in *packet, v, x int) {
+func (p *Protocol) pruneTraced(need *graph.SparseSet, in *packet, v, x int) {
 	tr := p.tracer
 	if in != nil {
 		if in.fromCH >= 0 && need.Has(in.fromCH) {
@@ -308,7 +308,7 @@ func (p *Protocol) pruneTraced(need *graph.HybridSet, in *packet, v, x int) {
 // pruneCounted is the wholesale exclusion path with per-rule totals
 // recovered from cardinality deltas. Attribution matches pruneTraced: the
 // upstream sender is removed (and counted) before the piggybacked set.
-func (p *Protocol) pruneCounted(need *graph.HybridSet, in *packet, x int) {
+func (p *Protocol) pruneCounted(need *graph.SparseSet, in *packet, x int) {
 	if in != nil {
 		if in.fromCH >= 0 && need.Has(in.fromCH) {
 			mPruneUpstream.Inc()

@@ -10,7 +10,7 @@ import (
 func (p *Protocol) HeadPacketForTest(v int, in broadcast.Packet, x int) (forward map[int]bool, piggyCov map[int]bool) {
 	pkt, _ := in.(*packet)
 	out := p.headPacket(v, pkt, x)
-	return out.forward.ToBitset().ToSet(), out.cov.ToBitset().ToSet()
+	return graph.SetOf(out.forward.Members()...), graph.SetOf(out.cov.Members()...)
 }
 
 // PacketForTest builds an incoming packet for white-box tests. Sets are
@@ -19,7 +19,7 @@ func (p *Protocol) PacketForTest(fromCH int, cov map[int]bool, forward map[int]b
 	n := p.g.N()
 	pk := &packet{fromCH: fromCH}
 	if cov != nil {
-		pk.cov = graph.NewHybridSet(n)
+		pk.cov = graph.NewSparseSet(n)
 		for v, ok := range cov {
 			if ok {
 				pk.cov.Add(v)
@@ -27,7 +27,7 @@ func (p *Protocol) PacketForTest(fromCH int, cov map[int]bool, forward map[int]b
 		}
 	}
 	if forward != nil {
-		pk.forward = graph.NewHybridSet(n)
+		pk.forward = graph.NewSparseSet(n)
 		for v, ok := range forward {
 			if ok {
 				pk.forward.Add(v)

@@ -7,7 +7,7 @@ import (
 	"clustercast/internal/graph"
 )
 
-// Workspace owns a coverage builder, a protocol and its packet/bitset
+// Workspace owns a coverage builder, a protocol and its packet/set
 // arenas, so a worker can rebuild the dynamic-backbone protocol for a new
 // network every replicate without allocating in steady state.
 type Workspace struct {

@@ -5,52 +5,47 @@ import (
 	"testing"
 )
 
-// setTriple keeps one logical set in all three representations so the fuzz
-// driver can apply every mutation to each and demand agreement.
-type setTriple struct {
+// setPair keeps one logical set as a Bitset, the reference, and as a
+// SparseSet, so the fuzz driver can apply every mutation to both and
+// demand agreement.
+type setPair struct {
 	b *Bitset
 	s *SparseSet
-	h *HybridSet
+	// guard is the arena of the last ResetSorted: the carve the sparse set
+	// adopted, then one sentinel that later Adds must not overwrite.
+	guard []int
 }
 
-func newTriple(n int) *setTriple {
-	return &setTriple{b: NewBitset(n), s: NewSparseSet(n), h: NewHybridSet(n)}
+func newPair(n int) *setPair {
+	return &setPair{b: NewBitset(n), s: NewSparseSet(n)}
 }
 
-// agree fails the test unless the three representations hold exactly the
+// agree fails the test unless the two representations hold exactly the
 // same members in the same (ascending) iteration order.
-func (tr *setTriple) agree(t *testing.T, tag string) {
+func (p *setPair) agree(t *testing.T, tag string) {
 	t.Helper()
-	bm, sm, hm := tr.b.Members(), tr.s.Members(), tr.h.Members()
-	if len(bm) != len(sm) || len(bm) != len(hm) {
-		t.Fatalf("%s: member counts diverge: bitset %d sparse %d hybrid %d",
-			tag, len(bm), len(sm), len(hm))
+	if bm, sm := p.b.Members(), p.s.Members(); !slices.Equal(bm, sm) {
+		t.Fatalf("%s: members diverge: bitset %v sparse %v", tag, bm, sm)
 	}
-	for i := range bm {
-		if bm[i] != sm[i] || bm[i] != hm[i] {
-			t.Fatalf("%s: members diverge at %d: bitset %d sparse %d hybrid %d",
-				tag, i, bm[i], sm[i], hm[i])
-		}
-	}
-	if c := tr.b.Count(); tr.s.Count() != c || tr.h.Count() != c {
+	var each []int
+	p.s.ForEach(func(v int) { each = append(each, v) })
+	if c := p.b.Count(); p.s.Count() != c || len(each) != c {
 		t.Fatalf("%s: counts diverge", tag)
 	}
-	if m := tr.b.Min(); tr.s.Min() != m || tr.h.Min() != m {
-		t.Fatalf("%s: min diverges", tag)
+	if p.s.Cap() != p.b.Cap() {
+		t.Fatalf("%s: capacities diverge: bitset %d sparse %d", tag, p.b.Cap(), p.s.Cap())
 	}
-	if a := tr.b.Any(); tr.s.Any() != a || tr.h.Any() != a {
-		t.Fatalf("%s: any diverges", tag)
+	if k := len(p.guard); k > 0 && p.guard[k-1] != -1 {
+		t.Fatalf("%s: a write ran past the ResetSorted carve", tag)
 	}
 }
 
-// FuzzSetRepsAgree drives randomized operation sequences against a Bitset,
-// a SparseSet and a HybridSet in lockstep and demands identical members,
-// iteration order, and query answers after every step — the property that
-// lets the backbone kernels swap representations without changing a single
-// greedy decision. Universe sizes up to ~300 cross the hybrid promotion
-// threshold (64 + n/64), so the dense branch of HybridSet is exercised too.
-// Run with `go test -fuzz=FuzzSetRepsAgree` for open-ended fuzzing; the
-// seed corpus runs as a normal test.
+// FuzzSetRepsAgree drives randomized operation sequences against a Bitset
+// and a SparseSet in lockstep and demands identical members, iteration
+// order and query answers after every step: the property that lets the
+// backbone kernels keep neighborhood-sized sets sparse without changing a
+// single greedy decision. Run with `go test -fuzz=FuzzSetRepsAgree` for
+// open-ended fuzzing; the seed corpus runs as a normal test.
 func FuzzSetRepsAgree(f *testing.F) {
 	f.Add([]byte{200, 0, 1, 0, 2, 0, 3, 1, 2, 3, 0})
 	f.Add([]byte{50, 0, 0, 2, 0, 4, 1, 5, 0, 6, 0, 7, 0})
@@ -60,75 +55,47 @@ func FuzzSetRepsAgree(f *testing.F) {
 		if len(data) < 1 {
 			return
 		}
-		n := int(data[0]) + 20 // 20..275: both sides of the promotion threshold
-		a := newTriple(n)
-		o := newTriple(n) // binary-op operand, mutated by its own ops
+		n := int(data[0]) + 20 // 20..275
+		a := newPair(n)
+		o := newPair(n) // binary-op operand, mutated by its own ops
 		for i := 1; i+1 < len(data); i += 2 {
-			op, arg := data[i]%11, int(data[i+1])%n
+			op, arg := data[i]%8, int(data[i+1])%n
 			switch op {
 			case 0: // bulk add: spread a run of members from one byte
 				for k := 0; k < 8; k++ {
 					v := (arg*7 + k*13) % n
 					a.b.Add(v)
 					a.s.Add(v)
-					a.h.Add(v)
 				}
 			case 1:
 				a.b.Remove(arg)
 				a.s.Remove(arg)
-				a.h.Remove(arg)
 			case 2:
 				for k := 0; k < 8; k++ {
 					v := (arg*5 + k*11) % n
 					o.b.Add(v)
 					o.s.Add(v)
-					o.h.Add(v)
 				}
 			case 3:
 				a.b.Or(o.b)
 				a.s.Or(o.s)
-				a.h.Or(o.h)
 			case 4:
-				a.b.And(o.b)
-				a.s.And(o.s)
-				a.h.And(o.h)
-			case 5:
 				a.b.AndNot(o.b)
 				a.s.AndNot(o.s)
-				a.h.AndNot(o.h)
-			case 6:
-				a.b.Clear()
-				a.s.Clear()
-				a.h.Clear()
-			case 7:
+			case 5:
 				a.b.CopyFrom(o.b)
 				a.s.CopyFrom(o.s)
-				a.h.CopyFrom(o.h)
-			case 8: // cross-representation queries must agree
-				if a.b.Has(arg) != a.s.Has(arg) || a.b.Has(arg) != a.h.Has(arg) {
-					t.Fatalf("Has(%d) diverges", arg)
-				}
-				if a.b.Intersects(o.b) != a.s.Intersects(o.s) ||
-					a.b.Intersects(o.b) != a.h.Intersects(o.h) {
-					t.Fatal("Intersects diverges")
-				}
-				if c := a.b.IntersectionCount(o.b); a.s.IntersectionCount(o.s) != c ||
-					a.h.IntersectionCount(o.h) != c {
-					t.Fatal("IntersectionCount diverges")
-				}
-			case 9: // hybrid bridges: ToBitset/AddTo/CopyBitset round-trips
-				if !a.h.ToBitset().Equal(a.b) {
-					t.Fatal("ToBitset diverges from bitset")
-				}
-				rt := NewHybridSet(n)
-				rt.CopyBitset(a.b)
-				if !rt.Equal(a.h) {
-					t.Fatal("CopyBitset round-trip diverges")
-				}
-			case 10: // reset to a fresh (same-capacity) universe
+			case 6: // adopt the operand's members as a capped arena carve
+				m := o.b.Members()
+				a.guard = append(m, -1)
+				a.s.ResetSorted(n, a.guard[:len(m):len(m)])
+				a.b.CopyFrom(o.b)
+			case 7: // reset to a fresh (same-capacity) universe
 				a.b.Reset(n)
 				a.s.Reset(n)
-				a.h.Reset(n)
+			}
+			if a.b.Has(arg) != a.s.Has(arg) {
+				t.Fatalf("Has(%d) diverges", arg)
 			}
 			a.agree(t, "a")
 			o.agree(t, "operand")

@@ -1,19 +1,19 @@
 package graph
 
-import "sort"
-
 // SparseSet is a set of small non-negative integers (node IDs) stored as a
-// sorted slice of members. It carries the same operation surface as Bitset
-// but costs O(members), not O(capacity/64 words), per operation: for the
-// neighborhood-sized sets of the backbone pipeline (|set| ≈ degree or the
-// number of nearby clusterheads) that is the difference between O(deg) and
-// Θ(n) work per clusterhead at 10k–100k nodes.
+// sorted slice of members, so every operation costs O(members) where a
+// Bitset's costs O(capacity/64 words). It holds the neighborhood-sized sets
+// of the backbone pipeline: a clusterhead's C² and C³ coverage sets, the
+// pruned need sets and the gateway selections drawn from them. Lowest-ID
+// clusterheads are pairwise non-adjacent, so on a unit-disk graph at most
+// 48 of them lie within three hops of a node (their r/2-disks are disjoint
+// inside a disk of radius 3.5r), and these sets stay that small at any n.
 //
 // Members are kept strictly ascending, so iteration order matches Bitset's
 // and the greedy selections' "lowest ID first" determinism is preserved.
 //
 // All binary operations require operands created with the same capacity.
-// The zero value is an empty set of capacity 0; use NewSparseSet.
+// The zero value is an empty set of capacity 0; use NewSparseSet or Reset.
 type SparseSet struct {
 	ids []int // strictly ascending members
 	n   int   // universe capacity
@@ -28,15 +28,6 @@ func NewSparseSet(n int) *SparseSet {
 	return &SparseSet{n: n}
 }
 
-// SparseSetOf returns a set over 0..n−1 holding the given ids.
-func SparseSetOf(n int, ids ...int) *SparseSet {
-	s := NewSparseSet(n)
-	for _, id := range ids {
-		s.Add(id)
-	}
-	return s
-}
-
 // Reset re-capacities s to the universe 0..n−1 and empties it, keeping the
 // member storage for reuse. Always O(1).
 func (s *SparseSet) Reset(n int) {
@@ -46,6 +37,19 @@ func (s *SparseSet) Reset(n int) {
 	s.ids = s.ids[:0]
 	s.n = n
 }
+
+// ResetSorted re-capacities s to the universe 0..n−1 and makes ids, which
+// must be strictly ascending and within range, its members. s adopts ids
+// as its member storage instead of copying it, so a caller can carve many
+// sets from one arena; cap ids at its length (a three-index slice) so that
+// a later Add cannot write past it.
+func (s *SparseSet) ResetSorted(n int, ids []int) {
+	s.Reset(n)
+	s.ids = ids
+}
+
+// Cap returns the capacity of the universe (n in NewSparseSet).
+func (s *SparseSet) Cap() int { return s.n }
 
 // find returns the insertion index of i in the sorted member slice.
 func (s *SparseSet) find(i int) int {
@@ -94,29 +98,10 @@ func (s *SparseSet) Has(i int) bool {
 // Count returns the number of members.
 func (s *SparseSet) Count() int { return len(s.ids) }
 
-// Any reports whether the set is non-empty.
-func (s *SparseSet) Any() bool { return len(s.ids) > 0 }
-
-// Min returns the smallest member, or −1 when the set is empty.
-func (s *SparseSet) Min() int {
-	if len(s.ids) == 0 {
-		return -1
-	}
-	return s.ids[0]
-}
-
-// Clear empties the set in place. Always O(1).
-func (s *SparseSet) Clear() { s.ids = s.ids[:0] }
-
 // CopyFrom overwrites s with the contents of o (same capacity required).
 func (s *SparseSet) CopyFrom(o *SparseSet) {
 	s.check(o)
 	s.ids = append(s.ids[:0], o.ids...)
-}
-
-// Clone returns an independent copy of s.
-func (s *SparseSet) Clone() *SparseSet {
-	return &SparseSet{ids: append([]int(nil), s.ids...), n: s.n}
 }
 
 // Or adds every member of o to s (set union, in place): one linear merge
@@ -153,27 +138,6 @@ func (s *SparseSet) Or(o *SparseSet) {
 	s.ids = out
 }
 
-// And keeps only members shared with o (set intersection, in place).
-func (s *SparseSet) And(o *SparseSet) {
-	s.check(o)
-	out := s.ids[:0]
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			out = append(out, a)
-			i++
-			j++
-		}
-	}
-	s.ids = out
-}
-
 // AndNot removes every member of o from s (set difference, in place).
 func (s *SparseSet) AndNot(o *SparseSet) {
 	s.check(o)
@@ -194,59 +158,6 @@ func (s *SparseSet) AndNot(o *SparseSet) {
 	s.ids = out
 }
 
-// Intersects reports whether s and o share a member.
-func (s *SparseSet) Intersects(o *SparseSet) bool {
-	s.check(o)
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectionCount returns |s ∩ o| without materializing the
-// intersection.
-func (s *SparseSet) IntersectionCount(o *SparseSet) int {
-	s.check(o)
-	c := 0
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-// Equal reports whether s and o hold exactly the same members.
-func (s *SparseSet) Equal(o *SparseSet) bool {
-	if s.n != o.n || len(s.ids) != len(o.ids) {
-		return false
-	}
-	for i, v := range s.ids {
-		if o.ids[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every member in ascending order.
 func (s *SparseSet) ForEach(fn func(i int)) {
 	for _, v := range s.ids {
@@ -258,9 +169,6 @@ func (s *SparseSet) ForEach(fn func(i int)) {
 func (s *SparseSet) Members() []int {
 	return append([]int(nil), s.ids...)
 }
-
-// sorted is a debug helper: it verifies the strictly-ascending invariant.
-func (s *SparseSet) sorted() bool { return sort.IntsAreSorted(s.ids) }
 
 // check panics on capacity mismatch, mirroring Bitset.check.
 func (s *SparseSet) check(o *SparseSet) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"clustercast/internal/coverage"
@@ -13,11 +14,11 @@ import (
 
 // sameOutcome demands bit-identical results from the round-synchronous
 // oracle (a) and the production Run (b). All fields compare with
-// DeepEqual except the Coverage sets: HybridSet retains its sparse
-// remnant after dense promotion and the oracle's C³ inserts in
-// map-iteration order, so C²/C³ compare semantically (Equal) while the
-// derived Conns layout — which both engines emit fully sorted — still
-// compares structurally.
+// DeepEqual except the Coverage sets: a SparseSet's spare capacity
+// depends on how it was filled (the oracle inserts C³ in map-iteration
+// order, the engine adopts arena carves), so C²/C³ compare by members
+// while the derived Conns layout — which both engines emit fully
+// sorted — still compares structurally.
 func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Head, b.Head) {
@@ -49,10 +50,10 @@ func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 		if ca.Head != cb.Head || ca.Mode != cb.Mode {
 			t.Fatalf("%s: head %d identity differs", label, h)
 		}
-		if !ca.C2.Equal(cb.C2) {
+		if !slices.Equal(ca.C2.Members(), cb.C2.Members()) {
 			t.Fatalf("%s: head %d C² differs: %v vs %v", label, h, ca.C2.Members(), cb.C2.Members())
 		}
-		if !ca.C3.Equal(cb.C3) {
+		if !slices.Equal(ca.C3.Members(), cb.C3.Members()) {
 			t.Fatalf("%s: head %d C³ differs: %v vs %v", label, h, ca.C3.Members(), cb.C3.Members())
 		}
 		if !reflect.DeepEqual(ca.Conns, cb.Conns) {

@@ -306,7 +306,7 @@ func runOracle(g *graph.Graph, mode coverage.Mode) *Outcome {
 func (nd *node) assembleCoverage(mode coverage.Mode, n int) *coverage.Coverage {
 	cov := &coverage.Coverage{
 		Head: nd.id, Mode: mode,
-		C2: graph.NewHybridSet(n), C3: graph.NewHybridSet(n),
+		C2: graph.NewSparseSet(n), C3: graph.NewSparseSet(n),
 	}
 	// First pass over the (sorted) neighbors fills C² completely, because
 	// the C³ pass below must filter against it. Per-neighbor lists are

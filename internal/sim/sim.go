@@ -455,7 +455,7 @@ type covArena struct {
 	hop2Off []int
 
 	covs    []coverage.Coverage
-	sets    []graph.HybridSet // C² and C³ of the i-th head at 2i and 2i+1
+	sets    []graph.SparseSet // C² and C³ of the i-th head at 2i and 2i+1
 	members []int             // the current chunk of the sets' member lists
 	conns   []coverage.Connector
 	direct  []int
@@ -476,7 +476,7 @@ func newCovArena(n, heads int, hop1 []int32, hop1Off []int, hop2 []hop2Entry, ho
 	return &covArena{
 		hop1: hop1, hop1Off: hop1Off, hop2: hop2, hop2Off: hop2Off,
 		covs:   make([]coverage.Coverage, 0, heads),
-		sets:   make([]graph.HybridSet, 2*heads),
+		sets:   make([]graph.SparseSet, 2*heads),
 		conns:  make([]coverage.Connector, 0, len(hop1)),
 		direct: make([]int, 0, direct),
 		ind:    make([]coverage.Hop2Entry, 0, ind),
