@@ -1,9 +1,6 @@
 GO ?= go
 
-# Baseline the bench-compare target diffs against.
-BENCH_BASELINE ?= BENCH_PR3.json
-
-.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench bench-compare bench-scale bench-build figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -53,45 +50,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDESMACAgree$$' -fuzztime 10s ./internal/broadcast
 
 # Quick benchmark smoke: the end-to-end sweep point plus the hot kernels it
-# is built from. Compare against BENCH_PR1.json for regressions.
+# is built from. A plain go test -bench run: pipebench (BENCHMARK.json) is
+# the benchmark that compares builds.
 bench-smoke:
 	$(GO) test -run xxx -bench 'SweepPoint|TopologyGenerate|CoverageBuilder|StaticBackbone|DynamicBroadcast|BitsetOps' -benchtime 1s .
-
-# Re-run the baselined benchmarks and diff ns/op + allocs/op against
-# $(BENCH_BASELINE), warning on regressions beyond 10%. -short keeps the
-# gate quick by skipping the n=50000 scale points; run `make bench-scale`
-# for the full curves benchcmp renders per network size.
-bench-compare:
-	$(GO) test -short -run xxx -bench 'SweepPoint|MobilityStep|TopologyGenerate|CoverageBuilder|StaticBackbone|DynamicBroadcast|ConstructionThroughput|BitsetOps|BitsetReset|ScaleReplicate|ScaleKernels' -benchtime 1s . \
-		| $(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -threshold 0.10
-
-# Full scaling curves (n=1000..50000, several minutes), diffed by network
-# size against $(BENCH_BASELINE).
-bench-scale:
-	$(GO) test -run xxx -bench 'ScaleReplicate|ScaleKernels' -benchtime 10x . \
-		| $(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -threshold 0.10
-
-# Sharded construction-stage gate: the unit-disk sweep and
-# coverage-digest curves diffed against BENCH_PR8.json (-short keeps it
-# to n≤10000), a race pass over the strip-count equivalence suites
-# (digest, grid build, gateway and MO_CDS selection, dynamic-backbone
-# init, and the experiment-level bit-identity sweep; the cluster suite
-# checks the deprecated election forward), and cmd/scale end to end at
-# -buildworkers 1 and 8, which must print the same result= values.
-bench-build:
-	$(GO) test -short -run xxx -bench 'ShardedCoverage|ParallelTopology' -benchtime 10x \
-		./internal/coverage ./internal/topology \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_PR8.json -threshold 0.10
-	$(GO) test -race -run 'Parallel|BuildWorkers' \
-		./internal/coverage ./internal/cluster ./internal/topology ./internal/backbone \
-		./internal/mocds ./internal/dynamicb ./internal/experiment
-	w1=$$($(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 1) || exit 1; \
-	w8=$$($(GO) run ./cmd/scale -n 2000 -d 12 -reps 1 -buildworkers 8) || exit 1; \
-	echo "$$w1"; echo "$$w8"; \
-	r1=$$(echo "$$w1" | grep -o 'result=.*'); r8=$$(echo "$$w8" | grep -o 'result=.*'); \
-	if [ -z "$$r1" ] || [ "$$r1" != "$$r8" ]; then \
-		echo "bench-build: cmd/scale result= values differ between -buildworkers 1 and 8" >&2; exit 1; \
-	fi
 
 # Full benchmark suite (several minutes).
 bench:

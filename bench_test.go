@@ -585,9 +585,9 @@ func BenchmarkScale(b *testing.B) {
 // topology sampling, lowest-ID clustering, coverage digestion, and the
 // respective backbone construction, all through the production workspace
 // path. At these sizes a single replicate — not the replicate count —
-// dominates wall-clock, so this is the scaling curve BENCH_PR3.json
-// publishes. Run `go test -run xxx -bench ScaleReplicate -benchtime 1x`
-// for a quick curve; n=50000 is skipped under -short.
+// dominates wall-clock, so this is the scaling curve per network size.
+// Run `go test -run xxx -bench ScaleReplicate -benchtime 1x` for a quick
+// curve; n=50000 is skipped under -short.
 func BenchmarkScaleReplicate(b *testing.B) {
 	stages := []struct {
 		name string
@@ -623,11 +623,9 @@ func BenchmarkScaleReplicate(b *testing.B) {
 
 // BenchmarkScaleKernels isolates the backbone-construction kernels the
 // sparse set representation targets: the topology is sampled ONCE
-// outside the timer, and each iteration re-runs clusterhead election,
-// coverage digestion and the stage's selection (or broadcast) over the
-// workspace path. This is the apples-to-apples "dense-kernel baseline"
-// comparison for BENCH_PR3.json — topology sampling is geometry, not set
-// algebra, and is identical on both sides.
+// outside the timer (sampling is geometry, not set algebra), and each
+// iteration re-runs clusterhead election, coverage digestion and the
+// stage's selection (or broadcast) over the workspace path.
 func BenchmarkScaleKernels(b *testing.B) {
 	type stage struct {
 		name string

@@ -344,6 +344,11 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		}
 	}
 
+	// A row that cannot run on this network (fwd-tree on a disconnected
+	// one, passive under -trace) prints why in its own row; the rest of
+	// the table and the reports still run, and the run then fails naming
+	// the failed rows.
+	var failed []string
 	fmt.Fprintf(stdout, "%-12s %9s %9s %9s\n", "protocol", "forwards", "delivery", "latency")
 	for _, r := range runs {
 		if cfg.protocols != "all" && !want[r.name] {
@@ -351,7 +356,9 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		}
 		res, err := r.run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
+			fmt.Fprintf(stdout, "%-12s failed: %v\n", r.name, err)
+			failed = append(failed, fmt.Sprintf("%s (%v)", r.name, err))
+			continue
 		}
 		fmt.Fprintf(stdout, "%-12s %9d %8.1f%% %9d\n",
 			r.name, res.ForwardCount(), 100*res.DeliveryRatio(cfg.n), res.Latency)
@@ -361,7 +368,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		runTraffic(nw, traffic, flows, newOracle, stdout)
 	}
 
-	if tracer != nil {
+	if tracer != nil && len(failed) == 0 {
 		// The churn the traced broadcast ran through: every crash and
 		// recovery in the slots up to its last event. It goes into the
 		// ring only when it fits beside the whole broadcast, which it
@@ -405,6 +412,9 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 		out := sim.Run(nw.Graph(), core.Hop25)
 		fmt.Fprintf(stdout, "\nwire protocol (2.5-hop): %s\n", out.Counters.String())
 		fmt.Fprintf(stdout, "distributed backbone size: %d\n", len(out.Backbone))
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d protocol row(s) failed: %s", len(failed), strings.Join(failed, "; "))
 	}
 	return nil
 }

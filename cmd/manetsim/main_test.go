@@ -12,6 +12,8 @@ import (
 	"clustercast/internal/broadcast"
 	"clustercast/internal/core"
 	"clustercast/internal/faults"
+	"clustercast/internal/geom"
+	"clustercast/internal/topology"
 	"clustercast/internal/workload"
 )
 
@@ -116,6 +118,55 @@ func TestRunLoadMissingFile(t *testing.T) {
 	cfg := config{seed: 1, source: 0, protocols: "flooding", load: "/does/not/exist.json"}
 	if err := run(cfg, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing snapshot must error")
+	}
+}
+
+// TestRunLoadDisconnectedRunsEveryRow: on a disconnected snapshot the
+// fwd-tree row, which needs a connected network, fails in its own row;
+// every other row and the reports still run, and the run fails naming
+// the failed row. Traced, the failed row writes no trace.
+func TestRunLoadDisconnectedRunsEveryRow(t *testing.T) {
+	// Two five-node chains 50 units apart: no link joins them.
+	var pos []geom.Point
+	for i := 0; i < 5; i++ {
+		pos = append(pos, geom.Point{X: float64(10 + 5*i), Y: 20}, geom.Point{X: float64(10 + 5*i), Y: 70})
+	}
+	tn := topology.FromPositions(pos, geom.Square(100), 6)
+	if tn.G.Connected() {
+		t.Fatal("snapshot must be disconnected")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "net.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var out bytes.Buffer
+	cfg := config{seed: 1, source: 0, protocols: "all", load: path, wire: true}
+	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "fwd-tree") {
+		t.Fatalf("want an error naming the fwd-tree row, got %v", err)
+	}
+	s := out.String()
+	for _, r := range buildRuns(core.FromTopology(tn), 0, 1, nil, func() *faults.Oracle { return nil }) {
+		if !strings.Contains(s, "\n"+r.name+" ") {
+			t.Errorf("row %q missing:\n%s", r.name, s)
+		}
+	}
+	if !strings.Contains(s, "\nfwd-tree     failed: ") || !strings.Contains(s, "wire protocol") {
+		t.Fatalf("failed row or wire report missing:\n%s", s)
+	}
+
+	cfg = config{seed: 1, source: 0, protocols: "fwd-tree", load: path, trace: filepath.Join(dir, "t.jsonl")}
+	if err := run(cfg, &bytes.Buffer{}); err == nil {
+		t.Fatal("failed traced row must fail the run")
+	}
+	if _, err := os.Stat(cfg.trace); !os.IsNotExist(err) {
+		t.Fatalf("failed traced row wrote a trace (stat: %v)", err)
 	}
 }
 

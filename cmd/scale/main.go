@@ -1,8 +1,8 @@
 // Command scale drives the backbone kernels at 10k–100k-node topologies —
 // the scale-out regime two to three orders of magnitude past the paper's
 // n≤500 sweeps — and reports per-replicate wall-clock and memory, so the
-// scaling curves in BENCH_PR3.json can be reproduced (and profiled) outside
-// the Go benchmark harness.
+// scaling curves of BenchmarkScaleReplicate and BenchmarkScaleKernels can
+// be reproduced (and profiled) outside the Go benchmark harness.
 //
 // Each replicate samples a connected unit-disk topology through the
 // workspace path, then runs the requested stages: static25 (2.5-hop static

@@ -42,27 +42,34 @@ func resultLines(out string) []string {
 }
 
 // TestRunBuildWorkersResultsIdentical: every stage prints the same result=
-// values whether its construction layers run as one strip or as many.
+// values whether its construction layers run as one strip or as many, at
+// n=600 and in the n=2000, d=12 shape of `scale -n 2000 -d 12 -reps 1`.
 func TestRunBuildWorkersResultsIdentical(t *testing.T) {
 	// The strip count is clamped to GOMAXPROCS; lift it so that -buildworkers
 	// 8 runs eight strips on any machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	var want []string
-	for _, bw := range []int{0, 1, 2, 8} {
-		var out bytes.Buffer
-		cfg := config{n: 600, d: 12, seed: 5, reps: 2, buildW: bw, stages: "static25,mocds,dynamic25"}
-		if err := run(cfg, &out); err != nil {
-			t.Fatal(err)
-		}
-		got := resultLines(out.String())
-		if len(got) != 6 {
-			t.Fatalf("-buildworkers %d: %d result lines, want 6:\n%s", bw, len(got), out.String())
-		}
-		if want == nil {
-			want = got
-		} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("-buildworkers %d results differ from -buildworkers 0:\n%s\nwant\n%s",
-				bw, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	for _, base := range []config{
+		{n: 600, d: 12, seed: 5, reps: 2},
+		{n: 2000, d: 12, seed: 2003, reps: 1},
+	} {
+		var want []string
+		for _, bw := range []int{0, 1, 2, 8} {
+			var out bytes.Buffer
+			cfg := base
+			cfg.buildW, cfg.stages = bw, "static25,mocds,dynamic25"
+			if err := run(cfg, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := resultLines(out.String())
+			if len(got) != 3*cfg.reps {
+				t.Fatalf("n=%d -buildworkers %d: %d result lines, want %d:\n%s", cfg.n, bw, len(got), 3*cfg.reps, out.String())
+			}
+			if want == nil {
+				want = got
+			} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("n=%d -buildworkers %d results differ from -buildworkers 0:\n%s\nwant\n%s",
+					cfg.n, bw, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
 		}
 	}
 }

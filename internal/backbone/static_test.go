@@ -102,7 +102,10 @@ func TestSelectGatewaysIndirectTieBreak(t *testing.T) {
 // the neighbors of a selected neighbor of h, three the neighbors of a
 // selected node adjacent to a selected neighbor of h.
 func reach(g *graph.Graph, h int, gws []int) (two, three *graph.Bitset) {
-	sel := graph.BitsetOf(g.N(), gws...)
+	sel := graph.NewBitset(g.N())
+	for _, v := range gws {
+		sel.Add(v)
+	}
 	two, three = graph.NewBitset(g.N()), graph.NewBitset(g.N())
 	for _, v := range g.Neighbors(h) {
 		if !sel.Has(v) {

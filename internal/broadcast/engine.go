@@ -19,10 +19,6 @@
 package broadcast
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"clustercast/internal/faults"
 	"clustercast/internal/graph"
 	"clustercast/internal/obs"
@@ -185,31 +181,4 @@ func (NoDuplicates) declinesDuplicates() {}
 func actsOnDuplicates(p Protocol) bool {
 	_, declines := p.(interface{ declinesDuplicates() })
 	return !declines
-}
-
-// DeliveryTreeDOT renders the broadcast's delivery tree (first-reception
-// parent pointers) in Graphviz DOT format, with forwarders filled. Output
-// is deterministic.
-func (r *Result) DeliveryTreeDOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %s {\n", name)
-	nodes := make([]int, 0, len(r.Received))
-	for v := range r.Received {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
-	for _, v := range nodes {
-		if r.Forwarders[v] {
-			fmt.Fprintf(&b, "  %d [style=filled fillcolor=black fontcolor=white];\n", v)
-		} else {
-			fmt.Fprintf(&b, "  %d;\n", v)
-		}
-	}
-	for _, v := range nodes {
-		if p, ok := r.Parent[v]; ok {
-			fmt.Fprintf(&b, "  %d -> %d;\n", p, v)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

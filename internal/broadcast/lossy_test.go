@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"strings"
 	"testing"
 
 	"clustercast/internal/geom"
@@ -111,20 +110,6 @@ func TestDeliveryTreeReachesSource(t *testing.T) {
 				t.Fatalf("node %d: parent cycle", v)
 			}
 		}
-	}
-}
-
-func TestDeliveryTreeDOT(t *testing.T) {
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	res := Run(g, 0, Flooding{})
-	dot := res.DeliveryTreeDOT("bc")
-	for _, want := range []string{"digraph bc", "0 -> 1", "1 -> 2", "fillcolor=black"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	if res.DeliveryTreeDOT("bc") != dot {
-		t.Fatal("DOT output must be deterministic")
 	}
 }
 

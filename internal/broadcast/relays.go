@@ -1,7 +1,5 @@
 package broadcast
 
-import "sort"
-
 // designation is the payload of the sender-designating protocols: the set
 // of neighbors the sender requests to relay.
 type designation struct {
@@ -104,42 +102,70 @@ func (m *MPR) OnDuplicate(v, x int, pkt Packet) (bool, Packet) {
 // DP implements dominant pruning (Lim, Kim): the sender picks a forward
 // list from its neighbors that covers its 2-hop neighborhood, excluding
 // nodes already covered by the upstream sender's transmission.
+//
+// Built by NewPDP it is partial dominant pruning (Lou, Wu 2002), the
+// tighter variant: in addition to N(u), the nodes covered by the common
+// neighbors of u and v — N(N(u) ∩ N(v)) — are excluded from the target
+// set, because those common neighbors received the packet simultaneously
+// with v and will have their own chance to cover them.
 type DP struct {
-	nb *Neighborhood
+	nb      *Neighborhood
+	partial bool // PDP's extra exclusion
 	// pkts caches the payload minted for each (sender, upstream) pair.
 	// Forward lists are deterministic in that pair, and reusing one payload
 	// identity per pair lets the engine bound repeat designations.
 	pkts map[[2]int]*designation
 }
 
-// NewDP builds the protocol over a neighborhood cache.
+// NewDP builds dominant pruning over a neighborhood cache.
 func NewDP(nb *Neighborhood) *DP { return &DP{nb: nb, pkts: make(map[[2]int]*designation)} }
 
+// NewPDP builds partial dominant pruning over a neighborhood cache.
+func NewPDP(nb *Neighborhood) *DP {
+	return &DP{nb: nb, partial: true, pkts: make(map[[2]int]*designation)}
+}
+
 // Name implements Protocol.
-func (d *DP) Name() string { return "dp" }
+func (d *DP) Name() string {
+	if d.partial {
+		return "pdp"
+	}
+	return "dp"
+}
 
 // forwardList computes v's forward list given that v heard the packet from
 // upstream u (u < 0 for the source).
 func (d *DP) forwardList(v, u int) map[int]bool {
 	nb := d.nb
+	// reached reports whether w already heard u's transmission.
+	reached := func(w int) bool { return u >= 0 && (w == u || nb.N1(u)[w]) }
 	// Targets: 2-hop neighbors of v not already reached by u's
 	// transmission and not reached by v's own upcoming transmission.
 	targets := make(map[int]bool)
 	for w := range nb.N2(v) {
-		if u >= 0 && (w == u || nb.N1(u)[w]) {
-			continue
+		if !reached(w) {
+			targets[w] = true
 		}
-		targets[w] = true
 	}
-	// Candidates: v's neighbors that did not already receive from u.
+	if d.partial && u >= 0 {
+		// N(N(u) ∩ N(v)): neighbors of the common neighbors.
+		for c := range nb.N1(u) {
+			if !nb.N1(v)[c] {
+				continue
+			}
+			for w := range nb.N1(c) {
+				delete(targets, w)
+			}
+		}
+	}
+	// Candidates: v's neighbors, ascending, that did not already receive
+	// from u.
 	var candidates []int
 	for _, c := range nb.Graph().Neighbors(v) {
-		if u >= 0 && (c == u || nb.N1(u)[c]) {
-			continue
+		if !reached(c) {
+			candidates = append(candidates, c)
 		}
-		candidates = append(candidates, c)
 	}
-	sort.Ints(candidates)
 	chosen := greedyCover(targets, candidates, func(c int) map[int]bool { return nb.N1(c) })
 	out := make(map[int]bool, len(chosen))
 	for _, c := range chosen {
@@ -175,89 +201,4 @@ func (d *DP) OnReceive(v, x int, pkt Packet) (bool, Packet) {
 // OnDuplicate implements Protocol.
 func (d *DP) OnDuplicate(v, x int, pkt Packet) (bool, Packet) {
 	return d.OnReceive(v, x, pkt)
-}
-
-// PDP implements partial dominant pruning (Lou, Wu 2002), the tighter
-// variant of DP: in addition to N(u), the nodes covered by the common
-// neighbors of u and v — N(N(u) ∩ N(v)) — are excluded from the target
-// set, because those common neighbors received the packet simultaneously
-// with v and will have their own chance to cover them.
-type PDP struct {
-	nb   *Neighborhood
-	pkts map[[2]int]*designation // see DP.pkts
-}
-
-// NewPDP builds the protocol over a neighborhood cache.
-func NewPDP(nb *Neighborhood) *PDP { return &PDP{nb: nb, pkts: make(map[[2]int]*designation)} }
-
-// Name implements Protocol.
-func (p *PDP) Name() string { return "pdp" }
-
-func (p *PDP) forwardList(v, u int) map[int]bool {
-	nb := p.nb
-	excluded := make(map[int]bool)
-	if u >= 0 {
-		excluded[u] = true
-		for w := range nb.N1(u) {
-			excluded[w] = true
-		}
-		// N(N(u) ∩ N(v)): neighbors of the common neighbors.
-		for c := range nb.N1(u) {
-			if !nb.N1(v)[c] {
-				continue
-			}
-			for w := range nb.N1(c) {
-				excluded[w] = true
-			}
-		}
-	}
-	targets := make(map[int]bool)
-	for w := range nb.N2(v) {
-		if !excluded[w] {
-			targets[w] = true
-		}
-	}
-	var candidates []int
-	for _, c := range nb.Graph().Neighbors(v) {
-		if u >= 0 && (c == u || nb.N1(u)[c]) {
-			continue
-		}
-		candidates = append(candidates, c)
-	}
-	sort.Ints(candidates)
-	chosen := greedyCover(targets, candidates, func(c int) map[int]bool { return nb.N1(c) })
-	out := make(map[int]bool, len(chosen))
-	for _, c := range chosen {
-		out[c] = true
-	}
-	return out
-}
-
-// packetFor returns the cached payload for sender v with upstream u.
-func (p *PDP) packetFor(v, u int) *designation {
-	key := [2]int{v, u}
-	if d, ok := p.pkts[key]; ok {
-		return d
-	}
-	d := &designation{forward: p.forwardList(v, u)}
-	p.pkts[key] = d
-	return d
-}
-
-// Start implements Protocol.
-func (p *PDP) Start(source int) Packet {
-	return p.packetFor(source, -1)
-}
-
-// OnReceive implements Protocol.
-func (p *PDP) OnReceive(v, x int, pkt Packet) (bool, Packet) {
-	if designated(v, pkt) {
-		return true, p.packetFor(v, x)
-	}
-	return false, nil
-}
-
-// OnDuplicate implements Protocol.
-func (p *PDP) OnDuplicate(v, x int, pkt Packet) (bool, Packet) {
-	return p.OnReceive(v, x, pkt)
 }

@@ -152,9 +152,7 @@ func benchmarkElect(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkParallelCluster keeps the reference rows of the former
-// worklist-vs-reference comparison, so the per-n election curve stays
-// comparable with earlier baselines.
+// BenchmarkParallelCluster times the lowest-ID election per network size.
 func BenchmarkParallelCluster(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		if n > 10000 && testing.Short() {

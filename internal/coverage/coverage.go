@@ -123,24 +123,6 @@ func (c *Coverage) Connector(v int) *Connector {
 	return nil
 }
 
-// DirectOf returns the sorted 2-hop clusterheads neighbor v covers
-// directly (nil when none).
-func (c *Coverage) DirectOf(v int) []int {
-	if cn := c.Connector(v); cn != nil {
-		return cn.Direct
-	}
-	return nil
-}
-
-// RelayFor returns the relay r such that head—v—r—w connects the head to
-// 3-hop clusterhead w, if neighbor v reaches w.
-func (c *Coverage) RelayFor(v, w int) (int, bool) {
-	if cn := c.Connector(v); cn != nil {
-		return cn.Relay(w)
-	}
-	return 0, false
-}
-
 // Size returns |C(u)|.
 func (c *Coverage) Size() int { return c.C2.Count() + c.C3.Count() }
 
@@ -231,13 +213,8 @@ func (b *Builder) Mode() Mode { return b.mode }
 // The returned slice is owned by the builder.
 func (b *Builder) CH1(v int) []int { return b.ch1[v] }
 
-// CH2Entries returns v's 2-hop clusterhead entries (CH_HOP2 content),
-// sorted by clusterhead ID. The returned slice is owned by the builder.
-func (b *Builder) CH2Entries(v int) []Hop2Entry { return b.ch2[v] }
-
 // CH2 returns v's CH_HOP2 content as a clusterhead ↦ relay map. It
-// materializes a fresh map per call and exists for reporting and tests;
-// hot paths use CH2Entries.
+// materializes a fresh map per call and exists for reporting and tests.
 func (b *Builder) CH2(v int) map[int]int {
 	m := make(map[int]int, len(b.ch2[v]))
 	for _, e := range b.ch2[v] {
@@ -330,15 +307,6 @@ func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 		c.Conns = append(c.Conns, Connector{V: v, Direct: d, Indirect: in})
 	}
 	return c
-}
-
-// All computes coverage sets for every clusterhead, keyed by head ID.
-func (b *Builder) All() map[int]*Coverage {
-	out := make(map[int]*Coverage, len(b.cl.Heads))
-	for _, h := range b.cl.Heads {
-		out[h] = b.Of(h)
-	}
-	return out
 }
 
 // ClusterGraph builds the paper's cluster graph G′: one vertex per cluster

@@ -135,7 +135,7 @@ func TestPaperIndirectConnectors(t *testing.T) {
 	if cn == nil || len(cn.Indirect) == 0 {
 		t.Fatalf("head 4 should have indirect coverage via node 9; got %v", cov.Conns)
 	}
-	if r, ok := cov.RelayFor(8, 0); !ok || r != 4 {
+	if r, ok := cn.Relay(0); !ok || r != 4 {
 		t.Fatalf("head 4 should reach clusterhead 1 via relay 5 (0-based 4), got %v", cn.Indirect)
 	}
 }
@@ -144,13 +144,13 @@ func TestPaperDirectConnectors(t *testing.T) {
 	_, _, b := paperSetup(t, Hop25)
 	cov := b.Of(0) // paper clusterhead 1
 	// Neighbor 6 covers {2}, neighbor 7 covers {3}, neighbor 5 covers none.
-	if got := cov.DirectOf(5); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("Direct via node 6 = %v, want {2} (0-based {1})", got)
+	if cn := cov.Connector(5); cn == nil || !reflect.DeepEqual(cn.Direct, []int{1}) {
+		t.Errorf("Direct via node 6 = %v, want {2} (0-based {1})", cn)
 	}
-	if got := cov.DirectOf(6); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("Direct via node 7 = %v, want {3} (0-based {2})", got)
+	if cn := cov.Connector(6); cn == nil || !reflect.DeepEqual(cn.Direct, []int{2}) {
+		t.Errorf("Direct via node 7 = %v, want {3} (0-based {2})", cn)
 	}
-	if got := cov.DirectOf(4); len(got) != 0 {
+	if cn := cov.Connector(4); cn != nil && len(cn.Direct) != 0 {
 		t.Errorf("node 5 directly covers no 2-hop clusterhead of head 1")
 	}
 }
@@ -207,12 +207,8 @@ func TestOfPanicsOnNonHead(t *testing.T) {
 
 func TestAllCoversAllHeads(t *testing.T) {
 	_, cl, b := paperSetup(t, Hop25)
-	all := b.All()
-	if len(all) != len(cl.Heads) {
-		t.Fatalf("All returned %d coverages for %d heads", len(all), len(cl.Heads))
-	}
 	for _, h := range cl.Heads {
-		if all[h] == nil || all[h].Head != h {
+		if cov := b.Of(h); cov == nil || cov.Head != h {
 			t.Fatalf("missing/incorrect coverage for head %d", h)
 		}
 	}
@@ -265,17 +261,13 @@ func TestQuickCoverageDistances(t *testing.T) {
 			} else {
 				// 2.5-hop: w ∈ C³ iff some member of w's cluster is within
 				// N²(h) and w is at distance 3.
-				inN2 := map[int]bool{}
-				for _, x := range g.KHop(h, 2) {
-					inN2[x] = true
-				}
 				for _, w := range cl.Heads {
 					if dist[w] != 3 {
 						continue
 					}
 					hasMember := false
 					for _, m := range cl.Members[w] {
-						if m != w && inN2[m] {
+						if m != w && dist[m] >= 0 && dist[m] <= 2 {
 							hasMember = true
 							break
 						}
@@ -446,6 +438,8 @@ func BenchmarkBuilder100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bb := NewBuilder(nw.G, cl, Hop25)
-		_ = bb.All()
+		for _, h := range cl.Heads {
+			_ = bb.Of(h)
+		}
 	}
 }

@@ -24,14 +24,8 @@ func requireSameDigest(t *testing.T, want, got *Builder, n int, ctx string) {
 		if !slices.Equal(want.CH1(v), got.CH1(v)) {
 			t.Fatalf("%s: CH1(%d) differs\nwant %v\ngot  %v", ctx, v, want.CH1(v), got.CH1(v))
 		}
-		w, g := want.CH2Entries(v), got.CH2Entries(v)
-		if len(w) != len(g) {
-			t.Fatalf("%s: CH2(%d) length %d != %d\nwant %v\ngot  %v", ctx, v, len(g), len(w), w, g)
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s: CH2(%d) differs\nwant %v\ngot  %v", ctx, v, w, g)
-			}
+		if w, g := want.ch2[v], got.ch2[v]; !slices.Equal(w, g) {
+			t.Fatalf("%s: CH2(%d) differs\nwant %v\ngot  %v", ctx, v, w, g)
 		}
 	}
 }
@@ -161,9 +155,7 @@ func BenchmarkShardedCoverage(b *testing.B) {
 		}
 		for _, m := range []Mode{Hop25, Hop3} {
 			prefix := "n=" + itoa(n) + "/" + m.String() + "-"
-			// "reference" is Reset, the one-strip digest; the name keeps
-			// the checked-in baseline rows that make bench-build diffs.
-			b.Run(prefix+"reference", func(b *testing.B) { benchmarkDigest(b, n, m, 1) })
+			b.Run(prefix+"w1", func(b *testing.B) { benchmarkDigest(b, n, m, 1) })
 			b.Run(prefix+"sharded-w8", func(b *testing.B) { benchmarkDigest(b, n, m, 8) })
 		}
 	}

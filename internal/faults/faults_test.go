@@ -5,7 +5,20 @@ import (
 	"testing"
 
 	"clustercast/internal/geom"
+	"clustercast/internal/obs"
 )
+
+// churnEvents returns the node-crash and node-recover events
+// TraceTransitions emits for o over the slots [t0, t1).
+func churnEvents(t *testing.T, o *Oracle, t0, t1 int) []obs.Event {
+	t.Helper()
+	tr := obs.NewTracer(1 << 14)
+	o.TraceTransitions(tr, t0, t1)
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d churn events", tr.Dropped())
+	}
+	return tr.Events()
+}
 
 func TestParseSpecRoundTrip(t *testing.T) {
 	cases := []string{
@@ -93,7 +106,14 @@ func TestNodeUpDeterministicAndOrderIndependent(t *testing.T) {
 		}
 	}
 	// And some churn must actually happen over 200 slots at MTBF 40.
-	crashes, recoveries := a.Transitions(0, 200)
+	crashes, recoveries := 0, 0
+	for _, ev := range churnEvents(t, a, 0, 200) {
+		if ev.Kind == obs.EvNodeCrash {
+			crashes++
+		} else {
+			recoveries++
+		}
+	}
 	if crashes == 0 || recoveries == 0 {
 		t.Errorf("no churn over 200 slots: crashes=%d recoveries=%d", crashes, recoveries)
 	}
@@ -223,8 +243,8 @@ func TestNilOracleIsTransparent(t *testing.T) {
 	if !o.NodeUp(3, 7) || !o.LinkUp(1, 2, 7) || o.CopyLost(1, 2, 7) {
 		t.Error("nil oracle must report everything healthy")
 	}
-	if c, r := o.Transitions(0, 100); c != 0 || r != 0 {
-		t.Error("nil oracle must report no transitions")
+	if evs := churnEvents(t, o, 0, 100); len(evs) != 0 {
+		t.Errorf("nil oracle emitted %d churn events", len(evs))
 	}
 }
 
@@ -245,33 +265,41 @@ func TestAliveCountAndPredicateAgree(t *testing.T) {
 	}
 }
 
+// TestTransitionsAreConsistentWithNodeUp: the crash and recover events
+// TraceTransitions emits for slot s flip exactly the nodes whose NodeUp
+// changes from s to s+1, each from the state NodeUp reports at s, and
+// they come in slot order; a warmup shifts both alike.
 func TestTransitionsAreConsistentWithNodeUp(t *testing.T) {
-	spec := Spec{MeanUp: 25, MeanDown: 15, Seed: 23}
-	o := New(spec, 12)
-	// Crashes minus recoveries over [0, T) must equal the number of nodes
-	// that are down at T−ε... (toggle parity). Cross-check per-slot.
-	o2 := New(spec, 12)
-	for tm := 1; tm <= 150; tm++ {
-		c, r := o.Transitions(tm-1, tm)
-		downBefore, downAfter := 0, 0
-		for v := 0; v < 12; v++ {
-			if !o2.NodeUp(v, tm-1) {
-				downBefore++
+	const n, slots = 12, 150
+	for _, warmup := range []int{0, 40} {
+		spec := Spec{MeanUp: 25, MeanDown: 15, Warmup: warmup, Seed: 23}
+		evs := churnEvents(t, New(spec, n), 0, slots)
+		ref := New(spec, n)
+		up := make([]bool, n)
+		for v := range up {
+			up[v] = ref.NodeUp(v, 0)
+		}
+		flips := 0
+		for s := 0; s < slots; s++ {
+			for ; len(evs) > 0 && evs[0].T == s; evs = evs[1:] {
+				ev := evs[0]
+				if (ev.Kind == obs.EvNodeCrash) != up[ev.Node] {
+					t.Fatalf("warmup %d, slot %d: %s of node %d, which NodeUp reports up=%v", warmup, s, ev.Kind, ev.Node, up[ev.Node])
+				}
+				up[ev.Node] = !up[ev.Node]
+				flips++
+			}
+			for v := range up {
+				if got := ref.NodeUp(v, s+1); got != up[v] {
+					t.Fatalf("warmup %d: node %d up=%v at slot %d, but its events leave it up=%v", warmup, v, got, s+1, up[v])
+				}
 			}
 		}
-		for v := 0; v < 12; v++ {
-			if !o2.NodeUp(v, tm) {
-				downAfter++
-			}
+		if len(evs) != 0 {
+			t.Fatalf("warmup %d: %d events out of slot order or outside [0, %d): first %+v", warmup, len(evs), slots, evs[0])
 		}
-		// Net flips between consecutive integer slots must match the
-		// transition tally parity-wise (events inside (t−1, t] move state
-		// observed at t).
-		_ = c
-		_ = r
-		if downAfter-downBefore > c || downBefore-downAfter > r {
-			t.Fatalf("slot %d: down %d→%d but transitions c=%d r=%d",
-				tm, downBefore, downAfter, c, r)
+		if flips == 0 {
+			t.Fatalf("warmup %d: no churn over %d slots", warmup, slots)
 		}
 	}
 }

@@ -9,12 +9,6 @@ import (
 	"clustercast/internal/rng"
 )
 
-// Fault metrics, folded when Transitions tallies a window.
-var (
-	mCrashes    = obs.NewCounter("faults.crashes")
-	mRecoveries = obs.NewCounter("faults.recoveries")
-)
-
 // Oracle answers per-slot node and link state queries for one fault
 // schedule. It memoizes lazily: churn timelines extend on demand per node,
 // and each link's loss chain advances slot by slot as it is queried. Node,
@@ -259,34 +253,6 @@ func (o *Oracle) CopyLost(u, v, t int) bool {
 	q := ch.nq
 	ch.nq++
 	return coin(o.spec.Seed, key, uint64(ch.slot), 2+q) < p
-}
-
-// Transitions counts the crash and recovery events across all nodes in the
-// engine-slot window [t0, t1), folding them into the fault counters.
-func (o *Oracle) Transitions(t0, t1 int) (crashes, recoveries int) {
-	if o == nil || o.churn == nil {
-		return 0, 0
-	}
-	lo, hi := float64(t0+o.spec.Warmup), float64(t1+o.spec.Warmup)
-	for v := 0; v < o.n; v++ {
-		c := o.extendChurn(v, hi)
-		for i, tt := range c.toggles {
-			if tt < lo {
-				continue
-			}
-			if tt >= hi {
-				break
-			}
-			if i%2 == 0 {
-				crashes++
-			} else {
-				recoveries++
-			}
-		}
-	}
-	mCrashes.Add(int64(crashes))
-	mRecoveries.Add(int64(recoveries))
-	return crashes, recoveries
 }
 
 // TraceTransitions emits node-crash / node-recover trace events for the

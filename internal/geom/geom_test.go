@@ -23,9 +23,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := a.Sub(b); got != (Point{4, -3}) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := a.Scale(2); got != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", got)
-	}
 	if got := a.Lerp(b, 0); got != a {
 		t.Fatalf("Lerp t=0 = %v", got)
 	}
@@ -131,13 +128,10 @@ func TestQuickDistSymmetryAndTriangle(t *testing.T) {
 	}
 }
 
-func TestPointStringAndNorm(t *testing.T) {
+func TestPointString(t *testing.T) {
 	p := Point{X: 3, Y: 4}
 	if got := p.String(); got != "(3.000, 4.000)" {
 		t.Fatalf("String = %q", got)
-	}
-	if got := p.Norm(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm = %g", got)
 	}
 }
 

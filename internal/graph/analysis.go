@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // CutVertices returns the articulation points of g — nodes whose removal
 // disconnects their component — using Tarjan's low-link algorithm
 // (iterative). In a MANET these are the single points of failure of the
@@ -70,80 +68,6 @@ func (g *Graph) CutVertices() map[int]bool {
 	return cut
 }
 
-// Bridges returns the bridge edges of g (as ordered pairs u < v, sorted):
-// edges whose removal disconnects their component.
-func (g *Graph) Bridges() [][2]int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	var bridges [][2]int
-	timer := 0
-
-	type frame struct {
-		v  int
-		ei int
-		// skippedParentEdge tracks one parallel-free parent edge skip (the
-		// graph is simple, so exactly one adjacency entry points back).
-		skippedParentEdge bool
-	}
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{v: s}}
-		disc[s] = timer
-		low[s] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.ei < len(g.Neighbors(f.v)) {
-				w := g.Neighbors(f.v)[f.ei]
-				f.ei++
-				if w == parent[f.v] && !f.skippedParentEdge {
-					f.skippedParentEdge = true
-					continue
-				}
-				if disc[w] == -1 {
-					parent[w] = f.v
-					disc[w] = timer
-					low[w] = timer
-					timer++
-					stack = append(stack, frame{v: w})
-				} else if disc[w] < low[f.v] {
-					low[f.v] = disc[w]
-				}
-				continue
-			}
-			v := f.v
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if low[v] > disc[p] {
-					a, b := p, v
-					if a > b {
-						a, b = b, a
-					}
-					bridges = append(bridges, [2]int{a, b})
-				}
-			}
-		}
-	}
-	sort.Slice(bridges, func(i, j int) bool {
-		if bridges[i][0] != bridges[j][0] {
-			return bridges[i][0] < bridges[j][0]
-		}
-		return bridges[i][1] < bridges[j][1]
-	})
-	return bridges
-}
-
 // Triangles returns the number of triangles in g.
 func (g *Graph) Triangles() int {
 	count := 0
@@ -177,13 +101,4 @@ func (g *Graph) ClusteringCoefficient() float64 {
 		return 0
 	}
 	return 3 * float64(g.Triangles()) / float64(triples)
-}
-
-// DegreeHistogram returns counts[k] = number of nodes with degree k.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		counts[len(g.Neighbors(v))]++
-	}
-	return counts
 }

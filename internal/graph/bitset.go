@@ -30,15 +30,6 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// BitsetOf returns a set over 0..n−1 holding the given ids.
-func BitsetOf(n int, ids ...int) *Bitset {
-	b := NewBitset(n)
-	for _, id := range ids {
-		b.Add(id)
-	}
-	return b
-}
-
 // BitsetFromSet converts a membership map over 0..n−1.
 func BitsetFromSet(n int, set map[int]bool) *Bitset {
 	b := NewBitset(n)
@@ -112,16 +103,6 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Any reports whether the set is non-empty.
-func (b *Bitset) Any() bool {
-	for _, w := range b.words[:b.hi] {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Min returns the smallest member, or −1 when the set is empty. It is the
 // deterministic "lowest ID first" iteration anchor of the greedy selection.
 func (b *Bitset) Min() int {
@@ -131,15 +112,6 @@ func (b *Bitset) Min() int {
 		}
 	}
 	return -1
-}
-
-// Clear empties the set in place, zeroing only the touched words.
-func (b *Bitset) Clear() {
-	words := b.words[:b.hi]
-	for i := range words {
-		words[i] = 0
-	}
-	b.hi = 0
 }
 
 // CopyFrom overwrites b with the contents of o (same capacity required).
@@ -152,13 +124,6 @@ func (b *Bitset) CopyFrom(o *Bitset) {
 	b.hi = o.hi
 }
 
-// Clone returns an independent copy of b.
-func (b *Bitset) Clone() *Bitset {
-	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n, hi: b.hi}
-	copy(c.words, b.words)
-	return c
-}
-
 // Or adds every member of o to b (set union, in place).
 func (b *Bitset) Or(o *Bitset) {
 	b.check(o)
@@ -168,22 +133,6 @@ func (b *Bitset) Or(o *Bitset) {
 	if o.hi > b.hi {
 		b.hi = o.hi
 	}
-}
-
-// And keeps only members shared with o (set intersection, in place).
-func (b *Bitset) And(o *Bitset) {
-	b.check(o)
-	lo := b.hi
-	if o.hi < lo {
-		lo = o.hi
-	}
-	for i := 0; i < lo; i++ {
-		b.words[i] &= o.words[i]
-	}
-	for i := lo; i < b.hi; i++ {
-		b.words[i] = 0
-	}
-	b.hi = lo
 }
 
 // AndNot removes every member of o from b (set difference, in place).
@@ -198,55 +147,6 @@ func (b *Bitset) AndNot(o *Bitset) {
 	}
 }
 
-// Intersects reports whether b and o share a member.
-func (b *Bitset) Intersects(o *Bitset) bool {
-	b.check(o)
-	lo := b.hi
-	if o.hi < lo {
-		lo = o.hi
-	}
-	for i := 0; i < lo; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectionCount returns |b ∩ o| without materializing the
-// intersection.
-func (b *Bitset) IntersectionCount(o *Bitset) int {
-	b.check(o)
-	lo := b.hi
-	if o.hi < lo {
-		lo = o.hi
-	}
-	c := 0
-	for i := 0; i < lo; i++ {
-		c += bits.OnesCount64(b.words[i] & o.words[i])
-	}
-	return c
-}
-
-// Equal reports whether b and o hold exactly the same members.
-func (b *Bitset) Equal(o *Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	// hi is a watermark, not a tight bound (Remove does not lower it), so
-	// compare through the larger of the two marks.
-	top := b.hi
-	if o.hi > top {
-		top = o.hi
-	}
-	for i := 0; i < top; i++ {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every member in ascending order.
 func (b *Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b.words[:b.hi] {
@@ -259,26 +159,9 @@ func (b *Bitset) ForEach(fn func(i int)) {
 
 // Members returns the members in ascending order as a fresh slice.
 func (b *Bitset) Members() []int {
-	return b.AppendMembers(make([]int, 0, b.Count()))
-}
-
-// AppendMembers appends the members in ascending order to dst and returns
-// the extended slice (zero allocations when dst has capacity).
-func (b *Bitset) AppendMembers(dst []int) []int {
-	for wi, w := range b.words[:b.hi] {
-		for w != 0 {
-			dst = append(dst, wi<<6+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// ToSet converts to a membership map (for the map-based reporting APIs).
-func (b *Bitset) ToSet() map[int]bool {
-	m := make(map[int]bool, b.Count())
-	b.ForEach(func(i int) { m[i] = true })
-	return m
+	out := make([]int, 0, b.Count())
+	b.ForEach(func(i int) { out = append(out, i) })
+	return out
 }
 
 // check panics on capacity mismatch: silently operating on differently

@@ -64,25 +64,6 @@ func (d *Digraph) HasEdge(u, v int) bool {
 	return i < len(list) && list[i] == v
 }
 
-// RemoveEdge deletes (u, v) if present and reports whether it was present.
-// The dynamic backbone's pruning step eliminates cluster-graph edges between
-// two downstream clusterheads of a common upstream sender.
-func (d *Digraph) RemoveEdge(u, v int) bool {
-	if !d.HasEdge(u, v) {
-		return false
-	}
-	d.out[u] = removeInt(d.out[u], v)
-	d.in[v] = removeInt(d.in[v], u)
-	d.edges--
-	return true
-}
-
-func removeInt(list []int, v int) []int {
-	i := sort.SearchInts(list, v)
-	copy(list[i:], list[i+1:])
-	return list[:len(list)-1]
-}
-
 // Out returns the sorted out-neighbors of u (owned by the digraph).
 func (d *Digraph) Out(u int) []int { return d.out[u] }
 
@@ -120,91 +101,6 @@ func (d *Digraph) StronglyConnected() bool {
 		return true
 	}
 	return reachableFrom(d.out, 0) == n && reachableFrom(d.in, 0) == n
-}
-
-// SCCs returns the strongly connected components (Tarjan's algorithm,
-// iterative to avoid deep recursion on large cluster graphs). Components are
-// returned with members sorted, ordered by smallest member.
-func (d *Digraph) SCCs() [][]int {
-	n := len(d.out)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var comps [][]int
-	next := 0
-
-	type frame struct {
-		v  int
-		ei int
-	}
-	for s := 0; s < n; s++ {
-		if index[s] != -1 {
-			continue
-		}
-		callStack := []frame{{v: s}}
-		index[s] = next
-		low[s] = next
-		next++
-		stack = append(stack, s)
-		onStack[s] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if f.ei < len(d.out[f.v]) {
-				w := d.out[f.v][f.ei]
-				f.ei++
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// Finished v.
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := &callStack[len(callStack)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Ints(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
-
-// Clone returns a deep copy of d.
-func (d *Digraph) Clone() *Digraph {
-	c := &Digraph{out: make([][]int, len(d.out)), in: make([][]int, len(d.in)), edges: d.edges}
-	for i := range d.out {
-		c.out[i] = append([]int(nil), d.out[i]...)
-		c.in[i] = append([]int(nil), d.in[i]...)
-	}
-	return c
 }
 
 // DOT renders the digraph in Graphviz DOT format with deterministic

@@ -1,7 +1,7 @@
 // Package graph provides the undirected-graph substrate for the MANET
-// simulator: adjacency storage, traversals, k-hop neighborhoods,
-// connectivity queries, and verification predicates for dominating sets and
-// connected dominating sets (CDS).
+// simulator: adjacency storage, traversals, connectivity queries, and
+// verification predicates for dominating sets and connected dominating
+// sets (CDS).
 //
 // Nodes are identified by dense integer IDs 0..n−1. In the MANET model the
 // ID doubles as the node's unique address, and the lowest-ID clustering
@@ -183,34 +183,6 @@ search:
 	}
 	putScratch(s)
 	return d
-}
-
-// KHop returns N^k(v): the set of nodes within k hops of v, including v
-// itself, as a sorted slice. K must be >= 0.
-func (g *Graph) KHop(v, k int) []int {
-	if k < 0 {
-		panic("graph: negative k")
-	}
-	dist := map[int]int{v: 0}
-	frontier := []int{v}
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		var next []int
-		for _, u := range frontier {
-			for _, w := range g.Neighbors(u) {
-				if _, ok := dist[w]; !ok {
-					dist[w] = hop + 1
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	out := make([]int, 0, len(dist))
-	for u := range dist {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Connected reports whether g is connected. The empty graph and the
@@ -420,42 +392,6 @@ func (g *Graph) diameterSource(cand, lo, hi []int32, high bool) int {
 		}
 	}
 	return best
-}
-
-// ShortestPath returns one shortest path from src to dst as a node sequence
-// including both endpoints, or nil when dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	prev := make([]int, g.n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if prev[v] == -1 {
-				prev[v] = u
-				if v == dst {
-					var path []int
-					for w := dst; w != src; w = prev[w] {
-						path = append(path, w)
-					}
-					path = append(path, src)
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
 }
 
 // DOT renders g in Graphviz DOT format; highlight marks a set of nodes to

@@ -133,31 +133,6 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-func TestKHop(t *testing.T) {
-	g := pathGraph(7)
-	if got := g.KHop(3, 0); !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("KHop(3,0) = %v", got)
-	}
-	if got := g.KHop(3, 1); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("KHop(3,1) = %v", got)
-	}
-	if got := g.KHop(3, 2); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("KHop(3,2) = %v", got)
-	}
-	if got := g.KHop(0, 100); len(got) != 7 {
-		t.Fatalf("KHop with huge k should cover the component: %v", got)
-	}
-}
-
-func TestKHopNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative k must panic")
-		}
-	}()
-	pathGraph(3).KHop(0, -1)
-}
-
 func TestConnected(t *testing.T) {
 	if !New(0).Connected() || !New(1).Connected() {
 		t.Fatal("trivial graphs are connected")
@@ -340,32 +315,6 @@ func TestDiameterMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	p := pathGraph(5)
-	if got := p.ShortestPath(0, 4); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("ShortestPath = %v", got)
-	}
-	if got := p.ShortestPath(2, 2); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("trivial path = %v", got)
-	}
-	g := New(3)
-	g.AddEdge(0, 1)
-	if got := g.ShortestPath(0, 2); got != nil {
-		t.Fatalf("unreachable path should be nil, got %v", got)
-	}
-	// On a cycle the path length must be the BFS distance.
-	c := cycleGraph(8)
-	path := c.ShortestPath(0, 4)
-	if len(path) != 5 {
-		t.Fatalf("cycle shortest path length %d, want 5 nodes", len(path))
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !c.HasEdge(path[i], path[i+1]) {
-			t.Fatalf("path step %d-%d is not an edge", path[i], path[i+1])
-		}
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := pathGraph(4)
 	c := g.Clone()
@@ -450,33 +399,6 @@ func TestQuickRandomGraphInvariants(t *testing.T) {
 	}
 }
 
-// Property: KHop is monotone in k and consistent with BFS distances.
-func TestQuickKHopMatchesBFS(t *testing.T) {
-	f := func(seed uint64, sz uint8, kk uint8) bool {
-		n := int(sz)%30 + 2
-		k := int(kk) % 5
-		r := rng.New(seed)
-		g := randomConnectedGraph(r, n, n)
-		v := r.Intn(n)
-		dist := g.BFS(v)
-		hop := g.KHop(v, k)
-		inHop := map[int]bool{}
-		for _, u := range hop {
-			inHop[u] = true
-		}
-		for u := 0; u < n; u++ {
-			want := dist[u] >= 0 && dist[u] <= k
-			if inHop[u] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHopDistMatchesBFS: HopDist(src, dst) is BFS(src)[dst] for every
 // pair of random graphs, sparse ones included, whose unreachable pairs
 // read −1; a steady-state call allocates nothing (the race detector makes
@@ -513,14 +435,5 @@ func BenchmarkBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.BFS(i % 1000)
-	}
-}
-
-func BenchmarkKHop3(b *testing.B) {
-	r := rng.New(1)
-	g := randomConnectedGraph(r, 1000, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.KHop(i%1000, 3)
 	}
 }

@@ -4,8 +4,8 @@ import "sync"
 
 // Scratch is reusable traversal workspace: an epoch-stamped visited array
 // and a preallocated frontier queue. Reusing one Scratch across traversals
-// makes BFS, connectivity checks and k-hop queries allocation-free in
-// steady state — resetting costs one epoch increment, not an O(n) clear.
+// makes BFS and connectivity checks allocation-free in steady state —
+// resetting costs one epoch increment, not an O(n) clear.
 //
 // A Scratch is not safe for concurrent use; use one per goroutine (the
 // package-level pool hands them out cheaply).
@@ -104,34 +104,6 @@ func (g *Graph) BFSWith(s *Scratch, src int, fn func(v, dist int)) {
 			}
 		}
 	}
-}
-
-// KHopWith appends the nodes within k hops of v (including v) to dst in
-// visit order and returns the extended slice, reusing the scratch. Unlike
-// KHop the result is not sorted; callers needing ascending order sort the
-// returned slice themselves.
-func (g *Graph) KHopWith(s *Scratch, v, k int, dst []int) []int {
-	if k < 0 {
-		panic("graph: negative k")
-	}
-	epoch := s.begin(g.N())
-	s.visit(v, epoch)
-	s.dist[v] = 0
-	dst = append(dst, v)
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		du := s.dist[u]
-		if du == k {
-			continue
-		}
-		for _, w := range g.Neighbors(u) {
-			if s.visit(w, epoch) {
-				s.dist[w] = du + 1
-				dst = append(dst, w)
-			}
-		}
-	}
-	return dst
 }
 
 // InducedConnected reports whether the subgraph induced by the members of

@@ -54,14 +54,6 @@ func (p *Progress) AddTotal(n int64) {
 	p.total.Add(n)
 }
 
-// SetTotal replaces the expected total. No-op when disabled or p is nil.
-func (p *Progress) SetTotal(n int64) {
-	if p == nil || !enabled.Load() {
-		return
-	}
-	p.total.Store(n)
-}
-
 // Done returns the completed-unit count.
 func (p *Progress) Done() int64 {
 	if p == nil {

@@ -17,7 +17,6 @@ func TestProgressDisabledAndNil(t *testing.T) {
 	nilP.Step()
 	nilP.Add(3)
 	nilP.AddTotal(5)
-	nilP.SetTotal(5)
 	if nilP.Done() != 0 || nilP.Total() != 0 || nilP.Name() != "" {
 		t.Fatal("nil progress not zero")
 	}
@@ -67,7 +66,7 @@ func TestProgressIdempotentRegistrationAndReset(t *testing.T) {
 		t.Fatal("Progress not idempotent")
 	}
 	withEnabled(t, func() {
-		a.SetTotal(4)
+		a.AddTotal(4)
 		a.Step()
 	})
 	r.Reset()

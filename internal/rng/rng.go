@@ -91,15 +91,6 @@ func (r *Stream) SplitInto(dst *Stream) {
 	dst.inc = splitmix64(&s) | 1
 }
 
-// SplitN returns n independent child streams.
-func (r *Stream) SplitN(n int) []*Stream {
-	out := make([]*Stream, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // next32 returns the next 32 bits from the PCG core.
 func (r *Stream) next32() uint32 {
 	old := r.state
@@ -201,22 +192,4 @@ func (r *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function
-// (Fisher-Yates).
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly random element index of a slice of length n,
-// or -1 when n == 0.
-func (r *Stream) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
 }

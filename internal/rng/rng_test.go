@@ -51,18 +51,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitN(t *testing.T) {
-	kids := New(5).SplitN(8)
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatalf("duplicate first output %d across SplitN children", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := New(3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -181,29 +169,6 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(43)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", s)
-	}
-}
-
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
 	}
 }
 

@@ -106,49 +106,10 @@ func (m *RandomWaypoint) Step(dt float64) []geom.Point {
 	return m.positions
 }
 
-// RandomWalk implements a simple random-walk (Brownian-like) model: each
-// step, every node moves a normally distributed displacement and reflects
-// off the area boundary.
-type RandomWalk struct {
-	Bounds   geom.Rect
-	StepSize float64 // standard deviation of per-unit-time displacement
-
-	rng       *rng.Stream
-	positions []geom.Point
-}
-
-// NewRandomWalk creates the model with the given starting positions.
-func NewRandomWalk(start []geom.Point, bounds geom.Rect, stepSize float64, r *rng.Stream) *RandomWalk {
-	return &RandomWalk{
-		Bounds:    bounds,
-		StepSize:  stepSize,
-		rng:       r,
-		positions: append([]geom.Point(nil), start...),
-	}
-}
-
-// Positions returns the current positions without advancing.
-func (m *RandomWalk) Positions() []geom.Point { return m.positions }
-
-// Step advances the model by dt time units and returns the positions after
-// the step. The returned slice is owned by the model.
-func (m *RandomWalk) Step(dt float64) []geom.Point {
-	for i, p := range m.positions {
-		q := geom.Point{
-			X: p.X + m.rng.NormFloat64()*m.StepSize*dt,
-			Y: p.Y + m.rng.NormFloat64()*m.StepSize*dt,
-		}
-		m.positions[i] = reflect(q, m.Bounds)
-	}
-	return m.positions
-}
-
 // reflect mirrors a point back into bounds, bouncing off the walls as many
-// times as the overshoot requires. A single bounce followed by clamping —
-// the previous implementation — silently pins every step longer than the
-// area width onto the boundary, piling probability mass on the walls and
-// distorting the walk's stationary distribution once StepSize·dt approaches
-// the area size.
+// times as the overshoot requires. A single bounce followed by clamping
+// would pin every overshoot longer than the area width onto the boundary,
+// piling probability mass on the walls.
 func reflect(p geom.Point, b geom.Rect) geom.Point {
 	p.X = reflect1(p.X, b.MinX, b.MaxX)
 	p.Y = reflect1(p.Y, b.MinY, b.MaxY)

@@ -67,31 +67,6 @@ func TestReflectPropertyInBoundsAndMeasurePreserving(t *testing.T) {
 	}
 }
 
-// TestRandomWalkHugeStepDistribution drives steps several times the area
-// width and checks the positions do not pile up on the boundary (the
-// clamping bug put ~all mass on the walls).
-func TestRandomWalkHugeStepDistribution(t *testing.T) {
-	b := geom.Square(10)
-	start := make([]geom.Point, 500)
-	for i := range start {
-		start[i] = geom.Point{X: 5, Y: 5}
-	}
-	m := NewRandomWalk(start, b, 50, rng.New(1)) // σ per step = 5 widths
-	var pts []geom.Point
-	for s := 0; s < 4; s++ {
-		pts = m.Step(1)
-	}
-	onWall := 0
-	for _, p := range pts {
-		if p.X == b.MinX || p.X == b.MaxX || p.Y == b.MinY || p.Y == b.MaxY {
-			onWall++
-		}
-	}
-	if onWall > len(pts)/20 {
-		t.Fatalf("%d/%d positions pinned to the boundary — reflection is clamping", onWall, len(pts))
-	}
-}
-
 // TestRandomWaypointDegenerateConfigsTerminate is the termination property
 // test: Step must return for any combination of zero pause, zero-area
 // bounds, and target == position.

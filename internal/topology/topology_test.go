@@ -313,41 +313,6 @@ func TestRandomWaypointPause(t *testing.T) {
 	}
 }
 
-func TestRandomWalkStaysInBounds(t *testing.T) {
-	r := rng.New(23)
-	bounds := geom.Square(50)
-	start := make([]geom.Point, 10)
-	for i := range start {
-		start[i] = bounds.Center()
-	}
-	m := NewRandomWalk(start, bounds, 5, r)
-	for step := 0; step < 500; step++ {
-		for _, p := range m.Step(1.0) {
-			if !bounds.Contains(p) {
-				t.Fatalf("walk escaped bounds: %v", p)
-			}
-		}
-	}
-}
-
-func TestRandomWalkDiffuses(t *testing.T) {
-	r := rng.New(29)
-	bounds := geom.Square(1000)
-	start := []geom.Point{bounds.Center()}
-	m := NewRandomWalk(start, bounds, 1, r)
-	for i := 0; i < 100; i++ {
-		m.Step(1)
-	}
-	d := m.Positions()[0].Dist(bounds.Center())
-	if d == 0 {
-		t.Fatal("random walk did not move")
-	}
-	// RMS displacement after 100 unit steps with σ=1 per axis ≈ √200 ≈ 14.
-	if d > 200 {
-		t.Fatalf("random walk displacement %g implausibly large", d)
-	}
-}
-
 func TestReflect(t *testing.T) {
 	b := geom.Square(10)
 	cases := []struct{ in, want geom.Point }{
