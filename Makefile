@@ -30,17 +30,20 @@ test-pipebench:
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing for each of the
 # input-facing targets — the topology snapshot loader, the banded
-# unit-disk build, and the fault and traffic spec grammars — for the
-# two CSR graph constructors, AddEdge and FromEdges, against each other,
-# for graph.SparseSet against its Bitset reference, for the wire
-# protocol's arena-backed coverage sets against its round-synchronous
-# reference, and for the slotted-MAC kernel against its scalar oracles,
-# multi-flow and one-flow, over declining and duplicate-acting protocols.
+# unit-disk build (against the pairwise construction), and the fault and
+# traffic spec grammars — for the two CSR graph constructors, AddEdge and
+# FromEdges, against each other, for graph.SparseSet against its Bitset
+# reference, for the one-pass clusterhead election against the
+# round-by-round one, for the wire protocol's arena-backed coverage sets
+# against its round-synchronous reference, and for the slotted-MAC kernel
+# against its scalar oracles, multi-flow and one-flow, over declining and
+# duplicate-acting protocols.
 # Plain test runs only replay their seed corpora. -fuzz takes one target
 # in one package, hence one go test per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphInvariants$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSetRepsAgree$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzElectAgree$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzDESSimAgree$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildParallelAgree$$' -fuzztime 10s ./internal/topology

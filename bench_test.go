@@ -956,7 +956,7 @@ func BenchmarkDESTimed(b *testing.B) {
 			}
 			g := sample(b, n, 18, 0).Graph()
 			p := broadcast.CounterBased{Threshold: 3, MaxDelay: 8, Seed: 7}
-			tw := broadcast.NewTimedWorkspace()
+			tw := new(broadcast.TimedWorkspace)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

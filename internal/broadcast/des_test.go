@@ -95,7 +95,7 @@ func TestDESIdealMatchesLegacyRun(t *testing.T) {
 }
 
 func TestDESTimedEquivalence(t *testing.T) {
-	tw := NewTimedWorkspace() // reused across every run
+	tw := new(TimedWorkspace) // reused across every run
 	for trial := 0; trial < 6; trial++ {
 		nw := randomNet(t, 200+uint64(trial), 40+10*trial, 8)
 		n := nw.G.N()
@@ -167,7 +167,7 @@ func macFuzzProto(g *graph.Graph, kind int, gossip Gossip) Protocol {
 }
 
 func TestDESMACEquivalence(t *testing.T) {
-	mw := NewMultiMACWorkspace() // reused across every one-flow run
+	mw := new(MultiMACWorkspace) // reused across every one-flow run
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 300+uint64(trial), 40+12*trial, 9)
 		n := nw.G.N()
@@ -317,7 +317,7 @@ func TestDESMACSteadyStateAllocs(t *testing.T) {
 		jitter int
 	}{{80, 0}, {80, 6}, {300, 0}, {300, 12}} {
 		nw := randomNet(t, 10, tc.n, 8)
-		mw := NewMultiMACWorkspace()
+		mw := new(MultiMACWorkspace)
 		opt := MACOptions{Jitter: tc.jitter, Seed: 4}
 		flows := oneFlow(0, Flooding{}, opt)
 		var res *MultiResult
@@ -345,7 +345,7 @@ func TestDESMACSteadyStateAllocs(t *testing.T) {
 func TestTimedSteadyStateAllocs(t *testing.T) {
 	for _, n := range []int{80, 300} {
 		nw := randomNet(t, 11, n, 8)
-		tw := NewTimedWorkspace()
+		tw := new(TimedWorkspace)
 		ps := []TimedProtocol{
 			CounterBased{Threshold: 3, MaxDelay: 4, Seed: 5},
 			DistanceBased{Positions: nw.Positions, MinDistance: 0.4 * nw.Radius, MaxDelay: 4, Seed: 7},

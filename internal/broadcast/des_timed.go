@@ -19,6 +19,7 @@ type tdEvent struct {
 // this state. A scalar heap-based loop is kept in the tests as the
 // reference (runTimedOracle).
 //
+// The zero value is an empty workspace whose buffers grow on first use.
 // Not safe for concurrent use; give each worker its own.
 type TimedWorkspace struct {
 	wheel     des.Wheel[tdEvent]
@@ -36,10 +37,6 @@ type TimedWorkspace struct {
 	heardLen []int32
 	heard    []int
 }
-
-// NewTimedWorkspace returns an empty workspace; buffers grow on first
-// use.
-func NewTimedWorkspace() *TimedWorkspace { return &TimedWorkspace{} }
 
 // ensure sizes the per-node arrays and the heard arena for g and bumps
 // the epoch (with the usual wrap flush).

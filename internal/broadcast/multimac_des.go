@@ -30,8 +30,9 @@ import (
 //
 // After a warm-up run on the same inputs, a reused workspace allocates
 // only the returned MultiResult and its maps
-// (TestMultiMACSteadyStateAllocs).
-// Not safe for concurrent use; give each worker its own.
+// (TestMultiMACSteadyStateAllocs). The zero value is an empty workspace
+// whose buffers grow on first use. Not safe for concurrent use; give each
+// worker its own.
 type MultiMACWorkspace struct {
 	wheel des.Wheel[multiTx]
 	n     int // nodes of the current run
@@ -72,10 +73,6 @@ type copyLink struct {
 	bi   int32 // batch index of the copy
 	next int32 // 1 + index of the receiver's previous further copy (0: end)
 }
-
-// NewMultiMACWorkspace returns an empty workspace; buffers grow on first
-// use.
-func NewMultiMACWorkspace() *MultiMACWorkspace { return &MultiMACWorkspace{} }
 
 // ensure sizes the arrays for n nodes and the flows' protocols, empties
 // the cell bitsets, and records which flows act on duplicates, sizing

@@ -108,7 +108,7 @@ func TestMultiMACMetricsParitySerialized(t *testing.T) {
 // fault oracles, including the typed trace stream, on one workspace
 // reused across every run.
 func TestMultiMACScalarDESEquivalence(t *testing.T) {
-	mw := NewMultiMACWorkspace()
+	mw := new(MultiMACWorkspace)
 	for trial := 0; trial < 5; trial++ {
 		nw := randomNet(t, 800+uint64(trial), 40+10*trial, 9)
 		n := nw.G.N()
@@ -166,7 +166,7 @@ func (u upgradeCounter) OnDuplicate(v, x int, pkt Packet) (bool, Packet) {
 // result and the trace bytes must equal the oracle's, and some duplicate
 // must have upgraded a node, or the acted-payload path ran unexercised.
 func TestMultiMACMixedDuplicateActors(t *testing.T) {
-	mw := NewMultiMACWorkspace()
+	mw := new(MultiMACWorkspace)
 	upgrades := 0
 	for trial := 0; trial < 4; trial++ {
 		nw := randomNet(t, 850+uint64(trial), 50+10*trial, 10)
@@ -204,7 +204,7 @@ func TestMultiMACMixedDuplicateActors(t *testing.T) {
 func TestMultiMACDecliningRunKeepsNoActedState(t *testing.T) {
 	nw := randomNet(t, 860, 60, 9)
 	n := nw.G.N()
-	mw := NewMultiMACWorkspace()
+	mw := new(MultiMACWorkspace)
 	mks := macProtos(nw.G)
 	mw.Run(nw.G, multiFlowsBy(n, 3, 1, func(i int) Protocol { return mks[i]() }), MACOptions{Jitter: 2})
 	if mw.actedHead != nil || cap(mw.acted) != 0 {
@@ -320,7 +320,7 @@ func FuzzMultiMACScalarDESAgree(f *testing.F) {
 			nflows < 1 || nflows > 8 || gap < 0 || gap > 64 {
 			t.Skip()
 		}
-		mw := NewMultiMACWorkspace()
+		mw := new(MultiMACWorkspace)
 		sizes := [][2]int{{n, nflows}, {n/2 + 3, nflows/2 + 1}, {n, nflows}, {n + 17, nflows + 3}}
 		for k, sz := range sizes {
 			nw := randomNet(t, topoSeed+uint64(k), sz[0], float64(deg))
@@ -377,7 +377,7 @@ func TestMultiMACEmptyFlows(t *testing.T) {
 // TestMultiMACWorkspaceReuse: a workspace survives runs of different
 // sizes and flow counts without cross-run contamination.
 func TestMultiMACWorkspaceReuse(t *testing.T) {
-	mw := NewMultiMACWorkspace()
+	mw := new(MultiMACWorkspace)
 	for trial := 0; trial < 6; trial++ {
 		nw := randomNet(t, 900+uint64(trial), 20+10*(trial%3), 7)
 		n := nw.G.N()
@@ -400,7 +400,7 @@ func TestMultiMACWorkspaceReuse(t *testing.T) {
 func TestMultiMACSteadyStateAllocs(t *testing.T) {
 	nw := randomNet(t, 11, 80, 8)
 	flows := multiFlows(nw.G.N(), 6, 1, Flooding{})
-	mw := NewMultiMACWorkspace()
+	mw := new(MultiMACWorkspace)
 	opt := MACOptions{Jitter: 3}
 	var res *MultiResult
 	run := func() { res = mw.Run(nw.G, flows, opt) }

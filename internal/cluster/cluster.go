@@ -16,11 +16,24 @@
 //
 // The resulting clusterhead set is a maximal independent set of the graph
 // (two clusterheads are never neighbors, and every node is a clusterhead or
-// adjacent to one). Note that the round-synchronous process is NOT always
-// identical to the sequential "greedy by ID" pass: the heads coincide, but
-// a member may affiliate with a larger-ID head whose declaration it heard
-// first. We reproduce the distributed behaviour because it is what the
-// paper's protocol produces on a real network.
+// adjacent to one). A member may affiliate with a larger-ID head whose
+// declaration it heard first; we reproduce the distributed behaviour
+// because it is what the paper's protocol produces on a real network.
+//
+// The rounds need not be run one by one. A candidate declares in the
+// round after all its better neighbors have decided, and is captured in
+// the round its first adjacent head declares; a worse neighbor declares
+// only after the node has decided. So a node's outcome depends on its
+// better neighbors alone, and Elect decides the nodes in one pass in
+// priority order:
+//
+//   - A node with a clusterhead among its better neighbors is a member. It
+//     decides in the earliest round in which one of those heads declared,
+//     and joins the best head of that round.
+//   - Any other node is a clusterhead. It declares in the round after the
+//     last of its better neighbors decided (round 1 when it has none).
+//
+// Rounds is the last round in which a node decided.
 package cluster
 
 import (
@@ -123,16 +136,8 @@ func (c *Clustering) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// electionState is the per-node state during an election.
-type electionState uint8
-
-const (
-	candidate electionState = iota
-	head
-	member
-)
-
-// Priority orders nodes during clusterhead election. Lower wins.
+// Priority orders nodes during clusterhead election: the lower (rank,
+// tiebreak) wins, and nodes equal on both are ordered by ID.
 type Priority func(v int) (rank int, tiebreak int)
 
 // LowestIDPriority is the paper's rule: smaller ID wins outright.
@@ -144,22 +149,25 @@ func HighestDegreePriority(g *graph.Graph) Priority {
 	return func(v int) (int, int) { return -g.Degree(v), v }
 }
 
-// LowestID runs the round-synchronous lowest-ID clustering.
+// LowestID returns the outcome of the round-synchronous lowest-ID
+// clustering.
 func LowestID(g *graph.Graph) *Clustering {
 	return Elect(g, LowestIDPriority)
 }
 
-// HighestDegree runs the round-synchronous highest-connectivity clustering.
+// HighestDegree returns the outcome of the round-synchronous
+// highest-connectivity clustering.
 func HighestDegree(g *graph.Graph) *Clustering {
 	return Elect(g, HighestDegreePriority(g))
 }
 
-// Elect runs the generic round-synchronous clusterhead election under the
-// given priority. In every round each candidate that beats all its
-// candidate neighbors declares head; candidates hearing declarations join
-// the best adjacent head. Each call uses a fresh workspace, so the result
-// is independently allocated; hot replicate loops call Workspace.Elect to
-// reuse buffers instead.
+// Elect returns the outcome of the round-synchronous clusterhead election
+// under the given priority: in every round each candidate that beats all
+// its candidate neighbors declares head, and candidates hearing
+// declarations join the best adjacent head. It computes that outcome,
+// rounds and all, in the one pass the package comment describes. Each
+// call uses a fresh workspace, so the result is independently allocated;
+// hot replicate loops call Workspace.Elect to reuse buffers instead.
 func Elect(g *graph.Graph, prio Priority) *Clustering {
 	return NewWorkspace().Elect(g, prio)
 }

@@ -1,28 +1,31 @@
 package cluster
 
-import "clustercast/internal/graph"
+import (
+	"cmp"
+	"slices"
+
+	"clustercast/internal/graph"
+)
 
 // Workspace owns every buffer a clusterhead election needs — per-node
-// state, priorities, the declaration queue and the membership assembly —
+// decisions, priorities, the election order and the membership assembly —
 // plus the result Clustering itself. A worker reuses one Workspace across
 // replicates, so steady-state elections allocate nothing.
 //
 // The Clustering returned by Elect/LowestID is owned by the workspace and
 // valid only until the next election on the same workspace.
 type Workspace struct {
-	state    []electionState
-	headOf   []int
-	when     []int
-	rank     []int
-	tie      []int
-	active   []int
-	declared []int
-	counts   []int
-	backing  []int
-	pos      []int
-	heads    []int
-	members  map[int][]int
-	c        Clustering
+	headOf  []int
+	when    []int
+	rank    []int
+	tie     []int
+	order   []int
+	counts  []int
+	backing []int
+	pos     []int
+	heads   []int
+	members map[int][]int
+	c       Clustering
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -33,21 +36,20 @@ func NewWorkspace() *Workspace {
 // ensure sizes the per-node buffers for n nodes.
 func (ws *Workspace) ensure(n int) {
 	if cap(ws.headOf) < n {
-		ws.state = make([]electionState, n)
 		ws.headOf = make([]int, n)
 		ws.when = make([]int, n)
 		ws.rank = make([]int, n)
 		ws.tie = make([]int, n)
+		ws.order = make([]int, n)
 		ws.counts = make([]int, n)
 		ws.backing = make([]int, n)
 		ws.pos = make([]int, n)
-		ws.active = make([]int, 0, n)
 	}
-	ws.state = ws.state[:n]
 	ws.headOf = ws.headOf[:n]
 	ws.when = ws.when[:n]
 	ws.rank = ws.rank[:n]
 	ws.tie = ws.tie[:n]
+	ws.order = ws.order[:n]
 	ws.counts = ws.counts[:n]
 	ws.backing = ws.backing[:n]
 	ws.pos = ws.pos[:n]
@@ -58,105 +60,82 @@ func (ws *Workspace) LowestID(g *graph.Graph) *Clustering {
 	return ws.Elect(g, LowestIDPriority)
 }
 
-// Elect runs the round-synchronous clusterhead election exactly like the
-// package-level Elect, reusing the workspace buffers instead of allocating.
+// Elect runs the clusterhead election exactly like the package-level
+// Elect, reusing the workspace buffers instead of allocating. It decides
+// the nodes in one pass in priority order (see the package comment): each
+// node reads only its better neighbors, which are all decided by then.
 func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 	n := g.N()
 	ws.ensure(n)
-	state := ws.state
-	headOf := ws.headOf
-	when := ws.when
-	for i := range state {
-		state[i] = candidate
-		headOf[i] = -1
-	}
-	remaining := n
-	rounds := 0
+	headOf, when, rank, tie, order := ws.headOf, ws.when, ws.rank, ws.tie, ws.order
 
-	// Evaluate the priority once per node: the election compares priorities
-	// O(n·deg) times per round, and indirect closure calls in that loop
-	// dominate the cost for simple priorities like lowest-ID.
-	rank, tie := ws.rank, ws.tie
+	// Evaluate the priority once per node. When it ascends with ID, as
+	// lowest-ID does, the priority order is ID order and needs no sort.
+	ascending := true
 	for v := 0; v < n; v++ {
 		rank[v], tie[v] = prio(v)
+		order[v] = v
+		if v > 0 && (rank[v] < rank[v-1] || rank[v] == rank[v-1] && tie[v] < tie[v-1]) {
+			ascending = false
+		}
+	}
+	if !ascending {
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(rank[a], rank[b]), cmp.Compare(tie[a], tie[b]), cmp.Compare(a, b))
+		})
 	}
 	better := func(a, b int) bool {
 		if rank[a] != rank[b] {
 			return rank[a] < rank[b]
 		}
-		return tie[a] < tie[b]
+		if tie[a] != tie[b] {
+			return tie[a] < tie[b]
+		}
+		return a < b
 	}
 
-	// The rounds iterate an explicit active-candidate list instead of
-	// re-scanning all n nodes: every node starts active, decided nodes are
-	// compacted out in place (preserving ascending order), and late rounds
-	// touch only the shrinking frontier. Decisions are identical to the
-	// full-scan election: phase-1 declarations read only the batched state
-	// array, and phase 2 reads only head states, so membership of the
-	// active list never changes an outcome — only how fast we skip nodes
-	// that can no longer act.
-	active := ws.active[:0]
-	for v := 0; v < n; v++ {
-		active = append(active, v)
-	}
-	declared := ws.declared[:0]
-	for remaining > 0 {
-		rounds++
-		// Phase 1: simultaneous declarations.
-		declared = declared[:0]
-		for _, v := range active {
-			wins := true
-			for _, u := range g.Neighbors(v) {
-				if state[u] == candidate && better(u, v) {
-					wins = false
-					break
+	// A node with a better head neighbor joins, in the earliest round among
+	// those heads, the best head of that round; any other node declares in
+	// the round after its last better neighbor decided. During the pass
+	// when[u] is 0 while u is undecided, that is, not better than the node
+	// being decided, and a head's round is stored negated, so one load
+	// tells a neighbor's state and round.
+	clear(when)
+	rounds := 0
+	for _, v := range order {
+		best, bestRound, latest := -1, 0, 0
+	scan:
+		for _, u := range g.Neighbors(v) {
+			switch r := when[u]; {
+			case r > 0:
+				latest = max(latest, r)
+			case r < 0:
+				// In ID order a later head of the row is worse, so the
+				// first head of round 1 settles the node.
+				if best < 0 || -r < bestRound || -r == bestRound && !ascending && better(u, best) {
+					best, bestRound = u, -r
 				}
-			}
-			if wins {
-				declared = append(declared, v)
-			}
-		}
-		if len(declared) == 0 {
-			// Cannot happen on a simple graph with a strict total order,
-			// but guard against priority functions that are not total.
-			panic("cluster: election stalled; priority function is not a total order")
-		}
-		for _, v := range declared {
-			state[v] = head
-			headOf[v] = v
-			when[v] = rounds
-			remaining--
-		}
-		// Phase 2: candidates adjacent to a head join the best one; nodes
-		// still undecided stay on the active list for the next round.
-		out := active[:0]
-		for _, v := range active {
-			if state[v] != candidate {
-				continue // declared head this round
-			}
-			best := -1
-			for _, u := range g.Neighbors(v) {
-				if state[u] == head && (best == -1 || better(u, best)) {
-					best = u
+				if ascending && bestRound == 1 {
+					break scan
 				}
+			case ascending:
+				break scan // the rest of the ascending row is undecided too
 			}
-			if best != -1 {
-				state[v] = member
-				headOf[v] = best
-				when[v] = rounds
-				remaining--
-				continue
-			}
-			out = append(out, v)
 		}
-		active = out
+		if best >= 0 {
+			headOf[v], when[v] = best, bestRound
+		} else {
+			headOf[v], when[v] = v, -(latest + 1)
+			rounds = max(rounds, latest+1)
+		}
 	}
-	ws.active = active[:0]
-	ws.declared = declared
+	for v, r := range when {
+		when[v] = max(r, -r)
+	}
 
-	// Assemble the membership lists count-then-fill into one backing array,
-	// exactly like Elect, over the reused counts/pos/backing buffers and
-	// the cleared membership map.
+	// Assemble the membership lists count-then-fill into one backing array
+	// over the reused counts/pos/backing buffers and the cleared
+	// membership map.
 	counts := ws.counts
 	for i := range counts {
 		counts[i] = 0

@@ -106,15 +106,6 @@ func FromTopology(nw *topology.Network) *Network {
 	return &Network{Topology: nw, Clustering: cluster.LowestID(nw.G)}
 }
 
-// FromGraph wraps a bare graph (no positions) — useful for hand-crafted
-// networks like the paper's Figure 3 example.
-func FromGraph(g *graph.Graph) *Network {
-	return &Network{
-		Topology:   &topology.Network{G: g},
-		Clustering: cluster.LowestID(g),
-	}
-}
-
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.Topology.G.N() }
 

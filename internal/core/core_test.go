@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"clustercast/internal/graph"
+	"clustercast/internal/topology"
 )
 
-func paperGraph() *graph.Graph {
+// paperNetwork wraps the paper's Figure 3 example network (0-based IDs).
+func paperNetwork() *Network {
 	edges := [][2]int{
 		{1, 5}, {1, 6}, {1, 7}, {2, 6}, {2, 8},
 		{3, 7}, {3, 8}, {3, 9}, {3, 10}, {4, 9}, {4, 10}, {5, 9},
@@ -16,7 +18,7 @@ func paperGraph() *graph.Graph {
 	for i, e := range edges {
 		zero[i] = [2]int{e[0] - 1, e[1] - 1}
 	}
-	return graph.FromEdges(10, zero)
+	return FromTopology(&topology.Network{G: graph.FromEdges(10, zero)})
 }
 
 func TestNewRandomNetwork(t *testing.T) {
@@ -45,7 +47,7 @@ func TestNewRandomNetworkErrors(t *testing.T) {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	nw := FromGraph(paperGraph())
+	nw := paperNetwork()
 	static := nw.StaticBackbone(Hop25)
 	if static.Size() != 9 {
 		t.Fatalf("paper static backbone size = %d, want 9", static.Size())
@@ -75,7 +77,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 // TestBackbonesBuiltOnce: a network builds each static backbone and its
 // MO_CDS once; Summarize and every later request share that value.
 func TestBackbonesBuiltOnce(t *testing.T) {
-	nw := FromGraph(paperGraph())
+	nw := paperNetwork()
 	nw.Summarize()
 	s25, s3, mo := nw.StaticBackbone(Hop25), nw.StaticBackbone(Hop3), nw.MOCDS()
 	if s25.Mode != Hop25 || s3.Mode != Hop3 {
@@ -88,7 +90,7 @@ func TestBackbonesBuiltOnce(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	nw := FromGraph(paperGraph())
+	nw := paperNetwork()
 	s := nw.Summarize()
 	if s.N != 10 || s.Clusters != 4 || s.Static25Size != 9 {
 		t.Fatalf("summary wrong: %+v", s)

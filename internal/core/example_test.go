@@ -5,6 +5,7 @@ import (
 
 	"clustercast/internal/core"
 	"clustercast/internal/graph"
+	"clustercast/internal/topology"
 )
 
 // paperNetwork builds the 10-node example network of the paper's Figure 3
@@ -14,7 +15,7 @@ func paperNetwork() *core.Network {
 		{0, 4}, {0, 5}, {0, 6}, {1, 5}, {1, 7},
 		{2, 6}, {2, 7}, {2, 8}, {2, 9}, {3, 8}, {3, 9}, {4, 8},
 	}
-	return core.FromGraph(graph.FromEdges(10, edges))
+	return core.FromTopology(&topology.Network{G: graph.FromEdges(10, edges)})
 }
 
 // The paper's running example: the static backbone selects 9 of the 10

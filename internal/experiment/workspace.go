@@ -315,10 +315,10 @@ func flat(names []string, xs []float64, sc Scenario, est groupEstimator) []Serie
 	return series
 }
 
-// Elect runs the lowest-ID clusterhead election on the workspace. The
-// election is sequential for any -buildworkers value: a sharded election
-// did not pay at two workers. The returned Clustering is
-// workspace-owned.
+// Elect runs the lowest-ID clusterhead election on the workspace: one
+// sequential pass in ID order for any -buildworkers value, with the
+// round-synchronous outcome (a sharded election did not pay at two
+// workers). The returned Clustering is workspace-owned.
 func (ws *Workspace) Elect(g *graph.Graph) *cluster.Clustering {
 	return ws.Cluster.LowestID(g)
 }

@@ -67,11 +67,6 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
-}
-
 // Cells is the cell layout of a uniform grid over a rectangle: the cell
 // size, the column and row counts, and the map from a point to its cell.
 // With cell size at least the radio range, all neighbors of a point lie

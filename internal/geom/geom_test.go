@@ -46,9 +46,6 @@ func TestRectBasics(t *testing.T) {
 	if r.Contains(Point{-0.001, 50}) || r.Contains(Point{50, 100.001}) {
 		t.Fatal("exterior points must not be contained")
 	}
-	if c := r.Center(); c != (Point{50, 50}) {
-		t.Fatalf("Center = %v", c)
-	}
 }
 
 func TestRectClamp(t *testing.T) {

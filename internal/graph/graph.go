@@ -18,9 +18,10 @@ import (
 
 // Graph is an undirected simple graph over nodes 0..n−1 in
 // compressed-sparse-row form: the sorted neighbors of u are the segment
-// flat[off[u]:off[u+1]] of one flat array. The topology hot path fills
-// both arrays in two counting passes with no per-node allocation;
-// FromEdges and AddEdge build hand-made graphs in the same layout.
+// flat[off[u]:off[u+1]] of one flat array. The topology hot path and
+// FromEdges fill both arrays with one sort-free assembly (ScatterRows,
+// TransposeRows) and no per-node allocation; AddEdge builds small
+// hand-made graphs in the same layout.
 //
 // Neighbors(u) is a zero-copy slice view of u's segment. The zero value is
 // an empty graph with no nodes; use New to create a graph with a fixed
@@ -415,34 +416,33 @@ func (g *Graph) DOT(name string, highlight map[int]bool) string {
 }
 
 // FromEdges builds a graph with n nodes and the given edge list in one
-// batch: degrees are counted into the offsets, the flat array is filled
-// with per-node cursors, and each segment is sorted once — O(m·log(deg))
-// total instead of the O(n + m) shift of every AddEdge. Self-loops and
-// duplicate edges panic, as with AddEdge.
+// batch, through the assembly the topology build uses (ScatterRows, then
+// TransposeRows): O(n + m) with no comparison of neighbors, instead of
+// the O(n + m) shift of every AddEdge. Self-loops and duplicate edges
+// panic, as with AddEdge.
 func FromEdges(n int, edges [][2]int) *Graph {
 	g := New(n)
-	off := g.off
-	for _, e := range edges {
+	off, cur := g.off, make([]int32, n)
+	packed := make([]uint64, len(edges))
+	for i, e := range edges {
 		if e[0] == e[1] {
 			panic(fmt.Sprintf("graph: self-loop at %d", e[0]))
 		}
-		off[e[0]+1]++
-		off[e[1]+1]++
+		cur[e[0]]++
+		cur[e[1]]++
+		packed[i] = uint64(e[0])<<32 | uint64(e[1])
 	}
 	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
+		off[u+1] = off[u] + int(cur[u])
+		cur[u] = int32(off[u])
 	}
+	rows := make([]int32, off[n])
 	g.flat = make([]int, off[n])
-	cur := slices.Clone(off[:n])
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		g.flat[cur[u]], g.flat[cur[v]] = v, u
-		cur[u]++
-		cur[v]++
-	}
+	ScatterRows(rows, cur, packed)
+	TransposeRows(g.flat, rows, off, cur, 0, n)
+	// A repeated edge comes out as two equal neighbors side by side.
 	for u := 0; u < n; u++ {
 		l := g.Neighbors(u)
-		SortNeighbors(l)
 		for i := 1; i < len(l); i++ {
 			if l[i] == l[i-1] {
 				panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, l[i]))
@@ -453,16 +453,53 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	return g
 }
 
+// ScatterRows is the first of two linear passes that assemble ascending
+// CSR rows without comparing entries: a counting sort of the adjacency
+// entries by one end, then a stable one by the other. For every packed
+// edge u<<32 | v it writes v into u's row and u into v's row of the int32
+// CSR rows, at the cursors cur[u] and cur[v], and advances them. Parts of
+// an edge set whose cursors start where the earlier parts' entries of
+// each row end fill disjoint slots, so they may scatter concurrently.
+func ScatterRows(rows, cur []int32, edges []uint64) {
+	for _, e := range edges {
+		u, v := e>>32, uint32(e)
+		rows[cur[u]] = int32(v)
+		cur[u]++
+		rows[cur[v]] = int32(u)
+		cur[v]++
+	}
+}
+
+// TransposeRows is the second pass. It sets the cursors of the rows in
+// [lo, hi) to their offsets off, visits every source u in ascending order
+// and appends u to the row of flat of each neighbor in [lo, hi) that u's
+// row of rows names, so those rows come out strictly ascending. Calls
+// over disjoint row ranges write disjoint memory and may run concurrently.
+// The int32 entries and cursors cap nodes and adjacency entries at 2³¹−1.
+func TransposeRows(flat []int, rows []int32, off []int, cur []int32, lo, hi int) {
+	for w := lo; w < hi; w++ {
+		cur[w] = int32(off[w])
+	}
+	span := uint(hi - lo)
+	for u := 0; u+1 < len(off); u++ {
+		for _, w := range rows[off[u]:off[u+1]] {
+			if uint(int(w)-lo) < span {
+				flat[cur[w]] = u
+				cur[w]++
+			}
+		}
+	}
+}
+
 // RenewCSR re-initializes g in place around a compressed-sparse-row
 // adjacency the caller guarantees is well-formed: off has n+1 ascending
 // offsets with off[0] == 0 and off[n] == len(flat), and each segment
 // flat[off[u]:off[u+1]] is strictly ascending, symmetric, self-loop-free
 // and in range. It performs no validation — it is the trusted handoff
 // from builders that guarantee that form: the topology workspace, which
-// builds the CSR in two counting passes and sorts each segment in place
-// without allocating, and filters of an existing graph's rows, such as
-// the backbone repair's surviving graph. The graph takes ownership of
-// both slices.
+// assembles its rows with ScatterRows and TransposeRows over reused
+// buffers, and filters of an existing graph's rows, such as the backbone
+// repair's surviving graph. The graph takes ownership of both slices.
 func (g *Graph) RenewCSR(off, flat []int) {
 	if len(off) == 0 {
 		panic("graph: RenewCSR needs at least the terminating offset")
@@ -470,26 +507,6 @@ func (g *Graph) RenewCSR(off, flat []int) {
 	g.off, g.flat = off, flat
 	g.n = len(off) - 1
 	g.edges = len(flat) / 2
-}
-
-// SortNeighbors sorts an adjacency list in place, with a straight
-// insertion sort for the short lists typical of bounded-degree radio
-// graphs (the generic sort machinery costs more than it saves below a few
-// dozen elements).
-func SortNeighbors(l []int) {
-	if len(l) > 32 {
-		sort.Ints(l)
-		return
-	}
-	for i := 1; i < len(l); i++ {
-		v := l[i]
-		j := i - 1
-		for j >= 0 && l[j] > v {
-			l[j+1] = l[j]
-			j--
-		}
-		l[j+1] = v
-	}
 }
 
 // SetOf returns a membership map for the given node IDs.

@@ -371,6 +371,68 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
+func TestFromEdgesRejectsSelfLoop(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("self-loop must panic")
+		}
+	}()
+	FromEdges(3, [][2]int{{0, 1}, {2, 2}})
+}
+
+// A repeated edge panics whichever way round it is listed again.
+func TestFromEdgesRejectsDuplicate(t *testing.T) {
+	for _, edges := range [][][2]int{
+		{{0, 1}, {1, 2}, {0, 1}},
+		{{0, 1}, {1, 2}, {2, 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("duplicate edge in %v must panic", edges)
+				}
+			}()
+			FromEdges(3, edges)
+		}()
+	}
+}
+
+// On random edge lists in random order, every FromEdges row is strictly
+// ascending and holds exactly the listed neighbors.
+func TestFromEdgesRowsAscending(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(60)
+		want := make([]map[int]bool, n)
+		for u := range want {
+			want[u] = map[int]bool{}
+		}
+		var edges [][2]int
+		for k := r.Intn(4 * n); k > 0; k-- {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v && !want[u][v] {
+				want[u][v], want[v][u] = true, true
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		g := FromEdges(n, edges)
+		if g.M() != len(edges) {
+			t.Fatalf("trial %d: %d edges, want %d", trial, g.M(), len(edges))
+		}
+		for u := 0; u < n; u++ {
+			row := g.Neighbors(u)
+			if len(row) != len(want[u]) {
+				t.Fatalf("trial %d: row %d is %v, want the %d neighbors %v", trial, u, row, len(want[u]), want[u])
+			}
+			for i, v := range row {
+				if !want[u][v] || i > 0 && row[i-1] >= v {
+					t.Fatalf("trial %d: row %d is %v, want ascending %v", trial, u, row, want[u])
+				}
+			}
+		}
+	}
+}
+
 // Property: on random connected graphs, the full node set is a CDS and BFS
 // distances satisfy the edge relaxation property.
 func TestQuickRandomGraphInvariants(t *testing.T) {

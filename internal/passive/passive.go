@@ -90,9 +90,6 @@ func NewProtocol(g *graph.Graph) *Protocol {
 	return p
 }
 
-// State returns v's current role.
-func (p *Protocol) StateOf(v int) State { return p.state[v] }
-
 // Name implements broadcast.Protocol.
 func (p *Protocol) Name() string { return "passive-clustering" }
 

@@ -27,8 +27,8 @@ func TestSourceDeclaresClusterhead(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	p := NewProtocol(g)
 	res := broadcast.Run(g, 0, p)
-	if p.StateOf(0) != Clusterhead {
-		t.Fatalf("source state = %v, want clusterhead (first declaration wins)", p.StateOf(0))
+	if p.state[0] != Clusterhead {
+		t.Fatalf("source state = %v, want clusterhead (first declaration wins)", p.state[0])
 	}
 	if len(res.Received) != 3 {
 		t.Fatalf("delivered %d/3", len(res.Received))
@@ -41,11 +41,11 @@ func TestFirstDeclarationWins(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	p := NewProtocol(g)
 	broadcast.Run(g, 0, p)
-	if p.StateOf(0) != Clusterhead {
+	if p.state[0] != Clusterhead {
 		t.Fatal("center must be clusterhead")
 	}
 	for v := 1; v <= 3; v++ {
-		if p.StateOf(v) == Clusterhead {
+		if p.state[v] == Clusterhead {
 			t.Fatalf("leaf %d must not become clusterhead after hearing one", v)
 		}
 	}
@@ -67,7 +67,7 @@ func TestOrdinaryNodesEmerge(t *testing.T) {
 	broadcast.Run(nw.G, 30, p)
 	ordinary := 0
 	for v := 0; v < nw.G.N(); v++ {
-		if p.StateOf(v) == Ordinary {
+		if p.state[v] == Ordinary {
 			ordinary++
 		}
 	}
@@ -137,7 +137,7 @@ func TestQuickStateConsistency(t *testing.T) {
 		// After the flood, every node that received has left the Initial
 		// state unless it never transmitted and heard no declarations.
 		for v := range res.Forwarders {
-			if v != src && p.StateOf(v) == Initial {
+			if v != src && p.state[v] == Initial {
 				return false // forwarded without ever deciding
 			}
 		}

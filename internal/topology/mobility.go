@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"math"
-
 	"clustercast/internal/geom"
 	"clustercast/internal/rng"
 )
@@ -104,32 +102,4 @@ func (m *RandomWaypoint) Step(dt float64) []geom.Point {
 		}
 	}
 	return m.positions
-}
-
-// reflect mirrors a point back into bounds, bouncing off the walls as many
-// times as the overshoot requires. A single bounce followed by clamping
-// would pin every overshoot longer than the area width onto the boundary,
-// piling probability mass on the walls.
-func reflect(p geom.Point, b geom.Rect) geom.Point {
-	p.X = reflect1(p.X, b.MinX, b.MaxX)
-	p.Y = reflect1(p.Y, b.MinY, b.MaxY)
-	return p
-}
-
-// reflect1 folds x into [lo, hi] under repeated mirror reflection. The
-// trajectory of a particle bouncing between two walls is a triangle wave of
-// period 2·(hi−lo), so the fold is closed-form rather than iterative.
-func reflect1(x, lo, hi float64) float64 {
-	w := hi - lo
-	if w <= 0 {
-		return lo // degenerate axis: everything collapses onto the wall
-	}
-	d := math.Mod(x-lo, 2*w)
-	if d < 0 {
-		d += 2 * w
-	}
-	if d > w {
-		d = 2*w - d
-	}
-	return lo + d
 }

@@ -2,7 +2,9 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,22 +315,6 @@ func TestRandomWaypointPause(t *testing.T) {
 	}
 }
 
-func TestReflect(t *testing.T) {
-	b := geom.Square(10)
-	cases := []struct{ in, want geom.Point }{
-		{geom.Point{X: -2, Y: 5}, geom.Point{X: 2, Y: 5}},
-		{geom.Point{X: 12, Y: 5}, geom.Point{X: 8, Y: 5}},
-		{geom.Point{X: 5, Y: -3}, geom.Point{X: 5, Y: 3}},
-		{geom.Point{X: 5, Y: 13}, geom.Point{X: 5, Y: 7}},
-		{geom.Point{X: 4, Y: 4}, geom.Point{X: 4, Y: 4}},
-	}
-	for _, c := range cases {
-		if got := reflect(c.in, b); got != c.want {
-			t.Fatalf("reflect(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestRangeForDegreeSanity(t *testing.T) {
 	// d=6, n=100, A=10000 → r ≈ 13.9 (well-known MANET setup number).
 	r := geom.RangeForDegree(100, 10000, 6)
@@ -348,31 +334,77 @@ func BenchmarkGenerate100(b *testing.B) {
 	}
 }
 
-// bruteForceUDG is the quadratic reference construction FromPositions used
-// before the spatial-grid path.
-func bruteForceUDG(positions []geom.Point, radius float64) *graph.Graph {
-	g := graph.New(len(positions))
-	for u := 0; u < len(positions); u++ {
-		for v := u + 1; v < len(positions); v++ {
-			if positions[u].Dist(positions[v]) <= radius {
-				g.AddEdge(u, v)
+// bruteForceUDG is the quadratic reference for the unit disk graph: row u
+// lists, ascending, every other node within radius of u. It builds the
+// rows directly, sharing no code with the graph package's assembly.
+func bruteForceUDG(positions []geom.Point, radius float64) [][]int {
+	rows := make([][]int, len(positions))
+	for u, p := range positions {
+		for v, q := range positions {
+			if u != v && p.Dist(q) <= radius {
+				rows[u] = append(rows[u], v)
 			}
 		}
 	}
-	return g
+	return rows
 }
 
-// TestFromPositionsMatchesBruteForce pins the grid-built unit disk graph to
-// the O(n²) pairwise construction on random inputs, including positions on
-// the boundary and outside the nominal bounds, and the build's union-find
-// connectivity verdict to a BFS over that construction, including inputs
-// split by a gap wider than the range.
+// rowsConnected reports whether the adjacency rows connect all nodes, by a
+// breadth-first search over the rows.
+func rowsConnected(rows [][]int) bool {
+	if len(rows) == 0 {
+		return true
+	}
+	seen := make([]bool, len(rows))
+	seen[0] = true
+	queue := []int{0}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range rows[u] {
+			if !seen[v] {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return !slices.Contains(seen, false)
+}
+
+// requireRows fails unless g's adjacency is exactly the reference rows.
+func requireRows(t *testing.T, g *graph.Graph, want [][]int, ctx string) {
+	t.Helper()
+	edges := 0
+	for _, row := range want {
+		edges += len(row)
+	}
+	if g.N() != len(want) || 2*g.M() != edges {
+		t.Fatalf("%s: got %d nodes %d edges, want %d/%d", ctx, g.N(), g.M(), len(want), edges/2)
+	}
+	for v := range want {
+		if got := g.Neighbors(v); !slices.Equal(got, want[v]) {
+			t.Fatalf("%s: adjacency of %d differs: %v vs %v", ctx, v, got, want[v])
+		}
+	}
+}
+
+// TestFromPositionsMatchesBruteForce pins the grid-built unit disk graph,
+// sequential and in 2 and 8 strips, to the O(n²) pairwise construction on
+// random inputs of up to 2,000 nodes, including positions on the boundary
+// and outside the nominal bounds, and the build's union-find connectivity
+// verdict to a BFS over that construction, including inputs split by a
+// gap wider than the range.
 func TestFromPositionsMatchesBruteForce(t *testing.T) {
 	r := rng.New(99)
 	bounds := geom.Square(100)
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 31; trial++ {
 		n := 5 + r.Intn(120)
 		radius := 5 + r.Range(0, 30)
+		if trial >= 25 {
+			// Larger networks at paper-like densities: 6 to 24 neighbors.
+			n = []int{500, 1000, 2000}[trial%3]
+			radius = geom.RangeForDegree(n, bounds.Area(), 6+r.Range(0, 18))
+		}
 		positions := make([]geom.Point, n)
 		for i := range positions {
 			positions[i] = geom.Point{
@@ -397,30 +429,19 @@ func TestFromPositionsMatchesBruteForce(t *testing.T) {
 			}
 			positions[0].X, positions[1].X = 10, 90
 		}
-		got := FromPositions(positions, bounds, radius).G
 		want := bruteForceUDG(positions, radius)
-		_, connected := NewWorkspace().buildUnitDisk(positions, bounds, radius, true)
-		if wantConnected := want.ConnectedWith(graph.NewScratch(n)); connected != wantConnected {
-			t.Fatalf("trial %d (n=%d r=%.2f): union-find says connected=%v, BFS %v",
-				trial, n, radius, connected, wantConnected)
+		wantConnected := rowsConnected(want)
+		if trial%4 == 1 && wantConnected {
+			t.Fatalf("trial %d: nodes split by a gap wider than the range are connected", trial)
 		}
-		if trial%4 == 1 && connected {
-			t.Fatalf("trial %d: nodes split by a gap wider than the range reported connected", trial)
-		}
-		if got.N() != want.N() || got.M() != want.M() {
-			t.Fatalf("trial %d (n=%d r=%.2f): got %d nodes %d edges, want %d/%d",
-				trial, n, radius, got.N(), got.M(), want.N(), want.M())
-		}
-		for v := 0; v < n; v++ {
-			gn, wn := got.Neighbors(v), want.Neighbors(v)
-			if len(gn) != len(wn) {
-				t.Fatalf("trial %d: degree of %d differs: %v vs %v", trial, v, gn, wn)
+		for _, workers := range []int{0, 2, 8} {
+			ctx := fmt.Sprintf("trial %d (n=%d r=%.2f workers=%d)", trial, n, radius, workers)
+			ws := NewWorkspace()
+			ws.BuildWorkers = workers
+			if _, connected := ws.buildUnitDisk(positions, bounds, radius, true); connected != wantConnected {
+				t.Fatalf("%s: union-find says connected=%v, BFS %v", ctx, connected, wantConnected)
 			}
-			for i := range gn {
-				if gn[i] != wn[i] {
-					t.Fatalf("trial %d: adjacency of %d differs: %v vs %v", trial, v, gn, wn)
-				}
-			}
+			requireRows(t, ws.FromPositions(positions, bounds, radius).G, want, ctx)
 		}
 	}
 }

@@ -12,18 +12,19 @@ import (
 
 // Workspace owns every buffer one replicate pipeline needs to sample a
 // random network: positions, the cell-sorted grid, the per-band edge
-// lists, the union-find forest, the count-then-fill adjacency assembly and
-// the graph itself. A worker reuses one Workspace across all its
+// lists, the union-find forest, the sort-free adjacency assembly and the
+// graph itself. A worker reuses one Workspace across all its
 // replicates (and across the connected-rejection attempts inside each),
 // so steady-state topology sampling allocates nothing.
 //
 // The Network returned by GenerateWith is owned by the workspace and valid
 // only until the next GenerateWith call on the same workspace.
 type Workspace struct {
-	// BuildWorkers shards the unit-disk sweep and segment sort over this
-	// many goroutines when > 1 (see build); the assembled graph is
-	// bit-identical to the sequential build for any value. Zero or one
-	// keeps the fully sequential path.
+	// BuildWorkers shards the unit-disk sweep, the degree count and the
+	// scatter of the adjacency assembly over this many grid-row bands,
+	// and its transposition over as many ID strips, when > 1 (see build);
+	// the assembled graph is bit-identical to the sequential build for
+	// any value. Zero or one keeps the fully sequential path.
 	BuildWorkers int
 
 	positions []geom.Point
@@ -35,10 +36,13 @@ type Workspace struct {
 	xs, ys    []float64
 	ids       []int32
 
-	bands   [][]uint64 // per-band packed edges u<<32 | v
-	parent  []int32    // union-find forest over node IDs
-	deg     []int
+	bands  [][]uint64 // per-band packed edges u<<32 | v
+	parent []int32    // union-find forest over node IDs
+	// degs holds n counters per band: band b's degree counts, then its
+	// scatter cursors; the first n then serve as transposition cursors.
+	degs    []int32
 	off     []int
+	rows    []int32 // the unsorted rows assemble transposes into backing
 	backing []int
 	g       graph.Graph
 	nw      Network
@@ -162,16 +166,21 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 //     bands, each appending to its own edge list (the sweep only reads the
 //     grid); otherwise one band covers every row. Either way the bands'
 //     lists partition the same pair set.
-//  3. Degrees are counted over the lists. With connected set, a
-//     disconnected draw (see connected) returns ok=false here, before any
-//     of the assembly below.
-//  4. assemble stitches the lists into compressed-sparse-row form.
+//  3. Each band counts the degrees its edges give into counters of its
+//     own, and the row offsets are their prefix sum. With connected set,
+//     a disconnected draw (see connected) returns ok=false here, before
+//     any of the assembly below.
+//  4. assemble scatters each band's list into the unsorted rows, the
+//     bands concurrently when there are several, and transposes the rows
+//     into compressed-sparse-row form with ascending rows, over as many
+//     ID strips.
 //
-// The CSR depends only on the edge set, never on discovery order, so it
-// is bit-identical for any worker count.
+// The transposition orders every row by source ID, so the CSR depends
+// only on the edge set, never on discovery order: it is bit-identical for
+// any worker count.
 func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, bool) {
 	n := len(positions)
-	ws.deg, ws.off = resize(ws.deg, n), resize(ws.off, n+1)
+	ws.off = resize(ws.off, n+1)
 	if radius < 0 {
 		if connected && n > 1 {
 			return nil, false
@@ -197,21 +206,25 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 		ws.bands = append(ws.bands, nil)
 	}
 	bands := ws.bands[:k]
+	ws.degs = resize(ws.degs, k*n)
 	if k == 1 {
 		bands[0] = ws.sweep(0, rows, r2, bands[0][:0])
+		ws.countDegrees(0)
 	} else {
 		ws.sh.Each(workers, func(s int) {
 			lo, hi := ws.sh.Range(s)
 			bands[s] = ws.sweep(lo, hi, r2, bands[s][:0])
+			ws.countDegrees(s)
 		})
 	}
-	deg := ws.deg
-	clear(deg)
-	for _, edges := range bands {
-		for _, e := range edges {
-			deg[e>>32]++
-			deg[uint32(e)]++
+	off, degs := ws.off, ws.degs
+	off[0] = 0
+	for u := 0; u < n; u++ {
+		d := 0
+		for i := u; i < len(degs); i += n {
+			d += int(degs[i])
 		}
+		off[u+1] = off[u] + d
 	}
 	if connected && !ws.connected(bands) {
 		return nil, false
@@ -308,19 +321,35 @@ func (ws *Workspace) sweep(lo, hi int, r2 float64, edges []uint64) []uint64 {
 	return edges
 }
 
-// connected reports whether the edge lists, whose degrees ws.deg holds,
-// connect all nodes. A node without neighbors, behind half to two thirds
-// of the rejected paper-scale draws at d=6, settles it at once; otherwise
-// a union-find pass with path halving stops as soon as one component is
-// left. Linking the larger root under the smaller takes about 15% fewer
-// find steps on paper-scale draws than linking in edge order.
+// countDegrees counts into band b's degree counters the endpoints of its
+// edges.
+func (ws *Workspace) countDegrees(b int) {
+	n := len(ws.off) - 1
+	deg := ws.degs[b*n : (b+1)*n]
+	clear(deg)
+	for _, e := range ws.bands[b] {
+		deg[e>>32]++
+		deg[uint32(e)]++
+	}
+}
+
+// connected reports whether the edge lists, whose row offsets ws.off
+// holds, connect all nodes. A node without neighbors, behind half to two
+// thirds of the rejected paper-scale draws at d=6, settles it at once;
+// otherwise a union-find pass with path halving stops as soon as one
+// component is left. Linking the larger root under the smaller takes
+// about 15% fewer find steps on paper-scale draws than linking in edge
+// order.
 func (ws *Workspace) connected(bands [][]uint64) bool {
-	n := len(ws.deg)
+	off := ws.off
+	n := len(off) - 1
 	if n <= 1 {
 		return true
 	}
-	if slices.Contains(ws.deg, 0) {
-		return false
+	for u := 0; u < n; u++ {
+		if off[u+1] == off[u] {
+			return false
+		}
 	}
 	parent := resize(ws.parent, n)
 	ws.parent = parent
@@ -355,51 +384,44 @@ func find(parent []int32, x int32) int32 {
 	return x
 }
 
-// assemble stitches the band edge lists, whose degrees ws.deg holds, into
-// the workspace graph in compressed-sparse-row form: offsets are one
-// prefix-sum pass over the degrees, the flat neighbor array is filled with
-// per-node cursors, and each segment is sorted in place — over contiguous ID
-// strips across workers goroutines when workers > 1 (disjoint backing
-// ranges, so the strips share nothing). The handoff to the graph is the
-// trusted RenewCSR: the sweep visits every unordered pair exactly once and
-// never pairs a node with itself, so the segments are symmetric,
-// duplicate-free and in range by construction.
+// assemble stitches the band edge lists, whose per-band degrees ws.degs
+// and row offsets ws.off hold, into the workspace graph in
+// compressed-sparse-row form with ascending rows, without comparing
+// entries. graph.ScatterRows writes every band's edges into the int32
+// buffer of unsorted rows, through cursors that start each band where the
+// lower bands' entries of each row end, so the bands scatter
+// concurrently. graph.TransposeRows then appends the sources to their
+// neighbors' rows in ID order, over as many contiguous ID strips, each
+// writing only its own rows. The handoff to the graph is the trusted
+// RenewCSR: the sweep visits every unordered pair exactly once and never
+// pairs a node with itself, so the rows are symmetric, duplicate-free and
+// in range by construction.
 func (ws *Workspace) assemble(bands [][]uint64, workers int) *graph.Graph {
-	deg, off := ws.deg, ws.off
-	n := len(deg)
-	off[0] = 0
+	off, degs := ws.off, ws.degs
+	n, k := len(off)-1, len(bands)
+	ws.rows, ws.backing = resize(ws.rows, off[n]), resize(ws.backing, off[n])
+	rows, flat := ws.rows, ws.backing
 	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + deg[u]
-	}
-	if cap(ws.backing) < off[n] {
-		ws.backing = make([]int, off[n])
-	}
-	backing := ws.backing[:off[n]]
-	cur := deg // reuse as fill cursors
-	copy(cur, off[:n])
-	for _, edges := range bands {
-		for _, e := range edges {
-			u, v := int(e>>32), int(uint32(e))
-			backing[cur[u]] = v
-			cur[u]++
-			backing[cur[v]] = u
-			cur[v]++
+		c := int32(off[u])
+		for i := u; i < len(degs); i += n {
+			c, degs[i] = c+degs[i], c
 		}
 	}
-	if workers > 1 {
-		ws.sh.ResetRange(n, workers)
+	if k == 1 {
+		graph.ScatterRows(rows, degs, bands[0])
+		graph.TransposeRows(flat, rows, off, degs, 0, n)
+	} else {
+		ws.sh.ResetRange(k, workers)
+		ws.sh.Each(workers, func(b int) {
+			graph.ScatterRows(rows, degs[b*n:(b+1)*n], bands[b])
+		})
+		ws.sh.ResetRange(n, k)
 		ws.sh.Each(workers, func(s int) {
 			lo, hi := ws.sh.Range(s)
-			for u := lo; u < hi; u++ {
-				graph.SortNeighbors(backing[off[u]:off[u+1]])
-			}
+			graph.TransposeRows(flat, rows, off, degs[:n], lo, hi)
 		})
-	} else {
-		for u := 0; u < n; u++ {
-			graph.SortNeighbors(backing[off[u]:off[u+1]])
-		}
 	}
-	ws.g.RenewCSR(off, backing)
+	ws.g.RenewCSR(off, flat)
 	return &ws.g
 }
 

@@ -162,7 +162,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 // workspaceEngine is the workspace-bound Engine shape: one
 // MultiMACWorkspace reused across every scenario the runner hands it.
 func workspaceEngine() Engine {
-	mw := broadcast.NewMultiMACWorkspace()
+	mw := new(broadcast.MultiMACWorkspace)
 	return mw.Run
 }
 
