@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench figures figures-smoke trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench figures figures-smoke identity trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
@@ -78,6 +78,20 @@ figures-smoke:
 	done
 	diff -rq -x manifest.json artifacts/figures-smoke/w1 artifacts/figures-smoke/w4 || \
 		{ echo "figures-smoke: CSVs differ between -workers 1 and 4" >&2; exit 1; }
+
+# Byte identity of the paper figures: every CSV of the paper-rule sweep
+# (`figures -fig all -workers 2`, ~13 s on two cores, too slow for the
+# tier-1 tests) must match its SHA-256 digest in
+# cmd/figures/testdata/paper-rule.sha256. A change that is meant to move
+# figure bytes regenerates the file with
+#   go run ./cmd/figures -fig all -workers 2 -format csv -out artifacts/identity > /dev/null &&
+#   (cd artifacts/identity && sha256sum *.csv) > cmd/figures/testdata/paper-rule.sha256
+# and names the moved figures in CHANGES.md.
+identity:
+	rm -rf artifacts/identity
+	$(GO) run ./cmd/figures -fig all -workers 2 -format csv -out artifacts/identity > /dev/null
+	(cd artifacts/identity && sha256sum *.csv) | diff cmd/figures/testdata/paper-rule.sha256 - || \
+		{ echo "identity: paper-rule figure CSVs differ from cmd/figures/testdata/paper-rule.sha256" >&2; exit 1; }
 
 # Observability smoke: record a traced dynamic-backbone broadcast with its
 # run manifest, then replay the trace through the inspector (which

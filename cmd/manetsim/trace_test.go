@@ -16,7 +16,7 @@ import (
 	"clustercast/internal/obs/live"
 )
 
-var update = flag.Bool("update", false, "rewrite golden trace files")
+var update = flag.Bool("update", false, "rewrite the golden trace and stdout files under testdata")
 
 const goldenTrace = "testdata/trace_dynamic25_n40_d10_seed3.jsonl"
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +14,8 @@ import (
 	"clustercast/internal/obs"
 	"clustercast/internal/obs/live"
 )
+
+var update = flag.Bool("update", false, "rewrite "+resultsGolden)
 
 func TestRunAllStages(t *testing.T) {
 	var out bytes.Buffer
@@ -41,16 +45,25 @@ func resultLines(out string) []string {
 	return lines
 }
 
+// resultsGolden pins the result= lines of every base configuration of
+// TestRunBuildWorkersResultsIdentical, one block per configuration.
+const resultsGolden = "testdata/results.golden"
+
 // TestRunBuildWorkersResultsIdentical: every stage prints the same result=
 // values whether its construction layers run as one strip or as many, at
-// n=600 and in the n=2000, d=12 shape of `scale -n 2000 -d 12 -reps 1`.
+// n=600, in the n=2000, d=12 shape of `scale -n 2000 -d 12 -reps 1` and in
+// the shape of `scale -n 20000 -reps 1`; and those values equal the ones
+// pinned in resultsGolden (regenerate on purpose with
+// `go test ./cmd/scale -run BuildWorkersResultsIdentical -update`).
 func TestRunBuildWorkersResultsIdentical(t *testing.T) {
 	// The strip count is clamped to GOMAXPROCS; lift it so that -buildworkers
 	// 8 runs eight strips on any machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var pinned bytes.Buffer
 	for _, base := range []config{
 		{n: 600, d: 12, seed: 5, reps: 2},
 		{n: 2000, d: 12, seed: 2003, reps: 1},
+		{n: 20000, d: 18, seed: 2003, reps: 1},
 	} {
 		var want []string
 		for _, bw := range []int{0, 1, 2, 8} {
@@ -71,6 +84,20 @@ func TestRunBuildWorkersResultsIdentical(t *testing.T) {
 					cfg.n, bw, strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
 		}
+		fmt.Fprintf(&pinned, "# -n %d -d %g -seed %d -reps %d\n%s\n", base.n, base.d, base.seed, base.reps, strings.Join(want, "\n"))
+	}
+	if *update {
+		if err := os.WriteFile(resultsGolden, pinned.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(resultsGolden)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(pinned.Bytes(), golden) {
+		t.Fatalf("result= lines differ from %s (regenerate with -update if the change is intended):\n got:\n%s\nwant:\n%s",
+			resultsGolden, pinned.Bytes(), golden)
 	}
 }
 

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"clustercast/internal/broadcast"
 	"clustercast/internal/core"
@@ -21,11 +23,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the study to w.
+func run(w io.Writer) error {
 	const n = 80
 	const samples = 20
 
 	for _, d := range []float64{6, 18} {
-		fmt.Printf("=== n=%d, average degree %g ===\n", n, d)
+		fmt.Fprintf(w, "=== n=%d, average degree %g ===\n", n, d)
 		sums := map[string]*stats.Summary{}
 		order := []string{
 			"flooding", "mpr", "dp", "pdp", "passive(3rd)",
@@ -42,7 +51,7 @@ func main() {
 				N: n, AvgDegree: d, Seed: uint64(1000*d) + uint64(s),
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			g := nw.Graph()
 			nb := broadcast.NewNeighborhood(g)
@@ -72,15 +81,16 @@ func main() {
 			sums["passive(3rd)"].Add(float64(series[2].ForwardCount()))
 		}
 
-		fmt.Printf("%-12s %10s %8s\n", "protocol", "forwards", "±std")
+		fmt.Fprintf(w, "%-12s %10s %8s\n", "protocol", "forwards", "±std")
 		for _, name := range order {
 			s := sums[name]
-			fmt.Printf("%-12s %10.1f %8.1f\n", name, s.Mean(), s.StdDev())
+			fmt.Fprintf(w, "%-12s %10.1f %8.1f\n", name, s.Mean(), s.StdDev())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("expected ordering: fwd-tree < dynamic < static ≲ marking ≲ mo-cds < flooding;")
-	fmt.Println("the dynamic/static gap widens with density (the paper's Figure 8).")
-	fmt.Println("(fwd-tree is smallest but needs per-source maintenance; passive needs no setup")
-	fmt.Println(" traffic at all but converges slowly and does not guarantee delivery.)")
+	fmt.Fprintln(w, "expected ordering: fwd-tree < dynamic < static ≲ marking ≲ mo-cds < flooding;")
+	fmt.Fprintln(w, "the dynamic/static gap widens with density (the paper's Figure 8).")
+	fmt.Fprintln(w, "(fwd-tree is smallest but needs per-source maintenance; passive needs no setup")
+	fmt.Fprintln(w, " traffic at all but converges slowly and does not guarantee delivery.)")
+	return nil
 }

@@ -11,6 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"sort"
 
 	"clustercast/internal/backbone"
@@ -34,6 +37,13 @@ func paperList(vs []int) []int {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the walkthrough to w.
+func run(w io.Writer) error {
 	// The network of Figure 3 (paper edges, shifted to 0-based).
 	edges := [][2]int{
 		{1, 5}, {1, 6}, {1, 7}, {2, 6}, {2, 8},
@@ -45,77 +55,78 @@ func main() {
 	}
 	g := graph.FromEdges(10, zero)
 
-	fmt.Println("== Figure 3(a): the 10-node network ==")
-	fmt.Printf("nodes 1..10, %d edges\n\n", g.M())
+	fmt.Fprintln(w, "== Figure 3(a): the 10-node network ==")
+	fmt.Fprintf(w, "nodes 1..10, %d edges\n\n", g.M())
 
-	fmt.Println("== Figure 3(b): lowest-ID clustering ==")
+	fmt.Fprintln(w, "== Figure 3(b): lowest-ID clustering ==")
 	cl := cluster.LowestID(g)
 	for _, h := range cl.Heads {
-		fmt.Printf("cluster C%d: head %d, members %v\n",
+		fmt.Fprintf(w, "cluster C%d: head %d, members %v\n",
 			paper(h), paper(h), paperList(cl.Members[h]))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println("== CH_HOP1 / CH_HOP2 messages (2.5-hop coverage) ==")
+	fmt.Fprintln(w, "== CH_HOP1 / CH_HOP2 messages (2.5-hop coverage) ==")
 	b := coverage.NewBuilder(g, cl, coverage.Hop25)
 	for v := 0; v < g.N(); v++ {
 		if cl.IsHead(v) {
 			continue
 		}
-		fmt.Printf("CH_HOP1(%d) = %v", paper(v), paperList(b.CH1(v)))
+		fmt.Fprintf(w, "CH_HOP1(%d) = %v", paper(v), paperList(b.CH1(v)))
 		if len(b.CH2(v)) > 0 {
-			fmt.Printf("   CH_HOP2(%d) = {", paper(v))
+			fmt.Fprintf(w, "   CH_HOP2(%d) = {", paper(v))
 			first := true
-			for _, w := range graph.SortedMembers(boolKeys(b.CH2(v))) {
+			for _, x := range graph.SortedMembers(boolKeys(b.CH2(v))) {
 				if !first {
-					fmt.Print(", ")
+					fmt.Fprint(w, ", ")
 				}
 				first = false
-				fmt.Printf("%d[%d]", paper(w), paper(b.CH2(v)[w]))
+				fmt.Fprintf(w, "%d[%d]", paper(x), paper(b.CH2(v)[x]))
 			}
-			fmt.Print("}")
+			fmt.Fprint(w, "}")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println("== coverage sets and GATEWAY selections ==")
+	fmt.Fprintln(w, "== coverage sets and GATEWAY selections ==")
 	for _, h := range cl.Heads {
 		cov := b.Of(h)
 		sel := backbone.SelectGateways(cov, nil, nil)
-		fmt.Printf("C(%d) = C²%v ∪ C³%v  →  GATEWAY(%d) = %v\n",
+		fmt.Fprintf(w, "C(%d) = C²%v ∪ C³%v  →  GATEWAY(%d) = %v\n",
 			paper(h), paperList(cov.C2.Members()),
 			paperList(cov.C3.Members()),
 			paper(h), paperList(sel.Gateways))
 	}
 	static := backbone.BuildStaticFrom(b, cl)
-	fmt.Printf("static backbone (Figure 3(c)): %v — %d nodes\n\n",
+	fmt.Fprintf(w, "static backbone (Figure 3(c)): %v — %d nodes\n\n",
 		paperList(graph.SortedMembers(static.Nodes)), static.Size())
 
-	fmt.Println("== Figure 4: cluster graphs ==")
+	fmt.Fprintln(w, "== Figure 4: cluster graphs ==")
 	d25, idx := coverage.ClusterGraph(b)
-	fmt.Print("2.5-hop: ")
-	printClusterGraph(d25, idx, cl)
+	fmt.Fprint(w, "2.5-hop: ")
+	printClusterGraph(w, d25, idx, cl)
 	b3 := coverage.NewBuilder(g, cl, coverage.Hop3)
 	d3, idx3 := coverage.ClusterGraph(b3)
-	fmt.Print("3-hop:   ")
-	printClusterGraph(d3, idx3, cl)
-	fmt.Println()
+	fmt.Fprint(w, "3-hop:   ")
+	printClusterGraph(w, d3, idx3, cl)
+	fmt.Fprintln(w)
 
-	fmt.Println("== broadcast from node 1: SI-CDS vs SD-CDS ==")
+	fmt.Fprintln(w, "== broadcast from node 1: SI-CDS vs SD-CDS ==")
 	sres := broadcast.Run(g, 0, broadcast.StaticCDS{Set: static.Nodes})
-	fmt.Printf("static  (SI-CDS): %d forward nodes %v\n",
+	fmt.Fprintf(w, "static  (SI-CDS): %d forward nodes %v\n",
 		sres.ForwardCount(), paperList(graph.SortedMembers(sres.Forwarders)))
 	dres := dynamicb.New(g, cl, coverage.Hop25).Broadcast(0)
-	fmt.Printf("dynamic (SD-CDS): %d forward nodes %v\n",
+	fmt.Fprintf(w, "dynamic (SD-CDS): %d forward nodes %v\n",
 		dres.ForwardCount(), paperList(graph.SortedMembers(dres.Forwarders)))
-	fmt.Printf("\nthe paper's conclusion, reproduced: %d vs %d — the on-demand backbone\n"+
+	fmt.Fprintf(w, "\nthe paper's conclusion, reproduced: %d vs %d — the on-demand backbone\n"+
 		"prunes the redundant relays (nodes 5 and 8 stay silent).\n",
 		sres.ForwardCount(), dres.ForwardCount())
+	return nil
 }
 
 // printClusterGraph renders directed cluster-graph edges with paper IDs.
-func printClusterGraph(d *graph.Digraph, idx map[int]int, cl *cluster.Clustering) {
+func printClusterGraph(w io.Writer, d *graph.Digraph, idx map[int]int, cl *cluster.Clustering) {
 	inv := make(map[int]int, len(idx))
 	for head, i := range idx {
 		inv[i] = head
@@ -127,7 +138,7 @@ func printClusterGraph(d *graph.Digraph, idx map[int]int, cl *cluster.Clustering
 		}
 	}
 	sort.Strings(parts)
-	fmt.Println(parts)
+	fmt.Fprintln(w, parts)
 }
 
 // boolKeys converts a w→relay map into a membership map for sorting.
