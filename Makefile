@@ -35,9 +35,10 @@ test-pipebench:
 # FromEdges, against each other, for graph.SparseSet against its Bitset
 # reference, for the one-pass clusterhead election against the
 # round-by-round one, for the wire protocol's arena-backed coverage sets
-# against its round-synchronous reference, and for the slotted-MAC kernel
+# against its round-synchronous reference, for the slotted-MAC kernel
 # against its scalar oracles, multi-flow and one-flow, over declining and
-# duplicate-acting protocols.
+# duplicate-acting protocols, and for the MPR, DP, PDP and SBA cover
+# kernel against their map-form reference.
 # Plain test runs only replay their seed corpora. -fuzz takes one target
 # in one package, hence one go test per target.
 fuzz-smoke:
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiMACScalarDESAgree$$' -fuzztime 10s ./internal/broadcast
 	$(GO) test -run '^$$' -fuzz '^FuzzDESMACAgree$$' -fuzztime 10s ./internal/broadcast
+	$(GO) test -run '^$$' -fuzz '^FuzzRelaysAgree$$' -fuzztime 10s ./internal/broadcast
 
 # Quick benchmark smoke: the end-to-end sweep point plus the hot kernels it
 # is built from. A plain go test -bench run: pipebench (BENCHMARK.json) is

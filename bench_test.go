@@ -183,6 +183,7 @@ func BenchmarkBaselines(b *testing.B) {
 	protocols := []string{"flooding", "mpr", "dp", "pdp", "dynamic-2.5hop"}
 	for _, name := range protocols {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			src := rng.NewLabeled(9, "baselines")
 			total := 0
 			for i := 0; i < b.N; i++ {
@@ -193,11 +194,11 @@ func BenchmarkBaselines(b *testing.B) {
 				case "flooding":
 					p = broadcast.Flooding{}
 				case "mpr":
-					p = broadcast.NewMPR(broadcast.NewNeighborhood(nw.Graph()))
+					p = broadcast.NewMPR(nw.Graph())
 				case "dp":
-					p = broadcast.NewDP(broadcast.NewNeighborhood(nw.Graph()))
+					p = broadcast.NewDP(nw.Graph())
 				case "pdp":
-					p = broadcast.NewPDP(broadcast.NewNeighborhood(nw.Graph()))
+					p = broadcast.NewPDP(nw.Graph())
 				case "dynamic-2.5hop":
 					p = nw.DynamicProtocol(core.Hop25)
 				}
@@ -427,6 +428,7 @@ func BenchmarkReliable(b *testing.B) {
 // windows 0 and 8 vs the piggyback-pruned dynamic backbone.
 func BenchmarkPruning(b *testing.B) {
 	run := func(b *testing.B, measure func(nw *core.Network, src int) (int, int)) {
+		b.ReportAllocs()
 		src := rng.NewLabeled(15, "pruning")
 		fwd, lat := 0, 0
 		for i := 0; i < b.N; i++ {
@@ -440,15 +442,13 @@ func BenchmarkPruning(b *testing.B) {
 	}
 	b.Run("sba-window0", func(b *testing.B) {
 		run(b, func(nw *core.Network, src int) (int, int) {
-			nb := broadcast.NewNeighborhood(nw.Graph())
-			r := broadcast.RunTimed(nw.Graph(), src, broadcast.NewSBA(nb, 0, 1))
+			r := broadcast.RunTimed(nw.Graph(), src, broadcast.NewSBA(nw.Graph(), 0, 1))
 			return r.ForwardCount(), r.Latency
 		})
 	})
 	b.Run("sba-window8", func(b *testing.B) {
 		run(b, func(nw *core.Network, src int) (int, int) {
-			nb := broadcast.NewNeighborhood(nw.Graph())
-			r := broadcast.RunTimed(nw.Graph(), src, broadcast.NewSBA(nb, 8, 1))
+			r := broadcast.RunTimed(nw.Graph(), src, broadcast.NewSBA(nw.Graph(), 8, 1))
 			return r.ForwardCount(), r.Latency
 		})
 	})

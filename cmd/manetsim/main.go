@@ -65,16 +65,6 @@ type protocolRun struct {
 // off at, and the row's outcome would depend on the rows run before it.
 func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle func() *faults.Oracle) []protocolRun {
 	g := nw.Graph()
-	// The neighborhood cache holds per-node 1- and 2-hop maps, most of a
-	// large network's run time; only the mpr, dp, pdp and sba rows read
-	// it, so the first of them builds it.
-	var cache *broadcast.Neighborhood
-	nb := func() *broadcast.Neighborhood {
-		if cache == nil {
-			cache = broadcast.NewNeighborhood(g)
-		}
-		return cache
-	}
 	ok := func(r *broadcast.Result) (*broadcast.Result, error) { return r, nil }
 	opt := func() broadcast.Options { return broadcast.Options{Tracer: tr, Faults: newOracle()} }
 	topt := func() broadcast.TimedOptions { return broadcast.TimedOptions{Tracer: tr, Faults: newOracle()} }
@@ -94,9 +84,9 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle
 		{"gossip", func() (*broadcast.Result, error) {
 			return ok(broadcast.RunOpts(g, src, broadcast.Gossip{P: 0.7, Seed: seed}, opt()))
 		}},
-		{"mpr", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewMPR(nb()), opt())) }},
-		{"dp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewDP(nb()), opt())) }},
-		{"pdp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewPDP(nb()), opt())) }},
+		{"mpr", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewMPR(g), opt())) }},
+		{"dp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewDP(g), opt())) }},
+		{"pdp", func() (*broadcast.Result, error) { return ok(broadcast.RunOpts(g, src, broadcast.NewPDP(g), opt())) }},
 		{"static-2.5", func() (*broadcast.Result, error) { return static(core.Hop25) }},
 		{"static-3", func() (*broadcast.Result, error) { return static(core.Hop3) }},
 		{"dynamic-2.5", func() (*broadcast.Result, error) { return dynamic(core.Hop25) }},
@@ -124,7 +114,7 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle
 			return ok(series[len(series)-1])
 		}},
 		{"sba", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunTimedOpts(g, src, broadcast.NewSBA(nb(), 4, seed), topt()))
+			return ok(broadcast.RunTimedOpts(g, src, broadcast.NewSBA(g, 4, seed), topt()))
 		}},
 		{"counter-3", func() (*broadcast.Result, error) {
 			return ok(broadcast.RunTimedOpts(g, src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: seed}, topt()))

@@ -54,7 +54,6 @@ func run(w io.Writer) error {
 				return err
 			}
 			g := nw.Graph()
-			nb := broadcast.NewNeighborhood(g)
 			source := src.Intn(n)
 
 			static25 := nw.StaticBackbone(core.Hop25)
@@ -62,9 +61,9 @@ func run(w io.Writer) error {
 			mo := nw.MOCDS()
 
 			sums["flooding"].Add(float64(nw.Flood(source).ForwardCount()))
-			sums["mpr"].Add(float64(broadcast.Run(g, source, broadcast.NewMPR(nb)).ForwardCount()))
-			sums["dp"].Add(float64(broadcast.Run(g, source, broadcast.NewDP(nb)).ForwardCount()))
-			sums["pdp"].Add(float64(broadcast.Run(g, source, broadcast.NewPDP(nb)).ForwardCount()))
+			sums["mpr"].Add(float64(broadcast.Run(g, source, broadcast.NewMPR(g)).ForwardCount()))
+			sums["dp"].Add(float64(broadcast.Run(g, source, broadcast.NewDP(g)).ForwardCount()))
+			sums["pdp"].Add(float64(broadcast.Run(g, source, broadcast.NewPDP(g)).ForwardCount()))
 			sums["mo-cds"].Add(float64(nw.BroadcastMOCDS(mo, source).ForwardCount()))
 			sums["static-2.5"].Add(float64(nw.BroadcastStatic(static25, source).ForwardCount()))
 			sums["static-3"].Add(float64(nw.BroadcastStatic(static3, source).ForwardCount()))

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,71 +118,64 @@ func TestStaticCDSName(t *testing.T) {
 	}
 }
 
+// TestMPRSelectionCoversTwoHop: every MPR set holds only neighbors, and
+// their rows cover every node at distance exactly 2 (read off a BFS).
 func TestMPRSelectionCoversTwoHop(t *testing.T) {
 	nw := randomNet(t, 9, 50, 8)
-	nb := NewNeighborhood(nw.G)
-	m := NewMPR(nb)
-	for v := 0; v < nw.G.N(); v++ {
+	g := nw.G
+	m := NewMPR(g)
+	for v := 0; v < g.N(); v++ {
 		covered := make(map[int]bool)
-		for u := range m.Set(v) {
-			if !nb.N1(v)[u] {
+		for _, u := range m.pkts[v].forward {
+			if !g.HasEdge(v, int(u)) {
 				t.Fatalf("MPR(%d) contains non-neighbor %d", v, u)
 			}
-			for w := range nb.N1(u) {
+			for _, w := range g.Neighbors(int(u)) {
 				covered[w] = true
 			}
 		}
-		for w := range nb.N2(v) {
-			if !covered[w] {
+		for w, d := range g.BFS(v) {
+			if d == 2 && !covered[w] {
 				t.Fatalf("MPR(%d) fails to cover 2-hop node %d", v, w)
 			}
 		}
 	}
 }
 
-func TestNeighborhoodSets(t *testing.T) {
-	g := pathGraph(5)
-	nb := NewNeighborhood(g)
-	if !nb.N1(2)[1] || !nb.N1(2)[3] || nb.N1(2)[2] || nb.N1(2)[0] {
-		t.Fatalf("N1(2) = %v", nb.N1(2))
-	}
-	if !nb.N2(2)[0] || !nb.N2(2)[4] || nb.N2(2)[1] {
-		t.Fatalf("N2(2) = %v", nb.N2(2))
-	}
-	if nb.Graph() != g {
-		t.Fatal("Graph accessor broken")
-	}
-}
-
 func TestGreedyCoverBasic(t *testing.T) {
-	// Candidates: 1 covers {a=10,b=11}, 2 covers {b}, 3 covers {c=12}.
-	cov := map[int]map[int]bool{
-		1: {10: true, 11: true},
-		2: {11: true},
-		3: {12: true},
+	// Node 0's neighbors 1, 2 and 3 cover its 2-hop nodes {10, 11}, {11}
+	// and {12}.
+	g := graph.FromEdges(13, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 10}, {1, 11}, {2, 11}, {3, 12}})
+	s := newCover(g)
+	s.prepare(0, -1, false)
+	if got := s.greedy(nil); !slices.Equal(got, []int32{1, 3}) {
+		t.Fatalf("greedy = %v, want [1 3]", got)
 	}
-	targets := map[int]bool{10: true, 11: true, 12: true}
-	got := greedyCover(targets, []int{1, 2, 3}, func(c int) map[int]bool { return cov[c] })
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("greedyCover = %v, want [1 3]", got)
+	if s.live != 0 {
+		t.Fatalf("%d targets left uncovered", s.live)
 	}
 }
 
 func TestGreedyCoverUncoverable(t *testing.T) {
-	targets := map[int]bool{99: true}
-	got := greedyCover(targets, []int{1}, func(c int) map[int]bool { return nil })
-	if len(got) != 0 {
+	// Node 1 hears node 0, which reached 1's only other neighbor 2; node
+	// 3, two hops from 1, is a target that no candidate covers.
+	g := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
+	s := newCover(g)
+	s.prepare(1, 0, false)
+	if got := s.greedy(nil); len(got) != 0 {
 		t.Fatalf("uncoverable targets must yield empty selection, got %v", got)
+	}
+	if s.live != 1 {
+		t.Fatalf("%d targets left uncovered, want 1", s.live)
 	}
 }
 
 // deliveryAndEfficiency verifies full delivery on a connected graph and
 // that the protocol forwards no more than flooding.
-func deliveryAndEfficiency(t *testing.T, seed uint64, n int, deg float64, build func(*Neighborhood) Protocol) {
+func deliveryAndEfficiency(t *testing.T, seed uint64, n int, deg float64, build func(*graph.Graph) Protocol) {
 	t.Helper()
 	nw := randomNet(t, seed, n, deg)
-	nb := NewNeighborhood(nw.G)
-	p := build(nb)
+	p := build(nw.G)
 	r := rng.New(seed ^ 0xabcdef)
 	for trial := 0; trial < 5; trial++ {
 		src := r.Intn(n)
@@ -198,19 +192,19 @@ func deliveryAndEfficiency(t *testing.T, seed uint64, n int, deg float64, build 
 
 func TestMPRFullDelivery(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		deliveryAndEfficiency(t, seed, 50, 8, func(nb *Neighborhood) Protocol { return NewMPR(nb) })
+		deliveryAndEfficiency(t, seed, 50, 8, func(g *graph.Graph) Protocol { return NewMPR(g) })
 	}
 }
 
 func TestDPFullDelivery(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		deliveryAndEfficiency(t, seed, 50, 8, func(nb *Neighborhood) Protocol { return NewDP(nb) })
+		deliveryAndEfficiency(t, seed, 50, 8, func(g *graph.Graph) Protocol { return NewDP(g) })
 	}
 }
 
 func TestPDPFullDelivery(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		deliveryAndEfficiency(t, seed, 50, 8, func(nb *Neighborhood) Protocol { return NewPDP(nb) })
+		deliveryAndEfficiency(t, seed, 50, 8, func(g *graph.Graph) Protocol { return NewPDP(g) })
 	}
 }
 
@@ -227,12 +221,11 @@ func TestQuickPruningBeatsFlooding(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		nb := NewNeighborhood(nw.G)
 		src := r.Intn(60)
 		flood := Run(nw.G, src, Flooding{})
-		dp := Run(nw.G, src, NewDP(nb))
-		pdp := Run(nw.G, src, NewPDP(nb))
-		mpr := Run(nw.G, src, NewMPR(nb))
+		dp := Run(nw.G, src, NewDP(nw.G))
+		pdp := Run(nw.G, src, NewPDP(nw.G))
+		mpr := Run(nw.G, src, NewMPR(nw.G))
 		if len(dp.Received) != 60 || len(pdp.Received) != 60 || len(mpr.Received) != 60 {
 			return false
 		}
@@ -276,8 +269,7 @@ func BenchmarkPDP100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nb := NewNeighborhood(nw.G)
-	p := NewPDP(nb)
+	p := NewPDP(nw.G)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Run(nw.G, i%100, p)
@@ -294,7 +286,7 @@ func TestWorkspaceDecliningRunKeepsNoActedState(t *testing.T) {
 	if ws.acted != nil || ws.actedAt != nil {
 		t.Fatalf("a flooding run sized acted state: %d lists, %d stamps", len(ws.acted), len(ws.actedAt))
 	}
-	res := ws.Run(nw.G, 0, NewDP(NewNeighborhood(nw.G)))
+	res := ws.Run(nw.G, 0, NewDP(nw.G))
 	if len(ws.acted) != nw.G.N() {
 		t.Fatalf("a DP run sized %d acted lists for %d nodes", len(ws.acted), nw.G.N())
 	}

@@ -58,7 +58,7 @@ func TestDESIdealEquivalence(t *testing.T) {
 					Flooding{},
 					Gossip{P: 0.7, Seed: 11},
 					StaticCDS{Set: map[int]bool{0: true, 1: true, 2: true, 5: true, 7: true}, Label: "cds"},
-					NewDP(NewNeighborhood(nw.G)),
+					NewDP(nw.G),
 				}
 				for _, p := range ps {
 					source := trial % n
@@ -99,9 +99,8 @@ func TestDESTimedEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		nw := randomNet(t, 200+uint64(trial), 40+10*trial, 8)
 		n := nw.G.N()
-		nb := NewNeighborhood(nw.G)
 		ps := []TimedProtocol{
-			NewSBA(nb, 6, 17),
+			NewSBA(nw.G, 6, 17),
 			CounterBased{Threshold: 3, MaxDelay: 5, Seed: 23},
 			DistanceBased{Positions: nw.Positions, MinDistance: 20, MaxDelay: 4, Seed: 29},
 		}
@@ -146,9 +145,9 @@ func macProtos(g *graph.Graph) []func() Protocol {
 		func() Protocol {
 			return StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"}
 		},
-		func() Protocol { return NewDP(NewNeighborhood(g)) },
-		func() Protocol { return NewPDP(NewNeighborhood(g)) },
-		func() Protocol { return NewMPR(NewNeighborhood(g)) },
+		func() Protocol { return NewDP(g) },
+		func() Protocol { return NewPDP(g) },
+		func() Protocol { return NewMPR(g) },
 	}
 }
 
@@ -157,11 +156,11 @@ func macProtos(g *graph.Graph) []func() Protocol {
 func macFuzzProto(g *graph.Graph, kind int, gossip Gossip) Protocol {
 	switch kind {
 	case 1:
-		return NewDP(NewNeighborhood(g))
+		return NewDP(g)
 	case 2:
-		return NewPDP(NewNeighborhood(g))
+		return NewPDP(g)
 	case 3:
-		return NewMPR(NewNeighborhood(g))
+		return NewMPR(g)
 	}
 	return gossip
 }

@@ -8,14 +8,20 @@
 // The engine follows the paper's evaluation model: only network-layer
 // traffic is simulated; the MAC/PHY layers are assumed to resolve collision
 // and contention. A transmission by node x is received simultaneously by
-// every neighbor of x one time unit later. Each node transmits a given
-// packet at most once.
+// every neighbor of x one time unit later.
 //
 // Forwarding decisions are made when a node receives the packet for the
 // first time; protocols whose senders *designate* forwarders (SD-CDS,
 // dominant pruning, MPR) additionally get a chance on duplicate copies,
 // because a node may hear its first copy from a transmission that does not
-// designate it and only later be named a forward node.
+// designate it and only later be named a forward node. So a node transmits
+// at most once per distinct payload it acts on (see Run): once in all for
+// a protocol that never acts on duplicates (NoDuplicates), and again for
+// each new designating payload otherwise. DP and PDP mint a payload per
+// (sender, upstream) pair and MPR one per sender, so their forward nodes
+// relay again whenever another upstream names them, whereas the sources
+// of these baselines transmit each packet at most once: an open departure
+// that ROADMAP.md tracks.
 package broadcast
 
 import (

@@ -43,8 +43,7 @@ func ExampleStaticCDS() {
 // whole neighborhood already covered and resigns.
 func ExampleRunTimed() {
 	g := bridgeGraph()
-	nb := broadcast.NewNeighborhood(g)
-	res := broadcast.RunTimed(g, 0, broadcast.NewSBA(nb, 4, 1))
+	res := broadcast.RunTimed(g, 0, broadcast.NewSBA(g, 4, 1))
 	fmt.Println("delivered to all:", len(res.Received) == g.N())
 	fmt.Println("saved vs flooding:", 6-res.ForwardCount())
 	// Output:

@@ -157,11 +157,11 @@ func TestGossipSeedDecorrelation(t *testing.T) {
 func TestBackoffDelayHelperSharedByProtocols(t *testing.T) {
 	// The three timed protocols must draw identical delays for identical
 	// (seed, node, window): one shared hash, no per-protocol drift.
-	nb := NewNeighborhood(pathGraph(4))
+	sba := NewSBA(pathGraph(4), 7, 42)
 	for v := 0; v < 64; v++ {
 		c := CounterBased{Threshold: 2, MaxDelay: 7, Seed: 42}.Delay(v)
 		d := DistanceBased{MinDistance: 1, MaxDelay: 7, Seed: 42}.Delay(v)
-		s := NewSBA(nb, 7, 42).Delay(v)
+		s := sba.Delay(v)
 		if c != d || d != s {
 			t.Fatalf("delay drift at node %d: counter=%d distance=%d sba=%d", v, c, d, s)
 		}

@@ -18,8 +18,11 @@ var (
 //
 // Proto must be private to the flow when the protocol keeps per-broadcast
 // state (the engine interleaves OnReceive callbacks of concurrently active
-// flows); stateless protocols (Flooding, StaticCDS, Gossip) and the
-// non-reusing dynamic-backbone protocol may be shared across flows.
+// flows). Protocols without it may be shared across the flows of a run:
+// the stateless Flooding, StaticCDS and Gossip, the non-reusing
+// dynamic-backbone protocol, and MPR, DP and PDP, whose payloads depend
+// only on the sender and upstream (DP's scratch and payload cache still
+// tie an instance to one goroutine).
 type MultiFlow struct {
 	// Src is the broadcast source.
 	Src int

@@ -199,6 +199,29 @@ func TestMultiMACMixedDuplicateActors(t *testing.T) {
 	}
 }
 
+// TestMultiMACSharedRelaysMatchPrivate: MPR, DP and PDP keep no
+// per-broadcast state, so flows that share one instance get the results
+// of flows that each build their own.
+func TestMultiMACSharedRelaysMatchPrivate(t *testing.T) {
+	nw := randomNet(t, 870, 60, 10)
+	n := nw.G.N()
+	for _, mk := range []func(*graph.Graph) Protocol{
+		func(g *graph.Graph) Protocol { return NewMPR(g) },
+		func(g *graph.Graph) Protocol { return NewDP(g) },
+		func(g *graph.Graph) Protocol { return NewPDP(g) },
+	} {
+		shared := mk(nw.G)
+		for _, jit := range []int{0, 3} {
+			opt := MACOptions{Jitter: jit}
+			a := RunMACMulti(nw.G, multiFlowsBy(n, 12, 1, func(int) Protocol { return shared }), opt)
+			b := RunMACMulti(nw.G, multiFlowsBy(n, 12, 1, func(int) Protocol { return mk(nw.G) }), opt)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s jit=%d: flows sharing one instance differ from flows with their own", shared.Name(), jit)
+			}
+		}
+	}
+}
+
 // TestMultiMACDecliningRunKeepsNoActedState: a run whose flows all embed
 // NoDuplicates sizes no acted-payload state; one acting flow does.
 func TestMultiMACDecliningRunKeepsNoActedState(t *testing.T) {
@@ -427,13 +450,12 @@ func TestMultiMACSteadyStateAllocs(t *testing.T) {
 func BenchmarkMultiMAC(b *testing.B) {
 	nw := randomNet(b, 5000, 5000, 18)
 	n := nw.G.N()
-	nb := NewNeighborhood(nw.G)
 	for _, row := range []struct {
 		name  string
 		proto func(int) Protocol
 	}{
 		{"flooding", func(int) Protocol { return Flooding{} }},
-		{"dp", func(int) Protocol { return NewDP(nb) }},
+		{"dp", func(int) Protocol { return NewDP(nw.G) }},
 	} {
 		flows := multiFlowsBy(n, 32, 1, row.proto)
 		b.Run(fmt.Sprintf("n=%d/flows=32/%s", n, row.name), func(b *testing.B) {

@@ -166,7 +166,7 @@ func TestMACConcurrentMetrics(t *testing.T) {
 				tr.Reset()
 				var ws Workspace
 				ws.Run(nw.G, i%50, Flooding{})
-				RunTimed(nw.G, i%50, NewSBA(NewNeighborhood(nw.G), 3, uint64(i)))
+				RunTimed(nw.G, i%50, NewSBA(nw.G, 3, uint64(i)))
 			}
 		}(w)
 	}

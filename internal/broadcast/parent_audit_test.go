@@ -103,9 +103,8 @@ func TestParentChainAudit(t *testing.T) {
 			}
 		}
 
-		nb := NewNeighborhood(nw.G)
 		for _, tp := range []TimedProtocol{
-			NewSBA(nb, 6, 17),
+			NewSBA(nw.G, 6, 17),
 			CounterBased{Threshold: 3, MaxDelay: 5, Seed: 23},
 		} {
 			add("RunTimed/"+tp.Name(), RunTimedOpts(nw.G, source, tp, TimedOptions{}))

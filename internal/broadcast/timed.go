@@ -59,7 +59,7 @@ func RunTimedOpts(g *graph.Graph, source int, p TimedProtocol, opt TimedOptions)
 // forwards only when the transmissions it has overheard do not already
 // cover its whole neighborhood.
 type SBA struct {
-	nb *Neighborhood
+	cov *cover
 	// MaxDelay bounds the back-off window (time units). Larger windows
 	// prune more (more copies overheard) at the price of latency.
 	MaxDelay int
@@ -67,9 +67,11 @@ type SBA struct {
 	Seed uint64
 }
 
-// NewSBA builds the protocol over a neighborhood cache.
-func NewSBA(nb *Neighborhood, maxDelay int, seed uint64) *SBA {
-	return &SBA{nb: nb, MaxDelay: maxDelay, Seed: seed}
+// NewSBA builds the protocol over g. Decide tests coverage in a scratch of
+// two words per node, so an SBA is not safe for concurrent use; build one
+// per goroutine.
+func NewSBA(g *graph.Graph, maxDelay int, seed uint64) *SBA {
+	return &SBA{cov: newCover(g), MaxDelay: maxDelay, Seed: seed}
 }
 
 // Name implements TimedProtocol.
@@ -85,15 +87,13 @@ func (s *SBA) Delay(v int) int {
 // covered by the senders heard so far (a neighbor x is covered when it is
 // a heard sender itself or adjacent to one).
 func (s *SBA) Decide(v int, heard []int) bool {
-	covered := make(map[int]bool, 8)
+	c := s.cov
+	c.begin()
 	for _, x := range heard {
-		covered[x] = true
-		for w := range s.nb.N1(x) {
-			covered[w] = true
-		}
+		c.exclude(x)
 	}
-	for _, w := range s.nb.Graph().Neighbors(v) {
-		if !covered[w] {
+	for _, w := range c.g.Neighbors(v) {
+		if c.stamp[w] != c.ex {
 			return true
 		}
 	}

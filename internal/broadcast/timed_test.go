@@ -53,8 +53,7 @@ func TestSBAPaperFigure5(t *testing.T) {
 	// already covers everything each of them can reach — matching the
 	// paper's "two redundant transmissions are saved" outcome.
 	g := graph.FromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
-	nb := NewNeighborhood(g)
-	res := RunTimed(g, 0, NewSBA(nb, 4, 1))
+	res := RunTimed(g, 0, NewSBA(g, 4, 1))
 	if len(res.Received) != 3 {
 		t.Fatal("delivery incomplete")
 	}
@@ -70,8 +69,7 @@ func TestSBAPaperFigure5(t *testing.T) {
 
 func TestSBAZeroDelayStillDelivers(t *testing.T) {
 	nw := randomNet(t, 43, 60, 10)
-	nb := NewNeighborhood(nw.G)
-	res := RunTimed(nw.G, 0, NewSBA(nb, 0, 1))
+	res := RunTimed(nw.G, 0, NewSBA(nw.G, 0, 1))
 	if len(res.Received) != 60 {
 		t.Fatalf("SBA with zero back-off delivered %d/60", len(res.Received))
 	}
@@ -79,9 +77,8 @@ func TestSBAZeroDelayStillDelivers(t *testing.T) {
 
 func TestSBADeterministic(t *testing.T) {
 	nw := randomNet(t, 44, 50, 12)
-	nb := NewNeighborhood(nw.G)
-	a := RunTimed(nw.G, 3, NewSBA(nb, 5, 9))
-	b := RunTimed(nw.G, 3, NewSBA(nb, 5, 9))
+	a := RunTimed(nw.G, 3, NewSBA(nw.G, 5, 9))
+	b := RunTimed(nw.G, 3, NewSBA(nw.G, 5, 9))
 	if a.ForwardCount() != b.ForwardCount() || a.Latency != b.Latency {
 		t.Fatal("SBA runs with equal seeds must replicate")
 	}
@@ -99,9 +96,8 @@ func TestQuickSBADeliversAndPrunes(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		nb := NewNeighborhood(nw.G)
 		src := r.Intn(50)
-		res := RunTimed(nw.G, src, NewSBA(nb, 4, seed))
+		res := RunTimed(nw.G, src, NewSBA(nw.G, 4, seed))
 		if len(res.Received) != 50 {
 			return false
 		}
@@ -126,10 +122,9 @@ func TestSBABackoffPrunes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb := NewNeighborhood(nw.G)
 		src := root.Intn(80)
-		r0 := RunTimed(nw.G, src, NewSBA(nb, 0, uint64(i)))
-		r8 := RunTimed(nw.G, src, NewSBA(nb, 8, uint64(i)))
+		r0 := RunTimed(nw.G, src, NewSBA(nw.G, 0, uint64(i)))
+		r8 := RunTimed(nw.G, src, NewSBA(nw.G, 8, uint64(i)))
 		if len(r0.Received) != 80 || len(r8.Received) != 80 {
 			t.Fatal("delivery incomplete")
 		}
@@ -157,9 +152,11 @@ func BenchmarkSBA100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nb := NewNeighborhood(nw.G)
+	p := NewSBA(nw.G, 4, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = RunTimed(nw.G, i%100, NewSBA(nb, 4, uint64(i)))
+		p.Seed = uint64(i)
+		_ = RunTimed(nw.G, i%100, p)
 	}
 }

@@ -115,9 +115,9 @@ func Baselines(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 		Series: sweepGroup([]string{"flooding", "mpr", "dp", "pdp", "dynamic-2.5hop"}, sizes(ns, d, seed, rule),
 			shared(sampledWS("baselines"),
 				run(floodingProto),
-				run(func(d draw) broadcast.Protocol { return broadcast.NewMPR(broadcast.NewNeighborhood(d.nw.G)) }),
-				run(func(d draw) broadcast.Protocol { return broadcast.NewDP(broadcast.NewNeighborhood(d.nw.G)) }),
-				run(func(d draw) broadcast.Protocol { return broadcast.NewPDP(broadcast.NewNeighborhood(d.nw.G)) }),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewMPR(d.nw.G) }),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewDP(d.nw.G) }),
+				run(func(d draw) broadcast.Protocol { return broadcast.NewPDP(d.nw.G) }),
 				run(dynamicProto),
 			)),
 	}

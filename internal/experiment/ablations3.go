@@ -32,8 +32,7 @@ func Pruning(windows []int, n int, d float64, seed uint64, rule stats.StopRule) 
 	// skipped.
 	sba := func(window int) prefix[*broadcast.Result] {
 		return derived(fmt.Sprintf("pruning-%d", window), func(_ *Workspace, sc Scenario, d draw) (*broadcast.Result, bool) {
-			nb := broadcast.NewNeighborhood(d.nw.G)
-			res := broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(nb, window, sc.Seed^uint64(d.rep)))
+			res := broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(d.nw.G, window, sc.Seed^uint64(d.rep)))
 			return res, len(res.Received) == d.nw.N()
 		})
 	}
@@ -119,7 +118,7 @@ func Storm(degrees []float64, n int, seed uint64, rule stats.StopRule) *Figure {
 					redundancy(func(d draw) *broadcast.Result { return broadcast.Run(d.nw.G, d.src, floodingProto(d)) }),
 					redundancy(func(d draw) *broadcast.Result { return broadcast.Run(d.nw.G, d.src, dynamicProto(d)) }),
 					redundancy(func(d draw) *broadcast.Result {
-						return broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(broadcast.NewNeighborhood(d.nw.G), 4, 1))
+						return broadcast.RunTimed(d.nw.G, d.src, broadcast.NewSBA(d.nw.G, 4, 1))
 					}),
 					redundancy(func(d draw) *broadcast.Result {
 						return broadcast.RunTimed(d.nw.G, d.src, broadcast.CounterBased{Threshold: 3, MaxDelay: 4, Seed: 1})

@@ -29,22 +29,12 @@ func Build(g *graph.Graph) map[int]bool {
 	if n == 0 {
 		return map[int]bool{}
 	}
-	// Neighbor sets for O(1) adjacency tests.
-	nbr := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		m := make(map[int]bool, g.Degree(v))
-		for _, u := range g.Neighbors(v) {
-			m[u] = true
-		}
-		nbr[v] = m
-	}
-
 	marked := make(map[int]bool)
 	for v := 0; v < n; v++ {
 		list := g.Neighbors(v)
 		for i := 0; i < len(list) && !marked[v]; i++ {
 			for j := i + 1; j < len(list); j++ {
-				if !nbr[list[i]][list[j]] {
+				if !g.HasEdge(list[i], list[j]) {
 					marked[v] = true
 					break
 				}
@@ -55,11 +45,11 @@ func Build(g *graph.Graph) map[int]bool {
 	// Rule 1: coverage by one higher-ID marked neighbor.
 	// closedSubset reports N[v] ⊆ N[u].
 	closedSubset := func(v, u int) bool {
-		if !nbr[u][v] {
+		if !g.HasEdge(u, v) {
 			return false
 		}
 		for _, x := range g.Neighbors(v) {
-			if x != u && !nbr[u][x] {
+			if x != u && !g.HasEdge(u, x) {
 				return false
 			}
 		}
@@ -92,12 +82,12 @@ func Build(g *graph.Graph) map[int]bool {
 		for i := 0; i < len(cand); i++ {
 			for j := i + 1; j < len(cand); j++ {
 				u, w := cand[i], cand[j]
-				if !nbr[u][w] {
+				if !g.HasEdge(u, w) {
 					continue
 				}
 				covered := true
 				for _, x := range g.Neighbors(v) {
-					if x != u && x != w && !nbr[u][x] && !nbr[w][x] {
+					if x != u && x != w && !g.HasEdge(u, x) && !g.HasEdge(w, x) {
 						covered = false
 						break
 					}

@@ -1,6 +1,7 @@
 package marking
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,5 +170,128 @@ func BenchmarkMarking100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Build(nw.G)
+	}
+}
+
+// buildMaps is the map form of Build, kept as its reference: the same
+// marking and rules over per-node neighbor maps.
+func buildMaps(g *graph.Graph) map[int]bool {
+	n := g.N()
+	if n == 0 {
+		return map[int]bool{}
+	}
+	nbr := make([]map[int]bool, n)
+	for v := 0; v < n; v++ {
+		m := make(map[int]bool, g.Degree(v))
+		for _, u := range g.Neighbors(v) {
+			m[u] = true
+		}
+		nbr[v] = m
+	}
+	marked := make(map[int]bool)
+	for v := 0; v < n; v++ {
+		list := g.Neighbors(v)
+		for i := 0; i < len(list) && !marked[v]; i++ {
+			for j := i + 1; j < len(list); j++ {
+				if !nbr[list[i]][list[j]] {
+					marked[v] = true
+					break
+				}
+			}
+		}
+	}
+	closedSubset := func(v, u int) bool {
+		if !nbr[u][v] {
+			return false
+		}
+		for _, x := range g.Neighbors(v) {
+			if x != u && !nbr[u][x] {
+				return false
+			}
+		}
+		return true
+	}
+	for v := 0; v < n; v++ {
+		if !marked[v] {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if marked[u] && u > v && closedSubset(v, u) {
+				delete(marked, v)
+				break
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !marked[v] {
+			continue
+		}
+		var cand []int
+		for _, u := range g.Neighbors(v) {
+			if marked[u] && u > v {
+				cand = append(cand, u)
+			}
+		}
+	rule2:
+		for i := 0; i < len(cand); i++ {
+			for j := i + 1; j < len(cand); j++ {
+				u, w := cand[i], cand[j]
+				if !nbr[u][w] {
+					continue
+				}
+				covered := true
+				for _, x := range g.Neighbors(v) {
+					if x != u && x != w && !nbr[u][x] && !nbr[w][x] {
+						covered = false
+						break
+					}
+				}
+				if covered {
+					delete(marked, v)
+					break rule2
+				}
+			}
+		}
+	}
+	if len(marked) == 0 {
+		marked[0] = true
+	}
+	return marked
+}
+
+// TestBuildMatchesMapOracle: Build equals its map form on random unit-disk
+// graphs at d = 4, 10 and 18 (connected or not) and on hand-made shapes:
+// a path, a star, a clique, two cliques joined by a bridge, and a graph
+// with an isolated node.
+func TestBuildMatchesMapOracle(t *testing.T) {
+	var graphs []*graph.Graph
+	for _, d := range []float64{4, 10, 18} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			nw, err := topology.Generate(topology.Config{N: 80, Bounds: geom.Square(100), AvgDegree: d}, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, nw.G)
+		}
+	}
+	var k4, bridged [][2]int
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			k4 = append(k4, [2]int{u, v})
+			bridged = append(bridged, [2]int{u, v}, [2]int{u + 4, v + 4})
+		}
+	}
+	graphs = append(graphs,
+		pathGraph(7),
+		graph.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}),
+		graph.FromEdges(4, k4),
+		graph.FromEdges(8, append(bridged, [2]int{3, 4})),
+		graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}}),
+	)
+	for i, g := range graphs {
+		got, want := graph.SortedMembers(Build(g)), graph.SortedMembers(buildMaps(g))
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d: Build = %v, map form %v", i, got, want)
+		}
 	}
 }
