@@ -97,7 +97,7 @@ type DP struct {
 }
 
 // NewDP builds dominant pruning over g. A DP computes forward lists on
-// demand in a scratch of two words per node, so it is not safe for
+// demand in a scratch of 8 bytes per node, so it is not safe for
 // concurrent use; build one per goroutine.
 func NewDP(g *graph.Graph) *DP { return &DP{cov: newCover(g), pkts: make(map[[2]int]*designation)} }
 

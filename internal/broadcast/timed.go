@@ -68,7 +68,7 @@ type SBA struct {
 }
 
 // NewSBA builds the protocol over g. Decide tests coverage in a scratch of
-// two words per node, so an SBA is not safe for concurrent use; build one
+// 8 bytes per node, so an SBA is not safe for concurrent use; build one
 // per goroutine.
 func NewSBA(g *graph.Graph, maxDelay int, seed uint64) *SBA {
 	return &SBA{cov: newCover(g), MaxDelay: maxDelay, Seed: seed}
