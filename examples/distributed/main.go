@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"reflect"
 
 	"clustercast/internal/core"
@@ -18,10 +20,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the message counts to w.
+func run(w io.Writer) error {
 	for _, n := range []int{20, 40, 80, 160} {
 		nw, err := core.NewRandomNetwork(core.NetworkSpec{N: n, AvgDegree: 6, Seed: uint64(n)})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Run the actual message protocol...
@@ -30,16 +39,17 @@ func main() {
 		// ...and check it agrees with the centralized constructions.
 		centralized := nw.StaticBackbone(core.Hop25)
 		if !reflect.DeepEqual(out.Backbone, centralized.Nodes) {
-			log.Fatalf("n=%d: distributed backbone %v != centralized %v",
+			return fmt.Errorf("n=%d: distributed backbone %v != centralized %v",
 				n, graph.SortedMembers(out.Backbone), graph.SortedMembers(centralized.Nodes))
 		}
 		if !reflect.DeepEqual(out.Heads, nw.Heads()) {
-			log.Fatalf("n=%d: clusterheads disagree", n)
+			return fmt.Errorf("n=%d: clusterheads disagree", n)
 		}
 
-		fmt.Printf("n=%3d  backbone=%2d  msgs/node=%.2f  %s\n",
+		fmt.Fprintf(w, "n=%3d  backbone=%2d  msgs/node=%.2f  %s\n",
 			n, len(out.Backbone),
 			float64(out.Counters.Total())/float64(n), out.Counters.String())
 	}
-	fmt.Println("\nmessages per node stay constant as n grows: the construction is message-optimal (O(n)).")
+	fmt.Fprintln(w, "\nmessages per node stay constant as n grows: the construction is message-optimal (O(n)).")
+	return nil
 }
