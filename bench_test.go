@@ -67,7 +67,7 @@ func BenchmarkFig6(b *testing.B) {
 					case "static-3hop":
 						total += nw.StaticBackbone(core.Hop3).Size()
 					case "mo-cds":
-						total += nw.MOCDS().Size()
+						total += nw.MOCDS().Count()
 					}
 				}
 				b.ReportMetric(float64(total)/float64(b.N), "cds-size")
@@ -147,7 +147,7 @@ func BenchmarkApproxRatio(b *testing.B) {
 				case "static-2.5hop":
 					size = nw.StaticBackbone(core.Hop25).Size()
 				case "mo-cds":
-					size = nw.MOCDS().Size()
+					size = nw.MOCDS().Count()
 				case "greedy-gk":
 					size = len(mcds.Greedy(nw.Graph()))
 				}
@@ -296,7 +296,7 @@ func BenchmarkSICDS(b *testing.B) {
 				case "static-2.5hop":
 					total += nw.StaticBackbone(core.Hop25).Size()
 				case "mo-cds":
-					total += nw.MOCDS().Size()
+					total += nw.MOCDS().Count()
 				case "marking":
 					total += len(marking.Build(nw.Graph()))
 				case "fwd-tree":
@@ -926,8 +926,9 @@ func BenchmarkDESMAC(b *testing.B) {
 	}
 }
 
-// BenchmarkDESWire measures the construction wire protocol (the worklist
-// engine behind sim.Run) at the same scale points.
+// BenchmarkDESWire measures the construction wire protocol (sim.Run, the
+// message count over the production election, coverage digest and
+// gateway selection) at the same scale points.
 func BenchmarkDESWire(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

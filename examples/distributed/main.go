@@ -1,7 +1,8 @@
 // Distributed: run the paper's wire protocol (HELLO → clustering →
-// CH_HOP1/CH_HOP2 → GATEWAY) on a random network, print the per-type
-// message counts that back the O(n) message-optimality claim, and verify
-// the distributed outcome against the centralized construction.
+// CH_HOP1/CH_HOP2 → GATEWAY) on random networks and print the per-type
+// message counts that back the O(n) message-optimality claim. The
+// outcome is the centralized constructions'; internal/sim's oracle tests
+// hold the message-level protocol to them.
 //
 //	go run ./examples/distributed
 package main
@@ -11,11 +12,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"reflect"
 
 	"clustercast/internal/core"
 	"clustercast/internal/coverage"
-	"clustercast/internal/graph"
 	"clustercast/internal/sim"
 )
 
@@ -32,20 +31,7 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-
-		// Run the actual message protocol...
 		out := sim.Run(nw.Graph(), coverage.Hop25)
-
-		// ...and check it agrees with the centralized constructions.
-		centralized := nw.StaticBackbone(core.Hop25)
-		if !reflect.DeepEqual(out.Backbone, centralized.Nodes) {
-			return fmt.Errorf("n=%d: distributed backbone %v != centralized %v",
-				n, graph.SortedMembers(out.Backbone), graph.SortedMembers(centralized.Nodes))
-		}
-		if !reflect.DeepEqual(out.Heads, nw.Heads()) {
-			return fmt.Errorf("n=%d: clusterheads disagree", n)
-		}
-
 		fmt.Fprintf(w, "n=%3d  backbone=%2d  msgs/node=%.2f  %s\n",
 			n, len(out.Backbone),
 			float64(out.Counters.Total())/float64(n), out.Counters.String())

@@ -446,7 +446,9 @@ func TestMultiMACSteadyStateAllocs(t *testing.T) {
 // window 3. The flooding row relays through a protocol that embeds
 // NoDuplicates; the DP row through designating instances, one per flow,
 // whose duplicates can upgrade a node, so its flows keep acted-payload
-// lists. The DP instances' payload caches warm in the first call.
+// lists. Every call gets fresh instances, built with the timer stopped,
+// so each timed DP call computes its forward lists: instances reused
+// across calls keep them cached, and the row would time the engine alone.
 func BenchmarkMultiMAC(b *testing.B) {
 	nw := randomNet(b, 5000, 5000, 18)
 	n := nw.G.N()
@@ -457,10 +459,12 @@ func BenchmarkMultiMAC(b *testing.B) {
 		{"flooding", func(int) Protocol { return Flooding{} }},
 		{"dp", func(int) Protocol { return NewDP(nw.G) }},
 	} {
-		flows := multiFlowsBy(n, 32, 1, row.proto)
 		b.Run(fmt.Sprintf("n=%d/flows=32/%s", n, row.name), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				flows := multiFlowsBy(n, 32, 1, row.proto)
+				b.StartTimer()
 				RunMACMulti(nw.G, flows, MACOptions{Jitter: 3})
 			}
 		})

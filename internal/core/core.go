@@ -72,7 +72,7 @@ type Network struct {
 	Clustering *cluster.Clustering
 
 	static [Hop3 + 1]*backbone.Static // by coverage mode
-	mo     *mocds.CDS
+	mo     *graph.Bitset
 }
 
 // NewRandomNetwork draws a random connected network per the spec and
@@ -125,9 +125,10 @@ func (nw *Network) StaticBackbone(mode Mode) *backbone.Static {
 	return nw.static[mode]
 }
 
-// MOCDS returns the message-optimal CDS baseline of Alzoubi et al., built
-// on the first call and shared read-only, like StaticBackbone's.
-func (nw *Network) MOCDS() *mocds.CDS {
+// MOCDS returns the membership of the message-optimal CDS baseline of
+// Alzoubi et al., built on the first call and shared read-only, like
+// StaticBackbone's.
+func (nw *Network) MOCDS() *graph.Bitset {
 	if nw.mo == nil {
 		nw.mo = mocds.Build(nw.Topology.G, nw.Clustering)
 	}
@@ -151,9 +152,9 @@ func (nw *Network) BroadcastStatic(s *backbone.Static, source int) *broadcast.Re
 	return broadcast.Run(nw.Topology.G, source, broadcast.StaticCDS{Set: s.Nodes, Label: "static-" + s.Mode.String()})
 }
 
-// BroadcastMOCDS broadcasts from source over the MO_CDS.
-func (nw *Network) BroadcastMOCDS(c *mocds.CDS, source int) *broadcast.Result {
-	return broadcast.Run(nw.Topology.G, source, broadcast.StaticCDS{Set: c.Nodes, Label: "mo-cds"})
+// BroadcastMOCDS broadcasts from source over the MO_CDS membership c.
+func (nw *Network) BroadcastMOCDS(c *graph.Bitset, source int) *broadcast.Result {
+	return broadcast.Run(nw.Topology.G, source, broadcast.StaticCDSBits{Set: c, Label: "mo-cds"})
 }
 
 // Flood runs blind flooding from source — the broadcast-storm baseline.
@@ -191,7 +192,7 @@ func (nw *Network) Summarize() Summary {
 		Clusters:      nw.Clustering.NumClusters(),
 		Static25Size:  nw.StaticBackbone(Hop25).Size(),
 		Static3Size:   nw.StaticBackbone(Hop3).Size(),
-		MOCDSSize:     nw.MOCDS().Size(),
+		MOCDSSize:     nw.MOCDS().Count(),
 		Diameter:      g.Diameter(),
 		TransmitRange: nw.Topology.Radius,
 		CutVertices:   len(g.CutVertices()),

@@ -56,7 +56,7 @@ func ExampleNetwork_Flood() {
 func ExampleNetwork_MOCDS() {
 	nw := paperNetwork()
 	mo := nw.MOCDS()
-	fmt.Println("MO_CDS is a valid CDS:", mo.Verify(nw.Graph()) == nil)
+	fmt.Println("MO_CDS is a valid CDS:", nw.Graph().IsCDSBits(mo))
 	// Output: MO_CDS is a valid CDS: true
 }
 

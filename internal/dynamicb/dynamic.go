@@ -221,33 +221,14 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 	need.Reset(n)
 	need.CopyFrom(cov.C2)
 	need.Or(cov.C3)
-	switch {
-	case p.tracer != nil:
+	if p.tracer != nil {
 		// Traced: apply the exclusions element-wise so every pruned
 		// clusterhead is attributed to the rule that removed it. The
 		// resulting need set is identical to the wholesale path — the
 		// exclusions are plain set differences.
 		p.pruneTraced(need, in, v, x)
-	case obs.Enabled():
-		// Metrics only: wholesale set ops, per-rule totals recovered from
-		// cardinality deltas (Count on a sparse set is O(1)).
+	} else {
 		p.pruneCounted(need, in, x)
-	default:
-		if in != nil {
-			if in.cov != nil {
-				need.AndNot(in.cov)
-			}
-			if in.fromCH >= 0 {
-				need.Remove(in.fromCH)
-			}
-		}
-		if x >= 0 {
-			// Clusterheads adjacent to the immediate transmitter heard the
-			// same transmission v heard (the paper's N(r) exclusion).
-			for _, w := range p.b.CH1(x) {
-				need.Remove(w)
-			}
-		}
 	}
 	fwd := p.allocSet(n)
 	p.sel.SelectInto(cov, need, need, backbone.Options{}, fwd)
@@ -305,9 +286,13 @@ func (p *Protocol) pruneTraced(need *graph.SparseSet, in *packet, v, x int) {
 	}
 }
 
-// pruneCounted is the wholesale exclusion path with per-rule totals
-// recovered from cardinality deltas. Attribution matches pruneTraced: the
-// upstream sender is removed (and counted) before the piggybacked set.
+// pruneCounted is the wholesale exclusion path, with per-rule totals
+// recovered from cardinality deltas (Count on a sparse set is O(1); the
+// counters ignore them while observability is off). Attribution matches
+// pruneTraced: the upstream sender is removed (and counted) before the
+// piggybacked set, and the clusterheads adjacent to the immediate
+// transmitter x, which heard the same transmission (the paper's N(r)
+// exclusion), last.
 func (p *Protocol) pruneCounted(need *graph.SparseSet, in *packet, x int) {
 	if in != nil {
 		if in.fromCH >= 0 && need.Has(in.fromCH) {

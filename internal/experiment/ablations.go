@@ -43,7 +43,7 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 			shared(exact,
 				ratio(func(d draw) int { return backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Size() }),
 				ratio(func(d draw) int { return broadcast.Run(d.nw.G, d.src, dynamicProto(d)).ForwardCount() }),
-				ratio(func(d draw) int { return mocds.Build(d.nw.G, d.cl).Size() }),
+				ratio(func(d draw) int { return mocds.Build(d.nw.G, d.cl).Count() }),
 				ratio(func(d draw) int { return len(mcds.Greedy(d.nw.G)) }),
 			)),
 	}

@@ -176,8 +176,9 @@ func SetBuildWorkers(n int) {
 }
 
 // SetDES does nothing. It once selected the event-calendar engines,
-// which are now the only slotted-MAC, back-off and wire-protocol
-// engines; it stays so existing callers compile.
+// which are now the only slotted-MAC and back-off engines (the wire
+// protocol is counted over the production construction layers); it
+// stays so existing callers compile.
 func SetDES(bool) {}
 
 // SetBatchReplication does nothing. It once opted the loss figures into

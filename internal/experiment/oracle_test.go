@@ -60,7 +60,7 @@ func MOCDSSizeEstimator() Estimator {
 		if !ok {
 			return 0, false
 		}
-		return float64(mocds.Build(nw.G, cl).Size()), true
+		return float64(mocds.Build(nw.G, cl).Count()), true
 	}
 }
 
@@ -102,8 +102,7 @@ func MOCDSForwardEstimator() Estimator {
 		if !ok {
 			return 0, false
 		}
-		c := mocds.Build(nw.G, cl)
-		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: c.Nodes})
+		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDSBits{Set: mocds.Build(nw.G, cl)})
 		return float64(res.ForwardCount()), true
 	}
 }

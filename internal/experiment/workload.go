@@ -43,8 +43,7 @@ func trafficBackbones() []trafficBackbone {
 			return func(int) broadcast.Protocol { return p }
 		}},
 		{"mo-cds", func(nw *topology.Network, cl *cluster.Clustering) workload.ProtoFactory {
-			c := mocds.Build(nw.G, cl)
-			p := broadcast.StaticCDS{Set: c.Nodes, Label: "mocds"}
+			p := broadcast.StaticCDSBits{Set: mocds.Build(nw.G, cl), Label: "mocds"}
 			return func(int) broadcast.Protocol { return p }
 		}},
 	}

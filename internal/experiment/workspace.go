@@ -380,7 +380,7 @@ func staticProto(d draw) broadcast.Protocol {
 func dynamicProto(d draw) broadcast.Protocol { return dynamicb.New(d.nw.G, d.cl, coverage.Hop25) }
 
 func mocdsProto(d draw) broadcast.Protocol {
-	return broadcast.StaticCDS{Set: mocds.Build(d.nw.G, d.cl).Nodes}
+	return broadcast.StaticCDSBits{Set: mocds.Build(d.nw.G, d.cl)}
 }
 
 // staticSize is |static backbone| under a coverage mode.

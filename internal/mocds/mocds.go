@@ -19,101 +19,16 @@
 package mocds
 
 import (
-	"fmt"
-
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/graph"
 )
 
-// CDS is the assembled message-optimal CDS.
-type CDS struct {
-	// Nodes is the CDS membership: clusterheads plus selected connectors.
-	Nodes map[int]bool
-	// Heads lists the clusterheads, ascending.
-	Heads []int
-	// Connectors2[h][w] is the node h selected to reach 2-hop clusterhead w.
-	Connectors2 map[int]map[int]int
-	// Connectors3[h][w] is the pair (gateway, relay) h selected to reach
-	// 3-hop clusterhead w.
-	Connectors3 map[int]map[int][2]int
-}
-
-// Size returns the number of CDS nodes (Figure 6's quantity).
-func (c *CDS) Size() int { return graph.SetSize(c.Nodes) }
-
-// Build constructs the MO_CDS over a clustered network. It uses the 3-hop
-// coverage information, as in the original algorithm.
-func Build(g *graph.Graph, cl *cluster.Clustering) *CDS {
-	return BuildFrom(coverage.NewBuilder(g, cl, coverage.Hop3), cl)
-}
-
-// BuildFrom constructs the MO_CDS reusing an existing 3-hop coverage
-// builder.
-func BuildFrom(b *coverage.Builder, cl *cluster.Clustering) *CDS {
-	if b.Mode() != coverage.Hop3 {
-		panic("mocds: MO_CDS requires a 3-hop coverage builder")
-	}
-	c := &CDS{
-		Nodes:       make(map[int]bool),
-		Heads:       append([]int(nil), cl.Heads...),
-		Connectors2: make(map[int]map[int]int),
-		Connectors3: make(map[int]map[int][2]int),
-	}
-	for _, h := range cl.Heads {
-		c.Nodes[h] = true
-		cov := b.Of(h)
-
-		// One connector per 2-hop clusterhead: the lowest-ID neighbor that
-		// reaches it.
-		con2 := make(map[int]int, cov.C2.Count())
-		for _, cn := range cov.Conns {
-			for _, w := range cn.Direct {
-				if prev, ok := con2[w]; !ok || cn.V < prev {
-					con2[w] = cn.V
-				}
-			}
-		}
-		for w, v := range con2 {
-			c.Nodes[v] = true
-			_ = w
-		}
-		c.Connectors2[h] = con2
-
-		// One pair per 3-hop clusterhead: the lowest-ID (gateway, relay).
-		con3 := make(map[int][2]int, cov.C3.Count())
-		for _, cn := range cov.Conns {
-			for _, e := range cn.Indirect {
-				pair := [2]int{cn.V, e.R}
-				if prev, ok := con3[e.W]; !ok || less(pair, prev) {
-					con3[e.W] = pair
-				}
-			}
-		}
-		for _, pair := range con3 {
-			c.Nodes[pair[0]] = true
-			c.Nodes[pair[1]] = true
-		}
-		c.Connectors3[h] = con3
-	}
-	return c
-}
-
-// less orders connector pairs lexicographically.
-func less(a, b [2]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
-}
-
-// Verify checks that the constructed set is a CDS of g (for connected g).
-func (c *CDS) Verify(g *graph.Graph) error {
-	if !g.IsDominatingSet(c.Nodes) {
-		return fmt.Errorf("mocds: not a dominating set")
-	}
-	if !g.InducedSubgraphConnected(c.Nodes) {
-		return fmt.Errorf("mocds: induced subgraph not connected")
-	}
-	return nil
+// Build constructs the MO_CDS over a clustered network and returns its
+// membership: the clusterheads plus the selected connectors. It uses the
+// 3-hop coverage information, as in the original algorithm. Each call
+// digests the network and folds on a fresh workspace, so the bitset is
+// the caller's; replicate loops hold a Workspace and call NodesFrom.
+func Build(g *graph.Graph, cl *cluster.Clustering) *graph.Bitset {
+	return NewWorkspace().NodesFrom(coverage.NewBuilder(g, cl, coverage.Hop3), cl)
 }

@@ -25,20 +25,71 @@ func paperGraph() *graph.Graph {
 	return graph.FromEdges(10, zero)
 }
 
+// mapCDS is the MO_CDS folded into maps, the reference the workspace
+// fold is held to.
+type mapCDS struct {
+	// Nodes is the CDS membership: clusterheads plus selected connectors.
+	Nodes map[int]bool
+	// Connectors2[h][w] is the node h selected to reach 2-hop clusterhead w.
+	Connectors2 map[int]map[int]int
+	// Connectors3[h][w] is the pair (gateway, relay) h selected to reach
+	// 3-hop clusterhead w.
+	Connectors3 map[int]map[int][2]int
+}
+
+// buildMaps folds every head's coverage set into maps: one connector per
+// 2-hop clusterhead, the lowest-ID neighbor that reaches it, and one pair
+// per 3-hop clusterhead, the lexicographically smallest (gateway, relay).
+func buildMaps(b *coverage.Builder, cl *cluster.Clustering) *mapCDS {
+	c := &mapCDS{
+		Nodes:       make(map[int]bool),
+		Connectors2: make(map[int]map[int]int),
+		Connectors3: make(map[int]map[int][2]int),
+	}
+	for _, h := range cl.Heads {
+		c.Nodes[h] = true
+		cov := b.Of(h)
+		con2 := make(map[int]int, cov.C2.Count())
+		for _, cn := range cov.Conns {
+			for _, w := range cn.Direct {
+				if prev, ok := con2[w]; !ok || cn.V < prev {
+					con2[w] = cn.V
+				}
+			}
+		}
+		for _, v := range con2 {
+			c.Nodes[v] = true
+		}
+		c.Connectors2[h] = con2
+		con3 := make(map[int][2]int, cov.C3.Count())
+		for _, cn := range cov.Conns {
+			for _, e := range cn.Indirect {
+				pair := [2]int{cn.V, e.R}
+				if prev, ok := con3[e.W]; !ok || pair[0] < prev[0] || pair[0] == prev[0] && pair[1] < prev[1] {
+					con3[e.W] = pair
+				}
+			}
+		}
+		for _, pair := range con3 {
+			c.Nodes[pair[0]] = true
+			c.Nodes[pair[1]] = true
+		}
+		c.Connectors3[h] = con3
+	}
+	return c
+}
+
 func TestBuildPaperGraph(t *testing.T) {
 	g := paperGraph()
 	cl := cluster.LowestID(g)
 	c := Build(g, cl)
-	if err := c.Verify(g); err != nil {
-		t.Fatal(err)
-	}
 	// All four heads present.
 	for _, h := range []int{0, 1, 2, 3} {
-		if !c.Nodes[h] {
+		if !c.Has(h) {
 			t.Fatalf("head %d missing from MO_CDS", h)
 		}
 	}
-	if !g.IsCDS(c.Nodes) {
+	if !g.IsCDSBits(c) {
 		t.Fatal("MO_CDS must be a CDS")
 	}
 }
@@ -46,7 +97,7 @@ func TestBuildPaperGraph(t *testing.T) {
 func TestConnectorsAreValidPaths(t *testing.T) {
 	g := paperGraph()
 	cl := cluster.LowestID(g)
-	c := Build(g, cl)
+	c := buildMaps(coverage.NewBuilder(g, cl, coverage.Hop3), cl)
 	for h, con2 := range c.Connectors2 {
 		for w, v := range con2 {
 			if !g.HasEdge(h, v) || !g.HasEdge(v, w) {
@@ -69,19 +120,18 @@ func TestRequiresHop3Builder(t *testing.T) {
 	b := coverage.NewBuilder(g, cl, coverage.Hop25)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BuildFrom must reject a 2.5-hop builder")
+			t.Fatal("NodesFrom must reject a 2.5-hop builder")
 		}
 	}()
-	BuildFrom(b, cl)
+	NewWorkspace().NodesFrom(b, cl)
 }
 
 func TestSingleCluster(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	cl := cluster.LowestID(g)
 	c := Build(g, cl)
-	if c.Size() != 1 {
-		t.Fatalf("single-cluster MO_CDS should be the head only, got %v",
-			graph.SortedMembers(c.Nodes))
+	if c.Count() != 1 {
+		t.Fatalf("single-cluster MO_CDS should be the head only, got %v", c.Members())
 	}
 }
 
@@ -100,9 +150,7 @@ func TestQuickIsCDS(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		cl := cluster.LowestID(nw.G)
-		c := Build(nw.G, cl)
-		return nw.G.IsCDS(c.Nodes)
+		return nw.G.IsCDSBits(Build(nw.G, cluster.LowestID(nw.G)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -126,7 +174,7 @@ func TestStaticBackboneBeatsMOCDSOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := cluster.LowestID(nw.G)
-		sumMO += Build(nw.G, cl).Size()
+		sumMO += Build(nw.G, cl).Count()
 		sumStatic += backbone.BuildStatic(nw.G, cl, coverage.Hop3).Size()
 	}
 	if sumStatic > sumMO {

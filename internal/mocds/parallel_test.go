@@ -34,14 +34,15 @@ func hop3Builders(t *testing.T, reps int, seed uint64) ([]*coverage.Builder, []*
 }
 
 // TestNodesFromParallelBitIdentical proves the workspace fold returns the
-// membership BuildFrom materializes for every worker count, across reuse
-// of a single workspace. Run with -race to exercise the strip isolation.
+// membership the map fold materializes for every worker count, across
+// reuse of a single workspace. Run with -race to exercise the strip
+// isolation.
 func TestNodesFromParallelBitIdentical(t *testing.T) {
 	ws := NewWorkspace()
 	bs, cls := hop3Builders(t, 8, 1300)
 	for rep, b := range bs {
 		cl := cls[rep]
-		want := BuildFrom(b, cl).Nodes
+		want := buildMaps(b, cl).Nodes
 		for _, workers := range []int{0, 1, 2, 3, 7, 64} {
 			ws.BuildWorkers = workers
 			got := ws.NodesFrom(b, cl)
@@ -50,7 +51,7 @@ func TestNodesFromParallelBitIdentical(t *testing.T) {
 			}
 			for v := 0; v < b.N(); v++ {
 				if got.Has(v) != want[v] {
-					t.Fatalf("rep %d workers %d: node %d membership: workspace %v, build %v",
+					t.Fatalf("rep %d workers %d: node %d membership: workspace %v, map fold %v",
 						rep, workers, v, got.Has(v), want[v])
 				}
 			}

@@ -49,7 +49,7 @@ type foldStrip struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// SizeFrom returns BuildFrom(b, cl).Size() without materializing the CDS.
+// SizeFrom returns the MO_CDS size, NodesFrom(b, cl).Count().
 func (ws *Workspace) SizeFrom(b *coverage.Builder, cl *cluster.Clustering) int {
 	return ws.NodesFrom(b, cl).Count()
 }
@@ -57,12 +57,14 @@ func (ws *Workspace) SizeFrom(b *coverage.Builder, cl *cluster.Clustering) int {
 // NodesFrom computes the MO_CDS membership into a workspace-owned bitset
 // (valid until the next call on the workspace).
 //
-// It relies on the deterministic layout of coverage sets: Conns is
-// ascending by neighbor ID, and each connector's Indirect list keeps the
-// lowest-ID relay per clusterhead. Scanning connectors in order and taking
-// the FIRST sighting of each clusterhead therefore picks exactly the
-// lowest-ID connector (2-hop) and the lexicographically smallest
-// (gateway, relay) pair (3-hop) that BuildFrom's map folding selects.
+// Each head connects every 2-hop clusterhead through its lowest-ID
+// connector and every 3-hop clusterhead through the lexicographically
+// smallest (gateway, relay) pair. The fold relies on the deterministic
+// layout of coverage sets: Conns is ascending by neighbor ID, and each
+// connector's Indirect list keeps the lowest-ID relay per clusterhead, so
+// scanning connectors in order and taking the FIRST sighting of each
+// clusterhead picks exactly those connectors. The tests hold it to a map
+// fold that keeps the smallest connector per clusterhead.
 func (ws *Workspace) NodesFrom(b *coverage.Builder, cl *cluster.Clustering) *graph.Bitset {
 	if b.Mode() != coverage.Hop3 {
 		panic("mocds: MO_CDS requires a 3-hop coverage builder")

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSizeFromMatchesBuild proves the workspace size path selects exactly
-// the node set BuildFrom materializes, across random networks and across
-// reuse of a single workspace.
+// the node set the map fold materializes, across random networks and
+// across reuse of a single workspace.
 func TestSizeFromMatchesBuild(t *testing.T) {
 	ws := NewWorkspace()
 	for rep := 0; rep < 20; rep++ {
@@ -25,14 +25,14 @@ func TestSizeFromMatchesBuild(t *testing.T) {
 		}
 		cl := cluster.LowestID(nw.G)
 		b := coverage.NewBuilder(nw.G, cl, coverage.Hop3)
-		want := BuildFrom(b, cl)
+		want := buildMaps(b, cl)
 		got := ws.SizeFrom(b, cl)
-		if got != want.Size() {
-			t.Fatalf("rep %d: SizeFrom = %d, Build Size = %d", rep, got, want.Size())
+		if got != len(want.Nodes) {
+			t.Fatalf("rep %d: SizeFrom = %d, map fold size = %d", rep, got, len(want.Nodes))
 		}
 		for v := 0; v < nw.N(); v++ {
 			if ws.nodes.Has(v) != want.Nodes[v] {
-				t.Fatalf("rep %d: node %d membership: workspace %v, build %v",
+				t.Fatalf("rep %d: node %d membership: workspace %v, map fold %v",
 					rep, v, ws.nodes.Has(v), want.Nodes[v])
 			}
 		}

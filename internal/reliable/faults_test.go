@@ -165,7 +165,7 @@ func TestFaultsFastForwardBitIdentical(t *testing.T) {
 			run := func(noFF bool) *Result {
 				o := faults.New(spec, g.N())
 				res, err := Run(g, tree, 0, Config{
-					Loss: 0.15, Seed: seed, Faults: o, NoFastForward: noFF,
+					Loss: 0.15, Seed: seed, Faults: o, noFastForward: noFF,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -187,7 +187,7 @@ func TestFaultsFastForwardBitIdentical(t *testing.T) {
 	run := func(noFF bool) *Result {
 		o := faults.New(spec, g.N())
 		o.SetPositions(positionsSplit(g.N(), 0))
-		res, err := Run(g, tree, 0, Config{Faults: o, MaxRounds: 5000, NoFastForward: noFF})
+		res, err := Run(g, tree, 0, Config{Faults: o, MaxRounds: 5000, noFastForward: noFF})
 		if err != nil {
 			t.Fatal(err)
 		}

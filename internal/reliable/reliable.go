@@ -75,17 +75,18 @@ type Config struct {
 	// no progress for a long stretch returns Degraded instead of burning
 	// rounds to the cutoff. nil leaves the classic behavior bit-identical.
 	Faults *faults.Oracle
-	// NoFastForward disables the idle-window fast-forward (the jump over
-	// rounds in which every outstanding sender is crashed or backing off,
-	// available under Faults) and polls round by round instead. Results
-	// are bit-identical either way — the flag exists as the golden
-	// reference for the equivalence test and for timing the savings.
-	NoFastForward bool
 	// Tracer, when non-nil, records retransmit events (one per re-send,
 	// with the sender's outstanding-peer count) and a stall event if the
 	// run concedes degradation. nil is the Nop default and costs one
 	// predicted branch per round.
 	Tracer *obs.Tracer
+
+	// noFastForward disables the idle-window fast-forward (the jump over
+	// rounds in which every outstanding sender is crashed or backing off,
+	// available under Faults) and polls round by round instead. Results
+	// are bit-identical either way; the package's tests set it to run the
+	// round-by-round reference.
+	noFastForward bool
 }
 
 // Run performs one reliable broadcast of a packet originating at source
@@ -223,7 +224,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 		}
 		return c
 	}
-	fastForward := fo != nil && !cfg.NoFastForward
+	fastForward := fo != nil && !cfg.noFastForward
 	// stallRounds bounds how long a faulted run keeps retrying without a
 	// single new delivery or acknowledgement before conceding degradation.
 	// It comfortably exceeds the backoff cap (8) plus any realistic outage

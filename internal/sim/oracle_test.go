@@ -57,10 +57,13 @@ type node struct {
 	isGateway bool
 }
 
-// runOracle is the round-synchronous wire-protocol loop, the reference
-// the production engine (Run) is checked against: every round scans all
-// n node state machines and delivers message inboxes by value.
-func runOracle(g *graph.Graph, mode coverage.Mode) *Outcome {
+// runOracle is the round-synchronous wire-protocol loop, the
+// message-level reference the production engine (Run) is checked
+// against: every round scans all n node state machines and delivers
+// message inboxes by value. Besides the outcome it returns the coverage
+// set each head assembled from the CH_HOP1/CH_HOP2 reports it received,
+// which the tests hold to the centralized coverage.Builder.
+func runOracle(g *graph.Graph, mode coverage.Mode) (*Outcome, map[int]*coverage.Coverage) {
 	n := g.N()
 	nodes := make([]*node, n)
 	for v := 0; v < n; v++ {
@@ -79,8 +82,8 @@ func runOracle(g *graph.Graph, mode coverage.Mode) *Outcome {
 		Head:     make([]int, n),
 		Backbone: make(map[int]bool),
 		PerHead:  make(map[int]backbone.Selection),
-		Coverage: make(map[int]*coverage.Coverage),
 	}
+	covs := make(map[int]*coverage.Coverage)
 	var counters Counters
 
 	// deliver sends every queued message to all neighbors of its sender
@@ -254,7 +257,7 @@ func runOracle(g *graph.Graph, mode coverage.Mode) *Outcome {
 			continue
 		}
 		cov := nd.assembleCoverage(mode, n)
-		out.Coverage[nd.id] = cov
+		covs[nd.id] = cov
 		sel := backbone.SelectGateways(cov, nil, nil)
 		out.PerHead[nd.id] = sel
 		queue = append(queue, message{typ: Gateway, from: nd.id, selected: sel.Gateways, ttl: 2})
@@ -298,7 +301,7 @@ func runOracle(g *graph.Graph, mode coverage.Mode) *Outcome {
 		}
 	}
 	out.Counters = counters
-	return out
+	return out, covs
 }
 
 // assembleCoverage builds the head's coverage.Coverage from the gathered

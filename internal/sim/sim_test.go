@@ -73,10 +73,14 @@ func TestMessageCountsPaperExample(t *testing.T) {
 	}
 }
 
-// cross-checks the distributed run against the centralized constructions.
+// crossCheck holds the message-level protocol to the centralized
+// constructions: the oracle's clustering to cluster.LowestID, every
+// head's coverage set assembled from received CH_HOP1/CH_HOP2 reports
+// (C², C³ and each connector's contents) to coverage.Builder.Of, and its
+// backbone to backbone.BuildStaticFrom. Run must then match the oracle.
 func crossCheck(t testing.TB, g *graph.Graph, mode coverage.Mode) {
 	t.Helper()
-	out := Run(g, mode)
+	out, covs := runOracle(g, mode)
 	cl := cluster.LowestID(g)
 	if !reflect.DeepEqual(out.Heads, cl.Heads) {
 		t.Fatalf("%v: heads differ: distributed %v vs centralized %v", mode, out.Heads, cl.Heads)
@@ -87,14 +91,29 @@ func crossCheck(t testing.TB, g *graph.Graph, mode coverage.Mode) {
 		}
 	}
 	b := coverage.NewBuilder(g, cl, mode)
+	if len(covs) != len(cl.Heads) {
+		t.Fatalf("%v: %d heads assembled coverage, want %d", mode, len(covs), len(cl.Heads))
+	}
 	for _, h := range cl.Heads {
-		want := b.Of(h)
-		got := out.Coverage[h]
+		want, got := b.Of(h), covs[h]
+		if got == nil {
+			t.Fatalf("%v: head %d assembled no coverage", mode, h)
+		}
+		if got.Head != want.Head || got.Mode != want.Mode {
+			t.Fatalf("%v: head %d coverage identity differs", mode, h)
+		}
 		if !slices.Equal(got.C2.Members(), want.C2.Members()) {
 			t.Fatalf("%v: head %d C² differs: %v vs %v", mode, h, got.C2.Members(), want.C2.Members())
 		}
 		if !slices.Equal(got.C3.Members(), want.C3.Members()) {
 			t.Fatalf("%v: head %d C³ differs: %v vs %v", mode, h, got.C3.Members(), want.C3.Members())
+		}
+		// Where the oracle has no list the builder has an empty one, so
+		// the connectors compare by contents.
+		if !slices.EqualFunc(got.Conns, want.Conns, func(a, b coverage.Connector) bool {
+			return a.V == b.V && slices.Equal(a.Direct, b.Direct) && slices.Equal(a.Indirect, b.Indirect)
+		}) {
+			t.Fatalf("%v: head %d connectors differ:\n  distributed %v\n  centralized %v", mode, h, got.Conns, want.Conns)
 		}
 	}
 	st := backbone.BuildStaticFrom(b, cl)
@@ -102,9 +121,10 @@ func crossCheck(t testing.TB, g *graph.Graph, mode coverage.Mode) {
 		t.Fatalf("%v: backbone differs: distributed %v vs centralized %v",
 			mode, graph.SortedMembers(out.Backbone), graph.SortedMembers(st.Nodes))
 	}
+	if got := Run(g, mode); !reflect.DeepEqual(got.Backbone, out.Backbone) || !reflect.DeepEqual(got.Counters, out.Counters) {
+		t.Fatalf("%v: Run differs from the oracle: %v vs %v", mode, got.Counters.String(), out.Counters.String())
+	}
 }
-
-func setKeys(m map[int]bool) []int { return graph.SortedMembers(m) }
 
 func TestDistributedMatchesCentralizedPaperGraph(t *testing.T) {
 	crossCheck(t, paperGraph(), coverage.Hop25)
@@ -133,17 +153,8 @@ func TestQuickDistributedMatchesCentralized(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		for _, mode := range []coverage.Mode{coverage.Hop25, coverage.Hop3} {
-			out := Run(nw.G, mode)
-			cl := cluster.LowestID(nw.G)
-			if !reflect.DeepEqual(out.Heads, cl.Heads) {
-				return false
-			}
-			st := backbone.BuildStatic(nw.G, cl, mode)
-			if !reflect.DeepEqual(out.Backbone, st.Nodes) {
-				return false
-			}
-		}
+		crossCheck(t, nw.G, coverage.Hop25)
+		crossCheck(t, nw.G, coverage.Hop3)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -275,9 +286,9 @@ func allocPerNode(t *testing.T, n int) float64 {
 }
 
 // TestRunAllocLinear: the wire protocol allocates O(n) bytes, not Θ(n)
-// per clusterhead. Coverage and reports come from run-wide arenas and the
-// selections share one scratch, so the bytes per node stay flat as n grows
-// fourfold.
+// per clusterhead. One coverage value is refilled for every head and the
+// selections share one scratch, so the bytes per node stay flat as n
+// grows fourfold.
 func TestRunAllocLinear(t *testing.T) {
 	small, large := allocPerNode(t, 2000), allocPerNode(t, 8000)
 	if large > 1.5*small {
