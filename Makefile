@@ -34,7 +34,7 @@ test-pipebench:
 # traffic spec grammars — for the two CSR graph constructors, AddEdge and
 # FromEdges, against each other, for graph.SparseSet against its Bitset
 # reference, for the one-pass clusterhead election against the
-# round-by-round one, for the wire protocol's arena-backed coverage sets
+# round-by-round one, for the wire protocol's message counts and outcome
 # against its round-synchronous reference, for the slotted-MAC kernel
 # against its scalar oracles, multi-flow and one-flow, over declining and
 # duplicate-acting protocols, and for the MPR, DP, PDP and SBA cover
