@@ -83,8 +83,8 @@ type Counters struct {
 	// ActivePerRound records, round by round (indexed as Rounds-1), how
 	// many distinct nodes transmitted in that round. With n nodes, the
 	// per-round idle fraction 1 − active/n is the work a round-synchronous
-	// simulator wastes scanning silent nodes — the measured quantity the
-	// event-driven core's savings are validated against (ABL-MSG).
+	// simulator wastes scanning silent nodes (the idle-fraction series of
+	// ABL-MSG).
 	ActivePerRound []int
 }
 
@@ -148,16 +148,16 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	n := g.N()
 	cl := cluster.LowestID(g)
 	out := &Outcome{Head: cl.Head, Heads: cl.Heads}
-	var counters Counters
+	c := &out.Counters
 	// round tallies one delivered round of cnt messages from active
 	// distinct senders (counted only when nonempty).
 	round := func(typ MsgType, cnt, active int) {
 		if cnt == 0 {
 			return
 		}
-		counters.PerType[typ] += cnt
-		counters.Rounds++
-		counters.ActivePerRound = append(counters.ActivePerRound, active)
+		c.PerType[typ] += cnt
+		c.Rounds++
+		c.ActivePerRound = append(c.ActivePerRound, active)
 	}
 
 	// HELLO: all n nodes transmit once.
@@ -262,14 +262,12 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 			out.Backbone[v] = true
 		}
 	}
-	out.Counters = counters
 	return out
 }
 
 // RunDES is Run.
 //
-// Deprecated: the event-driven engine is the only wire-protocol engine;
-// call Run.
+// Deprecated: Run is the only wire-protocol engine; call Run.
 func RunDES(g *graph.Graph, mode coverage.Mode) *Outcome {
 	return Run(g, mode)
 }
