@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// stdoutGoldens pins the whole stdout of five manetsim command lines: the
+// stdoutGoldens pins the whole stdout of six manetsim command lines: the
 // protocol table at the paper's dense point with and without -wire, a
-// lossy fault run with its repair report, a traffic load report, and a
-// sparser network with a drawn source.
+// lossy fault run with its repair report, a churned fault run whose
+// repair report re-elects around crashed clusterheads, a traffic load
+// report, and a sparser network with a drawn source.
 var stdoutGoldens = []struct {
 	file string // under testdata/stdout
 	cfg  config
@@ -22,6 +23,8 @@ var stdoutGoldens = []struct {
 		config{n: 100, d: 18, seed: 3, source: 0, protocols: "all", wire: true}},
 	{"n80_d10_seed7_source0_loss.txt", // -n 80 -d 10 -seed 7 -source 0 -faults loss=0.3
 		config{n: 80, d: 10, seed: 7, source: 0, protocols: "all", faults: "loss=0.3"}},
+	{"n80_d10_seed7_source0_churn.txt", // -n 80 -d 10 -seed 7 -source 0 -faults mtbf=100,mttr=40,burst=0.1:4,warmup=500
+		config{n: 80, d: 10, seed: 7, source: 0, protocols: "all", faults: "mtbf=100,mttr=40,burst=0.1:4,warmup=500"}},
 	{"n80_d10_seed7_traffic.txt", // -n 80 -d 10 -seed 7 -traffic proc=poisson,rate=0.3,flows=24
 		config{n: 80, d: 10, seed: 7, source: -1, protocols: "all", traffic: "proc=poisson,rate=0.3,flows=24"}},
 	{"n200_d8_seed11.txt", // -n 200 -d 8 -seed 11
