@@ -34,17 +34,19 @@ test-pipebench:
 # traffic spec grammars — for the two CSR graph constructors, AddEdge and
 # FromEdges, against each other, for graph.SparseSet against its Bitset
 # reference, for the one-pass clusterhead election against the
-# round-by-round one, for the wire protocol's message counts and outcome
-# against its round-synchronous reference, for the slotted-MAC kernel
-# against its scalar oracles, multi-flow and one-flow, over declining and
-# duplicate-acting protocols, and for the MPR, DP, PDP and SBA cover
-# kernel against their map-form reference.
+# round-by-round one, for two chained backbone repairs against the
+# round-by-round re-election replay, for the wire protocol's message
+# counts and outcome against its round-synchronous reference, for the
+# slotted-MAC kernel against its scalar oracles, multi-flow and one-flow,
+# over declining and duplicate-acting protocols, and for the MPR, DP, PDP
+# and SBA cover kernel against their map-form reference.
 # Plain test runs only replay their seed corpora. -fuzz takes one target
 # in one package, hence one go test per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphInvariants$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSetRepsAgree$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzElectAgree$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzRepairAgree$$' -fuzztime 10s ./internal/backbone
 	$(GO) test -run '^$$' -fuzz '^FuzzDESSimAgree$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildParallelAgree$$' -fuzztime 10s ./internal/topology

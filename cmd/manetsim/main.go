@@ -381,8 +381,9 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 
 	if oracle != nil {
 		// Self-healing demo: diff the proactive backbone against the t=0
-		// crash state and repair it locally (dead heads re-elected, gateway
-		// selections redone only where the wavefront reached).
+		// crash state and repair it (clusterheads re-elected on the
+		// surviving graph, gateway selections redone only within three hops
+		// of a change).
 		alive := oracle.Alive(0)
 		base := nw.StaticBackbone(core.Hop25)
 		allUp := func(int) bool { return true }

@@ -61,8 +61,14 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 3(b): lowest-ID clustering ==")
 	cl := cluster.LowestID(g)
 	for _, h := range cl.Heads {
+		var members []int
+		for v, hv := range cl.Head {
+			if hv == h {
+				members = append(members, v)
+			}
+		}
 		fmt.Fprintf(w, "cluster C%d: head %d, members %v\n",
-			paper(h), paper(h), paperList(cl.Members[h]))
+			paper(h), paper(h), paperList(members))
 	}
 	fmt.Fprintln(w)
 

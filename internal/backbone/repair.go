@@ -22,8 +22,10 @@ type RepairStats struct {
 	Changed int
 	// DeadHeads counts baseline clusterheads that went down.
 	DeadHeads int
-	// Tracked counts the nodes whose election decision was replayed (the
-	// re-election wavefront; everyone else kept the baseline decision).
+	// Tracked counts the nodes of the re-election wavefront: the live nodes
+	// a round-by-round replay of the election would have to re-run, because
+	// a change reached them while the baseline still had them undecided.
+	// Every other node decides as in the baseline.
 	Tracked int
 	// Rehomed counts live nodes whose head assignment changed.
 	Rehomed int
@@ -31,28 +33,24 @@ type RepairStats struct {
 	Reselected int
 }
 
-// Repair localizes backbone recovery after a liveness change: given the
-// baseline clustering cl and static backbone base — valid for the liveness
-// predicate wasUp — it produces the clustering and backbone of the
-// surviving graph under isUp, re-running the lowest-ID election and the
-// greedy gateway selection only where the change can propagate.
+// Repair recovers the backbone after a liveness change: given the baseline
+// clustering cl and static backbone base — valid for the liveness predicate
+// wasUp — it produces the clustering and backbone of the surviving graph
+// under isUp.
 //
-// The election replay exploits the round-synchronous structure: cl.When
-// records the round each node decided in, so untracked nodes replay their
-// baseline behavior (candidate until When[v], then head or member), while
-// nodes whose neighborhood changed are re-run live. Whenever a re-run
-// node's externally visible state (candidacy, head declaration) diverges
-// from the baseline at some round, its undecided neighbors join the
-// re-run before the divergence can influence them — mid-round for phase-1
-// divergences, which phase 2 of the same round already observes. The merged
-// outcome is identical to a from-scratch election on the surviving graph.
+// The clustering is the one-pass lowest-ID election (cluster.LowestID) of
+// the surviving graph, linear in its size. The stats report the
+// round-synchronous wavefront of that re-election (see wavefront), and the
+// greedy gateway selection is redone only for the clusterheads within three
+// hops of a liveness flip or an affiliation change; every other head keeps
+// its baseline selection.
 //
 // Conventions: the returned clustering covers all of g's nodes — a dead
-// node is recorded as an isolated singleton head (exactly what a fresh
-// election on the surviving graph produces), so repaired clusterings chain
-// through subsequent Repair calls as new baselines. The returned Static
-// contains live nodes only. cl must carry When (an Elect-produced
-// clustering under lowest-ID priority); cl' from Repair always does.
+// node is an isolated singleton head of round 1 in the surviving graph —
+// so repaired clusterings chain through subsequent Repair calls as new
+// baselines. The returned Static contains live nodes only. cl must carry
+// When (an Elect-produced clustering under lowest-ID priority); cl' from
+// Repair always does.
 func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp func(int) bool, opts Options, tr *obs.Tracer) (*cluster.Clustering, *Static, *RepairStats, error) {
 	n := g.N()
 	if len(cl.Head) != n {
@@ -62,9 +60,6 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 		return nil, nil, nil, fmt.Errorf("backbone: repair needs an election-produced clustering (When is nil)")
 	}
 	st := &RepairStats{}
-
-	// The liveness diff seeds the wavefront: every flipped node, plus the
-	// live neighbors whose election view it changes.
 	var changed []int
 	for v := 0; v < n; v++ {
 		if wasUp(v) != isUp(v) {
@@ -76,52 +71,32 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 	}
 	st.Changed = len(changed)
 
-	newHead := append([]int(nil), cl.Head...)
-	newWhen := append([]int(nil), cl.When...)
-	if len(changed) > 0 {
-		if err := reElect(g, cl, changed, isUp, newHead, newWhen, st); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	// Assemble the repaired clustering (dead nodes as singleton heads).
-	heads := make([]int, 0, len(cl.Heads))
-	members := make(map[int][]int)
-	rounds := 0
-	for v := 0; v < n; v++ {
-		if newHead[v] == v {
-			heads = append(heads, v)
-		}
-		if newWhen[v] > rounds {
-			rounds = newWhen[v]
-		}
-		members[newHead[v]] = append(members[newHead[v]], v)
-		if isUp(v) && newHead[v] != cl.Head[v] {
-			st.Rehomed++
-		}
-	}
-	repaired := &cluster.Clustering{Head: newHead, Heads: heads, Members: members, Rounds: rounds, When: newWhen}
+	gLive := liveGraph(g, isUp)
+	repaired := cluster.LowestID(gLive)
+	st.Tracked = wavefront(g, cl, repaired, changed, isUp)
 
 	// Gateway re-selection is bounded by a 3-hop ball around every node the
 	// coverage sets can see differently: liveness flips and affiliation
 	// changes. Heads outside the ball reuse their baseline selection.
 	dirty := changed
 	for v := 0; v < n; v++ {
-		if newHead[v] != cl.Head[v] {
+		if repaired.Head[v] != cl.Head[v] {
 			dirty = append(dirty, v)
+			if isUp(v) {
+				st.Rehomed++
+			}
 		}
 	}
 	redo := hopBall(g, dirty, 3, isUp)
 
-	gLive := liveGraph(g, isUp)
 	var b *coverage.Builder
 	var loop selStrip // reselections refill one coverage value and scratch
 	static := &Static{
 		Mode:    base.Mode,
 		Nodes:   make(map[int]bool, len(base.Nodes)),
-		PerHead: make(map[int]Selection, len(heads)),
+		PerHead: make(map[int]Selection, len(repaired.Heads)),
 	}
-	for _, h := range heads {
+	for _, h := range repaired.Heads {
 		if !isUp(h) {
 			continue
 		}
@@ -148,154 +123,57 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 	return repaired, static, st, nil
 }
 
-// reElect replays the round-synchronous lowest-ID election on the
-// surviving graph, tracking only the nodes the change reaches. It writes
-// the merged outcome into newHead/newWhen (pre-seeded with the baseline).
-func reElect(g *graph.Graph, cl *cluster.Clustering, changed []int, isUp func(int) bool, newHead, newWhen []int, st *RepairStats) error {
-	n := g.N()
-	const (
-		sCand uint8 = iota
-		sHead
-		sMember
-	)
-	tracked := make([]bool, n)
-	state := make([]uint8, n)
-	var active []int
-
-	// track adds v to the re-run. During phase 2 the additions go through
-	// deferred instead of active: the phase-2 loop compacts active in place,
-	// so appending to it mid-loop would let the compaction drop the new
-	// entries — and semantically a node tracked in phase 2 of round r was
-	// still a candidate when the round ended, so its first re-run action is
-	// phase 1 of round r+1 anyway.
-	trackTo := &active
-	track := func(v int) {
-		if tracked[v] || !isUp(v) {
-			return
-		}
-		tracked[v] = true
-		state[v] = sCand
-		*trackTo = append(*trackTo, v)
-		st.Tracked++
+// wavefront counts the live nodes that a round-by-round replay of the
+// election would re-run to turn the baseline clustering base into next,
+// the election of the surviving graph; the replay in repair_test.go is
+// the reference it is checked against.
+//
+// A round has two moments: heads declare, then candidates join. Number
+// them 2r-1 and 2r, so a node decides at 2·When-1 as a head and at 2·When
+// as a member. The wave starts with every live flipped node and every live
+// neighbor of a flipped node. A node of the wave whose new decision departs
+// from its baseline one (a different moment) changes what its neighbors
+// see from the earlier of the two moments on; every live neighbor the
+// baseline still had undecided then joins the wave. Neighbors decided
+// before it made that decision on a view the change had not reached.
+func wavefront(g *graph.Graph, base, next *cluster.Clustering, changed []int, isUp func(int) bool) int {
+	if len(changed) == 0 {
+		return 0
 	}
-
-	// Seed: dead nodes become singleton heads outright; recovered nodes and
-	// the live neighbors of every flipped node re-run from round 1.
+	decided := func(c *cluster.Clustering, v int) int {
+		if c.Head[v] == v {
+			return 2*c.When[v] - 1
+		}
+		return 2 * c.When[v]
+	}
+	inWave := make([]bool, g.N())
+	var wave []int
+	join := func(v int) {
+		if !inWave[v] && isUp(v) {
+			inWave[v] = true
+			wave = append(wave, v)
+		}
+	}
 	for _, v := range changed {
-		if !isUp(v) {
-			newHead[v], newWhen[v] = v, 1
-		} else {
-			track(v)
-		}
+		join(v)
 		for _, u := range g.Neighbors(v) {
-			track(u)
+			join(u)
 		}
 	}
-
-	// trackAt adds u to the re-run mid-election: only if the baseline still
-	// has u as a candidate at the tracking moment — afterPhase1 of round r,
-	// or at the end of round r. Nodes the baseline already decided made
-	// that decision on information the re-run has not altered.
-	trackAt := func(u, r int, afterPhase1 bool) {
-		if tracked[u] || !isUp(u) {
-			return
+	for i := 0; i < len(wave); i++ {
+		v := wave[i]
+		was, now := decided(base, v), decided(next, v)
+		if was == now {
+			continue
 		}
-		stillCandidate := cl.When[u] > r ||
-			(afterPhase1 && cl.When[u] == r && cl.Head[u] != u)
-		if stillCandidate {
-			track(u)
-		}
-	}
-	trackNeighborsAt := func(v, r int, afterPhase1 bool) {
+		from := min(was, now)
 		for _, u := range g.Neighbors(v) {
-			trackAt(u, r, afterPhase1)
+			if decided(base, u) > from {
+				join(u)
+			}
 		}
 	}
-
-	// Baseline replay predicates for untracked nodes.
-	baseCandidateAt := func(u, r int) bool { return cl.When[u] >= r }
-	baseHeadAt := func(u, r int) bool { return cl.Head[u] == u && cl.When[u] <= r }
-
-	var declared []int
-	maxRounds := cl.Rounds + n + 1
-	for r := 1; len(active) > 0; r++ {
-		if r > maxRounds {
-			return fmt.Errorf("backbone: repair election did not converge after %d rounds", r-1)
-		}
-		// Phase 1: simultaneous declarations among re-run candidates.
-		declared = declared[:0]
-		for _, v := range active {
-			wins := true
-			for _, u := range g.Neighbors(v) {
-				if !isUp(u) {
-					continue
-				}
-				cand := state[u] == sCand
-				if !tracked[u] {
-					cand = baseCandidateAt(u, r)
-				}
-				if cand && u < v {
-					wins = false
-					break
-				}
-			}
-			if wins {
-				declared = append(declared, v)
-			}
-		}
-		for _, v := range declared {
-			state[v] = sHead
-			newHead[v], newWhen[v] = v, r
-			if !(cl.Head[v] == v && cl.When[v] == r) {
-				trackNeighborsAt(v, r, true) // declared where the baseline did not
-			}
-		}
-		for _, v := range active {
-			if state[v] == sCand && cl.Head[v] == v && cl.When[v] == r {
-				trackNeighborsAt(v, r, true) // baseline declared here, the re-run did not
-			}
-		}
-		// Phase 2: candidates adjacent to a head join the lowest-ID one.
-		// Nodes tracked after phase 1 are already on the active list and
-		// take part; head states are stable throughout the phase. Nodes the
-		// phase-2 propagations track are deferred to the end of the round.
-		var deferred []int
-		trackTo = &deferred
-		out := active[:0]
-		for _, v := range active {
-			if state[v] != sCand {
-				continue
-			}
-			best := -1
-			for _, u := range g.Neighbors(v) {
-				if !isUp(u) {
-					continue
-				}
-				isHead := state[u] == sHead
-				if !tracked[u] {
-					isHead = baseHeadAt(u, r)
-				}
-				if isHead && (best == -1 || u < best) {
-					best = u
-				}
-			}
-			if best != -1 {
-				state[v] = sMember
-				newHead[v], newWhen[v] = best, r
-				if cl.When[v] != r {
-					trackNeighborsAt(v, r, false) // candidacy length changed
-				}
-				continue
-			}
-			if cl.When[v] == r && cl.Head[v] != v {
-				trackNeighborsAt(v, r, false) // baseline joined here, the re-run did not
-			}
-			out = append(out, v)
-		}
-		active = append(out, deferred...)
-		trackTo = &active
-	}
-	return nil
+	return len(wave)
 }
 
 // hopBall collects every node within depth hops (in the surviving graph)

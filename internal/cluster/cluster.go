@@ -48,14 +48,13 @@ type Clustering struct {
 	Head []int
 	// Heads lists the clusterheads in ascending order.
 	Heads []int
-	// Members[h] lists all nodes of h's cluster including h, ascending.
-	Members map[int][]int
 	// Rounds is the number of synchronous rounds the election took.
 	Rounds int
 	// When[v] is the 1-based election round in which v decided (declared
 	// itself head, or joined one). Elect-based constructions fill it; it is
 	// nil for clusterings assembled by other means (e.g. Maintain), which
-	// the localized backbone repair cannot replay.
+	// have no rounds and so no re-election wavefront for the backbone
+	// repair to report.
 	When []int
 }
 
@@ -122,16 +121,6 @@ func (c *Clustering) Validate(g *graph.Graph) error {
 	}
 	if !g.IsDominatingSet(headSet) {
 		return fmt.Errorf("cluster: clusterheads are not a dominating set")
-	}
-	for h, members := range c.Members {
-		if c.Head[h] != h {
-			return fmt.Errorf("cluster: Members key %d is not a head", h)
-		}
-		for _, v := range members {
-			if c.Head[v] != h {
-				return fmt.Errorf("cluster: Members[%d] contains %d whose head is %d", h, v, c.Head[v])
-			}
-		}
 	}
 	return nil
 }

@@ -192,12 +192,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	c := LowestID(g)
 	// Corrupt: point node 1 at a non-adjacent head.
-	c2 := &Clustering{Head: append([]int(nil), c.Head...), Heads: c.Heads, Members: c.Members}
+	c2 := &Clustering{Head: append([]int(nil), c.Head...), Heads: c.Heads}
 	c2.Head[3] = 0 // 3 is not adjacent to 0
 	if err := c2.Validate(g); err == nil {
 		t.Fatal("Validate must reject member not adjacent to head")
 	}
-	c3 := &Clustering{Head: []int{0, 1}, Heads: []int{0, 1}, Members: map[int][]int{}}
+	c3 := &Clustering{Head: []int{0, 1}, Heads: []int{0, 1}}
 	if err := c3.Validate(g); err == nil {
 		t.Fatal("Validate must reject wrong length")
 	}
@@ -212,18 +212,6 @@ func TestHeadSetAndNumClusters(t *testing.T) {
 	hs := c.HeadSet()
 	if graph.SetSize(hs) != 4 || !hs[0] || !hs[3] {
 		t.Fatalf("HeadSet = %v", hs)
-	}
-}
-
-func TestMembersListsComplete(t *testing.T) {
-	g := paperFigure3Graph()
-	c := LowestID(g)
-	total := 0
-	for _, m := range c.Members {
-		total += len(m)
-	}
-	if total != g.N() {
-		t.Fatalf("Members cover %d of %d nodes", total, g.N())
 	}
 }
 

@@ -81,18 +81,17 @@ func roundElect(g *graph.Graph, prio Priority) *Clustering {
 			}
 		}
 	}
-	c := &Clustering{Head: headOf, Members: map[int][]int{}, Rounds: rounds, When: when}
+	c := &Clustering{Head: headOf, Rounds: rounds, When: when}
 	for v, h := range headOf {
 		if v == h {
 			c.Heads = append(c.Heads, h)
 		}
-		c.Members[h] = append(c.Members[h], v)
 	}
 	return c
 }
 
 // requireSameClustering asserts an election reproduced the reference
-// Clustering bit for bit: Head, Heads, Members, Rounds, When.
+// Clustering bit for bit: Head, Heads, Rounds, When.
 func requireSameClustering(t *testing.T, want, got *Clustering, ctx string) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Head, got.Head) {
@@ -106,14 +105,6 @@ func requireSameClustering(t *testing.T, want, got *Clustering, ctx string) {
 	}
 	if !reflect.DeepEqual(want.When, got.When) {
 		t.Fatalf("%s: When differs\nwant %v\ngot  %v", ctx, want.When, got.When)
-	}
-	if len(want.Members) != len(got.Members) {
-		t.Fatalf("%s: %d member lists != %d", ctx, len(got.Members), len(want.Members))
-	}
-	for h, m := range want.Members {
-		if !reflect.DeepEqual(m, got.Members[h]) {
-			t.Fatalf("%s: Members[%d] differ\nwant %v\ngot  %v", ctx, h, m, got.Members[h])
-		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"clustercast/internal/graph"
-)
+import "clustercast/internal/graph"
 
 // MaintainStats quantifies the work an incremental maintenance pass did —
 // the churn a proactive backbone pays under mobility.
@@ -120,13 +116,11 @@ func Maintain(g *graph.Graph, prev *Clustering) (*Clustering, MaintainStats) {
 		}
 	}
 
-	c := &Clustering{Head: head, Members: make(map[int][]int)}
+	c := &Clustering{Head: head}
 	for v := 0; v < n; v++ {
-		c.Members[head[v]] = append(c.Members[head[v]], v)
 		if head[v] == v {
 			c.Heads = append(c.Heads, v)
 		}
 	}
-	sort.Ints(c.Heads)
 	return c, st
 }

@@ -8,30 +8,24 @@ import (
 )
 
 // Workspace owns every buffer a clusterhead election needs — per-node
-// decisions, priorities, the election order and the membership assembly —
+// decisions and rounds, priorities, the election order and the head list —
 // plus the result Clustering itself. A worker reuses one Workspace across
 // replicates, so steady-state elections allocate nothing.
 //
 // The Clustering returned by Elect/LowestID is owned by the workspace and
 // valid only until the next election on the same workspace.
 type Workspace struct {
-	headOf  []int
-	when    []int
-	rank    []int
-	tie     []int
-	order   []int
-	counts  []int
-	backing []int
-	pos     []int
-	heads   []int
-	members map[int][]int
-	c       Clustering
+	headOf []int
+	when   []int
+	rank   []int
+	tie    []int
+	order  []int
+	heads  []int
+	c      Clustering
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace {
-	return &Workspace{members: make(map[int][]int, 16)}
-}
+func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes the per-node buffers for n nodes.
 func (ws *Workspace) ensure(n int) {
@@ -41,18 +35,12 @@ func (ws *Workspace) ensure(n int) {
 		ws.rank = make([]int, n)
 		ws.tie = make([]int, n)
 		ws.order = make([]int, n)
-		ws.counts = make([]int, n)
-		ws.backing = make([]int, n)
-		ws.pos = make([]int, n)
 	}
 	ws.headOf = ws.headOf[:n]
 	ws.when = ws.when[:n]
 	ws.rank = ws.rank[:n]
 	ws.tie = ws.tie[:n]
 	ws.order = ws.order[:n]
-	ws.counts = ws.counts[:n]
-	ws.backing = ws.backing[:n]
-	ws.pos = ws.pos[:n]
 }
 
 // LowestID runs the paper's lowest-ID election into the workspace.
@@ -129,44 +117,14 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 			rounds = max(rounds, latest+1)
 		}
 	}
-	for v, r := range when {
-		when[v] = max(r, -r)
-	}
-
-	// Assemble the membership lists count-then-fill into one backing array
-	// over the reused counts/pos/backing buffers and the cleared
-	// membership map.
-	counts := ws.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, h := range headOf {
-		counts[h]++
-	}
-	backing, pos := ws.backing, ws.pos
-	s := 0
-	for h := 0; h < n; h++ {
-		if counts[h] > 0 {
-			pos[h] = s
-			s += counts[h]
-		}
-	}
-	for v := 0; v < n; v++ {
-		h := headOf[v]
-		backing[pos[h]] = v
-		pos[h]++
-	}
-	clear(ws.members)
+	// Restore the heads' rounds, listing the heads in ID order.
 	ws.heads = ws.heads[:0]
-	s = 0
-	for h := 0; h < n; h++ {
-		if counts[h] == 0 {
-			continue
+	for v, r := range when {
+		if r < 0 {
+			when[v] = -r
+			ws.heads = append(ws.heads, v)
 		}
-		ws.members[h] = backing[s : s+counts[h] : s+counts[h]]
-		s += counts[h]
-		ws.heads = append(ws.heads, h)
 	}
-	ws.c = Clustering{Head: headOf, Heads: ws.heads, Members: ws.members, Rounds: rounds, When: when}
+	ws.c = Clustering{Head: headOf, Heads: ws.heads, Rounds: rounds, When: when}
 	return &ws.c
 }

@@ -266,8 +266,8 @@ func TestQuickCoverageDistances(t *testing.T) {
 						continue
 					}
 					hasMember := false
-					for _, m := range cl.Members[w] {
-						if m != w && dist[m] >= 0 && dist[m] <= 2 {
+					for m, hm := range cl.Head {
+						if hm == w && m != w && dist[m] >= 0 && dist[m] <= 2 {
 							hasMember = true
 							break
 						}
