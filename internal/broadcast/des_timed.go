@@ -129,8 +129,7 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 					tr.SetTime(t + 1)
 				}
 				for _, v := range g.Neighbors(sender) {
-					if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(sender, v, t+1) ||
-						fo.CopyLost(sender, v, t+1)) {
+					if fo != nil && !fo.Delivers(sender, v, t+1) {
 						continue // receiver down, partitioned away, or a loss burst
 					}
 					tw.hear(g, v, sender)

@@ -266,8 +266,7 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		mw.extra = mw.extra[:0]
 		for bi, x := range batch {
 			for _, v := range g.Neighbors(int(x.sender)) {
-				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
-					fo.CopyLost(int(x.sender), v, t+1)) {
+				if fo != nil && !fo.Delivers(int(x.sender), v, t+1) {
 					continue // the copy faded before reaching v
 				}
 				mw.hear(batch, v, int32(bi))

@@ -227,8 +227,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 			if loss != nil && loss.Bool(opt.Loss) {
 				continue // this copy was lost on the air
 			}
-			if fo != nil && (!fo.NodeUp(v, tx.time+1) || !fo.LinkUp(tx.sender, v, tx.time+1) ||
-				fo.CopyLost(tx.sender, v, tx.time+1)) {
+			if fo != nil && !fo.Delivers(tx.sender, v, tx.time+1) {
 				faultDrops++
 				continue // receiver down, partitioned away, or a loss burst
 			}

@@ -255,6 +255,14 @@ func (o *Oracle) CopyLost(u, v, t int) bool {
 	return coin(o.spec.Seed, key, uint64(ch.slot), 2+q) < p
 }
 
+// Delivers reports whether the copy u transmits in slot t reaches v: v is
+// up, the (u, v) link is up, and the copy's loss coin spares it. The tests
+// run in that order and stop at the first that fails, so a copy to a down
+// node or across a partition draws no loss coin.
+func (o *Oracle) Delivers(u, v, t int) bool {
+	return o.NodeUp(v, t) && o.LinkUp(u, v, t) && !o.CopyLost(u, v, t)
+}
+
 // TraceTransitions emits node-crash / node-recover trace events for the
 // engine-slot window [t0, t1), in (time, node) order.
 func (o *Oracle) TraceTransitions(tr *obs.Tracer, t0, t1 int) {

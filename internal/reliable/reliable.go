@@ -334,8 +334,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 				if loss.Bool(cfg.Loss) {
 					continue
 				}
-				if fo != nil && (!fo.NodeUp(v, round) || !fo.LinkUp(s, v, round) ||
-					fo.CopyLost(s, v, round)) {
+				if fo != nil && !fo.Delivers(s, v, round) {
 					continue // receiver down, partitioned away, or a loss burst
 				}
 				if !has[v] {
