@@ -283,8 +283,8 @@ func TestWorkspaceDecliningRunKeepsNoActedState(t *testing.T) {
 	nw := randomNet(t, 860, 60, 9)
 	var ws Workspace
 	ws.Run(nw.G, 0, Flooding{})
-	if ws.acted != nil || ws.actedAt != nil {
-		t.Fatalf("a flooding run sized acted state: %d lists, %d stamps", len(ws.acted), len(ws.actedAt))
+	if ws.acted != nil {
+		t.Fatalf("a flooding run sized acted state: %d lists", len(ws.acted))
 	}
 	res := ws.Run(nw.G, 0, NewDP(nw.G))
 	if len(ws.acted) != nw.G.N() {
@@ -292,7 +292,7 @@ func TestWorkspaceDecliningRunKeepsNoActedState(t *testing.T) {
 	}
 	lists := 0
 	for v := range ws.acted {
-		if ws.actedAt[v] == ws.epoch && len(ws.acted[v]) > 0 {
+		if ws.forwarded[v] == ws.epoch && len(ws.acted[v]) > 0 {
 			lists++
 		}
 	}

@@ -18,11 +18,10 @@ import (
 // A workspace is not safe for concurrent use; give each worker its own.
 type Workspace struct {
 	epoch     uint32
-	received  []uint32 // epoch stamp: v has the packet
-	forwarded []uint32 // epoch stamp: v transmitted
-	actedAt   []uint32 // epoch stamp: acted[v] is current
-	parent    []int    // first-delivery sender, valid when received
-	acted     [][]Packet
+	received  []uint32   // epoch stamp: v has the packet
+	forwarded []uint32   // epoch stamp: v transmitted
+	parent    []int      // first-delivery sender, valid when received
+	acted     [][]Packet // payloads v acted on, current when forwarded
 	queue     []transmission
 	res       WSResult
 }
@@ -121,41 +120,33 @@ func (ws *Workspace) ensure(n int, acts bool) {
 		ws.received = make([]uint32, n)
 		ws.forwarded = make([]uint32, n)
 		ws.parent = make([]int, n)
-		ws.actedAt, ws.acted = nil, nil
+		ws.acted = nil
 		ws.epoch = 0
 	}
 	ws.received = ws.received[:n]
 	ws.forwarded = ws.forwarded[:n]
 	ws.parent = ws.parent[:n]
 	if acts {
-		if cap(ws.actedAt) < n {
-			ws.actedAt = make([]uint32, n)
+		if cap(ws.acted) < n {
 			ws.acted = make([][]Packet, n)
 		}
-		ws.actedAt = ws.actedAt[:n]
 		ws.acted = ws.acted[:n]
 	}
 }
 
-// markActed records that v acted on pkt this broadcast (deduplicated, like
-// the legacy per-node payload map — the lists hold one or two payloads in
-// practice).
+// markActed records that forwarding node v acted on pkt this broadcast
+// (deduplicated, like the legacy per-node payload map — the lists hold one
+// or two payloads in practice).
 func (ws *Workspace) markActed(v int, pkt Packet) {
-	if ws.actedAt[v] != ws.epoch {
-		ws.actedAt[v] = ws.epoch
-		ws.acted[v] = ws.acted[v][:0]
+	if !ws.actedOn(v, pkt) {
+		ws.acted[v] = append(ws.acted[v], pkt)
 	}
-	for _, q := range ws.acted[v] {
-		if q == pkt {
-			return
-		}
-	}
-	ws.acted[v] = append(ws.acted[v], pkt)
 }
 
-// actedOn reports whether v already acted on pkt this broadcast.
+// actedOn reports whether v already acted on pkt this broadcast. A node
+// acts only when it forwards, so only a forwarding node has a list.
 func (ws *Workspace) actedOn(v int, pkt Packet) bool {
-	if ws.actedAt[v] != ws.epoch {
+	if ws.forwarded[v] != ws.epoch {
 		return false
 	}
 	for _, q := range ws.acted[v] {
@@ -183,7 +174,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 	ws.ensure(n, acts)
 	ws.epoch++
 	if ws.epoch == 0 { // wrapped: flush stale stamps over the full capacity
-		for _, s := range [][]uint32{ws.received[:cap(ws.received)], ws.forwarded[:cap(ws.forwarded)], ws.actedAt[:cap(ws.actedAt)]} {
+		for _, s := range [][]uint32{ws.received[:cap(ws.received)], ws.forwarded[:cap(ws.forwarded)]} {
 			for i := range s {
 				s[i] = 0
 			}
@@ -211,7 +202,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 		tr.Send(0, source, -1)
 	}
 	if acts {
-		ws.markActed(source, start)
+		ws.acted[source] = append(ws.acted[source][:0], start)
 	}
 	queue := append(ws.queue[:0], transmission{sender: source, pkt: start, time: 0})
 	for qi := 0; qi < len(queue); qi++ {
@@ -258,6 +249,9 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 				if ws.forwarded[v] != epoch {
 					ws.forwarded[v] = epoch
 					res.nForward++
+					if acts {
+						ws.acted[v] = ws.acted[v][:0] // the list starts with the first forward
+					}
 				}
 				if acts {
 					ws.markActed(v, tx.pkt)
