@@ -25,7 +25,7 @@ type RepairStats struct {
 	// Tracked counts the nodes of the re-election wavefront: the live nodes
 	// a round-by-round replay of the election would have to re-run, because
 	// a change reached them while the baseline still had them undecided.
-	// Every other node decides as in the baseline.
+	// Every other live node keeps its baseline head and round.
 	Tracked int
 	// Rehomed counts live nodes whose head assignment changed.
 	Rehomed int
@@ -125,7 +125,7 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 
 // wavefront counts the live nodes that a round-by-round replay of the
 // election would re-run to turn the baseline clustering base into next,
-// the election of the surviving graph; the replay in repair_test.go is
+// the election of the surviving graph; the replay in replay_test.go is
 // the reference it is checked against.
 //
 // A round has two moments: heads declare, then candidates join. Number

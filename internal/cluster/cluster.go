@@ -53,8 +53,8 @@ type Clustering struct {
 	// When[v] is the 1-based election round in which v decided (declared
 	// itself head, or joined one). Elect-based constructions fill it; it is
 	// nil for clusterings assembled by other means (e.g. Maintain), which
-	// have no rounds and so no re-election wavefront for the backbone
-	// repair to report.
+	// the backbone repair rejects: it reads When to count its re-election
+	// wavefront.
 	When []int
 }
 
