@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"clustercast/internal/backbone"
 	"clustercast/internal/cluster"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the per-step churn table and its totals to w.
+func run(w io.Writer) error {
 	const (
 		n     = 60
 		d     = 10.0
@@ -28,7 +37,7 @@ func main() {
 	)
 	nw, err := core.NewRandomNetwork(core.NetworkSpec{N: n, AvgDegree: d, Seed: 11})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bounds := nw.Topology.Bounds
 	radius := nw.Topology.Radius
@@ -40,7 +49,7 @@ func main() {
 	prevLCC := nw.Clustering
 	prevBB := nw.StaticBackbone(core.Hop25)
 
-	fmt.Printf("%5s %9s %9s %10s %10s %9s %9s\n",
+	fmt.Fprintf(w, "%5s %9s %9s %10s %10s %9s %9s\n",
 		"step", "headΔ", "lccΔ", "backboneΔ", "backbone", "dynFwd", "delivery")
 	totalHeadChanges, totalBBChanges, totalLCC := 0, 0, 0
 	for step := 1; step <= steps; step++ {
@@ -70,17 +79,18 @@ func main() {
 		// maintenance was needed — gateways are picked on the fly.
 		cnw := core.FromTopology(cur)
 		res := cnw.DynamicBroadcast(core.Hop25, srcStream.Intn(n))
-		fmt.Printf("%5d %9d %9d %10d %10d %9d %8.1f%%\n",
+		fmt.Fprintf(w, "%5d %9d %9d %10d %10d %9d %8.1f%%\n",
 			step, headChanges, lccChanges, bbChanges, bb.Size(),
 			res.ForwardCount(), 100*res.DeliveryRatio(n))
 
 		prevCl, prevBB = cl, bb
 	}
-	fmt.Printf("\nover %d steps the proactive static backbone changed %d memberships "+
+	fmt.Fprintf(w, "\nover %d steps the proactive static backbone changed %d memberships "+
 		"(%.1f per step) and %d cluster affiliations (%.1f per step; LCC incremental "+
 		"repair reduces that to %d) —\nmaintenance traffic the on-demand dynamic "+
 		"backbone never pays.\n",
 		steps, totalBBChanges, float64(totalBBChanges)/steps,
 		totalHeadChanges, float64(totalHeadChanges)/steps, totalLCC)
-	fmt.Println("(delivery below 100% can occur while motion momentarily disconnects the graph.)")
+	fmt.Fprintln(w, "(delivery below 100% can occur while motion momentarily disconnects the graph.)")
+	return nil
 }
