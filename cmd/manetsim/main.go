@@ -92,7 +92,7 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle
 		{"dynamic-2.5", func() (*broadcast.Result, error) { return dynamic(core.Hop25) }},
 		{"dynamic-3", func() (*broadcast.Result, error) { return dynamic(core.Hop3) }},
 		{"mo-cds", func() (*broadcast.Result, error) {
-			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDSBits{Set: nw.MOCDS(), Label: "mo-cds"}, opt()))
+			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: nw.MOCDS(), Label: "mo-cds"}, opt()))
 		}},
 		{"marking", func() (*broadcast.Result, error) {
 			return ok(broadcast.RunOpts(g, src, broadcast.StaticCDS{Set: marking.Build(g), Label: "marking"}, opt()))
@@ -192,7 +192,7 @@ func runTraffic(nw *core.Network, spec workload.Spec, flows []workload.Flow, new
 		{"flooding", shared(broadcast.Flooding{})},
 		{"static-2.5", shared(broadcast.StaticCDS{Set: st.Nodes, Label: "static-2.5hop"})},
 		{"dynamic-2.5", shared(nw.DynamicProtocol(core.Hop25))},
-		{"mo-cds", shared(broadcast.StaticCDSBits{Set: mo, Label: "mo-cds"})},
+		{"mo-cds", shared(broadcast.StaticCDS{Set: mo, Label: "mo-cds"})},
 	}
 	fmt.Fprintf(stdout, "\ntraffic workload: %s (%d flows, jitter %d)\n", spec.String(), len(flows), jitter)
 	if spec.Discovery {

@@ -290,7 +290,7 @@ func TestRunTrafficRowsOwnOracle(t *testing.T) {
 	spec.Seed = cfg.seed
 	o := faults.New(spec, nw.N())
 	o.SetPositions(nw.Topology.Positions)
-	mo := broadcast.StaticCDSBits{Set: nw.MOCDS(), Label: "mo-cds"}
+	mo := broadcast.StaticCDS{Set: nw.MOCDS(), Label: "mo-cds"}
 	tr := workload.RunTraffic(nw.Graph(), flows, func(int) broadcast.Protocol { return mo },
 		broadcast.MACOptions{Jitter: 3, Faults: o}, broadcast.RunMACMulti)
 	want := fmt.Sprintf("%-12s %8.1f%% %10.2f %9.1f %10d %6d", "mo-cds", 100*tr.DeliveryRatio, tr.Throughput,

@@ -66,7 +66,7 @@ func run(w io.Writer) error {
 			if lcc.Head[v] != prevLCC.Head[v] {
 				lccChanges++
 			}
-			if bb.Nodes[v] != prevBB.Nodes[v] {
+			if bb.Nodes.Has(v) != prevBB.Nodes.Has(v) {
 				bbChanges++
 			}
 		}

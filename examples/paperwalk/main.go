@@ -79,15 +79,15 @@ func run(w io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(w, "CH_HOP1(%d) = %v", paper(v), paperList(b.CH1(v)))
-		if len(b.CH2(v)) > 0 {
+		if ch2 := b.CH2(v); len(ch2) > 0 {
 			fmt.Fprintf(w, "   CH_HOP2(%d) = {", paper(v))
 			first := true
-			for _, x := range graph.SortedMembers(boolKeys(b.CH2(v))) {
+			for _, x := range sortedKeys(ch2) {
 				if !first {
 					fmt.Fprint(w, ", ")
 				}
 				first = false
-				fmt.Fprintf(w, "%d[%d]", paper(x), paper(b.CH2(v)[x]))
+				fmt.Fprintf(w, "%d[%d]", paper(x), paper(ch2[x]))
 			}
 			fmt.Fprint(w, "}")
 		}
@@ -106,7 +106,7 @@ func run(w io.Writer) error {
 	}
 	static := backbone.BuildStaticFrom(b, cl)
 	fmt.Fprintf(w, "static backbone (Figure 3(c)): %v — %d nodes\n\n",
-		paperList(graph.SortedMembers(static.Nodes)), static.Size())
+		paperList(static.Nodes.Members()), static.Size())
 
 	fmt.Fprintln(w, "== Figure 4: cluster graphs ==")
 	d25, idx := coverage.ClusterGraph(b)
@@ -121,10 +121,10 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "== broadcast from node 1: SI-CDS vs SD-CDS ==")
 	sres := broadcast.Run(g, 0, broadcast.StaticCDS{Set: static.Nodes})
 	fmt.Fprintf(w, "static  (SI-CDS): %d forward nodes %v\n",
-		sres.ForwardCount(), paperList(graph.SortedMembers(sres.Forwarders)))
+		sres.ForwardCount(), paperList(sortedKeys(sres.Forwarders)))
 	dres := dynamicb.New(g, cl, coverage.Hop25).Broadcast(0)
 	fmt.Fprintf(w, "dynamic (SD-CDS): %d forward nodes %v\n",
-		dres.ForwardCount(), paperList(graph.SortedMembers(dres.Forwarders)))
+		dres.ForwardCount(), paperList(sortedKeys(dres.Forwarders)))
 	fmt.Fprintf(w, "\nthe paper's conclusion, reproduced: %d vs %d — the on-demand backbone\n"+
 		"prunes the redundant relays (nodes 5 and 8 stay silent).\n",
 		sres.ForwardCount(), dres.ForwardCount())
@@ -147,11 +147,12 @@ func printClusterGraph(w io.Writer, d *graph.Digraph, idx map[int]int, cl *clust
 	fmt.Fprintln(w, parts)
 }
 
-// boolKeys converts a w→relay map into a membership map for sorting.
-func boolKeys(m map[int]int) map[int]bool {
-	out := make(map[int]bool, len(m))
+// sortedKeys returns the keys of m, ascending.
+func sortedKeys[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
 	for k := range m {
-		out[k] = true
+		out = append(out, k)
 	}
+	sort.Ints(out)
 	return out
 }

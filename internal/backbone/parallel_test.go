@@ -6,7 +6,6 @@ import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/geom"
-	"clustercast/internal/graph"
 	"clustercast/internal/rng"
 	"clustercast/internal/topology"
 )
@@ -35,14 +34,14 @@ func TestStaticNodesParallelBitIdentical(t *testing.T) {
 				for _, workers := range []int{0, 1, 2, 3, 7, 64} {
 					ws.BuildWorkers = workers
 					got := ws.StaticNodes(b, cl, opts)
-					if got.Count() != graph.SetSize(want) {
+					if got.Count() != want.Count() {
 						t.Fatalf("rep %d mode %v opts %+v workers %d: size %d, want %d",
-							rep, mode, opts, workers, got.Count(), graph.SetSize(want))
+							rep, mode, opts, workers, got.Count(), want.Count())
 					}
 					for v := 0; v < nw.N(); v++ {
-						if got.Has(v) != want[v] {
+						if got.Has(v) != want.Has(v) {
 							t.Fatalf("rep %d mode %v opts %+v workers %d: node %d membership: workspace %v, build %v",
-								rep, mode, opts, workers, v, got.Has(v), want[v])
+								rep, mode, opts, workers, v, got.Has(v), want.Has(v))
 						}
 					}
 				}

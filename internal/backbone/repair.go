@@ -91,19 +91,22 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 
 	var b *coverage.Builder
 	var loop selStrip // reselections refill one coverage value and scratch
-	static := &Static{
-		Mode:    base.Mode,
-		Nodes:   make(map[int]bool, len(base.Nodes)),
-		PerHead: make(map[int]Selection, len(repaired.Heads)),
-	}
+	static := &Static{Mode: base.Mode, Nodes: graph.NewBitset(n)}
+	bi := 0 // walks base.Heads beside repaired.Heads; both ascend
 	for _, h := range repaired.Heads {
 		if !isUp(h) {
 			continue
 		}
 		static.Heads = append(static.Heads, h)
-		static.Nodes[h] = true
-		sel, ok := base.PerHead[h]
-		if !ok || redo.Has(h) {
+		static.Nodes.Add(h)
+		for bi < len(base.Heads) && base.Heads[bi] < h {
+			bi++
+		}
+		kept := bi < len(base.Heads) && base.Heads[bi] == h
+		var sel Selection
+		if kept && !redo.Has(h) {
+			sel = base.PerHead[bi]
+		} else {
 			if b == nil {
 				b = coverage.NewBuilder(gLive, repaired, base.Mode)
 			}
@@ -111,9 +114,9 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 			st.Reselected++
 			tr.Repair(h, len(sel.Gateways))
 		}
-		static.PerHead[h] = sel
+		static.PerHead = append(static.PerHead, sel)
 		for _, v := range sel.Gateways {
-			static.Nodes[v] = true
+			static.Nodes.Add(v)
 		}
 	}
 

@@ -50,8 +50,16 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 		t.Fatalf("repaired static heads = %v, fresh live heads = %v", static.Heads, liveHeads)
 	}
 	freshCov := coverage.NewBuilder(gLive, fresh, mode)
-	for _, h := range liveHeads {
-		got, want := static.PerHead[h], freshStatic.PerHead[h]
+	i := 0 // static.PerHead follows liveHeads, freshStatic.PerHead every head
+	for j, h := range freshStatic.Heads {
+		if !isUp(h) {
+			continue
+		}
+		got, want := static.PerHead[i], freshStatic.PerHead[j]
+		i++
+		if got.Head != h {
+			t.Fatalf("repaired selection %d belongs to head %d, want %d", i-1, got.Head, h)
+		}
 		if !slices.Equal(got.Gateways, want.Gateways) {
 			t.Fatalf("head %d gateways diverge: got %v want %v", h, got.Gateways, want.Gateways)
 		}
@@ -59,13 +67,11 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 			t.Fatalf("head %d leaves targets %v of the surviving graph unconnected", h, missed)
 		}
 	}
-	for v := range freshStatic.Nodes {
-		if isUp(v) && !static.Nodes[v] {
+	for v := 0; v < g.N(); v++ {
+		if isUp(v) && freshStatic.Nodes.Has(v) && !static.Nodes.Has(v) {
 			t.Fatalf("fresh backbone node %d missing from repaired backbone", v)
 		}
-	}
-	for v := range static.Nodes {
-		if !freshStatic.Nodes[v] {
+		if static.Nodes.Has(v) && !freshStatic.Nodes.Has(v) {
 			t.Fatalf("repaired backbone node %d absent from fresh backbone", v)
 		}
 	}
@@ -73,13 +79,11 @@ func checkRepairEquivalence(t *testing.T, g *graph.Graph, cl *cluster.Clustering
 	// CDS sanity on the surviving graph (Theorem 1, restricted to live
 	// nodes): the repaired membership plus the dead singletons must verify
 	// exactly like the fresh build does.
-	withDead := make(map[int]bool, len(static.Nodes))
-	for v := range static.Nodes {
-		withDead[v] = true
-	}
+	withDead := graph.NewBitset(g.N())
+	withDead.CopyFrom(static.Nodes)
 	for v := 0; v < g.N(); v++ {
 		if !isUp(v) {
-			withDead[v] = true
+			withDead.Add(v)
 		}
 	}
 	if gLive.IsDominatingSet(freshStatic.Nodes) != gLive.IsDominatingSet(withDead) {

@@ -262,16 +262,17 @@ type Static struct {
 	Mode coverage.Mode
 	// Nodes is the backbone membership: all clusterheads plus every
 	// selected gateway.
-	Nodes map[int]bool
+	Nodes *graph.Bitset
 	// Heads lists the clusterheads, ascending.
 	Heads []int
-	// PerHead records each clusterhead's gateway selection.
-	PerHead map[int]Selection
+	// PerHead records each clusterhead's gateway selection, in Heads
+	// order: PerHead[i].Head == Heads[i].
+	PerHead []Selection
 }
 
 // Size returns the number of backbone nodes (the paper's "size of the
 // CDS", Figure 6).
-func (s *Static) Size() int { return graph.SetSize(s.Nodes) }
+func (s *Static) Size() int { return s.Nodes.Count() }
 
 // GatewayCount returns the number of non-clusterhead backbone members.
 func (s *Static) GatewayCount() int { return s.Size() - len(s.Heads) }
@@ -295,29 +296,30 @@ func BuildStaticFrom(b *coverage.Builder, cl *cluster.Clustering) *Static {
 func BuildStaticOpt(b *coverage.Builder, cl *cluster.Clustering, opts Options) *Static {
 	s := &Static{
 		Mode:    b.Mode(),
-		Nodes:   make(map[int]bool, len(cl.Heads)), // at least the heads
+		Nodes:   graph.NewBitset(b.N()),
 		Heads:   append([]int(nil), cl.Heads...),
-		PerHead: make(map[int]Selection, len(cl.Heads)),
+		PerHead: make([]Selection, 0, len(cl.Heads)),
 	}
 	var loop selStrip
 	for _, h := range cl.Heads {
-		s.Nodes[h] = true
+		s.Nodes.Add(h)
 		sel := loop.scr.selection(b.OfScratch(h, &loop.cov, &loop.asm), nil, nil, opts)
-		s.PerHead[h] = sel
+		s.PerHead = append(s.PerHead, sel)
 		for _, v := range sel.Gateways {
-			s.Nodes[v] = true
+			s.Nodes.Add(v)
 		}
 	}
 	return s
 }
 
-// Verify checks Theorem 1: the backbone is a connected dominating set of
-// g (for a connected g) and every selection covers its full coverage set.
+// Verify checks Theorem 1: on a connected g, the static backbone is a
+// connected dominating set. It reports which half fails: domination or
+// the connectivity of the induced subgraph.
 func (s *Static) Verify(g *graph.Graph) error {
 	if !g.IsDominatingSet(s.Nodes) {
 		return fmt.Errorf("backbone: static backbone is not dominating")
 	}
-	if !g.InducedSubgraphConnected(s.Nodes) {
+	if !g.InducedConnected(graph.NewScratch(0), s.Nodes) {
 		return fmt.Errorf("backbone: static backbone is not connected")
 	}
 	return nil

@@ -53,10 +53,9 @@ func TestPaperStaticBackbone(t *testing.T) {
 	s := BuildStatic(g, cl, coverage.Hop25)
 	// Paper: the 2.5-hop static backbone consists of nodes 1..9
 	// (0-based 0..8); node 10 (0-based 9) stays out.
-	want := graph.SetOf(0, 1, 2, 3, 4, 5, 6, 7, 8)
-	if !reflect.DeepEqual(s.Nodes, want) {
-		t.Fatalf("backbone = %v, want %v",
-			graph.SortedMembers(s.Nodes), graph.SortedMembers(want))
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	if got := s.Nodes.Members(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("backbone = %v, want %v", got, want)
 	}
 	if s.Size() != 9 || s.GatewayCount() != 5 {
 		t.Fatalf("Size=%d GatewayCount=%d", s.Size(), s.GatewayCount())
@@ -73,7 +72,7 @@ func TestPaperStaticBackbone3Hop(t *testing.T) {
 	if err := s.Verify(g); err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsCDS(s.Nodes) {
+	if !g.IsCDSBits(s.Nodes) {
 		t.Fatal("3-hop static backbone must be a CDS")
 	}
 }
@@ -200,7 +199,7 @@ func TestStaticSingleCluster(t *testing.T) {
 	s := BuildStatic(g, cl, coverage.Hop25)
 	if s.Size() != 1 || s.GatewayCount() != 0 {
 		t.Fatalf("single-cluster backbone should be just the head: %v",
-			graph.SortedMembers(s.Nodes))
+			s.Nodes.Members())
 	}
 	if err := s.Verify(g); err != nil {
 		t.Fatal(err)
@@ -221,7 +220,7 @@ func TestQuickStaticIsCDS(t *testing.T) {
 		}
 		cl := cluster.LowestID(nw.G)
 		s := BuildStatic(nw.G, cl, mode)
-		return nw.G.IsCDS(s.Nodes)
+		return nw.G.IsCDSBits(s.Nodes)
 	}
 	f := func(seed uint64, dense bool) bool {
 		deg := 6.0
@@ -283,11 +282,21 @@ func TestQuickStaticSmallerThanNaive(t *testing.T) {
 		}
 		cl := cluster.LowestID(nw.G)
 		s := BuildStatic(nw.G, cl, coverage.Hop25)
-		naive := cl.HeadSet()
-		for v := range cl.Gateways(nw.G) {
-			naive[v] = true
+		// The naive backbone: every head and every member bordering
+		// another cluster.
+		naive := len(cl.Heads)
+		for v := 0; v < nw.G.N(); v++ {
+			if cl.IsHead(v) {
+				continue
+			}
+			for _, u := range nw.G.Neighbors(v) {
+				if cl.Head[u] != cl.Head[v] {
+					naive++
+					break
+				}
+			}
 		}
-		return s.Size() <= graph.SetSize(naive)
+		return s.Size() <= naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -45,8 +45,8 @@ type selStrip struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // StaticSize returns BuildStaticOpt(b, cl, opts).Size() — the paper's
-// "size of the CDS" — without materializing the Static: no maps, no
-// per-head Selection, no allocations beyond workspace growth.
+// "size of the CDS" — without materializing the Static: no fresh bitset,
+// no per-head Selection, no allocations beyond workspace growth.
 func (ws *Workspace) StaticSize(b *coverage.Builder, cl *cluster.Clustering, opts Options) int {
 	return ws.StaticNodes(b, cl, opts).Count()
 }

@@ -34,9 +34,9 @@ func TestStaticNodesMatchesBuild(t *testing.T) {
 						rep, mode, opts, nodes.Count(), want.Size())
 				}
 				for v := 0; v < nw.N(); v++ {
-					if nodes.Has(v) != want.Nodes[v] {
+					if nodes.Has(v) != want.Nodes.Has(v) {
 						t.Fatalf("rep %d mode %v opts %+v: node %d membership: workspace %v, build %v",
-							rep, mode, opts, v, nodes.Has(v), want.Nodes[v])
+							rep, mode, opts, v, nodes.Has(v), want.Nodes.Has(v))
 					}
 				}
 			}

@@ -72,10 +72,10 @@ func TestMACStormCollapse(t *testing.T) {
 		nw := randomNet(t, 100+uint64(i), 80, 18)
 		src := root.Intn(80)
 		dist := nw.G.BFS(src)
-		thin := map[int]bool{}
+		thin := graph.NewBitset(len(dist))
 		for v, d := range dist {
 			if d%2 == 0 {
-				thin[v] = true
+				thin.Add(v)
 			}
 		}
 		opt := MACOptions{Jitter: 3, Seed: uint64(i)}

@@ -57,7 +57,7 @@ func TestDESIdealEquivalence(t *testing.T) {
 				ps := []Protocol{
 					Flooding{},
 					Gossip{P: 0.7, Seed: 11},
-					StaticCDS{Set: map[int]bool{0: true, 1: true, 2: true, 5: true, 7: true}, Label: "cds"},
+					StaticCDS{Set: bitsetOf(n, 0, 1, 2, 5, 7), Label: "cds"},
 					NewDP(nw.G),
 				}
 				for _, p := range ps {
@@ -143,7 +143,7 @@ func macProtos(g *graph.Graph) []func() Protocol {
 		func() Protocol { return Flooding{} },
 		func() Protocol { return Gossip{P: 0.8, Seed: 31} },
 		func() Protocol {
-			return StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"}
+			return StaticCDS{Set: bitsetOf(g.N(), 0, 2, 4, 6, 9), Label: "cds"}
 		},
 		func() Protocol { return NewDP(g) },
 		func() Protocol { return NewPDP(g) },

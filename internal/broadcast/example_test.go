@@ -30,7 +30,10 @@ func ExampleRun() {
 // A static CDS confines forwarding to the bridge {2, 3}.
 func ExampleStaticCDS() {
 	g := bridgeGraph()
-	res := broadcast.Run(g, 0, broadcast.StaticCDS{Set: graph.SetOf(2, 3)})
+	bridge := graph.NewBitset(g.N())
+	bridge.Add(2)
+	bridge.Add(3)
+	res := broadcast.Run(g, 0, broadcast.StaticCDS{Set: bridge})
 	fmt.Println("forwarders:", res.ForwardCount()) // source + the two bridge nodes
 	fmt.Println("delivered to all:", len(res.Received) == g.N())
 	// Output:

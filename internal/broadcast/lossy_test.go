@@ -62,10 +62,10 @@ func TestLossyRedundancyHelps(t *testing.T) {
 		// set on an ideal run minus redundancy via gossip 0.3 membership.
 		// Instead, use a deterministic thin set: BFS layers mod 3 == 0.
 		dist := nw.G.BFS(0)
-		thin := map[int]bool{}
+		thin := graph.NewBitset(len(dist))
 		for v, d := range dist {
 			if d%3 == 0 {
-				thin[v] = true
+				thin.Add(v)
 			}
 		}
 		opt := Options{Loss: 0.2, Seed: uint64(i)}
@@ -131,10 +131,10 @@ func TestBackboneReducesRedundancy(t *testing.T) {
 	nw := randomNet(t, 51, 80, 18)
 	flood := Run(nw.G, 0, Flooding{})
 	dist := nw.G.BFS(0)
-	thin := map[int]bool{}
+	thin := graph.NewBitset(len(dist))
 	for v, d := range dist {
 		if d%2 == 0 {
-			thin[v] = true
+			thin.Add(v)
 		}
 	}
 	cds := Run(nw.G, 0, StaticCDS{Set: thin})

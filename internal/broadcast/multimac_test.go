@@ -46,7 +46,7 @@ func TestMultiMACZeroContentionEquivalence(t *testing.T) {
 		ps := []Protocol{
 			Flooding{},
 			Gossip{P: 0.8, Seed: 41},
-			StaticCDS{Set: map[int]bool{0: true, 2: true, 4: true, 6: true, 9: true}, Label: "cds"},
+			StaticCDS{Set: bitsetOf(n, 0, 2, 4, 6, 9), Label: "cds"},
 		}
 		for _, jit := range []int{0, 4} {
 			for _, p := range ps {

@@ -72,7 +72,7 @@ func TestParentChainAudit(t *testing.T) {
 		for _, p := range []Protocol{
 			Flooding{},
 			Gossip{P: 0.7, Seed: 11},
-			StaticCDS{Set: map[int]bool{0: true, 1: true, 3: true, 5: true, 8: true}, Label: "cds"},
+			StaticCDS{Set: bitsetOf(n, 0, 1, 3, 5, 8), Label: "cds"},
 		} {
 			add("Run/"+p.Name(), Run(nw.G, source, p))
 

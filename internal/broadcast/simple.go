@@ -52,10 +52,16 @@ func (g Gossip) OnReceive(v, x int, pkt Packet) (bool, Packet) {
 type StaticCDS struct {
 	NoDuplicates
 	// Set is the CDS membership.
-	Set map[int]bool
+	Set *graph.Bitset
 	// Label distinguishes which CDS is in use in experiment output.
 	Label string
 }
+
+// StaticCDSBits is an alias of StaticCDS, kept from when StaticCDS held a
+// map and this type the bitset form.
+//
+// Deprecated: use StaticCDS. Only pipebench names the alias.
+type StaticCDSBits = StaticCDS
 
 // Name implements Protocol.
 func (s StaticCDS) Name() string {
@@ -70,32 +76,5 @@ func (s StaticCDS) Start(source int) Packet { return nil }
 
 // OnReceive implements Protocol.
 func (s StaticCDS) OnReceive(v, x int, pkt Packet) (bool, Packet) {
-	return s.Set[v], nil
-}
-
-// StaticCDSBits is StaticCDS with the membership held as a bitset — the
-// allocation-free variant used by workspace-backed estimators (a bitset
-// borrowed from a workspace instead of a materialized map).
-type StaticCDSBits struct {
-	NoDuplicates
-	// Set is the CDS membership.
-	Set *graph.Bitset
-	// Label distinguishes which CDS is in use in experiment output.
-	Label string
-}
-
-// Name implements Protocol.
-func (s StaticCDSBits) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "static-cds"
-}
-
-// Start implements Protocol.
-func (s StaticCDSBits) Start(source int) Packet { return nil }
-
-// OnReceive implements Protocol.
-func (s StaticCDSBits) OnReceive(v, x int, pkt Packet) (bool, Packet) {
 	return s.Set.Has(v), nil
 }

@@ -64,35 +64,6 @@ func (c *Clustering) IsHead(v int) bool { return c.Head[v] == v }
 // NumClusters returns the number of clusters.
 func (c *Clustering) NumClusters() int { return len(c.Heads) }
 
-// HeadSet returns the clusterhead set as a membership map.
-func (c *Clustering) HeadSet() map[int]bool {
-	m := make(map[int]bool, len(c.Heads))
-	for _, h := range c.Heads {
-		m[h] = true
-	}
-	return m
-}
-
-// Gateways returns the classic gateway set: non-clusterhead nodes with at
-// least one neighbor belonging to a different cluster. Together with the
-// clusterheads, these form the naive cluster backbone that the paper's
-// gateway *selection* prunes down.
-func (c *Clustering) Gateways(g *graph.Graph) map[int]bool {
-	gw := make(map[int]bool)
-	for v := 0; v < g.N(); v++ {
-		if c.IsHead(v) {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if c.Head[u] != c.Head[v] {
-				gw[v] = true
-				break
-			}
-		}
-	}
-	return gw
-}
-
 // Validate checks the structural invariants of a clustering over g and
 // returns a descriptive error on the first violation:
 // every node has a head, heads head themselves, members are adjacent to
@@ -103,7 +74,6 @@ func (c *Clustering) Validate(g *graph.Graph) error {
 	if len(c.Head) != n {
 		return fmt.Errorf("cluster: Head has %d entries for %d nodes", len(c.Head), n)
 	}
-	headSet := c.HeadSet()
 	for v := 0; v < n; v++ {
 		h := c.Head[v]
 		if h < 0 || h >= n {
@@ -116,10 +86,14 @@ func (c *Clustering) Validate(g *graph.Graph) error {
 			return fmt.Errorf("cluster: member %d not adjacent to its head %d", v, h)
 		}
 	}
-	if !g.IsIndependentSet(headSet) {
+	heads := graph.NewBitset(n)
+	for _, h := range c.Heads {
+		heads.Add(h)
+	}
+	if !g.IsIndependentSet(heads) {
 		return fmt.Errorf("cluster: clusterheads are not an independent set")
 	}
-	if !g.IsDominatingSet(headSet) {
+	if !g.IsDominatingSet(heads) {
 		return fmt.Errorf("cluster: clusterheads are not a dominating set")
 	}
 	return nil

@@ -127,26 +127,6 @@ func paperFigure3Graph() *graph.Graph {
 	return graph.FromEdges(10, zero)
 }
 
-func TestGateways(t *testing.T) {
-	g := paperFigure3Graph()
-	c := LowestID(g)
-	gw := c.Gateways(g)
-	// All of 5,6,7,8,9,10 (paper) border another cluster: 5 adj 9 (C3),
-	// 6 adj 2, 7 adj 3, 8 adj 3 and 2, 9 adj 4 and 5, 10 adj 4 and 3.
-	want := graph.SetOf(4, 5, 6, 7, 8, 9)
-	if !reflect.DeepEqual(gw, want) {
-		t.Fatalf("Gateways = %v, want %v", graph.SortedMembers(gw), graph.SortedMembers(want))
-	}
-	// Heads + classic gateways must form a CDS.
-	set := c.HeadSet()
-	for v := range gw {
-		set[v] = true
-	}
-	if !g.IsCDS(set) {
-		t.Fatal("heads + gateways must be a CDS")
-	}
-}
-
 func TestHighestDegree(t *testing.T) {
 	// Star with center 3: center has max degree, becomes the single head.
 	g := graph.FromEdges(4, [][2]int{{3, 0}, {3, 1}, {3, 2}})
@@ -203,15 +183,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestHeadSetAndNumClusters(t *testing.T) {
+func TestNumClusters(t *testing.T) {
 	g := paperFigure3Graph()
 	c := LowestID(g)
 	if c.NumClusters() != 4 {
 		t.Fatalf("NumClusters = %d", c.NumClusters())
-	}
-	hs := c.HeadSet()
-	if graph.SetSize(hs) != 4 || !hs[0] || !hs[3] {
-		t.Fatalf("HeadSet = %v", hs)
 	}
 }
 
@@ -265,19 +241,22 @@ func TestQuickHeadsAreMaximalIndependentSet(t *testing.T) {
 			return false
 		}
 		c := LowestID(nw.G)
-		hs := c.HeadSet()
+		hs := graph.NewBitset(nw.G.N())
+		for _, h := range c.Heads {
+			hs.Add(h)
+		}
 		if !nw.G.IsIndependentSet(hs) {
 			return false
 		}
 		for v := 0; v < nw.G.N(); v++ {
-			if hs[v] {
+			if hs.Has(v) {
 				continue
 			}
-			hs[v] = true
+			hs.Add(v)
 			if nw.G.IsIndependentSet(hs) {
 				return false // could have added v: not maximal
 			}
-			delete(hs, v)
+			hs.Remove(v)
 		}
 		return true
 	}

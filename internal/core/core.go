@@ -154,7 +154,7 @@ func (nw *Network) BroadcastStatic(s *backbone.Static, source int) *broadcast.Re
 
 // BroadcastMOCDS broadcasts from source over the MO_CDS membership c.
 func (nw *Network) BroadcastMOCDS(c *graph.Bitset, source int) *broadcast.Result {
-	return broadcast.Run(nw.Topology.G, source, broadcast.StaticCDSBits{Set: c, Label: "mo-cds"})
+	return broadcast.Run(nw.Topology.G, source, broadcast.StaticCDS{Set: c, Label: "mo-cds"})
 }
 
 // Flood runs blind flooding from source — the broadcast-storm baseline.
@@ -195,7 +195,7 @@ func (nw *Network) Summarize() Summary {
 		MOCDSSize:     nw.MOCDS().Count(),
 		Diameter:      g.Diameter(),
 		TransmitRange: nw.Topology.Radius,
-		CutVertices:   len(g.CutVertices()),
+		CutVertices:   g.CutVertices().Count(),
 		Clustering:    g.ClusteringCoefficient(),
 	}
 }

@@ -1,6 +1,7 @@
 package dynamicb
 
 import (
+	"slices"
 	"testing"
 
 	"clustercast/internal/cluster"
@@ -19,22 +20,15 @@ func TestPiggybackIsFullCoverageSet(t *testing.T) {
 	p := New(g, cl, coverage.Hop25)
 	// Clusterhead 3 (0-based 2) receives from clusterhead 1 (0-based 0)
 	// via node 7 (0-based 6), with C(1)∪{1} = {0,1,2} piggybacked.
-	in := p.PacketForTest(0, graph.SetOf(0, 1, 2), graph.SetOf(5, 6))
+	in := p.PacketForTest(0, []int{0, 1, 2}, []int{5, 6})
 	fwd, cov := p.HeadPacketForTest(2, in, 6)
 	// The updated need is only {3} (paper head 4): forward set = {8}.
-	if len(fwd) != 1 || !fwd[8] {
-		t.Fatalf("F(3) = %v, want {9} (0-based {8})", graph.SortedMembers(fwd))
+	if !slices.Equal(fwd, []int{8}) {
+		t.Fatalf("F(3) = %v, want {9} (0-based {8})", fwd)
 	}
 	// The piggyback is the full C(3) ∪ {3} = {0,1,3} ∪ {2}.
-	want := graph.SetOf(0, 1, 2, 3)
-	if len(cov) != len(want) {
-		t.Fatalf("piggybacked cov = %v, want full set %v",
-			graph.SortedMembers(cov), graph.SortedMembers(want))
-	}
-	for w := range want {
-		if !cov[w] {
-			t.Fatalf("piggyback missing clusterhead %d: %v", w, graph.SortedMembers(cov))
-		}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(cov, want) {
+		t.Fatalf("piggybacked cov = %v, want full set %v", cov, want)
 	}
 }
 
@@ -60,13 +54,12 @@ func TestRelayNeighborExclusion(t *testing.T) {
 	// v=1 receives the packet from transmitter r=4. Regardless of what the
 	// upstream head piggybacked, the N(r) rule alone must remove w=2 from
 	// v's need: 2 is adjacent to the transmitter 4 and heard the same copy.
-	in := p.PacketForTest(0, graph.SetOf(0), nil) // minimal piggyback: {u} only
+	in := p.PacketForTest(0, []int{0}, nil) // minimal piggyback: {u} only
 	fwd, _ := p.HeadPacketForTest(1, in, 4)
 	// Without the N(r) exclusion, v=1 would select node 5 to reach w=2.
-	if fwd[5] {
+	if slices.Contains(fwd, 5) {
 		t.Fatalf("F(1) = %v: selected a gateway toward clusterhead 2, which "+
-			"already heard relay 4's transmission (N(r) exclusion violated)",
-			graph.SortedMembers(fwd))
+			"already heard relay 4's transmission (N(r) exclusion violated)", fwd)
 	}
 }
 

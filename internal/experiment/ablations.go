@@ -27,8 +27,11 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 		opt int // |MCDS|
 	}
 	exact := derived("ratio", func(_ *Workspace, _ Scenario, d draw) (optimum, bool) {
-		o := optimum{d, len(mcds.Exact(d.nw.G))}
-		return o, o.opt > 0
+		opt := mcds.Exact(d.nw.G) // nil when the search is infeasible
+		if opt == nil || opt.Count() == 0 {
+			return optimum{}, false
+		}
+		return optimum{d, opt.Count()}, true
 	})
 	ratio := func(size func(d draw) int) member[optimum] {
 		return func(_ *Workspace, _ Scenario, o optimum) (float64, bool) {
@@ -44,7 +47,7 @@ func ApproxRatio(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure 
 				ratio(func(d draw) int { return backbone.BuildStatic(d.nw.G, d.cl, coverage.Hop25).Size() }),
 				ratio(func(d draw) int { return broadcast.Run(d.nw.G, d.src, dynamicProto(d)).ForwardCount() }),
 				ratio(func(d draw) int { return mocds.Build(d.nw.G, d.cl).Count() }),
-				ratio(func(d draw) int { return len(mcds.Greedy(d.nw.G)) }),
+				ratio(func(d draw) int { return mcds.Greedy(d.nw.G).Count() }),
 			)),
 	}
 }
@@ -167,7 +170,7 @@ func Mobility(speeds []float64, n int, d float64, steps int, seed uint64, rule s
 					if prevCl.Head[v] != curCl.Head[v] {
 						c[0]++
 					}
-					if prevBB.Nodes[v] != curBB.Nodes[v] {
+					if prevBB.Nodes.Has(v) != curBB.Nodes.Has(v) {
 						c[1]++
 					}
 				}

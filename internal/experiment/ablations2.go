@@ -29,7 +29,7 @@ func SICDS(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 			sweepWS("mo-cds", ns, d, seed, rule, MOCDSSizeEstimatorWS()),
 			sweepWS("marking-rules12", ns, d, seed, rule, single(sampledWS("sicds-marking"),
 				func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
-					return float64(len(marking.Build(d.nw.G))), true
+					return float64(marking.Build(d.nw.G).Count()), true
 				})),
 			sweepWS("fwd-tree", ns, d, seed, rule, single(forwardingTree("sicds-tree"),
 				func(_ *Workspace, _ Scenario, t tree) (float64, bool) { return float64(t.Size()), true })),

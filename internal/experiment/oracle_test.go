@@ -102,7 +102,7 @@ func MOCDSForwardEstimator() Estimator {
 		if !ok {
 			return 0, false
 		}
-		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDSBits{Set: mocds.Build(nw.G, cl)})
+		res := broadcast.Run(nw.G, r.source(nw.N()), broadcast.StaticCDS{Set: mocds.Build(nw.G, cl)})
 		return float64(res.ForwardCount()), true
 	}
 }

@@ -43,7 +43,7 @@ func trafficBackbones() []trafficBackbone {
 			return func(int) broadcast.Protocol { return p }
 		}},
 		{"mo-cds", func(nw *topology.Network, cl *cluster.Clustering) workload.ProtoFactory {
-			p := broadcast.StaticCDSBits{Set: mocds.Build(nw.G, cl), Label: "mocds"}
+			p := broadcast.StaticCDS{Set: mocds.Build(nw.G, cl), Label: "mocds"}
 			return func(int) broadcast.Protocol { return p }
 		}},
 	}

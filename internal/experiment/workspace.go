@@ -380,7 +380,7 @@ func staticProto(d draw) broadcast.Protocol {
 func dynamicProto(d draw) broadcast.Protocol { return dynamicb.New(d.nw.G, d.cl, coverage.Hop25) }
 
 func mocdsProto(d draw) broadcast.Protocol {
-	return broadcast.StaticCDSBits{Set: mocds.Build(d.nw.G, d.cl)}
+	return broadcast.StaticCDS{Set: mocds.Build(d.nw.G, d.cl)}
 }
 
 // staticSize is |static backbone| under a coverage mode.
@@ -412,7 +412,7 @@ func staticForward(mode coverage.Mode) member[draw] {
 	return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 		ws.Digest(d.nw.G, d.cl, mode)
 		nodes := ws.Backbone.StaticNodes(&ws.Builder, d.cl, backbone.Options{})
-		return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDSBits{Set: nodes}).ForwardCount()), true
+		return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDS{Set: nodes}).ForwardCount()), true
 	}
 }
 
@@ -421,7 +421,7 @@ func staticForward(mode coverage.Mode) member[draw] {
 func mocdsForward(ws *Workspace, _ Scenario, d draw) (float64, bool) {
 	ws.Digest(d.nw.G, d.cl, coverage.Hop3)
 	nodes := ws.MOCDS.NodesFrom(&ws.Builder, d.cl)
-	return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDSBits{Set: nodes}).ForwardCount()), true
+	return float64(ws.Bcast.Run(d.nw.G, d.src, broadcast.StaticCDS{Set: nodes}).ForwardCount()), true
 }
 
 // StaticSizeEstimatorWS measures |static backbone| under a coverage mode

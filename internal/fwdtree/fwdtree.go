@@ -45,27 +45,25 @@ type Tree struct {
 	// the root. Parent edges are graph edges.
 	Parent map[int]int
 	// Nodes is the tree membership (clusterheads + connecting gateways).
-	Nodes map[int]bool
+	Nodes *graph.Bitset
 }
 
 // Size returns the number of tree nodes.
-func (t *Tree) Size() int { return len(t.Nodes) }
+func (t *Tree) Size() int { return t.Nodes.Count() }
 
 // Depth returns the maximum parent-chain length from any tree node to the
 // root.
 func (t *Tree) Depth() int {
-	max := 0
-	for v := range t.Nodes {
+	depth := 0
+	t.Nodes.ForEach(func(v int) {
 		d := 0
 		for v != t.Root {
 			v = t.Parent[v]
 			d++
 		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
+		depth = max(depth, d)
+	})
+	return depth
 }
 
 // sortedKeys2 returns the keys of a cluster→gateway map in ascending
@@ -86,8 +84,9 @@ func Build(b *coverage.Builder, cl *cluster.Clustering, source int) (*Tree, erro
 	t := &Tree{
 		Root:   root,
 		Parent: make(map[int]int),
-		Nodes:  map[int]bool{root: true},
+		Nodes:  graph.NewBitset(b.N()),
 	}
+	t.Nodes.Add(root)
 	joined := map[int]bool{root: true}
 	frontier := []int{root}
 	for len(frontier) > 0 {
@@ -110,8 +109,8 @@ func Build(b *coverage.Builder, cl *cluster.Clustering, source int) (*Tree, erro
 			for _, w := range sortedKeys2(gate2) {
 				gw := gate2[w]
 				joined[w] = true
-				t.Nodes[gw] = true
-				t.Nodes[w] = true
+				t.Nodes.Add(gw)
+				t.Nodes.Add(w)
 				if _, ok := t.Parent[gw]; !ok {
 					t.Parent[gw] = v
 				}
@@ -137,9 +136,9 @@ func Build(b *coverage.Builder, cl *cluster.Clustering, source int) (*Tree, erro
 					continue
 				}
 				joined[w] = true
-				t.Nodes[p.f] = true
-				t.Nodes[p.r] = true
-				t.Nodes[w] = true
+				t.Nodes.Add(p.f)
+				t.Nodes.Add(p.r)
+				t.Nodes.Add(w)
 				if _, ok := t.Parent[p.f]; !ok {
 					t.Parent[p.f] = v
 				}
@@ -169,28 +168,29 @@ func (t *Tree) Verify(g *graph.Graph, cl *cluster.Clustering) error {
 		if !g.HasEdge(v, p) {
 			return fmt.Errorf("fwdtree: parent edge %d-%d is not a graph edge", v, p)
 		}
-		if !t.Nodes[v] || !t.Nodes[p] {
+		if !t.Nodes.Has(v) || !t.Nodes.Has(p) {
 			return fmt.Errorf("fwdtree: parent edge %d-%d leaves the node set", v, p)
 		}
 	}
-	for v := range t.Nodes {
+	size := t.Size()
+	for _, v := range t.Nodes.Members() {
 		seen := 0
 		for x := v; x != t.Root; x = t.Parent[x] {
 			if _, ok := t.Parent[x]; !ok {
 				return fmt.Errorf("fwdtree: node %d has no path to the root", v)
 			}
 			seen++
-			if seen > len(t.Nodes) {
+			if seen > size {
 				return fmt.Errorf("fwdtree: parent cycle at node %d", v)
 			}
 		}
 	}
 	for _, h := range cl.Heads {
-		if !t.Nodes[h] {
+		if !t.Nodes.Has(h) {
 			return fmt.Errorf("fwdtree: clusterhead %d missing", h)
 		}
 	}
-	if !g.IsCDS(t.Nodes) {
+	if !g.IsCDSBits(t.Nodes) {
 		return fmt.Errorf("fwdtree: tree nodes are not a CDS")
 	}
 	return nil

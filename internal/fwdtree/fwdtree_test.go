@@ -121,8 +121,8 @@ func TestSingleCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Size() != 1 || !tree.Nodes[0] {
-		t.Fatalf("single-cluster tree = %v", graph.SortedMembers(tree.Nodes))
+	if tree.Size() != 1 || !tree.Nodes.Has(0) {
+		t.Fatalf("single-cluster tree = %v", tree.Nodes.Members())
 	}
 }
 

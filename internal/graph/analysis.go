@@ -4,7 +4,7 @@ package graph
 // disconnects their component — using Tarjan's low-link algorithm
 // (iterative). In a MANET these are the single points of failure of the
 // topology; a backbone that concentrates on them is fragile.
-func (g *Graph) CutVertices() map[int]bool {
+func (g *Graph) CutVertices() *Bitset {
 	n := g.N()
 	disc := make([]int, n)
 	low := make([]int, n)
@@ -13,7 +13,7 @@ func (g *Graph) CutVertices() map[int]bool {
 		disc[i] = -1
 		parent[i] = -1
 	}
-	cut := make(map[int]bool)
+	cut := NewBitset(n)
 	timer := 0
 
 	type frame struct {
@@ -57,12 +57,12 @@ func (g *Graph) CutVertices() map[int]bool {
 					low[p] = low[v]
 				}
 				if p != s && low[v] >= disc[p] {
-					cut[p] = true
+					cut.Add(p)
 				}
 			}
 		}
 		if rootChildren >= 2 {
-			cut[s] = true
+			cut.Add(s)
 		}
 	}
 	return cut

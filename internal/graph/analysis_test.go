@@ -10,17 +10,15 @@ import (
 
 func TestCutVerticesPath(t *testing.T) {
 	g := pathGraph(5)
-	cut := g.CutVertices()
-	want := SetOf(1, 2, 3)
-	if !reflect.DeepEqual(cut, want) {
-		t.Fatalf("cut vertices = %v, want interior nodes", SortedMembers(cut))
+	if cut := g.CutVertices().Members(); !reflect.DeepEqual(cut, []int{1, 2, 3}) {
+		t.Fatalf("cut vertices = %v, want interior nodes", cut)
 	}
 }
 
 func TestCutVerticesCycleHasNone(t *testing.T) {
 	g := cycleGraph(6)
-	if cut := g.CutVertices(); len(cut) != 0 {
-		t.Fatalf("cycle has no articulation points: %v", SortedMembers(cut))
+	if cut := g.CutVertices(); cut.Count() != 0 {
+		t.Fatalf("cycle has no articulation points: %v", cut.Members())
 	}
 }
 
@@ -30,9 +28,8 @@ func TestCutVerticesBridgeGraph(t *testing.T) {
 	g := FromEdges(6, [][2]int{
 		{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {4, 5},
 	})
-	cut := g.CutVertices()
-	if !cut[2] || !cut[3] || len(cut) != 2 {
-		t.Fatalf("cut vertices = %v, want {2,3}", SortedMembers(cut))
+	if cut := g.CutVertices().Members(); !reflect.DeepEqual(cut, []int{2, 3}) {
+		t.Fatalf("cut vertices = %v, want {2,3}", cut)
 	}
 }
 
@@ -62,9 +59,10 @@ func TestTrianglesAndClustering(t *testing.T) {
 	}
 }
 
-// bruteCut recomputes articulation points by deletion + connectivity.
-func bruteCut(g *Graph) map[int]bool {
-	out := map[int]bool{}
+// bruteCut recomputes articulation points by deletion + connectivity,
+// ascending.
+func bruteCut(g *Graph) []int {
+	out := []int{}
 	base := len(g.Components())
 	for v := 0; v < g.N(); v++ {
 		// Build g minus v.
@@ -84,7 +82,7 @@ func bruteCut(g *Graph) map[int]bool {
 			comps++
 		}
 		if g.Degree(v) > 0 && comps > base {
-			out[v] = true
+			out = append(out, v)
 		}
 	}
 	return out
@@ -96,7 +94,7 @@ func TestQuickCutVerticesMatchBruteForce(t *testing.T) {
 		n := int(sz)%20 + 3
 		r := rng.New(seed)
 		g := randomConnectedGraph(r, n, n/2)
-		return reflect.DeepEqual(g.CutVertices(), bruteCut(g))
+		return reflect.DeepEqual(g.CutVertices().Members(), bruteCut(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -30,17 +30,6 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// BitsetFromSet converts a membership map over 0..n−1.
-func BitsetFromSet(n int, set map[int]bool) *Bitset {
-	b := NewBitset(n)
-	for v, in := range set {
-		if in {
-			b.Add(v)
-		}
-	}
-	return b
-}
-
 // Cap returns the capacity of the universe (n in NewBitset).
 func (b *Bitset) Cap() int { return b.n }
 

@@ -174,9 +174,9 @@ func FuzzGraphInvariants(f *testing.F) {
 			}
 		}
 		// The full vertex set dominates; on connected graphs it is a CDS.
-		all := map[int]bool{}
+		all := NewBitset(n)
 		for i := 0; i < n; i++ {
-			all[i] = true
+			all.Add(i)
 		}
 		if !g.IsDominatingSet(all) {
 			t.Fatal("full set must dominate")

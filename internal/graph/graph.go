@@ -226,24 +226,9 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// InducedSubgraphConnected reports whether the subgraph induced by the node
-// set is connected (a set of size 0 or 1 counts as connected). It is the
-// connectivity half of the CDS predicate.
-func (g *Graph) InducedSubgraphConnected(set map[int]bool) bool {
-	s := getScratch()
-	ok := g.InducedConnected(s, BitsetFromSet(g.n, set))
-	putScratch(s)
-	return ok
-}
-
 // IsDominatingSet reports whether every node is in the set or adjacent to a
 // member of the set.
-func (g *Graph) IsDominatingSet(set map[int]bool) bool {
-	return g.IsDominatingSetBits(BitsetFromSet(g.n, set))
-}
-
-// IsDominatingSetBits is IsDominatingSet over a Bitset membership.
-func (g *Graph) IsDominatingSetBits(set *Bitset) bool {
+func (g *Graph) IsDominatingSet(set *Bitset) bool {
 	for u := 0; u < g.n; u++ {
 		if set.Has(u) {
 			continue
@@ -262,14 +247,9 @@ func (g *Graph) IsDominatingSetBits(set *Bitset) bool {
 	return true
 }
 
-// IsCDS reports whether the set is a connected dominating set of g.
-func (g *Graph) IsCDS(set map[int]bool) bool {
-	return g.IsCDSBits(BitsetFromSet(g.n, set))
-}
-
-// IsCDSBits is IsCDS over a Bitset membership.
+// IsCDSBits reports whether the set is a connected dominating set of g.
 func (g *Graph) IsCDSBits(set *Bitset) bool {
-	if !g.IsDominatingSetBits(set) {
+	if !g.IsDominatingSet(set) {
 		return false
 	}
 	s := getScratch()
@@ -278,14 +258,23 @@ func (g *Graph) IsCDSBits(set *Bitset) bool {
 	return ok
 }
 
-// IsIndependentSet reports whether no two members of the set are adjacent.
-// The clusterhead set of a valid clustering must satisfy this.
-func (g *Graph) IsIndependentSet(set map[int]bool) bool {
-	return g.IsIndependentSetBits(BitsetFromSet(g.n, set))
+// IsCDS is IsCDSBits over a membership map. The construction layers hand
+// over bitsets; only pipebench, which checks the wire protocol's
+// map-valued sim.Outcome.Backbone, and tests over the broadcast results'
+// maps call it.
+func (g *Graph) IsCDS(set map[int]bool) bool {
+	b := NewBitset(g.n)
+	for v, in := range set {
+		if in {
+			b.Add(v)
+		}
+	}
+	return g.IsCDSBits(b)
 }
 
-// IsIndependentSetBits is IsIndependentSet over a Bitset membership.
-func (g *Graph) IsIndependentSetBits(set *Bitset) bool {
+// IsIndependentSet reports whether no two members of the set are adjacent.
+// The clusterhead set of a valid clustering must satisfy this.
+func (g *Graph) IsIndependentSet(set *Bitset) bool {
 	ok := true
 	set.ForEach(func(u int) {
 		for _, v := range g.Neighbors(u) {
@@ -398,11 +387,11 @@ func (g *Graph) diameterSource(cand, lo, hi []int32, high bool) int {
 // DOT renders g in Graphviz DOT format; highlight marks a set of nodes to
 // fill (the backbone, in our figures). Deterministic output: nodes and edges
 // appear in sorted order.
-func (g *Graph) DOT(name string, highlight map[int]bool) string {
+func (g *Graph) DOT(name string, highlight *Bitset) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %s {\n", name)
 	for u := 0; u < g.n; u++ {
-		if highlight[u] {
+		if highlight.Has(u) {
 			fmt.Fprintf(&b, "  %d [style=filled fillcolor=black fontcolor=white];\n", u)
 		} else {
 			fmt.Fprintf(&b, "  %d;\n", u)
@@ -507,37 +496,4 @@ func (g *Graph) RenewCSR(off, flat []int) {
 	g.off, g.flat = off, flat
 	g.n = len(off) - 1
 	g.edges = len(flat) / 2
-}
-
-// SetOf returns a membership map for the given node IDs.
-func SetOf(ids ...int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-// SetSize returns the number of true entries in a membership map.
-func SetSize(set map[int]bool) int {
-	n := 0
-	for _, in := range set {
-		if in {
-			n++
-		}
-	}
-	return n
-}
-
-// SortedMembers returns the true entries of a membership map in ascending
-// order.
-func SortedMembers(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for v, in := range set {
-		if in {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -161,64 +161,67 @@ func TestComponents(t *testing.T) {
 
 func TestDominatingSetPredicate(t *testing.T) {
 	g := starGraph(5)
-	if !g.IsDominatingSet(SetOf(0)) {
+	if !g.IsDominatingSet(bitsetOf(5, 0)) {
 		t.Fatal("center dominates the star")
 	}
-	if g.IsDominatingSet(SetOf(1)) {
+	if g.IsDominatingSet(bitsetOf(5, 1)) {
 		t.Fatal("a single leaf does not dominate the star")
 	}
-	if !g.IsDominatingSet(SetOf(1, 2, 3, 4, 0)) {
+	if !g.IsDominatingSet(bitsetOf(5, 1, 2, 3, 4, 0)) {
 		t.Fatal("full set always dominates")
 	}
 	p := pathGraph(6)
-	if !p.IsDominatingSet(SetOf(1, 4)) {
+	if !p.IsDominatingSet(bitsetOf(6, 1, 4)) {
 		t.Fatal("{1,4} dominates the 6-path")
 	}
-	if p.IsDominatingSet(SetOf(1)) {
+	if p.IsDominatingSet(bitsetOf(6, 1)) {
 		t.Fatal("{1} misses nodes 3..5")
 	}
 }
 
-func TestInducedSubgraphConnected(t *testing.T) {
+func TestInducedConnected(t *testing.T) {
 	p := pathGraph(6)
-	if !p.InducedSubgraphConnected(SetOf(1, 2, 3)) {
+	s := NewScratch(0)
+	if !p.InducedConnected(s, bitsetOf(6, 1, 2, 3)) {
 		t.Fatal("contiguous run of a path is connected")
 	}
-	if p.InducedSubgraphConnected(SetOf(1, 4)) {
+	if p.InducedConnected(s, bitsetOf(6, 1, 4)) {
 		t.Fatal("{1,4} is disconnected in the path")
 	}
-	if !p.InducedSubgraphConnected(SetOf()) || !p.InducedSubgraphConnected(SetOf(2)) {
+	if !p.InducedConnected(s, bitsetOf(6)) || !p.InducedConnected(s, bitsetOf(6, 2)) {
 		t.Fatal("0- and 1-element sets are connected")
-	}
-	// Entries explicitly set to false must be ignored.
-	set := map[int]bool{1: true, 2: true, 4: false}
-	if !p.InducedSubgraphConnected(set) {
-		t.Fatal("false entries must not count as members")
 	}
 }
 
 func TestIsCDS(t *testing.T) {
 	p := pathGraph(6)
-	if !p.IsCDS(SetOf(1, 2, 3, 4)) {
+	if !p.IsCDSBits(bitsetOf(6, 1, 2, 3, 4)) {
 		t.Fatal("{1,2,3,4} is a CDS of the 6-path")
 	}
-	if p.IsCDS(SetOf(1, 4)) {
+	if p.IsCDSBits(bitsetOf(6, 1, 4)) {
 		t.Fatal("{1,4} dominates but is not connected")
 	}
-	if p.IsCDS(SetOf(0, 1, 2)) {
-		t.Fatal("{0,1,2} is connected but does not dominate node 4,5... wait 3 is adjacent to 2; 4,5 not dominated")
+	if p.IsCDSBits(bitsetOf(6, 0, 1, 2)) {
+		t.Fatal("{0,1,2} is connected but leaves nodes 4 and 5 undominated")
+	}
+	// The map form ignores entries explicitly set to false.
+	if !p.IsCDS(map[int]bool{1: true, 2: true, 3: true, 4: true, 5: false}) {
+		t.Fatal("false entries must not count as members")
+	}
+	if p.IsCDS(map[int]bool{1: true, 2: true, 3: false, 4: true}) {
+		t.Fatal("a false entry must not connect {1,2} to {4}")
 	}
 }
 
 func TestIsIndependentSet(t *testing.T) {
 	p := pathGraph(5)
-	if !p.IsIndependentSet(SetOf(0, 2, 4)) {
+	if !p.IsIndependentSet(bitsetOf(5, 0, 2, 4)) {
 		t.Fatal("{0,2,4} is independent in the 5-path")
 	}
-	if p.IsIndependentSet(SetOf(0, 1)) {
+	if p.IsIndependentSet(bitsetOf(5, 0, 1)) {
 		t.Fatal("{0,1} is not independent")
 	}
-	if !p.IsIndependentSet(SetOf()) {
+	if !p.IsIndependentSet(bitsetOf(5)) {
 		t.Fatal("empty set is independent")
 	}
 }
@@ -340,27 +343,13 @@ func TestEdgesSortedAndComplete(t *testing.T) {
 
 func TestDOTDeterministic(t *testing.T) {
 	g := pathGraph(3)
-	d1 := g.DOT("g", SetOf(1))
-	d2 := g.DOT("g", SetOf(1))
+	d1 := g.DOT("g", bitsetOf(3, 1))
+	d2 := g.DOT("g", bitsetOf(3, 1))
 	if d1 != d2 {
 		t.Fatal("DOT output must be deterministic")
 	}
 	if !strings.Contains(d1, "0 -- 1") || !strings.Contains(d1, "fillcolor=black") {
 		t.Fatalf("DOT output missing expected content:\n%s", d1)
-	}
-}
-
-func TestSetHelpers(t *testing.T) {
-	s := SetOf(3, 1, 2)
-	if SetSize(s) != 3 {
-		t.Fatalf("SetSize = %d", SetSize(s))
-	}
-	s[5] = false
-	if SetSize(s) != 3 {
-		t.Fatal("false entries must not be counted")
-	}
-	if got := SortedMembers(s); !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("SortedMembers = %v", got)
 	}
 }
 
@@ -440,11 +429,11 @@ func TestQuickRandomGraphInvariants(t *testing.T) {
 		n := int(sz)%40 + 2
 		r := rng.New(seed)
 		g := randomConnectedGraph(r, n, n/2)
-		all := map[int]bool{}
+		all := NewBitset(n)
 		for i := 0; i < n; i++ {
-			all[i] = true
+			all.Add(i)
 		}
-		if !g.IsCDS(all) {
+		if !g.IsCDSBits(all) {
 			return false
 		}
 		dist := g.BFS(0)

@@ -24,18 +24,18 @@ import (
 
 // Build runs the marking process with Rules 1 and 2 on g and returns the
 // resulting CDS membership.
-func Build(g *graph.Graph) map[int]bool {
+func Build(g *graph.Graph) *graph.Bitset {
 	n := g.N()
+	marked := graph.NewBitset(n)
 	if n == 0 {
-		return map[int]bool{}
+		return marked
 	}
-	marked := make(map[int]bool)
 	for v := 0; v < n; v++ {
 		list := g.Neighbors(v)
-		for i := 0; i < len(list) && !marked[v]; i++ {
+		for i := 0; i < len(list) && !marked.Has(v); i++ {
 			for j := i + 1; j < len(list); j++ {
 				if !g.HasEdge(list[i], list[j]) {
-					marked[v] = true
+					marked.Add(v)
 					break
 				}
 			}
@@ -56,12 +56,12 @@ func Build(g *graph.Graph) map[int]bool {
 		return true
 	}
 	for v := 0; v < n; v++ {
-		if !marked[v] {
+		if !marked.Has(v) {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
-			if marked[u] && u > v && closedSubset(v, u) {
-				delete(marked, v)
+			if marked.Has(u) && u > v && closedSubset(v, u) {
+				marked.Remove(v)
 				break
 			}
 		}
@@ -69,12 +69,12 @@ func Build(g *graph.Graph) map[int]bool {
 
 	// Rule 2: joint coverage by two adjacent higher-ID marked neighbors.
 	for v := 0; v < n; v++ {
-		if !marked[v] {
+		if !marked.Has(v) {
 			continue
 		}
 		var cand []int
 		for _, u := range g.Neighbors(v) {
-			if marked[u] && u > v {
+			if marked.Has(u) && u > v {
 				cand = append(cand, u)
 			}
 		}
@@ -93,16 +93,16 @@ func Build(g *graph.Graph) map[int]bool {
 					}
 				}
 				if covered {
-					delete(marked, v)
+					marked.Remove(v)
 					break rule2
 				}
 			}
 		}
 	}
 
-	if len(marked) == 0 {
+	if marked.Count() == 0 {
 		// Complete graph (or single node): one dominator suffices.
-		marked[0] = true
+		marked.Add(0)
 	}
 	return marked
 }

@@ -25,13 +25,13 @@ func TestMarkingPath(t *testing.T) {
 	// distinct interior nodes), so the CDS is the n−2 interior nodes.
 	g := pathGraph(6)
 	set := Build(g)
-	if graph.SetSize(set) != 4 {
-		t.Fatalf("path CDS = %v, want interior nodes", graph.SortedMembers(set))
+	if set.Count() != 4 {
+		t.Fatalf("path CDS = %v, want interior nodes", set.Members())
 	}
-	if set[0] || set[5] {
+	if set.Has(0) || set.Has(5) {
 		t.Fatal("endpoints must not be marked")
 	}
-	if !g.IsCDS(set) {
+	if !g.IsCDSBits(set) {
 		t.Fatal("marking on a path must yield a CDS")
 	}
 }
@@ -44,10 +44,10 @@ func TestMarkingCompleteGraph(t *testing.T) {
 		}
 	}
 	set := Build(g)
-	if graph.SetSize(set) != 1 {
-		t.Fatalf("complete graph fallback: %v", graph.SortedMembers(set))
+	if set.Count() != 1 {
+		t.Fatalf("complete graph fallback: %v", set.Members())
 	}
-	if !g.IsCDS(set) {
+	if !g.IsCDSBits(set) {
 		t.Fatal("fallback must still be a CDS")
 	}
 }
@@ -55,8 +55,8 @@ func TestMarkingCompleteGraph(t *testing.T) {
 func TestMarkingStar(t *testing.T) {
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	set := Build(g)
-	if graph.SetSize(set) != 1 || !set[0] {
-		t.Fatalf("star CDS = %v, want {0}", graph.SortedMembers(set))
+	if set.Count() != 1 || !set.Has(0) {
+		t.Fatalf("star CDS = %v, want {0}", set.Members())
 	}
 }
 
@@ -65,22 +65,22 @@ func TestRule1Prunes(t *testing.T) {
 	// leaves 2,3; N[0] ⊆ N[1], id 0 < 1 → 0 unmarks, 1 stays.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}})
 	set := Build(g)
-	if set[0] {
-		t.Fatalf("Rule 1 should have unmarked node 0: %v", graph.SortedMembers(set))
+	if set.Has(0) {
+		t.Fatalf("Rule 1 should have unmarked node 0: %v", set.Members())
 	}
-	if !set[1] {
+	if !set.Has(1) {
 		t.Fatal("node 1 must stay marked")
 	}
-	if !g.IsCDS(set) {
+	if !g.IsCDSBits(set) {
 		t.Fatal("result must be a CDS")
 	}
 }
 
 func TestMarkingEmptyAndSingle(t *testing.T) {
-	if got := Build(graph.New(0)); len(got) != 0 {
+	if got := Build(graph.New(0)); got.Count() != 0 {
 		t.Fatal("empty graph")
 	}
-	if got := Build(graph.New(1)); graph.SetSize(got) != 1 {
+	if got := Build(graph.New(1)); got.Count() != 1 {
 		t.Fatal("single node must dominate itself")
 	}
 }
@@ -102,7 +102,7 @@ func TestQuickMarkingIsCDS(t *testing.T) {
 			return true
 		}
 		set := Build(nw.G)
-		return nw.G.IsCDS(set) && graph.SetSize(set) <= nw.G.N()
+		return nw.G.IsCDSBits(set) && set.Count() <= nw.G.N()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestQuickRulesOnlyShrink(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		pruned := graph.SetSize(Build(nw.G))
+		pruned := Build(nw.G).Count()
 		plain := plainMarking(nw.G)
 		if plain == 0 {
 			return pruned == 1 // complete-graph fallback
@@ -259,6 +259,18 @@ func buildMaps(g *graph.Graph) map[int]bool {
 	return marked
 }
 
+// sortedKeys returns the members of a map-form set, ascending.
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for v, in := range set {
+		if in {
+			out = append(out, v)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // TestBuildMatchesMapOracle: Build equals its map form on random unit-disk
 // graphs at d = 4, 10 and 18 (connected or not) and on hand-made shapes:
 // a path, a star, a clique, two cliques joined by a bridge, and a graph
@@ -289,7 +301,7 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 		graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}}),
 	)
 	for i, g := range graphs {
-		got, want := graph.SortedMembers(Build(g)), graph.SortedMembers(buildMaps(g))
+		got, want := Build(g).Members(), sortedKeys(buildMaps(g))
 		if !slices.Equal(got, want) {
 			t.Fatalf("graph %d: Build = %v, map form %v", i, got, want)
 		}

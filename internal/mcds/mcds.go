@@ -22,16 +22,14 @@ const MaxExactNodes = 24
 // nodes it returns the trivial answers (empty set is not useful for n==1;
 // by convention the single node itself is returned, matching the broadcast
 // use where at least one transmitter exists).
-func Exact(g *graph.Graph) map[int]bool {
+func Exact(g *graph.Graph) *graph.Bitset {
 	n := g.N()
 	if n > MaxExactNodes {
 		return nil
 	}
+	out := graph.NewBitset(n)
 	if n == 0 {
-		return map[int]bool{}
-	}
-	if n == 1 {
-		return map[int]bool{0: true}
+		return out
 	}
 	if !g.Connected() {
 		return nil
@@ -81,9 +79,8 @@ func Exact(g *graph.Graph) map[int]bool {
 		set := uint32(1)<<uint(k) - 1
 		for set <= all {
 			if set&all == set && dominates(set) && connected(set) {
-				out := make(map[int]bool, k)
 				for s := set; s != 0; s &= s - 1 {
-					out[bits.TrailingZeros32(s)] = true
+					out.Add(bits.TrailingZeros32(s))
 				}
 				return out
 			}
@@ -105,13 +102,11 @@ func Exact(g *graph.Graph) map[int]bool {
 // into a dominator ("black") until every node is dominated. Ties break to
 // the lowest ID. The black set induced is connected by construction. For a
 // single-node graph it returns that node.
-func Greedy(g *graph.Graph) map[int]bool {
+func Greedy(g *graph.Graph) *graph.Bitset {
 	n := g.N()
+	out := graph.NewBitset(n)
 	if n == 0 {
-		return map[int]bool{}
-	}
-	if n == 1 {
-		return map[int]bool{0: true}
+		return out
 	}
 	const (
 		white = 0
@@ -162,10 +157,9 @@ func Greedy(g *graph.Graph) map[int]bool {
 		whites -= pickDeg
 		blacken(pick)
 	}
-	out := make(map[int]bool)
 	for v := 0; v < n; v++ {
 		if color[v] == black {
-			out[v] = true
+			out.Add(v)
 		}
 	}
 	return out

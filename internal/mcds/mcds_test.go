@@ -23,10 +23,10 @@ func TestExactPath(t *testing.T) {
 	for _, n := range []int{3, 5, 8, 12} {
 		g := pathGraph(n)
 		set := Exact(g)
-		if got, want := graph.SetSize(set), n-2; got != want {
+		if got, want := set.Count(), n-2; got != want {
 			t.Fatalf("path %d: MCDS size %d, want %d", n, got, want)
 		}
-		if !g.IsCDS(set) {
+		if !g.IsCDSBits(set) {
 			t.Fatalf("path %d: returned set is not a CDS", n)
 		}
 	}
@@ -35,8 +35,8 @@ func TestExactPath(t *testing.T) {
 func TestExactStar(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
 	set := Exact(g)
-	if graph.SetSize(set) != 1 || !set[0] {
-		t.Fatalf("star MCDS must be the center: %v", graph.SortedMembers(set))
+	if set.Count() != 1 || !set.Has(0) {
+		t.Fatalf("star MCDS must be the center: %v", set.Members())
 	}
 }
 
@@ -47,10 +47,10 @@ func TestExactCycle(t *testing.T) {
 		g := pathGraph(n)
 		g.AddEdge(n-1, 0)
 		set := Exact(g)
-		if got, want := graph.SetSize(set), n-2; got != want {
+		if got, want := set.Count(), n-2; got != want {
 			t.Fatalf("cycle %d: MCDS size %d, want %d", n, got, want)
 		}
-		if !g.IsCDS(set) {
+		if !g.IsCDSBits(set) {
 			t.Fatalf("cycle %d: not a CDS", n)
 		}
 	}
@@ -64,16 +64,16 @@ func TestExactCompleteGraph(t *testing.T) {
 		}
 	}
 	set := Exact(g)
-	if graph.SetSize(set) != 1 {
-		t.Fatalf("complete graph MCDS size %d, want 1", graph.SetSize(set))
+	if set.Count() != 1 {
+		t.Fatalf("complete graph MCDS size %d, want 1", set.Count())
 	}
 }
 
 func TestExactEdgeCases(t *testing.T) {
-	if got := Exact(graph.New(0)); len(got) != 0 {
+	if got := Exact(graph.New(0)); got == nil || got.Count() != 0 {
 		t.Fatal("empty graph MCDS should be empty")
 	}
-	if got := Exact(graph.New(1)); graph.SetSize(got) != 1 {
+	if got := Exact(graph.New(1)); got.Count() != 1 {
 		t.Fatal("single node MCDS should be the node")
 	}
 	disc := graph.New(4)
@@ -89,17 +89,17 @@ func TestExactEdgeCases(t *testing.T) {
 func TestGreedyBasics(t *testing.T) {
 	g := pathGraph(7)
 	set := Greedy(g)
-	if !g.IsCDS(set) {
-		t.Fatalf("greedy on path is not a CDS: %v", graph.SortedMembers(set))
+	if !g.IsCDSBits(set) {
+		t.Fatalf("greedy on path is not a CDS: %v", set.Members())
 	}
 	star := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	if got := Greedy(star); graph.SetSize(got) != 1 || !got[0] {
-		t.Fatalf("greedy star CDS = %v", graph.SortedMembers(got))
+	if got := Greedy(star); got.Count() != 1 || !got.Has(0) {
+		t.Fatalf("greedy star CDS = %v", got.Members())
 	}
-	if got := Greedy(graph.New(1)); graph.SetSize(got) != 1 {
+	if got := Greedy(graph.New(1)); got.Count() != 1 {
 		t.Fatal("greedy single node")
 	}
-	if got := Greedy(graph.New(0)); len(got) != 0 {
+	if got := Greedy(graph.New(0)); got.Count() != 0 {
 		t.Fatal("greedy empty graph")
 	}
 }
@@ -118,10 +118,10 @@ func TestQuickExactOptimalAndGreedyValid(t *testing.T) {
 		}
 		exact := Exact(nw.G)
 		greedy := Greedy(nw.G)
-		if exact == nil || !nw.G.IsCDS(exact) || !nw.G.IsCDS(greedy) {
+		if exact == nil || !nw.G.IsCDSBits(exact) || !nw.G.IsCDSBits(greedy) {
 			return false
 		}
-		return graph.SetSize(exact) <= graph.SetSize(greedy)
+		return exact.Count() <= greedy.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -148,12 +148,12 @@ func TestQuickExactMinimality(t *testing.T) {
 			return false
 		}
 		// No strict subset of the optimum (by one element) is a CDS.
-		for v := range set {
-			delete(set, v)
-			if len(set) > 0 && nw.G.IsCDS(set) {
+		for _, v := range set.Members() {
+			set.Remove(v)
+			if set.Count() > 0 && nw.G.IsCDSBits(set) {
 				return false
 			}
-			set[v] = true
+			set.Add(v)
 		}
 		return true
 	}

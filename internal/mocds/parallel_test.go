@@ -6,7 +6,6 @@ import (
 	"clustercast/internal/cluster"
 	"clustercast/internal/coverage"
 	"clustercast/internal/geom"
-	"clustercast/internal/graph"
 	"clustercast/internal/obs"
 	"clustercast/internal/rng"
 	"clustercast/internal/topology"
@@ -46,8 +45,8 @@ func TestNodesFromParallelBitIdentical(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 3, 7, 64} {
 			ws.BuildWorkers = workers
 			got := ws.NodesFrom(b, cl)
-			if got.Count() != graph.SetSize(want) {
-				t.Fatalf("rep %d workers %d: size %d, want %d", rep, workers, got.Count(), graph.SetSize(want))
+			if got.Count() != len(want) {
+				t.Fatalf("rep %d workers %d: size %d, want %d", rep, workers, got.Count(), len(want))
 			}
 			for v := 0; v < b.N(); v++ {
 				if got.Has(v) != want[v] {

@@ -116,11 +116,11 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 	dominator := make([]int, n)
 	for v := 0; v < n; v++ {
 		dominator[v] = -1
-		if t.Nodes[v] {
+		if t.Nodes.Has(v) {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
-			if t.Nodes[u] && (dominator[v] == -1 || u < dominator[v]) {
+			if t.Nodes.Has(u) && (dominator[v] == -1 || u < dominator[v]) {
 				dominator[v] = u
 			}
 		}
@@ -152,14 +152,14 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 		if !has[v] {
 			return false
 		}
-		if !t.Nodes[v] {
+		if !t.Nodes.Has(v) {
 			// Off-tree holder (only ever the source): push until some tree
 			// neighbor is known to hold the packet.
 			if v != source {
 				return false
 			}
 			for _, u := range g.Neighbors(v) {
-				if t.Nodes[u] && knows(v, u) {
+				if t.Nodes.Has(u) && knows(v, u) {
 					return false
 				}
 			}
@@ -201,9 +201,9 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 	// payload. Only called under a tracer.
 	owes := func(v int) int {
 		c := 0
-		if !t.Nodes[v] {
+		if !t.Nodes.Has(v) {
 			for _, u := range g.Neighbors(v) {
-				if t.Nodes[u] && !knows(v, u) {
+				if t.Nodes.Has(u) && !knows(v, u) {
 					c++
 				}
 			}
@@ -348,7 +348,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 				pv, okv := parentOf(v)
 				ps, oks := parentOf(s)
 				waiting := (okv && pv == s) || dominator[v] == s || (oks && ps == v) ||
-					(s == source && !t.Nodes[source] && t.Nodes[v])
+					(s == source && !t.Nodes.Has(source) && t.Nodes.Has(v))
 				if waiting && !knows(s, v) {
 					confirm(s, v)
 					res.Acks++

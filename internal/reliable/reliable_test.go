@@ -114,7 +114,7 @@ func TestOffTreeSource(t *testing.T) {
 	// Node 9 (paper 10) is outside the 2.5-hop backbone/tree for root
 	// cluster 3; ensure an off-tree source still boots dissemination.
 	tree, cl := buildTree(t, g, 9)
-	if tree.Nodes[9] {
+	if tree.Nodes.Has(9) {
 		t.Skip("node 9 landed on the tree in this construction")
 	}
 	_ = cl

@@ -23,7 +23,7 @@ func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	}
 	if !reflect.DeepEqual(a.Backbone, b.Backbone) {
 		t.Fatalf("%s: Backbone differs: oracle %v, engine %v",
-			label, graph.SortedMembers(a.Backbone), graph.SortedMembers(b.Backbone))
+			label, sortedKeys(a.Backbone), sortedKeys(b.Backbone))
 	}
 	if !reflect.DeepEqual(a.PerHead, b.PerHead) {
 		t.Fatalf("%s: PerHead differs:\n  oracle %v\n  engine %v", label, a.PerHead, b.PerHead)

@@ -81,7 +81,7 @@ func runOracle(g *graph.Graph, mode coverage.Mode) (*Outcome, map[int]*coverage.
 	out := &Outcome{
 		Head:     make([]int, n),
 		Backbone: make(map[int]bool),
-		PerHead:  make(map[int]backbone.Selection),
+		PerHead:  []backbone.Selection{},
 	}
 	covs := make(map[int]*coverage.Coverage)
 	var counters Counters
@@ -259,7 +259,7 @@ func runOracle(g *graph.Graph, mode coverage.Mode) (*Outcome, map[int]*coverage.
 		cov := nd.assembleCoverage(mode, n)
 		covs[nd.id] = cov
 		sel := backbone.SelectGateways(cov, nil, nil)
-		out.PerHead[nd.id] = sel
+		out.PerHead = append(out.PerHead, sel) // heads ascend with nd.id
 		queue = append(queue, message{typ: Gateway, from: nd.id, selected: sel.Gateways, ttl: 2})
 	}
 	// GATEWAY travels up to 2 hops; only selected nodes forward it.

@@ -125,10 +125,12 @@ type Outcome struct {
 	Head []int
 	// Heads lists clusterheads ascending.
 	Heads []int
-	// Backbone is the static backbone membership (heads + gateways).
+	// Backbone is the static backbone membership (heads + gateways). It
+	// stays a map, unlike the construction layers' bitsets, because
+	// pipebench takes its len and checks it with graph.IsCDS.
 	Backbone map[int]bool
-	// PerHead records each head's gateway selection.
-	PerHead map[int]backbone.Selection
+	// PerHead records each head's gateway selection, in Heads order.
+	PerHead []backbone.Selection
 	// Counters tallies the protocol traffic.
 	Counters Counters
 }
@@ -203,10 +205,10 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 	}
 	queue := make([]gwMsg, 0, heads)
 	forwards := 0
-	out.PerHead = make(map[int]backbone.Selection, heads)
+	out.PerHead = make([]backbone.Selection, 0, heads)
 	for _, h := range cl.Heads {
 		s := sel.Select(b.OfScratch(h, &cov, &asm), backbone.Options{})
-		out.PerHead[h] = s
+		out.PerHead = append(out.PerHead, s)
 		queue = append(queue, gwMsg{from: int32(h), ttl: 2, selected: s.Gateways})
 		forwards += len(s.Gateways)
 	}
