@@ -8,17 +8,16 @@ import (
 )
 
 // Workspace owns every buffer a clusterhead election needs — per-node
-// decisions and rounds, priorities, the election order and the head list —
-// plus the result Clustering itself. A worker reuses one Workspace across
-// replicates, so steady-state elections allocate nothing.
+// decisions and rounds, the head list, and the election order of a
+// priority that does not ascend with ID — plus the result Clustering
+// itself. A worker reuses one Workspace across replicates, so
+// steady-state elections allocate nothing.
 //
 // The Clustering returned by Elect/LowestID is owned by the workspace and
 // valid only until the next election on the same workspace.
 type Workspace struct {
 	headOf []int
 	when   []int
-	rank   []int
-	tie    []int
 	order  []int
 	heads  []int
 	c      Clustering
@@ -32,15 +31,9 @@ func (ws *Workspace) ensure(n int) {
 	if cap(ws.headOf) < n {
 		ws.headOf = make([]int, n)
 		ws.when = make([]int, n)
-		ws.rank = make([]int, n)
-		ws.tie = make([]int, n)
-		ws.order = make([]int, n)
 	}
 	ws.headOf = ws.headOf[:n]
 	ws.when = ws.when[:n]
-	ws.rank = ws.rank[:n]
-	ws.tie = ws.tie[:n]
-	ws.order = ws.order[:n]
 }
 
 // LowestID runs the paper's lowest-ID election into the workspace.
@@ -55,31 +48,31 @@ func (ws *Workspace) LowestID(g *graph.Graph) *Clustering {
 func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 	n := g.N()
 	ws.ensure(n)
-	headOf, when, rank, tie, order := ws.headOf, ws.when, ws.rank, ws.tie, ws.order
+	headOf, when := ws.headOf, ws.when
 
-	// Evaluate the priority once per node. When it ascends with ID, as
-	// lowest-ID does, the priority order is ID order and needs no sort.
+	// When the priority ascends with ID, as lowest-ID does, the priority
+	// order is ID order: the pass runs over the IDs and never compares.
+	// Any other priority, the highest-degree ablation's, is sorted into
+	// order and compared through prio.
 	ascending := true
-	for v := 0; v < n; v++ {
-		rank[v], tie[v] = prio(v)
-		order[v] = v
-		if v > 0 && (rank[v] < rank[v-1] || rank[v] == rank[v-1] && tie[v] < tie[v-1]) {
-			ascending = false
-		}
+	for v, pr, pt := 0, 0, 0; v < n && ascending; v++ {
+		r, t := prio(v)
+		ascending = v == 0 || r > pr || r == pr && t >= pt
+		pr, pt = r, t
 	}
+	compare := func(a, b int) int {
+		ra, ta := prio(a)
+		rb, tb := prio(b)
+		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(ta, tb), cmp.Compare(a, b))
+	}
+	var order []int
 	if !ascending {
-		slices.SortFunc(order, func(a, b int) int {
-			return cmp.Or(cmp.Compare(rank[a], rank[b]), cmp.Compare(tie[a], tie[b]), cmp.Compare(a, b))
-		})
-	}
-	better := func(a, b int) bool {
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
+		order = ws.order[:0]
+		for v := 0; v < n; v++ {
+			order = append(order, v)
 		}
-		if tie[a] != tie[b] {
-			return tie[a] < tie[b]
-		}
-		return a < b
+		slices.SortFunc(order, compare)
+		ws.order = order
 	}
 
 	// A node with a better head neighbor joins, in the earliest round among
@@ -90,7 +83,11 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 	// tells a neighbor's state and round.
 	clear(when)
 	rounds := 0
-	for _, v := range order {
+	for i := 0; i < n; i++ {
+		v := i
+		if !ascending {
+			v = order[i]
+		}
 		best, bestRound, latest := -1, 0, 0
 	scan:
 		for _, u := range g.Neighbors(v) {
@@ -100,7 +97,7 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 			case r < 0:
 				// In ID order a later head of the row is worse, so the
 				// first head of round 1 settles the node.
-				if best < 0 || -r < bestRound || -r == bestRound && !ascending && better(u, best) {
+				if best < 0 || -r < bestRound || -r == bestRound && !ascending && compare(u, best) < 0 {
 					best, bestRound = u, -r
 				}
 				if ascending && bestRound == 1 {
