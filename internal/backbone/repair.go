@@ -102,10 +102,9 @@ func Repair(g *graph.Graph, cl *cluster.Clustering, base *Static, wasUp, isUp fu
 		for bi < len(base.Heads) && base.Heads[bi] < h {
 			bi++
 		}
-		kept := bi < len(base.Heads) && base.Heads[bi] == h
 		var sel Selection
-		if kept && !redo.Has(h) {
-			sel = base.PerHead[bi]
+		if bi < len(base.Heads) && base.Heads[bi] == h && !redo.Has(h) {
+			sel = base.PerHead[bi] // a kept head beyond the change's reach
 		} else {
 			if b == nil {
 				b = coverage.NewBuilder(gLive, repaired, base.Mode)

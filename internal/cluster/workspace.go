@@ -65,14 +65,12 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 		rb, tb := prio(b)
 		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(ta, tb), cmp.Compare(a, b))
 	}
-	var order []int
 	if !ascending {
-		order = ws.order[:0]
+		ws.order = ws.order[:0]
 		for v := 0; v < n; v++ {
-			order = append(order, v)
+			ws.order = append(ws.order, v)
 		}
-		slices.SortFunc(order, compare)
-		ws.order = order
+		slices.SortFunc(ws.order, compare)
 	}
 
 	// A node with a better head neighbor joins, in the earliest round among
@@ -86,7 +84,7 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 	for i := 0; i < n; i++ {
 		v := i
 		if !ascending {
-			v = order[i]
+			v = ws.order[i]
 		}
 		best, bestRound, latest := -1, 0, 0
 	scan:
