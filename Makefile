@@ -38,8 +38,12 @@ test-pipebench:
 # round-by-round re-election replay, for the wire protocol's message
 # counts and outcome against its round-synchronous reference, for the
 # slotted-MAC kernel against its scalar oracles, multi-flow and one-flow,
-# over declining and duplicate-acting protocols, and for the MPR, DP, PDP
-# and SBA cover kernel against their map-form reference.
+# over declining and duplicate-acting protocols, for the ideal/lossy
+# engine against its map-based oracle over the same protocols
+# (FuzzDESIdealAgree), for the delivery trees of the ideal, lossy, MAC,
+# multi-flow and back-off engines against their oracles'
+# (FuzzParentScalarDESAgree), and for the MPR, DP, PDP and SBA cover
+# kernel against their map-form reference.
 # Plain test runs only replay their seed corpora. -fuzz takes one target
 # in one package, hence one go test per target.
 fuzz-smoke:
@@ -54,6 +58,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiMACScalarDESAgree$$' -fuzztime 10s ./internal/broadcast
 	$(GO) test -run '^$$' -fuzz '^FuzzDESMACAgree$$' -fuzztime 10s ./internal/broadcast
+	$(GO) test -run '^$$' -fuzz '^FuzzDESIdealAgree$$' -fuzztime 10s ./internal/broadcast
+	$(GO) test -run '^$$' -fuzz '^FuzzParentScalarDESAgree$$' -fuzztime 10s ./internal/broadcast
 	$(GO) test -run '^$$' -fuzz '^FuzzRelaysAgree$$' -fuzztime 10s ./internal/broadcast
 
 # Quick benchmark smoke: the end-to-end sweep point plus the hot kernels it

@@ -43,8 +43,8 @@ func generate(cfg config) (*topology.Network, error) {
 	if !(cfg.side > 0) || math.IsInf(cfg.side, 0) {
 		return nil, fmt.Errorf("-side must be finite and positive, got %g", cfg.side)
 	}
-	if math.IsNaN(cfg.d) || math.IsInf(cfg.d, 0) {
-		return nil, fmt.Errorf("-d must be finite, got %g", cfg.d)
+	if !(cfg.d > 0) || math.IsInf(cfg.d, 0) {
+		return nil, fmt.Errorf("-d must be finite and positive, got %g", cfg.d)
 	}
 	bounds := geom.Square(cfg.side)
 	r := rng.NewLabeled(cfg.seed, "topogen")

@@ -77,11 +77,13 @@ func TestRunErrors(t *testing.T) {
 	}
 	snapshot := filepath.Join(t.TempDir(), "net.json")
 	for _, placement := range []string{"uniform", "grid", "clustered"} {
-		cfg = baseCfg()
-		cfg.d = math.NaN()
-		cfg.placement = placement
-		if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-d") {
-			t.Fatalf("-d NaN with %s placement: want a degree error, got %v", placement, err)
+		for _, d := range []float64{math.NaN(), 0, -4} {
+			cfg = baseCfg()
+			cfg.d = d
+			cfg.placement = placement
+			if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-d") {
+				t.Fatalf("-d %g with %s placement: want a degree error, got %v", d, placement, err)
+			}
 		}
 		for _, n := range []int{0, -5} {
 			cfg = baseCfg()

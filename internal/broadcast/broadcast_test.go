@@ -292,16 +292,16 @@ func TestWorkspaceDecliningRunKeepsNoActedState(t *testing.T) {
 	nw := randomNet(t, 860, 60, 9)
 	var ws Workspace
 	ws.Run(nw.G, 0, Flooding{})
-	if ws.acted != nil {
-		t.Fatalf("a flooding run sized acted state: %d lists", len(ws.acted))
+	if ws.actedSeg != nil || cap(ws.acted) != 0 {
+		t.Fatalf("a flooding run sized acted state: %d segments, arena cap %d", len(ws.actedSeg), cap(ws.acted))
 	}
 	res := ws.Run(nw.G, 0, NewDP(nw.G))
-	if len(ws.acted) != nw.G.N() {
-		t.Fatalf("a DP run sized %d acted lists for %d nodes", len(ws.acted), nw.G.N())
+	if len(ws.actedSeg) != nw.G.N() {
+		t.Fatalf("a DP run sized %d acted segments for %d nodes", len(ws.actedSeg), nw.G.N())
 	}
 	lists := 0
-	for v := range ws.acted {
-		if ws.forwarded[v] == ws.epoch && len(ws.acted[v]) > 0 {
+	for v, seg := range ws.actedSeg {
+		if ws.forwarded.Has(v) && seg.n > 0 {
 			lists++
 		}
 	}

@@ -151,7 +151,7 @@ func macProtos(g *graph.Graph) []func() Protocol {
 	}
 }
 
-// macFuzzProto returns a private instance of a MAC fuzz target's
+// macFuzzProto returns a private instance of an engine fuzz target's
 // protocol choice: DP, PDP or MPR for kinds 1–3, else the given gossip.
 func macFuzzProto(g *graph.Graph, kind int, gossip Gossip) Protocol {
 	switch kind {
@@ -274,18 +274,25 @@ func FuzzDESMACAgree(f *testing.F) {
 }
 
 // FuzzDESIdealAgree cross-checks the ideal-radio engine against the
-// map-based oracle under fuzzer-chosen loss.
+// map-based oracle under fuzzer-chosen loss: proto picks gossip (with
+// forwarding probability gp) or one of the designating protocols DP, PDP
+// and MPR, whose duplicates exercise the engine's acted-payload lists, a
+// private instance per side.
 func FuzzDESIdealAgree(f *testing.F) {
-	f.Add(uint64(1), 40, 8, float64(0.2), uint64(5))
-	f.Add(uint64(3), 70, 6, float64(0.0), uint64(1))
-	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg int, loss float64, seed uint64) {
-		if n < 5 || n > 120 || deg < 3 || deg > 14 || loss < 0 || loss > 0.9 {
+	f.Add(uint64(1), 40, 8, float64(0.2), uint64(5), float64(1.0), uint8(0))
+	f.Add(uint64(3), 70, 6, float64(0.0), uint64(1), float64(1.0), uint8(0))
+	f.Add(uint64(5), 50, 9, float64(0.0), uint64(2), float64(0), uint8(1))
+	f.Add(uint64(11), 70, 12, float64(0.1), uint64(6), float64(0), uint8(2))
+	f.Add(uint64(19), 45, 8, float64(0.3), uint64(8), float64(0), uint8(3))
+	f.Fuzz(func(t *testing.T, topoSeed uint64, n, deg int, loss float64, seed uint64, gp float64, proto uint8) {
+		if n < 5 || n > 120 || deg < 3 || deg > 14 || loss < 0 || loss > 0.9 || gp < 0 || gp > 1 {
 			t.Skip()
 		}
 		nw := randomNet(t, topoSeed, n, float64(deg))
+		mk := func() Protocol { return macFuzzProto(nw.G, int(proto%4), Gossip{P: gp, Seed: seed + 1}) }
 		opt := Options{Loss: loss, Seed: seed}
-		a := runIdealOracle(nw.G, 0, Flooding{}, opt)
-		b := NewWorkspace().RunOpts(nw.G, 0, Flooding{}, opt).Materialize()
+		a := runIdealOracle(nw.G, 0, mk(), opt)
+		b := NewWorkspace().RunOpts(nw.G, 0, mk(), opt).Materialize()
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("oracle and engine ideal runs differ:\n%+v\n%+v", a, b)
 		}

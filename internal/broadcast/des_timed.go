@@ -13,22 +13,18 @@ type tdEvent struct {
 }
 
 // TimedWorkspace owns the dense per-node state of the back-off engine:
-// epoch-stamped reception/decision marks, parent pointers, one heard-list
-// arena, and a timestamp wheel that dequeues events in (time, push
-// order). A run fills its result maps once, after the event loop, from
-// this state. A scalar heap-based loop is kept in the tests as the
-// reference (runTimedOracle).
+// the one-flow runState (reception and forwarding marks, parents), the
+// decision marks, one heard-list arena, and a timestamp wheel that
+// dequeues events in (time, push order). A run fills its result maps
+// once, after the event loop, from this state. A scalar heap-based loop
+// is kept in the tests as the reference (runTimedOracle).
 //
 // The zero value is an empty workspace whose buffers grow on first use.
 // Not safe for concurrent use; give each worker its own.
 type TimedWorkspace struct {
-	wheel     des.Wheel[tdEvent]
-	epoch     uint32
-	received  []uint32 // epoch stamp: v has the packet
-	forwarded []uint32 // epoch stamp: v transmitted (or is the source)
-	decided   []uint32 // epoch stamp: v's back-off already fired
-	parent    []int32
-	reached   []int32 // the nodes with the packet, in delivery order
+	runState
+	wheel   des.Wheel[tdEvent]
+	decided graph.Bitset // v's back-off already fired
 	// Every node transmits at most once, so v hears each neighbor at most
 	// once: its heard list is a degree-sized segment of one arena,
 	// heard[heardOff[v] : heardOff[v]+heardLen[v]], reserved the first
@@ -38,40 +34,22 @@ type TimedWorkspace struct {
 	heard    []int
 }
 
-// ensure sizes the per-node arrays and the heard arena for g and bumps
-// the epoch (with the usual wrap flush).
+// ensure sizes the per-node arrays and the heard arena for g and resets
+// the marks.
 func (tw *TimedWorkspace) ensure(g *graph.Graph) {
 	n := g.N()
-	if cap(tw.received) < n {
-		tw.received = make([]uint32, n)
-		tw.forwarded = make([]uint32, n)
-		tw.decided = make([]uint32, n)
-		tw.parent = make([]int32, n)
+	tw.reset(n, 1, false)
+	tw.decided.Reset(n)
+	if cap(tw.heardOff) < n {
 		tw.heardOff = make([]int, n)
 		tw.heardLen = make([]int32, n)
-		tw.epoch = 0
 	}
-	tw.received = tw.received[:n]
-	tw.forwarded = tw.forwarded[:n]
-	tw.decided = tw.decided[:n]
-	tw.parent = tw.parent[:n]
 	tw.heardOff = tw.heardOff[:n]
 	tw.heardLen = tw.heardLen[:n]
 	if cap(tw.heard) < 2*g.M() {
 		tw.heard = make([]int, 0, 2*g.M())
 	}
 	tw.heard = tw.heard[:0]
-	tw.reached = tw.reached[:0]
-	tw.epoch++
-	if tw.epoch == 0 {
-		for _, s := range [][]uint32{tw.received[:cap(tw.received)], tw.forwarded[:cap(tw.forwarded)],
-			tw.decided[:cap(tw.decided)]} {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-		tw.epoch = 1
-	}
 }
 
 // hear appends a transmitter to v's heard list, reserving v's arena
@@ -79,10 +57,10 @@ func (tw *TimedWorkspace) ensure(g *graph.Graph) {
 // Copies that reach v after its decision are not recorded, since no
 // Decide reads them; the source counts as decided from the start.
 func (tw *TimedWorkspace) hear(g *graph.Graph, v, from int) {
-	if tw.decided[v] == tw.epoch {
+	if tw.decided.Has(v) {
 		return
 	}
-	if tw.received[v] != tw.epoch {
+	if !tw.received.Has(v) {
 		tw.heardOff[v] = len(tw.heard)
 		tw.heardLen[v] = 0
 		tw.heard = tw.heard[:len(tw.heard)+g.Degree(v)]
@@ -95,16 +73,13 @@ func (tw *TimedWorkspace) hear(g *graph.Graph, v, from int) {
 // workspace.
 func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt TimedOptions) *Result {
 	tw.ensure(g)
-	epoch := tw.epoch
 	tr := opt.Tracer
 	fo := opt.Faults
 
 	res := &Result{Source: source}
-	tw.received[source] = epoch
-	tw.forwarded[source] = epoch
-	tw.decided[source] = epoch
-	tw.reached = append(tw.reached, int32(source))
-	forwarders := 1
+	tw.originate(source, false, nil)
+	tw.decided.Add(source)
+	received, forwarders := 1, 1
 
 	w := &tw.wheel
 	w.Reset(64) // typical back-off windows; longer delays overflow to the far heap
@@ -133,15 +108,15 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 						continue // receiver down, partitioned away, or a loss burst
 					}
 					tw.hear(g, v, sender)
-					if tw.received[v] == epoch {
+					if tw.received.Has(v) {
 						res.Duplicates++
 						if tr != nil {
 							tr.Duplicate(t+1, v, sender)
 						}
 					} else {
-						tw.received[v] = epoch
+						tw.received.Add(v)
 						tw.parent[v] = int32(sender)
-						tw.reached = append(tw.reached, int32(v))
+						received++
 						if t+1 > res.Latency {
 							res.Latency = t + 1
 						}
@@ -154,16 +129,16 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 				}
 			case 1: // decision timeout
 				v := int(ev.node)
-				if tw.decided[v] == epoch {
+				if tw.decided.Has(v) {
 					continue
 				}
-				tw.decided[v] = epoch
+				tw.decided.Add(v)
 				if fo != nil && !fo.NodeUp(v, t) {
 					continue // crashed nodes miss their decision window
 				}
 				off := tw.heardOff[v]
 				if p.Decide(v, tw.heard[off:off+int(tw.heardLen[v])]) {
-					tw.forwarded[v] = epoch
+					tw.forwarded.Add(v)
 					forwarders++
 					if tr != nil {
 						tr.Send(t, v, int(tw.parent[v]))
@@ -176,23 +151,10 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 	}
 	w.FoldStats()
 
-	// Fill the maps once, presized from the run's counts.
-	res.Received = make(map[int]bool, len(tw.reached))
-	res.Forwarders = make(map[int]bool, forwarders)
-	res.Parent = make(map[int]int, len(tw.reached)-1)
-	for _, v32 := range tw.reached {
-		v := int(v32)
-		res.Received[v] = true
-		if tw.forwarded[v] == epoch {
-			res.Forwarders[v] = true
-		}
-		if v != source {
-			res.Parent[v] = int(tw.parent[v])
-		}
-	}
+	tw.fill(res, 0, received, forwarders)
 	mRuns.Inc()
 	mTransmissions.Add(int64(transmissions))
-	mDeliveries.Add(int64(len(tw.reached) - 1))
+	mDeliveries.Add(int64(received - 1))
 	mDuplicates.Add(int64(res.Duplicates))
 	return res
 }

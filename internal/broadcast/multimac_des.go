@@ -11,22 +11,16 @@ import (
 // MultiMACWorkspace owns the dense state of the multi-source MAC engine.
 // Transmissions wait in wheel buckets (flow starts beyond the jitter
 // window park in the wheel's far heap and promote in push order, so a
-// slot's batch order is push order). Per-(flow, node) state is indexed
-// by the cell fi*n+v: the reception and forwarding marks are two bitsets
-// over the n·flows cells, reset once per run (20 KB each at 32 flows of
-// 5,000 nodes, so the hot loop's lookups stay in cache), beside int32
-// parents. Only flows whose protocol can act on a duplicate (it does not
-// embed NoDuplicates) keep acted-payload lists, inline in one arena as
-// per-cell linked lists whose heads are current where the cell's
-// forwarding bit is set; a run without such a flow allocates neither.
-// Each slot's receivers are marked in a two-level bitmap and committed
-// in ascending ID order by walking it; a receiver keeps its copy count,
-// its first copy, and a list of its further copies from other flows in a
-// per-slot arena, because cross-flow collision attribution needs the
-// flow of every destroyed copy (further copies of the first copy's flow
-// are only counted). Each flow's map-based Result is filled once,
-// presized, when the run ends. A one-flow run is the single-source
-// engine (RunMAC).
+// slot's batch order is push order). Per-(flow, node) state is the
+// runState over the n·flows cells, with acted-payload lists only when a
+// flow's protocol can act on a duplicate. Each slot's receivers are
+// marked in a two-level bitmap and committed in ascending ID order by
+// walking it; a receiver keeps its copy count, its first copy, and a
+// list of its further copies from other flows in a per-slot arena,
+// because cross-flow collision attribution needs the flow of every
+// destroyed copy (further copies of the first copy's flow are only
+// counted). Each flow's map-based Result is filled once, presized, when
+// the run ends. A one-flow run is the single-source engine (RunMAC).
 //
 // After a warm-up run on the same inputs, a reused workspace allocates
 // only the returned MultiResult and its maps
@@ -34,23 +28,15 @@ import (
 // whose buffers grow on first use. Not safe for concurrent use; give each
 // worker its own.
 type MultiMACWorkspace struct {
+	runState
 	wheel des.Wheel[multiTx]
-	n     int // nodes of the current run
-
-	// Per-run (flow, node) cells, indexed fi*n + v.
-	received  graph.Bitset // the flow reached the node
-	forwarded graph.Bitset // the node relayed the flow (or is its source)
-	parent    []int32      // first-delivery sender, valid when received
-	actedHead []int32      // 1 + arena index of the cell's newest acted payload (0: none), valid when forwarded
-	acted     []actedPayload
 
 	// Per-flow state.
 	acts      []bool // the flow's protocol can act on a duplicate
 	jitters   []rng.Stream
 	nReceived []int32
 	nForward  []int32
-	lostMark  []uint32 // collision stamp: the flow already counted this collision
-	lostSeq   uint32
+	lostAt    []int64 // 1 + slot·n + receiver of the last collision the flow counted
 
 	// Per-slot receiver state, valid for v while v's touch bit is set.
 	touch    []uint64 // receivers heard from this slot
@@ -61,12 +47,6 @@ type MultiMACWorkspace struct {
 	extra    []copyLink
 }
 
-// actedPayload is one entry of a cell's acted-payload list.
-type actedPayload struct {
-	pkt  Packet
-	next int32 // 1 + arena index of the cell's previous entry (0: end)
-}
-
 // copyLink is one further copy, of a flow other than the first copy's,
 // heard by a receiver in the open slot.
 type copyLink struct {
@@ -74,22 +54,11 @@ type copyLink struct {
 	next int32 // 1 + index of the receiver's previous further copy (0: end)
 }
 
-// ensure sizes the arrays for n nodes and the flows' protocols, empties
-// the cell bitsets, and records which flows act on duplicates, sizing
-// the acted-payload state only when one does. Parents and acted heads
-// are read only where a bit set this run says they are current, so they
-// are never cleared.
+// ensure sizes the arrays for n nodes and the flows' protocols, resets
+// the cell state, and records which flows act on duplicates, sizing the
+// acted-payload state only when one does.
 func (mw *MultiMACWorkspace) ensure(n int, flows []MultiFlow) {
 	nflows := len(flows)
-	mw.n = n
-	cells := n * nflows
-	mw.received.Reset(cells)
-	mw.forwarded.Reset(cells)
-	if cap(mw.parent) < cells {
-		mw.parent = make([]int32, cells)
-	}
-	mw.parent = mw.parent[:cells]
-
 	if cap(mw.acts) < nflows {
 		mw.acts = make([]bool, nflows)
 	}
@@ -99,30 +68,19 @@ func (mw *MultiMACWorkspace) ensure(n int, flows []MultiFlow) {
 		mw.acts[i] = actsOnDuplicates(flows[i].Proto)
 		acting = acting || mw.acts[i]
 	}
-	if acting {
-		if cap(mw.actedHead) < cells {
-			mw.actedHead = make([]int32, cells)
-		}
-		mw.actedHead = mw.actedHead[:cells]
-		if cap(mw.acted) < n {
-			// Presizing spares RunMAC's fresh workspace the arena's first
-			// growth copies.
-			mw.acted = make([]actedPayload, 0, n)
-		}
-	}
-	mw.acted = mw.acted[:0]
+	mw.reset(n, nflows, acting)
 
 	if cap(mw.jitters) < nflows {
 		mw.jitters = make([]rng.Stream, nflows)
 		mw.nReceived = make([]int32, nflows)
 		mw.nForward = make([]int32, nflows)
-		mw.lostMark = make([]uint32, nflows)
-		mw.lostSeq = 0
+		mw.lostAt = make([]int64, nflows)
 	}
 	mw.jitters = mw.jitters[:nflows]
 	mw.nReceived = mw.nReceived[:nflows]
 	mw.nForward = mw.nForward[:nflows]
-	mw.lostMark = mw.lostMark[:nflows]
+	mw.lostAt = mw.lostAt[:nflows]
+	clear(mw.lostAt)
 
 	if cap(mw.cnt) < n {
 		mw.cnt = make([]int32, n)
@@ -141,30 +99,6 @@ func (mw *MultiMACWorkspace) ensure(n int, flows []MultiFlow) {
 	}
 	mw.touch = mw.touch[:words]
 	mw.touchSum = mw.touchSum[:(words+63)>>6]
-}
-
-// markActed records that forwarding cell c acted on pkt this run
-// (deduplicated).
-func (mw *MultiMACWorkspace) markActed(c int, pkt Packet) {
-	if mw.actedOn(c, pkt) {
-		return
-	}
-	mw.acted = append(mw.acted, actedPayload{pkt: pkt, next: mw.actedHead[c]})
-	mw.actedHead[c] = int32(len(mw.acted))
-}
-
-// actedOn reports whether cell c already acted on pkt this run. A cell
-// acts only when it forwards, so only a forwarding cell has a list.
-func (mw *MultiMACWorkspace) actedOn(c int, pkt Packet) bool {
-	if !mw.forwarded.Has(c) {
-		return false
-	}
-	for i := mw.actedHead[c]; i != 0; i = mw.acted[i-1].next {
-		if mw.acted[i-1].pkt == pkt {
-			return true
-		}
-	}
-	return false
 }
 
 // hear records one copy of batch index bi reaching receiver v this slot.
@@ -227,15 +161,9 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		}
 		res.Flows[i] = fr
 		mw.jitters[i].SeedLabeled(f.Seed, "mac-jitter")
-		c := i*n + f.Src
-		mw.received.Add(c)
-		mw.forwarded.Add(c)
 		mw.nReceived[i], mw.nForward[i] = 1, 1
 		start := f.Proto.Start(f.Src)
-		if mw.acts[i] {
-			mw.actedHead[c] = 0
-			mw.markActed(c, start)
-		}
+		mw.originate(i*n+f.Src, mw.acts[i], start)
 		w.Push(f.Start, multiTx{flow: int32(i), sender: int32(f.Src), trigger: -1, pkt: start})
 	}
 
@@ -293,31 +221,10 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 	}
 	w.FoldStats()
 
-	// Fill each flow's maps once, presized from the run's counts.
 	for i := range frs {
-		fr := &frs[i]
-		nr := int(mw.nReceived[i])
-		fr.Received = make(map[int]bool, nr)
-		fr.Forwarders = make(map[int]bool, mw.nForward[i])
-		fr.Parent = make(map[int]int, nr-1)
-		base := i * n
-		for v := 0; v < n; v++ {
-			c := base + v
-			if !mw.received.Has(c) {
-				continue
-			}
-			fr.Received[v] = true
-			if mw.forwarded.Has(c) {
-				fr.Forwarders[v] = true
-			}
-			if v != fr.Source {
-				fr.Parent[v] = int(mw.parent[c])
-			}
-		}
+		mw.fill(&frs[i].Result, i, int(mw.nReceived[i]), int(mw.nForward[i]))
 	}
-	for i := range mw.acted {
-		mw.acted[i].pkt = nil // drop payload references until the next run
-	}
+	mw.release()
 	return res
 }
 
@@ -331,16 +238,12 @@ func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch [
 		// records one collision event plus its own lost copies, exactly
 		// what its single-source run would have recorded had the copies
 		// all been its own.
-		mw.lostSeq++
-		if mw.lostSeq == 0 {
-			clear(mw.lostMark[:cap(mw.lostMark)])
-			mw.lostSeq = 1
-		}
+		at := 1 + int64(t)*int64(mw.n) + int64(v)
 		flowsHit := 0
 		lose := func(fi, copies int32) {
 			res.Flows[fi].LostCopies += int(copies)
-			if mw.lostMark[fi] != mw.lostSeq {
-				mw.lostMark[fi] = mw.lostSeq
+			if mw.lostAt[fi] != at {
+				mw.lostAt[fi] = at
 				res.Flows[fi].Collisions++
 				flowsHit++
 			}
@@ -398,12 +301,8 @@ func (mw *MultiMACWorkspace) commit(res *MultiResult, flows []MultiFlow, batch [
 		forward, out = f.Proto.OnDuplicate(v, int(x.sender), x.pkt)
 	}
 	if forward {
-		if !mw.forwarded.Has(c) {
-			mw.forwarded.Add(c)
+		if mw.forward(c) {
 			mw.nForward[fi]++
-			if mw.acts[fi] {
-				mw.actedHead[c] = 0 // the cell's list starts with its first forward
-			}
 		}
 		if mw.acts[fi] {
 			mw.markActed(c, x.pkt)

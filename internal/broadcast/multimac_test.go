@@ -230,12 +230,12 @@ func TestMultiMACDecliningRunKeepsNoActedState(t *testing.T) {
 	mw := new(MultiMACWorkspace)
 	mks := macProtos(nw.G)
 	mw.Run(nw.G, multiFlowsBy(n, 3, 1, func(i int) Protocol { return mks[i]() }), MACOptions{Jitter: 2})
-	if mw.actedHead != nil || cap(mw.acted) != 0 {
-		t.Fatalf("declining flows sized acted state: %d heads, arena cap %d", len(mw.actedHead), cap(mw.acted))
+	if mw.actedSeg != nil || cap(mw.acted) != 0 {
+		t.Fatalf("declining flows sized acted state: %d segments, arena cap %d", len(mw.actedSeg), cap(mw.acted))
 	}
 	mw.Run(nw.G, multiFlowsBy(n, 4, 1, func(i int) Protocol { return mks[i]() }), MACOptions{Jitter: 2})
-	if len(mw.actedHead) != 4*n || len(mw.acted) == 0 {
-		t.Fatalf("a DP flow kept no acted payloads: %d heads, %d entries", len(mw.actedHead), len(mw.acted))
+	if len(mw.actedSeg) != 4*n || len(mw.acted) == 0 {
+		t.Fatalf("a DP flow kept no acted payloads: %d segments, %d entries", len(mw.actedSeg), len(mw.acted))
 	}
 }
 

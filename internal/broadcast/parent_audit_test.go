@@ -145,8 +145,8 @@ func TestCollidedDeliveriesRecordNoParent(t *testing.T) {
 }
 
 // FuzzParentScalarDESAgree pins the production engines' Parent maps to
-// the scalar oracles' on fuzzer-chosen points for the ideal, lossy, MAC
-// and multi-source MAC engines — the delivery tree, not just the
+// the scalar oracles' on fuzzer-chosen points for the ideal, lossy, MAC,
+// multi-source MAC and back-off engines — the delivery tree, not just the
 // delivery set, is part of the equivalence contract (routes are
 // extracted from it).
 func FuzzParentScalarDESAgree(f *testing.F) {
@@ -190,5 +190,12 @@ func FuzzParentScalarDESAgree(f *testing.F) {
 			}
 			auditParentChains(t, nw.G, "fuzz-multi", &wb.Flows[i].Result)
 		}
+
+		ta := runTimedOracle(nw.G, 0, NewSBA(nw.G, jitter, seed), TimedOptions{})
+		tb := RunTimedOpts(nw.G, 0, NewSBA(nw.G, jitter, seed), TimedOptions{})
+		if !reflect.DeepEqual(ta.Parent, tb.Parent) {
+			t.Fatalf("back-off Parent maps differ:\n%v\n%v", ta.Parent, tb.Parent)
+		}
+		auditParentChains(t, nw.G, "fuzz-timed", tb)
 	})
 }

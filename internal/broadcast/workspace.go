@@ -5,25 +5,20 @@ import (
 	"clustercast/internal/rng"
 )
 
-// Workspace owns the dense per-node state of the broadcast engine:
-// epoch-stamped reception/forwarding marks, parent pointers, the per-node
-// acted-payload lists (sized only once a protocol that can act on a
-// duplicate runs) and the FIFO transmission queue. One workspace run
-// replaces the four maps of the legacy engine — at 10k+ nodes the map
+// Workspace owns the dense per-node state of the ideal/lossy broadcast
+// engine: the one-flow runState (reception and forwarding marks, parents
+// and, only once a protocol that can act on a duplicate runs, the
+// acted-payload arena) and the FIFO transmission queue. One workspace
+// run replaces the four maps of the legacy engine: at 10k+ nodes the map
 // operations (hashing, bucket probing, incremental growth) dominate the
 // whole broadcast simulation, while the dense engine touches each node's
-// state by direct index and clears between broadcasts with a single epoch
-// bump.
+// state by direct index and clears its marks once per run.
 //
 // A workspace is not safe for concurrent use; give each worker its own.
 type Workspace struct {
-	epoch     uint32
-	received  []uint32   // epoch stamp: v has the packet
-	forwarded []uint32   // epoch stamp: v transmitted
-	parent    []int      // first-delivery sender, valid when received
-	acted     [][]Packet // payloads v acted on, current when forwarded
-	queue     []transmission
-	res       WSResult
+	runState
+	queue []transmission
+	res   WSResult
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -70,10 +65,10 @@ func (r *WSResult) Redundancy() float64 {
 }
 
 // Received reports whether v received the packet.
-func (r *WSResult) Received(v int) bool { return r.ws.received[v] == r.ws.epoch }
+func (r *WSResult) Received(v int) bool { return r.ws.received.Has(v) }
 
 // Forwarder reports whether v transmitted the packet.
-func (r *WSResult) Forwarder(v int) bool { return r.ws.forwarded[v] == r.ws.epoch }
+func (r *WSResult) Forwarder(v int) bool { return r.ws.forwarded.Has(v) }
 
 // Parent returns the neighbor whose transmission first delivered the
 // packet to v (false for the source and unreached nodes).
@@ -81,80 +76,15 @@ func (r *WSResult) Parent(v int) (int, bool) {
 	if v == r.Source || !r.Received(v) {
 		return 0, false
 	}
-	return r.ws.parent[v], true
+	return int(r.ws.parent[v]), true
 }
 
 // Materialize converts the dense result into the legacy map-based Result,
 // independent of the workspace.
 func (r *WSResult) Materialize() *Result {
-	res := &Result{
-		Source:     r.Source,
-		Latency:    r.Latency,
-		Duplicates: r.Duplicates,
-		Forwarders: make(map[int]bool, r.nForward),
-		Received:   make(map[int]bool, r.nReceived),
-		Parent:     make(map[int]int, r.nReceived),
-	}
-	ws, epoch := r.ws, r.ws.epoch
-	for v := range ws.received {
-		if ws.received[v] != epoch {
-			continue
-		}
-		res.Received[v] = true
-		if v != r.Source {
-			res.Parent[v] = ws.parent[v]
-		}
-		if ws.forwarded[v] == epoch {
-			res.Forwarders[v] = true
-		}
-	}
+	res := &Result{Source: r.Source, Latency: r.Latency, Duplicates: r.Duplicates}
+	r.ws.fill(res, 0, r.nReceived, r.nForward)
 	return res
-}
-
-// ensure sizes the per-node arrays for n nodes, and the acted-payload
-// state too when acts is set. Stamps exposed by growth are from strictly
-// older epochs (the epoch is bumped after ensure), so no clearing is
-// needed outside the wrap path.
-func (ws *Workspace) ensure(n int, acts bool) {
-	if cap(ws.received) < n {
-		ws.received = make([]uint32, n)
-		ws.forwarded = make([]uint32, n)
-		ws.parent = make([]int, n)
-		ws.acted = nil
-		ws.epoch = 0
-	}
-	ws.received = ws.received[:n]
-	ws.forwarded = ws.forwarded[:n]
-	ws.parent = ws.parent[:n]
-	if acts {
-		if cap(ws.acted) < n {
-			ws.acted = make([][]Packet, n)
-		}
-		ws.acted = ws.acted[:n]
-	}
-}
-
-// markActed records that forwarding node v acted on pkt this broadcast
-// (deduplicated, like the legacy per-node payload map — the lists hold one
-// or two payloads in practice).
-func (ws *Workspace) markActed(v int, pkt Packet) {
-	if !ws.actedOn(v, pkt) {
-		ws.acted[v] = append(ws.acted[v], pkt)
-	}
-}
-
-// actedOn reports whether v already acted on pkt this broadcast. A node
-// acts only when it forwards, so only a forwarding node has a list.
-func (ws *Workspace) actedOn(v int, pkt Packet) bool {
-	if ws.forwarded[v] != ws.epoch {
-		return false
-	}
-	for _, q := range ws.acted[v] {
-		if q == pkt {
-			return true
-		}
-	}
-	return false
 }
 
 // Run simulates one broadcast with the ideal radio model, reusing the
@@ -169,24 +99,10 @@ func (ws *Workspace) Run(g *graph.Graph, source int, p Protocol) *WSResult {
 // NoDuplicates the engine keeps no acted-payload lists and never calls
 // OnDuplicate, which always declines.
 func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options) *WSResult {
-	n := g.N()
 	acts := actsOnDuplicates(p)
-	ws.ensure(n, acts)
-	ws.epoch++
-	if ws.epoch == 0 { // wrapped: flush stale stamps over the full capacity
-		for _, s := range [][]uint32{ws.received[:cap(ws.received)], ws.forwarded[:cap(ws.forwarded)]} {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-		ws.epoch = 1
-	}
-	epoch := ws.epoch
+	ws.reset(g.N(), 1, acts)
 	res := &ws.res
-	*res = WSResult{Source: source, ws: ws}
-	ws.received[source] = epoch
-	ws.forwarded[source] = epoch
-	res.nReceived, res.nForward = 1, 1
+	*res = WSResult{Source: source, nReceived: 1, nForward: 1, ws: ws}
 	var loss *rng.Stream
 	if opt.Loss > 0 {
 		loss = rng.NewLabeled(opt.Seed, "radio-loss")
@@ -201,9 +117,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 	if tr != nil {
 		tr.Send(0, source, -1)
 	}
-	if acts {
-		ws.acted[source] = append(ws.acted[source][:0], start)
-	}
+	ws.originate(source, acts, start)
 	queue := append(ws.queue[:0], transmission{sender: source, pkt: start, time: 0})
 	for qi := 0; qi < len(queue); qi++ {
 		tx := queue[qi]
@@ -224,10 +138,10 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 			}
 			var forward bool
 			var out Packet
-			if ws.received[v] != epoch {
-				ws.received[v] = epoch
+			if !ws.received.Has(v) {
+				ws.received.Add(v)
 				res.nReceived++
-				ws.parent[v] = tx.sender
+				ws.parent[v] = int32(tx.sender)
 				if tx.time+1 > res.Latency {
 					res.Latency = tx.time + 1
 				}
@@ -246,12 +160,8 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 				forward, out = p.OnDuplicate(v, tx.sender, tx.pkt)
 			}
 			if forward {
-				if ws.forwarded[v] != epoch {
-					ws.forwarded[v] = epoch
+				if ws.forward(v) {
 					res.nForward++
-					if acts {
-						ws.acted[v] = ws.acted[v][:0] // the list starts with the first forward
-					}
 				}
 				if acts {
 					ws.markActed(v, tx.pkt)
@@ -265,6 +175,7 @@ func (ws *Workspace) RunOpts(g *graph.Graph, source int, p Protocol, opt Options
 		}
 	}
 	ws.queue = queue
+	ws.release()
 	mRuns.Inc()
 	mTransmissions.Add(int64(len(queue) - faultSkips))
 	mDeliveries.Add(int64(res.nReceived - 1))

@@ -41,8 +41,8 @@ type Partition struct {
 type Spec struct {
 	// MeanUp and MeanDown parameterize node churn: each node alternates
 	// exponentially distributed up and down periods with these means (in
-	// time slots), drawn from its own seeded stream. MeanUp <= 0 disables
-	// churn.
+	// time slots), drawn from its own seeded stream. MeanUp == 0 disables
+	// churn; neither may be negative.
 	MeanUp   float64
 	MeanDown float64
 
@@ -113,7 +113,10 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("faults: partition coordinate %g, want a finite number", pt.Coord)
 		}
 	}
-	if s.MeanUp > 0 && s.MeanDown <= 0 {
+	if s.MeanUp < 0 || s.MeanDown < 0 {
+		return fmt.Errorf("faults: negative churn mean (MeanUp %g, MeanDown %g)", s.MeanUp, s.MeanDown)
+	}
+	if s.MeanUp > 0 && s.MeanDown == 0 {
 		return fmt.Errorf("faults: churn needs MeanDown > 0 (got %g)", s.MeanDown)
 	}
 	for _, p := range [...]struct {
@@ -211,7 +214,9 @@ func ParseSpec(s string) (Spec, error) {
 		var err error
 		switch key {
 		case "mtbf":
-			spec.MeanUp, err = num()
+			if spec.MeanUp, err = num(); err == nil && spec.MeanUp <= 0 {
+				err = fmt.Errorf("mean up time must be positive") // NaN fails in Validate
+			}
 		case "mttr":
 			spec.MeanDown, err = num()
 			mttrSet = true

@@ -61,6 +61,7 @@ func TestParseSpecDefaultsAndErrors(t *testing.T) {
 	for _, bad := range append([]string{
 		"nope=1", "mtbf", "loss=2", "pgb=0.1",
 		"part=1:1:x:5", "part=1:2:z:5", "burst=0.5", "warmup=-3",
+		"mtbf=-1", "mtbf=0", "mttr=-5",
 	}, nanSpecs...) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)

@@ -77,10 +77,10 @@ func (b *Bitset) Remove(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Has reports whether i is a member. Out-of-range ids are never members.
 func (b *Bitset) Has(i int) bool {
-	if i < 0 || i >= b.n {
+	if uint(i) >= uint(b.n) { // negative ids wrap past n
 		return false
 	}
-	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
+	return b.words[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // Count returns the number of members.

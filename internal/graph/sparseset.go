@@ -38,16 +38,6 @@ func (s *SparseSet) Reset(n int) {
 	s.n = n
 }
 
-// ResetSorted re-capacities s to the universe 0..n−1 and makes ids, which
-// must be strictly ascending and within range, its members. s adopts ids
-// as its member storage instead of copying it, so a caller can carve many
-// sets from one arena; cap ids at its length (a three-index slice) so that
-// a later Add cannot write past it.
-func (s *SparseSet) ResetSorted(n int, ids []int) {
-	s.Reset(n)
-	s.ids = ids
-}
-
 // Cap returns the capacity of the universe (n in NewSparseSet).
 func (s *SparseSet) Cap() int { return s.n }
 

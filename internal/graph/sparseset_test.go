@@ -99,23 +99,6 @@ func TestSparseSetCapacityMismatchPanics(t *testing.T) {
 	NewSparseSet(10).Or(NewSparseSet(11))
 }
 
-// ResetSorted adopts the carve as the member storage, gives the members
-// Add would, and leaves the arena beyond the carve untouched.
-func TestSparseSetResetSorted(t *testing.T) {
-	n := 256
-	arena := []int{3, 7, 9, 250, -1}
-	s := sparseOf(n, 1, 2)
-	s.ResetSorted(n, arena[0:4:4])
-	if got, want := s.Members(), []int{3, 7, 9, 250}; !equalInts(got, want) {
-		t.Fatalf("members %v, want %v", got, want)
-	}
-	s.Add(8)
-	s.Add(251)
-	if got, want := s.Members(), []int{3, 7, 8, 9, 250, 251}; !equalInts(got, want) || arena[4] != -1 {
-		t.Fatalf("after adds: %v (arena tail %d), want %v", got, arena[4], want)
-	}
-}
-
 // sparseOf returns a set over 0..n−1 holding the given ids.
 func sparseOf(n int, ids ...int) *SparseSet {
 	s := NewSparseSet(n)
