@@ -34,11 +34,13 @@ test-pipebench:
 # traffic spec grammars — for the two CSR graph constructors, AddEdge and
 # FromEdges, against each other, for graph.SparseSet against its Bitset
 # reference, for the one-pass clusterhead election against the
-# round-by-round one, for two chained backbone repairs against the
-# round-by-round re-election replay, for the wire protocol's message
-# counts and outcome against its round-synchronous reference, for the
-# slotted-MAC kernel against its scalar oracles, multi-flow and one-flow,
-# over declining and duplicate-acting protocols, for the ideal/lossy
+# round-by-round one, for the CH_HOP1/CH_HOP2 coverage digest at 1-16
+# strips against its sort-then-dedupe reference (FuzzResetParallelAgree),
+# for two chained backbone repairs against the round-by-round
+# re-election replay, for the wire protocol's message counts and outcome
+# against its round-synchronous reference, for the slotted-MAC kernel
+# against its scalar oracles, multi-flow and one-flow, over declining and
+# duplicate-acting protocols, for the ideal/lossy
 # engine against its map-based oracle over the same protocols
 # (FuzzDESIdealAgree), for the delivery trees of the ideal, lossy, MAC,
 # multi-flow and back-off engines against their oracles'
@@ -50,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphInvariants$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSetRepsAgree$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzElectAgree$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzResetParallelAgree$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairAgree$$' -fuzztime 10s ./internal/backbone
 	$(GO) test -run '^$$' -fuzz '^FuzzDESSimAgree$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/topology

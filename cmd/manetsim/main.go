@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"clustercast/internal/backbone"
@@ -48,6 +49,14 @@ type config struct {
 	buildW    int
 	trace     string
 	run       live.Flags
+}
+
+// protocolNames lists the rows of the comparison table, in the order
+// buildRuns builds them.
+var protocolNames = []string{
+	"flooding", "gossip", "mpr", "dp", "pdp", "static-2.5", "static-3",
+	"dynamic-2.5", "dynamic-3", "mo-cds", "marking", "fwd-tree", "passive",
+	"sba", "counter-3", "distance",
 }
 
 // protocolRun is one row of the comparison table.
@@ -127,21 +136,71 @@ func buildRuns(nw *core.Network, src int, seed uint64, tr *obs.Tracer, newOracle
 	}
 }
 
-// trafficFlows parses the -traffic spec and draws its flows over n nodes,
-// so that a bad spec fails the run before any protocol runs.
-func trafficFlows(cfg config, n int) (workload.Spec, []workload.Flow, error) {
-	spec, err := workload.ParseSpec(cfg.traffic)
-	if err != nil {
-		return spec, nil, fmt.Errorf("-traffic: %w", err)
+// parsed is the command line checked before anything is built: the
+// fault and traffic specs, each seeded from -seed when it names no seed
+// of its own, and the selected protocol rows (nil for all).
+type parsed struct {
+	faults  *faults.Spec
+	traffic *workload.Spec
+	want    map[string]bool
+}
+
+// parse checks every flag that does not need the network, and the source
+// unless the network comes from -load, so that a bad flag fails the run
+// before anything is built or printed.
+func parse(cfg config) (parsed, error) {
+	var ps parsed
+	if cfg.buildW < 0 {
+		return ps, fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
 	}
-	if spec.Seed == 0 {
-		spec.Seed = cfg.seed
+	if cfg.faults != "" {
+		spec, err := faults.ParseSpec(cfg.faults)
+		if err != nil {
+			return ps, fmt.Errorf("-faults: %w", err)
+		}
+		if spec.Seed == 0 {
+			spec.Seed = cfg.seed
+		}
+		ps.faults = &spec
 	}
-	flows, err := spec.Generate(n)
-	if err != nil {
-		return spec, nil, fmt.Errorf("-traffic: %w", err)
+	if cfg.traffic != "" {
+		spec, err := workload.ParseSpec(cfg.traffic)
+		if err != nil {
+			return ps, fmt.Errorf("-traffic: %w", err)
+		}
+		if spec.Seed == 0 {
+			spec.Seed = cfg.seed
+		}
+		ps.traffic = &spec
 	}
-	return spec, flows, nil
+	if cfg.protocols != "all" {
+		ps.want = map[string]bool{}
+		for _, p := range strings.Split(cfg.protocols, ",") {
+			p = strings.TrimSpace(p)
+			if !slices.Contains(protocolNames, p) {
+				return ps, fmt.Errorf("unknown protocol %q", p)
+			}
+			ps.want[p] = true
+		}
+	}
+	// A trace file holds exactly one broadcast, so the protocol must be
+	// unambiguous.
+	if cfg.trace != "" && len(ps.want) != 1 {
+		return ps, fmt.Errorf("-trace needs exactly one protocol selected (e.g. -protocols dynamic-2.5)")
+	}
+	if cfg.load == "" {
+		return ps, checkSource(cfg.source, cfg.n)
+	}
+	return ps, nil
+}
+
+// checkSource rejects a -source beyond the network's n nodes; a negative
+// one draws the source at random.
+func checkSource(src, n int) error {
+	if src >= n {
+		return fmt.Errorf("source %d out of range (n=%d)", src, n)
+	}
+	return nil
 }
 
 // traceCapacity sizes the -trace ring for one broadcast of the named
@@ -239,8 +298,9 @@ func loadNetwork(cfg *config) (*core.Network, error) {
 // the deferred session close surface its error; telemetry status goes to
 // stderr, stdout carries the report.
 func run(cfg config, stdout io.Writer) (retErr error) {
-	if cfg.buildW < 0 {
-		return fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	ps, err := parse(cfg)
+	if err != nil {
+		return err
 	}
 	sess, err := cfg.run.Start("manetsim", os.Stderr)
 	if err != nil {
@@ -256,6 +316,18 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
+	if err := checkSource(cfg.source, cfg.n); err != nil {
+		return err
+	}
+	// The flows need the node count, which -load takes from the snapshot;
+	// they are drawn before anything is printed, so that a spec the
+	// network cannot serve fails the run first.
+	var flows []workload.Flow
+	if ps.traffic != nil {
+		if flows, err = ps.traffic.Generate(nw.N()); err != nil {
+			return fmt.Errorf("-traffic: %w", err)
+		}
+	}
 	// The simulated network's size and degree, which -load takes from the
 	// snapshot.
 	sess.Manifest.Param("n", cfg.n).Param("d", cfg.d)
@@ -267,37 +339,20 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	// the schedule, whichever oracle answers.
 	newOracle := func() *faults.Oracle { return nil }
 	var oracle *faults.Oracle
-	if cfg.faults != "" {
-		spec, err := faults.ParseSpec(cfg.faults)
-		if err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		if spec.Seed == 0 {
-			spec.Seed = cfg.seed
-		}
+	if ps.faults != nil {
 		newOracle = func() *faults.Oracle {
-			o := faults.New(spec, nw.N())
+			o := faults.New(*ps.faults, nw.N())
 			o.SetPositions(nw.Topology.Positions)
 			return o
 		}
 		oracle = newOracle()
 		fmt.Fprintf(stdout, "faults: %s (alive at t=0: %d/%d)\n",
-			spec.String(), oracle.AliveCount(0), nw.N())
-	}
-	var traffic workload.Spec
-	var flows []workload.Flow
-	if cfg.traffic != "" {
-		if traffic, flows, err = trafficFlows(cfg, nw.N()); err != nil {
-			return err
-		}
+			ps.faults.String(), oracle.AliveCount(0), nw.N())
 	}
 
 	src := cfg.source
 	if src < 0 {
 		src = rng.NewLabeled(cfg.seed, "source").Intn(cfg.n)
-	}
-	if src >= cfg.n {
-		return fmt.Errorf("source %d out of range (n=%d)", src, cfg.n)
 	}
 	sess.Manifest.Param("source", src)
 	if oracle != nil && !oracle.NodeUp(src, 0) {
@@ -305,33 +360,15 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	}
 	fmt.Fprintf(stdout, "broadcast source: %d\n\n", src)
 
-	want := map[string]bool{}
-	if cfg.protocols != "all" {
-		for _, p := range strings.Split(cfg.protocols, ",") {
-			want[strings.TrimSpace(p)] = true
-		}
-	}
 	var tracer *obs.Tracer
 	traceCap := 0
 	if cfg.trace != "" {
-		// A trace file holds exactly one broadcast, so the protocol must be
-		// unambiguous.
-		if cfg.protocols == "all" || len(want) != 1 {
-			return fmt.Errorf("-trace needs exactly one protocol selected (e.g. -protocols dynamic-2.5)")
+		for name := range ps.want { // parse left exactly one
+			traceCap = traceCapacity(nw, name)
 		}
-		traceCap = traceCapacity(nw, cfg.protocols)
 		tracer = obs.NewTracer(traceCap)
 	}
 	runs := buildRuns(nw, src, cfg.seed, tracer, newOracle)
-	known := map[string]bool{}
-	for _, r := range runs {
-		known[r.name] = true
-	}
-	for name := range want {
-		if !known[name] {
-			return fmt.Errorf("unknown protocol %q", name)
-		}
-	}
 
 	// A row that cannot run on this network (fwd-tree on a disconnected
 	// one, passive under -trace) prints why in its own row; the rest of
@@ -340,7 +377,7 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 	var failed []string
 	fmt.Fprintf(stdout, "%-12s %9s %9s %9s\n", "protocol", "forwards", "delivery", "latency")
 	for _, r := range runs {
-		if cfg.protocols != "all" && !want[r.name] {
+		if ps.want != nil && !ps.want[r.name] {
 			continue
 		}
 		res, err := r.run()
@@ -353,8 +390,8 @@ func run(cfg config, stdout io.Writer) (retErr error) {
 			r.name, res.ForwardCount(), 100*res.DeliveryRatio(cfg.n), res.Latency)
 	}
 
-	if cfg.traffic != "" {
-		runTraffic(nw, traffic, flows, newOracle, stdout)
+	if ps.traffic != nil {
+		runTraffic(nw, *ps.traffic, flows, newOracle, stdout)
 	}
 
 	if tracer != nil && len(failed) == 0 {
@@ -416,7 +453,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.IntVar(&cfg.source, "source", -1, "broadcast source (-1: random)")
 	flag.StringVar(&cfg.protocols, "protocols", "all",
-		"comma list: flooding,gossip,mpr,dp,pdp,static-2.5,static-3,dynamic-2.5,dynamic-3,mo-cds,marking,fwd-tree,passive,sba,counter-3,distance (or all)")
+		"comma list: "+strings.Join(protocolNames, ",")+" (or all)")
 	flag.StringVar(&cfg.faults, "faults", "",
 		"fault schedule, e.g. 'mtbf=200,mttr=50,burst=0.2:8,part=10:40:x:50' (see internal/faults); applies to every engine-run protocol and prints a backbone-repair report")
 	flag.StringVar(&cfg.traffic, "traffic", "",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,9 +52,29 @@ func TestRunSelectedProtocols(t *testing.T) {
 }
 
 func TestRunUnknownProtocol(t *testing.T) {
+	var out bytes.Buffer
 	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "warp-drive"}
-	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Fatalf("want unknown-protocol error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected run printed %q", out.String())
+	}
+}
+
+// TestProtocolNamesMatchRows: the names the command line is checked
+// against are the table's rows, in order.
+func TestProtocolNamesMatchRows(t *testing.T) {
+	nw, err := core.NewRandomNetwork(core.NetworkSpec{N: 20, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range buildRuns(nw, 0, 1, nil, func() *faults.Oracle { return nil }) {
+		names = append(names, r.name)
+	}
+	if !slices.Equal(names, protocolNames) {
+		t.Fatalf("rows %v, checked names %v", names, protocolNames)
 	}
 }
 
@@ -69,9 +90,28 @@ func TestRunRejectsNegativeBuildWorkers(t *testing.T) {
 }
 
 func TestRunSourceOutOfRange(t *testing.T) {
+	var out bytes.Buffer
 	cfg := config{n: 20, d: 8, seed: 1, source: 99, protocols: "flooding"}
-	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("want out-of-range error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected run printed %q", out.String())
+	}
+}
+
+// TestRunFaultsBadSpec: a fault spec that does not parse fails the run
+// before anything is printed.
+func TestRunFaultsBadSpec(t *testing.T) {
+	for _, spec := range []string{"mtbf=0", "warp=1"} {
+		var out bytes.Buffer
+		cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "all", faults: spec}
+		if err := run(cfg, &out); err == nil || !strings.HasPrefix(err.Error(), "-faults: ") {
+			t.Fatalf("-faults %s: want a parse error, got %v", spec, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-faults %s: rejected run printed %q", spec, out.String())
+		}
 	}
 }
 
@@ -111,6 +151,17 @@ func TestRunLoadSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "n=25") {
 		t.Fatalf("loaded network not reflected:\n%s", out.String())
+	}
+
+	// The source is checked against the snapshot's size, before anything
+	// is printed; -n does not bound it.
+	out.Reset()
+	cfg = config{n: 1000, seed: 1, source: 25, protocols: "flooding", load: path}
+	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "out of range (n=25)") {
+		t.Fatalf("want out-of-range error, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected run printed %q", out.String())
 	}
 }
 
@@ -279,16 +330,15 @@ func TestRunTrafficRowsOwnOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flows, err := trafficFlows(cfg, nw.N())
+	ps, err := parse(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := faults.ParseSpec(cfg.faults)
+	flows, err := ps.traffic.Generate(nw.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Seed = cfg.seed
-	o := faults.New(spec, nw.N())
+	o := faults.New(*ps.faults, nw.N())
 	o.SetPositions(nw.Topology.Positions)
 	mo := broadcast.StaticCDS{Set: nw.MOCDS(), Label: "mo-cds"}
 	tr := workload.RunTraffic(nw.Graph(), flows, func(int) broadcast.Protocol { return mo },
@@ -324,8 +374,8 @@ func TestRunTrafficBadSpec(t *testing.T) {
 		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "-traffic") {
 			t.Fatalf("-traffic %s: want a parse error, got %v", spec, err)
 		}
-		if strings.Contains(out.String(), "forwards") || strings.Contains(out.String(), "flooding") {
-			t.Fatalf("-traffic %s: protocols ran before the spec was rejected:\n%s", spec, out.String())
+		if out.Len() != 0 {
+			t.Fatalf("-traffic %s: rejected run printed %q", spec, out.String())
 		}
 	}
 }

@@ -272,15 +272,16 @@ func TestTraceRingHoldsDenseBroadcast(t *testing.T) {
 	}
 }
 
-// TestFailedRunKeepsProfiles: a run that fails after it started still
-// leaves a complete CPU profile and a heap profile.
+// TestFailedRunKeepsProfiles: a run that fails after it started (here on
+// the passive row, which cannot be traced) still leaves a complete CPU
+// profile and a heap profile.
 func TestFailedRunKeepsProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	cfg := config{n: 20, d: 8, seed: 1, source: 99, protocols: "flooding",
+	cfg := config{n: 20, d: 8, seed: 1, source: 0, protocols: "passive", trace: filepath.Join(dir, "t.jsonl"),
 		run: live.Flags{CPUProfile: cpu, MemProfile: mem}}
-	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("want out-of-range error, got %v", err)
+	if err := run(cfg, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "not supported") {
+		t.Fatalf("want a failed passive row, got %v", err)
 	}
 	for _, p := range []string{cpu, mem} {
 		data, err := os.ReadFile(p)

@@ -26,8 +26,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -102,12 +104,42 @@ var stages = map[string]stageFunc{
 // tracedStage is the stage whose event stream -trace records.
 const tracedStage = "dynamic25"
 
+// parse checks the command line before any work or output and returns
+// the selected stages.
+func parse(cfg config) ([]string, error) {
+	if cfg.buildW < 0 {
+		return nil, fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	}
+	if cfg.n < 1 {
+		return nil, fmt.Errorf("-n must be at least 1, got %d", cfg.n)
+	}
+	if !(cfg.d > 0) || math.IsInf(cfg.d, 0) {
+		return nil, fmt.Errorf("-d must be finite and positive, got %g", cfg.d)
+	}
+	var names []string
+	for _, s := range strings.Split(cfg.stages, ",") {
+		s = strings.TrimSpace(s)
+		if _, ok := stages[s]; !ok {
+			return nil, fmt.Errorf("unknown stage %q (have static25, mocds, dynamic25)", s)
+		}
+		names = append(names, s)
+	}
+	if cfg.reps < 1 {
+		return nil, fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)
+	}
+	if cfg.trace != "" && !slices.Contains(names, tracedStage) {
+		return nil, fmt.Errorf("-trace needs the %s stage selected (have %s)", tracedStage, cfg.stages)
+	}
+	return names, nil
+}
+
 // run executes the configured stages. The named return lets the deferred
 // session close (manifest, final heartbeat, self-scrape, profiles) surface
 // its error; telemetry status goes to stderr, out carries the report.
 func run(cfg config, out io.Writer) (retErr error) {
-	if cfg.buildW < 0 {
-		return fmt.Errorf("-buildworkers %d: must not be negative", cfg.buildW)
+	names, err := parse(cfg)
+	if err != nil {
+		return err
 	}
 	sess, err := cfg.run.Start("scale", os.Stderr)
 	if err != nil {
@@ -115,27 +147,9 @@ func run(cfg config, out io.Writer) (retErr error) {
 	}
 	defer sess.Close(&retErr)
 	experiment.SetBuildWorkers(cfg.buildW)
-	var names []string
-	for _, s := range strings.Split(cfg.stages, ",") {
-		s = strings.TrimSpace(s)
-		if _, ok := stages[s]; !ok {
-			return fmt.Errorf("unknown stage %q (have static25, mocds, dynamic25)", s)
-		}
-		names = append(names, s)
-	}
-	if cfg.reps < 1 {
-		return fmt.Errorf("-reps %d: need at least one replicate", cfg.reps)
-	}
 
 	var tracer *obs.Tracer
 	if cfg.trace != "" {
-		traced := false
-		for _, n := range names {
-			traced = traced || n == tracedStage
-		}
-		if !traced {
-			return fmt.Errorf("-trace needs the %s stage selected (have %s)", tracedStage, cfg.stages)
-		}
 		// One broadcast emits O(m) deliver/duplicate events plus the
 		// per-head protocol events; 16 slots per node keeps paper-density
 		// (d=18) traces loss-free with headroom.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -120,6 +121,32 @@ func TestRunRejectsNegativeBuildWorkers(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("rejected run printed %q", out.String())
+	}
+}
+
+// TestRunRejectsBadShape: a network size or degree that no topology can
+// have fails before the header, with topogen's messages.
+func TestRunRejectsBadShape(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		d    float64
+		want string
+	}{
+		{0, 12, "-n must be at least 1, got 0"},
+		{-5, 12, "-n must be at least 1, got -5"},
+		{100, -3, "-d must be finite and positive, got -3"},
+		{100, 0, "-d must be finite and positive, got 0"},
+		{100, math.NaN(), "-d must be finite and positive, got NaN"},
+		{100, math.Inf(1), "-d must be finite and positive, got +Inf"},
+	} {
+		var out bytes.Buffer
+		cfg := config{n: tc.n, d: tc.d, seed: 1, reps: 1, stages: "static25"}
+		if err := run(cfg, &out); err == nil || err.Error() != tc.want {
+			t.Fatalf("-n %d -d %g: want %q, got %v", tc.n, tc.d, tc.want, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-n %d -d %g: rejected run printed %q", tc.n, tc.d, out.String())
+		}
 	}
 }
 

@@ -27,10 +27,10 @@ import (
 // paper prints a 0-based node ID the way the paper writes it.
 func paper(v int) int { return v + 1 }
 
-func paperList(vs []int) []int {
+func paperList[T int | int32](vs []T) []int {
 	out := make([]int, len(vs))
 	for i, v := range vs {
-		out[i] = paper(v)
+		out[i] = paper(int(v))
 	}
 	sort.Ints(out)
 	return out
@@ -100,8 +100,7 @@ func run(w io.Writer) error {
 		cov := b.Of(h)
 		sel := backbone.SelectGateways(cov, nil, nil)
 		fmt.Fprintf(w, "C(%d) = C²%v ∪ C³%v  →  GATEWAY(%d) = %v\n",
-			paper(h), paperList(cov.C2.Members()),
-			paperList(cov.C3.Members()),
+			paper(h), paperList(cov.C2), paperList(cov.C3),
 			paper(h), paperList(sel.Gateways))
 	}
 	static := backbone.BuildStaticFrom(b, cl)

@@ -101,7 +101,7 @@ type selScratch struct {
 // returns the selected gateway/relay nodes in selection order (owned by
 // scr, valid until its next use).
 func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options, scr *selScratch) []int {
-	n := cov.C2.Cap()
+	n := cov.N
 	if cap(scr.mark) < n {
 		scr.mark = make([]uint32, n)
 		scr.epoch = 0
@@ -118,22 +118,22 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 	scr.epoch += 3
 	mark := scr.mark
 	rem2, rem3 := 0, 0
-	cov.C2.ForEach(func(w int) {
-		if need2 != nil && !need2.Has(w) {
-			return
+	for _, w := range cov.C2 {
+		if need2 != nil && !need2.Has(int(w)) {
+			continue
 		}
 		mark[w] = e2
 		rem2++
-	})
+	}
 	c3buf := scr.c3buf[:0]
-	cov.C3.ForEach(func(w int) {
-		if need3 != nil && !need3.Has(w) {
-			return
+	for _, w := range cov.C3 {
+		if need3 != nil && !need3.Has(int(w)) {
+			continue
 		}
 		mark[w] = e3
 		rem3++
-		c3buf = append(c3buf, w)
-	})
+		c3buf = append(c3buf, int(w))
+	}
 	scr.c3buf = c3buf
 	sel := scr.selbuf[:0]
 	add := func(v int) {
@@ -145,74 +145,65 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 
 	// Candidate connectors come pre-sorted by neighbor ID, so ascending
 	// scans give the paper's deterministic lowest-ID tie-breaking for free.
-	conns := cov.Conns
+	// Each scan walks the connectors' runs back to back.
+	conns, direct, indirect := cov.Conns, cov.Direct, cov.Indirect
 
-	directGain := func(cn *coverage.Connector) int {
-		n := 0
-		for _, w := range cn.Direct {
-			if mark[w] == e2 {
-				n++
+	// Phase 1: greedily exhaust C².
+	for rem2 > 0 {
+		best := -1
+		var bestDir []int32
+		var bestInd []coverage.Hop2Entry
+		bestD, bestI := 0, 0
+		var d0, i0 int32
+		for i, cn := range conns {
+			dr, ir := direct[d0:cn.DirEnd], indirect[i0:cn.IndEnd]
+			d0, i0 = cn.DirEnd, cn.IndEnd
+			d := 0
+			for _, w := range dr {
+				if mark[w] == e2 {
+					d++
+				}
+			}
+			if d == 0 {
+				continue
+			}
+			in := 0
+			if !opts.NoIndirectTieBreak {
+				for _, e := range ir {
+					if mark[e.W] == e3 {
+						in++
+					}
+				}
+			}
+			if d > bestD || (d == bestD && in > bestI) {
+				best, bestDir, bestInd, bestD, bestI = i, dr, ir, d, in
 			}
 		}
-		return n
-	}
-	indirectGain := func(cn *coverage.Connector) int {
-		n := 0
-		for _, e := range cn.Indirect {
-			if mark[e.W] == e3 {
-				n++
+		if best < 0 {
+			// Unreachable on a valid coverage set: every w ∈ C² is in some
+			// neighbor's Direct run by construction.
+			var left []int32
+			for _, w := range cov.C2 {
+				if mark[w] == e2 {
+					left = append(left, w)
+				}
 			}
+			panic(fmt.Sprintf("backbone: head %d cannot cover %v", cov.Head, left))
 		}
-		return n
-	}
-
-	take := func(cn *coverage.Connector) {
-		add(cn.V)
-		for _, w := range cn.Direct {
+		add(int(conns[best].V))
+		for _, w := range bestDir {
 			if mark[w] == e2 {
 				mark[w] = 0
 				rem2--
 			}
 		}
-		for _, e := range cn.Indirect {
+		for _, e := range bestInd {
 			if mark[e.W] == e3 {
 				mark[e.W] = 0
 				rem3--
-				add(e.R)
+				add(int(e.R))
 			}
 		}
-	}
-
-	// Phase 1: greedily exhaust C².
-	for rem2 > 0 {
-		var best *coverage.Connector
-		bestD, bestI := 0, 0
-		for i := range conns {
-			cn := &conns[i]
-			d := directGain(cn)
-			if d == 0 {
-				continue
-			}
-			in := indirectGain(cn)
-			if opts.NoIndirectTieBreak {
-				in = 0
-			}
-			if d > bestD || (d == bestD && in > bestI) {
-				best, bestD, bestI = cn, d, in
-			}
-		}
-		if best == nil {
-			// Unreachable on a valid coverage set: every w ∈ C² is in some
-			// neighbor's Direct list by construction.
-			left := make([]int, 0, rem2)
-			cov.C2.ForEach(func(w int) {
-				if mark[w] == e2 {
-					left = append(left, w)
-				}
-			})
-			panic(fmt.Sprintf("backbone: head %d cannot cover %v", cov.Head, left))
-		}
-		take(best)
 	}
 
 	// Phase 2: connect the leftover 3-hop clusterheads with pairs,
@@ -227,20 +218,20 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 		w := c3buf[mi]
 		bestV, bestR, bestCost := -1, -1, 3
 		for i := range conns {
-			cn := &conns[i]
-			r, ok := cn.Relay(w)
+			r, ok := cov.Relay(i, w)
 			if !ok {
 				continue
 			}
+			v := int(conns[i].V)
 			cost := 0
-			if mark[cn.V] != esel {
+			if mark[v] != esel {
 				cost++
 			}
 			if mark[r] != esel {
 				cost++
 			}
-			if cost < bestCost || (cost == bestCost && (bestV == -1 || cn.V < bestV)) {
-				bestV, bestR, bestCost = cn.V, r, cost
+			if cost < bestCost || (cost == bestCost && (bestV == -1 || v < bestV)) {
+				bestV, bestR, bestCost = v, r, cost
 			}
 		}
 		if bestV == -1 {

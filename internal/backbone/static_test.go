@@ -129,16 +129,16 @@ func reach(g *graph.Graph, h int, gws []int) (two, three *graph.Bitset) {
 func unconnected(g *graph.Graph, cov *coverage.Coverage, gws []int) []int {
 	two, three := reach(g, cov.Head, gws)
 	var missed []int
-	cov.C2.ForEach(func(w int) {
-		if !two.Has(w) {
-			missed = append(missed, w)
+	for _, w := range cov.C2 {
+		if !two.Has(int(w)) {
+			missed = append(missed, int(w))
 		}
-	})
-	cov.C3.ForEach(func(w int) {
-		if !two.Has(w) && !three.Has(w) {
-			missed = append(missed, w)
+	}
+	for _, w := range cov.C3 {
+		if !two.Has(int(w)) && !three.Has(int(w)) {
+			missed = append(missed, int(w))
 		}
-	})
+	}
 	return missed
 }
 

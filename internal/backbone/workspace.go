@@ -64,7 +64,7 @@ func (ws *Workspace) Select(cov *coverage.Coverage, opts Options) Selection {
 // allocating a Selection. dst is reset.
 func (ws *Workspace) SelectInto(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Options, dst *graph.SparseSet) {
 	sel := selectCore(cov, need2, need3, opts, &ws.scr)
-	dst.Reset(cov.C2.Cap())
+	dst.Reset(cov.N)
 	for _, v := range sel {
 		dst.Add(v)
 	}

@@ -21,14 +21,17 @@
 // covers which 2-hop clusterheads (w ∈ CH_HOP1(v)) and which (v, r) pair
 // reaches which 3-hop clusterhead (w[r] ∈ CH_HOP2(v)).
 //
-// Membership sets (C², C³) are graph.SparseSet values over the node-ID
-// universe: coverage construction and the downstream greedy set-cover are
-// the simulator's hottest kernels, and sorted-slice operations over sets
-// of at most 48 clusterheads on a unit-disk graph are what keep them
-// O(coverage size) instead of Θ(n) at 10k–100k nodes.
+// Every part of a coverage set (C², C³, the connectors and their runs) is
+// a flat sorted run of four-byte IDs: coverage construction and the
+// downstream greedy set-cover are the simulator's hottest kernels, and
+// sorted runs over at most 48 clusterheads on a unit-disk graph keep them
+// O(coverage size) instead of Θ(n) at 10k–100k nodes. The same layout
+// serves a scratch coverage refilled per head and a store that keeps
+// every head's coverage in shared arenas (the dynamic backbone's).
 package coverage
 
 import (
+	"slices"
 	"sort"
 
 	"clustercast/internal/cluster"
@@ -61,70 +64,74 @@ func (m Mode) String() string {
 	}
 }
 
-// Hop2Entry is one CH_HOP2 report line: clusterhead w reachable through
-// relay r.
-type Hop2Entry struct{ W, R int }
+// Hop2Entry is one CH_HOP2 report line: clusterhead W reachable through
+// relay R. The digest's CH_HOP2 lists and every coverage's indirect runs
+// hold it in eight bytes.
+type Hop2Entry struct{ W, R int32 }
 
-// Connector is the coverage contribution of one neighbor v of the head:
-// the 2-hop clusterheads v is adjacent to (Direct, sorted ascending) and
-// the 3-hop clusterheads v reaches through a relay (Indirect, sorted by
-// clusterhead ID, each with the lowest-ID relay per the "first entry wins"
-// rule of the CH_HOP2 construction).
+// Connector is the coverage contribution of one neighbor V of the head:
+// two runs of the coverage's flat lists, each ending where the connector
+// says and starting where the previous connector's ends (at 0 for the
+// first). Its Direct run holds the 2-hop clusterheads V is adjacent to,
+// ascending; its Indirect run holds the 3-hop clusterheads V reaches
+// through a relay, sorted by clusterhead ID, each with the lowest-ID relay
+// per the "first entry wins" rule of the CH_HOP2 construction.
 type Connector struct {
-	V        int
-	Direct   []int
+	V      int32
+	DirEnd int32 // end of V's run in Coverage.Direct
+	IndEnd int32 // end of V's run in Coverage.Indirect
+}
+
+// Coverage is the coverage set of one clusterhead together with the
+// connector bookkeeping used by gateway selection. Every list is a flat
+// run of four-byte IDs, so a coverage is six slice headers over storage
+// that a caller can carve from shared arenas (see OfScratch).
+type Coverage struct {
+	Head int
+	Mode Mode
+	// N is the size of the node-ID universe 0..N−1 the IDs are drawn from.
+	N int
+
+	// C2 and C3 are the 2-hop and 3-hop components of the coverage set,
+	// ascending. They are disjoint: a clusterhead in both is kept only in
+	// C2.
+	C2 []int32
+	C3 []int32
+
+	// Conns lists, ascending by neighbor ID, the neighbors of the head
+	// that contribute coverage; Direct and Indirect hold their runs back
+	// to back, in the same order. Flat sorted slices instead of maps:
+	// gateway selection scans them in tight loops, and a slice walk is
+	// both faster and deterministic.
+	Conns    []Connector
+	Direct   []int32
 	Indirect []Hop2Entry
 }
 
-// Relay returns the relay reaching 3-hop clusterhead w through this
-// connector, if any.
-func (cn *Connector) Relay(w int) (int, bool) {
-	i := sort.Search(len(cn.Indirect), func(i int) bool { return cn.Indirect[i].W >= w })
-	if i < len(cn.Indirect) && cn.Indirect[i].W == w {
-		return cn.Indirect[i].R, true
+// Runs returns connector i's runs: the 2-hop clusterheads its neighbor
+// covers directly and the (3-hop clusterhead, relay) entries it covers
+// indirectly.
+func (c *Coverage) Runs(i int) (direct []int32, indirect []Hop2Entry) {
+	var d0, i0 int32
+	if i > 0 {
+		d0, i0 = c.Conns[i-1].DirEnd, c.Conns[i-1].IndEnd
+	}
+	return c.Direct[d0:c.Conns[i].DirEnd], c.Indirect[i0:c.Conns[i].IndEnd]
+}
+
+// Relay returns the relay through which connector i reaches 3-hop
+// clusterhead w, if any.
+func (c *Coverage) Relay(i, w int) (int, bool) {
+	_, ind := c.Runs(i)
+	j := sort.Search(len(ind), func(j int) bool { return int(ind[j].W) >= w })
+	if j < len(ind) && int(ind[j].W) == w {
+		return int(ind[j].R), true
 	}
 	return 0, false
 }
 
-// Coverage is the coverage set of one clusterhead together with the
-// connector bookkeeping used by gateway selection.
-type Coverage struct {
-	Head int
-	Mode Mode
-
-	// C2 and C3 are the 2-hop and 3-hop components of the coverage set, as
-	// sparse sets over node IDs. They are disjoint: a clusterhead in both
-	// is kept only in C2.
-	C2 *graph.SparseSet
-	C3 *graph.SparseSet
-
-	// Conns lists, ascending by neighbor ID, the neighbors of the head
-	// that contribute coverage, with what each covers. Plain sorted slices
-	// instead of maps: gateway selection scans them in tight loops, and a
-	// slice walk is both faster and deterministic.
-	Conns []Connector
-
-	// Construction backing, kept on the value so OfScratch can refill a
-	// Coverage without allocating: the Conns slices above are views into
-	// direct/indirect, addressed during assembly by the offset arrays.
-	dirOff   []int
-	indOff   []int
-	direct   []int
-	indirect []Hop2Entry
-}
-
-// Connector returns the connector of neighbor v, or nil when v
-// contributes no coverage.
-func (c *Coverage) Connector(v int) *Connector {
-	i := sort.Search(len(c.Conns), func(i int) bool { return c.Conns[i].V >= v })
-	if i < len(c.Conns) && c.Conns[i].V == v {
-		return &c.Conns[i]
-	}
-	return nil
-}
-
 // Size returns |C(u)|.
-func (c *Coverage) Size() int { return c.C2.Count() + c.C3.Count() }
+func (c *Coverage) Size() int { return len(c.C2) + len(c.C3) }
 
 // Builder precomputes, for a clustered network, the per-node neighborhood
 // digests (the contents of the CH_HOP1 and CH_HOP2 messages) and serves
@@ -158,16 +165,23 @@ type Builder struct {
 	d32        digest32
 }
 
-// AsmScratch is the epoch-stamped mark array one coverage assembly uses:
-// mark[w] == e marks membership of w for the current stamp e, so clearing
-// between assemblies is a counter bump instead of an O(n/64) bitset clear —
-// the difference between an O(m) and an O(n²) digest pass at 10k+ nodes.
+// AsmScratch is the scratch one coverage assembly uses, chiefly an
+// epoch-stamped mark array: mark[w] == e marks membership of w for the
+// current stamp e, so clearing between assemblies is a counter bump
+// instead of an O(n/64) bitset clear — the difference between an O(m) and
+// an O(n²) digest pass at 10k+ nodes.
 //
 // The builder embeds one for Of; every head strip of a workspace owns one
 // (see OfScratch).
 type AsmScratch struct {
 	mark  []uint32
 	epoch uint32
+
+	// Per neighbor of the head in progress: the end of its Direct run and
+	// its CH_HOP1 and CH_HOP2 lists.
+	ends []int32
+	hop1 [][]int
+	hop2 [][]Hop2Entry
 }
 
 // ensure sizes the mark array for an n-node universe.
@@ -218,7 +232,7 @@ func (b *Builder) CH1(v int) []int { return b.ch1[v] }
 func (b *Builder) CH2(v int) map[int]int {
 	m := make(map[int]int, len(b.ch2[v]))
 	for _, e := range b.ch2[v] {
-		m[e.W] = e.R
+		m[int(e.W)] = int(e.R)
 	}
 	return m
 }
@@ -229,84 +243,97 @@ func (b *Builder) Of(u int) *Coverage {
 	return b.OfScratch(u, &Coverage{}, &b.asm)
 }
 
-// OfScratch computes the coverage set of clusterhead u into c, reusing
-// c's bitsets and backing arrays, with caller-provided assembly scratch.
-// It panics when u is not a clusterhead of the clustering. After Reset the
-// builder's digests are read-only, so OfScratch is safe to call from
-// multiple goroutines concurrently as long as each caller passes its own
-// c and scr — the per-clusterhead loops of the workspaces rely on this.
+// OfScratch computes the coverage set of clusterhead u into c, appending
+// to c's lists from length zero, with caller-provided assembly scratch.
+// The lists are reused, so a loop that refills one Coverage allocates
+// only while they grow; a caller that carves them from shared arenas,
+// each capped at the exact length this call writes, has the coverage
+// assembled in place. It panics when u is not a clusterhead of the
+// clustering. After Reset the builder's digests are read-only, so
+// OfScratch is safe to call from multiple goroutines concurrently as long
+// as each caller passes its own c and scr — the per-clusterhead loops of
+// the workspaces rely on this.
 func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 	if !b.cl.IsHead(u) {
 		panic("coverage: Of called on a non-clusterhead")
 	}
 	n := b.g.N()
 	scr.ensure(n)
-	c.Head, c.Mode = u, b.mode
-	if c.C2 == nil {
-		c.C2, c.C3 = graph.NewSparseSet(n), graph.NewSparseSet(n)
-	} else {
-		c.C2.Reset(n)
-		c.C3.Reset(n)
-	}
-	c.Conns = c.Conns[:0]
+	c.Head, c.Mode, c.N = u, b.mode, n
 	nbrs := b.g.Neighbors(u)
 	// Membership during assembly is tracked in the epoch-stamped mark array
 	// (ep2 = "in C²", ep3 = "already in C³"), so the C³ pass filters against
-	// C² — and both passes deduplicate their set inserts — with O(1) array
-	// probes instead of per-entry set lookups.
+	// C² — and both passes deduplicate their members — with O(1) array
+	// probes.
 	ep2 := scr.stamps(2)
 	ep3 := ep2 + 1
 	mark := scr.mark
-	// C² first (from neighbors' CH_HOP1), because the C³ pass must filter
-	// against the complete C². Per-neighbor lists are packed into shared
-	// backing arrays addressed by offsets — no per-neighbor allocations.
-	if cap(c.dirOff) < len(nbrs)+1 {
-		c.dirOff = make([]int, len(nbrs)+1)
-		c.indOff = make([]int, len(nbrs)+1)
-	}
-	dirOff := c.dirOff[:len(nbrs)+1]
-	dirOff[0] = 0
-	direct := c.direct[:0]
+	// The neighbors' digest headers are gathered first, in a loop whose
+	// loads carry no dependencies, so their cache misses overlap instead
+	// of stalling the passes below one neighbor at a time.
+	ends := slices.Grow(scr.ends[:0], len(nbrs))[:len(nbrs)]
+	hop1 := slices.Grow(scr.hop1[:0], len(nbrs))[:len(nbrs)]
+	hop2 := slices.Grow(scr.hop2[:0], len(nbrs))[:len(nbrs)]
+	scr.ends, scr.hop1, scr.hop2 = ends, hop1, hop2
 	for i, v := range nbrs {
-		for _, w := range b.ch1[v] {
+		hop1[i], hop2[i] = b.ch1[v], b.ch2[v]
+	}
+	// C² first (from neighbors' CH_HOP1), because the C³ pass must filter
+	// against the complete C². Each neighbor's CH_HOP1 list is ascending,
+	// and so is its run.
+	c2, direct := c.C2[:0], c.Direct[:0]
+	for i := range nbrs {
+		for _, w := range hop1[i] {
 			if w == u {
 				continue
 			}
 			if mark[w] != ep2 {
 				mark[w] = ep2
-				c.C2.Add(w)
+				c2 = append(c2, int32(w))
 			}
-			direct = append(direct, w)
+			direct = append(direct, int32(w))
 		}
-		dirOff[i+1] = len(direct)
+		ends[i] = int32(len(direct))
 	}
-	// C³: from neighbors' CH_HOP2, removing C² duplicates.
-	indOff := c.indOff[:len(nbrs)+1]
-	indOff[0] = 0
-	indirect := c.indirect[:0]
+	sortIDs(c2)
+	// C³: from neighbors' CH_HOP2, removing C² duplicates. A neighbor with
+	// an empty run in both lists contributes no connector.
+	c3, indirect, conns := c.C3[:0], c.Indirect[:0], c.Conns[:0]
+	var d0 int32
 	for i, v := range nbrs {
-		for _, e := range b.ch2[v] {
-			if e.W == u || mark[e.W] == ep2 {
+		i0 := len(indirect)
+		for _, e := range hop2[i] {
+			if int(e.W) == u || mark[e.W] == ep2 {
 				continue
 			}
 			if mark[e.W] != ep3 {
 				mark[e.W] = ep3
-				c.C3.Add(e.W)
+				c3 = append(c3, e.W)
 			}
 			indirect = append(indirect, e)
 		}
-		indOff[i+1] = len(indirect)
-	}
-	c.direct, c.indirect = direct, indirect
-	for i, v := range nbrs {
-		d := direct[dirOff[i]:dirOff[i+1]:dirOff[i+1]]
-		in := indirect[indOff[i]:indOff[i+1]:indOff[i+1]]
-		if len(d) == 0 && len(in) == 0 {
-			continue
+		if ends[i] > d0 || len(indirect) > i0 {
+			conns = append(conns, Connector{V: int32(v), DirEnd: ends[i], IndEnd: int32(len(indirect))})
 		}
-		c.Conns = append(c.Conns, Connector{V: v, Direct: d, Indirect: in})
+		d0 = ends[i]
 	}
+	sortIDs(c3)
+	c.C2, c.C3, c.Conns, c.Direct, c.Indirect = c2, c3, conns, direct, indirect
 	return c
+}
+
+// sortIDs sorts a member list of at most a few dozen clusterheads with an
+// insertion sort.
+func sortIDs(ids []int32) {
+	for i := 1; i < len(ids); i++ {
+		w := ids[i]
+		j := i - 1
+		for j >= 0 && ids[j] > w {
+			ids[j+1] = ids[j]
+			j--
+		}
+		ids[j+1] = w
+	}
 }
 
 // ClusterGraph builds the paper's cluster graph G′: one vertex per cluster
@@ -322,8 +349,12 @@ func ClusterGraph(b *Builder) (*graph.Digraph, map[int]int) {
 	d := graph.NewDigraph(len(heads))
 	for _, h := range heads {
 		cov := b.Of(h)
-		cov.C2.ForEach(func(w int) { d.AddEdge(index[h], index[w]) })
-		cov.C3.ForEach(func(w int) { d.AddEdge(index[h], index[w]) })
+		for _, w := range cov.C2 {
+			d.AddEdge(index[h], index[int(w)])
+		}
+		for _, w := range cov.C3 {
+			d.AddEdge(index[h], index[int(w)])
+		}
 	}
 	return d, index
 }

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,15 +37,26 @@ func paperSetup(t *testing.T, mode Mode) (*graph.Graph, *cluster.Clustering, *Bu
 	return g, cl, NewBuilder(g, cl, mode)
 }
 
-// keys returns the sorted members of a set (nil when empty, for easy
-// reflect.DeepEqual comparisons). It accepts both graph set
-// representations (Bitset, SparseSet).
-func keys(b interface{ Members() []int }) []int {
-	out := b.Members()
-	if len(out) == 0 {
-		return nil
+// keys returns a member run as ints (nil when empty, for easy
+// reflect.DeepEqual comparisons).
+func keys(ids []int32) []int {
+	var out []int
+	for _, w := range ids {
+		out = append(out, int(w))
 	}
 	return out
+}
+
+// has reports whether the ascending run ids holds w.
+func has(ids []int32, w int) bool {
+	_, ok := slices.BinarySearch(ids, int32(w))
+	return ok
+}
+
+// connector returns the index of neighbor v's connector in cov, or -1
+// when v contributes no coverage.
+func connector(cov *Coverage, v int) int {
+	return slices.IndexFunc(cov.Conns, func(cn Connector) bool { return int(cn.V) == v })
 }
 
 func TestCH1MatchesPaperMessages(t *testing.T) {
@@ -131,12 +143,15 @@ func TestPaperIndirectConnectors(t *testing.T) {
 	_, _, b := paperSetup(t, Hop25)
 	// C³(4) = {1} reached via pair (9, 5): head 4 — 9 — 5 — 1.
 	cov := b.Of(3)
-	cn := cov.Connector(8)
-	if cn == nil || len(cn.Indirect) == 0 {
+	i := connector(cov, 8)
+	if i < 0 {
 		t.Fatalf("head 4 should have indirect coverage via node 9; got %v", cov.Conns)
 	}
-	if r, ok := cn.Relay(0); !ok || r != 4 {
-		t.Fatalf("head 4 should reach clusterhead 1 via relay 5 (0-based 4), got %v", cn.Indirect)
+	if _, ind := cov.Runs(i); len(ind) == 0 {
+		t.Fatalf("head 4 should have indirect coverage via node 9; got %v", cov.Conns)
+	}
+	if r, ok := cov.Relay(i, 0); !ok || r != 4 {
+		t.Fatalf("head 4 should reach clusterhead 1 via relay 5 (0-based 4), got %v", cov.Indirect)
 	}
 }
 
@@ -144,13 +159,21 @@ func TestPaperDirectConnectors(t *testing.T) {
 	_, _, b := paperSetup(t, Hop25)
 	cov := b.Of(0) // paper clusterhead 1
 	// Neighbor 6 covers {2}, neighbor 7 covers {3}, neighbor 5 covers none.
-	if cn := cov.Connector(5); cn == nil || !reflect.DeepEqual(cn.Direct, []int{1}) {
-		t.Errorf("Direct via node 6 = %v, want {2} (0-based {1})", cn)
+	direct := func(v int) []int {
+		i := connector(cov, v)
+		if i < 0 {
+			return nil
+		}
+		d, _ := cov.Runs(i)
+		return keys(d)
 	}
-	if cn := cov.Connector(6); cn == nil || !reflect.DeepEqual(cn.Direct, []int{2}) {
-		t.Errorf("Direct via node 7 = %v, want {3} (0-based {2})", cn)
+	if d := direct(5); !reflect.DeepEqual(d, []int{1}) {
+		t.Errorf("Direct via node 6 = %v, want {2} (0-based {1})", d)
 	}
-	if cn := cov.Connector(4); cn != nil && len(cn.Direct) != 0 {
+	if d := direct(6); !reflect.DeepEqual(d, []int{2}) {
+		t.Errorf("Direct via node 7 = %v, want {3} (0-based {2})", d)
+	}
+	if d := direct(4); len(d) != 0 {
 		t.Errorf("node 5 directly covers no 2-hop clusterhead of head 1")
 	}
 }
@@ -243,18 +266,18 @@ func TestQuickCoverageDistances(t *testing.T) {
 				if w == h {
 					continue
 				}
-				if cov.C2.Has(w) != (dist[w] == 2) {
+				if has(cov.C2, w) != (dist[w] == 2) {
 					return false
 				}
 			}
-			for _, w := range cov.C3.Members() {
+			for _, w := range keys(cov.C3) {
 				if dist[w] != 3 || !cl.IsHead(w) {
 					return false
 				}
 			}
 			if mode == Hop3 {
 				for _, w := range cl.Heads {
-					if dist[w] == 3 && !cov.C3.Has(w) {
+					if dist[w] == 3 && !has(cov.C3, w) {
 						return false
 					}
 				}
@@ -272,7 +295,7 @@ func TestQuickCoverageDistances(t *testing.T) {
 							break
 						}
 					}
-					if cov.C3.Has(w) != hasMember {
+					if has(cov.C3, w) != hasMember {
 						return false
 					}
 				}
@@ -303,20 +326,26 @@ func TestQuickConnectorsAreSound(t *testing.T) {
 		b := NewBuilder(g, cl, mode)
 		for _, h := range cl.Heads {
 			cov := b.Of(h)
-			for _, cn := range cov.Conns {
-				if !g.HasEdge(h, cn.V) {
+			for i, cn := range cov.Conns {
+				v := int(cn.V)
+				if !g.HasEdge(h, v) {
 					return false
 				}
-				for _, w := range cn.Direct {
-					if !g.HasEdge(cn.V, w) || !cov.C2.Has(w) {
+				direct, indirect := cov.Runs(i)
+				if len(direct) == 0 && len(indirect) == 0 {
+					return false
+				}
+				for _, w := range direct {
+					if !g.HasEdge(v, int(w)) || !has(cov.C2, int(w)) {
 						return false
 					}
 				}
-				for _, e := range cn.Indirect {
-					if !g.HasEdge(cn.V, e.R) || !g.HasEdge(e.R, e.W) || !cov.C3.Has(e.W) {
+				for _, e := range indirect {
+					w, r := int(e.W), int(e.R)
+					if !g.HasEdge(v, r) || !g.HasEdge(r, w) || !has(cov.C3, w) {
 						return false
 					}
-					if mode == Hop25 && cl.Head[e.R] != e.W {
+					if mode == Hop25 && cl.Head[r] != w {
 						return false
 					}
 				}
@@ -372,8 +401,8 @@ func TestQuickModeContainment(t *testing.T) {
 			if !reflect.DeepEqual(keys(c25.C2), keys(c3.C2)) {
 				return false
 			}
-			for _, w := range c25.C3.Members() {
-				if !c3.C3.Has(w) {
+			for _, w := range keys(c25.C3) {
+				if !has(c3.C3, w) {
 					return false
 				}
 			}

@@ -266,7 +266,7 @@ func (b *Builder) hop2Strip(s int) {
 				// messages come from non-clusterheads only.
 				if wi := ob[i]; mark[wi] < epA {
 					mark[wi] = epB
-					scratch = append(scratch, Hop2Entry{W: int(heads32[wi]), R: r})
+					scratch = append(scratch, Hop2Entry{W: heads32[wi], R: int32(r)})
 				}
 			}
 		} else {
@@ -283,7 +283,7 @@ func (b *Builder) hop2Strip(s int) {
 				for _, wi := range dat[ob[i]:eb[i]] {
 					if mark[wi] < epA {
 						mark[wi] = epB
-						scratch = append(scratch, Hop2Entry{W: int(heads32[wi]), R: r})
+						scratch = append(scratch, Hop2Entry{W: heads32[wi], R: int32(r)})
 					}
 				}
 			}

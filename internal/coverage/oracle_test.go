@@ -68,13 +68,13 @@ func (b *Builder) resetReference(g *graph.Graph, cl *cluster.Clustering, mode Mo
 			case Hop25:
 				// Only r's own clusterhead generates an entry.
 				if w := cl.Head[r]; mark[w] != epoch {
-					scratch = append(scratch, Hop2Entry{W: w, R: r})
+					scratch = append(scratch, Hop2Entry{W: int32(w), R: int32(r)})
 				}
 			case Hop3:
 				// Every clusterhead r hears directly generates an entry.
 				for _, w := range b.ch1[r] {
 					if mark[w] != epoch {
-						scratch = append(scratch, Hop2Entry{W: w, R: r})
+						scratch = append(scratch, Hop2Entry{W: int32(w), R: int32(r)})
 					}
 				}
 			}

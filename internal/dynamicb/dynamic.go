@@ -25,6 +25,9 @@
 package dynamicb
 
 import (
+	"math"
+	"slices"
+
 	"clustercast/internal/backbone"
 	"clustercast/internal/broadcast"
 	"clustercast/internal/cluster"
@@ -66,12 +69,20 @@ type packet struct {
 // across broadcasts from any source (the clusterheads and coverage sets
 // are fixed; only gateway selection happens per broadcast).
 type Protocol struct {
-	g         *graph.Graph
-	cl        *cluster.Clustering
-	b         *coverage.Builder
-	covArena  []coverage.Coverage  // per-head full coverage sets
-	covByNode []*coverage.Coverage // head ID -> its arena entry
-	sel       *backbone.Workspace  // gateway-selection scratch
+	g   *graph.Graph
+	cl  *cluster.Clustering
+	b   *coverage.Builder
+	sel *backbone.Workspace // gateway-selection scratch
+
+	// The coverage store: every head's C², C³, connectors and runs,
+	// carved from four run-wide arenas. The i-th head of cl.Heads starts
+	// at spans[i] and ends where spans[i+1] starts; its C² and C³ lie back
+	// to back in members. No head owns a slice of its own.
+	spans    []span
+	members  []int32
+	conns    []coverage.Connector
+	direct   []int32
+	indirect []coverage.Hop2Entry
 
 	// tracer, when non-nil, receives gateway-select and per-rule
 	// coverage-prune events from every head packet this protocol builds.
@@ -91,11 +102,21 @@ type Protocol struct {
 	packets []*packet
 	pcur    int
 
-	// The head strips of init, with one assembly scratch each. Each head's
-	// Coverage is assembled into its own covArena slot by exactly one
-	// strip, so the arena contents do not depend on the strip count.
-	sh   des.Shards
-	scrs []coverage.AsmScratch
+	// The head strips of init. Each strip sizes and then assembles its
+	// own heads' ranges of the store, so the arenas do not depend on the
+	// strip count.
+	sh     des.Shards
+	strips []initStrip
+}
+
+// span is where one head's coverage starts in each arena of the store.
+type span struct{ c2, c3, conns, direct, indirect int32 }
+
+// initStrip is one head strip's assembly scratch, and the coverage it
+// refills to size its heads' ranges.
+type initStrip struct {
+	asm coverage.AsmScratch
+	cov coverage.Coverage
 }
 
 var _ broadcast.Protocol = (*Protocol)(nil)
@@ -113,44 +134,100 @@ func NewFrom(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering) *Proto
 	return p
 }
 
-// init (re)points the protocol at a clustered network, computing the
-// per-head coverage sets into the reused arena over the given number of
-// head strips (one when ≤ 1).
+// init (re)points the protocol at a clustered network and fills the
+// coverage store over the given number of head strips (one when ≤ 1), in
+// two passes. The first assembles each head into its strip's scratch
+// coverage and records the lengths; a prefix sum turns them into the
+// heads' starts and sizes each arena once; the second assembles each head
+// in place, into its ranges carved at exactly those lengths.
 func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering, workers int) {
 	p.g, p.cl, p.b = g, cl, b
-	n := g.N()
-	if cap(p.covArena) < len(cl.Heads) {
-		p.covArena = make([]coverage.Coverage, len(cl.Heads))
+	k := len(cl.Heads)
+	p.spans = resize(p.spans, k+1)
+	p.sh.ResetRange(k, workers)
+	for len(p.strips) < p.sh.K() {
+		p.strips = append(p.strips, initStrip{})
 	}
-	p.covArena = p.covArena[:len(cl.Heads)]
-	if cap(p.covByNode) < n {
-		p.covByNode = make([]*coverage.Coverage, n)
+	p.each(workers, (*Protocol).sizeStrip)
+	var members, conns, direct, indirect int
+	for i, c := range p.spans[:k] {
+		p.spans[i] = span{
+			c2: int32(members), c3: int32(members) + c.c2,
+			conns: int32(conns), direct: int32(direct), indirect: int32(indirect),
+		}
+		members += int(c.c2 + c.c3)
+		conns += int(c.conns)
+		direct += int(c.direct)
+		indirect += int(c.indirect)
 	}
-	p.covByNode = p.covByNode[:n]
-	for i := range p.covByNode {
-		p.covByNode[i] = nil
+	// The offsets are int32. Every sum stays far below 2³¹ in the paper's
+	// regimes (n=1M at d=18 is about 2M direct entries), so a graph dense
+	// enough to overflow fails loudly instead of corrupting the store.
+	if max(members, conns, direct, indirect) > math.MaxInt32 {
+		panic("dynamicb: coverage store exceeds 2^31 entries; its int32 offsets cannot address it")
 	}
-	p.sh.ResetRange(len(cl.Heads), workers)
-	for len(p.scrs) < p.sh.K() {
-		p.scrs = append(p.scrs, coverage.AsmScratch{})
-	}
+	p.spans[k] = span{int32(members), int32(members), int32(conns), int32(direct), int32(indirect)}
+	p.members, p.conns = resize(p.members, members), resize(p.conns, conns)
+	p.direct, p.indirect = resize(p.direct, direct), resize(p.indirect, indirect)
+	p.each(workers, (*Protocol).fillStrip)
+}
+
+// each runs one init pass over every head strip: directly when there is a
+// single strip, so the one-strip init builds no closure, and otherwise on
+// up to workers goroutines.
+func (p *Protocol) each(workers int, pass func(p *Protocol, s int)) {
 	if p.sh.K() == 1 {
-		p.initStrip(0)
-	} else {
-		p.sh.Each(workers, p.initStrip)
+		pass(p, 0)
+		return
+	}
+	p.sh.Each(workers, func(s int) { pass(p, s) })
+}
+
+// sizeStrip records, in spans[i], the lengths of the coverage of each
+// head i of strip s.
+func (p *Protocol) sizeStrip(s int) {
+	lo, hi := p.sh.Range(s)
+	st := &p.strips[s]
+	for i := lo; i < hi; i++ {
+		c := p.b.OfScratch(p.cl.Heads[i], &st.cov, &st.asm)
+		p.spans[i] = span{
+			c2: int32(len(c.C2)), c3: int32(len(c.C3)), conns: int32(len(c.Conns)),
+			direct: int32(len(c.Direct)), indirect: int32(len(c.Indirect)),
+		}
 	}
 }
 
-// initStrip assembles the full coverage sets of head strip s.
-func (p *Protocol) initStrip(s int) {
+// fillStrip assembles the coverage of each head of strip s in place.
+func (p *Protocol) fillStrip(s int) {
 	lo, hi := p.sh.Range(s)
-	scr := &p.scrs[s]
+	asm := &p.strips[s].asm
 	for i := lo; i < hi; i++ {
-		h := p.cl.Heads[i]
-		c := &p.covArena[i]
-		p.b.OfScratch(h, c, scr)
-		p.covByNode[h] = c // distinct h per head index: single writer
+		c := p.coverage(i)
+		p.b.OfScratch(p.cl.Heads[i], &c, asm)
 	}
+}
+
+// coverage returns the i-th head's coverage, its lists carved from the
+// store and each capped at its length.
+func (p *Protocol) coverage(i int) coverage.Coverage {
+	a, z := &p.spans[i], &p.spans[i+1]
+	return coverage.Coverage{
+		Head: p.cl.Heads[i], Mode: p.b.Mode(), N: p.g.N(),
+		C2:       p.members[a.c2:a.c3:a.c3],
+		C3:       p.members[a.c3:z.c2:z.c2],
+		Conns:    p.conns[a.conns:z.conns:z.conns],
+		Direct:   p.direct[a.direct:z.direct:z.direct],
+		Indirect: p.indirect[a.indirect:z.indirect:z.indirect],
+	}
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // allocSet returns a cleared set over 0..n−1: fresh for plain protocols,
@@ -211,16 +288,15 @@ func (p *Protocol) Start(source int) broadcast.Packet {
 // by the incoming packet (nil for a source clusterhead) and the immediate
 // transmitter x (-1 for none), returning the outgoing payload.
 func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
-	cov := p.covByNode[v]
+	i, _ := slices.BinarySearch(p.cl.Heads, v)
+	cov := p.coverage(i)
 	n := p.g.N()
 	// Updated coverage set: start from the full C(v), drop everything the
 	// upstream transmission already covers. The need set is consumed by
 	// the selection below and never escapes, so one scratch set serves
 	// every head packet.
 	need := &p.need
-	need.Reset(n)
-	need.CopyFrom(cov.C2)
-	need.Or(cov.C3)
+	union(need, n, cov.C2, cov.C3)
 	if p.tracer != nil {
 		// Traced: apply the exclusions element-wise so every pruned
 		// clusterhead is attributed to the rule that removed it. The
@@ -231,7 +307,7 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 		p.pruneCounted(need, in, x)
 	}
 	fwd := p.allocSet(n)
-	p.sel.SelectInto(cov, need, need, backbone.Options{}, fwd)
+	p.sel.SelectInto(&cov, need, need, backbone.Options{}, fwd)
 	if obs.Enabled() {
 		mHeadPackets.Inc()
 		mGateways.Add(int64(fwd.Count()))
@@ -243,12 +319,27 @@ func (p *Protocol) headPacket(v int, in *packet, x int) *packet {
 	// are piggybacked"): everything in C(v) either receives via F(v) or
 	// was excluded precisely because it already received.
 	full := p.allocSet(n)
-	full.CopyFrom(cov.C2)
-	full.Or(cov.C3)
+	union(full, n, cov.C2, cov.C3)
 	full.Add(v)
 	pk := p.allocPacket()
 	*pk = packet{fromCH: v, cov: full, forward: fwd}
 	return pk
+}
+
+// union resets s to the universe 0..n−1 holding a ∪ b, two disjoint
+// ascending runs. It adds the members in ascending order, and each such
+// Add appends, so the merge costs O(|a| + |b|).
+func union(s *graph.SparseSet, n int, a, b []int32) {
+	s.Reset(n)
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			s.Add(int(a[0]))
+			a = a[1:]
+		} else {
+			s.Add(int(b[0]))
+			b = b[1:]
+		}
+	}
 }
 
 // pruneTraced applies the updated-coverage exclusions to need one element

@@ -108,14 +108,14 @@ func TestReplicateHotPathAllocs(t *testing.T) {
 		{"static-size-3hop", StaticSizeEstimatorWS(coverage.Hop3), 0},
 		{"mocds-size", MOCDSSizeEstimatorWS(), 0},
 		{"static-size-group", staticGroup, 0},
-		// The broadcast estimators still build a per-run Result whose maps
-		// scale with n (~2.2 objects/node at n=60). Bound them at 3n: loose
-		// enough for map-resize noise, tight enough that falling back to the
-		// allocating pipeline (hundreds of objects of setup per replicate)
-		// trips the guard.
-		{"dynamic-fwd-2.5hop", DynamicForwardEstimatorWS(coverage.Hop25), 3 * 60},
-		{"static-fwd-2.5hop", StaticForwardEstimatorWS(coverage.Hop25), 3 * 60},
-		{"mocds-fwd", MOCDSForwardEstimatorWS(), 3 * 60},
+		// The broadcast estimators run on the engine workspace's dense
+		// result, and the dynamic backbone keeps its coverage store and
+		// packets in workspace arenas. The one object of the static and
+		// MO_CDS broadcasts is the broadcast.StaticCDS value boxed into
+		// the Protocol interface.
+		{"dynamic-fwd-2.5hop", DynamicForwardEstimatorWS(coverage.Hop25), 0},
+		{"static-fwd-2.5hop", StaticForwardEstimatorWS(coverage.Hop25), 1},
+		{"mocds-fwd", MOCDSForwardEstimatorWS(), 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

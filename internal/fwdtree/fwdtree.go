@@ -96,13 +96,15 @@ func Build(b *coverage.Builder, cl *cluster.Clustering, source int) (*Tree, erro
 			// 2-hop clusterheads first (shorter attachment), each via its
 			// lowest-ID direct gateway.
 			gate2 := make(map[int]int)
-			for _, cn := range cov.Conns {
-				for _, w := range cn.Direct {
+			for i, cn := range cov.Conns {
+				direct, _ := cov.Runs(i)
+				for _, w := range direct {
+					w, gw := int(w), int(cn.V)
 					if joined[w] {
 						continue
 					}
-					if prev, ok := gate2[w]; !ok || cn.V < prev {
-						gate2[w] = cn.V
+					if prev, ok := gate2[w]; !ok || gw < prev {
+						gate2[w] = gw
 					}
 				}
 			}
@@ -119,14 +121,16 @@ func Build(b *coverage.Builder, cl *cluster.Clustering, source int) (*Tree, erro
 			}
 			// Remaining 3-hop clusterheads via gateway pairs.
 			gate3 := make(map[int]pair)
-			for _, cn := range cov.Conns {
-				for _, e := range cn.Indirect {
-					if joined[e.W] {
+			for i, cn := range cov.Conns {
+				_, indirect := cov.Runs(i)
+				for _, e := range indirect {
+					w, f, r := int(e.W), int(cn.V), int(e.R)
+					if joined[w] {
 						continue
 					}
-					p, ok := gate3[e.W]
-					if !ok || cn.V < p.f || (cn.V == p.f && e.R < p.r) {
-						gate3[e.W] = pair{cn.V, e.R}
+					p, ok := gate3[w]
+					if !ok || f < p.f || (f == p.f && r < p.r) {
+						gate3[w] = pair{f, r}
 					}
 				}
 			}

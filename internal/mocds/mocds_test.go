@@ -49,11 +49,12 @@ func buildMaps(b *coverage.Builder, cl *cluster.Clustering) *mapCDS {
 	for _, h := range cl.Heads {
 		c.Nodes[h] = true
 		cov := b.Of(h)
-		con2 := make(map[int]int, cov.C2.Count())
-		for _, cn := range cov.Conns {
-			for _, w := range cn.Direct {
-				if prev, ok := con2[w]; !ok || cn.V < prev {
-					con2[w] = cn.V
+		con2 := make(map[int]int, len(cov.C2))
+		for i, cn := range cov.Conns {
+			direct, _ := cov.Runs(i)
+			for _, w := range direct {
+				if prev, ok := con2[int(w)]; !ok || int(cn.V) < prev {
+					con2[int(w)] = int(cn.V)
 				}
 			}
 		}
@@ -61,12 +62,13 @@ func buildMaps(b *coverage.Builder, cl *cluster.Clustering) *mapCDS {
 			c.Nodes[v] = true
 		}
 		c.Connectors2[h] = con2
-		con3 := make(map[int][2]int, cov.C3.Count())
-		for _, cn := range cov.Conns {
-			for _, e := range cn.Indirect {
-				pair := [2]int{cn.V, e.R}
-				if prev, ok := con3[e.W]; !ok || pair[0] < prev[0] || pair[0] == prev[0] && pair[1] < prev[1] {
-					con3[e.W] = pair
+		con3 := make(map[int][2]int, len(cov.C3))
+		for i, cn := range cov.Conns {
+			_, indirect := cov.Runs(i)
+			for _, e := range indirect {
+				pair := [2]int{int(cn.V), int(e.R)}
+				if prev, ok := con3[int(e.W)]; !ok || pair[0] < prev[0] || pair[0] == prev[0] && pair[1] < prev[1] {
+					con3[int(e.W)] = pair
 				}
 			}
 		}

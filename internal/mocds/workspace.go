@@ -61,7 +61,7 @@ func (ws *Workspace) SizeFrom(b *coverage.Builder, cl *cluster.Clustering) int {
 // connector and every 3-hop clusterhead through the lexicographically
 // smallest (gateway, relay) pair. The fold relies on the deterministic
 // layout of coverage sets: Conns is ascending by neighbor ID, and each
-// connector's Indirect list keeps the lowest-ID relay per clusterhead, so
+// connector's Indirect run keeps the lowest-ID relay per clusterhead, so
 // scanning connectors in order and taking the FIRST sighting of each
 // clusterhead picks exactly those connectors. The tests hold it to a map
 // fold that keeps the smallest connector per clusterhead.
@@ -116,21 +116,23 @@ func (ws *Workspace) foldStrip(s int) {
 		}
 		ep := st.epoch
 		cov := ws.b.OfScratch(h, &st.cov, &st.asm)
-		for ci := range cov.Conns {
-			cn := &cov.Conns[ci]
-			for _, w := range cn.Direct {
+		var d0, i0 int32
+		for _, cn := range cov.Conns {
+			v := int(cn.V)
+			for _, w := range cov.Direct[d0:cn.DirEnd] {
 				if seen2[w] != ep {
 					seen2[w] = ep
-					nodes.Add(cn.V)
+					nodes.Add(v)
 				}
 			}
-			for _, e := range cn.Indirect {
+			for _, e := range cov.Indirect[i0:cn.IndEnd] {
 				if seen3[e.W] != ep {
 					seen3[e.W] = ep
-					nodes.Add(cn.V)
-					nodes.Add(e.R)
+					nodes.Add(v)
+					nodes.Add(int(e.R))
 				}
 			}
+			d0, i0 = cn.DirEnd, cn.IndEnd
 		}
 	}
 }

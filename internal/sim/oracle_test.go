@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"clustercast/internal/backbone"
@@ -307,44 +308,58 @@ func runOracle(g *graph.Graph, mode coverage.Mode) (*Outcome, map[int]*coverage.
 // assembleCoverage builds the head's coverage.Coverage from the gathered
 // CH_HOP1/CH_HOP2 reports, mirroring coverage.Builder.Of.
 func (nd *node) assembleCoverage(mode coverage.Mode, n int) *coverage.Coverage {
-	cov := &coverage.Coverage{
-		Head: nd.id, Mode: mode,
-		C2: graph.NewSparseSet(n), C3: graph.NewSparseSet(n),
-	}
+	cov := &coverage.Coverage{Head: nd.id, Mode: mode, N: n}
 	// First pass over the (sorted) neighbors fills C² completely, because
 	// the C³ pass below must filter against it. Per-neighbor lists are
 	// collected into the connector layout coverage.Builder.Of produces.
-	direct := make([][]int, len(nd.neighbors))
+	c2 := map[int]bool{}
+	direct := make([][]int32, len(nd.neighbors))
 	for i, v := range nd.neighbors {
 		heads, ok := nd.gotHop1[v]
 		if !ok {
 			continue
 		}
-		var d []int
+		var d []int32
 		for _, w := range heads {
 			if w == nd.id {
 				continue
 			}
-			cov.C2.Add(w)
-			d = append(d, w)
+			c2[w] = true
+			d = append(d, int32(w))
 		}
-		sort.Ints(d)
+		slices.Sort(d)
 		direct[i] = d
 	}
+	c3 := map[int]bool{}
 	for i, v := range nd.neighbors {
 		var ind []coverage.Hop2Entry
 		for w, r := range nd.gotHop2[v] {
-			if w == nd.id || cov.C2.Has(w) {
+			if w == nd.id || c2[w] {
 				continue
 			}
-			cov.C3.Add(w)
-			ind = append(ind, coverage.Hop2Entry{W: w, R: r})
+			c3[w] = true
+			ind = append(ind, coverage.Hop2Entry{W: int32(w), R: int32(r)})
 		}
 		sort.Slice(ind, func(a, b int) bool { return ind[a].W < ind[b].W })
 		if len(direct[i]) == 0 && len(ind) == 0 {
 			continue
 		}
-		cov.Conns = append(cov.Conns, coverage.Connector{V: v, Direct: direct[i], Indirect: ind})
+		cov.Direct = append(cov.Direct, direct[i]...)
+		cov.Indirect = append(cov.Indirect, ind...)
+		cov.Conns = append(cov.Conns, coverage.Connector{
+			V: int32(v), DirEnd: int32(len(cov.Direct)), IndEnd: int32(len(cov.Indirect)),
+		})
 	}
+	cov.C2, cov.C3 = sortedIDs(c2), sortedIDs(c3)
 	return cov
+}
+
+// sortedIDs returns the members of a node set as an ascending run.
+func sortedIDs(set map[int]bool) []int32 {
+	var out []int32
+	for w := range set {
+		out = append(out, int32(w))
+	}
+	slices.Sort(out)
+	return out
 }

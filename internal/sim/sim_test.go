@@ -110,21 +110,18 @@ func crossCheck(t testing.TB, g *graph.Graph, mode coverage.Mode) {
 		if got == nil {
 			t.Fatalf("%v: head %d assembled no coverage", mode, h)
 		}
-		if got.Head != want.Head || got.Mode != want.Mode {
+		if got.Head != want.Head || got.Mode != want.Mode || got.N != want.N {
 			t.Fatalf("%v: head %d coverage identity differs", mode, h)
 		}
-		if !slices.Equal(got.C2.Members(), want.C2.Members()) {
-			t.Fatalf("%v: head %d C² differs: %v vs %v", mode, h, got.C2.Members(), want.C2.Members())
+		if !slices.Equal(got.C2, want.C2) {
+			t.Fatalf("%v: head %d C² differs: %v vs %v", mode, h, got.C2, want.C2)
 		}
-		if !slices.Equal(got.C3.Members(), want.C3.Members()) {
-			t.Fatalf("%v: head %d C³ differs: %v vs %v", mode, h, got.C3.Members(), want.C3.Members())
+		if !slices.Equal(got.C3, want.C3) {
+			t.Fatalf("%v: head %d C³ differs: %v vs %v", mode, h, got.C3, want.C3)
 		}
-		// Where the oracle has no list the builder has an empty one, so
-		// the connectors compare by contents.
-		if !slices.EqualFunc(got.Conns, want.Conns, func(a, b coverage.Connector) bool {
-			return a.V == b.V && slices.Equal(a.Direct, b.Direct) && slices.Equal(a.Indirect, b.Indirect)
-		}) {
-			t.Fatalf("%v: head %d connectors differ:\n  distributed %v\n  centralized %v", mode, h, got.Conns, want.Conns)
+		if !slices.Equal(got.Conns, want.Conns) || !slices.Equal(got.Direct, want.Direct) || !slices.Equal(got.Indirect, want.Indirect) {
+			t.Fatalf("%v: head %d connectors differ:\n  distributed %v %v %v\n  centralized %v %v %v", mode, h,
+				got.Conns, got.Direct, got.Indirect, want.Conns, want.Direct, want.Indirect)
 		}
 	}
 	st := backbone.BuildStaticFrom(b, cl)

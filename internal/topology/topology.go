@@ -67,7 +67,13 @@ func (c Config) validate() error {
 	if !finite(c.AvgDegree) || !finite(c.Radius) {
 		return fmt.Errorf("topology: non-finite AvgDegree %g or Radius %g", c.AvgDegree, c.Radius)
 	}
-	if c.Radius <= 0 && c.AvgDegree <= 0 {
+	if c.AvgDegree < 0 {
+		return fmt.Errorf("topology: negative AvgDegree %g", c.AvgDegree)
+	}
+	if c.Radius < 0 {
+		return fmt.Errorf("topology: negative Radius %g", c.Radius)
+	}
+	if c.Radius == 0 && c.AvgDegree == 0 {
 		return errors.New("topology: need Radius or AvgDegree")
 	}
 	return nil

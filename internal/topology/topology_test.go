@@ -58,6 +58,12 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{N: 10, Bounds: geom.Square(100)}, r); err == nil {
 		t.Fatal("missing radius and degree must fail")
 	}
+	if _, err := Generate(Config{N: 10, Bounds: geom.Square(100), AvgDegree: -3}, r); err == nil || !strings.Contains(err.Error(), "negative AvgDegree -3") {
+		t.Fatalf("AvgDegree -3: want a negative-degree error, got %v", err)
+	}
+	if _, err := Generate(Config{N: 10, Bounds: geom.Square(100), AvgDegree: 6, Radius: -2}, r); err == nil || !strings.Contains(err.Error(), "negative Radius -2") {
+		t.Fatalf("Radius -2: want a negative-radius error, got %v", err)
+	}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := Generate(Config{N: 10, Bounds: geom.Square(100), AvgDegree: x}, r); err == nil {
 			t.Fatalf("AvgDegree %g must fail", x)
