@@ -227,6 +227,9 @@ func (b *Builder) Mode() Mode { return b.mode }
 // The returned slice is owned by the builder.
 func (b *Builder) CH1(v int) []int { return b.ch1[v] }
 
+// CH2Count returns the number of entries of v's CH_HOP2 report.
+func (b *Builder) CH2Count(v int) int { return len(b.ch2[v]) }
+
 // CH2 returns v's CH_HOP2 content as a clusterhead ↦ relay map. It
 // materializes a fresh map per call and exists for reporting and tests.
 func (b *Builder) CH2(v int) map[int]int {

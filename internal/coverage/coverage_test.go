@@ -419,7 +419,8 @@ func TestQuickModeContainment(t *testing.T) {
 // On a unit-disk graph of range r those heads lie within 3r of u, and
 // their r/2-disks, u's own included, are disjoint inside the disk of
 // radius 3.5r around u: |C²(u)| + |C³(u)| ≤ (3.5r)²/(r/2)² − 1 = 48 at
-// any n and density. graph.SparseSet holds these sets on that bound.
+// any n and density. The sorted member runs and the dynamic backbone's
+// need sets rely on that bound.
 func TestCoverageWithinPackingBound(t *testing.T) {
 	const packing = 48
 	largest := 0

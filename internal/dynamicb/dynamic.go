@@ -75,11 +75,11 @@ type Protocol struct {
 	sel *backbone.Workspace // gateway-selection scratch
 
 	// The coverage store: every head's C², C³, connectors and runs,
-	// carved from four run-wide arenas. The i-th head of cl.Heads starts
-	// at spans[i] and ends where spans[i+1] starts; its C² and C³ lie back
-	// to back in members. No head owns a slice of its own.
+	// carved from five run-wide arenas. The i-th head of cl.Heads starts
+	// at spans[i] and ends where spans[i+1] starts. No head owns a slice
+	// of its own.
 	spans    []span
-	members  []int32
+	c2, c3   []int32
 	conns    []coverage.Connector
 	direct   []int32
 	indirect []coverage.Hop2Entry
@@ -102,9 +102,9 @@ type Protocol struct {
 	packets []*packet
 	pcur    int
 
-	// The head strips of init. Each strip sizes and then assembles its
-	// own heads' ranges of the store, so the arenas do not depend on the
-	// strip count.
+	// The head strips of init. Each strip assembles its heads into its
+	// own region of the arenas, so the store does not depend on the strip
+	// count.
 	sh     des.Shards
 	strips []initStrip
 }
@@ -112,11 +112,19 @@ type Protocol struct {
 // span is where one head's coverage starts in each arena of the store.
 type span struct{ c2, c3, conns, direct, indirect int32 }
 
-// initStrip is one head strip's assembly scratch, and the coverage it
-// refills to size its heads' ranges.
+// add returns the entrywise sum a + b.
+func (a span) add(b span) span {
+	return span{a.c2 + b.c2, a.c3 + b.c3, a.conns + b.conns, a.direct + b.direct, a.indirect + b.indirect}
+}
+
+// initStrip is one head strip's assembly scratch and its region of the
+// arenas: where the region starts, how much of each arena it may fill
+// (an upper bound from the digest's counts), and how much its heads
+// filled.
 type initStrip struct {
-	asm coverage.AsmScratch
-	cov coverage.Coverage
+	asm                coverage.AsmScratch
+	first              int // the strip's first head
+	start, bound, used span
 }
 
 var _ broadcast.Protocol = (*Protocol)(nil)
@@ -135,11 +143,12 @@ func NewFrom(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering) *Proto
 }
 
 // init (re)points the protocol at a clustered network and fills the
-// coverage store over the given number of head strips (one when ≤ 1), in
-// two passes. The first assembles each head into its strip's scratch
-// coverage and records the lengths; a prefix sum turns them into the
-// heads' starts and sizes each arena once; the second assembles each head
-// in place, into its ranges carved at exactly those lengths.
+// coverage store over the given number of head strips (one when ≤ 1).
+// The digest's counts bound what each strip's heads can fill, which sizes
+// each arena once and cuts it into one region per strip. Every strip
+// assembles its heads back to back from the start of its region, and the
+// strips' blocks then move down to close the gaps, so the store is the
+// same for any strip count.
 func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Clustering, workers int) {
 	p.g, p.cl, p.b = g, cl, b
 	k := len(cl.Heads)
@@ -148,28 +157,80 @@ func (p *Protocol) init(b *coverage.Builder, g *graph.Graph, cl *cluster.Cluster
 	for len(p.strips) < p.sh.K() {
 		p.strips = append(p.strips, initStrip{})
 	}
-	p.each(workers, (*Protocol).sizeStrip)
-	var members, conns, direct, indirect int
-	for i, c := range p.spans[:k] {
-		p.spans[i] = span{
-			c2: int32(members), c3: int32(members) + c.c2,
-			conns: int32(conns), direct: int32(direct), indirect: int32(indirect),
-		}
-		members += int(c.c2 + c.c3)
-		conns += int(c.conns)
-		direct += int(c.direct)
-		indirect += int(c.indirect)
+	strips := p.strips[:p.sh.K()]
+	p.bound(strips)
+	var at span
+	for s := range strips {
+		strips[s].start = at
+		at = at.add(strips[s].bound)
 	}
-	// The offsets are int32. Every sum stays far below 2³¹ in the paper's
-	// regimes (n=1M at d=18 is about 2M direct entries), so a graph dense
-	// enough to overflow fails loudly instead of corrupting the store.
-	if max(members, conns, direct, indirect) > math.MaxInt32 {
+	p.c2, p.c3 = resize(p.c2, int(at.c2)), resize(p.c3, int(at.c3))
+	p.conns = resize(p.conns, int(at.conns))
+	p.direct, p.indirect = resize(p.direct, int(at.direct)), resize(p.indirect, int(at.indirect))
+	p.each(workers, (*Protocol).fillStrip)
+	at = span{}
+	for s := range strips {
+		st := &strips[s]
+		if st.start != at {
+			p.move(st.start, at, st.used)
+		}
+		lo, hi := p.sh.Range(s)
+		for i := lo; i < hi; i++ {
+			p.spans[i] = p.spans[i].add(at)
+		}
+		at = at.add(st.used)
+	}
+	p.spans[k] = at
+	p.c2, p.c3, p.conns = p.c2[:at.c2], p.c3[:at.c3], p.conns[:at.conns]
+	p.direct, p.indirect = p.direct[:at.direct], p.indirect[:at.indirect]
+}
+
+// bound sets each strip's bound from the digest's counts. A node v that
+// hears a = |CH_HOP1(v)| clusterheads is a neighbor of each of them, and
+// gives each one connector, exactly a−1 direct entries (every head it
+// hears but that one) and at most |CH_HOP2(v)| indirect entries. C² takes
+// at most a head's direct entries, and C³ at most its indirect ones. The
+// scan reads the digest in node order; strips are contiguous in head ID,
+// so each head's strip is found by walking the strips' first heads.
+func (p *Protocol) bound(strips []initStrip) {
+	for s := range strips {
+		lo, _ := p.sh.Range(s)
+		strips[s].bound, strips[s].first = span{}, len(p.cl.Heads)
+		if lo < len(p.cl.Heads) {
+			strips[s].first = p.cl.Heads[lo]
+		}
+	}
+	var direct, indirect int
+	for v, n := 0, p.g.N(); v < n; v++ {
+		ch1 := p.b.CH1(v)
+		if len(ch1) == 0 {
+			continue
+		}
+		d, in := int32(len(ch1)-1), int32(p.b.CH2Count(v))
+		s := 0
+		for _, h := range ch1 {
+			for s+1 < len(strips) && h >= strips[s+1].first {
+				s++
+			}
+			b := &strips[s].bound
+			b.conns++
+			b.direct += d
+			b.indirect += in
+		}
+		direct += len(ch1) * int(d)
+		indirect += len(ch1) * int(in)
+	}
+	for s := range strips {
+		b := &strips[s].bound
+		b.c2, b.c3 = b.direct, b.indirect
+	}
+	// The offsets are int32. Every total stays far below 2³¹ in the
+	// paper's regimes (at n=1M, d=18 about 3.2M indirect entries bound),
+	// so a graph dense enough to overflow fails loudly instead of
+	// corrupting the store.
+	if max(direct, indirect) > math.MaxInt32 {
 		panic("dynamicb: coverage store exceeds 2^31 entries; its int32 offsets cannot address it")
 	}
-	p.spans[k] = span{int32(members), int32(members), int32(conns), int32(direct), int32(indirect)}
-	p.members, p.conns = resize(p.members, members), resize(p.conns, conns)
-	p.direct, p.indirect = resize(p.direct, direct), resize(p.indirect, indirect)
-	p.each(workers, (*Protocol).fillStrip)
 }
 
 // each runs one init pass over every head strip: directly when there is a
@@ -183,28 +244,42 @@ func (p *Protocol) each(workers int, pass func(p *Protocol, s int)) {
 	p.sh.Each(workers, func(s int) { pass(p, s) })
 }
 
-// sizeStrip records, in spans[i], the lengths of the coverage of each
-// head i of strip s.
-func (p *Protocol) sizeStrip(s int) {
-	lo, hi := p.sh.Range(s)
+// fillStrip assembles each head i of strip s in place, back to back from
+// the start of the strip's region, and records in spans[i] where its
+// coverage starts relative to that region.
+func (p *Protocol) fillStrip(s int) {
 	st := &p.strips[s]
+	end := st.start.add(st.bound)
+	var at span
+	lo, hi := p.sh.Range(s)
 	for i := lo; i < hi; i++ {
-		c := p.b.OfScratch(p.cl.Heads[i], &st.cov, &st.asm)
-		p.spans[i] = span{
-			c2: int32(len(c.C2)), c3: int32(len(c.C3)), conns: int32(len(c.Conns)),
-			direct: int32(len(c.Direct)), indirect: int32(len(c.Indirect)),
+		a := st.start.add(at)
+		c := coverage.Coverage{
+			C2:       p.c2[a.c2:a.c2:end.c2],
+			C3:       p.c3[a.c3:a.c3:end.c3],
+			Conns:    p.conns[a.conns:a.conns:end.conns],
+			Direct:   p.direct[a.direct:a.direct:end.direct],
+			Indirect: p.indirect[a.indirect:a.indirect:end.indirect],
 		}
+		p.b.OfScratch(p.cl.Heads[i], &c, &st.asm)
+		p.spans[i] = at
+		at = at.add(span{int32(len(c.C2)), int32(len(c.C3)), int32(len(c.Conns)), int32(len(c.Direct)), int32(len(c.Indirect))})
 	}
+	// A list that outgrew its region would have moved off the arena.
+	if b := st.bound; at.c2 > b.c2 || at.c3 > b.c3 || at.conns > b.conns || at.direct > b.direct || at.indirect > b.indirect {
+		panic("dynamicb: a head strip's coverage outgrew the bound of its region")
+	}
+	st.used = at
 }
 
-// fillStrip assembles the coverage of each head of strip s in place.
-func (p *Protocol) fillStrip(s int) {
-	lo, hi := p.sh.Range(s)
-	asm := &p.strips[s].asm
-	for i := lo; i < hi; i++ {
-		c := p.coverage(i)
-		p.b.OfScratch(p.cl.Heads[i], &c, asm)
-	}
+// move copies a strip's filled block of every arena from where the strip
+// filled it down to where the store keeps it.
+func (p *Protocol) move(from, to, n span) {
+	copy(p.c2[to.c2:], p.c2[from.c2:from.c2+n.c2])
+	copy(p.c3[to.c3:], p.c3[from.c3:from.c3+n.c3])
+	copy(p.conns[to.conns:], p.conns[from.conns:from.conns+n.conns])
+	copy(p.direct[to.direct:], p.direct[from.direct:from.direct+n.direct])
+	copy(p.indirect[to.indirect:], p.indirect[from.indirect:from.indirect+n.indirect])
 }
 
 // coverage returns the i-th head's coverage, its lists carved from the
@@ -213,8 +288,8 @@ func (p *Protocol) coverage(i int) coverage.Coverage {
 	a, z := &p.spans[i], &p.spans[i+1]
 	return coverage.Coverage{
 		Head: p.cl.Heads[i], Mode: p.b.Mode(), N: p.g.N(),
-		C2:       p.members[a.c2:a.c3:a.c3],
-		C3:       p.members[a.c3:z.c2:z.c2],
+		C2:       p.c2[a.c2:z.c2:z.c2],
+		C3:       p.c3[a.c3:z.c3:z.c3],
 		Conns:    p.conns[a.conns:z.conns:z.conns],
 		Direct:   p.direct[a.direct:z.direct:z.direct],
 		Indirect: p.indirect[a.indirect:z.indirect:z.indirect],

@@ -3,11 +3,12 @@ package graph
 // SparseSet is a set of small non-negative integers (node IDs) stored as a
 // sorted slice of members, so every operation costs O(members) where a
 // Bitset's costs O(capacity/64 words). It holds the neighborhood-sized sets
-// of the backbone pipeline: a clusterhead's C² and C³ coverage sets, the
-// pruned need sets and the gateway selections drawn from them. Lowest-ID
-// clusterheads are pairwise non-adjacent, so on a unit-disk graph at most
-// 48 of them lie within three hops of a node (their r/2-disks are disjoint
-// inside a disk of radius 3.5r), and these sets stay that small at any n.
+// of the backbone pipeline: the pruned need sets drawn from a clusterhead's
+// C² and C³ coverage sets, the piggybacked coverage and the gateway
+// selections. Lowest-ID clusterheads are pairwise non-adjacent, so on a
+// unit-disk graph at most 48 of them lie within three hops of a node (their
+// r/2-disks are disjoint inside a disk of radius 3.5r), and these sets stay
+// that small at any n.
 //
 // Members are kept strictly ascending, so iteration order matches Bitset's
 // and the greedy selections' "lowest ID first" determinism is preserved.
