@@ -150,10 +150,7 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 
 	// Phase 1: greedily exhaust C².
 	for rem2 > 0 {
-		best := -1
-		var bestDir []int32
-		var bestInd []coverage.Hop2Entry
-		bestD, bestI := 0, 0
+		best, bestD, bestI := -1, 0, 0
 		var d0, i0 int32
 		for i, cn := range conns {
 			dr, ir := direct[d0:cn.DirEnd], indirect[i0:cn.IndEnd]
@@ -176,7 +173,7 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 				}
 			}
 			if d > bestD || (d == bestD && in > bestI) {
-				best, bestDir, bestInd, bestD, bestI = i, dr, ir, d, in
+				best, bestD, bestI = i, d, in
 			}
 		}
 		if best < 0 {
@@ -191,6 +188,7 @@ func selectCore(cov *coverage.Coverage, need2, need3 *graph.SparseSet, opts Opti
 			panic(fmt.Sprintf("backbone: head %d cannot cover %v", cov.Head, left))
 		}
 		add(int(conns[best].V))
+		bestDir, bestInd := cov.Runs(best)
 		for _, w := range bestDir {
 			if mark[w] == e2 {
 				mark[w] = 0

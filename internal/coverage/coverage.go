@@ -84,7 +84,7 @@ type Connector struct {
 
 // Coverage is the coverage set of one clusterhead together with the
 // connector bookkeeping used by gateway selection. Every list is a flat
-// run of four-byte IDs, so a coverage is six slice headers over storage
+// run of four-byte IDs, so a coverage is five slice headers over storage
 // that a caller can carve from shared arenas (see OfScratch).
 type Coverage struct {
 	Head int
@@ -249,9 +249,9 @@ func (b *Builder) Of(u int) *Coverage {
 // OfScratch computes the coverage set of clusterhead u into c, appending
 // to c's lists from length zero, with caller-provided assembly scratch.
 // The lists are reused, so a loop that refills one Coverage allocates
-// only while they grow; a caller that carves them from shared arenas,
-// each capped at the exact length this call writes, has the coverage
-// assembled in place. It panics when u is not a clusterhead of the
+// only while they grow, and a caller that carves them from shared arenas
+// with room for what this call writes has the coverage assembled in
+// place. It panics when u is not a clusterhead of the
 // clustering. After Reset the builder's digests are read-only, so
 // OfScratch is safe to call from multiple goroutines concurrently as long
 // as each caller passes its own c and scr — the per-clusterhead loops of
