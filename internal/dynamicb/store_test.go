@@ -14,7 +14,8 @@ import (
 // TestColdInitAllocsFlatInHeads: a cold build carves every head's
 // coverage from arenas sized once, so the objects it allocates do not
 // grow with the head count. Before the arenas a cold NewWith made about
-// 25 objects per head (1,248 at 52 heads, 126,325 at 4,942).
+// 25 objects per head on these networks (1,217 at 52 heads, 125,881 at
+// 4,928).
 func TestColdInitAllocsFlatInHeads(t *testing.T) {
 	sizes := []int{500, 5000, 50000}
 	if testing.Short() {
@@ -36,9 +37,9 @@ func TestColdInitAllocsFlatInHeads(t *testing.T) {
 			first.ws, first.proto = ws, proto
 			continue
 		}
-		// The strips' scratch lists grow to the largest head's coverage,
-		// and the digest's CH_HOP2 arena opens a chunk per strip-sized
-		// block of entries: a few objects of slack absorb both.
+		// The assembly's per-neighbor scratch grows to the largest head
+		// degree, and the digest's CH_HOP2 arena opens a chunk per
+		// strip-sized block of entries: a few objects of slack absorb both.
 		const slack = 4
 		if ws > first.ws+slack || proto > first.proto+slack {
 			t.Fatalf("n=%d (%d heads): cold NewWith %.0f and New %.0f objects, against %.0f and %.0f at n=%d",
