@@ -4,6 +4,11 @@
 // scaling curves of BenchmarkScaleReplicate and BenchmarkScaleKernels can
 // be reproduced (and profiled) outside the Go benchmark harness.
 //
+// Each replicate's heap= figure, and a stage's heap high-water, is the live
+// heap after a full collection that follows the kernel: the bytes still
+// reachable then (the workspaces at the size the kernel grew them to and
+// its results), not garbage the collector had not reached yet.
+//
 // Each replicate samples a connected unit-disk topology through the
 // workspace path, then runs the requested stages: static25 (2.5-hop static
 // backbone size), mocds (MO_CDS baseline size), dynamic25 (one dynamic-
@@ -29,6 +34,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strings"
@@ -65,6 +71,12 @@ func main() {
 	flag.StringVar(&cfg.stages, "stages", "static25,mocds,dynamic25", "comma-separated stages to run")
 	flag.StringVar(&cfg.trace, "trace", "", "record the first dynamic25 replicate's event stream (JSONL) to this file")
 	cfg.run.Register(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: scale [flags]\n"+
+			"Each replicate line's heap= and each stage's high-water are the live heap after a full\n"+
+			"collection that follows the kernel: the bytes still reachable, without uncollected garbage.\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout); err != nil {
@@ -170,7 +182,7 @@ func run(cfg config, out io.Writer) (retErr error) {
 	for _, name := range names {
 		st := stages[name]
 		kernelTimes := make([]time.Duration, 0, cfg.reps)
-		var heapHigh uint64 // stage heap high-water mark (HeapInuse after a kernel)
+		var heapHigh uint64 // stage heap high-water mark (live heap after a kernel)
 		// The same high-water as a registry gauge, so it lands in the
 		// manifest counter dump and in live heartbeats, not just stdout.
 		gHeap := obs.NewGauge("scale." + name + ".heap_high_water_bytes")
@@ -197,14 +209,17 @@ func run(cfg config, out io.Writer) (retErr error) {
 			t1 := time.Now()
 			v := st(ws, nw, cfg.n/2, tr)
 			kernel := time.Since(t1)
-			// Heap high-water: HeapInuse right after the kernel catches the
-			// stage's peak structures (digests, coverage arenas, engine
-			// state) before the next sample disturbs them.
-			runtime.ReadMemStats(&ms1)
-			if ms1.HeapInuse > heapHigh {
-				heapHigh = ms1.HeapInuse
+			// Heap high-water: the live heap after a collection right after
+			// the kernel catches the stage's peak structures (digests,
+			// coverage arenas, engine state) before the next sample
+			// disturbs them, and counts none of the kernel's garbage, so it
+			// does not move with collection timing.
+			if measured {
+				runtime.ReadMemStats(&ms1)
 			}
-			gHeap.SetMax(int64(ms1.HeapInuse))
+			heap := liveHeap()
+			heapHigh = max(heapHigh, heap)
+			gHeap.SetMax(int64(heap))
 			progReps.Step()
 			if measured {
 				clk.Add(name+".sample", sample.Nanoseconds())
@@ -214,10 +229,10 @@ func run(cfg config, out io.Writer) (retErr error) {
 			kernelTimes = append(kernelTimes, kernel)
 			fmt.Fprintf(out, "%-10s rep=%d  sample=%-12v kernel=%-12v heap=%-10s result=%g\n",
 				name, rep, sample.Round(time.Microsecond), kernel.Round(time.Microsecond),
-				fmt.Sprintf("%.1fMiB", float64(ms1.HeapInuse)/(1<<20)), v)
+				fmt.Sprintf("%.1fMiB", float64(heap)/(1<<20)), v)
 		}
 		sort.Slice(kernelTimes, func(i, j int) bool { return kernelTimes[i] < kernelTimes[j] })
-		fmt.Fprintf(out, "%-10s median kernel %v over %d reps, heap high-water %.1f MiB\n",
+		fmt.Fprintf(out, "%-10s median kernel %v over %d reps, live-heap high-water %.1f MiB\n",
 			name, kernelTimes[len(kernelTimes)/2].Round(time.Microsecond), len(kernelTimes), float64(heapHigh)/(1<<20))
 	}
 	obs.MergeStages(&clk)
@@ -239,4 +254,13 @@ func run(cfg config, out io.Writer) (retErr error) {
 		fmt.Fprintf(out, "manifest: %s\n", cfg.run.Manifest)
 	}
 	return nil
+}
+
+// liveHeap collects garbage and returns the bytes of heap objects still
+// reachable.
+func liveHeap() uint64 {
+	runtime.GC()
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
+	return live[0].Value.Uint64()
 }
