@@ -159,7 +159,7 @@ func wavefront(g *graph.Graph, base, next *cluster.Clustering, changed []int, is
 	for _, v := range changed {
 		join(v)
 		for _, u := range g.Neighbors(v) {
-			join(u)
+			join(int(u))
 		}
 	}
 	for i := 0; i < len(wave); i++ {
@@ -170,8 +170,8 @@ func wavefront(g *graph.Graph, base, next *cluster.Clustering, changed []int, is
 		}
 		from := min(was, now)
 		for _, u := range g.Neighbors(v) {
-			if decided(base, u) > from {
-				join(u)
+			if decided(base, int(u)) > from {
+				join(int(u))
 			}
 		}
 	}
@@ -200,7 +200,8 @@ func hopBall(g *graph.Graph, seeds []int, depth int, isUp func(int) bool) *graph
 		if dist[v] == depth {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			if !isUp(u) || ball.Has(u) {
 				continue
 			}
@@ -217,17 +218,17 @@ func hopBall(g *graph.Graph, seeds []int, depth int, isUp func(int) bool) *graph
 // they go to RenewCSR as they are.
 func liveGraph(g *graph.Graph, isUp func(int) bool) *graph.Graph {
 	n := g.N()
-	off := make([]int, n+1)
-	flat := make([]int, 0, 2*g.M())
+	off := make([]int32, n+1)
+	flat := make([]int32, 0, 2*g.M())
 	for v := 0; v < n; v++ {
 		if isUp(v) {
 			for _, u := range g.Neighbors(v) {
-				if isUp(u) {
+				if isUp(int(u)) {
 					flat = append(flat, u)
 				}
 			}
 		}
-		off[v+1] = len(flat)
+		off[v+1] = int32(len(flat))
 	}
 	live := new(graph.Graph)
 	live.RenewCSR(off, flat)

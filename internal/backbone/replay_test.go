@@ -62,7 +62,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 		} else {
 			track(v)
 		}
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			track(u)
 		}
 	}
@@ -80,7 +81,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 		}
 	}
 	trackNeighborsAt := func(v, r int, afterPhase1 bool) {
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			trackAt(u, r, afterPhase1)
 		}
 	}
@@ -99,7 +101,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 		declared = declared[:0]
 		for _, v := range active {
 			wins := true
-			for _, u := range g.Neighbors(v) {
+			for _, u32 := range g.Neighbors(v) {
+				u := int(u32)
 				if !isUp(u) {
 					continue
 				}
@@ -140,7 +143,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 				continue
 			}
 			best := -1
-			for _, u := range g.Neighbors(v) {
+			for _, u32 := range g.Neighbors(v) {
+				u := int(u32)
 				if !isUp(u) {
 					continue
 				}

@@ -106,16 +106,19 @@ func reach(g *graph.Graph, h int, gws []int) (two, three *graph.Bitset) {
 		sel.Add(v)
 	}
 	two, three = graph.NewBitset(g.N()), graph.NewBitset(g.N())
-	for _, v := range g.Neighbors(h) {
+	for _, v32 := range g.Neighbors(h) {
+		v := int(v32)
 		if !sel.Has(v) {
 			continue
 		}
-		for _, r := range g.Neighbors(v) {
+		for _, r32 := range g.Neighbors(v) {
+			r := int(r32)
 			two.Add(r)
 			if !sel.Has(r) {
 				continue
 			}
-			for _, w := range g.Neighbors(r) {
+			for _, w32 := range g.Neighbors(r) {
+				w := int(w32)
 				three.Add(w)
 			}
 		}
@@ -289,7 +292,8 @@ func TestQuickStaticSmallerThanNaive(t *testing.T) {
 			if cl.IsHead(v) {
 				continue
 			}
-			for _, u := range nw.G.Neighbors(v) {
+			for _, u32 := range nw.G.Neighbors(v) {
+				u := int(u32)
 				if cl.Head[u] != cl.Head[v] {
 					naive++
 					break

@@ -124,7 +124,8 @@ func runMACOracle(g *graph.Graph, source int, p Protocol, opt MACOptions) *Colli
 		// Receiver-side resolution: count transmitting neighbors per node.
 		heardBy := map[int][]tx{}
 		for _, x := range batch {
-			for _, v := range g.Neighbors(x.sender) {
+			for _, v32 := range g.Neighbors(x.sender) {
+				v := int(v32)
 				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(x.sender, v, t+1) ||
 					fo.CopyLost(x.sender, v, t+1)) {
 					continue // the copy faded before reaching v

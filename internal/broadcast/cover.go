@@ -24,9 +24,9 @@ type cover struct {
 	// sole[w] is the one neighbour of the sender whose row holds target w,
 	// or -1 when several do (MPR's first stage).
 	sole   []int32
-	live   int   // targets not yet covered
-	cands  []int // ascending
-	common []int // PDP's common neighbours
+	live   int     // targets not yet covered
+	cands  []int32 // ascending
+	common []int32 // PDP's common neighbours
 }
 
 func newCover(g *graph.Graph) *cover {
@@ -67,20 +67,20 @@ func (s *cover) prepare(v, u int, partial bool) {
 	for _, c := range s.g.Neighbors(v) {
 		if s.stamp[c] != s.ex {
 			s.cands = append(s.cands, c)
-		} else if partial && c != u {
+		} else if partial && int(c) != u {
 			s.common = append(s.common, c) // c ∈ N(u) ∩ N(v)
 		}
 	}
 	s.exclude(v)
 	for _, c := range s.g.Neighbors(v) {
-		for _, w := range s.g.Neighbors(c) {
+		for _, w := range s.g.Neighbors(int(c)) {
 			switch s.stamp[w] {
 			case s.ex:
 			case s.tg:
 				s.sole[w] = -1
 			default:
 				s.stamp[w] = s.tg
-				s.sole[w] = int32(c)
+				s.sole[w] = c
 				s.live++
 			}
 		}
@@ -91,8 +91,8 @@ func (s *cover) prepare(v, u int, partial bool) {
 }
 
 // drop marks the targets in N(c) covered.
-func (s *cover) drop(c int) {
-	for _, w := range s.g.Neighbors(c) {
+func (s *cover) drop(c int32) {
+	for _, w := range s.g.Neighbors(int(c)) {
 		if s.stamp[w] == s.tg {
 			s.stamp[w] = 0
 			s.live--
@@ -107,10 +107,10 @@ func (s *cover) drop(c int) {
 // and the progress guarantee: every chosen candidate covers a target.
 func (s *cover) greedy(out []int32) []int32 {
 	for s.live > 0 {
-		best, bestGain := -1, 0
+		best, bestGain := int32(-1), 0
 		for _, c := range s.cands {
 			gain := 0
-			for _, w := range s.g.Neighbors(c) {
+			for _, w := range s.g.Neighbors(int(c)) {
 				if s.stamp[w] == s.tg {
 					gain++
 				}
@@ -122,7 +122,7 @@ func (s *cover) greedy(out []int32) []int32 {
 		if best < 0 {
 			break
 		}
-		out = append(out, int32(best))
+		out = append(out, best)
 		s.drop(best)
 	}
 	slices.Sort(out)

@@ -103,7 +103,8 @@ func (tw *TimedWorkspace) Run(g *graph.Graph, source int, p TimedProtocol, opt T
 				if tr != nil {
 					tr.SetTime(t + 1)
 				}
-				for _, v := range g.Neighbors(sender) {
+				for _, v32 := range g.Neighbors(sender) {
+					v := int(v32)
 					if fo != nil && !fo.Delivers(sender, v, t+1) {
 						continue // receiver down, partitioned away, or a loss burst
 					}

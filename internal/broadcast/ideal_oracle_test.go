@@ -55,7 +55,8 @@ func runIdealOracle(g *graph.Graph, source int, p Protocol, opt Options) *Result
 		if tr != nil {
 			tr.SetTime(tx.time + 1)
 		}
-		for _, v := range g.Neighbors(tx.sender) {
+		for _, v32 := range g.Neighbors(tx.sender) {
+			v := int(v32)
 			if loss != nil && loss.Bool(opt.Loss) {
 				continue // this copy was lost on the air
 			}

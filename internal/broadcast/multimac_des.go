@@ -194,10 +194,10 @@ func (mw *MultiMACWorkspace) run(g *graph.Graph, flows []MultiFlow, opt MACOptio
 		mw.extra = mw.extra[:0]
 		for bi, x := range batch {
 			for _, v := range g.Neighbors(int(x.sender)) {
-				if fo != nil && !fo.Delivers(int(x.sender), v, t+1) {
+				if fo != nil && !fo.Delivers(int(x.sender), int(v), t+1) {
 					continue // the copy faded before reaching v
 				}
-				mw.hear(batch, v, int32(bi))
+				mw.hear(batch, int(v), int32(bi))
 			}
 		}
 

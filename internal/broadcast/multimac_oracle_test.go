@@ -129,7 +129,8 @@ func runMACMultiOracle(g *graph.Graph, flows []MultiFlow, opt MACOptions) *Multi
 		// every flow counts toward the same per-receiver tally.
 		heardBy := map[int][]int32{}
 		for bi, x := range batch {
-			for _, v := range g.Neighbors(int(x.sender)) {
+			for _, v32 := range g.Neighbors(int(x.sender)) {
+				v := int(v32)
 				if fo != nil && (!fo.NodeUp(v, t+1) || !fo.LinkUp(int(x.sender), v, t+1) ||
 					fo.CopyLost(int(x.sender), v, t+1)) {
 					continue // the copy faded before reaching v

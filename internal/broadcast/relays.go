@@ -45,9 +45,9 @@ func NewMPR(g *graph.Graph) *MPR {
 		// Stage 1: neighbors that are the only path to some 2-hop node.
 		var sel []int32
 		for _, c := range s.cands {
-			for _, w := range g.Neighbors(c) {
-				if s.stamp[w] == s.tg && s.sole[w] == int32(c) {
-					sel = append(sel, int32(c))
+			for _, w := range g.Neighbors(int(c)) {
+				if s.stamp[w] == s.tg && s.sole[w] == c {
+					sel = append(sel, c)
 					s.drop(c)
 					break
 				}

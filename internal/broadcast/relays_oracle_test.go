@@ -30,15 +30,18 @@ func newNeighborhood(g *graph.Graph) *neighborhood {
 	nb := &neighborhood{g: g, n1: make([]map[int]bool, n), n2: make([]map[int]bool, n)}
 	for v := 0; v < n; v++ {
 		m := make(map[int]bool, g.Degree(v))
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			m[u] = true
 		}
 		nb.n1[v] = m
 	}
 	for v := 0; v < n; v++ {
 		m := make(map[int]bool)
-		for _, u := range g.Neighbors(v) {
-			for _, w := range g.Neighbors(u) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
+			for _, w32 := range g.Neighbors(u) {
+				w := int(w32)
 				if w != v && !nb.n1[v][w] {
 					m[w] = true
 				}
@@ -86,7 +89,7 @@ func selectMPR(nb *neighborhood, v int) map[int]bool {
 		targets[w] = true
 	}
 	selected := make(map[int]bool)
-	neighbors := nb.g.Neighbors(v)
+	neighbors := ints(nb.g.Neighbors(v))
 
 	// Stage 1: neighbors that are the only path to some 2-hop node.
 	coverCount := make(map[int]int, len(targets))
@@ -141,7 +144,8 @@ func forwardList(nb *neighborhood, v, u int, partial bool) map[int]bool {
 		}
 	}
 	var candidates []int
-	for _, c := range nb.g.Neighbors(v) {
+	for _, c32 := range nb.g.Neighbors(v) {
+		c := int(c32)
 		if !reached(c) {
 			candidates = append(candidates, c)
 		}
@@ -164,7 +168,8 @@ func sbaDecide(nb *neighborhood, v int, heard []int) bool {
 			covered[w] = true
 		}
 	}
-	for _, w := range nb.g.Neighbors(v) {
+	for _, w32 := range nb.g.Neighbors(v) {
+		w := int(w32)
 		if !covered[w] {
 			return true
 		}
@@ -196,7 +201,7 @@ func requireRelaysAgree(t *testing.T, g *graph.Graph, r *rng.Stream) {
 		if got, want := mpr.pkts[v].forward, members(selectMPR(nb, v)); !slices.Equal(got, want) {
 			t.Fatalf("MPR(%d) = %v, map form %v", v, got, want)
 		}
-		for _, u := range append([]int{-1}, g.Neighbors(v)...) {
+		for _, u := range append([]int{-1}, ints(g.Neighbors(v))...) {
 			if got, want := dp.packetFor(v, u).forward, members(forwardList(nb, v, u, false)); !slices.Equal(got, want) {
 				t.Fatalf("DP forward list of %d from %d = %v, map form %v", v, u, got, want)
 			}
@@ -209,7 +214,7 @@ func requireRelaysAgree(t *testing.T, g *graph.Graph, r *rng.Stream) {
 			var heard []int
 			for _, i := range r.Perm(len(row)) {
 				if r.Bool(0.5) {
-					heard = append(heard, row[i])
+					heard = append(heard, int(row[i]))
 				}
 			}
 			if got, want := sba.Decide(v, heard), sbaDecide(nb, v, heard); got != want {
@@ -297,4 +302,13 @@ func FuzzRelaysAgree(f *testing.F) {
 		}
 		requireRelaysAgree(t, nw.G, rng.New(seed^0x5eed))
 	})
+}
+
+// ints widens a CSR row to the map form's node IDs.
+func ints(row []int32) []int {
+	out := make([]int, len(row))
+	for i, v := range row {
+		out[i] = int(v)
+	}
+	return out
 }

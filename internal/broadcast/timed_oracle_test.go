@@ -73,7 +73,8 @@ func runTimedOracle(g *graph.Graph, source int, p TimedProtocol, opt TimedOption
 			if tr != nil {
 				tr.SetTime(ev.time + 1)
 			}
-			for _, v := range g.Neighbors(ev.node) {
+			for _, v32 := range g.Neighbors(ev.node) {
+				v := int(v32)
 				if fo != nil && (!fo.NodeUp(v, ev.time+1) || !fo.LinkUp(ev.node, v, ev.time+1) ||
 					fo.CopyLost(ev.node, v, ev.time+1)) {
 					continue // receiver down, partitioned away, or a loss burst

@@ -47,7 +47,8 @@ func roundElect(g *graph.Graph, prio Priority) *Clustering {
 				continue
 			}
 			wins := true
-			for _, u := range g.Neighbors(v) {
+			for _, u32 := range g.Neighbors(v) {
+				u := int(u32)
 				if state[u] == candidate && better(u, v) {
 					wins = false
 					break
@@ -70,7 +71,8 @@ func roundElect(g *graph.Graph, prio Priority) *Clustering {
 				continue
 			}
 			best := -1
-			for _, u := range g.Neighbors(v) {
+			for _, u32 := range g.Neighbors(v) {
+				u := int(u32)
 				if state[u] == head && (best == -1 || better(u, best)) {
 					best = u
 				}
@@ -126,7 +128,7 @@ func priorities(g *graph.Graph) []namedPriority {
 		// ID compare equal.
 		{"tied", func(v int) (int, int) {
 			if nb := g.Neighbors(v); len(nb) > 0 {
-				return min(v, nb[0]), 0
+				return min(v, int(nb[0])), 0
 			}
 			return v, 0
 		}},

@@ -52,8 +52,8 @@ func Maintain(g *graph.Graph, prev *Clustering) (*Clustering, MaintainStats) {
 	bestAdjacentHead := func(v int) int {
 		best := -1
 		for _, u := range g.Neighbors(v) {
-			if isHead[u] && (best == -1 || u < best) {
-				best = u
+			if isHead[u] && (best == -1 || int(u) < best) {
+				best = int(u)
 			}
 		}
 		return best
@@ -71,10 +71,10 @@ func Maintain(g *graph.Graph, prev *Clustering) (*Clustering, MaintainStats) {
 				continue
 			}
 			for _, u := range g.Neighbors(v) {
-				if isHead[u] && u < v {
+				if isHead[u] && int(u) < v {
 					isHead[v] = false
 					st.Demoted++
-					head[v] = u
+					head[v] = int(u)
 					changed = true
 					break
 				}

@@ -95,8 +95,8 @@ func (ws *Workspace) Elect(g *graph.Graph, prio Priority) *Clustering {
 			case r < 0:
 				// In ID order a later head of the row is worse, so the
 				// first head of round 1 settles the node.
-				if best < 0 || -r < bestRound || -r == bestRound && !ascending && compare(u, best) < 0 {
-					best, bestRound = u, -r
+				if best < 0 || -r < bestRound || -r == bestRound && !ascending && compare(int(u), best) < 0 {
+					best, bestRound = int(u), -r
 				}
 				if ascending && bestRound == 1 {
 					break scan

@@ -136,33 +136,38 @@ func (c *Coverage) Size() int { return len(c.C2) + len(c.C3) }
 // Builder precomputes, for a clustered network, the per-node neighborhood
 // digests (the contents of the CH_HOP1 and CH_HOP2 messages) and serves
 // coverage sets for any clusterhead in O(size of the answer).
+//
+// The digests are flat: no per-node slice is kept. Every node's CH_HOP1
+// report is a run of one int32 list, found through int32 offsets, and
+// every node's CH_HOP2 report a run of its digest strip's entry list,
+// found through int32 offsets into the strips' entries taken in order.
 type Builder struct {
 	g    *graph.Graph
 	cl   *cluster.Clustering
 	mode Mode
 
-	// ch1[v]: sorted clusterheads adjacent to v (the CH_HOP1 content for
-	// non-clusterhead v; also defined for clusterheads, where it is empty
-	// by the independent-set property). All slices share one backing array.
-	ch1 [][]int
-	// ch2[v]: for non-clusterhead v, the 2-hop clusterhead entries, sorted
-	// by clusterhead ID (w -> lowest-ID relay r with v—r—w per the mode's
-	// rule and w not adjacent to v).
-	ch2 [][]Hop2Entry
+	// ch1 holds the CH_HOP1 reports back to back: the clusterheads
+	// adjacent to v, ascending, are ch1[d32.off[v]:d32.off[v+1]] (empty
+	// for a clusterhead, by the independent-set property).
+	ch1 []int32
+	// h2off bounds the CH_HOP2 reports: for non-clusterhead v, its 2-hop
+	// clusterhead entries, sorted by clusterhead ID (w -> lowest-ID relay
+	// r with v—r—w per the mode's rule and w not adjacent to v), are
+	// entries [h2off[v], h2off[v+1]) of the strips' lists taken in strip
+	// order (see hop2).
+	h2off []int32
 
 	// asm is the builder-owned assembly scratch of Of. Workspaces
 	// assemble through OfScratch with their own AsmScratch instead.
 	asm AsmScratch
 
 	// Digest state, reused across Reset calls so a builder owned by a
-	// per-worker workspace re-digests without allocating: the CH_HOP1
-	// backing and counts, the strip partitioner, the per-strip arenas and
-	// scratch, and the int32 digest shadow.
-	ch1backing []int
-	cnt        []int
-	sh         des.Shards
-	shards     []buildShard
-	d32        digest32
+	// per-worker workspace re-digests without allocating: the strip
+	// partitioner, the per-strip entry lists and scratch, and the CH_HOP1
+	// offsets and dense indices.
+	sh     des.Shards
+	shards []buildShard
+	d32    digest32
 }
 
 // AsmScratch is the scratch one coverage assembly uses, chiefly an
@@ -178,11 +183,15 @@ type AsmScratch struct {
 	epoch uint32
 
 	// Per neighbor of the head in progress: the end of its Direct run and
-	// its CH_HOP1 and CH_HOP2 lists.
+	// where its CH_HOP1 and CH_HOP2 runs lie.
 	ends []int32
-	hop1 [][]int
-	hop2 [][]Hop2Entry
+	at   []runs
 }
+
+// runs locates one node's reports: its CH_HOP1 run is [h1, e1) of the
+// builder's ch1 list, and its CH_HOP2 run entries [h2, e2) of the strips'
+// lists taken in order.
+type runs struct{ h1, e1, h2, e2 int32 }
 
 // ensure sizes the mark array for an n-node universe.
 func (s *AsmScratch) ensure(n int) {
@@ -225,19 +234,35 @@ func (b *Builder) Mode() Mode { return b.mode }
 
 // CH1 returns the sorted clusterheads adjacent to v (CH_HOP1 content).
 // The returned slice is owned by the builder.
-func (b *Builder) CH1(v int) []int { return b.ch1[v] }
+func (b *Builder) CH1(v int) []int32 {
+	o, e := b.d32.off[v], b.d32.off[v+1]
+	return b.ch1[o:e:e]
+}
 
 // CH2Count returns the number of entries of v's CH_HOP2 report.
-func (b *Builder) CH2Count(v int) int { return len(b.ch2[v]) }
+func (b *Builder) CH2Count(v int) int { return int(b.h2off[v+1] - b.h2off[v]) }
 
 // CH2 returns v's CH_HOP2 content as a clusterhead ↦ relay map. It
 // materializes a fresh map per call and exists for reporting and tests.
 func (b *Builder) CH2(v int) map[int]int {
-	m := make(map[int]int, len(b.ch2[v]))
-	for _, e := range b.ch2[v] {
+	h2 := b.hop2(v)
+	m := make(map[int]int, len(h2))
+	for _, e := range h2 {
 		m[int(e.W)] = int(e.R)
 	}
 	return m
+}
+
+// hop2 returns v's CH_HOP2 entries, which lie in the list of the digest
+// strip whose node range holds v.
+func (b *Builder) hop2(v int) []Hop2Entry {
+	s := 0
+	for v >= b.shards[s].hi {
+		s++
+	}
+	sd := &b.shards[s]
+	o, e := b.h2off[v]-sd.base, b.h2off[v+1]-sd.base
+	return sd.h2[o:e:e]
 }
 
 // Of computes the coverage set of clusterhead u into a fresh Coverage. It
@@ -271,42 +296,49 @@ func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 	ep2 := scr.stamps(2)
 	ep3 := ep2 + 1
 	mark := scr.mark
-	// The neighbors' digest headers are gathered first, in a loop whose
+	// The neighbors' digest offsets are gathered first, in a loop whose
 	// loads carry no dependencies, so their cache misses overlap instead
 	// of stalling the passes below one neighbor at a time.
 	ends := slices.Grow(scr.ends[:0], len(nbrs))[:len(nbrs)]
-	hop1 := slices.Grow(scr.hop1[:0], len(nbrs))[:len(nbrs)]
-	hop2 := slices.Grow(scr.hop2[:0], len(nbrs))[:len(nbrs)]
-	scr.ends, scr.hop1, scr.hop2 = ends, hop1, hop2
+	at := slices.Grow(scr.at[:0], len(nbrs))[:len(nbrs)]
+	scr.ends, scr.at = ends, at
+	off, h2off := b.d32.off, b.h2off
 	for i, v := range nbrs {
-		hop1[i], hop2[i] = b.ch1[v], b.ch2[v]
+		at[i] = runs{off[v], off[v+1], h2off[v], h2off[v+1]}
 	}
 	// C² first (from neighbors' CH_HOP1), because the C³ pass must filter
-	// against the complete C². Each neighbor's CH_HOP1 list is ascending,
-	// and so is its run.
+	// against the complete C². Each neighbor's CH_HOP1 run is ascending,
+	// and so is its Direct run.
+	u32 := int32(u)
 	c2, direct := c.C2[:0], c.Direct[:0]
 	for i := range nbrs {
-		for _, w := range hop1[i] {
-			if w == u {
+		for _, w := range b.ch1[at[i].h1:at[i].e1] {
+			if w == u32 {
 				continue
 			}
 			if mark[w] != ep2 {
 				mark[w] = ep2
-				c2 = append(c2, int32(w))
+				c2 = append(c2, w)
 			}
-			direct = append(direct, int32(w))
+			direct = append(direct, w)
 		}
 		ends[i] = int32(len(direct))
 	}
 	sortIDs(c2)
 	// C³: from neighbors' CH_HOP2, removing C² duplicates. A neighbor with
-	// an empty run in both lists contributes no connector.
+	// an empty run in both lists contributes no connector. The neighbors
+	// ascend, so the digest strip that holds their runs only moves on.
 	c3, indirect, conns := c.C3[:0], c.Indirect[:0], c.Conns[:0]
 	var d0 int32
+	s := 0
 	for i, v := range nbrs {
+		for int(v) >= b.shards[s].hi {
+			s++
+		}
+		sd := &b.shards[s]
 		i0 := len(indirect)
-		for _, e := range hop2[i] {
-			if int(e.W) == u || mark[e.W] == ep2 {
+		for _, e := range sd.h2[at[i].h2-sd.base : at[i].e2-sd.base] {
+			if e.W == u32 || mark[e.W] == ep2 {
 				continue
 			}
 			if mark[e.W] != ep3 {
@@ -316,7 +348,7 @@ func (b *Builder) OfScratch(u int, c *Coverage, scr *AsmScratch) *Coverage {
 			indirect = append(indirect, e)
 		}
 		if ends[i] > d0 || len(indirect) > i0 {
-			conns = append(conns, Connector{V: int32(v), DirEnd: ends[i], IndEnd: int32(len(indirect))})
+			conns = append(conns, Connector{V: v, DirEnd: ends[i], IndEnd: int32(len(indirect))})
 		}
 		d0 = ends[i]
 	}

@@ -63,7 +63,7 @@ func TestCH1MatchesPaperMessages(t *testing.T) {
 	_, _, b := paperSetup(t, Hop25)
 	// Paper: CH_HOP1(9)={3*,4}, CH_HOP1(5)={1*}, CH_HOP1(6)={1*,2},
 	// CH_HOP1(7)={1*,3}, CH_HOP1(8)={2*,3}, CH_HOP1(10)={3*,4}.
-	want := map[int][]int{
+	want := map[int][]int32{
 		8: {2, 3}, // paper node 9
 		4: {0},    // paper node 5
 		5: {0, 1}, // paper node 6

@@ -15,7 +15,7 @@ import (
 var digestWorkers = []int{1, 2, 3, 4, 8, 16}
 
 // requireSameDigest asserts the digest of got reproduced the reference
-// digest of want bit for bit: every CH1 view and every CH2 entry list, per
+// digest of want bit for bit: every CH1 run and every CH2 entry run, per
 // node.
 func requireSameDigest(t *testing.T, want, got *Builder, n int, ctx string) {
 	t.Helper()
@@ -23,7 +23,7 @@ func requireSameDigest(t *testing.T, want, got *Builder, n int, ctx string) {
 		if !slices.Equal(want.CH1(v), got.CH1(v)) {
 			t.Fatalf("%s: CH1(%d) differs\nwant %v\ngot  %v", ctx, v, want.CH1(v), got.CH1(v))
 		}
-		if w, g := want.ch2[v], got.ch2[v]; !slices.Equal(w, g) {
+		if w, g := want.hop2(v), got.hop2(v); !slices.Equal(w, g) || got.CH2Count(v) != len(g) {
 			t.Fatalf("%s: CH2(%d) differs\nwant %v\ngot  %v", ctx, v, w, g)
 		}
 	}

@@ -209,7 +209,7 @@ func (p *Protocol) bound(strips []initStrip) {
 		d, in := int32(len(ch1)-1), int32(p.b.CH2Count(v))
 		s := 0
 		for _, h := range ch1 {
-			for s+1 < len(strips) && h >= strips[s+1].first {
+			for s+1 < len(strips) && int(h) >= strips[s+1].first {
 				s++
 			}
 			b := &strips[s].bound
@@ -433,8 +433,8 @@ func (p *Protocol) pruneTraced(need *graph.SparseSet, in *packet, v, x int) {
 		}
 	}
 	if x >= 0 {
-		for _, w := range p.b.CH1(x) {
-			if need.Has(w) {
+		for _, w32 := range p.b.CH1(x) {
+			if w := int(w32); need.Has(w) {
 				tr.CoveragePrune(v, w, obs.RuleSecondHopAdjacent)
 				mPruneSecondHop.Inc()
 				need.Remove(w)
@@ -465,7 +465,7 @@ func (p *Protocol) pruneCounted(need *graph.SparseSet, in *packet, x int) {
 	if x >= 0 {
 		before := need.Count()
 		for _, w := range p.b.CH1(x) {
-			need.Remove(w)
+			need.Remove(int(w))
 		}
 		mPruneSecondHop.Add(int64(before - need.Count()))
 	}

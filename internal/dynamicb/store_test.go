@@ -38,8 +38,8 @@ func TestColdInitAllocsFlatInHeads(t *testing.T) {
 			continue
 		}
 		// The assembly's per-neighbor scratch grows to the largest head
-		// degree, and the digest's CH_HOP2 arena opens a chunk per
-		// strip-sized block of entries: a few objects of slack absorb both.
+		// degree, and the digest's CH_HOP2 list doubles when a network
+		// outgrows its first size: a few objects of slack absorb both.
 		const slack = 4
 		if ws > first.ws+slack || proto > first.proto+slack {
 			t.Fatalf("n=%d (%d heads): cold NewWith %.0f and New %.0f objects, against %.0f and %.0f at n=%d",

@@ -31,8 +31,8 @@ func (g *Graph) CutVertices() *Bitset {
 		timer++
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.ei < len(g.Neighbors(f.v)) {
-				w := g.Neighbors(f.v)[f.ei]
+			if nb := g.Neighbors(f.v); f.ei < len(nb) {
+				w := int(nb[f.ei])
 				f.ei++
 				if disc[w] == -1 {
 					parent[w] = f.v
@@ -73,11 +73,11 @@ func (g *Graph) Triangles() int {
 	count := 0
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
-			if v <= u {
+			if int(v) <= u {
 				continue
 			}
-			for _, w := range g.Neighbors(v) {
-				if w > v && g.HasEdge(u, w) {
+			for _, w := range g.Neighbors(int(v)) {
+				if w > v && g.HasEdge(u, int(w)) {
 					count++
 				}
 			}
@@ -94,7 +94,7 @@ func (g *Graph) Triangles() int {
 func (g *Graph) ClusteringCoefficient() float64 {
 	triples := 0
 	for v := 0; v < g.N(); v++ {
-		d := len(g.Neighbors(v))
+		d := g.Degree(v)
 		triples += d * (d - 1) / 2
 	}
 	if triples == 0 {

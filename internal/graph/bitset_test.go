@@ -219,7 +219,7 @@ func TestInducedConnectedMatchesMapVersion(t *testing.T) {
 				}
 				ok := false
 				for _, v := range g.Neighbors(u) {
-					if set[v] {
+					if set[int(v)] {
 						ok = true
 					}
 				}
@@ -244,8 +244,8 @@ func TestInducedConnectedMatchesMapVersion(t *testing.T) {
 			for len(queue) > 0 {
 				u := queue[0]
 				queue = queue[1:]
-				for _, v := range g.Neighbors(u) {
-					if set[v] && !seen[v] {
+				for _, v32 := range g.Neighbors(u) {
+					if v := int(v32); set[v] && !seen[v] {
 						seen[v] = true
 						queue = append(queue, v)
 					}
@@ -256,7 +256,7 @@ func TestInducedConnectedMatchesMapVersion(t *testing.T) {
 		naiveIndependent := func() bool {
 			for u := range set {
 				for _, v := range g.Neighbors(u) {
-					if set[v] {
+					if set[int(v)] {
 						return false
 					}
 				}

@@ -127,7 +127,7 @@ func FuzzGraphInvariants(f *testing.F) {
 		// Symmetry.
 		for u := 0; u < n; u++ {
 			for _, v := range g.Neighbors(u) {
-				if !g.HasEdge(v, u) {
+				if !g.HasEdge(int(v), u) {
 					t.Fatalf("edge {%d,%d} not symmetric", u, v)
 				}
 			}

@@ -18,27 +18,32 @@ import (
 
 // Graph is an undirected simple graph over nodes 0..n−1 in
 // compressed-sparse-row form: the sorted neighbors of u are the segment
-// flat[off[u]:off[u+1]] of one flat array. The topology hot path and
-// FromEdges fill both arrays with one sort-free assembly (ScatterRows,
-// TransposeRows) and no per-node allocation; AddEdge builds small
-// hand-made graphs in the same layout.
+// flat[off[u]:off[u+1]] of one flat array. Offsets and neighbor IDs are
+// four bytes each, so a graph holds at most 2³¹−1 adjacency entries
+// (MaxEntries). The topology hot path and FromEdges fill both arrays with
+// one sort-free assembly (ScatterRows, TransposeRows) and no per-node
+// allocation; AddEdge builds small hand-made graphs in the same layout.
 //
 // Neighbors(u) is a zero-copy slice view of u's segment. The zero value is
 // an empty graph with no nodes; use New to create a graph with a fixed
 // node count.
 type Graph struct {
-	off   []int // n+1 ascending offsets, off[0] == 0, off[n] == len(flat)
-	flat  []int
+	off   []int32 // n+1 ascending offsets, off[0] == 0, off[n] == len(flat)
+	flat  []int32
 	n     int
 	edges int
 }
+
+// MaxEntries is the most adjacency entries (twice the edges) a Graph
+// holds: its offsets and the assembly's cursors are int32.
+const MaxEntries = math.MaxInt32
 
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{off: make([]int, n+1), n: n}
+	return &Graph{off: make([]int32, n+1), n: n}
 }
 
 // N returns the number of nodes.
@@ -62,11 +67,12 @@ func (g *Graph) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	pu := g.off[u] + sort.SearchInts(g.Neighbors(u), v)
-	pv := g.off[v] + sort.SearchInts(g.Neighbors(v), u)
+	iu, _ := slices.BinarySearch(g.Neighbors(u), int32(v))
+	iv, _ := slices.BinarySearch(g.Neighbors(v), int32(u))
+	pu, pv := int(g.off[u])+iu, int(g.off[v])+iv
 	// pu <= pv, so inserting at pv first leaves pu in place.
-	g.flat = slices.Insert(g.flat, pv, u)
-	g.flat = slices.Insert(g.flat, pu, v)
+	g.flat = slices.Insert(g.flat, pv, int32(u))
+	g.flat = slices.Insert(g.flat, pu, int32(v))
 	for w := u + 1; w <= v; w++ {
 		g.off[w]++
 	}
@@ -81,20 +87,19 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	list := g.Neighbors(u)
-	i := sort.SearchInts(list, v)
-	return i < len(list) && list[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return ok
 }
 
 // Neighbors returns the sorted adjacency list of u. The returned slice is
 // owned by the graph and must not be modified.
-func (g *Graph) Neighbors(u int) []int {
+func (g *Graph) Neighbors(u int) []int32 {
 	return g.flat[g.off[u]:g.off[u+1]:g.off[u+1]]
 }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int {
-	return g.off[u+1] - g.off[u]
+	return int(g.off[u+1] - g.off[u])
 }
 
 // MaxDegree returns Δ(G), the maximum node degree (0 for an empty graph).
@@ -126,8 +131,8 @@ func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.edges)
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.Neighbors(u) {
-			if u < v {
-				out = append(out, [2]int{u, v})
+			if u < int(v) {
+				out = append(out, [2]int{u, int(v)})
 			}
 		}
 	}
@@ -149,7 +154,7 @@ func (g *Graph) BFS(src int) []int {
 		for _, v := range g.Neighbors(u) {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -173,11 +178,11 @@ search:
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		for _, v := range g.Neighbors(u) {
-			if v == dst {
+			if int(v) == dst {
 				d = s.dist[u] + 1
 				break search
 			}
-			if s.visit(v, epoch) {
+			if s.visit(int(v), epoch) {
 				s.dist[v] = s.dist[u] + 1
 			}
 		}
@@ -216,7 +221,7 @@ func (g *Graph) Components() [][]int {
 			for _, v := range g.Neighbors(u) {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
+					queue = append(queue, int(v))
 				}
 			}
 		}
@@ -235,7 +240,7 @@ func (g *Graph) IsDominatingSet(set *Bitset) bool {
 		}
 		dominated := false
 		for _, v := range g.Neighbors(u) {
-			if set.Has(v) {
+			if set.Has(int(v)) {
 				dominated = true
 				break
 			}
@@ -278,7 +283,7 @@ func (g *Graph) IsIndependentSet(set *Bitset) bool {
 	ok := true
 	set.ForEach(func(u int) {
 		for _, v := range g.Neighbors(u) {
-			if set.Has(v) {
+			if set.Has(int(v)) {
 				ok = false
 				return
 			}
@@ -410,6 +415,9 @@ func (g *Graph) DOT(name string, highlight *Bitset) string {
 // the O(n + m) shift of every AddEdge. Self-loops and duplicate edges
 // panic, as with AddEdge.
 func FromEdges(n int, edges [][2]int) *Graph {
+	if 2*len(edges) > MaxEntries {
+		panic(fmt.Sprintf("graph: %d edges exceed the %d adjacency entries a graph holds", len(edges), MaxEntries))
+	}
 	g := New(n)
 	off, cur := g.off, make([]int32, n)
 	packed := make([]uint64, len(edges))
@@ -422,11 +430,11 @@ func FromEdges(n int, edges [][2]int) *Graph {
 		packed[i] = uint64(e[0])<<32 | uint64(e[1])
 	}
 	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + int(cur[u])
-		cur[u] = int32(off[u])
+		off[u+1] = off[u] + cur[u]
+		cur[u] = off[u]
 	}
 	rows := make([]int32, off[n])
-	g.flat = make([]int, off[n])
+	g.flat = make([]int32, off[n])
 	ScatterRows(rows, cur, packed)
 	TransposeRows(g.flat, rows, off, cur, 0, n)
 	// A repeated edge comes out as two equal neighbors side by side.
@@ -464,16 +472,15 @@ func ScatterRows(rows, cur []int32, edges []uint64) {
 // and appends u to the row of flat of each neighbor in [lo, hi) that u's
 // row of rows names, so those rows come out strictly ascending. Calls
 // over disjoint row ranges write disjoint memory and may run concurrently.
-// The int32 entries and cursors cap nodes and adjacency entries at 2³¹−1.
-func TransposeRows(flat []int, rows []int32, off []int, cur []int32, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		cur[w] = int32(off[w])
-	}
+// The int32 entries, offsets and cursors cap nodes and adjacency entries
+// at 2³¹−1 (MaxEntries); callers check the count before they assemble.
+func TransposeRows(flat, rows, off, cur []int32, lo, hi int) {
+	copy(cur[lo:hi], off[lo:hi])
 	span := uint(hi - lo)
 	for u := 0; u+1 < len(off); u++ {
 		for _, w := range rows[off[u]:off[u+1]] {
 			if uint(int(w)-lo) < span {
-				flat[cur[w]] = u
+				flat[cur[w]] = int32(u)
 				cur[w]++
 			}
 		}
@@ -489,7 +496,7 @@ func TransposeRows(flat []int, rows []int32, off []int, cur []int32, lo, hi int)
 // assembles its rows with ScatterRows and TransposeRows over reused
 // buffers, and filters of an existing graph's rows, such as the backbone
 // repair's surviving graph. The graph takes ownership of both slices.
-func (g *Graph) RenewCSR(off, flat []int) {
+func (g *Graph) RenewCSR(off, flat []int32) {
 	if len(off) == 0 {
 		panic("graph: RenewCSR needs at least the terminating offset")
 	}

@@ -64,7 +64,7 @@ func TestAddEdgeBasics(t *testing.T) {
 	if g.HasEdge(0, 2) {
 		t.Fatal("phantom edge {0,2}")
 	}
-	if got := g.Neighbors(1); !reflect.DeepEqual(got, []int{0, 2}) {
+	if got := g.Neighbors(1); !reflect.DeepEqual(got, []int32{0, 2}) {
 		t.Fatalf("Neighbors(1) = %v, want sorted [0 2]", got)
 	}
 	if g.Degree(1) != 2 || g.Degree(3) != 0 {
@@ -414,7 +414,7 @@ func TestFromEdgesRowsAscending(t *testing.T) {
 				t.Fatalf("trial %d: row %d is %v, want the %d neighbors %v", trial, u, row, len(want[u]), want[u])
 			}
 			for i, v := range row {
-				if !want[u][v] || i > 0 && row[i-1] >= v {
+				if !want[u][int(v)] || i > 0 && row[i-1] >= v {
 					t.Fatalf("trial %d: row %d is %v, want ascending %v", trial, u, row, want[u])
 				}
 			}

@@ -79,7 +79,7 @@ func (g *Graph) ConnectedWith(s *Scratch) bool {
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		for _, v := range g.Neighbors(u) {
-			if s.visit(v, epoch) {
+			if s.visit(int(v), epoch) {
 				seen++
 			}
 		}
@@ -98,9 +98,9 @@ func (g *Graph) BFSWith(s *Scratch, src int, fn func(v, dist int)) {
 		u := s.queue[qi]
 		du := s.dist[u]
 		for _, v := range g.Neighbors(u) {
-			if s.visit(v, epoch) {
+			if s.visit(int(v), epoch) {
 				s.dist[v] = du + 1
-				fn(v, du+1)
+				fn(int(v), du+1)
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func (g *Graph) InducedConnected(s *Scratch, set *Bitset) bool {
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		for _, v := range g.Neighbors(u) {
-			if set.Has(v) && s.visit(v, epoch) {
+			if set.Has(int(v)) && s.visit(int(v), epoch) {
 				seen++
 			}
 		}

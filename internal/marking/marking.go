@@ -34,7 +34,7 @@ func Build(g *graph.Graph) *graph.Bitset {
 		list := g.Neighbors(v)
 		for i := 0; i < len(list) && !marked.Has(v); i++ {
 			for j := i + 1; j < len(list); j++ {
-				if !g.HasEdge(list[i], list[j]) {
+				if !g.HasEdge(int(list[i]), int(list[j])) {
 					marked.Add(v)
 					break
 				}
@@ -49,7 +49,7 @@ func Build(g *graph.Graph) *graph.Bitset {
 			return false
 		}
 		for _, x := range g.Neighbors(v) {
-			if x != u && !g.HasEdge(u, x) {
+			if int(x) != u && !g.HasEdge(u, int(x)) {
 				return false
 			}
 		}
@@ -60,7 +60,7 @@ func Build(g *graph.Graph) *graph.Bitset {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
-			if marked.Has(u) && u > v && closedSubset(v, u) {
+			if marked.Has(int(u)) && int(u) > v && closedSubset(v, int(u)) {
 				marked.Remove(v)
 				break
 			}
@@ -72,22 +72,22 @@ func Build(g *graph.Graph) *graph.Bitset {
 		if !marked.Has(v) {
 			continue
 		}
-		var cand []int
+		var cand []int32
 		for _, u := range g.Neighbors(v) {
-			if marked.Has(u) && u > v {
+			if marked.Has(int(u)) && int(u) > v {
 				cand = append(cand, u)
 			}
 		}
 	rule2:
 		for i := 0; i < len(cand); i++ {
 			for j := i + 1; j < len(cand); j++ {
-				u, w := cand[i], cand[j]
+				u, w := int(cand[i]), int(cand[j])
 				if !g.HasEdge(u, w) {
 					continue
 				}
 				covered := true
-				for _, x := range g.Neighbors(v) {
-					if x != u && x != w && !g.HasEdge(u, x) && !g.HasEdge(w, x) {
+				for _, x32 := range g.Neighbors(v) {
+					if x := int(x32); x != u && x != w && !g.HasEdge(u, x) && !g.HasEdge(w, x) {
 						covered = false
 						break
 					}

@@ -115,7 +115,8 @@ func TestQuickRulesOnlyShrink(t *testing.T) {
 		nbr := make([]map[int]bool, g.N())
 		for v := 0; v < g.N(); v++ {
 			m := make(map[int]bool)
-			for _, u := range g.Neighbors(v) {
+			for _, u32 := range g.Neighbors(v) {
+				u := int(u32)
 				m[u] = true
 			}
 			nbr[v] = m
@@ -126,7 +127,7 @@ func TestQuickRulesOnlyShrink(t *testing.T) {
 			found := false
 			for i := 0; i < len(list) && !found; i++ {
 				for j := i + 1; j < len(list); j++ {
-					if !nbr[list[i]][list[j]] {
+					if !nbr[int(list[i])][int(list[j])] {
 						found = true
 						break
 					}
@@ -183,7 +184,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 	nbr := make([]map[int]bool, n)
 	for v := 0; v < n; v++ {
 		m := make(map[int]bool, g.Degree(v))
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			m[u] = true
 		}
 		nbr[v] = m
@@ -193,7 +195,7 @@ func buildMaps(g *graph.Graph) map[int]bool {
 		list := g.Neighbors(v)
 		for i := 0; i < len(list) && !marked[v]; i++ {
 			for j := i + 1; j < len(list); j++ {
-				if !nbr[list[i]][list[j]] {
+				if !nbr[int(list[i])][int(list[j])] {
 					marked[v] = true
 					break
 				}
@@ -204,7 +206,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 		if !nbr[u][v] {
 			return false
 		}
-		for _, x := range g.Neighbors(v) {
+		for _, x32 := range g.Neighbors(v) {
+			x := int(x32)
 			if x != u && !nbr[u][x] {
 				return false
 			}
@@ -215,7 +218,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 		if !marked[v] {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			if marked[u] && u > v && closedSubset(v, u) {
 				delete(marked, v)
 				break
@@ -227,7 +231,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 			continue
 		}
 		var cand []int
-		for _, u := range g.Neighbors(v) {
+		for _, u32 := range g.Neighbors(v) {
+			u := int(u32)
 			if marked[u] && u > v {
 				cand = append(cand, u)
 			}
@@ -240,7 +245,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 					continue
 				}
 				covered := true
-				for _, x := range g.Neighbors(v) {
+				for _, x32 := range g.Neighbors(v) {
+					x := int(x32)
 					if x != u && x != w && !nbr[u][x] && !nbr[w][x] {
 						covered = false
 						break

@@ -119,8 +119,8 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 		if t.Nodes.Has(v) {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
-			if t.Nodes.Has(u) && (dominator[v] == -1 || u < dominator[v]) {
+		for _, u32 := range g.Neighbors(v) {
+			if u := int(u32); t.Nodes.Has(u) && (dominator[v] == -1 || u < dominator[v]) {
 				dominator[v] = u
 			}
 		}
@@ -159,7 +159,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 				return false
 			}
 			for _, u := range g.Neighbors(v) {
-				if t.Nodes.Has(u) && knows(v, u) {
+				if t.Nodes.Has(int(u)) && knows(v, int(u)) {
 					return false
 				}
 			}
@@ -203,7 +203,7 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 		c := 0
 		if !t.Nodes.Has(v) {
 			for _, u := range g.Neighbors(v) {
-				if t.Nodes.Has(u) && !knows(v, u) {
+				if t.Nodes.Has(int(u)) && !knows(v, int(u)) {
 					c++
 				}
 			}
@@ -330,7 +330,8 @@ func Run(g *graph.Graph, t *fwdtree.Tree, source int, cfg Config) (*Result, erro
 				}
 				nextTry[s] = round + backoff
 			}
-			for _, v := range g.Neighbors(s) {
+			for _, v32 := range g.Neighbors(s) {
+				v := int(v32)
 				if loss.Bool(cfg.Loss) {
 					continue
 				}

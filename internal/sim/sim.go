@@ -230,7 +230,8 @@ func Run(g *graph.Graph, mode coverage.Mode) *Outcome {
 			// Neighbors and the selection are both ascending: one merge
 			// walk finds the selected receivers.
 			rest := m.selected
-			for _, v := range g.Neighbors(int(m.from)) {
+			for _, v32 := range g.Neighbors(int(m.from)) {
+				v := int(v32)
 				for len(rest) > 0 && rest[0] < v {
 					rest = rest[1:]
 				}

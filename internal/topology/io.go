@@ -60,5 +60,5 @@ func Load(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("topology: snapshot node %d at %v outside bounds", i, p)
 		}
 	}
-	return FromPositions(s.Positions, s.Bounds, s.Radius), nil
+	return NewWorkspace().fromPositions(s.Positions, s.Bounds, s.Radius)
 }

@@ -377,6 +377,15 @@ func rowsConnected(rows [][]int) bool {
 	return !slices.Contains(seen, false)
 }
 
+// toInt32 narrows a reference row to the graph's four-byte IDs.
+func toInt32(row []int) []int32 {
+	out := make([]int32, len(row))
+	for i, v := range row {
+		out[i] = int32(v)
+	}
+	return out
+}
+
 // requireRows fails unless g's adjacency is exactly the reference rows.
 func requireRows(t *testing.T, g *graph.Graph, want [][]int, ctx string) {
 	t.Helper()
@@ -388,7 +397,7 @@ func requireRows(t *testing.T, g *graph.Graph, want [][]int, ctx string) {
 		t.Fatalf("%s: got %d nodes %d edges, want %d/%d", ctx, g.N(), g.M(), len(want), edges/2)
 	}
 	for v := range want {
-		if got := g.Neighbors(v); !slices.Equal(got, want[v]) {
+		if got := g.Neighbors(v); !slices.Equal(got, toInt32(want[v])) {
 			t.Fatalf("%s: adjacency of %d differs: %v vs %v", ctx, v, got, want[v])
 		}
 	}
@@ -444,7 +453,11 @@ func TestFromPositionsMatchesBruteForce(t *testing.T) {
 			ctx := fmt.Sprintf("trial %d (n=%d r=%.2f workers=%d)", trial, n, radius, workers)
 			ws := NewWorkspace()
 			ws.BuildWorkers = workers
-			if _, connected := ws.buildUnitDisk(positions, bounds, radius, true); connected != wantConnected {
+			g, err := ws.buildUnitDisk(positions, bounds, radius, true)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if connected := g != nil; connected != wantConnected {
 				t.Fatalf("%s: union-find says connected=%v, BFS %v", ctx, connected, wantConnected)
 			}
 			requireRows(t, ws.FromPositions(positions, bounds, radius).G, want, ctx)

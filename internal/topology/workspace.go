@@ -41,9 +41,9 @@ type Workspace struct {
 	// degs holds n counters per band: band b's degree counts, then its
 	// scatter cursors; the first n then serve as transposition cursors.
 	degs    []int32
-	off     []int
+	off     []int32
 	rows    []int32 // the unsorted rows assemble transposes into backing
-	backing []int
+	backing []int32
 	g       graph.Graph
 	nw      Network
 
@@ -57,7 +57,10 @@ func NewWorkspace() *Workspace {
 
 // GenerateWith draws one random network exactly like Generate — same
 // randomness consumption, same rejection sampling, bit-identical result —
-// but reuses the workspace buffers instead of allocating.
+// but reuses the workspace buffers instead of allocating. A draw whose
+// adjacency would exceed graph.MaxEntries fails at once with an error
+// naming its entry count, before any assembly; it is not a disconnected
+// draw, so it is neither retried nor wraps ErrDisconnected.
 func GenerateWith(c Config, ws *Workspace, r *rng.Stream) (*Network, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -68,8 +71,8 @@ func GenerateWith(c Config, ws *Workspace, r *rng.Stream) (*Network, error) {
 		attempts = defaultMaxAttempts(c.N)
 	}
 	for a := 0; a < attempts; a++ {
-		if nw, ok := ws.place(c.N, c.Bounds, radius, c.RequireConnected, r); ok {
-			return nw, nil
+		if nw, err := ws.place(c.N, c.Bounds, radius, c.RequireConnected, r); nw != nil || err != nil {
+			return nw, err
 		}
 	}
 	return nil, fmt.Errorf("topology: no connected unit-disk sample for n=%d (target degree %.3g, radius %.4g, bounds %.4gx%.4g) after %d attempts — the density is likely below the connectivity threshold; raise AvgDegree/Radius or MaxAttempts, or clear RequireConnected: %w",
@@ -99,18 +102,31 @@ func defaultMaxAttempts(n int) int {
 // Network is owned by the workspace and valid only until its next
 // FromPositions or GenerateWith call. A mobility loop that rebuilds every
 // step through one workspace allocates nothing once its buffers have
-// grown.
+// grown. Positions whose unit disk graph exceeds graph.MaxEntries
+// adjacency entries panic, as FromEdges does; Load returns that error.
 func (ws *Workspace) FromPositions(positions []geom.Point, bounds geom.Rect, radius float64) *Network {
+	nw, err := ws.fromPositions(positions, bounds, radius)
+	if err != nil {
+		panic(err)
+	}
+	return nw
+}
+
+// fromPositions is FromPositions with the capacity error returned.
+func (ws *Workspace) fromPositions(positions []geom.Point, bounds geom.Rect, radius float64) (*Network, error) {
 	ws.positions = append(ws.positions[:0], positions...)
-	g, _ := ws.buildUnitDisk(ws.positions, bounds, radius, false)
+	g, err := ws.buildUnitDisk(ws.positions, bounds, radius, false)
+	if err != nil {
+		return nil, err
+	}
 	ws.nw = Network{Positions: ws.positions, Radius: radius, Bounds: bounds, G: g}
-	return &ws.nw
+	return &ws.nw, nil
 }
 
 // buildUnitDisk is build over explicit positions: positions outside the
 // nominal bounds (hand-crafted scenarios) would defeat the grid's cell
 // clamping, so the indexing rectangle grows to cover them.
-func (ws *Workspace) buildUnitDisk(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, bool) {
+func (ws *Workspace) buildUnitDisk(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, error) {
 	for _, p := range positions {
 		if p.X < bounds.MinX {
 			bounds.MinX = p.X
@@ -130,9 +146,9 @@ func (ws *Workspace) buildUnitDisk(positions []geom.Point, bounds geom.Rect, rad
 
 // place positions n nodes uniformly into the workspace buffers and builds
 // the unit disk graph. Every attempt draws exactly 2n values. With
-// connected set, a disconnected draw returns ok=false before any
-// adjacency is assembled.
-func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bool, r *rng.Stream) (*Network, bool) {
+// connected set, a disconnected draw returns no network and no error,
+// before any adjacency is assembled.
+func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bool, r *rng.Stream) (*Network, error) {
 	if cap(ws.positions) < n {
 		ws.positions = make([]geom.Point, n)
 	}
@@ -143,9 +159,9 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 			Y: r.Range(bounds.MinY, bounds.MaxY),
 		}
 	}
-	g, ok := ws.build(ws.positions, bounds, radius, connected)
-	if !ok {
-		return nil, false
+	g, err := ws.build(ws.positions, bounds, radius, connected)
+	if g == nil {
+		return nil, err
 	}
 	ws.nw = Network{
 		Positions: ws.positions,
@@ -153,7 +169,7 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 		Bounds:    bounds,
 		G:         g,
 	}
-	return &ws.nw, true
+	return &ws.nw, nil
 }
 
 // build constructs the unit disk graph over the positions into the
@@ -167,9 +183,11 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 //     grid); otherwise one band covers every row. Either way the bands'
 //     lists partition the same pair set.
 //  3. Each band counts the degrees its edges give into counters of its
-//     own, and the row offsets are their prefix sum. With connected set,
-//     a disconnected draw (see connected) returns ok=false here, before
-//     any of the assembly below.
+//     own, and the row offsets are their prefix sum. A draw with more
+//     adjacency entries than graph.MaxEntries returns the error of
+//     checkEntries here. With connected set, a disconnected draw (see
+//     connected) returns a nil graph and no error here. Either way none of
+//     the assembly below runs.
 //  4. assemble scatters each band's list into the unsorted rows, the
 //     bands concurrently when there are several, and transposes the rows
 //     into compressed-sparse-row form with ascending rows, over as many
@@ -178,16 +196,16 @@ func (ws *Workspace) place(n int, bounds geom.Rect, radius float64, connected bo
 // The transposition orders every row by source ID, so the CSR depends
 // only on the edge set, never on discovery order: it is bit-identical for
 // any worker count.
-func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, bool) {
+func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius float64, connected bool) (*graph.Graph, error) {
 	n := len(positions)
 	ws.off = resize(ws.off, n+1)
 	if radius < 0 {
 		if connected && n > 1 {
-			return nil, false
+			return nil, nil
 		}
 		clear(ws.off)
 		ws.g.RenewCSR(ws.off, ws.backing[:0])
-		return &ws.g, true
+		return &ws.g, nil
 	}
 	cell := radius
 	if cell <= 0 {
@@ -217,19 +235,35 @@ func (ws *Workspace) build(positions []geom.Point, bounds geom.Rect, radius floa
 			ws.countDegrees(s)
 		})
 	}
+	entries := 0
+	for _, b := range bands {
+		entries += 2 * len(b)
+	}
+	if err := checkEntries(int64(entries)); err != nil {
+		return nil, err
+	}
 	off, degs := ws.off, ws.degs
 	off[0] = 0
 	for u := 0; u < n; u++ {
-		d := 0
+		d := off[u]
 		for i := u; i < len(degs); i += n {
-			d += int(degs[i])
+			d += degs[i]
 		}
-		off[u+1] = off[u] + d
+		off[u+1] = d
 	}
 	if connected && !ws.connected(bands) {
-		return nil, false
+		return nil, nil
 	}
-	return ws.assemble(bands, workers), true
+	return ws.assemble(bands, workers), nil
+}
+
+// checkEntries fails a draw with more adjacency entries than a graph
+// holds: the int32 offsets and assembly cursors would overflow.
+func checkEntries(entries int64) error {
+	if entries > graph.MaxEntries {
+		return fmt.Errorf("topology: the unit disk graph has %d adjacency entries, more than the %d a graph holds; lower n or the degree", entries, int64(graph.MaxEntries))
+	}
+	return nil
 }
 
 // layout fills the cell-sorted grid: a counting sort of the nodes by cell
@@ -399,10 +433,10 @@ func find(parent []int32, x int32) int32 {
 func (ws *Workspace) assemble(bands [][]uint64, workers int) *graph.Graph {
 	off, degs := ws.off, ws.degs
 	n, k := len(off)-1, len(bands)
-	ws.rows, ws.backing = resize(ws.rows, off[n]), resize(ws.backing, off[n])
+	ws.rows, ws.backing = resize(ws.rows, int(off[n])), resize(ws.backing, int(off[n]))
 	rows, flat := ws.rows, ws.backing
 	for u := 0; u < n; u++ {
-		c := int32(off[u])
+		c := off[u]
 		for i := u; i < len(degs); i += n {
 			c, degs[i] = c+degs[i], c
 		}
