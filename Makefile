@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: all ci build vet test test-race test-pipebench bench-smoke bench figures figures-smoke identity trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
+.PHONY: all ci fmt-check build vet test test-race test-pipebench bench-smoke bench figures figures-smoke identity trace-smoke faults-smoke telemetry-smoke workload-smoke fuzz-smoke
 
 all: vet test
 
-# Full CI gate: vet, tests, the race-detector pass, and pipebench's own
-# vet and tests.
-ci: vet test test-race test-pipebench
+# Full CI gate: formatting, vet, tests, the race-detector pass, and
+# pipebench's own vet and tests.
+ci: fmt-check vet test test-race test-pipebench
+
+# Formatting gate: fails when gofmt would rewrite any Go file under the
+# repository root, pipebench's module included.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "fmt-check: gofmt would rewrite:" >&2; echo "$$files" >&2; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

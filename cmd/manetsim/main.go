@@ -146,8 +146,9 @@ type parsed struct {
 }
 
 // parse checks every flag that does not need the network, and the source
-// unless the network comes from -load, so that a bad flag fails the run
-// before anything is built or printed.
+// against n unless the network comes from -load (a source below -1 fails
+// either way), so that a bad flag fails the run before anything is built
+// or printed.
 func parse(cfg config) (parsed, error) {
 	var ps parsed
 	if cfg.buildW < 0 {
@@ -188,14 +189,17 @@ func parse(cfg config) (parsed, error) {
 	if cfg.trace != "" && len(ps.want) != 1 {
 		return ps, fmt.Errorf("-trace needs exactly one protocol selected (e.g. -protocols dynamic-2.5)")
 	}
+	if cfg.source < -1 {
+		return ps, fmt.Errorf("-source %d: want a node ID, or -1 for a random source", cfg.source)
+	}
 	if cfg.load == "" {
 		return ps, checkSource(cfg.source, cfg.n)
 	}
 	return ps, nil
 }
 
-// checkSource rejects a -source beyond the network's n nodes; a negative
-// one draws the source at random.
+// checkSource rejects a -source beyond the network's n nodes; -1 draws
+// the source at random, and parse has rejected anything below it.
 func checkSource(src, n int) error {
 	if src >= n {
 		return fmt.Errorf("source %d out of range (n=%d)", src, n)

@@ -100,6 +100,22 @@ func TestRunSourceOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRunSourceBelowMinusOne: -1 is the only negative -source (a random
+// one); any lower value fails before anything is printed, and with -load
+// before the snapshot is read.
+func TestRunSourceBelowMinusOne(t *testing.T) {
+	for _, load := range []string{"", "/does/not/exist.json"} {
+		var out bytes.Buffer
+		cfg := config{n: 30, d: 8, seed: 1, source: -7, protocols: "flooding", load: load}
+		if err := run(cfg, &out); err == nil || !strings.HasPrefix(err.Error(), "-source -7: ") {
+			t.Fatalf("load %q: want a -source error, got %v", load, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("load %q: rejected run printed %q", load, out.String())
+		}
+	}
+}
+
 // TestRunFaultsBadSpec: a fault spec that does not parse fails the run
 // before anything is printed.
 func TestRunFaultsBadSpec(t *testing.T) {

@@ -125,6 +125,38 @@ func FuzzResetParallelAgree(f *testing.F) {
 	})
 }
 
+// TestWarmResetAllocsFlatInN: a builder reused across networks and modes
+// re-digests with an object count that does not grow with n, at one
+// strip and at two: the flat CH_HOP1 list and the strips' CH_HOP2 lists
+// keep their capacity, and nothing is allocated per node.
+func TestWarmResetAllocsFlatInN(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var first float64
+		for i, n := range []int{2000, 20000} {
+			nw, err := topology.Generate(topology.Config{
+				N: n, Bounds: geom.Square(100), AvgDegree: 18,
+			}, rng.New(uint64(7+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := cluster.NewWorkspace().LowestID(nw.G)
+			var b Builder
+			digest := func() {
+				b.ResetParallel(nw.G, cl, Hop25, workers)
+				b.ResetParallel(nw.G, cl, Hop3, workers)
+			}
+			digest()
+			allocs := testing.AllocsPerRun(5, digest)
+			t.Logf("workers=%d n=%d: warm 2.5-hop and 3-hop digests %.0f objects", workers, n, allocs)
+			if i == 0 {
+				first = allocs
+			} else if allocs > first {
+				t.Fatalf("workers=%d: warm digests allocate %.0f objects at n=%d, %.0f at n=2000", workers, allocs, n, first)
+			}
+		}
+	}
+}
+
 func benchmarkDigest(b *testing.B, n int, mode Mode, workers int) {
 	r := rng.New(1)
 	nw, err := topology.Generate(topology.Config{

@@ -224,23 +224,25 @@ func Election(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 // plus the average coverage-set size per clusterhead. ABL-COVERAGE.
 func CoverageCost(ns []int, d float64, seed uint64, rule stats.StopRule) *Figure {
 	entries := func(mode coverage.Mode) member[draw] {
-		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
-			b := coverage.NewBuilder(d.nw.G, d.cl, mode)
+		return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+			ws.Digest(d.nw.G, d.cl, mode)
 			total := 0
 			for v := 0; v < d.nw.N(); v++ {
-				if !d.cl.IsHead(v) {
-					total += len(b.CH2(v))
-				}
+				total += ws.Builder.CH2Count(v) // a clusterhead reports none
 			}
 			return float64(total), true
 		}
 	}
 	covSize := func(mode coverage.Mode) member[draw] {
-		return func(_ *Workspace, _ Scenario, d draw) (float64, bool) {
-			b := coverage.NewBuilder(d.nw.G, d.cl, mode)
+		return func(ws *Workspace, _ Scenario, d draw) (float64, bool) {
+			ws.Digest(d.nw.G, d.cl, mode)
+			var (
+				cov coverage.Coverage
+				asm coverage.AsmScratch
+			)
 			total := 0
 			for _, h := range d.cl.Heads {
-				total += b.Of(h).Size()
+				total += ws.Builder.OfScratch(h, &cov, &asm).Size()
 			}
 			return float64(total) / float64(len(d.cl.Heads)), true
 		}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"clustercast/internal/geom"
@@ -92,4 +94,76 @@ func TestWorkspaceFromPositionsMatchesFromPositions(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { ws.FromPositions(pos, bounds, 10) }); avg != 0 {
 		t.Fatalf("reused workspace allocates %.1f/step, want 0", avg)
 	}
+}
+
+// TestCheckEntriesAtRowCapacity: a draw with one adjacency entry more than
+// a graph holds fails with an error that names its entry count and is not
+// a disconnected draw, so GenerateWith returns it instead of resampling;
+// a draw at the capacity passes. The count is checked before any row is
+// assembled, so no such graph is built here.
+func TestCheckEntriesAtRowCapacity(t *testing.T) {
+	if err := checkEntries(graph.MaxEntries); err != nil {
+		t.Fatalf("at the capacity: %v", err)
+	}
+	err := checkEntries(graph.MaxEntries + 1)
+	if err == nil {
+		t.Fatal("one entry past the capacity passed")
+	}
+	if !strings.Contains(err.Error(), "2147483648 adjacency entries") {
+		t.Fatalf("error does not name the entry count: %v", err)
+	}
+	if errors.Is(err, ErrDisconnected) {
+		t.Fatalf("capacity error counts as a disconnected draw: %v", err)
+	}
+}
+
+// TestWarmGenerateWithAllocsFlatInN: once its buffers have grown, a
+// workspace draws a connected network, a rejected draw included, with an
+// object count that does not grow with n, at one strip and at two. Each
+// measured call makes the same two attempts at both sizes, because a
+// sharded attempt starts its strips' goroutines.
+func TestWarmGenerateWithAllocsFlatInN(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var first float64
+		for i, n := range []int{2000, 20000} {
+			cfg := Config{N: n, Bounds: geom.Square(100), AvgDegree: 10, RequireConnected: true}
+			start := *rng.New(rejectedOnce(t, cfg))
+			ws := NewWorkspace()
+			ws.BuildWorkers = workers
+			draw := func() {
+				r := start
+				if _, err := GenerateWith(cfg, ws, &r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			draw()
+			allocs := testing.AllocsPerRun(5, draw)
+			t.Logf("workers=%d n=%d: warm GenerateWith %.0f objects", workers, n, allocs)
+			if i == 0 {
+				first = allocs
+			} else if allocs > first {
+				t.Fatalf("workers=%d: warm GenerateWith allocates %.0f objects at n=%d, %.0f at n=2000", workers, allocs, n, first)
+			}
+		}
+	}
+}
+
+// rejectedOnce returns a seed whose first draw under cfg is disconnected
+// and whose second is connected.
+func rejectedOnce(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	ws := NewWorkspace()
+	attempts := func(seed uint64, k int) error {
+		c := cfg
+		c.MaxAttempts = k
+		_, err := GenerateWith(c, ws, rng.New(seed))
+		return err
+	}
+	for seed := uint64(1); seed < 500; seed++ {
+		if errors.Is(attempts(seed, 1), ErrDisconnected) && attempts(seed, 2) == nil {
+			return seed
+		}
+	}
+	t.Fatalf("no seed below 500 rejects exactly one draw at n=%d", cfg.N)
+	return 0
 }
