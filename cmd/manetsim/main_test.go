@@ -89,29 +89,26 @@ func TestRunRejectsNegativeBuildWorkers(t *testing.T) {
 	}
 }
 
+// TestRunSourceOutOfRange: a -source past the network, or below -1 (the
+// one negative value, a random source), fails before anything is printed;
+// below -1 it fails with -load too, before the snapshot is read.
 func TestRunSourceOutOfRange(t *testing.T) {
-	var out bytes.Buffer
-	cfg := config{n: 20, d: 8, seed: 1, source: 99, protocols: "flooding"}
-	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("want out-of-range error, got %v", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("rejected run printed %q", out.String())
-	}
-}
-
-// TestRunSourceBelowMinusOne: -1 is the only negative -source (a random
-// one); any lower value fails before anything is printed, and with -load
-// before the snapshot is read.
-func TestRunSourceBelowMinusOne(t *testing.T) {
-	for _, load := range []string{"", "/does/not/exist.json"} {
+	for _, tc := range []struct {
+		source int
+		load   string
+		want   string
+	}{
+		{99, "", "source 99 out of range"},
+		{-7, "", "-source -7: "},
+		{-7, "/does/not/exist.json", "-source -7: "},
+	} {
 		var out bytes.Buffer
-		cfg := config{n: 30, d: 8, seed: 1, source: -7, protocols: "flooding", load: load}
-		if err := run(cfg, &out); err == nil || !strings.HasPrefix(err.Error(), "-source -7: ") {
-			t.Fatalf("load %q: want a -source error, got %v", load, err)
+		cfg := config{n: 20, d: 8, seed: 1, source: tc.source, protocols: "flooding", load: tc.load}
+		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("-source %d, load %q: want an error with %q, got %v", tc.source, tc.load, tc.want, err)
 		}
 		if out.Len() != 0 {
-			t.Fatalf("load %q: rejected run printed %q", load, out.String())
+			t.Fatalf("-source %d, load %q: rejected run printed %q", tc.source, tc.load, out.String())
 		}
 	}
 }
