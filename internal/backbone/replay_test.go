@@ -62,9 +62,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 		} else {
 			track(v)
 		}
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			track(u)
+		for _, u := range g.Neighbors(v) {
+			track(int(u))
 		}
 	}
 
@@ -81,9 +80,8 @@ func replay(g *graph.Graph, cl *cluster.Clustering, wasUp, isUp func(int) bool) 
 		}
 	}
 	trackNeighborsAt := func(v, r int, afterPhase1 bool) {
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			trackAt(u, r, afterPhase1)
+		for _, u := range g.Neighbors(v) {
+			trackAt(int(u), r, afterPhase1)
 		}
 	}
 

@@ -117,9 +117,8 @@ func reach(g *graph.Graph, h int, gws []int) (two, three *graph.Bitset) {
 			if !sel.Has(r) {
 				continue
 			}
-			for _, w32 := range g.Neighbors(r) {
-				w := int(w32)
-				three.Add(w)
+			for _, w := range g.Neighbors(r) {
+				three.Add(int(w))
 			}
 		}
 	}

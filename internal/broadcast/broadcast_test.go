@@ -139,9 +139,8 @@ func TestMPRSelectionCoversTwoHop(t *testing.T) {
 			if !g.HasEdge(v, int(u)) {
 				t.Fatalf("MPR(%d) contains non-neighbor %d", v, u)
 			}
-			for _, w32 := range g.Neighbors(int(u)) {
-				w := int(w32)
-				covered[w] = true
+			for _, w := range g.Neighbors(int(u)) {
+				covered[int(w)] = true
 			}
 		}
 		for w, d := range g.BFS(v) {

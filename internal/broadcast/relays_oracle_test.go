@@ -30,9 +30,8 @@ func newNeighborhood(g *graph.Graph) *neighborhood {
 	nb := &neighborhood{g: g, n1: make([]map[int]bool, n), n2: make([]map[int]bool, n)}
 	for v := 0; v < n; v++ {
 		m := make(map[int]bool, g.Degree(v))
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			m[u] = true
+		for _, u := range g.Neighbors(v) {
+			m[int(u)] = true
 		}
 		nb.n1[v] = m
 	}

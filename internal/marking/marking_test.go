@@ -115,9 +115,8 @@ func TestQuickRulesOnlyShrink(t *testing.T) {
 		nbr := make([]map[int]bool, g.N())
 		for v := 0; v < g.N(); v++ {
 			m := make(map[int]bool)
-			for _, u32 := range g.Neighbors(v) {
-				u := int(u32)
-				m[u] = true
+			for _, u := range g.Neighbors(v) {
+				m[int(u)] = true
 			}
 			nbr[v] = m
 		}
@@ -184,9 +183,8 @@ func buildMaps(g *graph.Graph) map[int]bool {
 	nbr := make([]map[int]bool, n)
 	for v := 0; v < n; v++ {
 		m := make(map[int]bool, g.Degree(v))
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			m[u] = true
+		for _, u := range g.Neighbors(v) {
+			m[int(u)] = true
 		}
 		nbr[v] = m
 	}
